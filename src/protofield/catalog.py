@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linops import MatrixOperator, SpaceTag, block_diag, make_block_skew
+from .linops import MatrixOperator, SpaceTag, block_diag, identity, make_block_skew, zero
 from .flatgrid import (
     Axis,
     DIRICHLET,
@@ -67,21 +68,21 @@ SQRT2 = float(np.sqrt(2.0))
 
 
 def _coeff(value, size):
-    """Coefficient block from a scalar, per-entry diagonal, or full matrix."""
+    """CSR coefficient block from a scalar, per-entry diagonal, or full matrix."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return float(arr) * np.eye(size)
+        return float(arr) * sp.identity(size, format="csr")
     if arr.ndim == 1:
         if arr.shape[0] != size:
             raise ValueError(f"diagonal coefficient length {arr.shape[0]} != {size}")
-        return np.diag(arr)
+        return sp.diags(arr, format="csr")
     if arr.shape != (size, size):
         raise ValueError(f"coefficient shape {arr.shape} != ({size}, {size})")
-    return 0.5 * (arr + arr.T)
+    return sp.csr_matrix(0.5 * (arr + arr.T))
 
 
 def _check_coeff(name, mat, strict=True):
-    vals = np.linalg.eigvalsh(mat)
+    vals = np.linalg.eigvalsh(mat.toarray())
     floor = 1e-12 * max(np.abs(vals).max(), 1.0)
     if strict and vals.min() <= floor:
         raise ValueError(f"{name} must be symmetric positive definite")
@@ -92,17 +93,19 @@ def _check_coeff(name, mat, strict=True):
 
 def _inv_coeff(value, size, name="coefficient"):
     arr = _check_coeff(name, _coeff(value, size))
-    inv = np.linalg.inv(arr)
-    return 0.5 * (inv + inv.T)
+    inv = np.linalg.inv(arr.toarray())
+    return sp.csr_matrix(0.5 * (inv + inv.T))
 
 
-def _block_matrix(sizes, entries):
-    """Dense block matrix from {(i, j): array} with given block sizes."""
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    out = np.zeros((offs[-1], offs[-1]))
-    for (i, j), blk in entries.items():
-        out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk
-    return out
+def _block_matrix(sizes, entries, col_sizes=None):
+    """CSR block matrix from {(i, j): block}; absent blocks are zero.
+
+    Blocks may be dense or sparse.  col_sizes defaults to sizes (square).
+    """
+    col_sizes = sizes if col_sizes is None else col_sizes
+    return sp.bmat([[entries.get((i, j), sp.csr_matrix((r, c)))
+                     for j, c in enumerate(col_sizes)]
+                    for i, r in enumerate(sizes)], format="csr")
 
 
 def _partials(axes):
@@ -171,7 +174,7 @@ def _negate_second(pair_dim0, a: MatrixOperator) -> MatrixOperator:
     """Conjugate a 2-block operator by diag(1, -1) (a unitary relative)."""
     d = np.ones(a.domain.dim)
     d[pair_dim0:] = -1.0
-    dm = MatrixOperator(np.diag(d), a.domain, a.domain)
+    dm = MatrixOperator(sp.diags(d), a.domain, a.domain)
     return dm @ a @ dm
 
 
@@ -273,8 +276,7 @@ def elasticity(axes, rho=1.0, compliance=1.0, law=None) -> CatalogEntry:
     if law is None:
         m0 = _block_matrix([nvec, nsym],
                            {(0, 0): _coeff(rho, nvec), (1, 1): _coeff(compliance, nsym)})
-        law = MaterialLaw(m0=MatrixOperator(m0, space, space),
-                          m1=MatrixOperator(np.zeros_like(m0), space, space))
+        law = MaterialLaw(m0=MatrixOperator(m0, space, space), m1=zero(space, space))
     classical = MatrixOperator(_grad_sym_stencil(axes), space, space)
     return CatalogEntry(
         name="elasticity",
@@ -457,19 +459,15 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
     axes = tuple(axes)
     space = _ext_space(axes)
     curl_part, graddiv_part = _ext_parts_raw(axes, skew_stencils=skew_stencils)
-    dim = space.dim
     if m0 is None:
-        m0_mat = np.eye(dim)
-        s = si = np.eye(dim)
+        curl_c, graddiv_c = curl_part, graddiv_part
     else:
-        m0_mat = _coeff(m0, dim)
-        s, si = _sqrt_and_inv(m0_mat)
-    curl_c = si @ curl_part @ si
-    graddiv_c = s @ graddiv_part @ s
+        s, si = _sqrt_and_inv(_coeff(m0, space.dim).toarray())
+        curl_c = si @ (curl_part @ si)
+        graddiv_c = s @ (graddiv_part @ s)
     tag = space.tag
     a = MatrixOperator(curl_c + graddiv_c, tag, tag)
-    law = MaterialLaw(m0=MatrixOperator(np.eye(dim), tag, tag),
-                      m1=MatrixOperator(np.zeros((dim, dim)), tag, tag))
+    law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     sizes = _ext_sizes(axes)
     rebuild = None
     if m0 is None and not skew_stencils:
@@ -490,7 +488,6 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
         extras={
             "curl_part": MatrixOperator(curl_c, tag, tag),
             "graddiv_part": MatrixOperator(graddiv_c, tag, tag),
-            "m0": m0_mat,
         },
     )
 
@@ -501,15 +498,18 @@ def _alt3_pair(space3: TensorFieldSpace) -> ProjectionPair:
         raise ValueError("alternating rank-3 coordinates need rank 3 in 3-d")
     np_ = space3.npoints
     red = GridBlockSpace(space3.axes, ("alt012",), "alt3")
-    ent = np.zeros((np_, space3.dim))
     inv_s6 = 1.0 / np.sqrt(6.0)
     pts = np.arange(np_)
+    cols, vals = [], []
     for perm in permutations((0, 1, 2)):
         inversions = sum(
             1 for x in range(3) for y in range(x + 1, 3) if perm[x] > perm[y]
         )
         sign = -1.0 if inversions % 2 else 1.0
-        ent[pts, space3.component_index(perm) * np_ + pts] = sign * inv_s6
+        cols.append(space3.component_index(perm) * np_ + pts)
+        vals.append(np.full(np_, sign * inv_s6))
+    ent = sp.csr_matrix((np.concatenate(vals), (np.tile(pts, 6), np.concatenate(cols))),
+                        shape=(np_, space3.dim))
     return ProjectionPair(MatrixOperator(ent, space3.tag, red.tag), space=red)
 
 
@@ -589,11 +589,8 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
         labels.extend([f"{lab}{i}" if k > 1 else lab for i in range(k)])
     space = GridBlockSpace(tuple(axes), tuple(labels), "extfield_reduced")
     tag = space.tag
-    ent = parent.a.to_dense()[np.ix_(keep, keep)]
-    a = MatrixOperator(ent, tag, tag)
-    dim = tag.dim
-    law = MaterialLaw(m0=MatrixOperator(np.eye(dim), tag, tag),
-                      m1=MatrixOperator(np.zeros((dim, dim)), tag, tag))
+    a = MatrixOperator(parent.a.entries[keep][:, keep], tag, tag)
+    law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
 
     def rebuild():
         full = parent.reconstruct() if parent.reconstruct else parent.a.to_dense()
@@ -701,16 +698,11 @@ def dirac(axes) -> CatalogEntry:
     W = _dirac_w(axes)
     np_ = _npts(axes)
     dim4 = 4 * np_
-    ent = np.zeros((2 * dim4, 2 * dim4))
-    ent[:dim4, dim4:] = -W.T
-    ent[dim4:, :dim4] = W
     labels = [f"psi{i}" for i in range(8)]
     space = GridBlockSpace(axes, tuple(labels), "dirac8")
     tag = space.tag
-    a = MatrixOperator(ent, tag, tag)
-    dim = tag.dim
-    law = MaterialLaw(m0=MatrixOperator(np.eye(dim), tag, tag),
-                      m1=MatrixOperator(np.zeros((dim, dim)), tag, tag))
+    a = MatrixOperator(_block_matrix([dim4, dim4], {(0, 1): -W.T, (1, 0): W}), tag, tag)
+    law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
 
     def rebuild():
         ext = extended_maxwell(axes, skew_stencils=True)
@@ -796,9 +788,7 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
     U, absG = polar_decompose(G)
     A = make_block_skew(absG).as_matrix()
     np_ = _npts(axes)
-    dim = A.domain.dim
-    law = MaterialLaw(m0=MatrixOperator(np.eye(dim), A.domain, A.domain),
-                      m1=MatrixOperator(np.zeros((dim, dim)), A.domain, A.domain))
+    law = MaterialLaw(m0=identity(A.domain), m1=zero(A.domain, A.domain))
 
     def rebuild():
         a_ac = _acoustic_block(axes)
@@ -1020,22 +1010,22 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0, law=None) -> Catalog
     desc_space = a_desc.domain
     half = np_ // 2
     m0_desc = _block_matrix([half, half], {
-        (0, 0): (pe0.pi @ MatrixOperator(m00, space0.tag, space0.tag) @ pe0.embedding).to_dense(),
-        (1, 1): (po1.pi @ MatrixOperator(m11, space1.tag, space1.tag) @ po1.embedding).to_dense(),
+        (0, 0): (pe0.pi @ MatrixOperator(m00, space0.tag, space0.tag) @ pe0.embedding).entries,
+        (1, 1): (po1.pi @ MatrixOperator(m11, space1.tag, space1.tag) @ po1.embedding).entries,
     })
     m1_desc = _block_matrix([half, half], {
-        (0, 0): (pe0.pi @ MatrixOperator(m1_00, space0.tag, space0.tag) @ pe0.embedding).to_dense(),
-        (1, 1): (po1.pi @ MatrixOperator(m1_11, space1.tag, space1.tag) @ po1.embedding).to_dense(),
+        (0, 0): (pe0.pi @ MatrixOperator(m1_00, space0.tag, space0.tag) @ pe0.embedding).entries,
+        (1, 1): (po1.pi @ MatrixOperator(m1_11, space1.tag, space1.tag) @ po1.embedding).entries,
     })
     m0_desc = 0.5 * (m0_desc + m0_desc.T)
     law_desc = MaterialLaw(m0=MatrixOperator(m0_desc, desc_space, desc_space),
                            m1=MatrixOperator(m1_desc, desc_space, desc_space))
 
     # combined single-row system on the line
-    d = build_d1(axis).to_dense()
+    d = build_d1(axis).entries
     a_comb = MatrixOperator(0.5 * (d - d.T), space0.tag, space0.tag)
-    pe_proj = pe0.orthogonal_projector().to_dense()
-    po_proj = po0.orthogonal_projector().to_dense()
+    pe_proj = pe0.orthogonal_projector().entries
+    po_proj = po0.orthogonal_projector().entries
     m0_comb = pe_proj @ m00 @ pe_proj + po_proj @ m11 @ po_proj
     m0_comb = 0.5 * (m0_comb + m0_comb.T)
     m1_comb = pe_proj @ m1_00 @ pe_proj + po_proj @ m1_11 @ po_proj
@@ -1108,13 +1098,11 @@ def _trace_embedding(axes, gamma):
     if arr.ndim >= 2:
         if arr.shape != (len(comps) * np_, np_):
             raise ValueError(f"coupling block must have shape ({len(comps) * np_}, {np_})")
-        return arr
-    out = np.zeros((len(comps) * np_, np_))
-    pts = np.arange(np_)
-    for row, (i, j) in enumerate(comps):
-        if i == j:
-            out[row * np_ + pts, pts] = float(arr)
-    return out
+        return sp.csr_matrix(arr)
+    diag = [row for row, (i, j) in enumerate(comps) if i == j]
+    rows = np.concatenate([row * np_ + np.arange(np_) for row in diag])
+    return sp.csr_matrix((np.full(len(rows), float(arr)), (rows, np.tile(np.arange(np_), n))),
+                         shape=(len(comps) * np_, np_))
 
 
 def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
@@ -1147,10 +1135,8 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     m0_st = _block_matrix([nvec, nsym],
                           {(0, 0): _check_coeff("nu2", _coeff(nu2, nvec)), (1, 1): cinv})
     law_st = MaterialLaw(m0=MatrixOperator(m0_st, a_elast.domain, a_elast.domain),
-                         m1=MatrixOperator(np.zeros_like(m0_st), a_elast.domain,
-                                           a_elast.domain))
-    cross = np.zeros((np_ + nvec, nvec + nsym))
-    cross[:np_, nvec:] = gmat.T @ cinv
+                         m1=zero(a_elast.domain, a_elast.domain))
+    cross = _block_matrix([np_, nvec], {(0, 1): gmat.T @ cinv}, [nvec, nsym])
     mlaw = couple([law_hz, law_st], {(0, 1): (cross, None)})
 
     def rebuild():
@@ -1160,8 +1146,8 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     return CatalogEntry(
         name="thermo_elasticity",
         grid=axes,
-        law=MaterialLaw(m0=MatrixOperator(mlaw.m0.to_dense(), a.domain, a.domain),
-                        m1=MatrixOperator(mlaw.m1.to_dense(), a.domain, a.domain)),
+        law=MaterialLaw(m0=MatrixOperator(mlaw.m0.entries, a.domain, a.domain),
+                        m1=MatrixOperator(mlaw.m1.entries, a.domain, a.domain)),
         a=a,
         blocks=(("eta", np_), ("zeta", nvec), ("s", nvec), ("T", nsym)),
         provenance=(
@@ -1199,12 +1185,9 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     m0_st = _block_matrix([nvec, nsym],
                           {(0, 0): _check_coeff("nu2", _coeff(nu2, nvec)), (1, 1): cinv})
     law_st = MaterialLaw(m0=MatrixOperator(m0_st, a_rot.domain, a_rot.domain),
-                         m1=MatrixOperator(np.zeros_like(m0_st), a_rot.domain,
-                                           a_rot.domain))
-    m1_01 = np.zeros((np_ + nvec, nvec + nsym))
-    m1_01[np_:, :nvec] = -np.eye(nvec)
-    m1_10 = np.zeros((nvec + nsym, np_ + nvec))
-    m1_10[:nvec, np_:] = np.eye(nvec)
+                         m1=zero(a_rot.domain, a_rot.domain))
+    m1_01 = _block_matrix([np_, nvec], {(1, 0): -sp.identity(nvec)}, [nvec, nsym])
+    m1_10 = _block_matrix([nvec, nsym], {(0, 1): sp.identity(nvec)}, [np_, nvec])
     mlaw = couple([law_hz, law_st], {(0, 1): (None, m1_01), (1, 0): (None, m1_10)})
 
     def rebuild():
@@ -1214,8 +1197,8 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     return CatalogEntry(
         name=name,
         grid=axes,
-        law=MaterialLaw(m0=MatrixOperator(mlaw.m0.to_dense(), a.domain, a.domain),
-                        m1=MatrixOperator(mlaw.m1.to_dense(), a.domain, a.domain)),
+        law=MaterialLaw(m0=MatrixOperator(mlaw.m0.entries, a.domain, a.domain),
+                        m1=MatrixOperator(mlaw.m1.entries, a.domain, a.domain)),
         a=a,
         blocks=(("eta", np_), ("zeta", nvec), ("s", nvec), ("T", nsym)),
         provenance=(
@@ -1272,7 +1255,7 @@ def verify_second_order_form(entry: CatalogEntry, steps=40, tau=0.02,
     np_ = sl["eta"].stop - sl["eta"].start
     nvec = sl["zeta"].stop - sl["zeta"].start
     nsym = sl["T"].stop - sl["T"].start
-    kap_inv = np.linalg.inv(_coeff(params["kappa"], nvec))
+    kap_inv = np.linalg.inv(_coeff(params["kappa"], nvec).toarray())
     cmat = _coeff(params["cten"], nsym)
     nu1 = _coeff(params["nu1"], np_)
     nu2 = _coeff(params["nu2"], nvec)
@@ -1415,16 +1398,12 @@ def beam_reduction_pair(plate: CatalogEntry, beam: CatalogEntry) -> ProjectionPa
     np1 = beam.blocks[0][1]
     avg0 = torus_average(TensorFieldSpace(axes2, 0), {1})
     avg1 = torus_average(TensorFieldSpace(axes2, 1), {1})
-    a0 = avg0.pi.to_dense()          # np1 x np2
-    a1 = avg1.pi.to_dense()          # np1 x 2*np2 (keeps component 0)
+    a0 = avg0.pi.entries          # np1 x np2
+    a1 = avg1.pi.entries          # np1 x 2*np2 (keeps component 0)
     # moment block: symmetric comps (00, 01, 11) on the plate; keep (00)
-    t_block = np.hstack([a0, np.zeros((np1, 2 * np2))])
-    ent = np.zeros((beam.dim, plate.dim))
-    psl, bsl = plate.block_slices(), beam.block_slices()
-    ent[bsl["eta"], psl["eta"]] = a0
-    ent[bsl["zeta"], psl["zeta"]] = a1
-    ent[bsl["s"], psl["s"]] = a1
-    ent[bsl["T"], psl["T"]] = t_block
+    t_block = sp.hstack([a0, sp.csr_matrix((np1, 2 * np2))])
+    # both states are ordered (eta, zeta, s, T)
+    ent = sp.block_diag([a0, a1, a1, t_block], format="csr")
     return ProjectionPair(MatrixOperator(ent, plate.space, beam.space))
 
 

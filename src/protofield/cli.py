@@ -21,6 +21,9 @@ Scenario files are JSON objects:
       "output": {"snapshots": [0.0, 0.5, 1.0]}
     }
 
+The name is the stem of both output files and must be a plain file stem
+(letters, digits, '_', '-', '.'; starting with a letter or digit).
+
 Grid axes: {"n": int, "bc": "dirichlet"|"periodic", "length": float} --
 dirichlet axes place n interior points on (0, length); periodic axes
 always have total measure 1 (h = 1/n).  Initial profiles are evaluated on
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import catalog
 from .flatgrid import Axis
-from .evolve import SolverConfig, solve, solve_reduced
+from .evolve import SolverConfig, solve, solve_reduced, weighted_partial_norms
 from .matlaw import MaterialLawError
 from .verify import run_checks
 
@@ -51,6 +55,8 @@ EXIT_UNKNOWN_CATALOG = 3
 EXIT_WELLPOSEDNESS = 4
 
 FLOAT_FMT = "%.17g"
+
+NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def _axes_from_config(grid_cfg):
@@ -124,6 +130,13 @@ def load_scenario(path):
     for key in ("name", "catalog", "grid", "solver"):
         if key not in cfg:
             raise ValueError(f"scenario is missing the {key!r} key")
+    # the name becomes the stem of the output files: keep them inside --outdir
+    name = cfg["name"]
+    if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
+        raise ValueError(
+            f"scenario key 'name' must be a plain file stem (letters, digits, "
+            f"'_', '-', '.'; starting with a letter or digit), got {name!r}"
+        )
     return cfg
 
 
@@ -161,12 +174,7 @@ def run_scenario(cfg, reduced=False, outdir="."):
 
 def _write_energy_csv(cfg, traj, config, outdir):
     path = Path(outdir) / f"{cfg['name']}_energy.csv"
-    # running trapezoidal integral of |u(t)|^2 exp(-2 nu t), reported as a norm
-    w = traj.space.weight if traj.space is not None else np.ones(traj.states.shape[1])
-    sq = np.einsum("ij,ij->i", traj.states, traj.states * w[None, :])
-    vals = sq * np.exp(-2.0 * config.nu * traj.times)
-    steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])
-    partial = np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
+    partial = weighted_partial_norms(traj, config.nu)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "energy", "weighted_partial_norm"])

@@ -8,9 +8,10 @@ schemes are provided:
     Crank-Nicolson:  (M0/tau + (M1+A)/2) u_{n+1}
                          = (M0/tau - (M1+A)/2) u_n + F(t_{n+1/2})
 
-The step matrix is factored once and reused.  Crank-Nicolson preserves the
-quadratic form <M0 u, u> exactly (up to the linear solve) when M1 is skew
-or zero, and for zero forcing satisfies the discrete dissipation identity
+The step matrix is factored once, by the sparse LU, and reused.
+Crank-Nicolson preserves the quadratic form <M0 u, u> exactly (up to the
+linear solve) when M1 is skew or zero, and for zero forcing satisfies the
+discrete dissipation identity
 E_{n+1} - E_n = -tau <sym(M1) u_mid, u_mid>.  Both schemes are exactly
 causal: states vanish identically before the forcing switches on.
 """
@@ -18,10 +19,10 @@ causal: states vanish identically before the forcing switches on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .linops import MatrixOperator, PreconditionError, skew_defect
@@ -29,7 +30,9 @@ from .matlaw import (
     MaterialLaw,
     MaterialLawError,
     StepFailureError,
+    check_pivots,
     check_wellposed,
+    guarded_lu,
     schur_reduce,
     symmetrize,
 )
@@ -82,7 +85,6 @@ class SolverConfig:
     t_end: float
     scheme: str = CRANK_NICOLSON
     nu: float = 0.0
-    solver_tol: float = 1e-12
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -110,34 +112,18 @@ class Trajectory:
         return self.states[idx]
 
 
-class _Factored:
-    """One-time factorization of a step matrix, dense or sparse."""
+def _factor(op: MatrixOperator):
+    """Sparse LU of a step matrix, factored once; returns its solve function.
 
-    def __init__(self, op: MatrixOperator):
-        ent = op.entries
-        if sp.issparse(ent):
-            try:
-                self._solver = spla.splu(ent.tocsc())
-            except RuntimeError as exc:
-                raise StepFailureError(f"singular step matrix: {exc}") from exc
-            self._dense = None
-        else:
-            lu, piv = sla.lu_factor(ent)
-            diag = np.abs(np.diag(lu))
-            if diag.min() == 0.0 or not np.all(np.isfinite(lu)):
-                raise StepFailureError("singular step matrix (zero pivot)")
-            cond_est = diag.max() / diag.min()
-            if cond_est > 1e15:
-                raise StepFailureError(
-                    f"step matrix numerically singular, condition estimate {cond_est:.3e}"
-                )
-            self._solver = (lu, piv)
-            self._dense = True
-
-    def solve(self, rhs):
-        if self._dense:
-            return sla.lu_solve(self._solver, rhs)
-        return self._solver.solve(rhs)
+    Rejects a singular or numerically singular matrix (check_pivots on the
+    diagonal of U) with StepFailureError.
+    """
+    try:
+        lu = spla.splu(op.entries.tocsc())
+    except RuntimeError as exc:
+        raise StepFailureError(f"singular step matrix: {exc}") from exc
+    check_pivots(lu.U.diagonal())
+    return lu.solve
 
 
 def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
@@ -163,7 +149,7 @@ def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
             f"kernel_block_positive={report.kernel_block_positive}"
         )
     left, right = _step_operators(problem, config)
-    factored = _Factored(left)
+    step_solve = _factor(left)
     nsteps = int(round(config.t_end / config.tau))
     times = np.arange(nsteps + 1) * config.tau
     dim = problem.space.dim
@@ -172,7 +158,7 @@ def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     for k in range(nsteps):
         t_sample = times[k] + (config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2)
         rhs = right.apply(states[k]) + problem.force_at(t_sample)
-        states[k + 1] = factored.solve(rhs)
+        states[k + 1] = step_solve(rhs)
     energies = energy_series_from_states(states, problem.law.m0)
     return Trajectory(times=times, states=states, energies=energies,
                       scheme=config.scheme, tau=config.tau, space=problem.space)
@@ -180,7 +166,7 @@ def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
 
 def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
     w = m0.domain.weight
-    mu = states @ m0.entries.T if not sp.issparse(m0.entries) else (m0.entries @ states.T).T
+    mu = (m0.entries @ states.T).T
     return 0.5 * np.einsum("ij,ij->i", mu, states * w[None, :])
 
 
@@ -238,21 +224,24 @@ def causality_check(problem: EvolutionaryProblem, config: SolverConfig, t0: floa
     return state_max <= 1e-13 * max(fmax, 1.0)
 
 
-def weighted_norm(traj: Trajectory, nu: float) -> float:
-    """Trapezoidal approximation of the exponentially weighted trajectory norm.
+def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
+    """Running trapezoidal norms of the exponentially weighted trajectory.
 
-    Integrates |u(t)|^2 exp(-2 nu t) over the computed horizon; diagnostic
-    only (the solvers never use it).
+    Entry n approximates sqrt(int_0^{t_n} |u(t)|^2 exp(-2 nu t) dt); the
+    first entry is 0.  Diagnostic only (the solvers never use it).
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     u = traj.states  # (n, dim)
-    if traj.space is not None:
-        sq = np.einsum("ij,ij->i", u, u * traj.space.weight[None, :])
-    else:
-        sq = np.einsum("ij,ij->i", u, u)
-    vals = sq * np.exp(-2.0 * nu * traj.times)
-    return float(np.sqrt(np.trapezoid(vals, traj.times)))
+    w = traj.space.weight if traj.space is not None else 1.0
+    vals = np.einsum("ij,ij->i", u, u * w) * np.exp(-2.0 * nu * traj.times)
+    steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])
+    return np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def weighted_norm(traj: Trajectory, nu: float) -> float:
+    """The exponentially weighted trajectory norm over the computed horizon."""
+    return float(weighted_partial_norms(traj, nu)[-1])
 
 
 def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
@@ -277,7 +266,8 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
 
     left, right = _step_operators(problem, config)
     reduced, recipe = schur_reduce(left, p_range, p_kernel)
-    factored = _Factored(reduced)
+    # the reduced matrix is dense by nature (SVD bases): dense LU, same guard
+    step_solve = partial(sla.lu_solve, guarded_lu(reduced.to_dense()))
     nsteps = int(round(config.t_end / config.tau))
     times = np.arange(nsteps + 1) * config.tau
     states = np.empty((nsteps + 1, problem.space.dim))
@@ -285,7 +275,7 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
     for k in range(nsteps):
         t_sample = times[k] + (config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2)
         rhs = right.apply(states[k]) + problem.force_at(t_sample)
-        x_r = factored.solve(recipe.reduce_rhs(rhs))
+        x_r = step_solve(recipe.reduce_rhs(rhs))
         states[k + 1] = recipe.assemble(rhs, x_r)
     energies = energy_series_from_states(states, problem.law.m0)
     return Trajectory(times=times, states=states, energies=energies,

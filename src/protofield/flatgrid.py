@@ -25,7 +25,6 @@ import scipy.sparse as sp
 from .linops import (
     BlockSkewOperator,
     MatrixOperator,
-    SPARSE_THRESHOLD,
     SpaceTag,
     direct_sum_tags,
     make_block_skew,
@@ -205,14 +204,15 @@ class GridBlockSpace:
 def build_d1(axis: Axis) -> MatrixOperator:
     """1-d forward difference (u_{i+1} - u_i)/h with ghost u_n = 0 or wraparound."""
     n, h = axis.n, axis.h
-    D = np.zeros((n, n))
     inv_h = 1.0 / h
-    for i in range(n):
-        D[i, i] = -inv_h
-        if i + 1 < n:
-            D[i, i + 1] = inv_h
-        elif axis.bc == PERIODIC:
-            D[i, 0] = inv_h
+    rows = np.arange(n)
+    # the last point's forward neighbour is the zero ghost, or point 0 on a torus
+    fwd = rows if axis.bc == PERIODIC else rows[:-1]
+    D = sp.csr_matrix(
+        (np.concatenate([np.full(n, -inv_h), np.full(len(fwd), inv_h)]),
+         (np.concatenate([rows, fwd]), np.concatenate([rows, (fwd + 1) % n]))),
+        shape=(n, n),
+    )
     tag = SpaceTag(f"axis[{axis.n}{axis.bc[0]}(h={axis.h:.6g})]", n, np.full(n, h))
     return MatrixOperator(D, tag, tag)
 
@@ -221,7 +221,7 @@ def point_derivative(axes, direction) -> sp.csr_matrix:
     """Partial difference along one axis on the flat point index (C order)."""
     mats = []
     for i, a in enumerate(axes):
-        mats.append(build_d1(a).to_dense() if i == direction else sp.identity(a.n))
+        mats.append(build_d1(a).entries if i == direction else sp.identity(a.n))
     return sp.csr_matrix(reduce(sp.kron, mats))
 
 
@@ -231,13 +231,10 @@ def build_nabla(space: TensorFieldSpace) -> MatrixOperator:
     The derivative direction is prepended as the outermost component slot.
     Dirichlet axes use the compactly-supported (zero ghost) stencil.
     """
-    npts = space.npoints
     partials = [point_derivative(space.axes, d) for d in range(space.ndim)]
     blocks = [sp.kron(sp.identity(space.ncomp), P, format="csr") for P in partials]
     ent = sp.vstack(blocks, format="csr")
     target = space.with_rank(space.rank + 1)
-    if target.dim < SPARSE_THRESHOLD:
-        ent = np.asarray(ent.todense())
     return MatrixOperator(ent, space.tag, target.tag)
 
 
@@ -319,7 +316,7 @@ def build_stack_derivative(stack: TensorStack) -> MatrixOperator:
     ]
     for k in range(stack.max_rank):
         nab = build_nabla(spaces[k])
-        blocks[k + 1][k] = sp.csr_matrix(nab.entries)
+        blocks[k + 1][k] = nab.entries
     ent = sp.bmat(blocks, format="csr")
     return MatrixOperator(ent, stack.half_tag, stack.half_tag)
 

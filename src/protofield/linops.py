@@ -9,6 +9,13 @@ for projection/restriction maps, and the relative construction
 [[0, -B0 C* B1*], [B1 C B0*, 0]] used everywhere else to project systems
 onto subspaces.
 
+Every operator stores its entries in one format: a read-only scipy CSR
+matrix.  Dense input is converted once, in the constructor.  Algorithms that
+are dense by nature densify explicitly with `to_dense()`: the weighted
+singular values here, the well-posedness gate's eigendecomposition and the
+Schur reduction (matlaw), the range/kernel SVD (subspaces), and the polar
+decomposition (catalog).
+
 All values are immutable after construction and safe to share across
 threads; the functions here are pure.
 """
@@ -18,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-
-# Operators with at least this many rows are kept in sparse storage.
-SPARSE_THRESHOLD = 4096
 
 # Relative singular-value cutoff declaring a map "boundedly left-invertible".
 DEFAULT_RANK_TOL = 1e-10
@@ -90,26 +93,28 @@ def direct_sum_tags(tags, name=None):
     return SpaceTag(name, len(w), w)
 
 
-def _normalize_storage(entries):
-    """Dense below SPARSE_THRESHOLD rows, sparse (csr) at or above it."""
+def _frozen_csr(entries):
+    """A private, read-only, canonical CSR copy of dense or sparse entries."""
     if sp.issparse(entries):
-        if entries.shape[0] < SPARSE_THRESHOLD:
-            out = np.asarray(entries.todense(), dtype=float)
-            out.setflags(write=False)
-            return out
-        return entries.tocsr().astype(float)
-    out = np.asarray(entries, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"operator entries must be 2-d, got shape {out.shape}")
-    if out.shape[0] >= SPARSE_THRESHOLD:
-        return sp.csr_matrix(out)
-    out = out.copy()
-    out.setflags(write=False)
+        out = entries.tocsr(copy=True).astype(float, copy=False)
+    else:
+        dense = np.asarray(entries, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError(f"operator entries must be 2-d, got shape {dense.shape}")
+        # direct assembly: sp.csr_matrix(dense) detours through COO, which
+        # triples the constructor overhead that dominates on small operators
+        nonzero = dense != 0
+        indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+        out = sp.csr_matrix((dense[nonzero], np.nonzero(nonzero)[1], indptr),
+                            shape=dense.shape)
+    out.sum_duplicates()
+    for arr in (out.data, out.indices, out.indptr):
+        arr.setflags(write=False)
     return out
 
 
 class MatrixOperator:
-    """Real matrix with tagged domain and codomain.
+    """Real matrix with tagged domain and codomain, stored as read-only CSR.
 
     The adjoint is the weighted transpose W_dom^-1 T^T W_cod.  Adjoint
     pairs are memoized so that ``adjoint(adjoint(T)) is T`` holds exactly,
@@ -119,7 +124,7 @@ class MatrixOperator:
     __slots__ = ("entries", "domain", "codomain", "_adj")
 
     def __init__(self, entries, domain, codomain):
-        entries = _normalize_storage(entries)
+        entries = _frozen_csr(entries)
         if entries.shape != (codomain.dim, domain.dim):
             raise TagMismatchError(
                 f"entries shape {entries.shape} does not match tags "
@@ -140,14 +145,10 @@ class MatrixOperator:
         return self.entries.shape
 
     def to_dense(self):
-        if sp.issparse(self.entries):
-            return np.asarray(self.entries.todense())
-        return np.asarray(self.entries)
+        return self.entries.toarray()
 
     def max_abs(self):
-        if sp.issparse(self.entries):
-            return abs(self.entries).max() if self.entries.nnz else 0.0
-        return float(np.abs(self.entries).max()) if self.entries.size else 0.0
+        return float(np.abs(self.entries.data).max()) if self.entries.nnz else 0.0
 
     # -- algebra -----------------------------------------------------------
 
@@ -185,14 +186,14 @@ class MatrixOperator:
 
     def adjoint(self):
         if self._adj is None:
-            ratio_num = self.codomain.weight  # length = rows
-            ratio_den = self.domain.weight    # length = cols
-            if sp.issparse(self.entries):
-                adj_entries = (
-                    sp.diags(1.0 / ratio_den) @ self.entries.T @ sp.diags(ratio_num)
-                )
-            else:
-                adj_entries = self.entries.T * ratio_num[None, :] / ratio_den[:, None]
+            # the CSC arrays of T are the CSR arrays of T^T; entry (j, i) is
+            # t[i, j] * w_cod[i] / w_dom[j], in that order, so selfadjoint laws
+            # stay bitwise selfadjoint under uniform weights
+            csc = self.entries.tocsc()
+            rows = np.repeat(np.arange(self.domain.dim), np.diff(csc.indptr))
+            data = csc.data * self.codomain.weight[csc.indices] / self.domain.weight[rows]
+            adj_entries = sp.csr_matrix((data, csc.indices, csc.indptr),
+                                        shape=(self.domain.dim, self.codomain.dim))
             adj = MatrixOperator(adj_entries, self.codomain, self.domain)
             object.__setattr__(adj, "_adj", self)
             object.__setattr__(self, "_adj", adj)
@@ -218,15 +219,11 @@ def adjoint(op: MatrixOperator) -> MatrixOperator:
 
 
 def identity(tag: SpaceTag) -> MatrixOperator:
-    n = tag.dim
-    ent = sp.identity(n, format="csr") if n >= SPARSE_THRESHOLD else np.eye(n)
-    return MatrixOperator(ent, tag, tag)
+    return MatrixOperator(sp.identity(tag.dim, format="csr"), tag, tag)
 
 
 def zero(domain: SpaceTag, codomain: SpaceTag) -> MatrixOperator:
-    if codomain.dim >= SPARSE_THRESHOLD:
-        return MatrixOperator(sp.csr_matrix((codomain.dim, domain.dim)), domain, codomain)
-    return MatrixOperator(np.zeros((codomain.dim, domain.dim)), domain, codomain)
+    return MatrixOperator(sp.csr_matrix((codomain.dim, domain.dim)), domain, codomain)
 
 
 def block_diag(ops, name=None) -> MatrixOperator:
@@ -234,11 +231,22 @@ def block_diag(ops, name=None) -> MatrixOperator:
     ops = list(ops)
     dom = direct_sum_tags([o.domain for o in ops], name=name)
     cod = direct_sum_tags([o.codomain for o in ops], name=name)
-    if any(sp.issparse(o.entries) for o in ops) or cod.dim >= SPARSE_THRESHOLD:
-        ent = sp.block_diag([o.entries for o in ops], format="csr")
-    else:
-        ent = sla.block_diag(*[o.to_dense() for o in ops])
-    return MatrixOperator(ent, dom, cod)
+    return MatrixOperator(sp.block_diag([o.entries for o in ops], format="csr"), dom, cod)
+
+
+def _off_diagonal(upper, lower):
+    """The square block matrix [[0, upper], [lower, 0]] from two CSR blocks.
+
+    Assembled from the blocks' arrays: sp.bmat's per-call overhead would
+    dominate on the small operators of the verify suite.
+    """
+    n0, n1 = upper.shape
+    return sp.csr_matrix(
+        (np.concatenate([upper.data, lower.data]),
+         np.concatenate([upper.indices + n0, lower.indices]),
+         np.concatenate([upper.indptr, lower.indptr[1:] + upper.nnz])),
+        shape=(n0 + n1, n0 + n1),
+    )
 
 
 def inner(tag: SpaceTag, u, v) -> float:
@@ -280,21 +288,8 @@ def make_block_skew(C: MatrixOperator) -> BlockSkewOperator:
     adjoints of each other by construction), so A + A* vanishes identically,
     with no floating-point arithmetic involved.
     """
-    cs = C.adjoint()
-    h0, h1 = C.domain, C.codomain
-    space = direct_sum_tags([h0, h1])
-    use_sparse = (
-        sp.issparse(C.entries) or sp.issparse(cs.entries) or space.dim >= SPARSE_THRESHOLD
-    )
-    if use_sparse:
-        ent = sp.bmat(
-            [[None, -(sp.csr_matrix(cs.entries))], [sp.csr_matrix(C.entries), None]],
-            format="csr",
-        )
-    else:
-        ent = np.zeros((space.dim, space.dim))
-        ent[: h0.dim, h0.dim :] = -cs.to_dense()
-        ent[h0.dim :, : h0.dim] = C.to_dense()
+    space = direct_sum_tags([C.domain, C.codomain])
+    ent = _off_diagonal(-C.adjoint().entries, C.entries)
     A = MatrixOperator(ent, space, space)
     A.with_adjoint(-A.entries)
     return BlockSkewOperator(C=C, operator=A)
@@ -383,9 +378,5 @@ def make_relative(A: BlockSkewOperator, B0: MatrixOperator,
         raise PreconditionError("B1 is not compatible with C*")
     lower = B1 @ C @ B0.adjoint()
     upper = B0 @ C.adjoint() @ B1.adjoint()
-    x, y = B0.codomain, B1.codomain
-    space = direct_sum_tags([x, y])
-    ent = np.zeros((space.dim, space.dim))
-    ent[: x.dim, x.dim :] = -upper.to_dense()
-    ent[x.dim :, : x.dim] = lower.to_dense()
-    return MatrixOperator(ent, space, space)
+    space = direct_sum_tags([B0.codomain, B1.codomain])
+    return MatrixOperator(_off_diagonal(-upper.entries, lower.entries), space, space)

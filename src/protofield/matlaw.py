@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .linops import (
     MatrixOperator,
@@ -36,6 +37,39 @@ class MaterialLawError(ValueError):
 
 class StepFailureError(RuntimeError):
     """A time-step matrix could not be factored."""
+
+
+# Largest pivot ratio of an LU factor still accepted as nonsingular.
+PIVOT_RATIO_LIMIT = 1e15
+
+
+def check_pivots(pivots):
+    """Reject an LU factor whose pivots are zero, non-finite or too spread.
+
+    The ratio of the largest to the smallest pivot magnitude is a cheap
+    condition estimate; above PIVOT_RATIO_LIMIT the factor is treated as
+    numerically singular.  Raises StepFailureError.
+    """
+    pivots = np.abs(pivots)
+    if not np.all(np.isfinite(pivots)) or pivots.min() == 0.0:
+        raise StepFailureError("singular step matrix (zero or non-finite pivot)")
+    ratio = pivots.max() / pivots.min()
+    if ratio > PIVOT_RATIO_LIMIT:
+        raise StepFailureError(
+            f"step matrix numerically singular, condition estimate {ratio:.3e}"
+        )
+
+
+def guarded_lu(mat):
+    """Dense LU factors of mat, checked by check_pivots (StepFailureError)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu = sla.lu_factor(mat)
+    except ValueError as exc:  # non-finite entries
+        raise StepFailureError(f"step matrix cannot be factored: {exc}") from exc
+    check_pivots(np.diag(lu[0]))
+    return lu
 
 
 def symmetrize(op: MatrixOperator) -> MatrixOperator:
@@ -210,27 +244,31 @@ class ReconstructionRecipe:
     """Recovers the eliminated kernel component of a Schur-reduced solve.
 
     x_k = S_kk^-1 (f_k - S_kr x_r); assemble(full_rhs, x_r) returns the
-    full-space solution embedding(range) x_r + embedding(kernel) x_k.
+    full-space solution embedding(range) x_r + embedding(kernel) x_k.  The
+    range and kernel maps are kept as dense arrays: they come from an SVD
+    and are dense by nature.
     """
 
-    p_range: ProjectionPair
-    p_kernel: ProjectionPair
+    pi_range: np.ndarray
+    pi_kernel: np.ndarray
+    emb_range: np.ndarray
+    emb_kernel: np.ndarray
     s_kk_lu: tuple
     s_kr: np.ndarray
     s_rk: np.ndarray
 
     def kernel_component(self, rhs_full, x_r):
-        f_k = self.p_kernel.pi.apply(rhs_full)
+        f_k = self.pi_kernel @ rhs_full
         return sla.lu_solve(self.s_kk_lu, f_k - self.s_kr @ np.asarray(x_r))
 
     def reduce_rhs(self, rhs_full):
-        f_r = self.p_range.pi.apply(rhs_full)
-        f_k = self.p_kernel.pi.apply(rhs_full)
+        f_r = self.pi_range @ rhs_full
+        f_k = self.pi_kernel @ rhs_full
         return f_r - self.s_rk @ sla.lu_solve(self.s_kk_lu, f_k)
 
     def assemble(self, rhs_full, x_r):
         x_k = self.kernel_component(rhs_full, x_r)
-        return self.p_range.embedding.apply(x_r) + self.p_kernel.embedding.apply(x_k)
+        return self.emb_range @ x_r + self.emb_kernel @ x_k
 
 
 def schur_reduce(S: MatrixOperator, p_range: ProjectionPair, p_kernel: ProjectionPair):
@@ -242,90 +280,63 @@ def schur_reduce(S: MatrixOperator, p_range: ProjectionPair, p_kernel: Projectio
     Raises MaterialLawError when the kernel block is singular, i.e. when
     the strict positivity required of the reduced law fails.
     """
-    s_rr = descend_matrix(S, p_range, p_range)
-    s_rk = descend_matrix(S, p_range, p_kernel)
-    s_kr = descend_matrix(S, p_kernel, p_range)
-    s_kk = descend_matrix(S, p_kernel, p_kernel)
+    pi_r, pi_k = p_range.pi.to_dense(), p_kernel.pi.to_dense()
+    emb_r, emb_k = p_range.embedding.to_dense(), p_kernel.embedding.to_dense()
+    s_emb_r, s_emb_k = S.entries @ emb_r, S.entries @ emb_k
+    s_rr, s_rk = pi_r @ s_emb_r, pi_r @ s_emb_k
+    s_kr, s_kk = pi_k @ s_emb_r, pi_k @ s_emb_k
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(s_kk)
-        if not np.all(np.isfinite(lu[0])) or np.abs(np.diag(lu[0])).min() == 0.0:
-            raise ValueError
-    except (ValueError, sla.LinAlgError):
+        lu = guarded_lu(s_kk)
+    except StepFailureError as exc:
         raise MaterialLawError(
             "kernel block of the step matrix is singular: the strict positive "
             "definiteness required of the reduced material law fails"
-        )
+        ) from exc
     reduced_ent = s_rr - s_rk @ sla.lu_solve(lu, s_kr)
     space = p_range.codomain
     reduced = MatrixOperator(reduced_ent, space, space)
-    recipe = ReconstructionRecipe(
-        p_range=p_range, p_kernel=p_kernel, s_kk_lu=lu, s_kr=s_kr, s_rk=s_rk
-    )
+    recipe = ReconstructionRecipe(pi_range=pi_r, pi_kernel=pi_k, emb_range=emb_r,
+                                  emb_kernel=emb_k, s_kk_lu=lu, s_kr=s_kr, s_rk=s_rk)
     return reduced, recipe
-
-
-def descend_matrix(S: MatrixOperator, row_pair: ProjectionPair,
-                   col_pair: ProjectionPair) -> np.ndarray:
-    """Dense block pi_row . S . embedding_col."""
-    return (row_pair.pi @ S @ col_pair.embedding).to_dense()
 
 
 def couple(laws, off_blocks=None) -> MaterialLaw:
     """Assemble a block law on the direct sum of the given laws' spaces.
 
-    off_blocks maps (i, j) with i != j to a pair (m0_ij, m1_ij) of dense
-    blocks (either may be None).  M0 off-diagonal blocks are mirrored as
-    adjoints to keep the global M0 selfadjoint; providing both (i, j) and
-    (j, i) requires them to be exact adjoints of each other.
+    off_blocks maps (i, j) with i != j to a pair (m0_ij, m1_ij) of blocks,
+    dense or sparse (either may be None); block (i, j) maps space j into
+    space i.  M0 off-diagonal blocks are mirrored as their weighted adjoints
+    to keep the global M0 selfadjoint; providing both (i, j) and (j, i)
+    requires them to be exact adjoints of each other.
     """
     laws = list(laws)
     tags = [l.space for l in laws]
-    dims = [t.dim for t in tags]
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    total = int(offs[-1])
-    space = direct_sum_tags(tags)
-
-    m0 = np.zeros((total, total))
-    m1 = np.zeros((total, total))
+    m0 = [[None] * len(laws) for _ in laws]
+    m1 = [[None] * len(laws) for _ in laws]
     for i, l in enumerate(laws):
-        sl = slice(offs[i], offs[i + 1])
-        m0[sl, sl] = l.m0.to_dense()
-        m1[sl, sl] = l.m1.to_dense()
+        m0[i][i] = l.m0.entries
+        m1[i][i] = l.m1.entries
 
     off_blocks = dict(off_blocks or {})
-    seen_m0 = {}
     for (i, j), (b0, b1) in off_blocks.items():
         if i == j:
             raise ValueError("off_blocks must be strictly off-diagonal")
-        sl_i, sl_j = slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])
         if b1 is not None:
-            m1[sl_i, sl_j] = np.asarray(b1, dtype=float)
+            m1[i][j] = MatrixOperator(b1, tags[j], tags[i]).entries
         if b0 is not None:
-            b0 = np.asarray(b0, dtype=float)
-            # adjoint mirror: same uniform weights on every block here, so
-            # the weighted adjoint of a block is its plain transpose scaled
-            # by the weight ratio
-            wi = tags[i].weight[0]
-            wj = tags[j].weight[0]
-            mirror = b0.T * (wi / wj)
-            if (j, i) in off_blocks and off_blocks[(j, i)][0] is not None:
-                given = np.asarray(off_blocks[(j, i)][0], dtype=float)
-                if not np.allclose(given, mirror, rtol=0, atol=0):
-                    raise MaterialLawError(
-                        f"M0 off-blocks ({i},{j}) and ({j},{i}) are not adjoints; "
-                        "the coupled M0 would not be selfadjoint"
-                    )
-            m0[sl_i, sl_j] = b0
-            seen_m0[(i, j)] = b0
-    for (i, j), b0 in seen_m0.items():
-        if (j, i) not in seen_m0:
-            sl_i, sl_j = slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])
-            wi = tags[i].weight[0]
-            wj = tags[j].weight[0]
-            m0[sl_j, sl_i] = (b0.T * wi) / wj
+            block = MatrixOperator(b0, tags[j], tags[i])
+            mirror = block.adjoint().entries
+            given = off_blocks.get((j, i), (None, None))[0]
+            if given is not None and not np.array_equal(
+                    MatrixOperator(given, tags[i], tags[j]).to_dense(), mirror.toarray()):
+                raise MaterialLawError(
+                    f"M0 off-blocks ({i},{j}) and ({j},{i}) are not adjoints; "
+                    "the coupled M0 would not be selfadjoint"
+                )
+            m0[i][j] = block.entries
+            if given is None:
+                m0[j][i] = mirror
 
-    m0_op = MatrixOperator(m0, space, space)
-    m1_op = MatrixOperator(m1, space, space)
-    return MaterialLaw(m0=m0_op, m1=m1_op)
+    space = direct_sum_tags(tags)
+    return MaterialLaw(m0=MatrixOperator(sp.bmat(m0, format="csr"), space, space),
+                       m1=MatrixOperator(sp.bmat(m1, format="csr"), space, space))

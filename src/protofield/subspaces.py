@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from .linops import (
     MatrixOperator,
     SpaceTag,
-    SPARSE_THRESHOLD,
     TagMismatchError,
     block_diag,
     direct_sum_tags,
@@ -136,8 +135,6 @@ def rank_block(stack: TensorStack, ranks0, ranks1) -> ProjectionPair:
         (np.ones(len(rows)), (np.arange(len(rows)), np.array(rows))),
         shape=(cod.dim, stack.dim),
     )
-    if cod.dim < SPARSE_THRESHOLD and stack.dim < SPARSE_THRESHOLD:
-        ent = np.asarray(ent.todense())
     return ProjectionPair(MatrixOperator(ent, stack.tag, cod), validate=False)
 
 
@@ -151,8 +148,8 @@ def component_select(space, comps, name, labels=None) -> ProjectionPair:
     rows = []
     for c in comps:
         rows.extend(range(c * npts, (c + 1) * npts))
-    ent = np.zeros((red.dim, space.dim))
-    ent[np.arange(len(rows)), np.array(rows)] = 1.0
+    ent = sp.csr_matrix((np.ones(len(rows)), (np.arange(len(rows)), np.array(rows))),
+                        shape=(red.dim, space.dim))
     return ProjectionPair(MatrixOperator(ent, space.tag, red.tag), space=red, validate=False)
 
 
@@ -173,14 +170,16 @@ def _pair_basis_projection(space2: TensorFieldSpace, sign: float, name: str):
             comps.append((i, j))
             labels.append(f"{name}{i}{j}")
     red = GridBlockSpace(space2.axes, tuple(labels), name)
-    ent = np.zeros((red.dim, space2.dim))
     pts = np.arange(npts)
+    rows, cols, vals = [], [], []
     for row_c, (i, j) in enumerate(comps):
-        if i == j:
-            ent[row_c * npts + pts, space2.component_index((i, i)) * npts + pts] = 1.0
-        else:
-            ent[row_c * npts + pts, space2.component_index((i, j)) * npts + pts] = inv_sqrt2
-            ent[row_c * npts + pts, space2.component_index((j, i)) * npts + pts] = sign * inv_sqrt2
+        slots = [((i, i), 1.0)] if i == j else [((i, j), inv_sqrt2), ((j, i), sign * inv_sqrt2)]
+        for alpha, val in slots:
+            rows.append(row_c * npts + pts)
+            cols.append(space2.component_index(alpha) * npts + pts)
+            vals.append(np.full(npts, val))
+    ent = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(red.dim, space2.dim))
     return ProjectionPair(MatrixOperator(ent, space2.tag, red.tag), space=red)
 
 
@@ -224,10 +223,12 @@ def even_odd(space: TensorFieldSpace):
     tags = {}
     pairs = []
     for label, sign in (("even", 1.0), ("odd", -1.0)):
-        ent = np.zeros((half, n))
-        for j in range(half):
-            ent[j, half + j] = s
-            ent[j, half - 1 - j] = sign * s
+        j = np.arange(half)
+        ent = sp.csr_matrix(
+            (np.concatenate([np.full(half, s), np.full(half, sign * s)]),
+             (np.concatenate([j, j]), np.concatenate([half + j, half - 1 - j]))),
+            shape=(half, n),
+        )
         tags[label] = SpaceTag(
             f"{label}[{_axes_name(space.axes)}]", half, np.full(half, axis.h)
         )
@@ -287,8 +288,6 @@ def torus_average(space: TensorFieldSpace, torus_axes) -> ProjectionPair:
             cols.extend(full.tolist())
             vals.extend([1.0 / n_torus] * n_torus)
     ent = sp.csr_matrix((vals, (rows, cols)), shape=(red_space.dim, space.dim))
-    if red_space.dim < SPARSE_THRESHOLD and space.dim < SPARSE_THRESHOLD:
-        ent = np.asarray(ent.todense())
     return ProjectionPair(MatrixOperator(ent, space.tag, red_space.tag), space=red_space)
 
 
@@ -306,8 +305,8 @@ def realify(re_op: MatrixOperator, im_op: MatrixOperator) -> MatrixOperator:
         raise TagMismatchError("real and imaginary parts must share their tags")
     dom = direct_sum_tags([re_op.domain, re_op.domain])
     cod = direct_sum_tags([re_op.codomain, re_op.codomain])
-    r, i = re_op.to_dense(), im_op.to_dense()
-    ent = np.block([[r, -i], [i, r]])
+    r, i = re_op.entries, im_op.entries
+    ent = sp.bmat([[r, -i], [i, r]], format="csr")
     return MatrixOperator(ent, dom, cod)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from protofield import catalog
 from protofield.flatgrid import Axis, TensorFieldSpace, build_d1, build_nabla
@@ -29,6 +30,9 @@ class TestEveryEntry:
         for e in entries:
             scale = max(e.a.max_abs(), 1.0)
             assert skew_defect(e.a) <= 1e-12 * scale, e.name
+            # one storage format: every operator of every entry is CSR
+            for op in (e.a, e.law.m0, e.law.m1):
+                assert sp.issparse(op.entries) and op.entries.format == "csr", e.name
 
     def test_all_wellposed(self, entries):
         for e in entries:

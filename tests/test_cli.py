@@ -101,6 +101,17 @@ class TestSolveCommand:
         p = write_scenario(tmp_path, {"name": "x"})
         assert cli.main(["solve", str(p)]) == cli.EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "..", "", 7])
+    def test_name_not_a_file_stem_exit_2(self, tmp_path, capsys, name):
+        cfg = dict(BASIC)
+        cfg["name"] = name
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        p = write_scenario(tmp_path, cfg)
+        assert cli.main(["solve", str(p), "--outdir", str(outdir)]) == cli.EXIT_PARSE_ERROR
+        assert "'name'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_deterministic_output(self, tmp_path):
         p = write_scenario(tmp_path, BASIC)
         cli.main(["solve", str(p), "--outdir", str(tmp_path)])

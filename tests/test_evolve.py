@@ -6,7 +6,7 @@ import pytest
 from protofield import catalog
 from protofield.flatgrid import Axis
 from protofield.linops import MatrixOperator, PreconditionError, SpaceTag
-from protofield.matlaw import MaterialLaw, MaterialLawError
+from protofield.matlaw import MaterialLaw, MaterialLawError, StepFailureError
 from protofield.evolve import (
     CRANK_NICOLSON,
     IMPLICIT_EULER,
@@ -72,6 +72,20 @@ class TestSolve:
         with pytest.raises(ValueError, match="skew"):
             EvolutionaryProblem(law=law, a=MatrixOperator(np.eye(2), t, t),
                                 initial=np.zeros(2))
+
+    @pytest.mark.parametrize("runner", [solve, solve_reduced])
+    def test_near_singular_step_matrix_rejected(self, runner):
+        # the law passes the gate (sym M1 = 1e-11 > 1e-12 on ker M0), but the
+        # step matrix diag(1/tau, 5e-12, 1/tau) has pivot ratio 2e15; the
+        # tiny rotation gives A a one-dimensional kernel to reduce over
+        t = SpaceTag("h", 3)
+        rot = 1e-20 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        law = MaterialLaw(m0=MatrixOperator(np.diag([1.0, 0.0, 1.0]), t, t),
+                          m1=MatrixOperator(np.diag([0.0, 1e-11, 0.0]), t, t))
+        prob = EvolutionaryProblem(law=law, a=MatrixOperator(rot, t, t),
+                                   initial=np.ones(3))
+        with pytest.raises(StepFailureError, match="condition estimate"):
+            runner(prob, SolverConfig(tau=1e-4, t_end=1e-3))
 
 
 class TestEnergy:
@@ -193,8 +207,8 @@ class TestSolveReduced:
 
 class TestSparseStorage:
     def test_large_diagonal_system_uses_sparse_path(self):
-        # dimensions at or above the storage threshold keep sparse entries,
-        # so the step matrix is factored with the sparse LU branch
+        # every operator is stored as CSR and every step matrix is factored
+        # by the sparse LU; a large identity law must stay sparse end to end
         from protofield.linops import identity, zero
 
         n = 4200
@@ -202,7 +216,7 @@ class TestSparseStorage:
         law = MaterialLaw(m0=identity(t), m1=zero(t, t))
         import scipy.sparse as sp
 
-        assert sp.issparse(law.m0.entries)
+        assert sp.issparse(law.m0.entries) and law.m0.entries.format == "csr"
         prob = EvolutionaryProblem(law=law, a=zero(t, t),
                                    initial=np.ones(n))
         traj = solve(prob, SolverConfig(tau=0.1, t_end=0.3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from protofield.flatgrid import (
     Axis,
@@ -156,6 +157,8 @@ class TestStack:
         stack = TensorStack((Axis.torus(4),) * 3, 3)
         A = build_stack_skew(stack)
         assert skew_defect(A.as_matrix()) == 0.0
+        for op in (A.C, A.as_matrix()):
+            assert sp.issparse(op.entries) and op.entries.format == "csr"
 
     def test_mixed_bc_exactly_skew(self):
         stack = TensorStack((Axis.torus(4), Axis.dirichlet(4, 0.2), Axis.torus(4)), 3)

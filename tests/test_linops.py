@@ -239,10 +239,14 @@ class TestTagDiscipline:
         assert t1 == tag("a", 2, [1.0, 1.0])
         assert t1 != t2
 
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
     def test_immutability(self):
         t = tag("a", 2)
         T = op(np.eye(2), t, t)
+        assert T.entries.format == "csr"
         with pytest.raises(AttributeError):
             T.entries = np.zeros((2, 2))
         with pytest.raises(ValueError):
             T.entries[0, 0] = 5.0
+        with pytest.raises(ValueError):  # a structural zero: no insertion either
+            T.entries[0, 1] = 5.0

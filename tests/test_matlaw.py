@@ -292,6 +292,22 @@ class TestCouple:
         assert np.array_equal(m0[3:, :3], blk.T)
         # constructor already verified exact selfadjointness
 
+    def test_m0_mirror_nonuniform_weights(self):
+        # the mirror is the weighted adjoint of the block, coordinate by
+        # coordinate, not a transpose scaled by one weight ratio per block
+        ta = SpaceTag("a", 2, [1.0, 2.0])
+        tb = SpaceTag("b", 2, [0.5, 3.0])
+        a = MaterialLaw(m0=MatrixOperator(np.eye(2), ta, ta),
+                        m1=MatrixOperator(np.zeros((2, 2)), ta, ta))
+        b = MaterialLaw(m0=MatrixOperator(np.eye(2), tb, tb),
+                        m1=MatrixOperator(np.zeros((2, 2)), tb, tb))
+        blk = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m0 = couple([a, b], {(0, 1): (blk, None)}).m0.to_dense()
+        assert np.array_equal(m0[:2, 2:], blk)
+        # <B u, v>_a = <u, B* v>_b: B*[q, p] = B[p, q] w_a[p] / w_b[q]
+        expected = blk.T * np.array([1.0, 2.0])[None, :] / np.array([0.5, 3.0])[:, None]
+        assert np.allclose(m0[2:, :2], expected, rtol=1e-15, atol=0)
+
     def test_inconsistent_mirror_rejected(self):
         a = law_on("a", np.eye(1))
         b = law_on("b", np.eye(1))
