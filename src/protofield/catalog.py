@@ -11,10 +11,9 @@ the extended scalar/vector Maxwell system and its reduced variant, the
 Dirac system (free space), the square-root wave system, transport on a
 symmetric line, thermo-elasticity (formally Biot's porous-media model),
 Reissner-Mindlin plates, Kirchhoff-Love plates, Timoshenko and
-Euler-Bernoulli beams.  The verify_* functions check the structural
-identities tying them together: the curl identification, the annihilation
-of the two extended-Maxwell parts, the 8x8 unitary equivalence with the
-Dirac system, second-order residual forms, and dimension reduction.
+Euler-Bernoulli beams.  The structural identities tying them together
+are checked in `verify`, which reads the shared pieces (the curl block,
+the Dirac relabeling) from here.
 """
 
 from __future__ import annotations
@@ -46,19 +45,12 @@ from .subspaces import (
     even_odd,
     identity_pair,
     rank_block,
-    realify,
     realify_complex,
     sym_projection,
     torus_average,
 )
 from .matlaw import MaterialLaw, couple
-from .evolve import (
-    CRANK_NICOLSON,
-    IMPLICIT_EULER,
-    EvolutionaryProblem,
-    SolverConfig,
-    solve,
-)
+from .evolve import EvolutionaryProblem
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -116,6 +108,12 @@ def _partials(axes):
 def _skew_partials(axes):
     """Centered (skew) partials: the average of the stencil and its pair."""
     return [0.5 * (P - P.T) for P in _partials(axes)]
+
+
+def _curl_block(P):
+    """The curl [[0, -P3, P2], [P3, 0, -P1], [-P2, P1, 0]] from three partials."""
+    Z = np.zeros_like(P[0])
+    return np.block([[Z, -P[2], P[1]], [P[2], Z, -P[0]], [-P[1], P[0], Z]])
 
 
 def _npts(axes):
@@ -328,7 +326,7 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0,
     """Electric/magnetic system on L2_1 (+) asym[L2_2].
 
     Kept in the orthonormal antisymmetric coordinates of the magnetic
-    block; verify_curl_identification exhibits the curl hidden in them
+    block; verify.check_curl_identification exhibits the curl hidden in them
     (component permutation and a 1/sqrt(2) normalization).
     """
     axes = tuple(axes)
@@ -375,23 +373,6 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0,
     )
 
 
-def verify_curl_identification(axes, tol=1e-14) -> bool:
-    """The antisymmetrized derivative block equals the curl, exactly.
-
-    Builds the curl from the 1-d stencils with the basis normalization
-    folded in (rows c01, c02, c12 are curl_z, -curl_y, curl_x over sqrt 2)
-    and compares entrywise against the descended Maxwell block.
-    """
-    entry = maxwell(axes)
-    np_ = _npts(axes)
-    lower = entry.a.to_dense()[3 * np_:, : 3 * np_]
-    P = _partials(axes)
-    Z = np.zeros_like(P[0])
-    curl = np.block([[Z, -P[2], P[1]], [P[2], Z, -P[0]], [-P[1], P[0], Z]])
-    direct = (1.0 / SQRT2) * np.kron(_asym_perm(), np.eye(np_)) @ curl
-    return float(np.abs(lower - direct).max()) <= tol
-
-
 # ---------------------------------------------------------------------------
 # extended Maxwell family
 
@@ -423,13 +404,11 @@ def _ext_parts_raw(axes, skew_stencils=False):
     if len(axes) != 3:
         raise ValueError("the extended system needs a 3-d grid")
     P = _skew_partials(axes) if skew_stencils else _partials(axes)
-    np_ = _npts(axes)
-    Z = np.zeros((np_, np_))
     grad0 = np.vstack(P)
     div_adj = -grad0.T
     div0 = np.hstack(P)
     grad_adj = -div0.T
-    curl0 = np.block([[Z, -P[2], P[1]], [P[2], Z, -P[0]], [-P[1], P[0], Z]])
+    curl0 = _curl_block(P)
     curl_adj = curl0.T
     sizes = _ext_sizes(axes)
     curl_part = _block_matrix(sizes, {(1, 3): -curl_adj, (3, 1): curl0})
@@ -564,16 +543,6 @@ def _ext_reconstruct_from_stack(axes):
     return out
 
 
-def verify_annihilation(entry: CatalogEntry, tol=1e-12) -> bool:
-    """The two spatial parts multiply to zero (both orders), periodic grid, M0=I."""
-    c = entry.extras["curl_part"].to_dense()
-    g = entry.extras["graddiv_part"].to_dense()
-    scale = max(np.abs(c).max(), np.abs(g).max(), 1.0)
-    r1 = np.abs(c @ g).max() / scale
-    r2 = np.abs(g @ c).max() / scale
-    return max(r1, r2) <= tol
-
-
 def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
     """The extended system with the second scalar row and column removed.
 
@@ -661,6 +630,13 @@ def _dirac_permutations():
     return u1, u2
 
 
+def _dirac_relabeling(axes):
+    """The 8x8-per-point signed permutation U with U D U* = extended Maxwell + chiral."""
+    u1, u2 = _dirac_permutations()
+    eye = sp.identity(_npts(axes), format="csr")
+    return sp.block_diag([sp.kron(u1, eye), sp.kron(u2, eye)], format="csr")
+
+
 def _chiral_m1(axes):
     """The skew constant zero-order term appearing in the Dirac relabeling.
 
@@ -706,13 +682,8 @@ def dirac(axes) -> CatalogEntry:
 
     def rebuild():
         ext = extended_maxwell(axes, skew_stencils=True)
-        target = ext.a.to_dense() + _chiral_m1(axes)
-        u1, u2 = _dirac_permutations()
-        Id = np.eye(np_)
-        U = np.zeros((2 * dim4, 2 * dim4))
-        U[:dim4, :dim4] = np.kron(u1, Id)
-        U[dim4:, dim4:] = np.kron(u2, Id)
-        return U.T @ target @ U
+        U = _dirac_relabeling(axes)
+        return U.T @ (ext.a.to_dense() + _chiral_m1(axes)) @ U
 
     return CatalogEntry(
         name="dirac",
@@ -729,24 +700,6 @@ def dirac(axes) -> CatalogEntry:
         reconstruct=rebuild,
         extras={"W": W},
     )
-
-
-def verify_dirac_equivalence(axes, tol=1e-12) -> bool:
-    """Conjugating the Dirac system by the signed permutation gives
-    the extended Maxwell spatial part plus the chiral constant term."""
-    entry = dirac(axes)
-    np_ = _npts(axes)
-    dim4 = 4 * np_
-    u1, u2 = _dirac_permutations()
-    Id = np.eye(np_)
-    U = np.zeros((2 * dim4, 2 * dim4))
-    U[:dim4, :dim4] = np.kron(u1, Id)
-    U[dim4:, dim4:] = np.kron(u2, Id)
-    conj = U @ entry.a.to_dense() @ U.T
-    ext = extended_maxwell(axes, skew_stencils=True)
-    target = ext.a.to_dense() + _chiral_m1(axes)
-    scale = max(np.abs(target).max(), 1.0)
-    return float(np.abs(conj - target).max()) / scale <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -811,154 +764,6 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
         ),
         reconstruct=rebuild,
         extras={"U": U, "absG": absG, "G": G},
-    )
-
-
-@dataclass(frozen=True)
-class WaveRelativeReport:
-    """Residuals of the square-root translation of the second-order wave system."""
-
-    conjugation_residual: float
-    unitarity_residual: float
-    adjoint_swap_residual: float
-    s_isometry_residual: float
-    material_transform_residual: float
-    tol: float
-
-    @property
-    def ok(self):
-        return max(
-            self.conjugation_residual,
-            self.unitarity_residual,
-            self.adjoint_swap_residual,
-            self.s_isometry_residual,
-            self.material_transform_residual,
-        ) <= self.tol
-
-
-def second_order_wave_relative(axes, epsilon, tol=1e-10, seed=0) -> WaveRelativeReport:
-    """Check the identities translating [[0, Lap - eps], [1, 0]] to first order.
-
-    (i)  diag(1, S) [[0, Lap-eps], [1, 0]] diag(1, S^-1) = [[0, -S], [S, 0]]
-         with S = sqrt(-Lap + eps);
-    (ii) the realified factors U+- = (|grad0| +- i sqrt(eps)) S^-1 are
-         unitary with adjoint(U+-) = U-+;
-    (iii) conjugating a random affine law through the chain lands on the
-         displayed transformed law over the acoustic-plus-chiral operator.
-    """
-    axes = tuple(axes)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if any(a.bc != DIRICHLET for a in axes):
-        raise ValueError("the wave translation uses the Dirichlet gradient")
-    G = build_nabla(TensorFieldSpace(axes, 0))
-    Uop, absG = polar_decompose(G)
-    scalar_tag = G.domain
-    np_ = scalar_tag.dim
-    lap = -(G.adjoint() @ G).to_dense()          # Dirichlet Laplacian (negative definite)
-    vals, Q = np.linalg.eigh(0.5 * (lap + lap.T))
-    S = Q @ np.diag(np.sqrt(-vals + epsilon)) @ Q.T
-    S = 0.5 * (S + S.T)
-    Sinv = Q @ np.diag(1.0 / np.sqrt(-vals + epsilon)) @ Q.T
-    Sinv = 0.5 * (Sinv + Sinv.T)
-    Id = np.eye(np_)
-    Z = np.zeros((np_, np_))
-
-    # (i)
-    sys_mat = np.block([[Z, lap - epsilon * Id], [Id, Z]])
-    left = np.block([[Id, Z], [Z, S]])
-    right = np.block([[Id, Z], [Z, Sinv]])
-    target = np.block([[Z, -S], [S, Z]])
-    conj_res = np.abs(left @ sys_mat @ right - target).max() / max(np.abs(target).max(), 1.0)
-
-    # (ii) realified U+- = (|grad0| +- i sqrt(eps)) S^-1
-    sq_eps = np.sqrt(epsilon)
-    abs_d = absG.to_dense()
-    re_u = MatrixOperator(abs_d @ Sinv, scalar_tag, scalar_tag)
-    im_u = MatrixOperator(sq_eps * Sinv, scalar_tag, scalar_tag)
-    u_plus = realify(re_u, im_u)
-    u_minus = realify(re_u, -1.0 * im_u)
-    ident = np.eye(2 * np_)
-    unit_res = max(
-        np.abs((u_plus @ u_plus.adjoint()).to_dense() - ident).max(),
-        np.abs((u_minus @ u_minus.adjoint()).to_dense() - ident).max(),
-    )
-    swap_res = np.abs(u_plus.adjoint().to_dense() - u_minus.to_dense()).max()
-
-    # S is an isometry from the shifted-energy inner product to the plain one
-    h1_gram = abs_d @ abs_d + epsilon * Id
-    s_iso_res = np.abs(S.T @ S - h1_gram).max() / max(np.abs(h1_gram).max(), 1.0)
-
-    # (iii) transformed material law over the acoustic-plus-chiral operator.
-    # Assembled in complex arithmetic, then compared through the
-    # realification map (an algebra homomorphism, so realified equality is
-    # the identity actually asserted).
-    rng = np.random.default_rng(seed)
-    m0c = rng.standard_normal((2 * np_, 2 * np_)) + 1j * rng.standard_normal((2 * np_, 2 * np_))
-    m0c = 0.5 * (m0c + m0c.conj().T)
-    m1c = rng.standard_normal((2 * np_, 2 * np_)) + 1j * rng.standard_normal((2 * np_, 2 * np_))
-
-    u_mat = Uop.to_dense()              # scalar space -> vector space, real
-    nvec = u_mat.shape[0]
-    grad_d = G.to_dense()
-
-    def two_block(b00, b01, b10, b11, rows, cols):
-        out = np.zeros((sum(rows), sum(cols)), dtype=complex)
-        if b00 is not None:
-            out[: rows[0], : cols[0]] = b00
-        if b01 is not None:
-            out[: rows[0], cols[0]:] = b01
-        if b10 is not None:
-            out[rows[0]:, : cols[0]] = b10
-        if b11 is not None:
-            out[rows[0]:, cols[0]:] = b11
-        return out
-
-    ss = (np_, np_)            # scalar (+) scalar, the original state
-    sv = (np_, nvec)           # scalar (+) vector, the transformed state
-    t_left = two_block(Id, None, None, u_mat @ (abs_d + 1j * sq_eps * Id), sv, ss)
-    t_right = two_block(Id, None, None,
-                        Sinv @ (abs_d - 1j * sq_eps * Id) @ Sinv @ u_mat.T, ss, sv)
-    sys0 = two_block(None, lap, Id, None, ss, ss)
-    acoustic = two_block(None, -grad_d.T, grad_d, None, sv, sv)
-    chiral = two_block(None, 1j * sq_eps * u_mat.T, 1j * sq_eps * u_mat, None, sv, sv)
-    extra = two_block(
-        None,
-        epsilon * Sinv @ (abs_d - 1j * sq_eps * Id) @ Sinv @ u_mat.T + 1j * sq_eps * u_mat.T,
-        1j * sq_eps * u_mat,
-        None,
-        sv, sv,
-    )
-    mt0 = t_left @ m0c @ t_right
-    mt1 = t_left @ m1c @ t_right + extra
-
-    dom_sv = SpaceTag("wave_sv", np_ + nvec,
-                      np.concatenate([scalar_tag.weight, Uop.codomain.weight]))
-
-    def realified(mat, dom, cod):
-        return realify_complex(mat, dom, cod).to_dense()
-
-    worst = 0.0
-    for z in (1.0, 0.37):
-        lhs = t_left @ (z * m0c + m1c + sys0) @ t_right
-        rhs = z * mt0 + mt1 + acoustic
-        lhs_r = realified(lhs, dom_sv, dom_sv)
-        rhs_r = realified(rhs, dom_sv, dom_sv)
-        worst = max(worst, np.abs(lhs_r - rhs_r).max() / max(np.abs(rhs_r).max(), 1.0))
-    # the chiral term is part of mt1 via `extra`; check it matches the
-    # conjugated shifted system as well
-    shift = two_block(None, epsilon * Id, None, None, ss, ss)
-    chain = t_left @ (sys0 - shift) @ t_right - (acoustic + chiral)
-    worst = max(worst, np.abs(realified(chain, dom_sv, dom_sv)).max()
-                / max(np.abs(realified(acoustic, dom_sv, dom_sv)).max(), 1.0))
-
-    return WaveRelativeReport(
-        conjugation_residual=float(conj_res),
-        unitarity_residual=float(unit_res),
-        adjoint_swap_residual=float(swap_res),
-        s_isometry_residual=float(s_iso_res),
-        material_transform_residual=float(worst),
-        tol=tol,
     )
 
 
@@ -1058,31 +863,6 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0, law=None) -> Catalog
             "odd_pair": po0,
         },
     )
-
-
-def verify_transport_equivalence(entry: CatalogEntry, initial=None, tau=None,
-                                 t_end=None, tol=1e-12) -> bool:
-    """Combined one-row solve == even/odd 2x2 descendant solve mapped back."""
-    np_ = entry.blocks[0][1]
-    rng = np.random.default_rng(7)
-    u0 = rng.standard_normal(np_) if initial is None else np.asarray(initial, float)
-    h = entry.grid[0].h
-    tau = tau or h
-    t_end = t_end or 8 * tau
-    cfg = SolverConfig(tau=tau, t_end=t_end, scheme=CRANK_NICOLSON)
-
-    traj = solve(entry.problem(initial=u0), cfg)
-
-    pe, po = entry.extras["even_pair"], entry.extras["odd_pair"]
-    x0 = np.concatenate([pe.pi.apply(u0), po.pi.apply(u0)])
-    prob2 = EvolutionaryProblem(law=entry.extras["descendant_law"],
-                                a=entry.extras["descendant_a"], initial=x0)
-    traj2 = solve(prob2, cfg)
-    half = np_ // 2
-    emb_e, emb_o = pe.embedding.to_dense(), po.embedding.to_dense()
-    mapped = traj2.states[:, :half] @ emb_e.T + traj2.states[:, half:] @ emb_o.T
-    scale = max(np.abs(traj.states).max(), 1.0)
-    return float(np.abs(traj.states - mapped).max()) / scale <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -1240,76 +1020,6 @@ def timoshenko(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0, d=0.0) -> CatalogEnt
     return _plate_beam("timoshenko", axes, nu1, nu2, kappa, cten, d)
 
 
-def verify_second_order_form(entry: CatalogEntry, steps=40, tau=0.02,
-                             tol=1e-8, seed=3) -> float:
-    """Residual of the eliminated (second-order) form of a plate/beam solve.
-
-    Runs an implicit-Euler solve from data compatible with zero time
-    integrals, accumulates the discrete antiderivatives of the bending and
-    rotation velocities, and evaluates the two second-order rows obtained
-    by eliminating the shear flux and moment stress.  Returns the largest
-    relative residual (should be solver roundoff, far below tol).
-    """
-    params = entry.extras["params"]
-    sl = entry.block_slices()
-    np_ = sl["eta"].stop - sl["eta"].start
-    nvec = sl["zeta"].stop - sl["zeta"].start
-    nsym = sl["T"].stop - sl["T"].start
-    kap_inv = np.linalg.inv(_coeff(params["kappa"], nvec).toarray())
-    cmat = _coeff(params["cten"], nsym)
-    nu1 = _coeff(params["nu1"], np_)
-    nu2 = _coeff(params["nu2"], nvec)
-    dmat = _coeff(params["d"], np_)
-    A = entry.a.to_dense()
-    div_blk = -A[sl["eta"], sl["zeta"]]
-    grad_blk = -A[sl["zeta"], sl["eta"]]
-    Div_blk = -A[sl["s"], sl["T"]]
-    Grad_blk = -A[sl["T"], sl["s"]]
-
-    rng = np.random.default_rng(seed)
-    u0 = np.zeros(entry.dim)
-    u0[sl["eta"]] = rng.standard_normal(np_)
-    u0[sl["s"]] = rng.standard_normal(nvec)
-    f_vec = rng.standard_normal(np_)
-    g_vec = rng.standard_normal(nvec)
-    force = np.zeros(entry.dim)
-    force[sl["eta"]] = f_vec
-    force[sl["s"]] = g_vec
-
-    cfg = SolverConfig(tau=tau, t_end=steps * tau, scheme=IMPLICIT_EULER)
-    traj = solve(entry.problem(initial=u0, forcing=lambda t: force), cfg)
-
-    eta = traj.states[:, sl["eta"]]
-    s = traj.states[:, sl["s"]]
-    eta_int = np.zeros_like(eta)
-    s_int = np.zeros_like(s)
-    for k in range(1, len(traj)):
-        eta_int[k] = eta_int[k - 1] + tau * eta[k]
-        s_int[k] = s_int[k - 1] + tau * s[k]
-
-    worst = 0.0
-    for k in range(1, len(traj)):
-        shear = kap_inv @ (grad_blk @ eta_int[k] + s_int[k])
-        r1 = nu1 @ (eta[k] - eta[k - 1]) / tau + dmat @ eta[k] - div_blk @ shear - f_vec
-        r2 = (nu2 @ (s[k] - s[k - 1]) / tau
-              - Div_blk @ (cmat @ (Grad_blk @ s_int[k]))
-              + shear - g_vec)
-        scale = max(
-            np.abs(nu1 @ eta[k]).max() / tau,
-            np.abs(div_blk @ shear).max(),
-            np.abs(f_vec).max(),
-            np.abs(g_vec).max(),
-            1.0,
-        )
-        worst = max(worst, np.abs(r1).max() / scale, np.abs(r2).max() / scale)
-    return worst
-
-
-def verify_rm_second_order(entry: CatalogEntry, tol=1e-8) -> bool:
-    """Plate solve satisfies its eliminated second-order form to tol."""
-    return verify_second_order_form(entry, tol=tol) <= tol
-
-
 def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
     """Shared builder for the Kirchhoff-Love plate and Euler-Bernoulli beam.
 
@@ -1405,39 +1115,6 @@ def beam_reduction_pair(plate: CatalogEntry, beam: CatalogEntry) -> ProjectionPa
     # both states are ordered (eta, zeta, s, T)
     ent = sp.block_diag([a0, a1, a1, t_block], format="csr")
     return ProjectionPair(MatrixOperator(ent, plate.space, beam.space))
-
-
-def verify_dimension_reduction(n_line=8, n_torus=4, steps=100, tau=0.01,
-                               tol=1e-10, seed=11):
-    """Plate on (line x torus) with fiber-constant data vs the beam model.
-
-    Returns (state_mismatch, isometry_defect, operator_defect); all should
-    be at solver/roundoff level since the fiber-constant subspace is
-    exactly invariant.
-    """
-    line = Axis.interval(n_line)
-    plate = reissner_mindlin((line, Axis.torus(n_torus)))
-    beam = timoshenko((line,))
-    pair = beam_reduction_pair(plate, beam)
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(beam.dim)
-    emb = pair.embedding.apply(v)
-    iso = abs(np.sqrt(np.sum(plate.space.weight * emb * emb))
-              - np.sqrt(np.sum(beam.space.weight * v * v)))
-
-    op_defect = float(np.abs(
-        (pair.pi @ plate.a @ pair.embedding).to_dense() - beam.a.to_dense()
-    ).max())
-
-    u0_beam = rng.standard_normal(beam.dim)
-    cfg = SolverConfig(tau=tau, t_end=steps * tau, scheme=CRANK_NICOLSON)
-    traj_beam = solve(beam.problem(initial=u0_beam), cfg)
-    traj_plate = solve(plate.problem(initial=pair.embedding.apply(u0_beam)), cfg)
-    mapped = traj_plate.states @ pair.pi.to_dense().T
-    scale = max(np.abs(traj_beam.states).max(), 1.0)
-    mismatch = float(np.abs(mapped - traj_beam.states).max()) / scale
-    return mismatch, float(iso), op_defect
 
 
 # ---------------------------------------------------------------------------

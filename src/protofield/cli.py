@@ -5,7 +5,8 @@ Commands:
     protofield solve FILE [--reduced]    run a scenario, write CSV results
     protofield catalog                   list systems with their derivation chains
 
-Exit codes: 0 success, 1 verification failure, 2 scenario parse error,
+Exit codes: 0 success, 1 verification failure, 2 scenario parse error
+(or, for verify, a PROTOFIELD_MAX_GRID that is not an integer >= 2),
 3 unknown catalog name, 4 well-posedness failure.
 
 Scenario files are JSON objects:
@@ -46,7 +47,7 @@ from . import catalog
 from .flatgrid import Axis
 from .evolve import SolverConfig, solve, solve_reduced, weighted_partial_norms
 from .matlaw import MaterialLawError
-from .verify import run_checks
+from .verify import max_grid, run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -204,6 +205,11 @@ def _write_snapshot_csv(cfg, entry, traj, outdir):
 
 
 def cmd_verify(args):
+    try:
+        max_grid()
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     results = run_checks(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}")

@@ -350,13 +350,6 @@ def check_compatibility(C: MatrixOperator, B: MatrixOperator,
     )
 
 
-def verify_adjoint_theorem(C: MatrixOperator, B: MatrixOperator, tol: float) -> bool:
-    """Check (C B*)* == B C* in the max-entry norm (closures are trivial here)."""
-    lhs = (C @ B.adjoint()).adjoint()
-    rhs = B @ C.adjoint()
-    return (lhs - rhs).max_abs() <= tol
-
-
 def make_relative(A: BlockSkewOperator, B0: MatrixOperator,
                   B1: MatrixOperator) -> MatrixOperator:
     """The (B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]] of A.

@@ -230,15 +230,6 @@ def normalize_m0(mlaw: MaterialLaw, A: MatrixOperator):
     return MaterialLaw(m0=new_m0, m1=new_m1), new_a, S
 
 
-def implicit_step_matrix(mlaw: MaterialLaw, A: MatrixOperator, tau: float) -> MatrixOperator:
-    """Implicit-Euler step operator M0/tau + M1 + A."""
-    if tau <= 0:
-        raise ValueError(f"step size must be positive, got {tau}")
-    if A.domain != mlaw.space or A.codomain != mlaw.space:
-        raise TagMismatchError("A must live on the law's space")
-    return (1.0 / tau) * mlaw.m0 + mlaw.m1 + A
-
-
 @dataclass(frozen=True)
 class ReconstructionRecipe:
     """Recovers the eliminated kernel component of a Schur-reduced solve.

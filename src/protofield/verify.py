@@ -1,12 +1,17 @@
-"""Structural-identity verification suite.
+"""Structural-identity verification suite: the one home of every identity check.
 
-Each check rebuilds the objects it audits from scratch, measures a
-residual, and compares it against the tolerance that the identity is
-supposed to satisfy.  The CLI `verify` command runs them all (optionally
-filtered by substring) and prints one PASS/FAIL line per check.
+Each identity is computed here and nowhere else; the catalog supplies the
+systems and the pieces the identities are stated in (the curl block, the
+Dirac relabeling), and the tests call these functions.  A `check_<name>`
+rebuilds what it audits from scratch, measures a residual and compares it
+with the identity's tolerance; a test that wants the identity on another
+grid calls the residual function its check calls.  The CLI `verify`
+command runs `CHECKS` (optionally filtered by substring) and prints one
+PASS/FAIL line per check.
 
 Grid sizes can be capped for constrained environments through the
-PROTOFIELD_MAX_GRID environment variable (maximum points per axis).
+PROTOFIELD_MAX_GRID environment variable (maximum points per axis, an
+integer >= 2).
 """
 
 from __future__ import annotations
@@ -17,18 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .flatgrid import Axis, TensorFieldSpace, TensorStack, build_div, build_nabla, build_stack_skew
-from .linops import (
-    MatrixOperator,
-    SpaceTag,
-    make_block_skew,
-    make_relative,
-    skew_defect,
-    verify_adjoint_theorem,
-)
+from .flatgrid import DIRICHLET, Axis, TensorFieldSpace, TensorStack, build_div, build_nabla, build_stack_skew
+from .linops import MatrixOperator, SpaceTag, make_block_skew, make_relative, skew_defect
 from .matlaw import MaterialLaw, check_wellposed
+from .subspaces import realify, realify_complex
 from .evolve import (
     CRANK_NICOLSON,
+    IMPLICIT_EULER,
+    EvolutionaryProblem,
     SolverConfig,
     causality_check,
     dissipation_check,
@@ -46,33 +47,42 @@ class CheckResult:
     detail: str = ""
 
 
-def _max_grid():
+def max_grid():
+    """The PROTOFIELD_MAX_GRID cap, None when unset; ValueError unless an integer >= 2."""
     v = os.environ.get("PROTOFIELD_MAX_GRID")
-    return int(v) if v else None
+    if not v:
+        return None
+    try:
+        cap = int(v)
+    except ValueError:
+        cap = 0
+    if cap < 2:
+        raise ValueError(f"PROTOFIELD_MAX_GRID must be an integer >= 2, got {v!r}")
+    return cap
 
 
 def _cap(n):
-    cap = _max_grid()
-    return n if cap is None else max(2, min(n, cap))
+    cap = max_grid()
+    return n if cap is None else min(n, cap)
 
 
-def _result(name, residual, tol, detail=""):
+def _result(name, residual, tol, detail="", side_ok=True):
+    """Passed when the residual meets tol and the check's other conditions hold."""
     return CheckResult(name=name, residual=float(residual), tol=tol,
-                       passed=bool(residual <= tol), detail=detail)
+                       passed=bool(residual <= tol and side_ok), detail=detail)
 
 
 # ---------------------------------------------------------------------------
+# residual functions shared by the checks and the tests
 
 
-def check_adjointness():
-    """<nabla u, v> + <u, div v> = 0 over random fields, grids and ranks."""
-    rng = np.random.default_rng(2024)
+def adjointness_residual(grids, rng, pairs=12):
+    """Worst normalized <nabla u, v> + <u, div v> over random fields.
+
+    Draws `pairs` field pairs for each grid and each rank 0..2; returns
+    (worst residual, number of pairs).
+    """
     worst = 0.0
-    grids = [
-        (Axis.interval(_cap(8)),),
-        (Axis.interval(_cap(5)), Axis.torus(_cap(4))),
-        (Axis.torus(_cap(4)), Axis.torus(_cap(4)), Axis.interval(_cap(4))),
-    ]
     count = 0
     for axes in grids:
         for rank in range(3):
@@ -81,13 +91,327 @@ def check_adjointness():
             div = build_div(TensorFieldSpace(axes, rank + 1))
             w0 = space.tag.weight
             w1 = nab.codomain.weight
-            for _ in range(12):
+            for _ in range(pairs):
                 u = rng.standard_normal(space.dim)
                 v = rng.standard_normal(nab.codomain.dim)
                 num = abs(np.sum(w1 * nab.apply(u) * v) + np.sum(w0 * u * div.apply(v)))
                 den = np.sqrt(np.sum(w0 * u * u)) * np.sqrt(np.sum(w1 * v * v))
                 worst = max(worst, num / den)
                 count += 1
+    return worst, count
+
+
+def curl_residual(axes):
+    """Max entry of the descended Maxwell block minus the stencil curl.
+
+    The curl is built from the 1-d stencils with the basis normalization
+    folded in (rows c01, c02, c12 are curl_z, -curl_y, curl_x over sqrt 2).
+    """
+    entry = catalog.maxwell(axes)
+    np_ = entry.blocks[0][1] // 3
+    lower = entry.a.to_dense()[3 * np_:, : 3 * np_]
+    curl = catalog._curl_block(catalog._partials(axes))
+    direct = (1.0 / catalog.SQRT2) * np.kron(catalog._asym_perm(), np.eye(np_)) @ curl
+    return float(np.abs(lower - direct).max())
+
+
+def annihilation_residual(axes):
+    """Max entry of the two extended-Maxwell parts multiplied, both orders."""
+    entry = catalog.extended_maxwell(axes)
+    c = entry.extras["curl_part"].to_dense()
+    g = entry.extras["graddiv_part"].to_dense()
+    return float(max(np.abs(c @ g).max(), np.abs(g @ c).max()))
+
+
+def _dirac_and_target(axes):
+    """The Dirac operator and extended Maxwell (skew stencils) plus the chiral term."""
+    target = (catalog.extended_maxwell(axes, skew_stencils=True).a.to_dense()
+              + catalog._chiral_m1(axes))
+    return catalog.dirac(axes).a.to_dense(), target
+
+
+def dirac_conjugation_residual(axes):
+    """Relative max entry of U D U* minus extended Maxwell plus the chiral term."""
+    dirac, target = _dirac_and_target(axes)
+    U = catalog._dirac_relabeling(axes)
+    conj = U @ dirac @ U.T
+    return float(np.abs(conj - target).max()) / max(np.abs(target).max(), 1.0)
+
+
+def dirac_spectra_residual(axes):
+    """Largest gap between the sorted spectra of the two relabeled systems."""
+    dirac, target = _dirac_and_target(axes)
+    ev1 = np.sort_complex(np.linalg.eigvals(dirac))
+    ev2 = np.sort_complex(np.linalg.eigvals(target))
+    return float(np.abs(ev1 - ev2).max())
+
+
+def transport_residual(entry, steps=8):
+    """Combined one-row solve vs the even/odd 2x2 descendant solve mapped back.
+
+    Both march `steps` Crank-Nicolson steps of size h from the same random
+    data; returns the relative max-entry mismatch of the trajectories.
+    """
+    np_ = entry.dim
+    u0 = np.random.default_rng(7).standard_normal(np_)
+    h = entry.grid[0].h
+    cfg = SolverConfig(tau=h, t_end=steps * h, scheme=CRANK_NICOLSON)
+    traj = solve(entry.problem(initial=u0), cfg)
+
+    pe, po = entry.extras["even_pair"], entry.extras["odd_pair"]
+    split = EvolutionaryProblem(law=entry.extras["descendant_law"],
+                                a=entry.extras["descendant_a"],
+                                initial=np.concatenate([pe.pi.apply(u0), po.pi.apply(u0)]))
+    states = solve(split, cfg).states
+    half = np_ // 2
+    mapped = (states[:, :half] @ pe.embedding.to_dense().T
+              + states[:, half:] @ po.embedding.to_dense().T)
+    scale = max(np.abs(traj.states).max(), 1.0)
+    return float(np.abs(traj.states - mapped).max()) / scale
+
+
+def second_order_residual(entry):
+    """Residual of the eliminated (second-order) form of a plate/beam solve.
+
+    Runs 40 implicit-Euler steps of 0.02 from data compatible with zero time
+    integrals, accumulates the discrete antiderivatives of the bending and
+    rotation velocities, and evaluates the two second-order rows obtained
+    by eliminating the shear flux and moment stress.  Returns the largest
+    relative residual (solver roundoff when the identity holds).
+    """
+    params = entry.extras["params"]
+    sl = entry.block_slices()
+    np_ = sl["eta"].stop - sl["eta"].start
+    nvec = sl["zeta"].stop - sl["zeta"].start
+    nsym = sl["T"].stop - sl["T"].start
+    kap_inv = np.linalg.inv(catalog._coeff(params["kappa"], nvec).toarray())
+    cmat = catalog._coeff(params["cten"], nsym)
+    nu1 = catalog._coeff(params["nu1"], np_)
+    nu2 = catalog._coeff(params["nu2"], nvec)
+    dmat = catalog._coeff(params["d"], np_)
+    A = entry.a.to_dense()
+    div_blk = -A[sl["eta"], sl["zeta"]]
+    grad_blk = -A[sl["zeta"], sl["eta"]]
+    Div_blk = -A[sl["s"], sl["T"]]
+    Grad_blk = -A[sl["T"], sl["s"]]
+
+    steps, tau = 40, 0.02
+    rng = np.random.default_rng(3)
+    u0 = np.zeros(entry.dim)
+    u0[sl["eta"]] = rng.standard_normal(np_)
+    u0[sl["s"]] = rng.standard_normal(nvec)
+    f_vec = rng.standard_normal(np_)
+    g_vec = rng.standard_normal(nvec)
+    force = np.zeros(entry.dim)
+    force[sl["eta"]] = f_vec
+    force[sl["s"]] = g_vec
+
+    cfg = SolverConfig(tau=tau, t_end=steps * tau, scheme=IMPLICIT_EULER)
+    traj = solve(entry.problem(initial=u0, forcing=lambda t: force), cfg)
+
+    eta = traj.states[:, sl["eta"]]
+    s = traj.states[:, sl["s"]]
+    eta_int = np.zeros_like(eta)
+    s_int = np.zeros_like(s)
+    for k in range(1, len(traj)):
+        eta_int[k] = eta_int[k - 1] + tau * eta[k]
+        s_int[k] = s_int[k - 1] + tau * s[k]
+
+    worst = 0.0
+    for k in range(1, len(traj)):
+        shear = kap_inv @ (grad_blk @ eta_int[k] + s_int[k])
+        r1 = nu1 @ (eta[k] - eta[k - 1]) / tau + dmat @ eta[k] - div_blk @ shear - f_vec
+        r2 = (nu2 @ (s[k] - s[k - 1]) / tau
+              - Div_blk @ (cmat @ (Grad_blk @ s_int[k]))
+              + shear - g_vec)
+        scale = max(
+            np.abs(nu1 @ eta[k]).max() / tau,
+            np.abs(div_blk @ shear).max(),
+            np.abs(f_vec).max(),
+            np.abs(g_vec).max(),
+            1.0,
+        )
+        worst = max(worst, np.abs(r1).max() / scale, np.abs(r2).max() / scale)
+    return worst
+
+
+def dimension_reduction_residuals(n_line, n_torus):
+    """Plate on (line x torus) with fiber-constant data vs the beam model.
+
+    Returns (state mismatch over 100 CN steps, isometry defect of the
+    embedding, operator defect of the averaged plate operator); all sit at
+    solver/roundoff level since the fiber-constant subspace is exactly
+    invariant.
+    """
+    line = Axis.interval(n_line)
+    plate = catalog.reissner_mindlin((line, Axis.torus(n_torus)))
+    beam = catalog.timoshenko((line,))
+    pair = catalog.beam_reduction_pair(plate, beam)
+
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(beam.dim)
+    emb = pair.embedding.apply(v)
+    iso = abs(np.sqrt(np.sum(plate.space.weight * emb * emb))
+              - np.sqrt(np.sum(beam.space.weight * v * v)))
+
+    op_defect = float(np.abs(
+        (pair.pi @ plate.a @ pair.embedding).to_dense() - beam.a.to_dense()
+    ).max())
+
+    u0_beam = rng.standard_normal(beam.dim)
+    cfg = SolverConfig(tau=0.01, t_end=1.0, scheme=CRANK_NICOLSON)
+    traj_beam = solve(beam.problem(initial=u0_beam), cfg)
+    traj_plate = solve(plate.problem(initial=pair.embedding.apply(u0_beam)), cfg)
+    mapped = traj_plate.states @ pair.pi.to_dense().T
+    scale = max(np.abs(traj_beam.states).max(), 1.0)
+    mismatch = float(np.abs(mapped - traj_beam.states).max()) / scale
+    return mismatch, float(iso), op_defect
+
+
+def polar_residual(G):
+    """Max entry of G - U |G| for the polar factors of G."""
+    U, absG = catalog.polar_decompose(G)
+    return float(np.abs(G.to_dense() - (U @ absG).to_dense()).max())
+
+
+def wave_relative_residuals(axes, epsilon):
+    """Residuals of the square-root translation of [[0, Lap - eps], [1, 0]].
+
+    (i)   diag(1, S) [[0, Lap-eps], [1, 0]] diag(1, S^-1) = [[0, -S], [S, 0]]
+          with S = sqrt(-Lap + eps) ("conjugation");
+    (ii)  the realified factors U+- = (|grad0| +- i sqrt(eps)) S^-1 are
+          unitary ("unitarity") with adjoint(U+-) = U-+ ("adjoint_swap");
+          S is an isometry from the shifted-energy inner product
+          ("s_isometry");
+    (iii) conjugating a random affine law through the chain lands on the
+          displayed transformed law over the acoustic-plus-chiral operator
+          ("material_transform").
+    Returns a dict of the five residuals.
+    """
+    axes = tuple(axes)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if any(a.bc != DIRICHLET for a in axes):
+        raise ValueError("the wave translation uses the Dirichlet gradient")
+    G = build_nabla(TensorFieldSpace(axes, 0))
+    Uop, absG = catalog.polar_decompose(G)
+    scalar_tag = G.domain
+    np_ = scalar_tag.dim
+    lap = -(G.adjoint() @ G).to_dense()          # Dirichlet Laplacian (negative definite)
+    vals, Q = np.linalg.eigh(0.5 * (lap + lap.T))
+    S = Q @ np.diag(np.sqrt(-vals + epsilon)) @ Q.T
+    S = 0.5 * (S + S.T)
+    Sinv = Q @ np.diag(1.0 / np.sqrt(-vals + epsilon)) @ Q.T
+    Sinv = 0.5 * (Sinv + Sinv.T)
+    Id = np.eye(np_)
+    Z = np.zeros((np_, np_))
+
+    # (i)
+    sys_mat = np.block([[Z, lap - epsilon * Id], [Id, Z]])
+    left = np.block([[Id, Z], [Z, S]])
+    right = np.block([[Id, Z], [Z, Sinv]])
+    target = np.block([[Z, -S], [S, Z]])
+    conj_res = np.abs(left @ sys_mat @ right - target).max() / max(np.abs(target).max(), 1.0)
+
+    # (ii) realified U+- = (|grad0| +- i sqrt(eps)) S^-1
+    sq_eps = np.sqrt(epsilon)
+    abs_d = absG.to_dense()
+    re_u = MatrixOperator(abs_d @ Sinv, scalar_tag, scalar_tag)
+    im_u = MatrixOperator(sq_eps * Sinv, scalar_tag, scalar_tag)
+    u_plus = realify(re_u, im_u)
+    u_minus = realify(re_u, -1.0 * im_u)
+    ident = np.eye(2 * np_)
+    unit_res = max(
+        np.abs((u_plus @ u_plus.adjoint()).to_dense() - ident).max(),
+        np.abs((u_minus @ u_minus.adjoint()).to_dense() - ident).max(),
+    )
+    swap_res = np.abs(u_plus.adjoint().to_dense() - u_minus.to_dense()).max()
+
+    h1_gram = abs_d @ abs_d + epsilon * Id
+    s_iso_res = np.abs(S.T @ S - h1_gram).max() / max(np.abs(h1_gram).max(), 1.0)
+
+    # (iii) transformed material law over the acoustic-plus-chiral operator.
+    # Assembled in complex arithmetic, then compared through the
+    # realification map (an algebra homomorphism, so realified equality is
+    # the identity actually asserted).
+    rng = np.random.default_rng(0)
+    m0c = rng.standard_normal((2 * np_, 2 * np_)) + 1j * rng.standard_normal((2 * np_, 2 * np_))
+    m0c = 0.5 * (m0c + m0c.conj().T)
+    m1c = rng.standard_normal((2 * np_, 2 * np_)) + 1j * rng.standard_normal((2 * np_, 2 * np_))
+
+    u_mat = Uop.to_dense()              # scalar space -> vector space, real
+    nvec = u_mat.shape[0]
+    grad_d = G.to_dense()
+
+    def two_block(b00, b01, b10, b11, rows, cols):
+        out = np.zeros((sum(rows), sum(cols)), dtype=complex)
+        if b00 is not None:
+            out[: rows[0], : cols[0]] = b00
+        if b01 is not None:
+            out[: rows[0], cols[0]:] = b01
+        if b10 is not None:
+            out[rows[0]:, : cols[0]] = b10
+        if b11 is not None:
+            out[rows[0]:, cols[0]:] = b11
+        return out
+
+    ss = (np_, np_)            # scalar (+) scalar, the original state
+    sv = (np_, nvec)           # scalar (+) vector, the transformed state
+    t_left = two_block(Id, None, None, u_mat @ (abs_d + 1j * sq_eps * Id), sv, ss)
+    t_right = two_block(Id, None, None,
+                        Sinv @ (abs_d - 1j * sq_eps * Id) @ Sinv @ u_mat.T, ss, sv)
+    sys0 = two_block(None, lap, Id, None, ss, ss)
+    acoustic = two_block(None, -grad_d.T, grad_d, None, sv, sv)
+    chiral = two_block(None, 1j * sq_eps * u_mat.T, 1j * sq_eps * u_mat, None, sv, sv)
+    extra = two_block(
+        None,
+        epsilon * Sinv @ (abs_d - 1j * sq_eps * Id) @ Sinv @ u_mat.T + 1j * sq_eps * u_mat.T,
+        1j * sq_eps * u_mat,
+        None,
+        sv, sv,
+    )
+    mt0 = t_left @ m0c @ t_right
+    mt1 = t_left @ m1c @ t_right + extra
+
+    dom_sv = SpaceTag("wave_sv", np_ + nvec,
+                      np.concatenate([scalar_tag.weight, Uop.codomain.weight]))
+
+    def realified(mat):
+        return realify_complex(mat, dom_sv, dom_sv).to_dense()
+
+    worst = 0.0
+    for z in (1.0, 0.37):
+        lhs_r = realified(t_left @ (z * m0c + m1c + sys0) @ t_right)
+        rhs_r = realified(z * mt0 + mt1 + acoustic)
+        worst = max(worst, np.abs(lhs_r - rhs_r).max() / max(np.abs(rhs_r).max(), 1.0))
+    # the chiral term is part of mt1 via `extra`; check it matches the
+    # conjugated shifted system as well
+    shift = two_block(None, epsilon * Id, None, None, ss, ss)
+    chain = t_left @ (sys0 - shift) @ t_right - (acoustic + chiral)
+    worst = max(worst, np.abs(realified(chain)).max()
+                / max(np.abs(realified(acoustic)).max(), 1.0))
+
+    return {
+        "conjugation": float(conj_res),
+        "unitarity": float(unit_res),
+        "adjoint_swap": float(swap_res),
+        "s_isometry": float(s_iso_res),
+        "material_transform": float(worst),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+
+def check_adjointness():
+    """<nabla u, v> + <u, div v> = 0 over random fields, grids and ranks."""
+    grids = [
+        (Axis.interval(_cap(8)),),
+        (Axis.interval(_cap(5)), Axis.torus(_cap(4))),
+        (Axis.torus(_cap(4)), Axis.torus(_cap(4)), Axis.interval(_cap(4))),
+    ]
+    worst, count = adjointness_residual(grids, np.random.default_rng(2024))
     return _result("adjointness", worst, 1e-12, f"{count} random field pairs")
 
 
@@ -97,7 +421,7 @@ def check_skewness():
     stack = TensorStack(axes, 3)
     worst = skew_defect(build_stack_skew(stack).as_matrix())
     names = []
-    for entry in catalog.all_entries(max_points=_max_grid()):
+    for entry in catalog.all_entries(max_points=max_grid()):
         scale = max(entry.a.max_abs(), 1.0)
         worst = max(worst, skew_defect(entry.a) / scale)
         names.append(entry.name)
@@ -110,16 +434,14 @@ def check_compatibility_theorem():
     worst = 0.0
     for _ in range(50):
         d0, d1, dx = rng.integers(1, 9, size=3)
-        t0 = SpaceTag("h0", d0, rng.uniform(0.5, 2.0, d0))
-        t1 = SpaceTag("h1", d1, rng.uniform(0.5, 2.0, d1))
-        tx = SpaceTag("x", dx, rng.uniform(0.5, 2.0, dx))
+        t0 = SpaceTag("h0", d0, rng.uniform(0.3, 3.0, d0))
+        t1 = SpaceTag("h1", d1, rng.uniform(0.3, 3.0, d1))
+        tx = SpaceTag("x", dx, rng.uniform(0.3, 3.0, dx))
         C = MatrixOperator(rng.standard_normal((d1, d0)), t0, t1)
         B = MatrixOperator(rng.standard_normal((dx, d0)), t0, tx)
         lhs = (C @ B.adjoint()).adjoint()
         rhs = B @ C.adjoint()
-        scale = max(rhs.max_abs(), 1.0)
-        worst = max(worst, (lhs - rhs).max_abs() / scale)
-        assert verify_adjoint_theorem(C, B, 1e-12 * scale)
+        worst = max(worst, (lhs - rhs).max_abs() / max(rhs.max_abs(), 1.0))
     return _result("compatibility_theorem", worst, 1e-12, "50 random (C, B) pairs")
 
 
@@ -133,159 +455,114 @@ def _random_partial_isometry(rng, tag_from, dim_to, name):
 
 
 def check_relative_construction():
-    """Relatives of block-skew operators stay skew; unitary pairs conjugate."""
+    """Relatives of block-skew operators stay skew; unitary pairs conjugate.
+
+    Every third pair is full rank, so the conjugation identity is compared
+    on at least ten unitary pairs.
+    """
     rng = np.random.default_rng(11)
     worst = 0.0
+    unitary = 0
     for k in range(50):
         d0, d1 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         t0 = SpaceTag("h0", d0, rng.uniform(0.5, 2.0, d0))
         t1 = SpaceTag("h1", d1, rng.uniform(0.5, 2.0, d1))
         C = MatrixOperator(rng.standard_normal((d1, d0)), t0, t1)
         A = make_block_skew(C)
-        x_dim = int(rng.integers(1, d0 + 1))
-        y_dim = int(rng.integers(1, d1 + 1))
+        x_dim = d0 if k % 3 == 0 else int(rng.integers(1, d0 + 1))
+        y_dim = d1 if k % 3 == 0 else int(rng.integers(1, d1 + 1))
         B0 = _random_partial_isometry(rng, t0, x_dim, "x")
         B1 = _random_partial_isometry(rng, t1, y_dim, "y")
         rel = make_relative(A, B0, B1)
         scale = max(rel.max_abs(), 1.0)
         worst = max(worst, skew_defect(rel) / scale)
         if x_dim == d0 and y_dim == d1:
+            unitary += 1
             u = np.zeros((d0 + d1, d0 + d1))
             u[:x_dim, :d0] = B0.to_dense()
             u[x_dim:, d0:] = B1.to_dense()
-            big = MatrixOperator(
-                u,
-                A.as_matrix().domain,
-                rel.domain,
-            )
+            big = MatrixOperator(u, A.as_matrix().domain, rel.domain)
             conj = big @ A.as_matrix() @ big.adjoint()
             worst = max(worst, (conj - rel).max_abs() / scale)
-    return _result("relative_construction", worst, 1e-12, "50 random isometry pairs")
+    return _result("relative_construction", worst, 1e-12,
+                   f"50 random isometry pairs, {unitary} unitary conjugates")
 
 
 def check_curl_identification():
-    axes = (Axis.torus(_cap(4)),) * 3
-    entry = catalog.maxwell(axes)
-    np_ = entry.blocks[0][1] // 3
-    lower = entry.a.to_dense()[3 * np_:, : 3 * np_]
-    from .catalog import _asym_perm, _partials, SQRT2
-
-    P = _partials(axes)
-    Z = np.zeros_like(P[0])
-    curl = np.block([[Z, -P[2], P[1]], [P[2], Z, -P[0]], [-P[1], P[0], Z]])
-    direct = (1.0 / SQRT2) * np.kron(_asym_perm(), np.eye(np_)) @ curl
-    res = float(np.abs(lower - direct).max())
+    res = curl_residual((Axis.torus(_cap(4)),) * 3)
     return _result("curl_identification", res, 1e-14, "descended vs stencil curl")
 
 
 def check_annihilation():
-    axes = (Axis.torus(_cap(4)),) * 3
-    entry = catalog.extended_maxwell(axes)
-    c = entry.extras["curl_part"].to_dense()
-    g = entry.extras["graddiv_part"].to_dense()
-    scale = max(np.abs(c).max() * np.abs(g).max(), 1.0)
-    res = max(np.abs(c @ g).max(), np.abs(g @ c).max()) / scale
+    res = annihilation_residual((Axis.torus(_cap(4)),) * 3)
     return _result("annihilation", res, 1e-12, "two spatial parts, periodic, M0 = I")
 
 
 def check_dirac_equivalence():
-    axes = (Axis.torus(_cap(4)),) * 3
-    entry = catalog.dirac(axes)
-    np_ = entry.blocks[0][1]
-    dim4 = 4 * np_
-    from .catalog import _chiral_m1, _dirac_permutations
-
-    u1, u2 = _dirac_permutations()
-    Id = np.eye(np_)
-    U = np.zeros((2 * dim4, 2 * dim4))
-    U[:dim4, :dim4] = np.kron(u1, Id)
-    U[dim4:, dim4:] = np.kron(u2, Id)
-    conj = U @ entry.a.to_dense() @ U.T
-    ext = catalog.extended_maxwell(axes, skew_stencils=True)
-    target = ext.a.to_dense() + _chiral_m1(axes)
-    scale = max(np.abs(target).max(), 1.0)
-    res = float(np.abs(conj - target).max()) / scale
-
+    res = dirac_conjugation_residual((Axis.torus(_cap(4)),) * 3)
     # spectra agree on the small grid (conjugation preserves eigenvalues)
-    axes2 = (Axis.torus(2),) * 3
-    d2 = catalog.dirac(axes2)
-    e2 = catalog.extended_maxwell(axes2, skew_stencils=True)
-    ev1 = np.sort_complex(np.linalg.eigvals(d2.a.to_dense()))
-    ev2 = np.sort_complex(np.linalg.eigvals(e2.a.to_dense() + _chiral_m1(axes2)))
-    spec_res = float(np.abs(ev1 - ev2).max())
-    passed = res <= 1e-12 and spec_res <= 1e-8
-    return CheckResult(name="dirac_equivalence", residual=res, tol=1e-12,
-                       passed=passed,
-                       detail=f"conjugation {res:.2e}, spectra {spec_res:.2e} (tol 1e-8)")
+    spec_res = dirac_spectra_residual((Axis.torus(2),) * 3)
+    return _result("dirac_equivalence", res, 1e-12,
+                   f"conjugation {res:.2e}, spectra {spec_res:.2e} (tol 1e-8)",
+                   side_ok=spec_res <= 1e-8)
 
 
 def check_schur_equivalence():
-    """Full solve vs reduced-plus-reconstructed solve on kernel-bearing systems."""
+    """Full solve vs reduced-plus-reconstructed solve on kernel-bearing systems.
+
+    Acoustics and heat on the torus both carry the constants in the kernel.
+    """
     worst = 0.0
-    # acoustics on the torus (constants in the kernel)
-    ac = catalog.acoustics((Axis.torus(_cap(8)),))
     rng = np.random.default_rng(5)
-    u0 = rng.standard_normal(ac.dim)
     cfg = SolverConfig(tau=0.01, t_end=2.0, scheme=CRANK_NICOLSON)
-    full = solve(ac.problem(initial=u0), cfg)
-    red = solve_reduced(ac.problem(initial=u0), cfg)
-    scale = max(np.abs(full.states).max(), 1.0)
-    worst = max(worst, np.abs(full.states - red.states).max() / scale)
-    # heat with a kernel
-    ht = catalog.heat((Axis.torus(_cap(8)),))
-    u0 = rng.standard_normal(ht.dim)
-    full = solve(ht.problem(initial=u0), cfg)
-    red = solve_reduced(ht.problem(initial=u0), cfg)
-    scale = max(np.abs(full.states).max(), 1.0)
-    worst = max(worst, np.abs(full.states - red.states).max() / scale)
+    for entry in (catalog.acoustics((Axis.torus(_cap(8)),)),
+                  catalog.heat((Axis.torus(_cap(8)),))):
+        u0 = rng.standard_normal(entry.dim)
+        full = solve(entry.problem(initial=u0), cfg)
+        red = solve_reduced(entry.problem(initial=u0), cfg)
+        scale = max(np.abs(full.states).max(), 1.0)
+        worst = max(worst, np.abs(full.states - red.states).max() / scale)
     return _result("schur_equivalence", worst, 1e-10, "200 steps, two systems")
 
 
 def check_dimension_reduction():
-    mismatch, iso, op_defect = catalog.verify_dimension_reduction(
-        n_line=_cap(8), n_torus=_cap(4))
+    mismatch, iso, op_defect = dimension_reduction_residuals(n_line=_cap(8), n_torus=_cap(4))
     detail = f"solve {mismatch:.2e}, isometry {iso:.2e} (tol 1e-13), operator {op_defect:.2e}"
-    passed = mismatch <= 1e-10 and iso <= 1e-13 and op_defect <= 1e-12
-    return CheckResult(name="dimension_reduction", residual=mismatch, tol=1e-10,
-                       passed=passed, detail=detail)
+    return _result("dimension_reduction", mismatch, 1e-10, detail,
+                   side_ok=iso <= 1e-13 and op_defect <= 1e-12)
 
 
 def check_even_odd_transport():
     entry = catalog.transport((Axis.symmetric(_cap(16), 4.0 / _cap(16)),))
-    ok = catalog.verify_transport_equivalence(entry)
-    return _result("even_odd_transport", 0.0 if ok else 1.0, 1e-12,
+    return _result("even_odd_transport", transport_residual(entry), 1e-12,
                    "combined vs split solve")
 
 
 def check_second_order_forms():
     rm = catalog.reissner_mindlin((Axis.interval(_cap(8)), Axis.interval(_cap(8))),
                                   d=0.3)
-    res_rm = catalog.verify_second_order_form(rm)
+    res_rm = second_order_residual(rm)
     tb = catalog.timoshenko((Axis.interval(_cap(16)),), d=0.2)
-    res_tb = catalog.verify_second_order_form(tb)
+    res_tb = second_order_residual(tb)
     return _result("second_order_forms", max(res_rm, res_tb), 1e-8,
                    f"plate {res_rm:.2e}, beam {res_tb:.2e}")
 
 
 def check_polar_decomposition():
-    worst = 0.0
-    for n in (8, 16, 32):
-        G = build_nabla(TensorFieldSpace((Axis.interval(_cap(n)),), 0))
-        U, absG = catalog.polar_decompose(G)
-        rebuilt = (U @ absG).to_dense()
-        worst = max(worst, np.abs(G.to_dense() - rebuilt).max())
-    reports = [catalog.second_order_wave_relative((Axis.interval(_cap(12)),), eps)
-               for eps in (0.25, 1.0)]
-    wave_res = max(
-        max(r.conjugation_residual, r.unitarity_residual, r.adjoint_swap_residual,
-            r.s_isometry_residual, r.material_transform_residual)
-        for r in reports
-    )
+    worst = max(polar_residual(build_nabla(TensorFieldSpace((Axis.interval(_cap(n)),), 0)))
+                for n in (8, 16, 32))
+    wave_res = max(max(wave_relative_residuals((Axis.interval(_cap(12)),), eps).values())
+                   for eps in (0.25, 1.0))
     return _result("polar_decomposition", max(worst, wave_res), 1e-10,
                    f"polar {worst:.2e}, wave identities {wave_res:.2e}")
 
 
 def check_energy_conservation():
+    """CN keeps the energy of undamped systems; damped ones lose it strictly.
+
+    The damped runs must also satisfy the discrete dissipation identity
+    E_{n+1} - E_n = -tau <sym(M1) u_mid, u_mid>.
+    """
     worst = 0.0
     cfg = SolverConfig(tau=0.01, t_end=10.0, scheme=CRANK_NICOLSON)
     rng = np.random.default_rng(3)
@@ -299,21 +576,26 @@ def check_energy_conservation():
         traj = solve(entry.problem(initial=u0), cfg)
         drift = np.abs(traj.energies - traj.energies[0]).max() / max(traj.energies[0], 1e-30)
         worst = max(worst, drift)
-    # dissipative variant must decrease strictly
-    damped = catalog.acoustics((Axis.interval(_cap(16)),), sigma=0.5)
-    u0 = rng.standard_normal(damped.dim)
-    traj = solve(damped.problem(initial=u0), cfg)
-    rep = dissipation_check(traj, damped.law)
-    if not rep.monotone or not rep.holds:
-        worst = max(worst, 1.0)
+    damped = [
+        (catalog.acoustics((Axis.interval(_cap(16)),), sigma=0.5), cfg),
+        (catalog.reissner_mindlin((Axis.interval(_cap(6)), Axis.interval(_cap(6))), d=0.5),
+         SolverConfig(tau=0.02, t_end=2.0, scheme=CRANK_NICOLSON)),
+    ]
+    dissipation = 0.0
+    strict = True
+    for entry, dcfg in damped:
+        traj = solve(entry.problem(initial=rng.standard_normal(entry.dim)), dcfg)
+        rep = dissipation_check(traj, entry.law)
+        dissipation = max(dissipation, rep.max_residual)
+        strict = strict and rep.holds and bool(np.all(np.diff(traj.energies) < 0))
     return _result("energy_conservation", worst, 1e-10,
-                   "1000 CN steps; conservative drift + dissipation identity")
+                   f"1000 CN steps; damped acoustics and plate strictly decreasing, "
+                   f"dissipation identity {dissipation:.2e} (tol 1e-9)", side_ok=strict)
 
 
 def check_causality():
-    cap = _max_grid()
     worst = 0.0
-    for entry in catalog.all_entries(max_points=min(cap, 3) if cap else 3):
+    for entry in catalog.all_entries(max_points=_cap(3)):
         sl = entry.block_slices()
         first = entry.blocks[0][0]
         pulse = np.zeros(entry.dim)

@@ -41,7 +41,8 @@ class TestSolveCommand:
         rows = read_energy(tmp_path / "toy_heat_energy.csv")
         energies = [float(r["energy"]) for r in rows]
         assert all(b < a for a, b in zip(energies, energies[1:]))
-        snaps = list(csv.DictReader(open(tmp_path / "toy_heat_snapshots.csv")))
+        with open(tmp_path / "toy_heat_snapshots.csv") as fh:
+            snaps = list(csv.DictReader(fh))
         assert {r["block"] for r in snaps} == {"p", "v"}
 
     def test_acoustics_energy_constant(self, tmp_path):
@@ -151,6 +152,19 @@ class TestCatalogCommand:
         assert "antisym" in block
 
 
+def flip_curl_pairing(perm):
+    perm = perm.copy()
+    perm[0, 2] = -perm[0, 2]
+    return perm
+
+
+def flip_dirac_relabeling(perms):
+    u1, u2 = perms
+    u2 = u2.copy()
+    u2[1, 2] = -u2[1, 2]
+    return u1, u2
+
+
 class TestVerifyCommand:
     def test_filter_runs_subset(self, capsys, monkeypatch):
         monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
@@ -158,21 +172,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "curl_identification" in out and "PASS" in out
 
-    def test_injected_sign_error_fails(self, capsys, monkeypatch):
-        # mutation test: corrupt the pairing used by the curl identification
-        # and the verify command must report failure
+    @pytest.mark.parametrize("check, helper, flip", [
+        ("curl", "_asym_perm", flip_curl_pairing),
+        ("dirac", "_dirac_permutations", flip_dirac_relabeling),
+    ], ids=["curl", "dirac"])
+    def test_injected_sign_error_fails(self, capsys, monkeypatch, check, helper, flip):
+        # mutation test: flip one sign in the catalog helper the identity is
+        # stated in, and the verify command must report failure
         import protofield.catalog as cat
 
-        good = cat._asym_perm
-
-        def bad():
-            m = good().copy()
-            m[0, 2] = -1.0
-            return m
-
-        monkeypatch.setattr(cat, "_asym_perm", bad)
-        code = cli.main(["verify", "--filter", "curl"])
-        monkeypatch.setattr(cat, "_asym_perm", good)
+        good = getattr(cat, helper)
+        monkeypatch.setattr(cat, helper, lambda: flip(good()))
+        code = cli.main(["verify", "--filter", check])
+        monkeypatch.setattr(cat, helper, good)
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
 
@@ -181,6 +193,12 @@ class TestVerifyCommand:
 
 
 class TestGridCap:
+    @pytest.mark.parametrize("value", ["abc", "0", "1", "-3", "2.5"])
+    def test_invalid_cap_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PROTOFIELD_MAX_GRID", value)
+        assert cli.main(["verify", "--filter", "curl"]) == cli.EXIT_PARSE_ERROR
+        assert "PROTOFIELD_MAX_GRID" in capsys.readouterr().err
+
     def test_env_var_caps_grids(self, monkeypatch):
         from protofield.verify import _cap
 

@@ -15,7 +15,6 @@ from protofield.linops import (
     make_block_skew,
     make_relative,
     skew_defect,
-    verify_adjoint_theorem,
 )
 
 
@@ -142,9 +141,10 @@ class TestCompatibility:
 
 
 class TestAdjointTheorem:
+    # random weighted pairs: verify.check_compatibility_theorem
     def test_identities(self):
         t = tag("h", 3)
-        assert verify_adjoint_theorem(identity(t), identity(t), 0.0)
+        assert np.array_equal(adjoint(identity(t) @ adjoint(identity(t))).to_dense(), np.eye(3))
 
     def test_hand_case(self):
         # C = diag(1, 2), B the swap: CB* = [[0, 1], [2, 0]], (CB*)* = [[0, 2], [1, 0]]
@@ -152,23 +152,12 @@ class TestAdjointTheorem:
         t = tag("h", 2)
         C = op([[1, 0], [0, 2]], t, t)
         B = op([[0, 1], [1, 0]], t, t)
-        lhs = adjoint(C @ adjoint(B)).to_dense()
-        assert np.array_equal(lhs, [[0, 2], [1, 0]])
-        assert verify_adjoint_theorem(C, B, 1e-15)
-
-    def test_random_pairs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d0, d1, dx = rng.integers(1, 7, size=3)
-            t0 = tag("h0", d0, rng.uniform(0.3, 3.0, d0))
-            t1 = tag("h1", d1, rng.uniform(0.3, 3.0, d1))
-            tx = tag("x", dx, rng.uniform(0.3, 3.0, dx))
-            C = op(rng.standard_normal((d1, d0)), t0, t1)
-            B = op(rng.standard_normal((dx, d0)), t0, tx)
-            assert verify_adjoint_theorem(C, B, 1e-12)
+        assert np.array_equal(adjoint(C @ adjoint(B)).to_dense(), [[0, 2], [1, 0]])
+        assert np.array_equal((B @ adjoint(C)).to_dense(), [[0, 2], [1, 0]])
 
 
 class TestRelative:
+    # random weighted partial isometries: verify.check_relative_construction
     def test_identity_pair_reproduces(self):
         rng = np.random.default_rng(4)
         t0, t1 = tag("h0", 3), tag("h1", 2)
@@ -186,21 +175,6 @@ class TestRelative:
         d = np.diag([1.0, -1.0])
         conj = d @ A.as_matrix().to_dense() @ d
         assert np.array_equal(rel.to_dense(), conj)
-
-    def test_random_partial_isometries_skew(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            d0, d1 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-            t0, t1 = tag("h0", d0), tag("h1", d1)
-            A = make_block_skew(op(rng.standard_normal((d1, d0)), t0, t1))
-            q0, _ = np.linalg.qr(rng.standard_normal((d0, d0)))
-            q1, _ = np.linalg.qr(rng.standard_normal((d1, d1)))
-            k0 = int(rng.integers(1, d0 + 1))
-            k1 = int(rng.integers(1, d1 + 1))
-            B0 = op(q0[:, :k0].T, t0, tag("x", k0))
-            B1 = op(q1[:, :k1].T, t1, tag("y", k1))
-            rel = make_relative(A, B0, B1)
-            assert skew_defect(rel) <= 1e-12 * max(rel.max_abs(), 1.0)
 
     def test_unitary_pair_is_conjugation(self):
         rng = np.random.default_rng(6)

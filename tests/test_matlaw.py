@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 
+from protofield.evolve import (
+    CRANK_NICOLSON,
+    IMPLICIT_EULER,
+    EvolutionaryProblem,
+    SolverConfig,
+    _step_operators,
+)
 from protofield.flatgrid import Axis, build_d1
 from protofield.linops import MatrixOperator, SpaceTag, skew_defect
 from protofield.matlaw import (
@@ -10,7 +17,6 @@ from protofield.matlaw import (
     MaterialLawError,
     check_wellposed,
     couple,
-    implicit_step_matrix,
     normalize_m0,
     schur_reduce,
     symmetrize,
@@ -140,16 +146,24 @@ class TestNormalize:
             normalize_m0(mlaw, A)
 
 
+def step_pair(mlaw, A, tau, scheme=IMPLICIT_EULER):
+    """The (left, right) step operators the solvers factor and apply."""
+    problem = EvolutionaryProblem(law=mlaw, a=A, initial=np.zeros(mlaw.space.dim))
+    return _step_operators(problem, SolverConfig(tau=tau, t_end=tau, scheme=scheme))
+
+
 class TestStepMatrix:
     def test_scalar_case(self):
         mlaw = law_on("h", np.eye(2))
         t = mlaw.space
         A = MatrixOperator(np.zeros((2, 2)), t, t)
-        s = implicit_step_matrix(mlaw, A, 0.5)
-        assert np.array_equal(s.to_dense(), 2.0 * np.eye(2))
+        left, right = step_pair(mlaw, A, 0.5)
+        assert np.array_equal(left.to_dense(), 2.0 * np.eye(2))
+        assert np.array_equal(right.to_dense(), 2.0 * np.eye(2))
 
     def test_heat_1d_hand_assembly(self):
-        # 3-point rod, unit spacing: S = [[rho/tau, div], [grad0, sigma]]
+        # 3-point rod, unit spacing: implicit Euler S = [[rho/tau, div], [grad0, sigma]]
+        # against M0/tau; Crank-Nicolson M0/tau +- (M1 + A)/2
         n, tau = 3, 0.1
         d = build_d1(Axis.dirichlet(3, 1.0)).to_dense()
         t = SpaceTag("h", 2 * n)
@@ -157,14 +171,20 @@ class TestStepMatrix:
         a[:n, n:] = -d.T
         a[n:, :n] = d
         A = MatrixOperator(a, t, t)
-        mlaw = law_on("h", np.diag([1.0] * n + [0.0] * n), np.diag([0.0] * n + [1.0] * n))
-        s = implicit_step_matrix(mlaw, A, tau).to_dense()
+        m0 = np.diag([1.0] * n + [0.0] * n)
+        m1 = np.diag([0.0] * n + [1.0] * n)
+        mlaw = law_on("h", m0, m1)
+        left, right = step_pair(mlaw, A, tau)
         expected = np.zeros((6, 6))
         expected[:3, :3] = np.eye(3) / tau
         expected[3:, 3:] = np.eye(3)
         expected[:3, 3:] = -d.T
         expected[3:, :3] = d
-        assert np.array_equal(s, expected)
+        assert np.array_equal(left.to_dense(), expected)
+        assert np.array_equal(right.to_dense(), m0 / tau)
+        left, right = step_pair(mlaw, A, tau, CRANK_NICOLSON)
+        assert np.array_equal(left.to_dense(), m0 / tau + 0.5 * (m1 + a))
+        assert np.array_equal(right.to_dense(), m0 / tau - 0.5 * (m1 + a))
 
     def test_symmetric_part_drops_skew(self):
         rng = np.random.default_rng(3)
@@ -175,17 +195,14 @@ class TestStepMatrix:
         m0 = np.eye(n)
         m1 = rng.standard_normal((n, n))
         mlaw = law_on("h", m0, m1)
-        s = implicit_step_matrix(mlaw, A, 0.25)
-        sym_part = symmetrize(s).to_dense()
+        left, _ = step_pair(mlaw, A, 0.25)
+        sym_part = symmetrize(left).to_dense()
         expected = m0 / 0.25 + 0.5 * (m1 + m1.T)
         assert np.abs(sym_part - expected).max() <= 1e-13
 
     def test_tau_positive(self):
-        mlaw = law_on("h", np.eye(2))
-        t = mlaw.space
-        A = MatrixOperator(np.zeros((2, 2)), t, t)
-        with pytest.raises(ValueError):
-            implicit_step_matrix(mlaw, A, 0.0)
+        with pytest.raises(ValueError, match="tau"):
+            SolverConfig(tau=0.0, t_end=1.0)
 
 
 class TestSchur:
@@ -250,11 +267,10 @@ class TestSchur:
 
     def test_positivity_with_coupling_on_catalog_step(self):
         from protofield import catalog
-        from protofield.matlaw import implicit_step_matrix as step
 
         entry = catalog.heat((Axis.torus(6),))
         pr, pk = range_kernel_split(entry.a)
-        S = step(entry.law, entry.a, 0.05)
+        S, _ = step_pair(entry.law, entry.a, 0.05)
         reduced, _ = schur_reduce(S, pr, pk)
         sym = 0.5 * (reduced.to_dense() + reduced.to_dense().T)
         assert np.linalg.eigvalsh(sym).min() > 0
