@@ -3,8 +3,10 @@
 Every entry couples a skew-selfadjoint spatial operator with a material
 law.  The spatial operator is never invented per system: each one is
 reproduced from the single rank-stack operator [[0, -nabla*], [nabla, 0]]
-by a recorded chain of projections and unitary/scale relabelings, and
-`provenance_defect` re-derives it from scratch and measures the mismatch.
+by a chain of projections and unitary/scale relabelings, recorded in words
+as the entry's `provenance`.  `verify.provenance_residual` compares each
+entry's operator with an independent reference assembled from pieces its
+builder does not call.
 
 Systems provided: acoustics, heat conduction, linear elasticity, Maxwell,
 the extended scalar/vector Maxwell system and its reduced variant, the
@@ -12,13 +14,14 @@ Dirac system (free space), the square-root wave system, transport on a
 symmetric line, thermo-elasticity (formally Biot's porous-media model),
 Reissner-Mindlin plates, Kirchhoff-Love plates, Timoshenko and
 Euler-Bernoulli beams.  The structural identities tying them together
-are checked in `verify`, which reads the shared pieces (the curl block,
-the Dirac relabeling) from here.
+are checked in `verify`, which reads the shared pieces (the stencils, the
+curl block, the Dirac relabeling, the stack chain of extended Maxwell)
+from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 import numpy as np
@@ -134,8 +137,6 @@ class CatalogEntry:
     a: MatrixOperator
     blocks: tuple
     provenance: tuple
-    reconstruct: object = None  # callable () -> np.ndarray rebuilding a from the stack
-    classical_form: object = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -159,14 +160,6 @@ class CatalogEntry:
         return EvolutionaryProblem(law=self.law, a=self.a, initial=initial,
                                    forcing=forcing)
 
-    def provenance_defect(self) -> float:
-        """Max-entry mismatch between A and its re-derivation from the stack."""
-        if self.reconstruct is None:
-            return float("nan")
-        rebuilt = self.reconstruct()
-        rebuilt = rebuilt.to_dense() if isinstance(rebuilt, MatrixOperator) else rebuilt
-        return float(np.abs(self.a.to_dense() - rebuilt).max())
-
 
 def _negate_second(pair_dim0, a: MatrixOperator) -> MatrixOperator:
     """Conjugate a 2-block operator by diag(1, -1) (a unitary relative)."""
@@ -179,7 +172,7 @@ def _negate_second(pair_dim0, a: MatrixOperator) -> MatrixOperator:
 def _acoustic_block(axes, negate=False):
     """[[0, div], [grad0, 0]] on L2_0 (+) L2_1, optionally diag(1,-1)-negated."""
     stack = TensorStack(tuple(axes), 1)
-    A = build_stack_skew(stack).as_matrix()
+    A = build_stack_skew(stack)
     pv = rank_block(stack, {0}, {1})
     out = descend(A, pv)
     if negate:
@@ -187,14 +180,15 @@ def _acoustic_block(axes, negate=False):
     return out
 
 
-def _elastic_block(axes, negate=False):
-    """[[0, Div], [Grad0, 0]] on L2_1 (+) sym[L2_2], optionally negated."""
+def _elastic_block(axes, rank2, negate=False):
+    """[[0, Div], [Grad0, 0]] on L2_1 (+) sym[L2_2] (rank2=sym_projection),
+    optionally negated; with asym_projection, the Maxwell block."""
     stack = TensorStack(tuple(axes), 2)
-    A = build_stack_skew(stack).as_matrix()
+    A = build_stack_skew(stack)
     first = descend(A, rank_block(stack, {1}, {2}))
     r1 = TensorFieldSpace(tuple(axes), 1)
     r2 = TensorFieldSpace(tuple(axes), 2)
-    pv = direct_sum_pairs([identity_pair(r1.tag), sym_projection(r2)])
+    pv = direct_sum_pairs([identity_pair(r1.tag), rank2(r2)])
     out = descend(first, pv)
     if negate:
         out = _negate_second(r1.dim, out)
@@ -222,7 +216,6 @@ def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
     })
     mlaw = MaterialLaw(m0=MatrixOperator(m0, space, space),
                        m1=MatrixOperator(m1, space, space))
-    classical = make_block_skew(build_nabla(TensorFieldSpace(axes, 0))).as_matrix()
     return CatalogEntry(
         name="acoustics",
         grid=axes,
@@ -230,8 +223,6 @@ def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
         a=a,
         blocks=(("p", np_), ("v", nvec)),
         provenance=("select the rank-0 and rank-1 blocks of the stack operator",),
-        reconstruct=lambda: _acoustic_block(axes),
-        classical_form=classical,
         extras={"params": {"rho": rho, "kappa": kappa, "sigma": sigma}},
     )
 
@@ -243,17 +234,7 @@ def heat(axes, rho=1.0, sigma=1.0) -> CatalogEntry:
     positivity of sigma on the kernel block (the flux law).
     """
     entry = acoustics(axes, rho=rho, kappa=0.0, sigma=sigma)
-    return CatalogEntry(
-        name="heat",
-        grid=entry.grid,
-        law=entry.law,
-        a=entry.a,
-        blocks=entry.blocks,
-        provenance=entry.provenance,
-        reconstruct=entry.reconstruct,
-        classical_form=entry.classical_form,
-        extras={"params": {"rho": rho, "sigma": sigma}},
-    )
+    return replace(entry, name="heat", extras={"params": {"rho": rho, "sigma": sigma}})
 
 
 def elasticity(axes, rho=1.0, compliance=1.0, law=None) -> CatalogEntry:
@@ -266,7 +247,7 @@ def elasticity(axes, rho=1.0, compliance=1.0, law=None) -> CatalogEntry:
     axes = tuple(axes)
     if not 2 <= len(axes) <= 3:
         raise ValueError("elasticity needs a 2-d or 3-d grid")
-    a = _elastic_block(axes)
+    a = _elastic_block(axes, sym_projection)
     space = a.domain
     np_ = _npts(axes)
     nvec = np_ * len(axes)
@@ -275,7 +256,6 @@ def elasticity(axes, rho=1.0, compliance=1.0, law=None) -> CatalogEntry:
         m0 = _block_matrix([nvec, nsym],
                            {(0, 0): _coeff(rho, nvec), (1, 1): _coeff(compliance, nsym)})
         law = MaterialLaw(m0=MatrixOperator(m0, space, space), m1=zero(space, space))
-    classical = MatrixOperator(_grad_sym_stencil(axes), space, space)
     return CatalogEntry(
         name="elasticity",
         grid=axes,
@@ -286,8 +266,6 @@ def elasticity(axes, rho=1.0, compliance=1.0, law=None) -> CatalogEntry:
             "select the rank-1 and rank-2 blocks of the stack operator",
             "symmetrize the rank-2 block",
         ),
-        reconstruct=lambda: _elastic_block(axes),
-        classical_form=classical,
         extras={"params": {"rho": rho, "compliance": compliance}},
     )
 
@@ -332,13 +310,7 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0,
     axes = tuple(axes)
     if len(axes) != 3:
         raise ValueError("the Maxwell descendant needs a 3-d grid")
-    stack = TensorStack(axes, 2)
-    A = build_stack_skew(stack).as_matrix()
-    first = descend(A, rank_block(stack, {1}, {2}))
-    r1 = TensorFieldSpace(axes, 1)
-    r2 = TensorFieldSpace(axes, 2)
-    pv = direct_sum_pairs([identity_pair(r1.tag), asym_projection(r2)])
-    a = descend(first, pv)
+    a = _elastic_block(axes, asym_projection)
     space = a.domain
     np_ = _npts(axes)
     if law is None:
@@ -348,14 +320,6 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0,
         m1 = _block_matrix([3 * np_, 3 * np_], {(0, 0): _coeff(conductivity, 3 * np_)})
         law = MaterialLaw(m0=MatrixOperator(m0, space, space),
                           m1=MatrixOperator(m1, space, space))
-
-    def rebuild():
-        stack2 = TensorStack(axes, 2)
-        A2 = build_stack_skew(stack2).as_matrix()
-        f2 = descend(A2, rank_block(stack2, {1}, {2}))
-        pv2 = direct_sum_pairs([identity_pair(r1.tag), asym_projection(r2)])
-        return descend(f2, pv2)
-
     return CatalogEntry(
         name="maxwell",
         grid=axes,
@@ -366,7 +330,6 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0,
             "select the rank-1 and rank-2 blocks of the stack operator",
             "antisymmetrize the rank-2 block",
         ),
-        reconstruct=rebuild,
         extras={"params": {"permittivity": permittivity,
                            "permeability": permeability,
                            "conductivity": conductivity}},
@@ -448,9 +411,6 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
     a = MatrixOperator(curl_c + graddiv_c, tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     sizes = _ext_sizes(axes)
-    rebuild = None
-    if m0 is None and not skew_stencils:
-        rebuild = lambda: _ext_reconstruct_from_stack(axes)
     return CatalogEntry(
         name="extended_maxwell",
         grid=axes,
@@ -463,7 +423,6 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
             "pad the alternating rank-{2,3} descendant (component pairing, sqrt-3 rescale, block swap)",
             "sum the curl and grad/div parts",
         ),
-        reconstruct=rebuild,
         extras={
             "curl_part": MatrixOperator(curl_c, tag, tag),
             "graddiv_part": MatrixOperator(graddiv_c, tag, tag),
@@ -492,8 +451,8 @@ def _alt3_pair(space3: TensorFieldSpace) -> ProjectionPair:
     return ProjectionPair(MatrixOperator(ent, space3.tag, red.tag), space=red)
 
 
-def _ext_reconstruct_from_stack(axes):
-    """Re-derive the two extended-Maxwell parts from the rank-3 stack.
+def _ext_from_stack(axes):
+    """The extended-Maxwell operator (M0 = I) derived from the rank-3 stack.
 
     Three descendant chains feed the 8-component layout: the rank-{0,1}
     block (grad0/div pair), the antisymmetrized rank-{1,2} block rescaled
@@ -514,7 +473,7 @@ def _ext_reconstruct_from_stack(axes):
         out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] += blk
 
     stack = TensorStack(axes, 3)
-    A = build_stack_skew(stack).as_matrix()
+    A = build_stack_skew(stack)
     r = [TensorFieldSpace(axes, k) for k in range(4)]
 
     # chain 1: ranks {0},{1} -> [[0, div],[grad0, 0]] on (f0, f1)
@@ -560,11 +519,6 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
     tag = space.tag
     a = MatrixOperator(parent.a.entries[keep][:, keep], tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
-
-    def rebuild():
-        full = parent.reconstruct() if parent.reconstruct else parent.a.to_dense()
-        return full[np.ix_(keep, keep)]
-
     return CatalogEntry(
         name="reduced_extended_maxwell",
         grid=tuple(axes),
@@ -572,7 +526,6 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
         a=a,
         blocks=(("f3", np_), ("f1", 3 * np_), ("f2", 3 * np_)),
         provenance=parent.provenance + ("drop the second scalar block",),
-        reconstruct=rebuild if parent.reconstruct else None,
         extras={"parent": parent, "keep": keep},
     )
 
@@ -679,12 +632,6 @@ def dirac(axes) -> CatalogEntry:
     tag = space.tag
     a = MatrixOperator(_block_matrix([dim4, dim4], {(0, 1): -W.T, (1, 0): W}), tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
-
-    def rebuild():
-        ext = extended_maxwell(axes, skew_stencils=True)
-        U = _dirac_relabeling(axes)
-        return U.T @ (ext.a.to_dense() + _chiral_m1(axes)) @ U
-
     return CatalogEntry(
         name="dirac",
         grid=axes,
@@ -697,7 +644,6 @@ def dirac(axes) -> CatalogEntry:
             "add the chiral constant zero-order term",
             "relabel by the 8x8 signed permutation",
         ),
-        reconstruct=rebuild,
         extras={"W": W},
     )
 
@@ -739,19 +685,9 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
         raise ValueError("the square-root system needs an all-Dirichlet grid")
     G = build_nabla(TensorFieldSpace(axes, 0))
     U, absG = polar_decompose(G)
-    A = make_block_skew(absG).as_matrix()
+    A = make_block_skew(absG)
     np_ = _npts(axes)
     law = MaterialLaw(m0=identity(A.domain), m1=zero(A.domain, A.domain))
-
-    def rebuild():
-        a_ac = _acoustic_block(axes)
-        scalar_tag = TensorFieldSpace(axes, 0).tag
-        pair = direct_sum_pairs([
-            identity_pair(scalar_tag),
-            ProjectionPair(U.adjoint(), validate=True),
-        ])
-        return descend(a_ac, pair)
-
     return CatalogEntry(
         name="relativistic_schrodinger",
         grid=axes,
@@ -762,7 +698,6 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
             "select the rank-0 and rank-1 blocks of the stack operator",
             "compress onto the gradient range through the polar co-isometry",
         ),
-        reconstruct=rebuild,
         extras={"U": U, "absG": absG, "G": G},
     )
 
@@ -836,14 +771,6 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0, law=None) -> Catalog
     m1_comb = pe_proj @ m1_00 @ pe_proj + po_proj @ m1_11 @ po_proj
     law_comb = MaterialLaw(m0=MatrixOperator(m0_comb, space0.tag, space0.tag),
                            m1=MatrixOperator(m1_comb, space0.tag, space0.tag))
-
-    def rebuild():
-        emb_e = pe0.embedding.to_dense()
-        emb_o = po0.embedding.to_dense()
-        m = a_desc.to_dense()
-        return (emb_e @ m[:half, half:] @ po0.pi.to_dense()
-                + emb_o @ m[half:, :half] @ pe0.pi.to_dense())
-
     return CatalogEntry(
         name="transport",
         grid=axes,
@@ -855,7 +782,6 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0, law=None) -> Catalog
             "split into even and odd parts across the reflection",
             "recombine the two rows on the full line",
         ),
-        reconstruct=rebuild,
         extras={
             "descendant_law": law_desc,
             "descendant_a": a_desc,
@@ -901,7 +827,7 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     nvec = 3 * np_
     nsym = 6 * np_
     a_heat = _acoustic_block(axes, negate=True)
-    a_elast = _elastic_block(axes, negate=True)
+    a_elast = _elastic_block(axes, sym_projection, negate=True)
     a = block_diag([a_heat, a_elast])
     cinv = _inv_coeff(cten, nsym, name="cten")
     gmat = _trace_embedding(axes, gamma)
@@ -918,11 +844,6 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
                          m1=zero(a_elast.domain, a_elast.domain))
     cross = _block_matrix([np_, nvec], {(0, 1): gmat.T @ cinv}, [nvec, nsym])
     mlaw = couple([law_hz, law_st], {(0, 1): (cross, None)})
-
-    def rebuild():
-        return block_diag([_acoustic_block(axes, negate=True),
-                           _elastic_block(axes, negate=True)]).to_dense()
-
     return CatalogEntry(
         name="thermo_elasticity",
         grid=axes,
@@ -935,7 +856,6 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
             "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
             "stack the two descendants; all coupling enters the material law",
         ),
-        reconstruct=rebuild,
         extras={"params": {"nu1": nu1, "nu2": nu2, "kappa": kappa,
                            "cten": cten, "gamma": gamma}},
     )
@@ -951,7 +871,7 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     nvec = ndim * np_
     nsym = (ndim * (ndim + 1) // 2) * np_
     a_bend = _acoustic_block(axes, negate=True)
-    a_rot = _elastic_block(axes, negate=True) if ndim > 1 else _elastic_block_1d(axes)
+    a_rot = _elastic_block(axes, sym_projection, negate=True)
     a = block_diag([a_bend, a_rot])
 
     kap = _check_coeff("kappa", _coeff(kappa, nvec))
@@ -969,11 +889,6 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     m1_01 = _block_matrix([np_, nvec], {(1, 0): -sp.identity(nvec)}, [nvec, nsym])
     m1_10 = _block_matrix([nvec, nsym], {(0, 1): sp.identity(nvec)}, [np_, nvec])
     mlaw = couple([law_hz, law_st], {(0, 1): (None, m1_01), (1, 0): (None, m1_10)})
-
-    def rebuild():
-        second = _elastic_block(axes, negate=True) if ndim > 1 else _elastic_block_1d(axes)
-        return block_diag([_acoustic_block(axes, negate=True), second]).to_dense()
-
     return CatalogEntry(
         name=name,
         grid=axes,
@@ -986,23 +901,8 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
             "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
             "stack the two descendants; the +-1 coupling enters the material law",
         ),
-        reconstruct=rebuild,
         extras={"params": {"nu1": nu1, "nu2": nu2, "kappa": kappa, "cten": cten, "d": d}},
     )
-
-
-def _elastic_block_1d(axes):
-    """[[0, D*], [-D, 0]] pattern on the line: the 1-d limit of the
-    sign-flipped velocity/stress block (rank-2 symmetric coordinates are a
-    single component in 1-d)."""
-    stack = TensorStack(tuple(axes), 2)
-    A = build_stack_skew(stack).as_matrix()
-    first = descend(A, rank_block(stack, {1}, {2}))
-    r1 = TensorFieldSpace(tuple(axes), 1)
-    r2 = TensorFieldSpace(tuple(axes), 2)
-    pv = direct_sum_pairs([identity_pair(r1.tag), sym_projection(r2)])
-    out = descend(first, pv)
-    return _negate_second(r1.dim, out)
 
 
 def reissner_mindlin(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0, d=0.0) -> CatalogEntry:
@@ -1036,7 +936,7 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
     n1 = build_nabla(TensorFieldSpace(axes, 1))
     ps = sym_projection(TensorFieldSpace(axes, 2))
     comp = ps.pi @ n1 @ n0
-    a = make_block_skew(comp).as_matrix()
+    a = make_block_skew(comp)
     space = a.domain
     m0 = _block_matrix([np_, nsym], {
         (0, 0): _check_coeff("nu1", _coeff(nu1, np_)),
@@ -1045,19 +945,6 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
         (0, 0): _check_coeff("d", _coeff(d, np_), strict=False)})
     mlaw = MaterialLaw(m0=MatrixOperator(m0, space, space),
                        m1=MatrixOperator(m1, space, space))
-
-    def rebuild():
-        stack = TensorStack(axes, 2)
-        c_full = build_stack_skew(stack).C.to_dense()
-        offs = stack.rank_offsets()
-        d10 = c_full[offs[1]:offs[2], offs[0]:offs[1]]
-        d21 = c_full[offs[2]:, offs[1]:offs[2]]
-        comp2 = ps.pi.to_dense() @ d21 @ d10
-        out = np.zeros((np_ + nsym, np_ + nsym))
-        out[:np_, np_:] = -comp2.T
-        out[np_:, :np_] = comp2
-        return out
-
     return CatalogEntry(
         name=name,
         grid=axes,
@@ -1068,7 +955,6 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
             "compose the rank-0->1 and symmetrized rank-1->2 derivative blocks",
             "assemble the block-skew pair of the composite",
         ),
-        reconstruct=rebuild,
         extras={"params": {"nu1": nu1, "cten": cten, "d": d}},
     )
 

@@ -139,29 +139,37 @@ def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
     return left, right
 
 
-def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
-    """March the problem to t_end with the configured one-step scheme."""
-    report = check_wellposed(problem.law)
+def _require_wellposed(law: MaterialLaw):
+    report = check_wellposed(law)
     if not report.passed:
         raise MaterialLawError(
             "material law fails the well-posedness conditions: "
             f"m0_nonneg={report.m0_nonneg}, "
             f"kernel_block_positive={report.kernel_block_positive}"
         )
-    left, right = _step_operators(problem, config)
-    step_solve = _factor(left)
+
+
+def _march(problem: EvolutionaryProblem, config: SolverConfig, right: MatrixOperator,
+           next_state) -> Trajectory:
+    """Step from the initial state: u_{k+1} = next_state(right u_k + F(t_sample))."""
     nsteps = int(round(config.t_end / config.tau))
     times = np.arange(nsteps + 1) * config.tau
-    dim = problem.space.dim
-    states = np.empty((nsteps + 1, dim))
+    states = np.empty((nsteps + 1, problem.space.dim))
     states[0] = problem.initial
     for k in range(nsteps):
         t_sample = times[k] + (config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2)
         rhs = right.apply(states[k]) + problem.force_at(t_sample)
-        states[k + 1] = step_solve(rhs)
+        states[k + 1] = next_state(rhs)
     energies = energy_series_from_states(states, problem.law.m0)
     return Trajectory(times=times, states=states, energies=energies,
                       scheme=config.scheme, tau=config.tau, space=problem.space)
+
+
+def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
+    """March the problem to t_end with the configured one-step scheme."""
+    _require_wellposed(problem.law)
+    left, right = _step_operators(problem, config)
+    return _march(problem, config, right, _factor(left))
 
 
 def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
@@ -253,9 +261,7 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
     recovers the kernel component from the reconstruction recipe.  With an
     invertible A this degenerates to the plain solve.
     """
-    report = check_wellposed(problem.law)
-    if not report.passed:
-        raise MaterialLawError("material law fails the well-posedness conditions")
+    _require_wellposed(problem.law)
     if split is None:
         split = range_kernel_split(problem.a)
     p_range, p_kernel = split
@@ -268,15 +274,5 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
     reduced, recipe = schur_reduce(left, p_range, p_kernel)
     # the reduced matrix is dense by nature (SVD bases): dense LU, same guard
     step_solve = partial(sla.lu_solve, guarded_lu(reduced.to_dense()))
-    nsteps = int(round(config.t_end / config.tau))
-    times = np.arange(nsteps + 1) * config.tau
-    states = np.empty((nsteps + 1, problem.space.dim))
-    states[0] = problem.initial
-    for k in range(nsteps):
-        t_sample = times[k] + (config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2)
-        rhs = right.apply(states[k]) + problem.force_at(t_sample)
-        x_r = step_solve(recipe.reduce_rhs(rhs))
-        states[k + 1] = recipe.assemble(rhs, x_r)
-    energies = energy_series_from_states(states, problem.law.m0)
-    return Trajectory(times=times, states=states, energies=energies,
-                      scheme=config.scheme, tau=config.tau, space=problem.space)
+    return _march(problem, config, right,
+                  lambda rhs: recipe.assemble(rhs, step_solve(recipe.reduce_rhs(rhs))))

@@ -22,13 +22,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (
-    BlockSkewOperator,
-    MatrixOperator,
-    SpaceTag,
-    direct_sum_tags,
-    make_block_skew,
-)
+from .linops import MatrixOperator, SpaceTag, direct_sum_tags, make_block_skew
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -321,7 +315,7 @@ def build_stack_derivative(stack: TensorStack) -> MatrixOperator:
     return MatrixOperator(ent, stack.half_tag, stack.half_tag)
 
 
-def build_stack_skew(stack: TensorStack) -> BlockSkewOperator:
+def build_stack_skew(stack: TensorStack) -> MatrixOperator:
     """The parent operator [[0, -C*], [C, 0]] on the full tensor stack.
 
     Every catalog system in this package is obtained from this single

@@ -213,11 +213,6 @@ class MatrixOperator:
         )
 
 
-def adjoint(op: MatrixOperator) -> MatrixOperator:
-    """Weighted adjoint: <T u, v>_cod = <u, T* v>_dom for all u, v."""
-    return op.adjoint()
-
-
 def identity(tag: SpaceTag) -> MatrixOperator:
     return MatrixOperator(sp.identity(tag.dim, format="csr"), tag, tag)
 
@@ -266,23 +261,8 @@ def weighted_singular_values(op: MatrixOperator) -> np.ndarray:
     return np.linalg.svd(sw_cod[:, None] * m / sw_dom[None, :], compute_uv=False)
 
 
-@dataclass(frozen=True)
-class BlockSkewOperator:
-    """A = [[0, -C*], [C, 0]] on H0 (+) H1; skew-selfadjoint by construction."""
-
-    C: MatrixOperator
-    operator: MatrixOperator
-
-    @property
-    def space(self):
-        return self.operator.domain
-
-    def as_matrix(self) -> MatrixOperator:
-        return self.operator
-
-
-def make_block_skew(C: MatrixOperator) -> BlockSkewOperator:
-    """Assemble [[0, -C*], [C, 0]] with its adjoint attached as the exact negation.
+def make_block_skew(C: MatrixOperator) -> MatrixOperator:
+    """Assemble A = [[0, -C*], [C, 0]] with its adjoint attached as the exact negation.
 
     The adjoint really is the entrywise negation (the off-diagonal blocks are
     adjoints of each other by construction), so A + A* vanishes identically,
@@ -291,21 +271,11 @@ def make_block_skew(C: MatrixOperator) -> BlockSkewOperator:
     space = direct_sum_tags([C.domain, C.codomain])
     ent = _off_diagonal(-C.adjoint().entries, C.entries)
     A = MatrixOperator(ent, space, space)
-    A.with_adjoint(-A.entries)
-    return BlockSkewOperator(C=C, operator=A)
+    return A.with_adjoint(-A.entries)
 
 
-def is_skew_selfadjoint(op, tol: float = 0.0) -> bool:
-    """True iff the max-entry norm of A + A* is at most tol."""
-    A = op.operator if isinstance(op, BlockSkewOperator) else op
-    if A.domain != A.codomain:
-        raise TagMismatchError("skew-selfadjointness needs domain == codomain")
-    return (A + A.adjoint()).max_abs() <= tol
-
-
-def skew_defect(op) -> float:
+def skew_defect(A: MatrixOperator) -> float:
     """Max-entry norm of A + A*."""
-    A = op.operator if isinstance(op, BlockSkewOperator) else op
     if A.domain != A.codomain:
         raise TagMismatchError("skew defect needs domain == codomain")
     return (A + A.adjoint()).max_abs()
@@ -321,13 +291,9 @@ class CompatibilityReport:
     smallest weighted singular value above the cutoff.
     """
 
-    dense_definedness: bool
     left_invertible: bool
     smallest_singular_value: float
     rank_tol: float
-
-    def __bool__(self):
-        return self.dense_definedness and self.left_invertible
 
 
 def check_compatibility(C: MatrixOperator, B: MatrixOperator,
@@ -343,22 +309,20 @@ def check_compatibility(C: MatrixOperator, B: MatrixOperator,
     # B*: X -> H0 must be injective, i.e. no weighted singular value collapses.
     full_rank = B.codomain.dim <= B.domain.dim and smin > rank_tol * max(smax, 1e-300)
     return CompatibilityReport(
-        dense_definedness=True,
         left_invertible=full_rank,
         smallest_singular_value=smin,
         rank_tol=rank_tol,
     )
 
 
-def make_relative(A: BlockSkewOperator, B0: MatrixOperator,
+def make_relative(C: MatrixOperator, B0: MatrixOperator,
                   B1: MatrixOperator) -> MatrixOperator:
-    """The (B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]] of A.
+    """The (B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]] of [[0, -C*], [C, 0]].
 
     B0 maps H0 to X, B1 maps H1 to Y.  B0* must have a bounded left-inverse;
     when one of B0, B1 is not a bijection the result is a proper descendant,
     when both are unitary it is the conjugate (B0 (+) B1) A (B0 (+) B1)*.
     """
-    C = A.C
     rep0 = check_compatibility(C, B0)
     if not rep0.left_invertible:
         raise PreconditionError(
@@ -366,9 +330,6 @@ def make_relative(A: BlockSkewOperator, B0: MatrixOperator,
             f"{rep0.smallest_singular_value:.3e} below cutoff); the relative "
             "construction hypothesis fails"
         )
-    rep1 = check_compatibility(C.adjoint(), B1)
-    if not rep1.dense_definedness:  # pragma: no cover - vacuous in finite dim
-        raise PreconditionError("B1 is not compatible with C*")
     lower = B1 @ C @ B0.adjoint()
     upper = B0 @ C.adjoint() @ B1.adjoint()
     space = direct_sum_tags([B0.codomain, B1.codomain])

@@ -106,10 +106,6 @@ class MaterialLaw:
         return self.m0.domain
 
 
-def law(m0: MatrixOperator, m1: MatrixOperator) -> MaterialLaw:
-    return MaterialLaw(m0=m0, m1=m1)
-
-
 @dataclass(frozen=True)
 class WellposednessReport:
     m0_selfadjoint: bool

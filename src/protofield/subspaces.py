@@ -89,11 +89,6 @@ def direct_sum_pairs(pairs, space=None) -> ProjectionPair:
     return ProjectionPair(block_diag([p.pi for p in pairs]), space=space, validate=False)
 
 
-def compose_pairs(outer: ProjectionPair, inner: ProjectionPair) -> ProjectionPair:
-    """First apply inner, then outer; the composite is again a partial isometry."""
-    return ProjectionPair(outer.pi @ inner.pi, space=outer.space, validate=False)
-
-
 def descend(A: MatrixOperator, pv: ProjectionPair) -> MatrixOperator:
     """Project an operator onto a subspace: pi . A . embedding.
 

@@ -1,13 +1,17 @@
 """Structural-identity verification suite: the one home of every identity check.
 
 Each identity is computed here and nowhere else; the catalog supplies the
-systems and the pieces the identities are stated in (the curl block, the
-Dirac relabeling), and the tests call these functions.  A `check_<name>`
-rebuilds what it audits from scratch, measures a residual and compares it
-with the identity's tolerance; a test that wants the identity on another
-grid calls the residual function its check calls.  The CLI `verify`
-command runs `CHECKS` (optionally filtered by substring) and prints one
-PASS/FAIL line per check.
+systems and the pieces the identities are stated in (the stencils, the curl
+block, the Dirac relabeling), and the tests call these functions.  A
+`check_<name>` builds what it audits from scratch, measures a residual and
+compares it with the identity's tolerance; a test that wants the identity
+on another grid calls the residual function its check calls.  The CLI
+`verify` command runs `CHECKS` (optionally filtered by substring) and
+prints one PASS/FAIL line per check.
+
+`provenance_residual` checks that every catalog operator descends from the
+stack operator against a reference built from pieces the entry's builder
+does not call, so a fault in a builder's chain cannot cancel out.
 
 Grid sizes can be capped for constrained environments through the
 PROTOFIELD_MAX_GRID environment variable (maximum points per axis, an
@@ -20,6 +24,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import catalog
 from .flatgrid import DIRICHLET, Axis, TensorFieldSpace, TensorStack, build_div, build_nabla, build_stack_skew
@@ -101,18 +106,23 @@ def adjointness_residual(grids, rng, pairs=12):
     return worst, count
 
 
-def curl_residual(axes):
-    """Max entry of the descended Maxwell block minus the stencil curl.
+def _stencil_curl(axes):
+    """The curl from the 1-d stencils, in the Maxwell entry's magnetic coordinates.
 
-    The curl is built from the 1-d stencils with the basis normalization
-    folded in (rows c01, c02, c12 are curl_z, -curl_y, curl_x over sqrt 2).
+    The basis normalization is folded in: rows c01, c02, c12 are curl_z,
+    -curl_y, curl_x over sqrt 2.
     """
+    np_ = catalog._npts(axes)
+    curl = catalog._curl_block(catalog._partials(axes))
+    return (1.0 / catalog.SQRT2) * np.kron(catalog._asym_perm(), np.eye(np_)) @ curl
+
+
+def curl_residual(axes):
+    """Max entry of the descended Maxwell block minus the stencil curl."""
     entry = catalog.maxwell(axes)
     np_ = entry.blocks[0][1] // 3
     lower = entry.a.to_dense()[3 * np_:, : 3 * np_]
-    curl = catalog._curl_block(catalog._partials(axes))
-    direct = (1.0 / catalog.SQRT2) * np.kron(catalog._asym_perm(), np.eye(np_)) @ curl
-    return float(np.abs(lower - direct).max())
+    return float(np.abs(lower - _stencil_curl(axes)).max())
 
 
 def annihilation_residual(axes):
@@ -123,24 +133,15 @@ def annihilation_residual(axes):
     return float(max(np.abs(c @ g).max(), np.abs(g @ c).max()))
 
 
-def _dirac_and_target(axes):
-    """The Dirac operator and extended Maxwell (skew stencils) plus the chiral term."""
-    target = (catalog.extended_maxwell(axes, skew_stencils=True).a.to_dense()
-              + catalog._chiral_m1(axes))
-    return catalog.dirac(axes).a.to_dense(), target
-
-
-def dirac_conjugation_residual(axes):
-    """Relative max entry of U D U* minus extended Maxwell plus the chiral term."""
-    dirac, target = _dirac_and_target(axes)
-    U = catalog._dirac_relabeling(axes)
-    conj = U @ dirac @ U.T
-    return float(np.abs(conj - target).max()) / max(np.abs(target).max(), 1.0)
+def _dirac_target(axes):
+    """Extended Maxwell (skew stencils) plus the chiral term: U D U* for the Dirac D."""
+    return (catalog.extended_maxwell(axes, skew_stencils=True).a.to_dense()
+            + catalog._chiral_m1(axes))
 
 
 def dirac_spectra_residual(axes):
     """Largest gap between the sorted spectra of the two relabeled systems."""
-    dirac, target = _dirac_and_target(axes)
+    dirac, target = catalog.dirac(axes).a.to_dense(), _dirac_target(axes)
     ev1 = np.sort_complex(np.linalg.eigvals(dirac))
     ev2 = np.sort_complex(np.linalg.eigvals(target))
     return float(np.abs(ev1 - ev2).max())
@@ -401,6 +402,86 @@ def wave_relative_residuals(axes, epsilon):
 
 
 # ---------------------------------------------------------------------------
+# provenance: every entry against an independent reference
+#
+# Every space on one grid carries the uniform volume weight, so the adjoint
+# of a block is its transpose and [[0, -L^T], [L, 0]] is the block-skew
+# pair of L.  References are dense or sparse; they are compared as CSR.
+
+
+def _skew_pair(lower):
+    """[[0, -L^T], [L, 0]] for a block L."""
+    return sp.bmat([[None, -lower.T], [lower, None]], format="csr")
+
+
+def _gradient_pair(axes):
+    """[[0, div], [grad0, 0]] from the rank-0 gradient alone, not the stack."""
+    return make_block_skew(build_nabla(TensorFieldSpace(axes, 0))).entries
+
+
+def _flux_stress_pair(axes):
+    """The gradient and hand-stencil Grad pairs, each conjugated by diag(1, -1)
+    (which negates a block-skew pair), stacked."""
+    return -sp.block_diag([_gradient_pair(axes), catalog._grad_sym_stencil(axes)], format="csr")
+
+
+def _biharmonic_pair(axes):
+    """The block-skew pair of (symmetrized gradient) @ (gradient), from the stencils."""
+    nvec = catalog._npts(axes) * len(axes)
+    grad_sym = catalog._grad_sym_stencil(axes)[nvec:, :nvec]
+    return _skew_pair(grad_sym @ np.vstack(catalog._partials(axes)))
+
+
+def _square_root_pair(entry):
+    """The gradient pair compressed by the polar co-isometry: [[0, -G* U], [U* G, 0]]."""
+    G = build_nabla(TensorFieldSpace(entry.grid, 0))
+    return _skew_pair((entry.extras["U"].adjoint() @ G).entries)
+
+
+def _recombined_transport(entry):
+    """The two rows of the even/odd descendant recombined on the full line."""
+    pe, po = entry.extras["even_pair"], entry.extras["odd_pair"]
+    m = entry.extras["descendant_a"].to_dense()
+    half = entry.dim // 2
+    return (pe.embedding.to_dense() @ m[:half, half:] @ po.pi.to_dense()
+            + po.embedding.to_dense() @ m[half:, :half] @ pe.pi.to_dense())
+
+
+def _relabeled_dirac(axes):
+    """U* (extended Maxwell with skew stencils + chiral term) U."""
+    U = catalog._dirac_relabeling(axes)
+    return U.T @ _dirac_target(axes) @ U
+
+
+# entry name -> reference operator for an entry built with the registry's
+# operator-shaping defaults (extended Maxwell: M0 = I, forward stencils);
+# the law's parameters do not enter any operator
+PROVENANCE_REFERENCES = {
+    "acoustics": lambda e: _gradient_pair(e.grid),
+    "heat": lambda e: _gradient_pair(e.grid),
+    "elasticity": lambda e: catalog._grad_sym_stencil(e.grid),
+    "maxwell": lambda e: _skew_pair(_stencil_curl(e.grid)),
+    "extended_maxwell": lambda e: catalog._ext_from_stack(e.grid),
+    "reduced_extended_maxwell": lambda e: catalog._ext_from_stack(e.grid)[
+        np.ix_(e.extras["keep"], e.extras["keep"])],
+    "dirac": lambda e: _relabeled_dirac(e.grid),
+    "relativistic_schrodinger": _square_root_pair,
+    "transport": _recombined_transport,
+    "thermo_elasticity": lambda e: _flux_stress_pair(e.grid),
+    "reissner_mindlin": lambda e: _flux_stress_pair(e.grid),
+    "timoshenko": lambda e: _flux_stress_pair(e.grid),
+    "kirchhoff_love": lambda e: _biharmonic_pair(e.grid),
+    "euler_bernoulli": lambda e: _biharmonic_pair(e.grid),
+}
+
+
+def provenance_residual(entry):
+    """Max-entry mismatch of the entry's operator and its reference, over max(|a|max, 1)."""
+    ref = sp.csr_matrix(PROVENANCE_REFERENCES[entry.name](entry))
+    return float(abs(entry.a.entries - ref).max()) / max(entry.a.max_abs(), 1.0)
+
+
+# ---------------------------------------------------------------------------
 # the checks
 
 
@@ -416,16 +497,21 @@ def check_adjointness():
 
 
 def check_skewness():
-    """The stack operator and every catalog entry are skew-selfadjoint."""
+    """The stack operator and every catalog entry are skew-selfadjoint, and
+    every entry matches its independent reference (`provenance_residual`)."""
     axes = (Axis.torus(_cap(4)), Axis.interval(_cap(4)), Axis.torus(_cap(4)))
     stack = TensorStack(axes, 3)
-    worst = skew_defect(build_stack_skew(stack).as_matrix())
-    names = []
-    for entry in catalog.all_entries(max_points=max_grid()):
+    worst = skew_defect(build_stack_skew(stack))
+    provenance = 0.0
+    entries = catalog.all_entries(max_points=max_grid())
+    for entry in entries:
         scale = max(entry.a.max_abs(), 1.0)
         worst = max(worst, skew_defect(entry.a) / scale)
-        names.append(entry.name)
-    return _result("skewness", worst, 1e-12, f"stack + {len(names)} catalog entries")
+        provenance = max(provenance, provenance_residual(entry))
+    return _result("skewness", worst, 1e-12,
+                   f"stack + {len(entries)} catalog entries, "
+                   f"provenance {provenance:.2e} (tol 1e-12)",
+                   side_ok=provenance <= 1e-12)
 
 
 def check_compatibility_theorem():
@@ -473,7 +559,7 @@ def check_relative_construction():
         y_dim = d1 if k % 3 == 0 else int(rng.integers(1, d1 + 1))
         B0 = _random_partial_isometry(rng, t0, x_dim, "x")
         B1 = _random_partial_isometry(rng, t1, y_dim, "y")
-        rel = make_relative(A, B0, B1)
+        rel = make_relative(C, B0, B1)
         scale = max(rel.max_abs(), 1.0)
         worst = max(worst, skew_defect(rel) / scale)
         if x_dim == d0 and y_dim == d1:
@@ -481,8 +567,8 @@ def check_relative_construction():
             u = np.zeros((d0 + d1, d0 + d1))
             u[:x_dim, :d0] = B0.to_dense()
             u[x_dim:, d0:] = B1.to_dense()
-            big = MatrixOperator(u, A.as_matrix().domain, rel.domain)
-            conj = big @ A.as_matrix() @ big.adjoint()
+            big = MatrixOperator(u, A.domain, rel.domain)
+            conj = big @ A @ big.adjoint()
             worst = max(worst, (conj - rel).max_abs() / scale)
     return _result("relative_construction", worst, 1e-12,
                    f"50 random isometry pairs, {unitary} unitary conjugates")
@@ -499,7 +585,8 @@ def check_annihilation():
 
 
 def check_dirac_equivalence():
-    res = dirac_conjugation_residual((Axis.torus(_cap(4)),) * 3)
+    # the Dirac operator against its relabeled extended-Maxwell reference
+    res = provenance_residual(catalog.dirac((Axis.torus(_cap(4)),) * 3))
     # spectra agree on the small grid (conjugation preserves eigenvalues)
     spec_res = dirac_spectra_residual((Axis.torus(2),) * 3)
     return _result("dirac_equivalence", res, 1e-12,
@@ -508,7 +595,7 @@ def check_dirac_equivalence():
 
 
 def check_schur_equivalence():
-    """Full solve vs reduced-plus-reconstructed solve on kernel-bearing systems.
+    """Full solve vs the Schur-reduced solve on kernel-bearing systems.
 
     Acoustics and heat on the torus both carry the constants in the kernel.
     """

@@ -165,6 +165,10 @@ def flip_dirac_relabeling(perms):
     return u1, u2
 
 
+def scale_operator(op):
+    return 1.001 * op
+
+
 class TestVerifyCommand:
     def test_filter_runs_subset(self, capsys, monkeypatch):
         monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
@@ -175,14 +179,15 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("check, helper, flip", [
         ("curl", "_asym_perm", flip_curl_pairing),
         ("dirac", "_dirac_permutations", flip_dirac_relabeling),
-    ], ids=["curl", "dirac"])
+        ("skewness", "_elastic_block", scale_operator),
+    ], ids=["curl", "dirac", "provenance"])
     def test_injected_sign_error_fails(self, capsys, monkeypatch, check, helper, flip):
-        # mutation test: flip one sign in the catalog helper the identity is
-        # stated in, and the verify command must report failure
+        # mutation test: corrupt the catalog helper the identity is stated
+        # in, or a builder's chain, and the verify command must report failure
         import protofield.catalog as cat
 
         good = getattr(cat, helper)
-        monkeypatch.setattr(cat, helper, lambda: flip(good()))
+        monkeypatch.setattr(cat, helper, lambda *args, **kwargs: flip(good(*args, **kwargs)))
         code = cli.main(["verify", "--filter", check])
         monkeypatch.setattr(cat, helper, good)
         assert code == cli.EXIT_VERIFY_FAILED

@@ -204,6 +204,19 @@ class TestSolveReduced:
         scale = max(np.abs(full.states).max(), 1.0)
         assert np.abs(full.states - red.states).max() / scale <= 1e-10
 
+    def test_kernel_bearing_systems_implicit_euler(self):
+        # the Schur check runs Crank-Nicolson on an 8-point ring; here
+        # implicit Euler on a 4x4 torus, whose kernel is again the constants
+        rng = np.random.default_rng(4)
+        cfg = SolverConfig(tau=0.01, t_end=2.0, scheme=IMPLICIT_EULER)
+        for entry in (catalog.heat((Axis.torus(4),) * 2),
+                      catalog.acoustics((Axis.torus(4),) * 2)):
+            u0 = rng.standard_normal(entry.dim)
+            full = solve(entry.problem(initial=u0), cfg)
+            red = solve_reduced(entry.problem(initial=u0), cfg)
+            scale = max(np.abs(full.states).max(), 1.0)
+            assert np.abs(full.states - red.states).max() / scale <= 1e-10, entry.name
+
 
 class TestSparseStorage:
     def test_large_diagonal_system_uses_sparse_path(self):

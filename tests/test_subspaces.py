@@ -42,7 +42,7 @@ class TestRankBlock:
     def test_acoustic_selection_pattern(self):
         axes = (Axis.dirichlet(4, 0.2),)
         stack = TensorStack(axes, 1)
-        A = build_stack_skew(stack).as_matrix()
+        A = build_stack_skew(stack)
         pv = rank_block(stack, {0}, {1})
         assert_pair_invariants(pv)
         a = descend(A, pv).to_dense()
@@ -307,7 +307,7 @@ class TestOrderDependence:
         for n in (2, 3):
             axes = (Axis.torus(n), Axis.torus(n))
             stack = TensorStack(axes, 2)
-            A = build_stack_skew(stack).as_matrix()
+            A = build_stack_skew(stack)
             parent = descend(A, rank_block(stack, {1}, {2}))
             r1 = TensorFieldSpace(axes, 1)
             r2 = TensorFieldSpace(axes, 2)
