@@ -27,7 +27,8 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import MatrixOperator, SpaceTag, block_diag, identity, make_block_skew, zero
+from .linops import (MatrixOperator, SpaceTag, block_diag, identity, make_block_skew,
+                     spectral_function, weighted_spectrum, zero)
 from .flatgrid import (
     Axis,
     DIRICHLET,
@@ -48,7 +49,6 @@ from .subspaces import (
     even_odd,
     identity_pair,
     rank_block,
-    realify_complex,
     sym_projection,
     torus_average,
 )
@@ -76,20 +76,24 @@ def _coeff(value, size):
     return sp.csr_matrix(0.5 * (arr + arr.T))
 
 
+def _coeff_spectrum(name, mat, strict=True):
+    """Space and spectral blocks of a coefficient matrix, checked positive (semi)definite."""
+    tag = SpaceTag(name, mat.shape[0])
+    floor, groups = weighted_spectrum(MatrixOperator(mat, tag, tag), rank_tol=1e-12)
+    low = min(float(g[1].min()) for g in groups)
+    if low <= floor if strict else low < -floor:
+        raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
+    return tag, groups
+
+
 def _check_coeff(name, mat, strict=True):
-    vals = np.linalg.eigvalsh(mat.toarray())
-    floor = 1e-12 * max(np.abs(vals).max(), 1.0)
-    if strict and vals.min() <= floor:
-        raise ValueError(f"{name} must be symmetric positive definite")
-    if not strict and vals.min() < -floor:
-        raise ValueError(f"{name} must be symmetric positive semidefinite")
+    _coeff_spectrum(name, mat, strict)
     return mat
 
 
 def _inv_coeff(value, size, name="coefficient"):
-    arr = _check_coeff(name, _coeff(value, size))
-    inv = np.linalg.inv(arr.toarray())
-    return sp.csr_matrix(0.5 * (inv + inv.T))
+    tag, groups = _coeff_spectrum(name, _coeff(value, size))
+    return spectral_function(groups, np.reciprocal, tag).entries
 
 
 def _block_matrix(sizes, entries, col_sizes=None):
@@ -161,23 +165,13 @@ class CatalogEntry:
                                    forcing=forcing)
 
 
-def _negate_second(pair_dim0, a: MatrixOperator) -> MatrixOperator:
-    """Conjugate a 2-block operator by diag(1, -1) (a unitary relative)."""
-    d = np.ones(a.domain.dim)
-    d[pair_dim0:] = -1.0
-    dm = MatrixOperator(sp.diags(d), a.domain, a.domain)
-    return dm @ a @ dm
-
-
 def _acoustic_block(axes, negate=False):
     """[[0, div], [grad0, 0]] on L2_0 (+) L2_1, optionally diag(1,-1)-negated."""
     stack = TensorStack(tuple(axes), 1)
     A = build_stack_skew(stack)
     pv = rank_block(stack, {0}, {1})
     out = descend(A, pv)
-    if negate:
-        out = _negate_second(TensorFieldSpace(tuple(axes), 0).dim, out)
-    return out
+    return -out if negate else out
 
 
 def _elastic_block(axes, rank2, negate=False):
@@ -190,9 +184,7 @@ def _elastic_block(axes, rank2, negate=False):
     r2 = TensorFieldSpace(tuple(axes), 2)
     pv = direct_sum_pairs([identity_pair(r1.tag), rank2(r2)])
     out = descend(first, pv)
-    if negate:
-        out = _negate_second(r1.dim, out)
-    return out
+    return -out if negate else out
 
 
 def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
@@ -237,7 +229,7 @@ def heat(axes, rho=1.0, sigma=1.0) -> CatalogEntry:
     return replace(entry, name="heat", extras={"params": {"rho": rho, "sigma": sigma}})
 
 
-def elasticity(axes, rho=1.0, compliance=1.0, law=None) -> CatalogEntry:
+def elasticity(axes, rho=1.0, compliance=1.0) -> CatalogEntry:
     """Velocity/stress system on L2_1 (+) sym[L2_2].
 
     The stress block uses the orthonormal symmetric coordinates (off-diagonal
@@ -252,10 +244,9 @@ def elasticity(axes, rho=1.0, compliance=1.0, law=None) -> CatalogEntry:
     np_ = _npts(axes)
     nvec = np_ * len(axes)
     nsym = np_ * (len(axes) * (len(axes) + 1) // 2)
-    if law is None:
-        m0 = _block_matrix([nvec, nsym],
-                           {(0, 0): _coeff(rho, nvec), (1, 1): _coeff(compliance, nsym)})
-        law = MaterialLaw(m0=MatrixOperator(m0, space, space), m1=zero(space, space))
+    m0 = _block_matrix([nvec, nsym],
+                       {(0, 0): _coeff(rho, nvec), (1, 1): _coeff(compliance, nsym)})
+    law = MaterialLaw(m0=MatrixOperator(m0, space, space), m1=zero(space, space))
     return CatalogEntry(
         name="elasticity",
         grid=axes,
@@ -299,8 +290,7 @@ def _asym_perm():
     return np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0,
-            law=None) -> CatalogEntry:
+def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> CatalogEntry:
     """Electric/magnetic system on L2_1 (+) asym[L2_2].
 
     Kept in the orthonormal antisymmetric coordinates of the magnetic
@@ -313,13 +303,12 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0,
     a = _elastic_block(axes, asym_projection)
     space = a.domain
     np_ = _npts(axes)
-    if law is None:
-        m0 = _block_matrix([3 * np_, 3 * np_],
-                           {(0, 0): _coeff(permittivity, 3 * np_),
-                            (1, 1): _coeff(permeability, 3 * np_)})
-        m1 = _block_matrix([3 * np_, 3 * np_], {(0, 0): _coeff(conductivity, 3 * np_)})
-        law = MaterialLaw(m0=MatrixOperator(m0, space, space),
-                          m1=MatrixOperator(m1, space, space))
+    m0 = _block_matrix([3 * np_, 3 * np_],
+                       {(0, 0): _coeff(permittivity, 3 * np_),
+                        (1, 1): _coeff(permeability, 3 * np_)})
+    m1 = _block_matrix([3 * np_, 3 * np_], {(0, 0): _coeff(conductivity, 3 * np_)})
+    law = MaterialLaw(m0=MatrixOperator(m0, space, space),
+                      m1=MatrixOperator(m1, space, space))
     return CatalogEntry(
         name="maxwell",
         grid=axes,
@@ -381,12 +370,9 @@ def _ext_parts_raw(axes, skew_stencils=False):
 
 
 def _sqrt_and_inv(mat):
-    vals, q = np.linalg.eigh(0.5 * (mat + mat.T))
-    if vals.min() <= 0:
-        raise ValueError("material coefficient must be symmetric positive definite")
-    s = q @ np.diag(np.sqrt(vals)) @ q.T
-    si = q @ np.diag(1.0 / np.sqrt(vals)) @ q.T
-    return 0.5 * (s + s.T), 0.5 * (si + si.T)
+    tag, groups = _coeff_spectrum("material coefficient", mat)
+    return (spectral_function(groups, np.sqrt, tag).entries,
+            spectral_function(groups, lambda v: 1.0 / np.sqrt(v), tag).entries)
 
 
 def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
@@ -404,7 +390,7 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
     if m0 is None:
         curl_c, graddiv_c = curl_part, graddiv_part
     else:
-        s, si = _sqrt_and_inv(_coeff(m0, space.dim).toarray())
+        s, si = _sqrt_and_inv(_coeff(m0, space.dim))
         curl_c = si @ (curl_part @ si)
         graddiv_c = s @ (graddiv_part @ s)
     tag = space.tag
@@ -534,29 +520,6 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
 # Dirac
 
 
-@dataclass(frozen=True)
-class PauliSet:
-    """The three 2x2 spin matrices, stored realified (4x4 real blocks)."""
-
-    p1: MatrixOperator
-    p2: MatrixOperator
-    p3: MatrixOperator
-
-    def as_tuple(self):
-        return (self.p1, self.p2, self.p3)
-
-
-def pauli_set() -> PauliSet:
-    spin = SpaceTag("spin2", 2)
-    mats = [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]]),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    ops = [realify_complex(m, spin, spin) for m in mats]
-    return PauliSet(*ops)
-
-
 def _dirac_w(axes):
     """The realified first-order block of the Dirac system (mass one).
 
@@ -654,24 +617,12 @@ def dirac(axes) -> CatalogEntry:
 
 def polar_decompose(G: MatrixOperator):
     """Polar factors G = U |G| with |G| = (G*G)^(1/2) and U zero on ker |G|."""
-    gram = (G.adjoint() @ G).to_dense()
-    w = G.domain.weight
-    sw = np.sqrt(w)
-    B = 0.5 * (gram + gram.T) if np.all(w == w[0]) else sw[:, None] * gram / sw[None, :]
-    B = 0.5 * (B + B.T)
-    vals, Q = np.linalg.eigh(B)
-    vals = np.clip(vals, 0.0, None)
-    V = Q / sw[:, None]
-    Vstar = Q.T * sw[None, :]
-    cutoff = 1e-12 * max(vals.max(), 1.0)
-    roots = np.sqrt(vals)
-    inv_roots = np.where(vals > cutoff, 1.0 / np.clip(roots, 1e-300, None), 0.0)
-    abs_ent = V @ np.diag(roots) @ Vstar
-    abs_ent = 0.5 * (abs_ent + abs_ent.T) if np.all(w == w[0]) else abs_ent
-    absG = MatrixOperator(abs_ent, G.domain, G.domain)
-    U = MatrixOperator(G.to_dense() @ (V @ np.diag(inv_roots) @ Vstar),
-                       G.domain, G.codomain)
-    return U, absG
+    cutoff, groups = weighted_spectrum(G.adjoint() @ G, rank_tol=1e-12)
+    abs_g = spectral_function(groups, lambda v: np.sqrt(np.clip(v, 0.0, None)), G.domain)
+    pinv = spectral_function(
+        groups, lambda v: np.where(v > cutoff, 1.0 / np.sqrt(np.clip(v, cutoff, None)), 0.0),
+        G.domain)
+    return G @ pinv, abs_g
 
 
 def relativistic_schrodinger(axes) -> CatalogEntry:
@@ -698,7 +649,7 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
             "select the rank-0 and rank-1 blocks of the stack operator",
             "compress onto the gradient range through the polar co-isometry",
         ),
-        extras={"U": U, "absG": absG, "G": G},
+        extras={"U": U},
     )
 
 
@@ -706,7 +657,7 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
 # transport on a symmetric line
 
 
-def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0, law=None) -> CatalogEntry:
+def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
     """Scalar transport on a symmetric line, recombined from even/odd rows.
 
     The 1-d pressure/flux descendant is split by the even/odd pairs of the
@@ -726,15 +677,6 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0, law=None) -> Catalog
     np_ = axis.n
     space0 = TensorFieldSpace(axes, 0)
     space1 = TensorFieldSpace(axes, 1)
-    if law is not None:
-        m = law.m0.to_dense()
-        m1full = law.m1.to_dense()
-        off = max(np.abs(m[:np_, np_:]).max(), np.abs(m[np_:, :np_]).max(),
-                  np.abs(m1full[:np_, np_:]).max(), np.abs(m1full[np_:, :np_]).max())
-        if off != 0.0:
-            raise ValueError("the recombination step needs a block-diagonal law")
-        m00, m11 = m[:np_, :np_], m[np_:, np_:]
-        m1_00, m1_11 = m1full[:np_, :np_], m1full[np_:, np_:]
     m00 = _coeff(m00, np_)
     m11 = _coeff(m11, np_)
     m1_00 = _coeff(m1_00, np_)
@@ -847,8 +789,7 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     return CatalogEntry(
         name="thermo_elasticity",
         grid=axes,
-        law=MaterialLaw(m0=MatrixOperator(mlaw.m0.entries, a.domain, a.domain),
-                        m1=MatrixOperator(mlaw.m1.entries, a.domain, a.domain)),
+        law=mlaw,
         a=a,
         blocks=(("eta", np_), ("zeta", nvec), ("s", nvec), ("T", nsym)),
         provenance=(
@@ -892,8 +833,7 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     return CatalogEntry(
         name=name,
         grid=axes,
-        law=MaterialLaw(m0=MatrixOperator(mlaw.m0.entries, a.domain, a.domain),
-                        m1=MatrixOperator(mlaw.m1.entries, a.domain, a.domain)),
+        law=mlaw,
         a=a,
         blocks=(("eta", np_), ("zeta", nvec), ("s", nvec), ("T", nsym)),
         provenance=(

@@ -141,10 +141,6 @@ def load_scenario(path):
     return cfg
 
 
-def serialize_scenario(cfg):
-    return json.dumps(cfg, indent=2, sort_keys=True)
-
-
 def run_scenario(cfg, reduced=False, outdir="."):
     axes = _axes_from_config(cfg["grid"])
     entry = catalog.build_entry(cfg["catalog"], axes, cfg.get("params"))

@@ -247,11 +247,6 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
     return np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
 
 
-def weighted_norm(traj: Trajectory, nu: float) -> float:
-    """The exponentially weighted trajectory norm over the computed horizon."""
-    return float(weighted_partial_norms(traj, nu)[-1])
-
-
 def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
                   split=None) -> Trajectory:
     """Step the system on the range of A, reconstructing the kernel part.

@@ -12,9 +12,10 @@ onto subspaces.
 Every operator stores its entries in one format: a read-only scipy CSR
 matrix.  Dense input is converted once, in the constructor.  Algorithms that
 are dense by nature densify explicitly with `to_dense()`: the weighted
-singular values here, the well-posedness gate's eigendecomposition and the
-Schur reduction (matlaw), the range/kernel SVD (subspaces), and the polar
-decomposition (catalog).
+singular values here, the Schur reduction (matlaw) and the range/kernel SVD
+(subspaces).  Functions of selfadjoint operators (the well-posedness gate,
+M0 normalization, polar factors, coefficient inverses and roots) densify
+only the coupling blocks, through `weighted_spectrum`.
 
 All values are immutable after construction and safe to share across
 threads; the functions here are pure.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 # Relative singular-value cutoff declaring a map "boundedly left-invertible".
 DEFAULT_RANK_TOL = 1e-10
@@ -187,8 +189,8 @@ class MatrixOperator:
     def adjoint(self):
         if self._adj is None:
             # the CSC arrays of T are the CSR arrays of T^T; entry (j, i) is
-            # t[i, j] * w_cod[i] / w_dom[j], in that order, so selfadjoint laws
-            # stay bitwise selfadjoint under uniform weights
+            # t[i, j] * w_cod[i] / w_dom[j], in that order (under uniform weights
+            # not always bitwise t[i, j], so MaterialLaw checks W M0 instead)
             csc = self.entries.tocsc()
             rows = np.repeat(np.arange(self.domain.dim), np.diff(csc.indptr))
             data = csc.data * self.codomain.weight[csc.indices] / self.domain.weight[rows]
@@ -244,21 +246,58 @@ def _off_diagonal(upper, lower):
     )
 
 
-def inner(tag: SpaceTag, u, v) -> float:
-    """Weighted inner product of two coordinate vectors."""
-    return float(np.sum(tag.weight * np.asarray(u) * np.asarray(v)))
-
-
-def norm(tag: SpaceTag, u) -> float:
-    return float(np.sqrt(max(inner(tag, u, u), 0.0)))
-
-
 def weighted_singular_values(op: MatrixOperator) -> np.ndarray:
     """Singular values of T with respect to the weighted norms on both sides."""
     m = op.to_dense()
     sw_cod = np.sqrt(op.codomain.weight)
     sw_dom = np.sqrt(op.domain.weight)
     return np.linalg.svd(sw_cod[:, None] * m / sw_dom[None, :], compute_uv=False)
+
+
+def weighted_spectrum(op: MatrixOperator, *others: MatrixOperator,
+                      rank_tol: float = DEFAULT_RANK_TOL):
+    """Eigendecomposition of a weighted-selfadjoint operator along its coupling blocks.
+
+    The joint sparsity pattern of op and `others` cuts them into diagonal
+    blocks, diagonalized in weighted-orthonormal coordinates by one batched
+    eigh per block size.  Returns rank_tol * max(|eigenvalue|, 1) and per size
+    (index, ascending eigenvalues, eigenvectors Q, [Q^T sym(B) Q for B in others]).
+    """
+    sw = np.sqrt(op.domain.weight)
+    _, labels = connected_components(sum(abs(o.entries) for o in (op, *others)), directed=False)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    blk, pos = np.empty_like(labels), np.empty_like(labels)
+    groups = []
+    for s in np.unique(sizes):
+        index = order[sizes[labels[order]] == s].reshape(-1, s)
+        blk[index], pos[index] = np.arange(len(index))[:, None], np.arange(s)
+        dense = np.zeros((1 + len(others), len(index), s, s))
+        for o, arr in zip((op, *others), dense):
+            e = o.entries.tocoo()
+            sel = sizes[labels[e.row]] == s
+            r, c = e.row[sel], e.col[sel]
+            arr[blk[r], pos[r], pos[c]] = e.data[sel] * (sw[r] / sw[c])
+        dense = 0.5 * (dense + dense.transpose(0, 1, 3, 2))
+        values, q = np.linalg.eigh(dense[0])
+        groups.append((index, values, q, [q.transpose(0, 2, 1) @ r @ q for r in dense[1:]]))
+    cutoff = rank_tol * max(max(float(np.abs(g[1]).max()) for g in groups), 1.0)
+    return cutoff, groups
+
+
+def spectral_function(groups, f, space: SpaceTag) -> MatrixOperator:
+    """f(T) from weighted_spectrum(T), f acting elementwise on eigenvalues.
+
+    Each block is symmetrized, then scaled by sw_j / sw_i (exactly 1 under uniform weights).
+    """
+    sw = np.sqrt(space.weight)
+    out = sp.csr_matrix((space.dim, space.dim))
+    for index, values, q, _ in groups:
+        block = (q * f(values)[:, None, :]) @ q.transpose(0, 2, 1)
+        rows, cols = np.broadcast_arrays(index[:, :, None], index[:, None, :])
+        data = 0.5 * (block + block.transpose(0, 2, 1)) * (sw[cols] / sw[rows])
+        out = out + sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=out.shape)
+    return MatrixOperator(out, space, space)
 
 
 def make_block_skew(C: MatrixOperator) -> MatrixOperator:

@@ -4,8 +4,8 @@ A law pairs a selfadjoint M0 (the instantaneous part, allowed to be
 singular) with an arbitrary M1 (the zero-order part).  Well-posedness of
 the associated evolution needs M0 >= 0, strict positivity of M0 on its
 range, and strict positivity of the symmetric part of M1 compressed to the
-kernel of M0; check_wellposed quantifies these and produces a conservative
-weight threshold from the standard 2x2 block positivity estimate.
+kernel of M0; check_wellposed quantifies these blockwise and produces a
+conservative weight threshold from the standard 2x2 block positivity estimate.
 
 Also here: the normalization replacing M0 by the orthogonal projector onto
 its range (conjugation by the inverse square root of M0 extended by the
@@ -27,6 +27,8 @@ from .linops import (
     MatrixOperator,
     TagMismatchError,
     direct_sum_tags,
+    spectral_function,
+    weighted_spectrum,
 )
 from .subspaces import ProjectionPair
 
@@ -76,10 +78,6 @@ def symmetrize(op: MatrixOperator) -> MatrixOperator:
     return 0.5 * (op + op.adjoint())
 
 
-def _enforce_symmetric(entries):
-    return 0.5 * (entries + entries.T)
-
-
 @dataclass(frozen=True)
 class MaterialLaw:
     """Pair (M0, M1) of square operators on one space, M0 selfadjoint."""
@@ -92,8 +90,11 @@ class MaterialLaw:
             raise MaterialLawError("M0 must be square on one space")
         if self.m1.domain != self.m0.domain or self.m1.codomain != self.m0.codomain:
             raise TagMismatchError("M1 must live on the same space as M0")
-        defect = (self.m0 - self.m0.adjoint()).max_abs()
+        # W M0 must be symmetric: bitwise under uniform weights, where the
+        # adjoint's t * w / w would not always round back to t
         w = self.m0.domain.weight
+        wm0 = self.m0.entries.multiply(w[:, None]).tocsr()
+        defect = float(abs((wm0 - wm0.T).multiply(1.0 / w[:, None])).max())
         uniform = bool(np.all(w == w[0]))
         allowed = 0.0 if uniform else 1e-14 * max(self.m0.max_abs(), 1.0)
         if defect > allowed:
@@ -119,20 +120,6 @@ class WellposednessReport:
         return self.m0_selfadjoint and self.m0_nonneg and self.kernel_block_positive
 
 
-def _weighted_eigh(op: MatrixOperator):
-    """Eigendecomposition of a weighted-selfadjoint operator.
-
-    Returns (eigenvalues, V) where the columns of V are coordinates of a
-    weighted-orthonormal eigenbasis.
-    """
-    w = op.domain.weight
-    sw = np.sqrt(w)
-    B = sw[:, None] * op.to_dense() / sw[None, :]
-    vals, Q = np.linalg.eigh(_enforce_symmetric(B))
-    V = Q / sw[:, None]
-    return vals, V
-
-
 def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
                     rank_tol: float = 1e-10) -> WellposednessReport:
     """Verify the structural sufficient conditions for a solvable law.
@@ -148,40 +135,28 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
     sym_defect = (m0 - m0.adjoint()).max_abs()
     m0_selfadjoint = sym_defect <= tol
 
-    vals, V = _weighted_eigh(m0)
-    scale = float(np.abs(vals).max()) if vals.size else 0.0
-    cutoff = rank_tol * max(scale, 1.0)
-    m0_nonneg = bool(vals.min() >= -max(tol, cutoff)) if vals.size else True
-    range_mask = vals > cutoff
-    kernel_mask = ~range_mask
+    cutoff, groups = weighted_spectrum(m0, symmetrize(m1), rank_tol=rank_tol)
+    vals = np.concatenate([g[1].ravel() for g in groups])
+    m0_nonneg = bool(vals.min() >= -max(tol, cutoff))
+    c_r = float(vals[vals > cutoff].min(initial=np.inf))
 
-    w = m0.domain.weight
-    sym_m1 = symmetrize(m1).to_dense()
-    # compression of an operator X onto weighted-orthonormal columns V is V^T W X V
-    V_r, V_k = V[:, range_mask], V[:, kernel_mask]
-    W = np.diag(w)
-    S_kk = V_k.T @ W @ sym_m1 @ V_k if V_k.size else np.zeros((0, 0))
-    if V_r.size and V_k.size:
-        S_rk = V_r.T @ W @ sym_m1 @ V_k
-    else:
-        S_rk = np.zeros((V_r.shape[1], V_k.shape[1]))
-
-    c_r = float(vals[range_mask].min()) if range_mask.any() else np.inf
-    if kernel_mask.any():
-        k_vals = np.linalg.eigvalsh(_enforce_symmetric(S_kk))
-        c_k = float(k_vals.min())
-        kernel_block_positive = c_k > tol
-    else:
-        c_k = np.inf
-        kernel_block_positive = True
+    # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first
+    c_k, coupling = np.inf, 0.0
+    for _, values, _, (s,) in groups:
+        kernel_dims = np.count_nonzero(values <= cutoff, axis=1)
+        for k in np.unique(kernel_dims[kernel_dims > 0]):
+            s_k = s[kernel_dims == k]
+            c_k = min(c_k, float(np.linalg.eigvalsh(s_k[:, :k, :k]).min()))
+            if k < s.shape[1]:
+                coupling = max(coupling, np.linalg.norm(s_k[:, k:, :k], 2, axis=(1, 2)).max())
+    kernel_block_positive = c_k > tol
 
     parts = [c for c in (c_r, c_k) if np.isfinite(c)]
     c0 = float(min(parts)) if parts else 0.0
 
-    if not range_mask.any():
+    if not np.isfinite(c_r):
         nu_threshold = 0.0
     else:
-        coupling = float(np.linalg.norm(S_rk, 2)) if S_rk.size else 0.0
         c_k_eff = c_k if np.isfinite(c_k) and c_k > 0 else 1.0
         c_r_eff = max(c_r, 1e-300)
         nu_threshold = (coupling ** 2 / (c_r_eff * c_k_eff) + 1.0) * max(1.0, 1.0 / c_r_eff)
@@ -206,21 +181,11 @@ def normalize_m0(mlaw: MaterialLaw, A: MatrixOperator):
     report = check_wellposed(mlaw)
     if not report.passed:
         raise MaterialLawError("normalize_m0 requires a well-posed law")
-    m0 = mlaw.m0
-    vals, V = _weighted_eigh(m0)
-    scale = float(np.abs(vals).max()) if vals.size else 0.0
-    cutoff = 1e-10 * max(scale, 1.0)
-    range_mask = vals > cutoff
-
-    w = m0.domain.weight
-    W = np.diag(w)
-    inv_sqrt = np.where(range_mask, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 1.0)
-    # S = V diag(inv_sqrt) V^* with V^* = V^T W (weighted-orthonormal columns)
-    S_ent = _enforce_symmetric(V @ np.diag(inv_sqrt) @ V.T @ W)
-    P_ent = _enforce_symmetric(V[:, range_mask] @ V[:, range_mask].T @ W)
-
-    S = MatrixOperator(S_ent, m0.domain, m0.domain)
-    new_m0 = MatrixOperator(P_ent, m0.domain, m0.domain)
+    cutoff, groups = weighted_spectrum(mlaw.m0)
+    S = spectral_function(
+        groups, lambda v: np.where(v > cutoff, 1.0 / np.sqrt(np.clip(v, cutoff, None)), 1.0),
+        mlaw.space)
+    new_m0 = spectral_function(groups, lambda v: (v > cutoff).astype(float), mlaw.space)
     new_m1 = S @ mlaw.m1 @ S
     new_a = S @ A @ S
     return MaterialLaw(m0=new_m0, m1=new_m1), new_a, S

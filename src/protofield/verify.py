@@ -620,7 +620,8 @@ def check_dimension_reduction():
 
 
 def check_even_odd_transport():
-    entry = catalog.transport((Axis.symmetric(_cap(16), 4.0 / _cap(16)),))
+    n = _cap(16) // 2 * 2  # the symmetric line needs an even point count
+    entry = catalog.transport((Axis.symmetric(n, 4.0 / n),))
     return _result("even_odd_transport", transport_residual(entry), 1e-12,
                    "combined vs split solve")
 

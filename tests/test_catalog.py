@@ -294,16 +294,19 @@ class TestReducedExtendedMaxwell:
 
 class TestDirac:
     def test_pauli_identities(self):
-        ps = catalog.pauli_set()
-        eye = np.eye(4)
-        for p in ps.as_tuple():
-            assert np.array_equal((p @ p).to_dense(), eye)
-        p1, p2, p3 = (p.to_dense() for p in ps.as_tuple())
-        # realified i * p3
+        # the spin algebra behind the Dirac block, in realified form
         from protofield.subspaces import realify_complex
 
-        i_p3 = realify_complex(1j * np.array([[1, 0], [0, -1]]),
-                               SpaceTag("spin2", 2), SpaceTag("spin2", 2)).to_dense()
+        spin = SpaceTag("spin2", 2)
+        mats = [np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]),
+                np.array([[1, 0], [0, -1]], dtype=complex)]
+        ps = [realify_complex(m, spin, spin) for m in mats]
+        eye = np.eye(4)
+        for p in ps:
+            assert np.array_equal((p @ p).to_dense(), eye)
+        p1, p2, p3 = (p.to_dense() for p in ps)
+        # realified i * p3
+        i_p3 = realify_complex(1j * mats[2], spin, spin).to_dense()
         assert np.array_equal(p1 @ p2, i_p3)
         # pairwise anticommutation
         assert np.abs(p1 @ p2 + p2 @ p1).max() == 0.0
@@ -409,20 +412,6 @@ class TestTransport:
         assert np.abs(po.pi.apply(even)).max() <= 1e-14
         recon = pe.embedding.apply(pe.pi.apply(even))
         assert np.abs(recon - even).max() <= 1e-14
-
-    def test_block_coupled_law_rejected(self):
-        from protofield.matlaw import MaterialLaw
-
-        n = 16
-        t = catalog.transport(AX1_SYM).extras  # build once to get spaces
-        entry = catalog.acoustics(AX1_SYM)     # parent two-block space
-        m0 = np.eye(2 * n)
-        m0[0, n] = m0[n, 0] = 0.5
-        law = MaterialLaw(m0=MatrixOperator(m0, entry.space, entry.space),
-                          m1=MatrixOperator(np.zeros((2 * n, 2 * n)),
-                                            entry.space, entry.space))
-        with pytest.raises(ValueError, match="block-diagonal"):
-            catalog.transport(AX1_SYM, law=law)
 
 
 class TestThermoElasticity:

@@ -55,7 +55,7 @@ class TestSolveCommand:
         assert drift <= 1e-10
 
     def test_partial_norm_column_matches_diagnostic(self, tmp_path):
-        from protofield.evolve import weighted_norm
+        from protofield.evolve import weighted_partial_norms
         from protofield import cli as _cli
 
         cfg = _cli.load_scenario(SCENARIO_DIR / "transport_pulse.json")
@@ -63,7 +63,7 @@ class TestSolveCommand:
         rows = read_energy(tmp_path / "transport_pulse_energy.csv")
         final = float(rows[-1]["weighted_partial_norm"])
         nu = cfg["solver"]["nu"]
-        assert final == pytest.approx(weighted_norm(traj, nu), rel=1e-12)
+        assert final == pytest.approx(weighted_partial_norms(traj, nu)[-1], rel=1e-12)
 
     def test_reduced_flag_matches_plain(self, tmp_path):
         cfg = dict(BASIC)
@@ -128,9 +128,7 @@ class TestScenarioCorpus:
         files = sorted(SCENARIO_DIR.glob("*.json"))
         assert len(files) >= 5
         for f in files:
-            cfg = cli.load_scenario(f)
-            text = cli.serialize_scenario(cfg)
-            assert json.loads(text) == cfg
+            assert cli.load_scenario(f) == json.loads(f.read_text())
 
     def test_corpus_runs(self, tmp_path):
         for f in sorted(SCENARIO_DIR.glob("*.json")):
@@ -203,6 +201,15 @@ class TestGridCap:
         monkeypatch.setenv("PROTOFIELD_MAX_GRID", value)
         assert cli.main(["verify", "--filter", "curl"]) == cli.EXIT_PARSE_ERROR
         assert "PROTOFIELD_MAX_GRID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", range(2, 9))
+    def test_every_cap_runs(self, capsys, monkeypatch, cap):
+        # every cap builds valid grids: the symmetric transport line needs an even
+        # count, and weights such as 1/5 must pass the M0 symmetry check
+        monkeypatch.setenv("PROTOFIELD_MAX_GRID", str(cap))
+        for check in ("skewness", "even_odd"):
+            assert cli.main(["verify", "--filter", check]) == cli.EXIT_OK, check
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_env_var_caps_grids(self, monkeypatch):
         from protofield.verify import _cap

@@ -16,7 +16,7 @@ from protofield.evolve import (
     dissipation_check,
     solve,
     solve_reduced,
-    weighted_norm,
+    weighted_partial_norms,
 )
 
 
@@ -160,6 +160,11 @@ class TestCausality:
         prob = scalar_problem(u0=1.0)
         with pytest.raises(PreconditionError):
             causality_check(prob, SolverConfig(tau=0.1, t_end=1.0), t0=0.5)
+
+
+def weighted_norm(traj, nu):
+    """The exponentially weighted norm over the whole computed horizon."""
+    return weighted_partial_norms(traj, nu)[-1]
 
 
 class TestWeightedNorm:

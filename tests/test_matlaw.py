@@ -1,7 +1,10 @@
 """Tests for material laws, well-posedness, normalization and Schur reduction."""
 
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from protofield.evolve import (
     CRANK_NICOLSON,
@@ -21,6 +24,7 @@ from protofield.matlaw import (
     schur_reduce,
     symmetrize,
 )
+from protofield import catalog
 from protofield.subspaces import range_kernel_split
 
 
@@ -83,6 +87,179 @@ class TestWellposed:
         nu = rep.nu_threshold
         comb = nu * m0 + symmetrize(mlaw.m1).to_dense()
         assert np.linalg.eigvalsh(comb).min() > 0
+
+
+def dense_reference_gate(mlaw, tol=1e-12, rank_tol=1e-10):
+    """The well-posedness gate on the whole law, densified.
+
+    One eigendecomposition of M0 in weighted-orthonormal coordinates, then
+    the dense compressions V^T W sym(M1) V onto its kernel and range.
+    """
+    m0 = mlaw.m0
+    w = m0.domain.weight
+    sw = np.sqrt(w)
+    b = sw[:, None] * m0.to_dense() / sw[None, :]
+    vals, q = np.linalg.eigh(0.5 * (b + b.T))
+    cutoff = rank_tol * max(np.abs(vals).max(), 1.0)
+    rng_mask = vals > cutoff
+    v_r, v_k = (q / sw[:, None])[:, rng_mask], (q / sw[:, None])[:, ~rng_mask]
+    w_sym_m1 = w[:, None] * symmetrize(mlaw.m1).to_dense()
+    s_kk = v_k.T @ w_sym_m1 @ v_k
+    s_rk = v_r.T @ w_sym_m1 @ v_k
+    c_r = vals[rng_mask].min() if rng_mask.any() else np.inf
+    c_k = np.linalg.eigvalsh(0.5 * (s_kk + s_kk.T)).min() if v_k.size else np.inf
+    finite = [c for c in (c_r, c_k) if np.isfinite(c)]
+    nu = 0.0
+    if rng_mask.any():
+        coupling = np.linalg.norm(s_rk, 2) if s_rk.size else 0.0
+        c_k_eff = c_k if np.isfinite(c_k) and c_k > 0 else 1.0
+        nu = (coupling ** 2 / (c_r * c_k_eff) + 1.0) * max(1.0, 1.0 / c_r)
+    return {"m0_selfadjoint": (m0 - m0.adjoint()).max_abs() <= tol,
+            "m0_nonneg": vals.min() >= -max(tol, cutoff),
+            "kernel_block_positive": c_k > tol,
+            "c0_estimate": min(finite) if finite else 0.0,
+            "nu_threshold": nu}
+
+
+def random_block_law(rng, sizes):
+    """A law whose coupling blocks have the given sizes, at permuted coordinates.
+
+    Weights are non-uniform.  In weighted-orthonormal coordinates each M0
+    block has a random eigenbasis, a kernel of random dimension and, now
+    and then, a negative eigenvalue; each M1 block is full, so sym(M1)
+    couples range and kernel, and it is positive on the kernel or not.
+    """
+    n = sum(sizes)
+    w = rng.uniform(0.5, 2.0, n)
+    sw = np.sqrt(w)
+    b0, b1 = np.zeros((n, n)), np.zeros((n, n))
+    bounds = np.cumsum([0, *sizes])
+    perm = rng.permutation(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx, s = perm[lo:hi], hi - lo
+        q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+        vals = rng.uniform(0.2, 2.0, s)
+        vals[:rng.integers(0, s + 1)] = 0.0
+        if rng.random() < 0.1:
+            vals[-1] = -0.5
+        blk = q @ np.diag(vals) @ q.T
+        b0[np.ix_(idx, idx)] = 0.5 * (blk + blk.T)
+        x = rng.standard_normal((s, s))
+        b1[np.ix_(idx, idx)] = x @ x.T + 0.1 * np.eye(s) + x - x.T if rng.random() < 0.8 else x
+    t = SpaceTag("blocks", n, w)
+    # M = Sw^-1 B Sw is weighted-selfadjoint exactly when B is symmetric
+    return MaterialLaw(m0=MatrixOperator(b0 / sw[:, None] * sw[None, :], t, t),
+                       m1=MatrixOperator(b1 / sw[:, None] * sw[None, :], t, t))
+
+
+def dense_function(op, f):
+    """f(T) of a weighted-selfadjoint T from one dense eigendecomposition."""
+    sw = np.sqrt(op.domain.weight)
+    b = sw[:, None] * op.to_dense() / sw[None, :]
+    vals, q = np.linalg.eigh(0.5 * (b + b.T))
+    return (q * f(vals)) @ q.T / sw[:, None] * sw[None, :]
+
+
+class TestBlockwiseGate:
+    """The blockwise gate against the densified one."""
+
+    def assert_same_report(self, mlaw):
+        rep, ref = check_wellposed(mlaw), dense_reference_gate(mlaw)
+        for flag in ("m0_selfadjoint", "m0_nonneg", "kernel_block_positive"):
+            assert getattr(rep, flag) == ref[flag], flag
+        for value in ("c0_estimate", "nu_threshold"):
+            assert abs(getattr(rep, value) - ref[value]) <= 1e-10 * max(abs(ref[value]), 1.0)
+        return rep
+
+    def test_random_block_laws(self):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(40):
+            sizes = list(rng.integers(1, 6, size=int(rng.integers(1, 12))))
+            verdicts.add(self.assert_same_report(random_block_law(rng, sizes)).passed)
+        assert verdicts == {True, False}
+
+    def test_fully_coupled_law(self):
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            self.assert_same_report(random_block_law(rng, [40]))
+
+    def test_catalog_laws(self):
+        laws = [catalog.thermo_elasticity((Axis.torus(3),) * 3, gamma=0.7).law,
+                catalog.transport((Axis.symmetric(16, 0.25),), m11=2.5).law,
+                catalog.acoustics((Axis.torus(16),), rho=np.linspace(1, 3, 16),
+                                  sigma=np.linspace(0, 1, 16)).law]
+        for mlaw in laws:
+            assert self.assert_same_report(mlaw).passed
+
+    def test_heat_2048_points_within_budget(self):
+        # the densified gate took about 17 s here, nearly all in one eigh
+        start = time.perf_counter()
+        rep = check_wellposed(catalog.heat((Axis.interval(2048),)).law)
+        assert time.perf_counter() - start < 2.0
+        assert rep.passed
+
+    @pytest.mark.parametrize("build", [
+        lambda: catalog.heat((Axis.interval(16),), rho=np.linspace(1, 3, 16)),
+        lambda: catalog.reissner_mindlin((Axis.interval(8),) * 2, kappa=np.linspace(1, 2, 128)),
+        lambda: catalog.transport((Axis.symmetric(10, 0.3),)),
+    ], ids=["heat", "reissner_mindlin", "transport"])
+    def test_symmetric_m0_accepted_under_uniform_weights(self, build):
+        # uniform weights such as 1/17 or 0.3: W M0 is symmetric, while the
+        # adjoint's t * w / w can miss t by a rounding
+        assert check_wellposed(build().law).passed
+
+
+class TestBlockwiseFunctions:
+    """normalize_m0, the polar factors and the coefficient roots against dense eigh."""
+
+    def test_normalize_m0(self):
+        m0 = random_block_law(np.random.default_rng(13), [1, 2, 3, 1, 4, 5, 2]).m0
+        t = m0.domain
+        # M0^2 has no negative eigenvalues, and M1 = I is positive on its kernel
+        mlaw = MaterialLaw(m0=m0 @ m0, m1=MatrixOperator(np.eye(t.dim), t, t))
+        new_law, _, s = normalize_m0(mlaw, MatrixOperator(np.zeros((t.dim, t.dim)), t, t))
+        cutoff = 1e-10 * max(np.abs(np.linalg.eigvals(mlaw.m0.to_dense())).max(), 1.0)
+        s_ref = dense_function(mlaw.m0, lambda v: np.where(
+            v > cutoff, 1.0 / np.sqrt(np.clip(v, cutoff, None)), 1.0))
+        p_ref = dense_function(mlaw.m0, lambda v: (v > cutoff).astype(float))
+        assert np.abs(s.to_dense() - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
+        assert np.abs(new_law.m0.to_dense() - p_ref).max() <= 1e-12
+
+    def test_polar_decompose(self):
+        rng = np.random.default_rng(14)
+        dom = SpaceTag("dom", 9, rng.uniform(0.5, 2.0, 9))
+        cod = SpaceTag("cod", 11, rng.uniform(0.5, 2.0, 11))
+        g = np.zeros((11, 9))
+        rows, cols = rng.permutation(11), rng.permutation(9)
+        # injective blocks: at a kernel the square root amplifies rounding to sqrt(eps)
+        for (r0, r1), (c0, c1) in (((0, 4), (0, 3)), ((4, 6), (3, 5)), ((6, 11), (5, 9))):
+            g[np.ix_(rows[r0:r1], cols[c0:c1])] = rng.standard_normal((r1 - r0, c1 - c0))
+        G = MatrixOperator(g, dom, cod)
+        U, abs_g = catalog.polar_decompose(G)
+        gram = G.adjoint() @ G
+        cutoff = 1e-12 * max(np.abs(np.linalg.eigvals(gram.to_dense())).max(), 1.0)
+        abs_ref = dense_function(gram, lambda v: np.sqrt(np.clip(v, 0.0, None)))
+        pinv_ref = dense_function(gram, lambda v: np.where(
+            v > cutoff, 1.0 / np.sqrt(np.clip(v, cutoff, None)), 0.0))
+        assert np.abs(abs_g.to_dense() - abs_ref).max() <= 1e-12 * np.abs(abs_ref).max()
+        assert np.abs(U.to_dense() - g @ pinv_ref).max() <= 1e-12
+        assert np.abs((U @ abs_g).to_dense() - g).max() <= 1e-12 * np.abs(g).max()
+
+    def test_sqrt_and_inv(self):
+        rng = np.random.default_rng(15)
+        n = 14
+        mat = np.zeros((n, n))
+        perm = rng.permutation(n)
+        for lo, hi in ((0, 1), (1, 4), (4, 9), (9, 14)):
+            x = rng.standard_normal((hi - lo, hi - lo))
+            mat[np.ix_(perm[lo:hi], perm[lo:hi])] = x @ x.T + 0.5 * np.eye(hi - lo)
+        vals, q = np.linalg.eigh(mat)
+        s, si = catalog._sqrt_and_inv(sp.csr_matrix(mat))
+        s_ref = (q * np.sqrt(vals)) @ q.T
+        si_ref = (q / np.sqrt(vals)) @ q.T
+        assert np.abs(s.toarray() - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
+        assert np.abs(si.toarray() - si_ref).max() <= 1e-12 * np.abs(si_ref).max()
 
 
 class TestNormalize:
