@@ -10,7 +10,9 @@ identities relating them numerically, and integrates the resulting
 systems in time with energy and causality diagnostics.
 """
 
-from . import catalog, cli, evolve, flatgrid, linops, matlaw, subspaces, verify
+import importlib
+
+from . import catalog, evolve, flatgrid, linops, matlaw, subspaces, verify
 
 __all__ = [
     "catalog",
@@ -24,3 +26,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the command line is loaded on first use: imported eagerly, it is already
+    # in sys.modules when `python -m protofield.cli` runs it, and runpy warns
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

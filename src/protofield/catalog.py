@@ -162,7 +162,7 @@ class CatalogEntry:
         if initial is None:
             initial = np.zeros(self.dim)
         return EvolutionaryProblem(law=self.law, a=self.a, initial=initial,
-                                   forcing=forcing)
+                                   forcing=forcing, grid=self.grid)
 
 
 def _acoustic_block(axes, negate=False):
@@ -970,7 +970,7 @@ def default_axes(name, max_points=None):
     n1 = 16 if max_points is None else min(16, max_points)
     n2 = 8 if max_points is None else min(8, max_points)
     n3 = 4 if max_points is None else min(4, max_points)
-    n1 += n1 % 2  # even count for the symmetric-line entries
+    n1 -= n1 % 2  # even count for the symmetric-line entries, within the cap
     three_d_periodic = {"maxwell", "extended_maxwell", "reduced_extended_maxwell",
                         "dirac", "elasticity", "thermo_elasticity"}
     if name in three_d_periodic:

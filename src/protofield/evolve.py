@@ -46,12 +46,17 @@ SKEW_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EvolutionaryProblem:
-    """Material law + skew spatial operator + forcing + initial state."""
+    """Material law + skew spatial operator + forcing + initial state.
+
+    grid is the tuple of axes the fields live on (empty when unknown); the
+    reduced solve splits A along the shifts of its periodic axes.
+    """
 
     law: MaterialLaw
     a: MatrixOperator
     initial: np.ndarray
     forcing: object = None  # callable t -> vector, or None for no forcing
+    grid: tuple = ()
 
     def __post_init__(self):
         if self.a.domain != self.law.space or self.a.codomain != self.law.space:
@@ -252,13 +257,13 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
     """Step the system on the range of A, reconstructing the kernel part.
 
     The step matrix is Schur-reduced over the range/kernel splitting of A
-    once; each step solves the reduced system for the range component and
+    (cut along the periodic axes of problem.grid) once; each step solves the reduced system for the range component and
     recovers the kernel component from the reconstruction recipe.  With an
     invertible A this degenerates to the plain solve.
     """
     _require_wellposed(problem.law)
     if split is None:
-        split = range_kernel_split(problem.a)
+        split = range_kernel_split(problem.a, problem.grid)
     p_range, p_kernel = split
     if subspace_dim(p_kernel) == 0:
         return solve(problem, config)
@@ -267,7 +272,7 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
 
     left, right = _step_operators(problem, config)
     reduced, recipe = schur_reduce(left, p_range, p_kernel)
-    # the reduced matrix is dense by nature (SVD bases): dense LU, same guard
+    # the reduced matrix is dense (its range basis is): dense LU, same guard
     step_solve = partial(sla.lu_solve, guarded_lu(reduced.to_dense()))
     return _march(problem, config, right,
                   lambda rhs: recipe.assemble(rhs, step_solve(recipe.reduce_rhs(rhs))))

@@ -10,12 +10,13 @@ for projection/restriction maps, and the relative construction
 onto subspaces.
 
 Every operator stores its entries in one format: a read-only scipy CSR
-matrix.  Dense input is converted once, in the constructor.  Algorithms that
-are dense by nature densify explicitly with `to_dense()`: the weighted
-singular values here, the Schur reduction (matlaw) and the range/kernel SVD
-(subspaces).  Functions of selfadjoint operators (the well-posedness gate,
-M0 normalization, polar factors, coefficient inverses and roots) densify
-only the coupling blocks, through `weighted_spectrum`.
+matrix.  Dense input is converted once, in the constructor.  Algorithms
+that are dense by nature densify explicitly with `to_dense()`: the weighted
+singular values here and the Schur reduction (matlaw), whose range and
+kernel bases are dense.  Functions of selfadjoint operators (the
+well-posedness gate, polar factors, coefficient inverses and roots) densify
+only the coupling blocks, through `weighted_spectrum`; the range/kernel
+split (subspaces) densifies one symbol per wavenumber of the periodic axes.
 
 All values are immutable after construction and safe to share across
 threads; the functions here are pure.
@@ -103,12 +104,13 @@ def _frozen_csr(entries):
         dense = np.asarray(entries, dtype=float)
         if dense.ndim != 2:
             raise ValueError(f"operator entries must be 2-d, got shape {dense.shape}")
-        # direct assembly: sp.csr_matrix(dense) detours through COO, which
-        # triples the constructor overhead that dominates on small operators
+        # direct assembly by one boolean mask (row-major, so the column
+        # indices come out sorted): sp.csr_matrix(dense) detours through COO,
+        # which triples the constructor overhead that dominates on small operators
         nonzero = dense != 0
         indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
-        out = sp.csr_matrix((dense[nonzero], np.nonzero(nonzero)[1], indptr),
-                            shape=dense.shape)
+        cols = np.broadcast_to(np.arange(dense.shape[1], dtype=np.int32), dense.shape)
+        out = sp.csr_matrix((dense[nonzero], cols[nonzero], indptr), shape=dense.shape)
     out.sum_duplicates()
     for arr in (out.data, out.indices, out.indptr):
         arr.setflags(write=False)

@@ -7,11 +7,9 @@ range, and strict positivity of the symmetric part of M1 compressed to the
 kernel of M0; check_wellposed quantifies these blockwise and produces a
 conservative weight threshold from the standard 2x2 block positivity estimate.
 
-Also here: the normalization replacing M0 by the orthogonal projector onto
-its range (conjugation by the inverse square root of M0 extended by the
-identity on the kernel), the Schur-complement reduction of a step matrix
-onto the range of a skew operator with the reconstruction recipe for the
-eliminated kernel component, and blockwise coupling of laws.
+Also here: the Schur-complement reduction of a step matrix onto the range
+of a skew operator with the reconstruction recipe for the eliminated
+kernel component, and blockwise coupling of laws.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .linops import (
     MatrixOperator,
     TagMismatchError,
     direct_sum_tags,
-    spectral_function,
     weighted_spectrum,
 )
 from .subspaces import ProjectionPair
@@ -170,35 +167,14 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
     )
 
 
-def normalize_m0(mlaw: MaterialLaw, A: MatrixOperator):
-    """Replace M0 by the orthogonal projector onto its range.
-
-    Builds Mt0 = M0|range (+) identity|kernel and conjugates everything by
-    S = Mt0^(-1/2): the new law has M0 = P_range and M1 = S M1 S, the new
-    spatial operator is S A S (still skew-selfadjoint).  Returns
-    (new_law, transformed_A, S).
-    """
-    report = check_wellposed(mlaw)
-    if not report.passed:
-        raise MaterialLawError("normalize_m0 requires a well-posed law")
-    cutoff, groups = weighted_spectrum(mlaw.m0)
-    S = spectral_function(
-        groups, lambda v: np.where(v > cutoff, 1.0 / np.sqrt(np.clip(v, cutoff, None)), 1.0),
-        mlaw.space)
-    new_m0 = spectral_function(groups, lambda v: (v > cutoff).astype(float), mlaw.space)
-    new_m1 = S @ mlaw.m1 @ S
-    new_a = S @ A @ S
-    return MaterialLaw(m0=new_m0, m1=new_m1), new_a, S
-
-
 @dataclass(frozen=True)
 class ReconstructionRecipe:
     """Recovers the eliminated kernel component of a Schur-reduced solve.
 
     x_k = S_kk^-1 (f_k - S_kr x_r); assemble(full_rhs, x_r) returns the
     full-space solution embedding(range) x_r + embedding(kernel) x_k.  The
-    range and kernel maps are kept as dense arrays: they come from an SVD
-    and are dense by nature.
+    range and kernel maps are kept as dense arrays: their bases are (real
+    Fourier modes times) singular vectors, dense by nature.
     """
 
     pi_range: np.ndarray

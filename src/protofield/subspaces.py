@@ -5,8 +5,9 @@ its adjoint embedding V -> H.  Applying pi . A . pi* projects an operator
 onto the subspace; chains of such steps produce every named system in the
 catalog.  Also here: the even/odd splitting of a symmetric line, averaging
 over torus directions (dimension reduction), realification of complex
-operators, and the SVD-based range/kernel splitting used to remove null
-spaces.
+operators, and the range/kernel splitting used to remove null spaces,
+cut wavenumber by wavenumber along the periodic axes an operator commutes
+with.
 
 Component-basis normalizations (the 1/sqrt(2) factors of the symmetric and
 antisymmetric rank-2 bases, the reflection pairs of the even/odd split)
@@ -316,8 +317,50 @@ def realify_complex(mat: np.ndarray, domain: SpaceTag, codomain: SpaceTag) -> Ma
 # range / kernel splitting
 
 
-def range_kernel_split(A: MatrixOperator, rank_tol: float = 1e-10):
-    """SVD split of H into the range of A and its orthogonal complement.
+def _shift_cut(rows, cols, data, shape, periodic):
+    """Cut a matrix on the coordinates `shape` along the shifts of the `periodic` axes.
+
+    Coordinates are reordered as (beta, p): beta runs over the component and
+    the other axes, p over the periodic axes, innermost.  Returns the axis
+    order, b0[(beta, p), gamma] = the entry in column (gamma, p = 0), and the
+    point counts of the periodic axes cut along.  When some entry differs
+    from its image shifted back to p = 0, or the entry count is not that of
+    the columns at p = 0 times the shifts, the matrix is cut along no axis.
+    """
+    kept = [a for a in range(len(shape)) if a not in periodic]
+    order, rest = kept + periodic, [shape[a] for a in kept]
+    r, c = list(np.unravel_index(rows, shape)), np.unravel_index(cols, shape)
+    at0 = np.ones(len(data), dtype=bool)
+    for a in periodic:
+        r[a] = (r[a] - c[a]) % shape[a]
+        at0 &= c[a] == 0
+    row_bp = np.ravel_multi_index([r[a] for a in order], [shape[a] for a in order])
+    col_beta = np.ravel_multi_index([c[a] for a in kept], rest)
+    dim = int(np.prod(shape))
+    b0 = np.zeros((dim, int(np.prod(rest))))
+    b0[row_bp[at0], col_beta[at0]] = data[at0]
+    if periodic and (len(data) != (dim // b0.shape[1]) * np.count_nonzero(at0)
+                     or np.any(b0[row_bp, col_beta] != data)):
+        return _shift_cut(rows, cols, data, shape, [])
+    return order, b0, [shape[a] for a in periodic]
+
+
+def range_kernel_split(A: MatrixOperator, grid=(), rank_tol: float = 1e-10):
+    """Split H into the range of A and its orthogonal complement, wavenumber by wavenumber.
+
+    A acts on k fields over the axes `grid` (dim = k * npts, the point index
+    innermost in C order).  When the weighted matrix B = S A S^-1 (S the
+    square root of the weights) commutes with the shifts along the periodic
+    axes, B is a block convolution over them: a unitary DFT along those axes
+    turns it into one symbol per wavenumber, of size k * (points on the
+    other axes), and one batched SVD of the symbols gives that of B.  With
+    no periodic axis, or a B that fails the check, the only block is B.
+    Singular values above rank_tol * max(singular value) span the range,
+    the others the kernel; both are given real orthonormal bases:
+    u (x) cos(xi x) / sqrt(N) on the self-conjugate wavenumbers (real
+    symbols), sqrt(2) Re and sqrt(2) Im of u (x) exp(i xi x) / sqrt(N) on one
+    wavenumber of each pair (xi, -xi).  Each pi carries its exact embedding
+    S^-1 * (basis columns) as its adjoint.
 
     Returns (range_pair, kernel_pair).  For skew A the two subspaces reduce
     A: the projectors commute with it and the compression to the range is
@@ -325,26 +368,57 @@ def range_kernel_split(A: MatrixOperator, rank_tol: float = 1e-10):
     """
     if A.domain != A.codomain:
         raise ValueError("range/kernel splitting needs a square operator")
-    w = A.domain.weight
-    sw = np.sqrt(w)
-    B = sw[:, None] * A.to_dense() / sw[None, :]
-    U, svals, _ = np.linalg.svd(B)
-    smax = svals[0] if svals.size else 0.0
-    nrank = int(np.sum(svals > rank_tol * max(smax, 1e-300)))
+    dim = A.domain.dim
+    npts = int(np.prod([axis.n for axis in grid]))
+    if dim % npts:
+        raise ValueError(f"dimension {dim} is not a number of fields over {npts} points")
+    shape = (dim // npts, *(axis.n for axis in grid))
+    sw = np.sqrt(A.domain.weight)
+    e = A.entries.tocoo()
+    data = e.data * sw[e.row] / sw[e.col]
+    nz = data != 0
+    rows, cols, data = e.row[nz], e.col[nz], data[nz]
+    periodic = [1 + a for a, axis in enumerate(grid) if axis.bc == PERIODIC]
+    order, b0, per = _shift_cut(rows, cols, data, shape, periodic)
+    m = b0.shape[1]
+    N = dim // m
 
-    def pair_from_columns(cols, label):
-        k = cols.shape[1]
+    # symbols[xi] = sum_p b(p) exp(-i xi p); the symbol of -xi is the conjugate
+    symbols = np.fft.fftn(b0.reshape(m, *per, m), axes=range(1, 1 + len(per)))
+    symbols = symbols.reshape(m, N, m).transpose(1, 0, 2)
+    flat = np.arange(N)
+    neg = flat.reshape(per)[np.ix_(*[-np.arange(n) % n for n in per])].ravel()
+    real, paired = neg == flat, flat < neg  # self-conjugate; one of each pair
+    xi = np.indices(per).reshape(len(per), N)
+    turns = sum((np.outer(x, x) % n / n for x, n in zip(xi, per)), np.zeros((N, N))) % 1.0
+    u_real, s_real, _ = np.linalg.svd(symbols[real].real)
+    u_cplx, s_cplx, _ = np.linalg.svd(symbols[paired])
+
+    # basis rows (block, column j, beta, p) = u[block, beta, j] * phase[block, p]
+    real_rows = u_real.transpose(0, 2, 1)[..., None] * (
+        np.cos(2 * np.pi * turns[real]) / np.sqrt(N))[:, None, None, :]
+    cplx_rows = u_cplx.transpose(0, 2, 1)[..., None] * (
+        np.exp(2j * np.pi * turns[paired]) * np.sqrt(2.0 / N))[:, None, None, :]
+    basis = np.concatenate([real_rows.reshape(-1, dim), cplx_rows.real.reshape(-1, dim),
+                            cplx_rows.imag.reshape(-1, dim)])
+    # back to the coordinate order of A (a view when the periodic axes are innermost)
+    basis = basis.reshape(dim, *(shape[a] for a in order)).transpose(
+        0, *(1 + np.argsort(order))).reshape(dim, dim)
+    svals = np.concatenate([s_real.ravel(), s_cplx.ravel(), s_cplx.ravel()])
+    in_range = svals > rank_tol * max(svals.max(), 1e-300)
+
+    def pair_from_rows(keep, label):
+        k = int(np.count_nonzero(keep))
         if k == 0:
             # empty subspace: 0-dimensional tags are not representable, use a
             # 1-row zero partial isometry marker instead
             return None
         tag = SpaceTag(f"{label}({k})of[{A.domain.name}]", k)
-        ent = cols.T * sw[None, :]
-        return ProjectionPair(MatrixOperator(ent, A.domain, tag), validate=False)
+        rows_k = basis[keep]
+        pi = MatrixOperator(rows_k * sw[None, :], A.domain, tag)
+        return ProjectionPair(pi.with_adjoint((rows_k / sw[None, :]).T), validate=False)
 
-    range_pair = pair_from_columns(U[:, :nrank], "range")
-    kernel_pair = pair_from_columns(U[:, nrank:], "coker")
-    return range_pair, kernel_pair
+    return pair_from_rows(in_range, "range"), pair_from_rows(~in_range, "coker")
 
 
 def subspace_dim(pair) -> int:

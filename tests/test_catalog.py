@@ -87,6 +87,13 @@ class TestEveryEntry:
             assert sum(size for _, size in e.blocks) == e.dim, e.name
 
 
+class TestDefaultAxes:
+    @pytest.mark.parametrize("cap", [2, 3, 5, 16])
+    def test_within_the_cap(self, cap):
+        for name in catalog.REGISTRY:
+            assert max(a.n for a in catalog.default_axes(name, cap)) <= cap, name
+
+
 class TestAcoustics:
     def test_conservative_energy(self):
         entry = catalog.acoustics(AX1, sigma=0.0)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,6 +171,17 @@ def scale_operator(op):
 
 
 class TestVerifyCommand:
+    def test_module_run_has_no_warning(self):
+        # `python -m protofield.cli` runs a module the package must not have imported
+        import protofield
+
+        env = dict(os.environ, PYTHONPATH=str(Path(protofield.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "protofield.cli", "verify",
+             "--filter", "skewness"], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert "Warning" not in done.stderr
+
     def test_filter_runs_subset(self, capsys, monkeypatch):
         monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
         assert cli.main(["verify", "--filter", "curl"]) == cli.EXIT_OK
@@ -196,6 +210,11 @@ class TestVerifyCommand:
 
 
 class TestGridCap:
+    def test_full_suite_under_cap_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
+        assert cli.main(["verify"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.count("PASS") == 15
+
     @pytest.mark.parametrize("value", ["abc", "0", "1", "-3", "2.5"])
     def test_invalid_cap_exit_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PROTOFIELD_MAX_GRID", value)

@@ -209,6 +209,24 @@ class TestSolveReduced:
         scale = max(np.abs(full.states).max(), 1.0)
         assert np.abs(full.states - red.states).max() / scale <= 1e-10
 
+    def test_schur_check_fails_on_a_dropped_kernel_vector(self, monkeypatch):
+        # mutation test: a split that loses one kernel direction must make the
+        # reduced trajectories of the Schur equivalence check differ
+        from protofield import evolve, verify
+        from protofield.subspaces import ProjectionPair
+
+        split = evolve.range_kernel_split
+
+        def dropping(A, grid=()):
+            p_range, p_kernel = split(A, grid)
+            rows = p_kernel.pi.to_dense()[1:]
+            tag = SpaceTag("coker-minus-one", len(rows))
+            return p_range, ProjectionPair(MatrixOperator(rows, p_kernel.domain, tag))
+
+        assert verify.check_schur_equivalence().passed
+        monkeypatch.setattr(evolve, "range_kernel_split", dropping)
+        assert not verify.check_schur_equivalence().passed
+
     def test_kernel_bearing_systems_implicit_euler(self):
         # the Schur check runs Crank-Nicolson on an 8-point ring; here
         # implicit Euler on a 4x4 torus, whose kernel is again the constants

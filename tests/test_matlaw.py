@@ -1,4 +1,4 @@
-"""Tests for material laws, well-posedness, normalization and Schur reduction."""
+"""Tests for material laws, well-posedness, blockwise functions and Schur reduction."""
 
 import time
 
@@ -14,13 +14,12 @@ from protofield.evolve import (
     _step_operators,
 )
 from protofield.flatgrid import Axis, build_d1
-from protofield.linops import MatrixOperator, SpaceTag, skew_defect
+from protofield.linops import MatrixOperator, SpaceTag
 from protofield.matlaw import (
     MaterialLaw,
     MaterialLawError,
     check_wellposed,
     couple,
-    normalize_m0,
     schur_reduce,
     symmetrize,
 )
@@ -211,20 +210,7 @@ class TestBlockwiseGate:
 
 
 class TestBlockwiseFunctions:
-    """normalize_m0, the polar factors and the coefficient roots against dense eigh."""
-
-    def test_normalize_m0(self):
-        m0 = random_block_law(np.random.default_rng(13), [1, 2, 3, 1, 4, 5, 2]).m0
-        t = m0.domain
-        # M0^2 has no negative eigenvalues, and M1 = I is positive on its kernel
-        mlaw = MaterialLaw(m0=m0 @ m0, m1=MatrixOperator(np.eye(t.dim), t, t))
-        new_law, _, s = normalize_m0(mlaw, MatrixOperator(np.zeros((t.dim, t.dim)), t, t))
-        cutoff = 1e-10 * max(np.abs(np.linalg.eigvals(mlaw.m0.to_dense())).max(), 1.0)
-        s_ref = dense_function(mlaw.m0, lambda v: np.where(
-            v > cutoff, 1.0 / np.sqrt(np.clip(v, cutoff, None)), 1.0))
-        p_ref = dense_function(mlaw.m0, lambda v: (v > cutoff).astype(float))
-        assert np.abs(s.to_dense() - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
-        assert np.abs(new_law.m0.to_dense() - p_ref).max() <= 1e-12
+    """The polar factors and the coefficient roots against dense eigh."""
 
     def test_polar_decompose(self):
         rng = np.random.default_rng(14)
@@ -260,67 +246,6 @@ class TestBlockwiseFunctions:
         si_ref = (q / np.sqrt(vals)) @ q.T
         assert np.abs(s.toarray() - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
         assert np.abs(si.toarray() - si_ref).max() <= 1e-12 * np.abs(si_ref).max()
-
-
-class TestNormalize:
-    def aco_operator(self, n=4):
-        d = build_d1(Axis.dirichlet(n, 1.0 / (n + 1))).to_dense()
-        t = SpaceTag("h", 2 * n)
-        a = np.zeros((2 * n, 2 * n))
-        a[:n, n:] = -d.T
-        a[n:, :n] = d
-        return MatrixOperator(a, t, t)
-
-    def test_identity_unchanged(self):
-        A = self.aco_operator()
-        mlaw = law_on("h", np.eye(8))
-        new_law, new_a, s = normalize_m0(mlaw, A)
-        assert np.allclose(s.to_dense(), np.eye(8), atol=1e-14)
-        assert np.allclose(new_a.to_dense(), A.to_dense(), atol=1e-13)
-
-    def test_diag_4_0(self):
-        mlaw = law_on("h", np.diag([4.0, 0.0]), np.diag([0.0, 1.0]))
-        t = mlaw.space
-        A = MatrixOperator(np.zeros((2, 2)), t, t)
-        new_law, _, s = normalize_m0(mlaw, A)
-        assert np.allclose(s.to_dense(), np.diag([0.5, 1.0]), atol=1e-14)
-        assert np.allclose(new_law.m0.to_dense(), np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_conjugated_m0_is_projector(self):
-        rng = np.random.default_rng(1)
-        n = 6
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        vals = np.array([2.0, 1.3, 0.7, 0.0, 0.0, 3.1])
-        m0 = q @ np.diag(vals) @ q.T
-        m0 = 0.5 * (m0 + m0.T)
-        m1 = np.eye(n)
-        mlaw = law_on("h", m0, m1)
-        t = mlaw.space
-        A = MatrixOperator(np.zeros((n, n)), t, t)
-        new_law, _, s = normalize_m0(mlaw, A)
-        p = new_law.m0.to_dense()
-        assert np.abs(p @ p - p).max() <= 1e-12
-        sms = s.to_dense() @ m0 @ s.to_dense()
-        assert np.abs(sms - p).max() <= 1e-12
-
-    def test_preserves_skewness_and_verdict(self):
-        rng = np.random.default_rng(2)
-        A = self.aco_operator()
-        m0 = np.diag(np.concatenate([rng.uniform(0.5, 2.0, 4), np.zeros(4)]))
-        m1 = np.zeros((8, 8))
-        m1[4:, 4:] = np.eye(4)
-        mlaw = law_on("h", m0, m1)
-        assert check_wellposed(mlaw).passed
-        new_law, new_a, _ = normalize_m0(mlaw, A)
-        assert skew_defect(new_a) <= 1e-12 * max(new_a.max_abs(), 1.0)
-        assert check_wellposed(new_law).passed
-
-    def test_requires_wellposed(self):
-        mlaw = law_on("h", np.diag([1.0, 0.0]))
-        t = mlaw.space
-        A = MatrixOperator(np.zeros((2, 2)), t, t)
-        with pytest.raises(MaterialLawError):
-            normalize_m0(mlaw, A)
 
 
 def step_pair(mlaw, A, tau, scheme=IMPLICIT_EULER):
@@ -446,7 +371,7 @@ class TestSchur:
         from protofield import catalog
 
         entry = catalog.heat((Axis.torus(6),))
-        pr, pk = range_kernel_split(entry.a)
+        pr, pk = range_kernel_split(entry.a, entry.grid)
         S, _ = step_pair(entry.law, entry.a, 0.05)
         reduced, _ = schur_reduce(S, pr, pk)
         sym = 0.5 * (reduced.to_dense() + reduced.to_dense().T)

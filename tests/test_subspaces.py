@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from protofield.flatgrid import Axis, TensorFieldSpace, TensorStack, build_d1, build_stack_skew
+from protofield import catalog
+from protofield.flatgrid import (PERIODIC, Axis, TensorFieldSpace, TensorStack, build_d1,
+                                 build_stack_skew)
 from protofield.linops import MatrixOperator, skew_defect
 from protofield.subspaces import (
     ProjectionPair,
@@ -23,6 +25,14 @@ from protofield.subspaces import (
 )
 
 PAIR_TOL = 1e-13
+
+
+def dense_split(A, rank_tol=1e-10):
+    """Range and kernel pi from one dense SVD of the whole weighted matrix (the reference)."""
+    sw = np.sqrt(A.domain.weight)
+    U, svals, _ = np.linalg.svd(sw[:, None] * A.to_dense() / sw[None, :])
+    nrank = int(np.sum(svals > rank_tol * max(svals[0], 1e-300)))
+    return U[:, :nrank].T * sw[None, :], U[:, nrank:].T * sw[None, :]
 
 
 def assert_pair_invariants(pair):
@@ -233,10 +243,8 @@ class TestRangeKernel:
         assert subspace_dim(pk) == 3
 
     def test_periodic_acoustic_kernel_is_two_constants(self):
-        from protofield import catalog
-
         entry = catalog.acoustics((Axis.torus(4),))
-        pr, pk = range_kernel_split(entry.a)
+        pr, pk = range_kernel_split(entry.a, entry.grid)
         assert subspace_dim(pk) == 2
         # kernel basis is constants in each block
         kb = pk.embedding.to_dense()
@@ -246,17 +254,71 @@ class TestRangeKernel:
             assert np.abs(v - v.mean()).max() <= 1e-12
 
     def test_commutation_and_skewness_on_range(self):
-        from protofield import catalog
-
         entry = catalog.heat((Axis.torus(6),))
         A = entry.a
-        pr, pk = range_kernel_split(A)
+        pr, pk = range_kernel_split(A, entry.grid)
         P = pr.orthogonal_projector().to_dense()
         Ad = A.to_dense()
         norm_a = np.abs(Ad).max()
         assert np.abs(P @ Ad - Ad @ P).max() <= 1e-12 * norm_a
         restricted = descend(A, pr)
         assert skew_defect(restricted) <= 1e-12 * norm_a
+
+    @pytest.mark.parametrize("name, axes", [
+        *((name, catalog.default_axes(name)) for name in catalog.REGISTRY
+          if all(a.bc == PERIODIC for a in catalog.default_axes(name))),
+        ("acoustics", (Axis.torus(8),)),
+        ("heat", (Axis.torus(5),)),
+        ("timoshenko", (Axis.torus(6),)),
+        ("acoustics", (Axis.torus(4),) * 2),
+        ("heat", (Axis.torus(3), Axis.torus(4))),
+        ("heat", (Axis.torus(4), Axis.interval(5))),
+        ("acoustics", (Axis.interval(5), Axis.torus(4))),
+        ("reissner_mindlin", (Axis.interval(5), Axis.torus(4))),
+        ("extended_maxwell", (Axis.torus(3), Axis.torus(4), Axis.torus(5))),
+        ("dirac", (Axis.torus(2), Axis.torus(5), Axis.torus(3))),
+    ], ids=lambda v: v if isinstance(v, str) else "x".join(f"{a.n}{a.bc[0]}" for a in v))
+    def test_projectors_match_the_dense_svd(self, name, axes):
+        entry = catalog.build_entry(name, axes)
+        w = entry.a.domain.weight
+        for pair, ref in zip(range_kernel_split(entry.a, entry.grid), dense_split(entry.a)):
+            assert subspace_dim(pair) == ref.shape[0]
+            if pair is not None:
+                pi, emb = pair.pi.to_dense(), pair.embedding.to_dense()
+                assert np.abs(pi @ emb - np.eye(len(pi))).max() <= 1e-12
+                assert np.abs(emb @ pi - (ref.T / w[:, None]) @ ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("build", [
+        lambda: catalog.extended_maxwell((Axis.torus(4),) * 3, m0=np.linspace(1.0, 2.0, 512)),
+        lambda: catalog.heat((Axis.interval(9),)),
+        lambda: catalog.reissner_mindlin((Axis.interval(4),) * 2),
+    ], ids=["extended_maxwell_vector_m0", "heat_interval", "reissner_mindlin_interval"])
+    def test_unshifted_operator_gives_the_dense_svd_bitwise(self, build):
+        # no periodic axis, or an A the shifts do not commute with: one block, B itself
+        entry = build()
+        for pair, ref in zip(range_kernel_split(entry.a, entry.grid), dense_split(entry.a)):
+            assert subspace_dim(pair) == ref.shape[0]
+            assert pair is None or np.array_equal(pair.pi.to_dense(), ref)
+
+    @pytest.mark.parametrize("how", ["perturb", "drop"])
+    def test_one_broken_shift_is_not_cut(self, how):
+        # one entry off its shifted copies (the value check) or one entry
+        # missing (the count check): the split is the dense SVD's
+        entry = catalog.acoustics((Axis.torus(8),))
+        ent = entry.a.entries.tolil()
+        if how == "perturb":
+            ent[9, 2] *= 1.0 + 1e-9
+        else:
+            ent[9, 2] = 0.0
+        A = MatrixOperator(ent.tocsr(), entry.a.domain, entry.a.codomain)
+        assert A.entries.nnz == entry.a.entries.nnz - (how == "drop")
+        for pair, ref in zip(range_kernel_split(A, entry.grid), dense_split(A)):
+            assert np.array_equal(pair.pi.to_dense(), ref)
+
+    def test_grid_must_fit_the_dimension(self):
+        entry = catalog.heat((Axis.torus(4),))
+        with pytest.raises(ValueError, match="points"):
+            range_kernel_split(entry.a, (Axis.torus(5),))
 
     def test_non_square_rejected(self):
         t0 = TensorFieldSpace((Axis.torus(3),), 0).tag
@@ -268,8 +330,6 @@ class TestRangeKernel:
 
 class TestDescend:
     def test_identity_pair(self):
-        from protofield import catalog
-
         entry = catalog.acoustics((Axis.torus(4),))
         pv = identity_pair(entry.space)
         assert np.array_equal(descend(entry.a, pv).to_dense(), entry.a.to_dense())
