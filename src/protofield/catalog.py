@@ -97,9 +97,9 @@ def _inv_coeff(value, size, name="coefficient"):
 
 
 def _block_matrix(sizes, entries, col_sizes=None):
-    """CSR block matrix from {(i, j): block}; absent blocks are zero.
+    """CSR block matrix from {(i, j): sparse block}; absent blocks are zero.
 
-    Blocks may be dense or sparse.  col_sizes defaults to sizes (square).
+    col_sizes defaults to sizes (square).
     """
     col_sizes = sizes if col_sizes is None else col_sizes
     return sp.bmat([[entries.get((i, j), sp.csr_matrix((r, c)))
@@ -108,8 +108,8 @@ def _block_matrix(sizes, entries, col_sizes=None):
 
 
 def _partials(axes):
-    """Dense forward-difference partial matrices on the flat point index."""
-    return [np.asarray(point_derivative(axes, d).todense()) for d in range(len(axes))]
+    """Forward-difference partial matrices (CSR) on the flat point index."""
+    return [point_derivative(axes, d) for d in range(len(axes))]
 
 
 def _skew_partials(axes):
@@ -119,8 +119,8 @@ def _skew_partials(axes):
 
 def _curl_block(P):
     """The curl [[0, -P3, P2], [P3, 0, -P1], [-P2, P1, 0]] from three partials."""
-    Z = np.zeros_like(P[0])
-    return np.block([[Z, -P[2], P[1]], [P[2], Z, -P[0]], [-P[1], P[0], Z]])
+    return sp.bmat([[None, -P[2], P[1]], [P[2], None, -P[0]], [-P[1], P[0], None]],
+                   format="csr")
 
 
 def _npts(axes):
@@ -264,21 +264,20 @@ def elasticity(axes, rho=1.0, compliance=1.0) -> CatalogEntry:
 def _grad_sym_stencil(axes):
     """Hand-assembled [[0, Div], [Grad, 0]] in the symmetric coordinates."""
     n = len(axes)
-    np_ = _npts(axes)
     P = _partials(axes)
     inv_s2 = 1.0 / SQRT2
     rows = []
     for i in range(n):
         for j in range(i, n):
-            row = [np.zeros((np_, np_)) for _ in range(n)]
+            row = [None] * n
             if i == j:
                 row[i] = P[i]
             else:
                 row[j] = inv_s2 * P[i]
                 row[i] = inv_s2 * P[j]
-            rows.append(np.hstack(row))
-    grad_blk = np.vstack(rows)
-    nvec, nsym = np_ * n, grad_blk.shape[0]
+            rows.append(row)
+    grad_blk = sp.bmat(rows, format="csr")
+    nsym, nvec = grad_blk.shape
     return _block_matrix([nvec, nsym], {(0, 1): -grad_blk.T, (1, 0): grad_blk})
 
 
@@ -356,16 +355,13 @@ def _ext_parts_raw(axes, skew_stencils=False):
     if len(axes) != 3:
         raise ValueError("the extended system needs a 3-d grid")
     P = _skew_partials(axes) if skew_stencils else _partials(axes)
-    grad0 = np.vstack(P)
-    div_adj = -grad0.T
-    div0 = np.hstack(P)
-    grad_adj = -div0.T
+    grad0 = sp.vstack(P, format="csr")
+    div0 = sp.hstack(P, format="csr")
     curl0 = _curl_block(P)
-    curl_adj = curl0.T
     sizes = _ext_sizes(axes)
-    curl_part = _block_matrix(sizes, {(1, 3): -curl_adj, (3, 1): curl0})
+    curl_part = _block_matrix(sizes, {(1, 3): -curl0.T, (3, 1): curl0})
     graddiv_part = _block_matrix(sizes, {(0, 3): div0, (1, 2): grad0,
-                                         (2, 1): div_adj, (3, 0): grad_adj})
+                                         (2, 1): -grad0.T, (3, 0): -div0.T})
     return curl_part, graddiv_part
 
 
@@ -448,44 +444,30 @@ def _ext_from_stack(axes):
     """
     axes = tuple(axes)
     np_ = _npts(axes)
-    sizes = _ext_sizes(axes)
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = int(offs[-1])
-    out = np.zeros((total, total))
-    IDX = {lab: i for i, lab in enumerate(EXT_LABELS)}
-
-    def put(row_lab, col_lab, blk):
-        i, j = IDX[row_lab], IDX[col_lab]
-        out[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] += blk
-
     stack = TensorStack(axes, 3)
     A = build_stack_skew(stack)
     r = [TensorFieldSpace(axes, k) for k in range(4)]
 
     # chain 1: ranks {0},{1} -> [[0, div],[grad0, 0]] on (f0, f1)
-    a01 = descend(A, rank_block(stack, {0}, {1})).to_dense()
-    put("f0", "f1", a01[:np_, np_:])
-    put("f1", "f0", a01[np_:, :np_])
+    a01 = descend(A, rank_block(stack, {0}, {1})).entries
 
     # chain 2: ranks {1},{2}, antisymmetrize, pair components, rescale sqrt(2)
     a12 = descend(descend(A, rank_block(stack, {1}, {2})),
-                  direct_sum_pairs([identity_pair(r[1].tag), asym_projection(r[2])]))
-    m = a12.to_dense()
-    c_lower = m[3 * np_:, : 3 * np_]   # asym coords <- f1
-    perm = np.kron(_asym_perm(), np.eye(np_))
-    lower = SQRT2 * perm @ c_lower          # = curl0
-    put("f2", "f1", lower)
-    put("f1", "f2", -lower.T)
+                  direct_sum_pairs([identity_pair(r[1].tag), asym_projection(r[2])])).entries
+    perm = sp.kron(_asym_perm(), sp.identity(np_), format="csr")
+    curl0 = SQRT2 * perm @ a12[3 * np_:, : 3 * np_]     # asym coords <- f1
 
     # chain 3: ranks {2},{3}, alternating coordinates, rescale sqrt(3), swap
     a23 = descend(descend(A, rank_block(stack, {2}, {3})),
-                  direct_sum_pairs([asym_projection(r[2]), _alt3_pair(r[3])]))
-    m = a23.to_dense()
-    c_lower = m[3 * np_:, : 3 * np_]   # alt3 coord <- asym coords
-    lower = np.sqrt(3.0) * c_lower @ perm   # = div0 on vector proxies
-    put("f3", "f2", lower)
-    put("f2", "f3", -lower.T)
-    return out
+                  direct_sum_pairs([asym_projection(r[2]), _alt3_pair(r[3])])).entries
+    div0 = np.sqrt(3.0) * a23[3 * np_:, : 3 * np_] @ perm  # alt3 coord <- asym coords
+
+    # block order (f3, f1, f0, f2), as EXT_LABELS
+    return _block_matrix(_ext_sizes(axes), {
+        (2, 1): a01[:np_, np_:], (1, 2): a01[np_:, :np_],
+        (3, 1): curl0, (1, 3): -curl0.T,
+        (0, 3): div0, (3, 0): -div0.T,
+    })
 
 
 def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
@@ -526,17 +508,14 @@ def _dirac_w(axes):
     Component order (Re psi1, Im psi1, Re psi2, Im psi2); partials are the
     centered (skew) periodic stencils, the free-space discretization.
     """
-    P = _skew_partials(axes)
-    np_ = _npts(axes)
-    Id = np.eye(np_)
-    Z = np.zeros((np_, np_))
-    P1, P2, P3 = P
-    return np.block([
-        [Z, -Id - P3, P2, -P1],
-        [Id + P3, Z, P1, P2],
-        [-P2, -P1, Z, -Id + P3],
-        [P1, -P2, Id - P3, Z],
-    ])
+    P1, P2, P3 = _skew_partials(axes)
+    Id = sp.identity(_npts(axes), format="csr")
+    return sp.bmat([
+        [None, -Id - P3, P2, -P1],
+        [Id + P3, None, P1, P2],
+        [-P2, -P1, None, -Id + P3],
+        [P1, -P2, Id - P3, None],
+    ], format="csr")
 
 
 def _dirac_permutations():
@@ -560,21 +539,11 @@ def _chiral_m1(axes):
     [(0,0,s)^T, [[0,1,0],[-1,0,0],[0,0,0]]]] with s = -1 above and +1 below
     the diagonal; skew-selfadjoint as a whole (a "chiral" zero-order law).
     """
-    np_ = _npts(axes)
-    Id = np.eye(np_)
-    Z = np.zeros((np_, np_))
-    k_mat = np.block([[Z, Id, Z], [-Id, Z, Z], [Z, Z, Z]])
+    def kblock(s):
+        return np.array([[0, 0, 0, s], [0, 0, 1, 0], [0, -1, 0, 0], [s, 0, 0, 0]], float)
 
-    def kblock(sign):
-        top = np.hstack([Z, Z, sign * Id])     # scalar row <- vector columns
-        left = np.vstack([Z, Z, sign * Id])    # vector rows <- scalar column
-        return np.block([[Z, top], [left, k_mat]])
-
-    dim4 = 4 * np_
-    out = np.zeros((2 * dim4, 2 * dim4))
-    out[:dim4, dim4:] = kblock(-1.0)
-    out[dim4:, :dim4] = kblock(+1.0)
-    return out
+    per_point = sp.bmat([[None, kblock(-1.0)], [kblock(1.0), None]])
+    return sp.kron(per_point, sp.identity(_npts(axes)), format="csr")
 
 
 def dirac(axes) -> CatalogEntry:

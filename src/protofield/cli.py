@@ -5,9 +5,9 @@ Commands:
     protofield solve FILE [--reduced]    run a scenario, write CSV results
     protofield catalog                   list systems with their derivation chains
 
-Exit codes: 0 success, 1 verification failure, 2 scenario parse error
-(or, for verify, a PROTOFIELD_MAX_GRID that is not an integer >= 2),
-3 unknown catalog name, 4 well-posedness failure.
+Exit codes: 0 success, 1 verification failure, 2 scenario error (the
+message names the key) or, for verify, a PROTOFIELD_MAX_GRID that is not
+an integer >= 2, 3 unknown catalog name, 4 well-posedness failure.
 
 Scenario files are JSON objects:
 
@@ -23,7 +23,10 @@ Scenario files are JSON objects:
     }
 
 The name is the stem of both output files and must be a plain file stem
-(letters, digits, '_', '-', '.'; starting with a letter or digit).
+(letters, digits, '_', '-', '.'; starting with a letter or digit).  The
+keys above, and "center" and "width" of a gauss profile, are the only ones
+allowed.  The run takes round(t_end / tau) >= 1 steps; snapshots must lie
+in [0, last step time].
 
 Grid axes: {"n": int, "bc": "dirichlet"|"periodic", "length": float} --
 dirichlet axes place n interior points on (0, length); periodic axes
@@ -35,8 +38,10 @@ components.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import operator
 import re
 import sys
 from pathlib import Path
@@ -44,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .flatgrid import Axis
+from .flatgrid import DIRICHLET, PERIODIC, Axis
 from .evolve import SolverConfig, solve, solve_reduced, weighted_partial_norms
 from .matlaw import MaterialLawError
 from .verify import max_grid, run_checks
@@ -59,17 +64,55 @@ FLOAT_FMT = "%.17g"
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
+PROFILE_KEYS = {"block", "profile", "mode", "amplitude", "center", "width"}
+SCENARIO_KEYS = {  # per object; "" is the top level, grid and initial are lists
+    "": {"name", "catalog", "grid", "params", "solver", "initial", "forcing", "output"},
+    "grid": {"n", "bc", "length"},
+    "solver": {"tau", "t_end", "scheme", "nu"},
+    "initial": PROFILE_KEYS,
+    "forcing": PROFILE_KEYS | {"onset"},
+    "output": {"snapshots"},
+}
+
+
+class ScenarioError(ValueError):
+    """A scenario that cannot be run as written; the message names the key."""
+
+
+@contextlib.contextmanager
+def _reading(key):
+    """Report a missing or malformed value as a ScenarioError naming its key."""
+    try:
+        yield
+    except MaterialLawError:
+        raise
+    except KeyError as exc:
+        raise ScenarioError(f"scenario key {key!r} is missing the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"scenario key {key!r}: {exc}") from exc
+
+
+def _check_keys(obj, path, allowed):
+    """obj, at key path ("" for the top level), must be an object of allowed keys."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"scenario key {path or 'top level'!r} must be an object")
+    unknown = sorted(obj.keys() - allowed)
+    if unknown:
+        key = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ScenarioError(f"unknown scenario key {key!r}")
+
 
 def _axes_from_config(grid_cfg):
     axes = []
     for item in grid_cfg:
-        n = int(item["n"])
-        bc = item.get("bc", "dirichlet")
-        if bc == "periodic":
+        n = operator.index(item["n"])
+        bc = item.get("bc", DIRICHLET)
+        if bc == PERIODIC:
             axes.append(Axis.torus(n))
+        elif bc == DIRICHLET:
+            axes.append(Axis.interval(n, float(item.get("length", 1.0))))
         else:
-            length = float(item.get("length", 1.0))
-            axes.append(Axis.interval(n, length))
+            raise ValueError(f"unknown boundary condition {bc!r}")
     return tuple(axes)
 
 
@@ -91,7 +134,7 @@ def _profile_values(axes, spec):
     kind = spec.get("profile", "sine")
     amp = float(spec.get("amplitude", 1.0))
     if kind == "sine":
-        mode = int(spec.get("mode", 1))
+        mode = operator.index(spec.get("mode", 1))
         out = np.ones_like(mesh[0])
         for m, a in zip(mesh, axes):
             span = (a.n + 1) * a.h if a.bc == "dirichlet" else 1.0
@@ -100,6 +143,8 @@ def _profile_values(axes, spec):
         width = float(spec.get("width", 0.15))
         out = np.ones_like(mesh[0])
         centers = spec.get("center", [0.5] * len(axes))
+        if len(centers) != len(axes):
+            raise ValueError(f"center needs {len(axes)} coordinates, got {centers!r}")
         for m, c in zip(mesh, centers):
             out = out * np.exp(-((m - c) ** 2) / (2 * width ** 2))
     elif kind == "constant":
@@ -126,40 +171,66 @@ def _block_vector(entry, items, axes):
 
 
 def load_scenario(path):
+    """Parse a scenario file and check its keys; ScenarioError names a bad key."""
     text = Path(path).read_text()
     cfg = json.loads(text)
+    _check_keys(cfg, "", SCENARIO_KEYS[""])
     for key in ("name", "catalog", "grid", "solver"):
         if key not in cfg:
-            raise ValueError(f"scenario is missing the {key!r} key")
+            raise ScenarioError(f"scenario is missing the {key!r} key")
     # the name becomes the stem of the output files: keep them inside --outdir
     name = cfg["name"]
     if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
-        raise ValueError(
+        raise ScenarioError(
             f"scenario key 'name' must be a plain file stem (letters, digits, "
             f"'_', '-', '.'; starting with a letter or digit), got {name!r}"
         )
+    for key in ("grid", "initial"):
+        if not isinstance(cfg.get(key, []), list):
+            raise ScenarioError(f"scenario key {key!r} must be a list")
+        for i, item in enumerate(cfg.get(key, [])):
+            _check_keys(item, f"{key}[{i}]", SCENARIO_KEYS[key])
+    for key in ("solver", "forcing", "output"):
+        if key in cfg:
+            _check_keys(cfg[key], key, SCENARIO_KEYS[key])
     return cfg
 
 
 def run_scenario(cfg, reduced=False, outdir="."):
-    axes = _axes_from_config(cfg["grid"])
-    entry = catalog.build_entry(cfg["catalog"], axes, cfg.get("params"))
-    solver_cfg = cfg["solver"]
-    config = SolverConfig(
-        tau=float(solver_cfg["tau"]),
-        t_end=float(solver_cfg["t_end"]),
-        scheme=solver_cfg.get("scheme", "crank_nicolson"),
-        nu=float(solver_cfg.get("nu", 0.0)),
-    )
-    initial = _block_vector(entry, cfg.get("initial", []), axes)
+    """Solve a loaded scenario and write its CSVs; a bad value raises
+    ScenarioError before anything is solved, an unknown catalog KeyError."""
+    if not (isinstance(cfg["catalog"], str) and cfg["catalog"] in catalog.REGISTRY):
+        raise KeyError(cfg["catalog"])
+    with _reading("grid"):
+        axes = _axes_from_config(cfg["grid"])
+    with _reading("grid/params"):
+        entry = catalog.build_entry(cfg["catalog"], axes, cfg.get("params"))
+    with _reading("solver"):
+        solver_cfg = cfg["solver"]
+        config = SolverConfig(
+            tau=float(solver_cfg["tau"]),
+            t_end=float(solver_cfg["t_end"]),
+            scheme=solver_cfg.get("scheme", "crank_nicolson"),
+            nu=float(solver_cfg.get("nu", 0.0)),
+        )
+    with _reading("initial"):
+        initial = _block_vector(entry, cfg.get("initial", []), axes)
     forcing = None
     if "forcing" in cfg:
-        fcfg = cfg["forcing"]
-        onset = float(fcfg.get("onset", 0.0))
-        pulse = _block_vector(entry, [fcfg], axes)
+        with _reading("forcing"):
+            fcfg = cfg["forcing"]
+            onset = float(fcfg.get("onset", 0.0))
+            pulse = _block_vector(entry, [fcfg], axes)
 
         def forcing(t, pulse=pulse, onset=onset):
             return pulse if t >= onset else np.zeros_like(pulse)
+
+    last = config.steps * config.tau  # the last step time, as the solver computes it
+    with _reading("output.snapshots"):
+        for t in cfg.get("output", {}).get("snapshots", []):
+            # the slack covers the roundoff of steps * tau against a written t_end
+            if not 0.0 <= float(t) <= last + 1e-9 * config.tau:
+                raise ValueError(f"snapshot time {t} is outside the run [0, {last}]")
 
     problem = entry.problem(initial=initial, forcing=forcing)
     runner = solve_reduced if reduced else solve
@@ -224,15 +295,14 @@ def cmd_verify(args):
 def cmd_solve(args):
     try:
         cfg = load_scenario(args.file)
+        run_scenario(cfg, reduced=args.reduced, outdir=args.outdir)
     except json.JSONDecodeError as exc:
         print(f"scenario parse error at line {exc.lineno}, column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, ScenarioError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    try:
-        run_scenario(cfg, reduced=args.reduced, outdir=args.outdir)
     except KeyError as exc:
         print(f"unknown catalog entry: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_CATALOG

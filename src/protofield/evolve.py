@@ -86,18 +86,27 @@ class EvolutionaryProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A run of `steps` = round(t_end / tau) >= 1 steps; it ends at steps * tau."""
+
     tau: float
     t_end: float
     scheme: str = CRANK_NICOLSON
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        ratio = self.t_end / self.tau
+        if not (np.isfinite(ratio) and round(ratio) >= 1):
+            raise ValueError(f"t_end / tau = {ratio:.6g} must be finite and round to a step")
         if self.scheme not in (IMPLICIT_EULER, CRANK_NICOLSON):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+        if not 0 <= self.nu < np.inf:
+            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
+
+    @property
+    def steps(self):
+        return int(round(self.t_end / self.tau))
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,7 @@ def _require_wellposed(law: MaterialLaw):
 def _march(problem: EvolutionaryProblem, config: SolverConfig, right: MatrixOperator,
            next_state) -> Trajectory:
     """Step from the initial state: u_{k+1} = next_state(right u_k + F(t_sample))."""
-    nsteps = int(round(config.t_end / config.tau))
+    nsteps = config.steps
     times = np.arange(nsteps + 1) * config.tau
     states = np.empty((nsteps + 1, problem.space.dim))
     states[0] = problem.initial
@@ -273,6 +282,6 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
     left, right = _step_operators(problem, config)
     reduced, recipe = schur_reduce(left, p_range, p_kernel)
     # the reduced matrix is dense (its range basis is): dense LU, same guard
-    step_solve = partial(sla.lu_solve, guarded_lu(reduced.to_dense()))
+    step_solve = partial(sla.lu_solve, guarded_lu(reduced))
     return _march(problem, config, right,
                   lambda rhs: recipe.assemble(rhs, step_solve(recipe.reduce_rhs(rhs))))

@@ -47,8 +47,8 @@ class Axis:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.n}")
-        if not self.h > 0:
-            raise ValueError(f"axis spacing must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"axis spacing must be positive and finite, got {self.h}")
         if self.bc not in (DIRICHLET, PERIODIC):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         if self.bc == PERIODIC and abs(self.n * self.h - 1.0) > 1e-12:

@@ -202,9 +202,10 @@ class ReconstructionRecipe:
 def schur_reduce(S: MatrixOperator, p_range: ProjectionPair, p_kernel: ProjectionPair):
     """Eliminate the kernel block of a step matrix by its Schur complement.
 
-    reduced = S_rr - S_rk S_kk^-1 S_kr on the range subspace; the recipe
-    reconstructs the kernel component from the range solution, so solving
-    the reduced system and reconstructing is equivalent to the full solve.
+    reduced = S_rr - S_rk S_kk^-1 S_kr on the range subspace, returned as a
+    dense array (the range basis is dense); the recipe reconstructs the
+    kernel component from the range solution, so solving the reduced system
+    and reconstructing is equivalent to the full solve.
     Raises MaterialLawError when the kernel block is singular, i.e. when
     the strict positivity required of the reduced law fails.
     """
@@ -220,9 +221,7 @@ def schur_reduce(S: MatrixOperator, p_range: ProjectionPair, p_kernel: Projectio
             "kernel block of the step matrix is singular: the strict positive "
             "definiteness required of the reduced material law fails"
         ) from exc
-    reduced_ent = s_rr - s_rk @ sla.lu_solve(lu, s_kr)
-    space = p_range.codomain
-    reduced = MatrixOperator(reduced_ent, space, space)
+    reduced = s_rr - s_rk @ sla.lu_solve(lu, s_kr)
     recipe = ReconstructionRecipe(pi_range=pi_r, pi_kernel=pi_k, emb_range=emb_r,
                                   emb_kernel=emb_k, s_kk_lu=lu, s_kr=s_kr, s_rk=s_rk)
     return reduced, recipe

@@ -114,34 +114,34 @@ def _stencil_curl(axes):
     """
     np_ = catalog._npts(axes)
     curl = catalog._curl_block(catalog._partials(axes))
-    return (1.0 / catalog.SQRT2) * np.kron(catalog._asym_perm(), np.eye(np_)) @ curl
+    return (1.0 / catalog.SQRT2) * sp.kron(catalog._asym_perm(), sp.identity(np_)) @ curl
 
 
 def curl_residual(axes):
     """Max entry of the descended Maxwell block minus the stencil curl."""
     entry = catalog.maxwell(axes)
     np_ = entry.blocks[0][1] // 3
-    lower = entry.a.to_dense()[3 * np_:, : 3 * np_]
-    return float(np.abs(lower - _stencil_curl(axes)).max())
+    lower = entry.a.entries[3 * np_:, : 3 * np_]
+    return float(abs(lower - _stencil_curl(axes)).max())
 
 
 def annihilation_residual(axes):
     """Max entry of the two extended-Maxwell parts multiplied, both orders."""
     entry = catalog.extended_maxwell(axes)
-    c = entry.extras["curl_part"].to_dense()
-    g = entry.extras["graddiv_part"].to_dense()
-    return float(max(np.abs(c @ g).max(), np.abs(g @ c).max()))
+    c = entry.extras["curl_part"].entries
+    g = entry.extras["graddiv_part"].entries
+    return float(max(abs(c @ g).max(), abs(g @ c).max()))
 
 
 def _dirac_target(axes):
     """Extended Maxwell (skew stencils) plus the chiral term: U D U* for the Dirac D."""
-    return (catalog.extended_maxwell(axes, skew_stencils=True).a.to_dense()
+    return (catalog.extended_maxwell(axes, skew_stencils=True).a.entries
             + catalog._chiral_m1(axes))
 
 
 def dirac_spectra_residual(axes):
     """Largest gap between the sorted spectra of the two relabeled systems."""
-    dirac, target = catalog.dirac(axes).a.to_dense(), _dirac_target(axes)
+    dirac, target = catalog.dirac(axes).a.to_dense(), _dirac_target(axes).toarray()
     ev1 = np.sort_complex(np.linalg.eigvals(dirac))
     ev2 = np.sort_complex(np.linalg.eigvals(target))
     return float(np.abs(ev1 - ev2).max())
@@ -429,7 +429,7 @@ def _biharmonic_pair(axes):
     """The block-skew pair of (symmetrized gradient) @ (gradient), from the stencils."""
     nvec = catalog._npts(axes) * len(axes)
     grad_sym = catalog._grad_sym_stencil(axes)[nvec:, :nvec]
-    return _skew_pair(grad_sym @ np.vstack(catalog._partials(axes)))
+    return _skew_pair(grad_sym @ sp.vstack(catalog._partials(axes)))
 
 
 def _square_root_pair(entry):
@@ -463,7 +463,7 @@ PROVENANCE_REFERENCES = {
     "maxwell": lambda e: _skew_pair(_stencil_curl(e.grid)),
     "extended_maxwell": lambda e: catalog._ext_from_stack(e.grid),
     "reduced_extended_maxwell": lambda e: catalog._ext_from_stack(e.grid)[
-        np.ix_(e.extras["keep"], e.extras["keep"])],
+        e.extras["keep"]][:, e.extras["keep"]],
     "dirac": lambda e: _relabeled_dirac(e.grid),
     "relativistic_schrodinger": _square_root_pair,
     "transport": _recombined_transport,

@@ -1,5 +1,6 @@
 """Tests for the batch CLI: verify, solve, catalog, exit codes, determinism."""
 
+import copy
 import csv
 import json
 import os
@@ -33,6 +34,28 @@ BASIC = {
     "solver": {"tau": 0.01, "t_end": 0.3, "scheme": "implicit_euler"},
     "initial": [{"block": "p", "profile": "sine", "mode": 1}],
     "output": {"snapshots": [0.0, 0.3]},
+}
+
+
+# scenario edits that must end with exit 2 and a message naming the key
+BAD_INPUTS = {
+    "n_1": (lambda c: c["grid"][0].update(n=1), "grid"),
+    "grid_item_without_n": (lambda c: c["grid"][0].pop("n"), "'n'"),
+    "n_not_an_integer": (lambda c: c["grid"][0].update(n=12.5), "integer"),
+    "unknown_bc": (lambda c: c["grid"][0].update(bc="periodc"), "periodc"),
+    "infinite_length": (lambda c: c["grid"][0].update(length=float("inf")), "spacing"),
+    "negative_tau": (lambda c: c["solver"].update(tau=-0.1), "tau"),
+    "t_end_nan": (lambda c: c["solver"].update(t_end="nan"), "t_end"),
+    "zero_steps": (lambda c: c["solver"].update(tau=5), "tau"),
+    "unknown_param": (lambda c: c["params"].update(rhoo=1.0), "rhoo"),
+    "unknown_block": (lambda c: c["initial"][0].update(block="zz"), "zz"),
+    "mode_not_an_integer": (lambda c: c["initial"][0].update(mode=1.5), "integer"),
+    "center_of_wrong_length": (lambda c: c["initial"][0].update(profile="gauss",
+                                                                center=[0.5, 0.5]), "center"),
+    "unknown_key": (lambda c: c.update(intial=c.pop("initial")), "intial"),
+    "unknown_nested_key": (lambda c: c["solver"].update(sheme="x"), "solver.sheme"),
+    "snapshot_after_the_run": (lambda c: c["output"].update(snapshots=[7.0]), "snapshots"),
+    "snapshot_before_the_run": (lambda c: c["output"].update(snapshots=[-0.1]), "snapshots"),
 }
 
 
@@ -88,6 +111,12 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_binary_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{")
+        assert cli.main(["solve", str(p)]) == cli.EXIT_PARSE_ERROR
+        assert "scenario error" in capsys.readouterr().err
+
     def test_unknown_catalog_exit_3(self, tmp_path):
         cfg = dict(BASIC)
         cfg["catalog"] = "spintronics"
@@ -100,6 +129,26 @@ class TestSolveCommand:
         cfg["params"] = {"rho": 1.0, "sigma": 0.0}
         p = write_scenario(tmp_path, cfg)
         assert cli.main(["solve", str(p)]) == cli.EXIT_WELLPOSEDNESS
+
+    @pytest.mark.parametrize("edit, key", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_exit_2(self, tmp_path, capsys, edit, key):
+        cfg = copy.deepcopy(BASIC)
+        edit(cfg)
+        p = write_scenario(tmp_path, cfg)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_integer_step_count_runs(self, tmp_path):
+        # t_end / tau = 29.75 rounds to 30 steps: the run, and its last
+        # snapshot, end at 30 tau, past t_end
+        cfg = copy.deepcopy(BASIC)
+        cfg["solver"]["t_end"] = 0.2975
+        p = write_scenario(tmp_path, cfg)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_OK
+        rows = read_energy(tmp_path / "toy_heat_energy.csv")
+        assert len(rows) == 31
 
     def test_missing_key_exit_2(self, tmp_path):
         p = write_scenario(tmp_path, {"name": "x"})
