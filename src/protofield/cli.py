@@ -7,7 +7,9 @@ Commands:
 
 Exit codes: 0 success, 1 verification failure, 2 scenario error (the
 message names the key) or, for verify, a PROTOFIELD_MAX_GRID that is not
-an integer >= 2, 3 unknown catalog name, 4 well-posedness failure.
+an integer >= 2, 3 unknown catalog name, 4 well-posedness failure, 5 step
+failure (a singular step matrix, or a state or energy that is not finite;
+no CSV is written).
 
 Scenario files are JSON objects:
 
@@ -51,7 +53,7 @@ import numpy as np
 from . import catalog
 from .flatgrid import DIRICHLET, PERIODIC, Axis
 from .evolve import SolverConfig, solve, solve_reduced, weighted_partial_norms
-from .matlaw import MaterialLawError
+from .matlaw import MaterialLawError, StepFailureError
 from .verify import max_grid, run_checks
 
 EXIT_OK = 0
@@ -59,6 +61,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_UNKNOWN_CATALOG = 3
 EXIT_WELLPOSEDNESS = 4
+EXIT_STEP_FAILURE = 5
 
 FLOAT_FMT = "%.17g"
 
@@ -309,6 +312,9 @@ def cmd_solve(args):
     except MaterialLawError as exc:
         print(f"well-posedness failure: {exc}", file=sys.stderr)
         return EXIT_WELLPOSEDNESS
+    except StepFailureError as exc:
+        print(f"step failure: {exc}", file=sys.stderr)
+        return EXIT_STEP_FAILURE
     print(f"wrote {cfg['name']}_energy.csv and {cfg['name']}_snapshots.csv")
     return EXIT_OK
 

@@ -8,7 +8,10 @@ schemes are provided:
     Crank-Nicolson:  (M0/tau + (M1+A)/2) u_{n+1}
                          = (M0/tau - (M1+A)/2) u_n + F(t_{n+1/2})
 
-The step matrix is factored once, by the sparse LU, and reused.
+The step matrix is factored once, by the sparse LU, and reused;
+solve_reduced instead Schur-reduces it onto the range of A once, wavenumber
+by wavenumber on periodic grids, and each step is batched small products.
+A run whose states or energies stop being finite raises StepFailureError.
 Crank-Nicolson preserves the quadratic form <M0 u, u> exactly (up to the
 linear solve) when M1 is skew or zero, and for zero forcing satisfies the
 discrete dissipation identity
@@ -19,10 +22,8 @@ causal: states vanish identically before the forcing switches on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .linops import MatrixOperator, PreconditionError, skew_defect
@@ -32,7 +33,6 @@ from .matlaw import (
     StepFailureError,
     check_pivots,
     check_wellposed,
-    guarded_lu,
     schur_reduce,
     symmetrize,
 )
@@ -165,16 +165,25 @@ def _require_wellposed(law: MaterialLaw):
 
 def _march(problem: EvolutionaryProblem, config: SolverConfig, right: MatrixOperator,
            next_state) -> Trajectory:
-    """Step from the initial state: u_{k+1} = next_state(right u_k + F(t_sample))."""
+    """Step from the initial state: u_{k+1} = next_state(right u_k + F(t_sample)).
+
+    Raises StepFailureError, naming the first step, when a state or its
+    energy is not finite; such a run is never returned.
+    """
     nsteps = config.steps
     times = np.arange(nsteps + 1) * config.tau
     states = np.empty((nsteps + 1, problem.space.dim))
     states[0] = problem.initial
-    for k in range(nsteps):
-        t_sample = times[k] + (config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2)
-        rhs = right.apply(states[k]) + problem.force_at(t_sample)
-        states[k + 1] = next_state(rhs)
-    energies = energy_series_from_states(states, problem.law.m0)
+    with np.errstate(all="ignore"):  # overflow is reported below, by step
+        for k in range(nsteps):
+            t_sample = times[k] + (config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2)
+            rhs = right.apply(states[k]) + problem.force_at(t_sample)
+            states[k + 1] = next_state(rhs)
+        energies = energy_series_from_states(states, problem.law.m0)
+    finite = np.isfinite(states).all(axis=1) & np.isfinite(energies)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise StepFailureError(f"state or energy not finite at step {k} (t = {times[k]:.6g})")
     return Trajectory(times=times, states=states, energies=energies,
                       scheme=config.scheme, tau=config.tau, space=problem.space)
 
@@ -207,16 +216,12 @@ class DissipationReport:
 
 def dissipation_check(traj: Trajectory, mlaw: MaterialLaw, tol: float = 1e-9) -> DissipationReport:
     """Check E_{n+1} - E_n = -tau <sym(M1) u_mid, u_mid> for a force-free CN run."""
-    sym_m1 = symmetrize(mlaw.m1)
     w = mlaw.space.weight
     energies = energy_series(traj, mlaw.m0)
     scale = max(energies.max(), 1.0)
-    max_res = 0.0
-    for k in range(len(traj) - 1):
-        mid = 0.5 * (traj.states[k] + traj.states[k + 1])
-        drop = float(np.sum(w * sym_m1.apply(mid) * mid))
-        res = abs(energies[k + 1] - energies[k] + traj.tau * drop)
-        max_res = max(max_res, res)
+    mids = 0.5 * (traj.states[:-1] + traj.states[1:])
+    drops = np.einsum("ij,ij->i", (symmetrize(mlaw.m1).entries @ mids.T).T, mids * w)
+    max_res = float(np.abs(np.diff(energies) + traj.tau * drops).max(initial=0.0))
     monotone = bool(np.all(np.diff(energies) <= tol * scale))
     return DissipationReport(
         max_residual=max_res / scale,
@@ -261,27 +266,22 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
     return np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
 
 
-def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig,
-                  split=None) -> Trajectory:
+def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     """Step the system on the range of A, reconstructing the kernel part.
 
-    The step matrix is Schur-reduced over the range/kernel splitting of A
-    (cut along the periodic axes of problem.grid) once; each step solves the reduced system for the range component and
-    recovers the kernel component from the reconstruction recipe.  With an
+    A and the step matrix are split together into range and kernel,
+    wavenumber by wavenumber along the periodic axes of problem.grid when
+    both commute with the shifts there (in one block otherwise), and the
+    step matrix is Schur-reduced onto the range once.  Each step projects
+    the right-hand side in wavenumber space, solves the reduced system for
+    the range part and recovers the kernel part from it.  With an
     invertible A this degenerates to the plain solve.
     """
     _require_wellposed(problem.law)
-    if split is None:
-        split = range_kernel_split(problem.a, problem.grid)
-    p_range, p_kernel = split
+    left, right = _step_operators(problem, config)
+    p_range, p_kernel = range_kernel_split(problem.a, left, grid=problem.grid)
     if subspace_dim(p_kernel) == 0:
         return solve(problem, config)
     if subspace_dim(p_range) == 0:
         raise MaterialLawError("A vanishes: nothing to reduce onto")
-
-    left, right = _step_operators(problem, config)
-    reduced, recipe = schur_reduce(left, p_range, p_kernel)
-    # the reduced matrix is dense (its range basis is): dense LU, same guard
-    step_solve = partial(sla.lu_solve, guarded_lu(reduced))
-    return _march(problem, config, right,
-                  lambda rhs: recipe.assemble(rhs, step_solve(recipe.reduce_rhs(rhs))))
+    return _march(problem, config, right, schur_reduce(left, p_range, p_kernel))

@@ -13,11 +13,12 @@ Every operator stores its entries in one format: a read-only scipy CSR
 matrix.  Dense input is converted once, in the constructor; the stencils
 of flatgrid and catalog are assembled sparse.  Algorithms that are dense
 by nature densify explicitly with `to_dense()`: the weighted singular
-values here and the Schur reduction (matlaw), whose range and kernel bases
-are dense, as is the Schur complement it returns.  Functions of selfadjoint operators (the
-well-posedness gate, polar factors, coefficient inverses and roots) densify
-only the coupling blocks, through `weighted_spectrum`; the range/kernel
-split (subspaces) densifies one symbol per wavenumber of the periodic axes.
+values here.  Functions of selfadjoint operators (the well-posedness gate,
+polar factors, coefficient inverses and roots) densify only the coupling
+blocks, through `weighted_spectrum`; the range/kernel split (subspaces)
+and the Schur reduction (matlaw) densify one symbol per wavenumber of the
+periodic axes the operators commute with (the whole operator when there
+is none).
 
 All values are immutable after construction and safe to share across
 threads; the functions here are pure.

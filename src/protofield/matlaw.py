@@ -8,13 +8,13 @@ kernel of M0; check_wellposed quantifies these blockwise and produces a
 conservative weight threshold from the standard 2x2 block positivity estimate.
 
 Also here: the Schur-complement reduction of a step matrix onto the range
-of a skew operator with the reconstruction recipe for the eliminated
-kernel component, and blockwise coupling of laws.
+of a skew operator, wavenumber by wavenumber, with the reconstruction of
+the eliminated kernel component (SchurSolve), and blockwise coupling of
+laws.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,6 @@ from .linops import (
     direct_sum_tags,
     weighted_spectrum,
 )
-from .subspaces import ProjectionPair
 
 
 class MaterialLawError(ValueError):
@@ -59,16 +58,24 @@ def check_pivots(pivots):
         )
 
 
-def guarded_lu(mat):
-    """Dense LU factors of mat, checked by check_pivots (StepFailureError)."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(mat)
-    except ValueError as exc:  # non-finite entries
-        raise StepFailureError(f"step matrix cannot be factored: {exc}") from exc
-    check_pivots(np.diag(lu[0]))
-    return lu
+def guarded_inverses(stacks):
+    """Inverses of stacks of square blocks (n, k, k), from one LU factor per block.
+
+    LAPACK getrf factors each block and getri inverts it from its factors;
+    the pivots of all blocks are checked together by check_pivots, as those
+    of one block-diagonal matrix (StepFailureError).  Empty blocks pass.
+    """
+    factored = []
+    for m in stacks:
+        if not np.isfinite(m).all():
+            raise StepFailureError("step matrix cannot be factored: non-finite entries")
+        getrf, getri = sla.get_lapack_funcs(("getrf", "getri"), (m,))
+        factored.append((m, getri, [getrf(block)[:2] for block in m] if m.size else []))
+    pivots = [np.diagonal(lu) for *_, f in factored for lu, _ in f]
+    if pivots:
+        check_pivots(np.concatenate(pivots))
+    return [np.array([getri(lu, piv)[0] for lu, piv in f]) if f else m
+            for m, getri, f in factored]
 
 
 def symmetrize(op: MatrixOperator) -> MatrixOperator:
@@ -168,63 +175,70 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
 
 
 @dataclass(frozen=True)
-class ReconstructionRecipe:
-    """Recovers the eliminated kernel component of a Schur-reduced solve.
+class SchurSolve:
+    """x = S^-1 f through the Schur complement on the range, wavenumber by wavenumber.
 
-    x_k = S_kk^-1 (f_k - S_kr x_r); assemble(full_rhs, x_r) returns the
-    full-space solution embedding(range) x_r + embedding(kernel) x_k.  The
-    range and kernel maps are kept as dense arrays: their bases are (real
-    Fourier modes times) singular vectors, dense by nature.
+    At one wavenumber, with range and kernel bases u_r, u_k and the
+    coordinates f_r, f_k of F S f on them, the range part solves the Schur
+    complement R = S_rr - S_rk S_kk^-1 S_kr,
+        z_r = R^-1 (f_r - S_rk S_kk^-1 f_k),
+    and the kernel part is reconstructed as z_k = S_kk^-1 (f_k - S_kr z_r).
+    Both halves are kept per wavenumber as (N, m, m) stacks formed once:
+    `reduce` maps F S f to (z_r, S_kk^-1 f_k) and `lift` maps that to
+    u_r z_r + u_k z_k.  A solve is the FFT, two batched products and the
+    inverse FFT.
     """
 
-    pi_range: np.ndarray
-    pi_kernel: np.ndarray
-    emb_range: np.ndarray
-    emb_kernel: np.ndarray
-    s_kk_lu: tuple
-    s_kr: np.ndarray
-    s_rk: np.ndarray
+    cut: object
+    reduce: np.ndarray
+    lift: np.ndarray
 
-    def kernel_component(self, rhs_full, x_r):
-        f_k = self.pi_kernel @ rhs_full
-        return sla.lu_solve(self.s_kk_lu, f_k - self.s_kr @ np.asarray(x_r))
-
-    def reduce_rhs(self, rhs_full):
-        f_r = self.pi_range @ rhs_full
-        f_k = self.pi_kernel @ rhs_full
-        return f_r - self.s_rk @ sla.lu_solve(self.s_kk_lu, f_k)
-
-    def assemble(self, rhs_full, x_r):
-        x_k = self.kernel_component(rhs_full, x_r)
-        return self.emb_range @ x_r + self.emb_kernel @ x_k
+    def __call__(self, rhs):
+        f = self.cut.forward(np.asarray(rhs, dtype=float)[:, None])
+        return self.cut.inverse(self.lift @ (self.reduce @ f))[:, 0]
 
 
-def schur_reduce(S: MatrixOperator, p_range: ProjectionPair, p_kernel: ProjectionPair):
+def schur_reduce(S: MatrixOperator, p_range, p_kernel) -> SchurSolve:
     """Eliminate the kernel block of a step matrix by its Schur complement.
 
-    reduced = S_rr - S_rk S_kk^-1 S_kr on the range subspace, returned as a
-    dense array (the range basis is dense); the recipe reconstructs the
-    kernel component from the range solution, so solving the reduced system
-    and reconstructing is equivalent to the full solve.
-    Raises MaterialLawError when the kernel block is singular, i.e. when
-    the strict positivity required of the reduced law fails.
+    p_range and p_kernel are the WavenumberPairs of one range_kernel_split,
+    which S must commute with (pass S to the split).  Each wavenumber's
+    blocks S_rr, S_rk, S_kr, S_kk of its symbol are formed in one batched
+    product per group of equal kernel count; S_kk and then the Schur
+    complements are factored once, each under one check_pivots.  Solving
+    the reduced system and reconstructing the kernel part is equivalent to
+    the full solve.  Raises MaterialLawError when a kernel block is
+    singular, i.e. when the strict positivity required of the reduced law
+    fails, and StepFailureError when a Schur complement is.
     """
-    pi_r, pi_k = p_range.pi.to_dense(), p_kernel.pi.to_dense()
-    emb_r, emb_k = p_range.embedding.to_dense(), p_kernel.embedding.to_dense()
-    s_emb_r, s_emb_k = S.entries @ emb_r, S.entries @ emb_k
-    s_rr, s_rk = pi_r @ s_emb_r, pi_r @ s_emb_k
-    s_kr, s_kk = pi_k @ s_emb_r, pi_k @ s_emb_k
+    cut = p_range.cut
+    symbols = cut.symbols(S)
+    groups = []  # (index, u_r, u_k, pi_r, pi_k, s_rr, s_rk, s_kr, s_kk)
+    for (index, u_r), (_, u_k) in zip(p_range.groups, p_kernel.groups):
+        r, u = u_r.shape[2], np.concatenate([u_r, u_k], axis=2)
+        pi = u.conj().transpose(0, 2, 1)
+        s = pi @ symbols[index] @ u
+        groups.append((index, u_r, u_k, pi[:, :r], pi[:, r:],
+                       s[:, :r, :r], s[:, :r, r:], s[:, r:, :r], s[:, r:, r:]))
     try:
-        lu = guarded_lu(s_kk)
+        kk_invs = guarded_inverses([s_kk for *_, s_kk in groups])
     except StepFailureError as exc:
         raise MaterialLawError(
             "kernel block of the step matrix is singular: the strict positive "
             "definiteness required of the reduced material law fails"
         ) from exc
-    reduced = s_rr - s_rk @ sla.lu_solve(lu, s_kr)
-    recipe = ReconstructionRecipe(pi_range=pi_r, pi_kernel=pi_k, emb_range=emb_r,
-                                  emb_kernel=emb_k, s_kk_lu=lu, s_kr=s_kr, s_rk=s_rk)
-    return reduced, recipe
+    schur_invs = guarded_inverses([s_rr - s_rk @ kk_inv @ s_kr for (*_, s_rr, s_rk, s_kr, _), kk_inv
+                                   in zip(groups, kk_invs)])
+    reduce = np.zeros((cut.N, cut.m, cut.m), dtype=symbols.dtype)
+    lift = np.zeros_like(reduce)
+    for (index, u_r, u_k, pi_r, pi_k, _, s_rk, s_kr, _), kk_inv, schur_inv in zip(
+            groups, kk_invs, schur_invs):
+        r, cols = u_r.shape[2], u_r.shape[2] + u_k.shape[2]
+        reduce[index, :r] = schur_inv @ (pi_r - s_rk @ kk_inv @ pi_k)
+        reduce[index, r:cols] = kk_inv @ pi_k
+        lift[index, :, :r] = u_r - u_k @ kk_inv @ s_kr
+        lift[index, :, r:cols] = u_k
+    return SchurSolve(cut, reduce, lift)
 
 
 def couple(laws, off_blocks=None) -> MaterialLaw:

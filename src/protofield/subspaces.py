@@ -5,9 +5,11 @@ its adjoint embedding V -> H.  Applying pi . A . pi* projects an operator
 onto the subspace; chains of such steps produce every named system in the
 catalog.  Also here: the even/odd splitting of a symmetric line, averaging
 over torus directions (dimension reduction), realification of complex
-operators, and the range/kernel splitting used to remove null spaces,
-cut wavenumber by wavenumber along the periodic axes an operator commutes
-with.
+operators, and the range/kernel splitting used to remove null spaces.
+That split is kept in wavenumber space: ShiftCut block-diagonalizes the
+operators that commute with the shifts along the periodic axes by a DFT,
+and each WavenumberPair holds one small orthonormal basis per wavenumber,
+never a dim x dim map.
 
 Component-basis normalizations (the 1/sqrt(2) factors of the symmetric and
 antisymmetric rank-2 bases, the reflection pairs of the even/odd split)
@@ -18,6 +20,7 @@ identities involving them hold to ~1e-15 rather than bitwise.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -317,108 +320,160 @@ def realify_complex(mat: np.ndarray, domain: SpaceTag, codomain: SpaceTag) -> Ma
 # range / kernel splitting
 
 
-def _shift_cut(rows, cols, data, shape, periodic):
-    """Cut a matrix on the coordinates `shape` along the shifts of the `periodic` axes.
+def _fft():
+    """scipy.fft, imported on first use: its import takes about 0.1 s."""
+    import scipy.fft
 
-    Coordinates are reordered as (beta, p): beta runs over the component and
-    the other axes, p over the periodic axes, innermost.  Returns the axis
-    order, b0[(beta, p), gamma] = the entry in column (gamma, p = 0), and the
-    point counts of the periodic axes cut along.  When some entry differs
-    from its image shifted back to p = 0, or the entry count is not that of
-    the columns at p = 0 times the shifts, the matrix is cut along no axis.
+    return scipy.fft
+
+
+class ShiftCut:
+    """The unitary DFT F along the cut periodic axes, after the weight root S.
+
+    Fields are k components over the axes `grid` (dim = k * npts, the point
+    index innermost in C order).  Coordinates are reordered as (beta, p):
+    beta (m values) runs over the component and the axes not cut, p (N
+    values) over the cut axes.  forward(x) = F S x maps (dim, c) columns to
+    (N, m, c): wavenumber, beta, column; inverse undoes it and keeps the
+    real part.  An operator T commuting with the shifts along the cut axes
+    is cut into one m x m symbol of S T S^-1 per wavenumber; with no axis
+    cut, N = 1 and the one symbol is S T S^-1 itself (no FFT).
     """
-    kept = [a for a in range(len(shape)) if a not in periodic]
-    order, rest = kept + periodic, [shape[a] for a in kept]
-    r, c = list(np.unravel_index(rows, shape)), np.unravel_index(cols, shape)
-    at0 = np.ones(len(data), dtype=bool)
-    for a in periodic:
-        r[a] = (r[a] - c[a]) % shape[a]
-        at0 &= c[a] == 0
-    row_bp = np.ravel_multi_index([r[a] for a in order], [shape[a] for a in order])
-    col_beta = np.ravel_multi_index([c[a] for a in kept], rest)
-    dim = int(np.prod(shape))
-    b0 = np.zeros((dim, int(np.prod(rest))))
-    b0[row_bp[at0], col_beta[at0]] = data[at0]
-    if periodic and (len(data) != (dim // b0.shape[1]) * np.count_nonzero(at0)
-                     or np.any(b0[row_bp, col_beta] != data)):
-        return _shift_cut(rows, cols, data, shape, [])
-    return order, b0, [shape[a] for a in periodic]
+
+    __slots__ = ("shape", "axes", "order", "per", "sw", "N", "m", "_fft_axes", "_inv_order")
+
+    def __init__(self, space: SpaceTag, grid=(), axes=()):
+        npts = int(np.prod([axis.n for axis in grid]))
+        if space.dim % npts:
+            raise ValueError(f"dimension {space.dim} is not a number of fields over {npts} points")
+        shape = (space.dim // npts, *(axis.n for axis in grid))
+        axes = [1 + a for a in axes]
+        order = [a for a in range(len(shape)) if a not in axes] + axes
+        per = tuple(shape[a] for a in axes)
+        N = int(np.prod(per))
+        for name, value in (("shape", shape), ("axes", tuple(axes)), ("order", tuple(order)),
+                            ("per", per), ("sw", np.sqrt(space.weight)), ("N", N),
+                            ("m", space.dim // N), ("_fft_axes", tuple(range(1, 1 + len(per)))),
+                            ("_inv_order", (*np.argsort(order), len(shape)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ShiftCut is immutable")
+
+    def forward(self, x):
+        """F S x for the columns of x (dim, c), as (N, m, c)."""
+        c = x.shape[1]
+        y = (self.sw[:, None] * x).reshape(*self.shape, c).transpose(*self.order, -1)
+        y = y.reshape(self.m, *self.per, c)
+        if self.per:
+            y = _fft().fftn(y, axes=self._fft_axes, norm="ortho")
+        return y.reshape(self.m, self.N, c).transpose(1, 0, 2)
+
+    def inverse(self, y):
+        """S^-1 F^-1 y for y (N, m, c), real part, as (dim, c) columns."""
+        c = y.shape[2]
+        x = y.transpose(1, 0, 2).reshape(self.m, *self.per, c)
+        if self.per:
+            x = _fft().ifftn(x, axes=self._fft_axes, norm="ortho").real
+        x = x.reshape(*(self.shape[a] for a in self.order), c)
+        x = x.transpose(self._inv_order).reshape(len(self.sw), c)
+        return x / self.sw[:, None]
+
+    def _column(self, op: MatrixOperator):
+        """b0[(beta, p), gamma] = the entry of S op S^-1 in column (gamma, p = 0).
+
+        None when some entry differs from its image shifted back to p = 0, or
+        the entry count is not that of the columns at p = 0 times N: then op
+        does not commute with the shifts along the cut axes.
+        """
+        e = op.entries.tocoo()
+        data = e.data * self.sw[e.row] / self.sw[e.col]
+        nz = data != 0
+        rows, cols, data = e.row[nz], e.col[nz], data[nz]
+        shape, kept = self.shape, self.order[:len(self.order) - len(self.axes)]
+        r, c = list(np.unravel_index(rows, shape)), np.unravel_index(cols, shape)
+        at0 = np.ones(len(data), dtype=bool)
+        for a in self.axes:
+            r[a] = (r[a] - c[a]) % shape[a]
+            at0 &= c[a] == 0
+        row_bp = np.ravel_multi_index([r[a] for a in self.order], [shape[a] for a in self.order])
+        col_beta = np.ravel_multi_index([c[a] for a in kept], [shape[a] for a in kept])
+        b0 = np.zeros((len(self.sw), self.m))
+        b0[row_bp[at0], col_beta[at0]] = data[at0]
+        if self.axes and (len(data) != self.N * np.count_nonzero(at0)
+                          or np.any(b0[row_bp, col_beta] != data)):
+            return None
+        return b0
+
+    def commutes(self, op: MatrixOperator) -> bool:
+        return not self.axes or self._column(op) is not None
+
+    def symbols(self, op: MatrixOperator):
+        """symbols[xi] = sum_p b(p) exp(-i xi p), (N, m, m): F S op S^-1 F^-1 blockwise."""
+        b0 = self._column(op)
+        if b0 is None:
+            raise ValueError("the operator does not commute with the shifts along the cut axes")
+        if not self.axes:
+            return b0[None]
+        symbols = _fft().fftn(b0.reshape(self.m, *self.per, self.m), axes=self._fft_axes)
+        return symbols.reshape(self.m, self.N, self.m).transpose(1, 0, 2)
 
 
-def range_kernel_split(A: MatrixOperator, grid=(), rank_tol: float = 1e-10):
+@dataclass(frozen=True)
+class WavenumberPair:
+    """A subspace given, wavenumber by wavenumber, by orthonormal columns.
+
+    pi = basis^H F S at each wavenumber (F, S from `cut`), with the weighted
+    adjoint S^-1 F^-1 basis as its embedding.  groups holds one (wavenumber
+    index, basis (n, m, c)) per group of wavenumbers with c columns each.
+    """
+
+    cut: ShiftCut
+    groups: tuple
+    domain: SpaceTag
+    codomain: SpaceTag
+
+
+def range_kernel_pairs(cut: ShiftCut, u, kernel_dims, domain: SpaceTag):
+    """Range and kernel pairs from unitary u[xi] (N, m, m) whose last kernel_dims[xi]
+    columns span the kernel; both are grouped by kernel count, group for group."""
+    m = u.shape[1]
+    groups = [(np.flatnonzero(kernel_dims == k), m - k) for k in np.unique(kernel_dims)]
+
+    def pair(label, bases):
+        dim = sum(basis.shape[0] * basis.shape[2] for _, basis in bases)
+        if dim == 0:
+            return None  # 0-dimensional tags are not representable
+        return WavenumberPair(cut, tuple(bases), domain,
+                              SpaceTag(f"{label}({dim})of[{domain.name}]", dim))
+
+    return (pair("range", [(index, u[index, :, :r]) for index, r in groups]),
+            pair("coker", [(index, u[index, :, r:]) for index, r in groups]))
+
+
+def range_kernel_split(A: MatrixOperator, *others: MatrixOperator, grid=(),
+                       rank_tol: float = 1e-10):
     """Split H into the range of A and its orthogonal complement, wavenumber by wavenumber.
 
-    A acts on k fields over the axes `grid` (dim = k * npts, the point index
-    innermost in C order).  When the weighted matrix B = S A S^-1 (S the
-    square root of the weights) commutes with the shifts along the periodic
-    axes, B is a block convolution over them: a unitary DFT along those axes
-    turns it into one symbol per wavenumber, of size k * (points on the
-    other axes), and one batched SVD of the symbols gives that of B.  With
-    no periodic axis, or a B that fails the check, the only block is B.
-    Singular values above rank_tol * max(singular value) span the range,
-    the others the kernel; both are given real orthonormal bases:
-    u (x) cos(xi x) / sqrt(N) on the self-conjugate wavenumbers (real
-    symbols), sqrt(2) Re and sqrt(2) Im of u (x) exp(i xi x) / sqrt(N) on one
-    wavenumber of each pair (xi, -xi).  Each pi carries its exact embedding
-    S^-1 * (basis columns) as its adjoint.
+    A and `others` (the step matrix of a reduced solve) are cut along the
+    periodic axes of `grid` when every one of them commutes with the shifts
+    there, along no axis otherwise (see ShiftCut).  One batched SVD of A's
+    symbols gives per wavenumber a unitary basis: singular values above
+    rank_tol * max(singular value) span the range, the others the kernel.
 
-    Returns (range_pair, kernel_pair).  For skew A the two subspaces reduce
-    A: the projectors commute with it and the compression to the range is
-    again skew-selfadjoint.
+    Returns (range_pair, kernel_pair), WavenumberPairs grouped by kernel
+    count, or None for an empty subspace.  For skew A the two subspaces
+    reduce A: the projectors commute with it and the compression to the
+    range is again skew-selfadjoint.
     """
     if A.domain != A.codomain:
         raise ValueError("range/kernel splitting needs a square operator")
-    dim = A.domain.dim
-    npts = int(np.prod([axis.n for axis in grid]))
-    if dim % npts:
-        raise ValueError(f"dimension {dim} is not a number of fields over {npts} points")
-    shape = (dim // npts, *(axis.n for axis in grid))
-    sw = np.sqrt(A.domain.weight)
-    e = A.entries.tocoo()
-    data = e.data * sw[e.row] / sw[e.col]
-    nz = data != 0
-    rows, cols, data = e.row[nz], e.col[nz], data[nz]
-    periodic = [1 + a for a, axis in enumerate(grid) if axis.bc == PERIODIC]
-    order, b0, per = _shift_cut(rows, cols, data, shape, periodic)
-    m = b0.shape[1]
-    N = dim // m
-
-    # symbols[xi] = sum_p b(p) exp(-i xi p); the symbol of -xi is the conjugate
-    symbols = np.fft.fftn(b0.reshape(m, *per, m), axes=range(1, 1 + len(per)))
-    symbols = symbols.reshape(m, N, m).transpose(1, 0, 2)
-    flat = np.arange(N)
-    neg = flat.reshape(per)[np.ix_(*[-np.arange(n) % n for n in per])].ravel()
-    real, paired = neg == flat, flat < neg  # self-conjugate; one of each pair
-    xi = np.indices(per).reshape(len(per), N)
-    turns = sum((np.outer(x, x) % n / n for x, n in zip(xi, per)), np.zeros((N, N))) % 1.0
-    u_real, s_real, _ = np.linalg.svd(symbols[real].real)
-    u_cplx, s_cplx, _ = np.linalg.svd(symbols[paired])
-
-    # basis rows (block, column j, beta, p) = u[block, beta, j] * phase[block, p]
-    real_rows = u_real.transpose(0, 2, 1)[..., None] * (
-        np.cos(2 * np.pi * turns[real]) / np.sqrt(N))[:, None, None, :]
-    cplx_rows = u_cplx.transpose(0, 2, 1)[..., None] * (
-        np.exp(2j * np.pi * turns[paired]) * np.sqrt(2.0 / N))[:, None, None, :]
-    basis = np.concatenate([real_rows.reshape(-1, dim), cplx_rows.real.reshape(-1, dim),
-                            cplx_rows.imag.reshape(-1, dim)])
-    # back to the coordinate order of A (a view when the periodic axes are innermost)
-    basis = basis.reshape(dim, *(shape[a] for a in order)).transpose(
-        0, *(1 + np.argsort(order))).reshape(dim, dim)
-    svals = np.concatenate([s_real.ravel(), s_cplx.ravel(), s_cplx.ravel()])
-    in_range = svals > rank_tol * max(svals.max(), 1e-300)
-
-    def pair_from_rows(keep, label):
-        k = int(np.count_nonzero(keep))
-        if k == 0:
-            # empty subspace: 0-dimensional tags are not representable, use a
-            # 1-row zero partial isometry marker instead
-            return None
-        tag = SpaceTag(f"{label}({k})of[{A.domain.name}]", k)
-        rows_k = basis[keep]
-        pi = MatrixOperator(rows_k * sw[None, :], A.domain, tag)
-        return ProjectionPair(pi.with_adjoint((rows_k / sw[None, :]).T), validate=False)
-
-    return pair_from_rows(in_range, "range"), pair_from_rows(~in_range, "coker")
+    cut = ShiftCut(A.domain, grid, [a for a, axis in enumerate(grid) if axis.bc == PERIODIC])
+    if not all(cut.commutes(op) for op in (A, *others)):
+        cut = ShiftCut(A.domain, grid)
+    u, svals, _ = np.linalg.svd(cut.symbols(A))
+    kernel_dims = np.count_nonzero(svals <= rank_tol * max(svals.max(), 1e-300), axis=1)
+    return range_kernel_pairs(cut, u, kernel_dims, A.domain)
 
 
 def subspace_dim(pair) -> int:

@@ -130,6 +130,17 @@ class TestSolveCommand:
         p = write_scenario(tmp_path, cfg)
         assert cli.main(["solve", str(p)]) == cli.EXIT_WELLPOSEDNESS
 
+    @pytest.mark.parametrize("reduced", [[], ["--reduced"]], ids=["full", "reduced"])
+    def test_overflowing_state_exit_5(self, tmp_path, capsys, reduced):
+        cfg = json.loads((SCENARIO_DIR / "heat_rod.json").read_text())
+        cfg["initial"][0]["amplitude"] = 1e308
+        p = write_scenario(tmp_path, cfg)
+        code = cli.main(["solve", str(p), "--outdir", str(tmp_path), *reduced])
+        assert code == cli.EXIT_STEP_FAILURE
+        err = capsys.readouterr().err
+        assert "not finite at step" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("edit, key", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_exit_2(self, tmp_path, capsys, edit, key):
         cfg = copy.deepcopy(BASIC)

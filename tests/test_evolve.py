@@ -118,6 +118,27 @@ class TestEnergy:
         rep = dissipation_check(traj, entry.law, tol=1e-10)
         assert rep.holds and rep.monotone
 
+    def test_dissipation_residual_matches_the_step_by_step_sum(self):
+        # the vectorized residual against the per-step loop it replaces
+        from protofield.evolve import energy_series
+        from protofield.matlaw import symmetrize
+
+        entry = catalog.reissner_mindlin((Axis.interval(6), Axis.interval(6)), d=0.5)
+        rng = np.random.default_rng(8)
+        traj = solve(entry.problem(initial=rng.standard_normal(entry.dim)),
+                     SolverConfig(tau=0.02, t_end=1.0))
+        sym_m1, w = symmetrize(entry.law.m1), entry.space.weight
+        energies = energy_series(traj, entry.law.m0)
+        loop = 0.0
+        for k in range(len(traj) - 1):
+            mid = 0.5 * (traj.states[k] + traj.states[k + 1])
+            drop = float(np.sum(w * sym_m1.apply(mid) * mid))
+            loop = max(loop, abs(energies[k + 1] - energies[k] + traj.tau * drop))
+        rep = dissipation_check(traj, entry.law)
+        scale = max(energies.max(), 1.0)
+        assert rep.holds
+        assert abs(rep.max_residual - loop / scale) <= 1e-14
+
     def test_energy_series_matches_definition(self):
         from protofield.evolve import energy_series
 
@@ -212,16 +233,18 @@ class TestSolveReduced:
     def test_schur_check_fails_on_a_dropped_kernel_vector(self, monkeypatch):
         # mutation test: a split that loses one kernel direction must make the
         # reduced trajectories of the Schur equivalence check differ
+        from dataclasses import replace
+
         from protofield import evolve, verify
-        from protofield.subspaces import ProjectionPair
 
         split = evolve.range_kernel_split
 
-        def dropping(A, grid=()):
-            p_range, p_kernel = split(A, grid)
-            rows = p_kernel.pi.to_dense()[1:]
-            tag = SpaceTag("coker-minus-one", len(rows))
-            return p_range, ProjectionPair(MatrixOperator(rows, p_kernel.domain, tag))
+        def dropping(A, *others, grid=()):
+            p_range, p_kernel = split(A, *others, grid=grid)
+            groups = tuple((index, basis[:, :, 1:]) for index, basis in p_kernel.groups)
+            dim = sum(basis.shape[0] * basis.shape[2] for _, basis in groups)
+            return p_range, replace(p_kernel, groups=groups,
+                                    codomain=SpaceTag("coker-minus-one", dim))
 
         assert verify.check_schur_equivalence().passed
         monkeypatch.setattr(evolve, "range_kernel_split", dropping)
@@ -239,6 +262,70 @@ class TestSolveReduced:
             red = solve_reduced(entry.problem(initial=u0), cfg)
             scale = max(np.abs(full.states).max(), 1.0)
             assert np.abs(full.states - red.states).max() / scale <= 1e-10, entry.name
+
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    @pytest.mark.parametrize("build", [
+        lambda: catalog.extended_maxwell((Axis.torus(4),) * 3),
+        lambda: catalog.heat((Axis.torus(4), Axis.interval(5))),
+        lambda: catalog.reissner_mindlin((Axis.interval(5), Axis.torus(4))),
+        # A commutes with the shifts, the step matrix does not: one block
+        lambda: catalog.acoustics((Axis.torus(8),), rho=np.linspace(1.0, 2.0, 8)),
+        # A itself does not commute with the shifts: one block
+        lambda: catalog.extended_maxwell((Axis.torus(4),) * 3, m0=np.linspace(1.0, 2.0, 512)),
+    ], ids=["extended_maxwell_4cube", "heat_torus_x_interval", "reissner_mindlin_interval_x_torus",
+            "acoustics_vector_rho", "extended_maxwell_vector_m0"])
+    def test_wavenumber_step_matches_the_full_solve(self, build, scheme):
+        entry = build()
+        u0 = np.random.default_rng(6).standard_normal(entry.dim)
+        cfg = SolverConfig(tau=0.01, t_end=0.5, scheme=scheme)
+        full = solve(entry.problem(initial=u0), cfg)
+        red = solve_reduced(entry.problem(initial=u0), cfg)
+        assert np.abs(full.states - red.states).max() <= 1e-12 * np.abs(full.states).max()
+
+    def test_cut_follows_the_step_matrix(self):
+        from protofield import evolve
+
+        split = evolve.range_kernel_split
+        for entry, n_wavenumbers in ((catalog.acoustics((Axis.torus(8),)), 8),
+                                     (catalog.acoustics((Axis.torus(8),),
+                                                        rho=np.linspace(1.0, 2.0, 8)), 1)):
+            left, _ = evolve._step_operators(entry.problem(), SolverConfig(tau=0.01, t_end=0.1))
+            p_range, p_kernel = split(entry.a, left, grid=entry.grid)
+            assert p_range.cut.N == p_kernel.cut.N == n_wavenumbers
+            assert p_kernel.codomain.dim == 2
+
+    def test_memory_budget_on_an_8_cube(self):
+        # the split, the Schur blocks and the steps stay per wavenumber: no
+        # dim x dim array (dim 4096) is built
+        import tracemalloc
+
+        entry = catalog.extended_maxwell((Axis.torus(8),) * 3)
+        u0 = np.random.default_rng(7).standard_normal(entry.dim)
+        tracemalloc.start()
+        try:
+            traj = solve_reduced(entry.problem(initial=u0), SolverConfig(tau=0.01, t_end=0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 11
+        assert peak < 100 * 2**20
+
+
+class TestFiniteStates:
+    @pytest.mark.parametrize("runner", [solve, solve_reduced])
+    def test_overflow_names_the_first_bad_step(self, runner):
+        entry = catalog.heat((Axis.torus(8),))
+        u0 = np.full(entry.dim, 1e307)
+        with pytest.raises(StepFailureError, match="step 0"):
+            runner(entry.problem(initial=u0), SolverConfig(tau=0.01, t_end=0.1))
+
+    def test_energy_overflow_mid_run(self):
+        # implicit Euler with M0 = 1, M1 = -99 and tau = 0.01 multiplies the
+        # state by 100 per step: u_77 = 1e154 still has a finite energy,
+        # u_78 = 1e156 does not
+        prob = scalar_problem(m1=-99.0)
+        with pytest.raises(StepFailureError, match=r"step 78 \(t = 0\.78\)"):
+            solve(prob, SolverConfig(tau=0.01, t_end=1.0, scheme=IMPLICIT_EULER))
 
 
 class TestSparseStorage:

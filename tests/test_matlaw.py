@@ -24,7 +24,7 @@ from protofield.matlaw import (
     symmetrize,
 )
 from protofield import catalog
-from protofield.subspaces import range_kernel_split
+from protofield.subspaces import ShiftCut, range_kernel_pairs, range_kernel_split
 
 
 def law_on(tagname, m0, m1=None):
@@ -307,28 +307,27 @@ class TestStepMatrix:
             SolverConfig(tau=0.0, t_end=1.0)
 
 
+def complements(solver, p_range):
+    """The Schur complements per group: the inverse of the range rows of the
+    solver's reduce step, taken on the range basis."""
+    return [np.linalg.inv(solver.reduce[index, :basis.shape[2]] @ basis)
+            for index, basis in p_range.groups]
+
+
 class TestSchur:
     def split_pairs(self, n, k):
-        """First n-k coordinates = 'range', last k = 'kernel'."""
-        from protofield.subspaces import ProjectionPair
-
+        """First n-k coordinates = 'range', last k = 'kernel'; one block, as a dense split."""
         t = SpaceTag("h", n)
-        pr = np.zeros((n - k, n))
-        pr[np.arange(n - k), np.arange(n - k)] = 1.0
-        pk = np.zeros((k, n))
-        pk[np.arange(k), n - k + np.arange(k)] = 1.0
-        return (t,
-                ProjectionPair(MatrixOperator(pr, t, SpaceTag("r", n - k))),
-                ProjectionPair(MatrixOperator(pk, t, SpaceTag("k", k))))
+        return (t, *range_kernel_pairs(ShiftCut(t), np.eye(n)[None], np.array([k]), t))
 
     def test_hand_2x2(self):
         t, pr, pk = self.split_pairs(2, 1)
         S = MatrixOperator(np.array([[2.0, 1.0], [1.0, 2.0]]), t, t)
-        reduced, recipe = schur_reduce(S, pr, pk)
-        assert reduced[0, 0] == pytest.approx(1.5)
-        # recipe: x_k = (f_k - x_r) / 2
-        x = recipe.kernel_component(np.array([0.0, 3.0]), np.array([1.0]))
-        assert x[0] == pytest.approx((3.0 - 1.0) / 2.0)
+        solver = schur_reduce(S, pr, pk)
+        assert complements(solver, pr)[0][0, 0, 0] == pytest.approx(1.5)
+        # reconstruction: x_k = (f_k - x_r) / 2
+        x = solver(np.array([0.0, 3.0]))
+        assert x[1] == pytest.approx((3.0 - x[0]) / 2.0)
 
     def test_block_diagonal(self):
         t, pr, pk = self.split_pairs(4, 2)
@@ -336,10 +335,10 @@ class TestSchur:
         m[:2, :2] = [[2.0, 0.3], [0.3, 2.0]]
         m[2:, 2:] = [[4.0, 0.0], [0.0, 5.0]]
         S = MatrixOperator(m, t, t)
-        reduced, recipe = schur_reduce(S, pr, pk)
-        assert np.allclose(reduced, m[:2, :2], atol=1e-15)
-        x = recipe.kernel_component(np.array([0.0, 0.0, 4.0, 10.0]), np.zeros(2))
-        assert np.allclose(x, [1.0, 2.0])
+        solver = schur_reduce(S, pr, pk)
+        assert np.allclose(complements(solver, pr)[0][0], m[:2, :2], atol=1e-15)
+        x = solver(np.array([0.0, 0.0, 4.0, 10.0]))
+        assert np.allclose(x, [0.0, 0.0, 1.0, 2.0])
 
     def test_full_solve_equals_reduce_reconstruct(self):
         rng = np.random.default_rng(4)
@@ -352,11 +351,10 @@ class TestSchur:
             skew = rng.standard_normal((n, n))
             S_ent = S_ent + (skew - skew.T)
             S = MatrixOperator(S_ent, t, t)
-            reduced, recipe = schur_reduce(S, pr, pk)
+            solver = schur_reduce(S, pr, pk)
             rhs = rng.standard_normal(n)
             x_full = np.linalg.solve(S_ent, rhs)
-            x_r = np.linalg.solve(reduced, recipe.reduce_rhs(rhs))
-            x_rec = recipe.assemble(rhs, x_r)
+            x_rec = solver(rhs)
             assert np.abs(x_full - x_rec).max() <= 1e-12 * max(np.abs(x_full).max(), 1.0)
 
     def test_positivity_persists_without_coupling(self):
@@ -364,23 +362,34 @@ class TestSchur:
         m = np.zeros((4, 4))
         m[:2, :2] = 3.0 * np.eye(2)
         m[2:, 2:] = 2.0 * np.eye(2)
-        reduced, _ = schur_reduce(MatrixOperator(m, t, t), pr, pk)
+        reduced = complements(schur_reduce(MatrixOperator(m, t, t), pr, pk), pr)[0][0]
         assert np.linalg.eigvalsh(reduced).min() >= 3.0 - 1e-12
 
     def test_positivity_with_coupling_on_catalog_step(self):
         from protofield import catalog
 
         entry = catalog.heat((Axis.torus(6),))
-        pr, pk = range_kernel_split(entry.a, entry.grid)
         S, _ = step_pair(entry.law, entry.a, 0.05)
-        reduced, _ = schur_reduce(S, pr, pk)
-        sym = 0.5 * (reduced + reduced.T)
-        assert np.linalg.eigvalsh(sym).min() > 0
+        pr, pk = range_kernel_split(entry.a, S, grid=entry.grid)
+        assert pr.cut.N == 6
+        for reduced in complements(schur_reduce(S, pr, pk), pr):
+            sym = 0.5 * (reduced + reduced.conj().transpose(0, 2, 1))
+            assert np.linalg.eigvalsh(sym).min(initial=np.inf) > 0
 
     def test_singular_kernel_block_rejected(self):
         t, pr, pk = self.split_pairs(2, 1)
         S = MatrixOperator(np.array([[2.0, 1.0], [1.0, 0.0]]), t, t)
         with pytest.raises(MaterialLawError, match="positive"):
+            schur_reduce(S, pr, pk)
+
+    def test_step_matrix_must_commute_with_the_cut(self):
+        from protofield import catalog
+
+        entry = catalog.heat((Axis.torus(6),))
+        pr, pk = range_kernel_split(entry.a, grid=entry.grid)
+        t = entry.a.domain
+        S = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
+        with pytest.raises(ValueError, match="commute"):
             schur_reduce(S, pr, pk)
 
 

@@ -6,7 +6,7 @@ import pytest
 from protofield import catalog
 from protofield.flatgrid import (PERIODIC, Axis, TensorFieldSpace, TensorStack, build_d1,
                                  build_stack_skew)
-from protofield.linops import MatrixOperator, skew_defect
+from protofield.linops import MatrixOperator
 from protofield.subspaces import (
     ProjectionPair,
     asym_projection,
@@ -33,6 +33,23 @@ def dense_split(A, rank_tol=1e-10):
     U, svals, _ = np.linalg.svd(sw[:, None] * A.to_dense() / sw[None, :])
     nrank = int(np.sum(svals > rank_tol * max(svals[0], 1e-300)))
     return U[:, :nrank].T * sw[None, :], U[:, nrank:].T * sw[None, :]
+
+
+def dense_projector(pair):
+    """pi* pi as a dense matrix: the split's own transform applied to identity columns."""
+    cut = pair.cut
+    coords = cut.forward(np.eye(pair.domain.dim))
+    out = np.zeros_like(coords)
+    for index, basis in pair.groups:
+        out[index] = basis @ (basis.conj().transpose(0, 2, 1) @ coords[index])
+    return cut.inverse(out)
+
+
+def dense_pi(pair):
+    """The rows of pi (one per wavenumber and column), from the transform of identity columns."""
+    coords = pair.cut.forward(np.eye(pair.domain.dim))
+    return np.concatenate([(basis.conj().transpose(0, 2, 1) @ coords[index]).reshape(
+        -1, pair.domain.dim) for index, basis in pair.groups])
 
 
 def assert_pair_invariants(pair):
@@ -244,11 +261,10 @@ class TestRangeKernel:
 
     def test_periodic_acoustic_kernel_is_two_constants(self):
         entry = catalog.acoustics((Axis.torus(4),))
-        pr, pk = range_kernel_split(entry.a, entry.grid)
+        pr, pk = range_kernel_split(entry.a, grid=entry.grid)
         assert subspace_dim(pk) == 2
-        # kernel basis is constants in each block
-        kb = pk.embedding.to_dense()
-        for col in kb.T:
+        # the kernel projector's columns are constants in each block
+        for col in dense_projector(pk).T:
             p, v = col[:4], col[4:]
             assert np.abs(p - p.mean()).max() <= 1e-12
             assert np.abs(v - v.mean()).max() <= 1e-12
@@ -256,13 +272,17 @@ class TestRangeKernel:
     def test_commutation_and_skewness_on_range(self):
         entry = catalog.heat((Axis.torus(6),))
         A = entry.a
-        pr, pk = range_kernel_split(A, entry.grid)
-        P = pr.orthogonal_projector().to_dense()
+        pr, pk = range_kernel_split(A, grid=entry.grid)
+        P = dense_projector(pr)
         Ad = A.to_dense()
         norm_a = np.abs(Ad).max()
         assert np.abs(P @ Ad - Ad @ P).max() <= 1e-12 * norm_a
-        restricted = descend(A, pr)
-        assert skew_defect(restricted) <= 1e-12 * norm_a
+        # the compression to the range, wavenumber by wavenumber, is skew-Hermitian
+        symbols = pr.cut.symbols(A)
+        for index, basis in pr.groups:
+            restricted = basis.conj().transpose(0, 2, 1) @ symbols[index] @ basis
+            skew_part = restricted + restricted.conj().transpose(0, 2, 1)
+            assert np.abs(skew_part).max(initial=0.0) <= 1e-12 * norm_a
 
     @pytest.mark.parametrize("name, axes", [
         *((name, catalog.default_axes(name)) for name in catalog.REGISTRY
@@ -281,12 +301,18 @@ class TestRangeKernel:
     def test_projectors_match_the_dense_svd(self, name, axes):
         entry = catalog.build_entry(name, axes)
         w = entry.a.domain.weight
-        for pair, ref in zip(range_kernel_split(entry.a, entry.grid), dense_split(entry.a)):
+        pairs = range_kernel_split(entry.a, grid=entry.grid)
+        for pair, ref in zip(pairs, dense_split(entry.a)):
             assert subspace_dim(pair) == ref.shape[0]
             if pair is not None:
-                pi, emb = pair.pi.to_dense(), pair.embedding.to_dense()
-                assert np.abs(pi @ emb - np.eye(len(pi))).max() <= 1e-12
-                assert np.abs(emb @ pi - (ref.T / w[:, None]) @ ref).max() <= 1e-12
+                for _, basis in pair.groups:
+                    gram = basis.conj().transpose(0, 2, 1) @ basis
+                    assert np.abs(gram - np.eye(basis.shape[2])).max(initial=0.0) <= 1e-12
+                assert np.abs(dense_projector(pair) - (ref.T / w[:, None]) @ ref).max() <= 1e-12
+        # one unitary basis per wavenumber: range and kernel groups line up
+        if None not in pairs:
+            for (i_r, b_r), (i_k, b_k) in zip(pairs[0].groups, pairs[1].groups):
+                assert np.array_equal(i_r, i_k) and b_r.shape[2] + b_k.shape[2] == pairs[0].cut.m
 
     @pytest.mark.parametrize("build", [
         lambda: catalog.extended_maxwell((Axis.torus(4),) * 3, m0=np.linspace(1.0, 2.0, 512)),
@@ -296,9 +322,9 @@ class TestRangeKernel:
     def test_unshifted_operator_gives_the_dense_svd_bitwise(self, build):
         # no periodic axis, or an A the shifts do not commute with: one block, B itself
         entry = build()
-        for pair, ref in zip(range_kernel_split(entry.a, entry.grid), dense_split(entry.a)):
+        for pair, ref in zip(range_kernel_split(entry.a, grid=entry.grid), dense_split(entry.a)):
             assert subspace_dim(pair) == ref.shape[0]
-            assert pair is None or np.array_equal(pair.pi.to_dense(), ref)
+            assert pair is None or (pair.cut.N == 1 and np.array_equal(dense_pi(pair), ref))
 
     @pytest.mark.parametrize("how", ["perturb", "drop"])
     def test_one_broken_shift_is_not_cut(self, how):
@@ -312,13 +338,26 @@ class TestRangeKernel:
             ent[9, 2] = 0.0
         A = MatrixOperator(ent.tocsr(), entry.a.domain, entry.a.codomain)
         assert A.entries.nnz == entry.a.entries.nnz - (how == "drop")
-        for pair, ref in zip(range_kernel_split(A, entry.grid), dense_split(A)):
-            assert np.array_equal(pair.pi.to_dense(), ref)
+        for pair, ref in zip(range_kernel_split(A, grid=entry.grid), dense_split(A)):
+            assert np.array_equal(dense_pi(pair), ref)
+
+    def test_operator_passed_alongside_decides_the_cut(self):
+        # A commutes with the shifts; a diagonal that varies along the ring
+        # does not, so the pair is cut along no axis, as the dense SVD
+        entry = catalog.acoustics((Axis.torus(8),))
+        t = entry.a.domain
+        bump = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
+        assert range_kernel_split(entry.a, grid=entry.grid)[1].cut.N == 8
+        for pair, ref in zip(range_kernel_split(entry.a, bump, grid=entry.grid),
+                             dense_split(entry.a)):
+            assert pair.cut.N == 1 and np.array_equal(dense_pi(pair), ref)
+        with pytest.raises(ValueError, match="commute"):
+            range_kernel_split(entry.a, grid=entry.grid)[1].cut.symbols(bump)
 
     def test_grid_must_fit_the_dimension(self):
         entry = catalog.heat((Axis.torus(4),))
         with pytest.raises(ValueError, match="points"):
-            range_kernel_split(entry.a, (Axis.torus(5),))
+            range_kernel_split(entry.a, grid=(Axis.torus(5),))
 
     def test_non_square_rejected(self):
         t0 = TensorFieldSpace((Axis.torus(3),), 0).tag
