@@ -8,10 +8,14 @@ schemes are provided:
     Crank-Nicolson:  (M0/tau + (M1+A)/2) u_{n+1}
                          = (M0/tau - (M1+A)/2) u_n + F(t_{n+1/2})
 
-The step matrix is factored once, by the sparse LU, and reused;
-solve_reduced instead Schur-reduces it onto the range of A once, wavenumber
-by wavenumber on periodic grids, and each step is batched small products.
-A run whose states or energies stop being finite raises StepFailureError.
+Where every axis of the grid is periodic and the step matrices commute
+with the shifts (a constant law on a torus), both are cut into one small
+symbol per wavenumber and the step matrix is inverted symbol by symbol,
+once: a step is one batched product in wavenumber space and an inverse
+FFT back to the physical state.  Otherwise the step matrix is factored
+once by the sparse LU.  solve_reduced takes the same wavenumber step, with
+the inverse formed through the Schur complement onto the range of A.  A
+run whose states or energies stop being finite raises StepFailureError.
 Crank-Nicolson preserves the quadratic form <M0 u, u> exactly (up to the
 linear solve) when M1 is skew or zero, and for zero forcing satisfies the
 discrete dissipation identity
@@ -26,17 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .flatgrid import PERIODIC
 from .linops import MatrixOperator, PreconditionError, skew_defect
 from .matlaw import (
     MaterialLaw,
     MaterialLawError,
     StepFailureError,
+    WavenumberInverse,
     check_pivots,
     check_wellposed,
+    invert_symbols,
     schur_reduce,
     symmetrize,
 )
-from .subspaces import range_kernel_split, subspace_dim
+from .subspaces import range_kernel_split, shift_cut, subspace_dim
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
@@ -49,7 +56,8 @@ class EvolutionaryProblem:
     """Material law + skew spatial operator + forcing + initial state.
 
     grid is the tuple of axes the fields live on (empty when unknown); the
-    reduced solve splits A along the shifts of its periodic axes.
+    solves cut along the shifts of its periodic axes, and with no grid
+    solve steps in physical space by the sparse LU.
     """
 
     law: MaterialLaw
@@ -126,20 +134,6 @@ class Trajectory:
         return self.states[idx]
 
 
-def _factor(op: MatrixOperator):
-    """Sparse LU of a step matrix, factored once; returns its solve function.
-
-    Rejects a singular or numerically singular matrix (check_pivots on the
-    diagonal of U) with StepFailureError.
-    """
-    try:
-        lu = spla.splu(op.entries.tocsc())
-    except RuntimeError as exc:
-        raise StepFailureError(f"singular step matrix: {exc}") from exc
-    check_pivots(lu.U.diagonal())
-    return lu.solve
-
-
 def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
     m0, m1, a = problem.law.m0, problem.law.m1, problem.a
     inv_tau = 1.0 / config.tau
@@ -163,22 +157,71 @@ def _require_wellposed(law: MaterialLaw):
         )
 
 
-def _march(problem: EvolutionaryProblem, config: SolverConfig, right: MatrixOperator,
-           next_state) -> Trajectory:
-    """Step from the initial state: u_{k+1} = next_state(right u_k + F(t_sample)).
+class _PhysicalStep:
+    """u <- L^-1 (R u + f) by the sparse LU of L, factored once.
+
+    Rejects a singular or numerically singular L (check_pivots on the
+    diagonal of U) with StepFailureError.
+    """
+
+    def __init__(self, left: MatrixOperator, right: MatrixOperator):
+        try:
+            lu = spla.splu(left.entries.tocsc())
+        except RuntimeError as exc:
+            raise StepFailureError(f"singular step matrix: {exc}") from exc
+        check_pivots(lu.U.diagonal())
+        self.lu_solve, self.right = lu.solve, right
+
+    def start(self, u0):
+        return u0
+
+    def step(self, u, f):
+        return self.lu_solve(self.right.apply(u) + f)
+
+    def state(self, u):
+        return u
+
+
+class _WavenumberStep:
+    """The step in the coordinates y = F S u of the inverse's ShiftCut.
+
+    With H = L^-1 and G = H R per wavenumber, y <- G y + H F S f, the
+    forcing term only when f is nonzero; each state is S^-1 F^-1 y.
+    """
+
+    def __init__(self, inverse: WavenumberInverse, right: MatrixOperator):
+        self.cut, self.h = inverse.cut, inverse.inverse
+        self.g = self.h @ self.cut.symbols(right)
+
+    def start(self, u0):
+        return self.cut.forward(u0[:, None])
+
+    def step(self, y, f):
+        y = self.g @ y
+        if f.any():
+            y += self.h @ self.cut.forward(f[:, None])
+        return y
+
+    def state(self, y):
+        return self.cut.inverse(y)[:, 0]
+
+
+def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Trajectory:
+    """Step from the initial state with the stepper, sampling F once per step.
 
     Raises StepFailureError, naming the first step, when a state or its
     energy is not finite; such a run is never returned.
     """
     nsteps = config.steps
     times = np.arange(nsteps + 1) * config.tau
+    offset = config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2
     states = np.empty((nsteps + 1, problem.space.dim))
     states[0] = problem.initial
+    y = stepper.start(problem.initial)
     with np.errstate(all="ignore"):  # overflow is reported below, by step
         for k in range(nsteps):
-            t_sample = times[k] + (config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2)
-            rhs = right.apply(states[k]) + problem.force_at(t_sample)
-            states[k + 1] = next_state(rhs)
+            y = stepper.step(y, problem.force_at(times[k] + offset))
+            states[k + 1] = stepper.state(y)
         energies = energy_series_from_states(states, problem.law.m0)
     finite = np.isfinite(states).all(axis=1) & np.isfinite(energies)
     if not finite.all():
@@ -189,10 +232,21 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, right: MatrixOper
 
 
 def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
-    """March the problem to t_end with the configured one-step scheme."""
+    """March the problem to t_end with the configured one-step scheme.
+
+    Where every axis of problem.grid is periodic and both step matrices
+    commute with the shifts along them, the step is taken wavenumber by
+    wavenumber; otherwise by the sparse LU in physical space.  A partial
+    cut is not tried: its symbols span the points of the uncut axes, and
+    inverting them densely costs far more than the sparse LU.
+    """
     _require_wellposed(problem.law)
     left, right = _step_operators(problem, config)
-    return _march(problem, config, right, _factor(left))
+    if all(axis.bc == PERIODIC for axis in problem.grid):
+        cut = shift_cut(problem.space, problem.grid, left, right)
+        if cut.axes:
+            return _march(problem, config, _WavenumberStep(invert_symbols(left, cut), right))
+    return _march(problem, config, _PhysicalStep(left, right))
 
 
 def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
@@ -269,19 +323,19 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
 def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     """Step the system on the range of A, reconstructing the kernel part.
 
-    A and the step matrix are split together into range and kernel,
+    A and both step matrices are split together into range and kernel,
     wavenumber by wavenumber along the periodic axes of problem.grid when
-    both commute with the shifts there (in one block otherwise), and the
-    step matrix is Schur-reduced onto the range once.  Each step projects
-    the right-hand side in wavenumber space, solves the reduced system for
-    the range part and recovers the kernel part from it.  With an
-    invertible A this degenerates to the plain solve.
+    all of them commute with the shifts there (in one dense block
+    otherwise), and the step matrix is Schur-reduced onto the range once.
+    Each step is then the wavenumber step of solve, with the inverse taken
+    through the Schur complement.  With an invertible A this degenerates
+    to the plain solve.
     """
     _require_wellposed(problem.law)
     left, right = _step_operators(problem, config)
-    p_range, p_kernel = range_kernel_split(problem.a, left, grid=problem.grid)
+    p_range, p_kernel = range_kernel_split(problem.a, left, right, grid=problem.grid)
     if subspace_dim(p_kernel) == 0:
         return solve(problem, config)
     if subspace_dim(p_range) == 0:
         raise MaterialLawError("A vanishes: nothing to reduce onto")
-    return _march(problem, config, right, schur_reduce(left, p_range, p_kernel))
+    return _march(problem, config, _WavenumberStep(schur_reduce(left, p_range, p_kernel), right))

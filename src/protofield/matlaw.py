@@ -7,10 +7,10 @@ range, and strict positivity of the symmetric part of M1 compressed to the
 kernel of M0; check_wellposed quantifies these blockwise and produces a
 conservative weight threshold from the standard 2x2 block positivity estimate.
 
-Also here: the Schur-complement reduction of a step matrix onto the range
-of a skew operator, wavenumber by wavenumber, with the reconstruction of
-the eliminated kernel component (SchurSolve), and blockwise coupling of
-laws.
+Also here: the inverse of a step matrix wavenumber by wavenumber
+(WavenumberInverse), either symbol by symbol or through the Schur
+complement onto the range of a skew operator with the reconstruction of
+the eliminated kernel component, and blockwise coupling of laws.
 """
 
 from __future__ import annotations
@@ -175,41 +175,39 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
 
 
 @dataclass(frozen=True)
-class SchurSolve:
-    """x = S^-1 f through the Schur complement on the range, wavenumber by wavenumber.
+class WavenumberInverse:
+    """S^-1 in the coordinates y = F S x of a ShiftCut, one block per wavenumber.
 
-    At one wavenumber, with range and kernel bases u_r, u_k and the
-    coordinates f_r, f_k of F S f on them, the range part solves the Schur
-    complement R = S_rr - S_rk S_kk^-1 S_kr,
-        z_r = R^-1 (f_r - S_rk S_kk^-1 f_k),
-    and the kernel part is reconstructed as z_k = S_kk^-1 (f_k - S_kr z_r).
-    Both halves are kept per wavenumber as (N, m, m) stacks formed once:
-    `reduce` maps F S f to (z_r, S_kk^-1 f_k) and `lift` maps that to
-    u_r z_r + u_k z_k.  A solve is the FFT, two batched products and the
-    inverse FFT.
+    inverse[xi] (N, m, m) maps the coordinates of f at wavenumber xi to
+    those of S^-1 f; with no axis cut (N = 1) it is the one dense inverse
+    of the weighted S.
     """
 
     cut: object
-    reduce: np.ndarray
-    lift: np.ndarray
-
-    def __call__(self, rhs):
-        f = self.cut.forward(np.asarray(rhs, dtype=float)[:, None])
-        return self.cut.inverse(self.lift @ (self.reduce @ f))[:, 0]
+    inverse: np.ndarray
 
 
-def schur_reduce(S: MatrixOperator, p_range, p_kernel) -> SchurSolve:
-    """Eliminate the kernel block of a step matrix by its Schur complement.
+def invert_symbols(S: MatrixOperator, cut) -> WavenumberInverse:
+    """S^-1 from one LU per symbol of S, all pivots under one check_pivots."""
+    return WavenumberInverse(cut, guarded_inverses([cut.symbols(S)])[0])
+
+
+def schur_reduce(S: MatrixOperator, p_range, p_kernel) -> WavenumberInverse:
+    """S^-1 through the Schur complement on the range, wavenumber by wavenumber.
 
     p_range and p_kernel are the WavenumberPairs of one range_kernel_split,
-    which S must commute with (pass S to the split).  Each wavenumber's
-    blocks S_rr, S_rk, S_kr, S_kk of its symbol are formed in one batched
-    product per group of equal kernel count; S_kk and then the Schur
-    complements are factored once, each under one check_pivots.  Solving
-    the reduced system and reconstructing the kernel part is equivalent to
-    the full solve.  Raises MaterialLawError when a kernel block is
-    singular, i.e. when the strict positivity required of the reduced law
-    fails, and StepFailureError when a Schur complement is.
+    which S must commute with (pass S to the split).  At one wavenumber,
+    with range and kernel bases u_r, u_k, coordinates f_r, f_k on them and
+    the blocks S_rr, S_rk, S_kr, S_kk of S's symbol (formed in one batched
+    product per group of equal kernel count), the range part solves the
+    Schur complement R = S_rr - S_rk S_kk^-1 S_kr,
+        z_r = R^-1 (f_r - S_rk S_kk^-1 f_k),
+    and the kernel part is reconstructed as z_k = S_kk^-1 (f_k - S_kr z_r);
+    the inverse kept is the map f -> u_r z_r + u_k z_k.  S_kk and then the
+    Schur complements are factored once, each under one check_pivots.
+    Raises MaterialLawError when a kernel block is singular, i.e. when the
+    strict positivity required of the reduced law fails, and
+    StepFailureError when a Schur complement is.
     """
     cut = p_range.cut
     symbols = cut.symbols(S)
@@ -229,16 +227,12 @@ def schur_reduce(S: MatrixOperator, p_range, p_kernel) -> SchurSolve:
         ) from exc
     schur_invs = guarded_inverses([s_rr - s_rk @ kk_inv @ s_kr for (*_, s_rr, s_rk, s_kr, _), kk_inv
                                    in zip(groups, kk_invs)])
-    reduce = np.zeros((cut.N, cut.m, cut.m), dtype=symbols.dtype)
-    lift = np.zeros_like(reduce)
+    inverse = np.empty_like(symbols)
     for (index, u_r, u_k, pi_r, pi_k, _, s_rk, s_kr, _), kk_inv, schur_inv in zip(
             groups, kk_invs, schur_invs):
-        r, cols = u_r.shape[2], u_r.shape[2] + u_k.shape[2]
-        reduce[index, :r] = schur_inv @ (pi_r - s_rk @ kk_inv @ pi_k)
-        reduce[index, r:cols] = kk_inv @ pi_k
-        lift[index, :, :r] = u_r - u_k @ kk_inv @ s_kr
-        lift[index, :, r:cols] = u_k
-    return SchurSolve(cut, reduce, lift)
+        inverse[index] = ((u_r - u_k @ kk_inv @ s_kr) @ schur_inv @ (pi_r - s_rk @ kk_inv @ pi_k)
+                          + u_k @ kk_inv @ pi_k)
+    return WavenumberInverse(cut, inverse)
 
 
 def couple(laws, off_blocks=None) -> MaterialLaw:

@@ -9,7 +9,9 @@ operators, and the range/kernel splitting used to remove null spaces.
 That split is kept in wavenumber space: ShiftCut block-diagonalizes the
 operators that commute with the shifts along the periodic axes by a DFT,
 and each WavenumberPair holds one small orthonormal basis per wavenumber,
-never a dim x dim map.
+never a dim x dim map.  shift_cut is the one rule for where to cut, used
+by the split and by the time steps: along the periodic axes when every
+given operator commutes with the shifts there, along none otherwise.
 
 Component-basis normalizations (the 1/sqrt(2) factors of the symmetric and
 antisymmetric rank-2 bases, the reflection pairs of the even/odd split)
@@ -320,11 +322,15 @@ def realify_complex(mat: np.ndarray, domain: SpaceTag, codomain: SpaceTag) -> Ma
 # range / kernel splitting
 
 
-def _fft():
-    """scipy.fft, imported on first use: its import takes about 0.1 s."""
-    import scipy.fft
+def _along(transform, x, axes, norm=None):
+    """numpy.fft.fft or ifft along each of `axes` in turn.
 
-    return scipy.fft
+    scipy.fft transforms these small grids about twice as fast, but loading
+    it adds about 5 MB of resident memory and 0.1 s to the first solve.
+    """
+    for axis in axes:
+        x = transform(x, axis=axis, norm=norm)
+    return x
 
 
 class ShiftCut:
@@ -366,7 +372,7 @@ class ShiftCut:
         y = (self.sw[:, None] * x).reshape(*self.shape, c).transpose(*self.order, -1)
         y = y.reshape(self.m, *self.per, c)
         if self.per:
-            y = _fft().fftn(y, axes=self._fft_axes, norm="ortho")
+            y = _along(np.fft.fft, y, self._fft_axes, "ortho")
         return y.reshape(self.m, self.N, c).transpose(1, 0, 2)
 
     def inverse(self, y):
@@ -374,7 +380,7 @@ class ShiftCut:
         c = y.shape[2]
         x = y.transpose(1, 0, 2).reshape(self.m, *self.per, c)
         if self.per:
-            x = _fft().ifftn(x, axes=self._fft_axes, norm="ortho").real
+            x = _along(np.fft.ifft, x, self._fft_axes, "ortho").real
         x = x.reshape(*(self.shape[a] for a in self.order), c)
         x = x.transpose(self._inv_order).reshape(len(self.sw), c)
         return x / self.sw[:, None]
@@ -415,7 +421,7 @@ class ShiftCut:
             raise ValueError("the operator does not commute with the shifts along the cut axes")
         if not self.axes:
             return b0[None]
-        symbols = _fft().fftn(b0.reshape(self.m, *self.per, self.m), axes=self._fft_axes)
+        symbols = _along(np.fft.fft, b0.reshape(self.m, *self.per, self.m), self._fft_axes)
         return symbols.reshape(self.m, self.N, self.m).transpose(1, 0, 2)
 
 
@@ -451,13 +457,19 @@ def range_kernel_pairs(cut: ShiftCut, u, kernel_dims, domain: SpaceTag):
             pair("coker", [(index, u[index, :, r:]) for index, r in groups]))
 
 
+def shift_cut(space: SpaceTag, grid, *ops: MatrixOperator) -> ShiftCut:
+    """The cut of `space` along the periodic axes of `grid` when every one of
+    `ops` commutes with the shifts there, along no axis otherwise."""
+    cut = ShiftCut(space, grid, [a for a, axis in enumerate(grid) if axis.bc == PERIODIC])
+    return cut if all(cut.commutes(op) for op in ops) else ShiftCut(space, grid)
+
+
 def range_kernel_split(A: MatrixOperator, *others: MatrixOperator, grid=(),
                        rank_tol: float = 1e-10):
     """Split H into the range of A and its orthogonal complement, wavenumber by wavenumber.
 
-    A and `others` (the step matrix of a reduced solve) are cut along the
-    periodic axes of `grid` when every one of them commutes with the shifts
-    there, along no axis otherwise (see ShiftCut).  One batched SVD of A's
+    A and `others` (the step matrices of a reduced solve) are cut together
+    by shift_cut along the periodic axes of `grid`.  One batched SVD of A's
     symbols gives per wavenumber a unitary basis: singular values above
     rank_tol * max(singular value) span the range, the others the kernel.
 
@@ -468,9 +480,7 @@ def range_kernel_split(A: MatrixOperator, *others: MatrixOperator, grid=(),
     """
     if A.domain != A.codomain:
         raise ValueError("range/kernel splitting needs a square operator")
-    cut = ShiftCut(A.domain, grid, [a for a, axis in enumerate(grid) if axis.bc == PERIODIC])
-    if not all(cut.commutes(op) for op in (A, *others)):
-        cut = ShiftCut(A.domain, grid)
+    cut = shift_cut(A.domain, grid, A, *others)
     u, svals, _ = np.linalg.svd(cut.symbols(A))
     kernel_dims = np.count_nonzero(svals <= rank_tol * max(svals.max(), 1e-300), axis=1)
     return range_kernel_pairs(cut, u, kernel_dims, A.domain)

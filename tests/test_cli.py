@@ -141,6 +141,20 @@ class TestSolveCommand:
         assert "not finite at step" in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_near_singular_periodic_step_exit_5(self, tmp_path, capsys):
+        # the gate passes (sigma > 1e-12); the CN symbol at wavenumber 0,
+        # diag(1/tau, sigma/2), has pivot ratio 1.3e15
+        cfg = copy.deepcopy(BASIC)
+        cfg["grid"] = [{"n": 8, "bc": "periodic", "length": 1.0}]
+        cfg["params"]["sigma"] = 1.5e-12
+        cfg["solver"] = {"tau": 1e-3, "t_end": 1e-2, "scheme": "crank_nicolson"}
+        cfg["output"]["snapshots"] = [0.0, 0.01]
+        p = write_scenario(tmp_path, cfg)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_STEP_FAILURE
+        err = capsys.readouterr().err
+        assert "condition estimate" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("edit, key", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_exit_2(self, tmp_path, capsys, edit, key):
         cfg = copy.deepcopy(BASIC)

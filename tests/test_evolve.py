@@ -1,10 +1,14 @@
 """Tests for the time integrators and their diagnostics."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from protofield import catalog
-from protofield.flatgrid import Axis
+from protofield import catalog, evolve
+from protofield.flatgrid import PERIODIC, Axis
 from protofield.linops import MatrixOperator, PreconditionError, SpaceTag
 from protofield.matlaw import MaterialLaw, MaterialLawError, StepFailureError
 from protofield.evolve import (
@@ -25,6 +29,15 @@ def scalar_problem(m0=1.0, m1=0.0, a=0.0, u0=1.0):
     law = MaterialLaw(m0=MatrixOperator([[m0]], t, t), m1=MatrixOperator([[m1]], t, t))
     A = MatrixOperator([[a]], t, t)
     return EvolutionaryProblem(law=law, a=A, initial=np.array([u0]))
+
+
+def physical(problem):
+    """The problem with no grid: solve steps it by the sparse LU in physical space."""
+    return replace(problem, grid=())
+
+
+def relative_gap(traj, reference):
+    return np.abs(traj.states - reference.states).max() / np.abs(reference.states).max()
 
 
 def rotation_problem(u0=None):
@@ -281,6 +294,9 @@ class TestSolveReduced:
         full = solve(entry.problem(initial=u0), cfg)
         red = solve_reduced(entry.problem(initial=u0), cfg)
         assert np.abs(full.states - red.states).max() <= 1e-12 * np.abs(full.states).max()
+        lu = solve(physical(entry.problem(initial=u0)), cfg)
+        assert relative_gap(full, lu) <= 1e-12
+        assert relative_gap(red, lu) <= 1e-12
 
     def test_cut_follows_the_step_matrix(self):
         from protofield import evolve
@@ -309,6 +325,109 @@ class TestSolveReduced:
             tracemalloc.stop()
         assert len(traj) == 11
         assert peak < 100 * 2**20
+
+
+def lu_factorizations(monkeypatch):
+    """The dimensions of the step matrices solve factors by the sparse LU from now on."""
+    calls = []
+
+    class Counting(evolve._PhysicalStep):
+        def __init__(self, left, right):
+            calls.append(left.domain.dim)
+            super().__init__(left, right)
+
+    monkeypatch.setattr(evolve, "_PhysicalStep", Counting)
+    return calls
+
+
+PERIODIC_ENTRIES = [name for name in catalog.REGISTRY
+                    if all(axis.bc == PERIODIC for axis in catalog.default_axes(name))]
+
+
+class TestWavenumberStep:
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    @pytest.mark.parametrize("build, cut", [
+        *((lambda name=name: catalog.build_entry(name), True) for name in PERIODIC_ENTRIES),
+        # a partial cut would invert blocks spanning the interval: the sparse LU
+        (lambda: catalog.heat((Axis.torus(4), Axis.interval(5))), False),
+        # the step matrix does not commute with the shifts: the sparse LU
+        (lambda: catalog.acoustics((Axis.torus(8),), rho=np.linspace(1.0, 2.0, 8)), False),
+    ], ids=[*PERIODIC_ENTRIES, "heat_torus_x_interval", "acoustics_vector_rho"])
+    def test_matches_the_physical_lu(self, build, cut, scheme, monkeypatch):
+        entry = build()
+        problem = entry.problem(initial=np.random.default_rng(9).standard_normal(entry.dim))
+        cfg = SolverConfig(tau=0.01, t_end=0.3, scheme=scheme)
+        factored = lu_factorizations(monkeypatch)
+        traj = solve(problem, cfg)
+        assert factored == ([] if cut else [entry.dim])
+        assert relative_gap(traj, solve(physical(problem), cfg)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    def test_pulse_switching_on_mid_run(self, scheme):
+        # zero forcing skips the forcing term, the pulse takes it; states
+        # before the onset stay exactly zero
+        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        pulse = np.random.default_rng(10).standard_normal(entry.dim)
+        samples = []
+
+        def forcing(t):
+            samples.append(t)
+            return pulse if t >= 0.26 else np.zeros(entry.dim)
+
+        cfg = SolverConfig(tau=0.02, t_end=0.5, scheme=scheme)
+        traj = solve(entry.problem(forcing=forcing), cfg)
+        assert len(samples) == cfg.steps and samples == sorted(samples)
+        assert np.abs(traj.states[traj.times < 0.26]).max() == 0.0
+        assert np.abs(traj.states[-1]).max() > 0.0
+        assert relative_gap(traj, solve(physical(entry.problem(forcing=forcing)), cfg)) <= 1e-12
+        assert causality_check(entry.problem(forcing=forcing), cfg, t0=0.26)
+
+    def test_a_perturbed_symbol_inverse_fails_the_comparison(self, monkeypatch):
+        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        problem = entry.problem(initial=np.random.default_rng(11).standard_normal(entry.dim))
+        cfg = SolverConfig(tau=0.01, t_end=0.2)
+        reference = solve(physical(problem), cfg)
+        assert relative_gap(solve(problem, cfg), reference) <= 1e-12
+        invert = evolve.invert_symbols
+
+        def perturbed(S, cut):
+            exact = invert(S, cut)
+            inverse = exact.inverse.copy()
+            inverse[1] *= 1.0 + 1e-8
+            return replace(exact, inverse=inverse)
+
+        monkeypatch.setattr(evolve, "invert_symbols", perturbed)
+        assert relative_gap(solve(problem, cfg), reference) > 1e-12
+
+    def test_near_singular_symbol_rejected(self):
+        # sigma = 1.5e-12 passes the gate (> 1e-12), but the CN symbol at
+        # wavenumber 0 is diag(1/tau, sigma/2): pivot ratio 1e3 / 7.5e-13
+        entry = catalog.heat((Axis.torus(8),), sigma=1.5e-12)
+        with pytest.raises(StepFailureError, match=r"condition estimate 1\.333e\+15"):
+            solve(entry.problem(initial=np.ones(entry.dim)), SolverConfig(tau=1e-3, t_end=1e-2))
+
+    def test_time_budget_on_a_16_cube(self):
+        # the sparse LU of this step matrix alone takes 8-10 s
+        entry = catalog.maxwell((Axis.torus(16),) * 3)
+        problem = entry.problem(initial=np.random.default_rng(12).standard_normal(entry.dim))
+        begin = time.perf_counter()
+        traj = solve(problem, SolverConfig(tau=0.01, t_end=0.1))
+        assert time.perf_counter() - begin < 2.0
+        assert len(traj) == 11
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(axes=st.lists(st.tuples(st.booleans(), st.integers(2, 6)), min_size=1, max_size=3),
+       name=st.sampled_from(sorted(catalog.REGISTRY)), seed=st.integers(0, 2**32 - 1))
+def test_chosen_step_matches_the_physical_lu(axes, name, seed):
+    grid = tuple(Axis.torus(n) if periodic else Axis.interval(n) for periodic, n in axes)
+    try:
+        entry = catalog.build_entry(name, grid)
+    except ValueError:  # the entry does not build on this grid
+        reject()
+    problem = entry.problem(initial=np.random.default_rng(seed).standard_normal(entry.dim))
+    cfg = SolverConfig(tau=0.01, t_end=0.2)
+    assert relative_gap(solve(problem, cfg), solve(physical(problem), cfg)) <= 1e-12
 
 
 class TestFiniteStates:
