@@ -22,7 +22,7 @@ from here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +39,7 @@ from .flatgrid import (
     build_d1,
     build_nabla,
     build_stack_skew,
+    point_count,
     point_derivative,
 )
 from .subspaces import (
@@ -123,10 +124,6 @@ def _curl_block(P):
                    format="csr")
 
 
-def _npts(axes):
-    return int(np.prod([a.n for a in axes]))
-
-
 # ---------------------------------------------------------------------------
 # catalog entries
 
@@ -195,7 +192,7 @@ def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
     flux law of heat conduction).
     """
     axes = tuple(axes)
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     nvec = np_ * len(axes)
     a = _acoustic_block(axes)
     space = a.domain
@@ -241,7 +238,7 @@ def elasticity(axes, rho=1.0, compliance=1.0) -> CatalogEntry:
         raise ValueError("elasticity needs a 2-d or 3-d grid")
     a = _elastic_block(axes, sym_projection)
     space = a.domain
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     nvec = np_ * len(axes)
     nsym = np_ * (len(axes) * (len(axes) + 1) // 2)
     m0 = _block_matrix([nvec, nsym],
@@ -301,7 +298,7 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> Catal
         raise ValueError("the Maxwell descendant needs a 3-d grid")
     a = _elastic_block(axes, asym_projection)
     space = a.domain
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     m0 = _block_matrix([3 * np_, 3 * np_],
                        {(0, 0): _coeff(permittivity, 3 * np_),
                         (1, 1): _coeff(permeability, 3 * np_)})
@@ -339,7 +336,7 @@ def _ext_space(axes, name="extfield"):
 
 
 def _ext_sizes(axes):
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     return [np_, 3 * np_, np_, 3 * np_]
 
 
@@ -416,20 +413,13 @@ def _alt3_pair(space3: TensorFieldSpace) -> ProjectionPair:
     """Orthonormal coordinate of the alternating rank-3 subspace in 3-d."""
     if space3.rank != 3 or space3.ndim != 3:
         raise ValueError("alternating rank-3 coordinates need rank 3 in 3-d")
-    np_ = space3.npoints
     red = GridBlockSpace(space3.axes, ("alt012",), "alt3")
     inv_s6 = 1.0 / np.sqrt(6.0)
-    pts = np.arange(np_)
-    cols, vals = [], []
+    row = np.zeros((1, space3.ncomp))
     for perm in permutations((0, 1, 2)):
-        inversions = sum(
-            1 for x in range(3) for y in range(x + 1, 3) if perm[x] > perm[y]
-        )
-        sign = -1.0 if inversions % 2 else 1.0
-        cols.append(space3.component_index(perm) * np_ + pts)
-        vals.append(np.full(np_, sign * inv_s6))
-    ent = sp.csr_matrix((np.concatenate(vals), (np.tile(pts, 6), np.concatenate(cols))),
-                        shape=(np_, space3.dim))
+        inversions = sum(perm[x] > perm[y] for x, y in combinations(range(3), 2))
+        row[0, space3.component_index(perm)] = (-1.0) ** inversions * inv_s6
+    ent = sp.kron(row, sp.identity(space3.npoints), format="csr")
     return ProjectionPair(MatrixOperator(ent, space3.tag, red.tag), space=red)
 
 
@@ -443,7 +433,7 @@ def _ext_from_stack(axes):
     (div0/grad pair, placed with its two blocks swapped).
     """
     axes = tuple(axes)
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     stack = TensorStack(axes, 3)
     A = build_stack_skew(stack)
     r = [TensorFieldSpace(axes, k) for k in range(4)]
@@ -480,10 +470,8 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
     sizes = _ext_sizes(axes)
     np_ = sizes[0]
     keep = np.r_[0:np_ + 3 * np_, 2 * np_ + 3 * np_: parent.dim]
-    labels = []
-    for lab, k in zip(("f3", "f1", "f2"), (1, 3, 3)):
-        labels.extend([f"{lab}{i}" if k > 1 else lab for i in range(k)])
-    space = GridBlockSpace(tuple(axes), tuple(labels), "extfield_reduced")
+    labels = tuple(lab for lab in _ext_space(axes).labels if lab != "f0")
+    space = GridBlockSpace(tuple(axes), labels, "extfield_reduced")
     tag = space.tag
     a = MatrixOperator(parent.a.entries[keep][:, keep], tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
@@ -509,7 +497,7 @@ def _dirac_w(axes):
     centered (skew) periodic stencils, the free-space discretization.
     """
     P1, P2, P3 = _skew_partials(axes)
-    Id = sp.identity(_npts(axes), format="csr")
+    Id = sp.identity(point_count(axes), format="csr")
     return sp.bmat([
         [None, -Id - P3, P2, -P1],
         [Id + P3, None, P1, P2],
@@ -528,7 +516,7 @@ def _dirac_permutations():
 def _dirac_relabeling(axes):
     """The 8x8-per-point signed permutation U with U D U* = extended Maxwell + chiral."""
     u1, u2 = _dirac_permutations()
-    eye = sp.identity(_npts(axes), format="csr")
+    eye = sp.identity(point_count(axes), format="csr")
     return sp.block_diag([sp.kron(u1, eye), sp.kron(u2, eye)], format="csr")
 
 
@@ -543,7 +531,7 @@ def _chiral_m1(axes):
         return np.array([[0, 0, 0, s], [0, 0, 1, 0], [0, -1, 0, 0], [s, 0, 0, 0]], float)
 
     per_point = sp.bmat([[None, kblock(-1.0)], [kblock(1.0), None]])
-    return sp.kron(per_point, sp.identity(_npts(axes)), format="csr")
+    return sp.kron(per_point, sp.identity(point_count(axes)), format="csr")
 
 
 def dirac(axes) -> CatalogEntry:
@@ -557,7 +545,7 @@ def dirac(axes) -> CatalogEntry:
     if len(axes) != 3 or any(a.bc != PERIODIC for a in axes):
         raise ValueError("the Dirac system needs a fully periodic 3-d grid")
     W = _dirac_w(axes)
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     dim4 = 4 * np_
     labels = [f"psi{i}" for i in range(8)]
     space = GridBlockSpace(axes, tuple(labels), "dirac8")
@@ -606,7 +594,7 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
     G = build_nabla(TensorFieldSpace(axes, 0))
     U, absG = polar_decompose(G)
     A = make_block_skew(absG)
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     law = MaterialLaw(m0=identity(A.domain), m1=zero(A.domain, A.domain))
     return CatalogEntry(
         name="relativistic_schrodinger",
@@ -709,17 +697,15 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
 def _trace_embedding(axes, gamma):
     """Coupling block mapping scalars into the diagonal symmetric components."""
     n = len(axes)
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     comps = [(i, j) for i in range(n) for j in range(i, n)]
     arr = np.asarray(gamma, dtype=float)
     if arr.ndim >= 2:
         if arr.shape != (len(comps) * np_, np_):
             raise ValueError(f"coupling block must have shape ({len(comps) * np_}, {np_})")
         return sp.csr_matrix(arr)
-    diag = [row for row, (i, j) in enumerate(comps) if i == j]
-    rows = np.concatenate([row * np_ + np.arange(np_) for row in diag])
-    return sp.csr_matrix((np.full(len(rows), float(arr)), (rows, np.tile(np.arange(np_), n))),
-                         shape=(len(comps) * np_, np_))
+    column = [[float(arr) if i == j else 0.0] for i, j in comps]
+    return sp.kron(column, sp.identity(np_), format="csr")
 
 
 def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
@@ -734,7 +720,7 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     axes = tuple(axes)
     if len(axes) != 3:
         raise ValueError("thermo-elasticity uses a 3-d grid")
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     nvec = 3 * np_
     nsym = 6 * np_
     a_heat = _acoustic_block(axes, negate=True)
@@ -777,7 +763,7 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     coupling between the shear flux and the rotation velocity."""
     axes = tuple(axes)
     ndim = len(axes)
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     nvec = ndim * np_
     nsym = (ndim * (ndim + 1) // 2) * np_
     a_bend = _acoustic_block(axes, negate=True)
@@ -839,7 +825,7 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
     """
     axes = tuple(axes)
     ndim = len(axes)
-    np_ = _npts(axes)
+    np_ = point_count(axes)
     nsym = (ndim * (ndim + 1) // 2) * np_
     n0 = build_nabla(TensorFieldSpace(axes, 0))
     n1 = build_nabla(TensorFieldSpace(axes, 1))
@@ -899,14 +885,10 @@ def beam_reduction_pair(plate: CatalogEntry, beam: CatalogEntry) -> ProjectionPa
     axes2 = plate.grid
     if len(axes2) != 2 or axes2[1].bc != PERIODIC:
         raise ValueError("plate grid must be (line, torus)")
-    np2 = _npts(axes2)
-    np1 = beam.blocks[0][1]
-    avg0 = torus_average(TensorFieldSpace(axes2, 0), {1})
-    avg1 = torus_average(TensorFieldSpace(axes2, 1), {1})
-    a0 = avg0.pi.entries          # np1 x np2
-    a1 = avg1.pi.entries          # np1 x 2*np2 (keeps component 0)
+    a0 = torus_average(TensorFieldSpace(axes2, 0), {1}).pi.entries
+    a1 = torus_average(TensorFieldSpace(axes2, 1), {1}).pi.entries  # keeps component 0
     # moment block: symmetric comps (00, 01, 11) on the plate; keep (00)
-    t_block = sp.hstack([a0, sp.csr_matrix((np1, 2 * np2))])
+    t_block = sp.kron([[1.0, 0.0, 0.0]], a0, format="csr")
     # both states are ordered (eta, zeta, s, T)
     ent = sp.block_diag([a0, a1, a1, t_block], format="csr")
     return ProjectionPair(MatrixOperator(ent, plate.space, beam.space))

@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 verification failure, 2 scenario error (the
 message names the key) or, for verify, a PROTOFIELD_MAX_GRID that is not
 an integer >= 2, 3 unknown catalog name, 4 well-posedness failure, 5 step
 failure (a singular step matrix, or a state or energy that is not finite;
-no CSV is written).
+no CSV is written).  A run whose states would not fit in the machine's
+physical memory is a scenario error naming "solver".
 
 Scenario files are JSON objects:
 
@@ -44,6 +45,7 @@ import contextlib
 import csv
 import json
 import operator
+import os
 import re
 import sys
 from pathlib import Path
@@ -91,7 +93,7 @@ def _reading(key):
         raise
     except KeyError as exc:
         raise ScenarioError(f"scenario key {key!r} is missing the key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"scenario key {key!r}: {exc}") from exc
 
 
@@ -123,7 +125,7 @@ def _grid_points(axes):
     """Interior/periodic point coordinates per axis, normalized to (0, 1)-ish."""
     coords = []
     for a in axes:
-        if a.bc == "periodic":
+        if a.bc == PERIODIC:
             coords.append(np.arange(a.n) * a.h)
         else:
             coords.append(a.interval_points())
@@ -140,7 +142,7 @@ def _profile_values(axes, spec):
         mode = operator.index(spec.get("mode", 1))
         out = np.ones_like(mesh[0])
         for m, a in zip(mesh, axes):
-            span = (a.n + 1) * a.h if a.bc == "dirichlet" else 1.0
+            span = (a.n + 1) * a.h if a.bc == DIRICHLET else 1.0
             out = out * np.sin(mode * np.pi * m / span)
     elif kind == "gauss":
         width = float(spec.get("width", 0.15))
@@ -216,6 +218,12 @@ def run_scenario(cfg, reduced=False, outdir="."):
             scheme=solver_cfg.get("scheme", "crank_nicolson"),
             nu=float(solver_cfg.get("nu", 0.0)),
         )
+        # the trajectory keeps every state: refuse a run that cannot fit in memory
+        need = (config.steps + 1) * entry.dim * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(f"{config.steps} steps of {entry.dim} values need {need:.3g} bytes, "
+                             f"more than the machine's {have:.3g}")
     with _reading("initial"):
         initial = _block_vector(entry, cfg.get("initial", []), axes)
     forcing = None

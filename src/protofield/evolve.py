@@ -315,7 +315,8 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
         raise ValueError("nu must be nonnegative")
     u = traj.states  # (n, dim)
     w = traj.space.weight if traj.space is not None else 1.0
-    vals = np.einsum("ij,ij->i", u, u * w) * np.exp(-2.0 * nu * traj.times)
+    # nu * t first: -2 nu overflows for a huge nu, and -inf * 0 is nan at t = 0
+    vals = np.einsum("ij,ij->i", u, u * w) * np.exp(-2.0 * (nu * traj.times))
     steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])
     return np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
 

@@ -5,7 +5,9 @@ axis of total measure one.  Rank-k covariant tensor fields are stored
 component-major: the flat index is (component, point) with components
 ordered lexicographically by multi-index and points in C order over the
 axes.  The derivative prepends its direction as the outermost component
-slot, so nabla maps rank k to rank k+1.
+slot, so nabla maps rank k to rank k+1.  In this layout every pointwise map
+(the derivative's component blocks, subspace coordinates, torus averages)
+is sp.kron(component map, point map).
 
 Forward differences with a zero ghost value (or periodic wraparound)
 realize the compactly-supported derivative; the divergence is defined as
@@ -16,6 +18,7 @@ grid, not just up to O(h).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -81,17 +84,38 @@ class Axis:
             return (np.arange(self.n) - self.n // 2) * self.h
         return (np.arange(self.n) - (self.n - 1) / 2.0) * self.h
 
-    def interval_points(self, length=1.0):
-        """Interior points of (0, length); matches Axis.interval spacing."""
+    def interval_points(self):
+        """Interior points of (0, (n + 1) h); matches Axis.interval spacing."""
         return (np.arange(self.n) + 1.0) * self.h
+
+
+def point_count(axes):
+    """Number of grid points of the axes (1 for no axis)."""
+    return math.prod(a.n for a in axes)
 
 
 def _axes_name(axes):
     return "x".join(f"{a.n}{'p' if a.bc == PERIODIC else 'd'}(h={a.h:.6g})" for a in axes)
 
 
+class _GridFields:
+    """ncomp component fields over the points of axes, stored component-major."""
+
+    @property
+    def npoints(self):
+        return point_count(self.axes)
+
+    @property
+    def dim(self):
+        return self.npoints * self.ncomp
+
+    @property
+    def volume_weight(self):
+        return float(reduce(lambda acc, a: acc * a.h, self.axes, 1.0))
+
+
 @dataclass(frozen=True)
-class TensorFieldSpace:
+class TensorFieldSpace(_GridFields):
     """Discretized rank-k covariant tensor fields over a flat grid."""
 
     axes: tuple
@@ -109,20 +133,8 @@ class TensorFieldSpace:
         return len(self.axes)
 
     @property
-    def npoints(self):
-        return int(np.prod([a.n for a in self.axes]))
-
-    @property
     def ncomp(self):
         return self.ndim ** self.rank
-
-    @property
-    def dim(self):
-        return self.npoints * self.ncomp
-
-    @property
-    def volume_weight(self):
-        return float(reduce(lambda acc, a: acc * a.h, self.axes, 1.0))
 
     @property
     def tag(self):
@@ -155,7 +167,7 @@ class TensorFieldSpace:
 
 
 @dataclass(frozen=True)
-class GridBlockSpace:
+class GridBlockSpace(_GridFields):
     """A labeled stack of same-grid component fields (non-tensorial layouts).
 
     Used for reduced component sets such as the (anti)symmetric rank-2
@@ -171,20 +183,8 @@ class GridBlockSpace:
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
-    def npoints(self):
-        return int(np.prod([a.n for a in self.axes]))
-
-    @property
     def ncomp(self):
         return len(self.labels)
-
-    @property
-    def dim(self):
-        return self.npoints * self.ncomp
-
-    @property
-    def volume_weight(self):
-        return float(reduce(lambda acc, a: acc * a.h, self.axes, 1.0))
 
     @property
     def tag(self):

@@ -6,12 +6,17 @@ onto the subspace; chains of such steps produce every named system in the
 catalog.  Also here: the even/odd splitting of a symmetric line, averaging
 over torus directions (dimension reduction), realification of complex
 operators, and the range/kernel splitting used to remove null spaces.
-That split is kept in wavenumber space: ShiftCut block-diagonalizes the
-operators that commute with the shifts along the periodic axes by a DFT,
-and each WavenumberPair holds one small orthonormal basis per wavenumber,
-never a dim x dim map.  shift_cut is the one rule for where to cut, used
-by the split and by the time steps: along the periodic axes when every
-given operator commutes with the shifts there, along none otherwise.
+A pi that acts point by point (component selections, the (anti)symmetric
+coordinates, torus averages) states only its small matrix on the
+components: it is sp.kron(component map, point map) in flatgrid's
+component-major layout.  rank_block takes rows of the identity, and
+even_odd maps points.  The range/kernel split is kept in wavenumber
+space: ShiftCut block-diagonalizes the operators that commute with the
+shifts along the periodic axes by a DFT, and each WavenumberPair holds
+one small orthonormal basis per wavenumber, never a dim x dim map.
+shift_cut is the one rule for where to cut, used by the split and by the
+time steps: along the periodic axes when every given operator commutes
+with the shifts there, along none otherwise.
 
 Component-basis normalizations (the 1/sqrt(2) factors of the symmetric and
 antisymmetric rank-2 bases, the reflection pairs of the even/odd split)
@@ -21,8 +26,8 @@ identities involving them hold to ~1e-15 rather than bitwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +47,7 @@ from .flatgrid import (
     TensorFieldSpace,
     TensorStack,
     _axes_name,
+    point_count,
 )
 
 PAIR_VALIDATION_TOL = 1e-12
@@ -125,32 +131,20 @@ def rank_block(stack: TensorStack, ranks0, ranks1) -> ProjectionPair:
         if not 0 <= r <= stack.max_rank:
             raise ValueError(f"rank {r} outside the stack range 0..{stack.max_rank}")
     spaces = stack.spaces
-    sel_tags = [spaces[r].tag for r in ranks0] + [spaces[r].tag for r in ranks1]
-    cod = direct_sum_tags(sel_tags)
-    rows = []
-    for copy, ranks in ((0, ranks0), (1, ranks1)):
-        for r in ranks:
-            sl = stack.block_slice(copy, r)
-            rows.extend(range(sl.start, sl.stop))
-    ent = sp.csr_matrix(
-        (np.ones(len(rows)), (np.arange(len(rows)), np.array(rows))),
-        shape=(cod.dim, stack.dim),
-    )
+    cod = direct_sum_tags([spaces[r].tag for r in ranks0] + [spaces[r].tag for r in ranks1])
+    rows = np.r_[tuple(stack.block_slice(copy, r)
+                       for copy, ranks in enumerate((ranks0, ranks1)) for r in ranks)]
+    ent = sp.identity(stack.dim, format="csr")[rows]
     return ProjectionPair(MatrixOperator(ent, stack.tag, cod), validate=False)
 
 
 def component_select(space, comps, name, labels=None) -> ProjectionPair:
     """Keep whole component fields (by flat component index) of a grid space."""
     comps = list(comps)
-    npts = space.npoints
     if labels is None:
         labels = tuple(f"c{c}" for c in comps)
     red = GridBlockSpace(space.axes, labels, name)
-    rows = []
-    for c in comps:
-        rows.extend(range(c * npts, (c + 1) * npts))
-    ent = sp.csr_matrix((np.ones(len(rows)), (np.arange(len(rows)), np.array(rows))),
-                        shape=(red.dim, space.dim))
+    ent = sp.kron(np.eye(space.ncomp)[comps], sp.identity(space.npoints), format="csr")
     return ProjectionPair(MatrixOperator(ent, space.tag, red.tag), space=red, validate=False)
 
 
@@ -162,25 +156,15 @@ def _pair_basis_projection(space2: TensorFieldSpace, sign: float, name: str):
     if space2.rank != 2:
         raise ValueError(f"(anti)symmetrization needs rank 2, got rank {space2.rank}")
     n = space2.ndim
-    npts = space2.npoints
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    comps, labels = [], []
-    for i in range(n):
-        start_j = i if sign > 0 else i + 1
-        for j in range(start_j, n):
-            comps.append((i, j))
-            labels.append(f"{name}{i}{j}")
-    red = GridBlockSpace(space2.axes, tuple(labels), name)
-    pts = np.arange(npts)
-    rows, cols, vals = [], [], []
-    for row_c, (i, j) in enumerate(comps):
+    pairs = [(i, j) for i in range(n) for j in range(i if sign > 0 else i + 1, n)]
+    comp = np.zeros((len(pairs), space2.ncomp))
+    for row, (i, j) in enumerate(pairs):
         slots = [((i, i), 1.0)] if i == j else [((i, j), inv_sqrt2), ((j, i), sign * inv_sqrt2)]
         for alpha, val in slots:
-            rows.append(row_c * npts + pts)
-            cols.append(space2.component_index(alpha) * npts + pts)
-            vals.append(np.full(npts, val))
-    ent = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(red.dim, space2.dim))
+            comp[row, space2.component_index(alpha)] = val
+    red = GridBlockSpace(space2.axes, tuple(f"{name}{i}{j}" for i, j in pairs), name)
+    ent = sp.kron(comp, sp.identity(space2.npoints), format="csr")
     return ProjectionPair(MatrixOperator(ent, space2.tag, red.tag), space=red)
 
 
@@ -260,35 +244,15 @@ def torus_average(space: TensorFieldSpace, torus_axes) -> ProjectionPair:
         raise ValueError("at least one axis must remain")
     red_space = TensorFieldSpace(tuple(space.axes[a] for a in kept), space.rank)
 
-    ns = [a.n for a in space.axes]
-    strides = np.ones(space.ndim, dtype=int)
-    for a in range(space.ndim - 2, -1, -1):
-        strides[a] = strides[a + 1] * ns[a + 1]
-    # flat full-grid point index of each (reduced point, torus point) combination
-    kept_grids = list(itertools.product(*[range(ns[a]) for a in kept]))
-    torus_grids = list(itertools.product(*[range(ns[a]) for a in torus_axes]))
-    n_torus = len(torus_grids)
-    base = np.array(
-        [sum(idx[k] * strides[a] for k, a in enumerate(kept)) for idx in kept_grids]
-    )
-    shift = np.array(
-        [sum(idx[k] * strides[a] for k, a in enumerate(torus_axes)) for idx in torus_grids]
-    )
-
-    npts_full, npts_red = space.npoints, red_space.npoints
-    rows, cols, vals = [], [], []
-    new_of_old = {a: k for k, a in enumerate(kept)}
-    for beta in red_space.multi_indices():
-        alpha = tuple(kept[b] for b in beta)
-        c_old = space.component_index(alpha) if space.rank else 0
-        c_new = red_space.component_index(beta) if space.rank else 0
-        for p_red in range(npts_red):
-            row = c_new * npts_red + p_red
-            full = c_old * npts_full + base[p_red] + shift
-            rows.extend([row] * n_torus)
-            cols.extend(full.tolist())
-            vals.extend([1.0 / n_torus] * n_torus)
-    ent = sp.csr_matrix((vals, (rows, cols)), shape=(red_space.dim, space.dim))
+    # keep the multi-indices avoiding the torus directions; sum over the torus points
+    comp = np.zeros((red_space.ncomp, space.ncomp))
+    for c_new, beta in enumerate(red_space.multi_indices()):
+        comp[c_new, space.component_index([kept[b] for b in beta])] = 1.0
+    points = reduce(partial(sp.kron, format="csr"),
+                    [sp.identity(axis.n) if a in kept else np.ones((1, axis.n))
+                     for a, axis in enumerate(space.axes)])
+    n_torus = point_count(space.axes[a] for a in torus_axes)
+    ent = sp.kron(comp, points, format="csr") * (1.0 / n_torus)
     return ProjectionPair(MatrixOperator(ent, space.tag, red_space.tag), space=red_space)
 
 
@@ -349,7 +313,7 @@ class ShiftCut:
     __slots__ = ("shape", "axes", "order", "per", "sw", "N", "m", "_fft_axes", "_inv_order")
 
     def __init__(self, space: SpaceTag, grid=(), axes=()):
-        npts = int(np.prod([axis.n for axis in grid]))
+        npts = point_count(grid)
         if space.dim % npts:
             raise ValueError(f"dimension {space.dim} is not a number of fields over {npts} points")
         shape = (space.dim // npts, *(axis.n for axis in grid))

@@ -27,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import catalog
-from .flatgrid import DIRICHLET, Axis, TensorFieldSpace, TensorStack, build_div, build_nabla, build_stack_skew
+from .flatgrid import (DIRICHLET, Axis, TensorFieldSpace, TensorStack, build_div, build_nabla,
+                       build_stack_skew, point_count)
 from .linops import MatrixOperator, SpaceTag, make_block_skew, make_relative, skew_defect
 from .matlaw import MaterialLaw, check_wellposed
 from .subspaces import realify, realify_complex
@@ -112,7 +113,7 @@ def _stencil_curl(axes):
     The basis normalization is folded in: rows c01, c02, c12 are curl_z,
     -curl_y, curl_x over sqrt 2.
     """
-    np_ = catalog._npts(axes)
+    np_ = point_count(axes)
     curl = catalog._curl_block(catalog._partials(axes))
     return (1.0 / catalog.SQRT2) * sp.kron(catalog._asym_perm(), sp.identity(np_)) @ curl
 
@@ -427,7 +428,7 @@ def _flux_stress_pair(axes):
 
 def _biharmonic_pair(axes):
     """The block-skew pair of (symmetrized gradient) @ (gradient), from the stencils."""
-    nvec = catalog._npts(axes) * len(axes)
+    nvec = point_count(axes) * len(axes)
     grad_sym = catalog._grad_sym_stencil(axes)[nvec:, :nvec]
     return _skew_pair(grad_sym @ sp.vstack(catalog._partials(axes)))
 

@@ -416,7 +416,7 @@ class TestWavenumberStep:
         assert len(traj) == 11
 
 
-@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@settings(max_examples=20)
 @given(axes=st.lists(st.tuples(st.booleans(), st.integers(2, 6)), min_size=1, max_size=3),
        name=st.sampled_from(sorted(catalog.REGISTRY)), seed=st.integers(0, 2**32 - 1))
 def test_chosen_step_matches_the_physical_lu(axes, name, seed):

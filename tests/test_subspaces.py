@@ -1,12 +1,15 @@
 """Tests for the projection machinery."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from protofield import catalog
+from protofield import catalog, verify
 from protofield.flatgrid import (PERIODIC, Axis, TensorFieldSpace, TensorStack, build_d1,
                                  build_stack_skew)
-from protofield.linops import MatrixOperator
+from protofield.linops import MatrixOperator, identity, skew_defect
 from protofield.subspaces import (
     ProjectionPair,
     asym_projection,
@@ -448,3 +451,31 @@ class TestOrderDependence:
                 found = True
                 break
         assert found, "no order-dependence witness found on the searched grids"
+
+
+@settings(max_examples=40)
+@given(axes=st.lists(st.tuples(st.booleans(), st.integers(2, 5)), min_size=1, max_size=3),
+       rank=st.integers(0, 3), ranks0=st.sets(st.integers(0, 3)),
+       ranks1=st.sets(st.integers(0, 3)), data=st.data())
+def test_projections_are_partial_isometries(axes, rank, ranks0, ranks1, data):
+    """Every pair satisfies pi pi* = I, and rank selections keep the stack skew,
+    over random grids, boundary mixes and ranks."""
+    assume(ranks0 or ranks1)
+    grid = tuple(Axis.torus(n) if periodic else Axis.interval(n) for periodic, n in axes)
+    space = TensorFieldSpace(grid, rank)
+    stack = TensorStack(grid, 3)
+    block = rank_block(stack, ranks0, ranks1)
+    comps = data.draw(st.lists(st.integers(0, space.ncomp - 1), min_size=1, unique=True))
+    pairs = [block, component_select(space, comps, "picked")]
+    if rank == 2:
+        pairs += [sym_projection(space)] + ([asym_projection(space)] if len(grid) > 1 else [])
+    tori = [a for a, axis in enumerate(grid) if axis.bc == PERIODIC]
+    pairs += [torus_average(space, subset) for size in range(1, len(tori) + 1)
+              for subset in combinations(tori, size) if size < len(grid)]
+    for pair in pairs:
+        assert (pair.pi @ pair.embedding - identity(pair.codomain)).max_abs() <= 1e-14, pair
+    # the recomputed adjoint t * w / w of the compression may round each entry once
+    A = build_stack_skew(stack)
+    assert skew_defect(descend(A, block)) <= 4 * np.finfo(float).eps * A.max_abs()
+    worst, _ = verify.adjointness_residual([grid], np.random.default_rng(rank), pairs=2)
+    assert worst <= 1e-12
