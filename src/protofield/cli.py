@@ -146,6 +146,8 @@ def _profile_values(axes, spec):
             out = out * np.sin(mode * np.pi * m / span)
     elif kind == "gauss":
         width = float(spec.get("width", 0.15))
+        if not 0 < width < np.inf:
+            raise ValueError(f"gauss width must be positive and finite, got {width}")
         out = np.ones_like(mesh[0])
         centers = spec.get("center", [0.5] * len(axes))
         if len(centers) != len(axes):

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import MatrixOperator, SpaceTag, direct_sum_tags, make_block_skew
+from .linops import (MatrixOperator, SpaceTag, _frozen_csr, direct_sum_tags,
+                     make_block_skew)
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -211,12 +212,16 @@ def build_d1(axis: Axis) -> MatrixOperator:
     return MatrixOperator(D, tag, tag)
 
 
-def point_derivative(axes, direction) -> sp.csr_matrix:
-    """Partial difference along one axis on the flat point index (C order)."""
-    mats = []
-    for i, a in enumerate(axes):
-        mats.append(build_d1(a).entries if i == direction else sp.identity(a.n))
-    return sp.csr_matrix(reduce(sp.kron, mats))
+@lru_cache(maxsize=64)
+def point_derivative(axes: tuple, direction) -> sp.csr_matrix:
+    """Partial difference along one axis on the flat point index (C order).
+
+    Built once per (axes, direction) and shared: the returned CSR is
+    read-only, so callers combine it into new matrices and never write it.
+    """
+    mats = [build_d1(a).entries if i == direction else sp.identity(a.n)
+            for i, a in enumerate(axes)]
+    return _frozen_csr(reduce(partial(sp.kron, format="csr"), mats))
 
 
 def build_nabla(space: TensorFieldSpace) -> MatrixOperator:
@@ -315,11 +320,13 @@ def build_stack_derivative(stack: TensorStack) -> MatrixOperator:
     return MatrixOperator(ent, stack.half_tag, stack.half_tag)
 
 
+@lru_cache(maxsize=32)
 def build_stack_skew(stack: TensorStack) -> MatrixOperator:
     """The parent operator [[0, -C*], [C, 0]] on the full tensor stack.
 
     Every catalog system in this package is obtained from this single
     operator by projections (plus unitary relabelings); it is
-    skew-selfadjoint identically, for every grid and max rank.
+    skew-selfadjoint identically, for every grid and max rank.  It is
+    built once per stack and shared (a MatrixOperator is immutable).
     """
     return make_block_skew(build_stack_derivative(stack))

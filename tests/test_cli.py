@@ -60,6 +60,9 @@ BAD_INPUTS = {
     "mode_not_an_integer": (lambda c: c["initial"][0].update(mode=1.5), "integer"),
     "overflowing_width": (lambda c: c["initial"][0].update(profile="gauss", width=1e308),
                           "initial"),
+    "zero_width": (lambda c: c["initial"][0].update(profile="gauss", width=0), "initial"),
+    "negative_width": (lambda c: c["initial"][0].update(profile="gauss", width=-0.1),
+                       "initial"),
     "center_of_wrong_length": (lambda c: c["initial"][0].update(profile="gauss",
                                                                 center=[0.5, 0.5]), "center"),
     "unknown_key": (lambda c: c.update(intial=c.pop("initial")), "intial"),

@@ -13,6 +13,7 @@ from protofield.flatgrid import (
     build_nabla,
     build_stack_derivative,
     build_stack_skew,
+    point_derivative,
 )
 from protofield.linops import skew_defect
 from protofield.verify import adjointness_residual
@@ -164,3 +165,41 @@ class TestStack:
                 sl = stack.block_slice(copy, rank)
                 covered.extend(range(sl.start, sl.stop))
         assert sorted(covered) == list(range(stack.dim))
+
+
+class TestSharedBuilds:
+    """The parent operator and the point partials are built once and shared."""
+
+    def test_equal_stack_returns_the_same_operator(self):
+        axes = [Axis.torus(3), Axis.dirichlet(4, 0.2)]
+        first = build_stack_skew(TensorStack(axes, 2))
+        assert build_stack_skew(TensorStack(tuple(axes), 2)) is first
+
+    def test_cached_stencil_is_read_only(self):
+        P = point_derivative((Axis.torus(4), Axis.dirichlet(3, 0.25)), 1)
+        assert point_derivative((Axis.torus(4), Axis.dirichlet(3, 0.25)), 1) is P
+        for arr in (P.data, P.indices, P.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_memos_are_bounded(self):
+        for fn in (build_stack_skew, point_derivative):
+            assert 0 < fn.cache_info().maxsize < np.inf
+
+    def test_rebuilt_parent_is_bitwise_equal(self):
+        stack = TensorStack((Axis.torus(3), Axis.dirichlet(4, 0.2), Axis.torus(2)), 3)
+        cached = build_stack_skew(stack).entries
+        build_stack_skew.cache_clear()
+        point_derivative.cache_clear()
+        rebuilt = build_stack_skew(stack).entries
+        assert rebuilt is not cached
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(cached, part), getattr(rebuilt, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("axes", [(Axis.torus(4),) * 3, (Axis.torus(4), Axis.torus(2))],
+                             ids=["torus4^3", "torus4xtorus2"])
+    def test_partials_store_no_zeros(self, axes):
+        for d in range(len(axes)):
+            P = point_derivative(axes, d)
+            assert P.format == "csr" and P.nnz == P.count_nonzero()
