@@ -11,11 +11,12 @@ schemes are provided:
 Where every axis of the grid is periodic and the step matrices commute
 with the shifts (a constant law on a torus), both are cut into one small
 symbol per wavenumber and the step matrix is inverted symbol by symbol,
-once: a step is one batched product in wavenumber space and an inverse
-FFT back to the physical state.  Otherwise the step matrix is factored
-once by the sparse LU.  solve_reduced takes the same wavenumber step, with
-the inverse formed through the Schur complement onto the range of A.  A
-run whose states or energies stop being finite raises StepFailureError.
+once: a step is one batched product in wavenumber space, and a block of
+steps goes back to physical states by one inverse FFT.  Otherwise the
+step matrix is factored once by the sparse LU.  solve_reduced takes the
+same wavenumber step, with the inverse formed through the Schur
+complement onto the range of A.  A run whose states or energies stop
+being finite raises StepFailureError.
 Crank-Nicolson preserves the quadratic form <M0 u, u> exactly (up to the
 linear solve) when M1 is skew or zero, and for zero forcing satisfies the
 discrete dissipation identity
@@ -49,6 +50,7 @@ IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
 
 SKEW_TOL = 1e-12
+_BLOCK_BYTES = 2**20  # of complex coordinates, moved to physical states at once
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,10 @@ class EvolutionaryProblem:
     def force_at(self, t):
         if self.forcing is None:
             return np.zeros(self.space.dim)
-        return np.asarray(self.forcing(t), dtype=float)
+        f = np.asarray(self.forcing(t), dtype=float)
+        if f.shape != (self.space.dim,):
+            raise ValueError(f"forcing has shape {f.shape}, expected ({self.space.dim},)")
+        return f
 
 
 @dataclass(frozen=True)
@@ -178,15 +183,16 @@ class _PhysicalStep:
     def step(self, u, f):
         return self.lu_solve(self.right.apply(u) + f)
 
-    def state(self, u):
-        return u
+    def states(self, block):
+        return np.stack(block)
 
 
 class _WavenumberStep:
     """The step in the coordinates y = F S u of the inverse's ShiftCut.
 
     With H = L^-1 and G = H R per wavenumber, y <- G y + H F S f, the
-    forcing term only when f is nonzero; each state is S^-1 F^-1 y.
+    forcing term only when f is nonzero; a block of states is S^-1 F^-1
+    applied to their coordinates as columns, in one inverse FFT.
     """
 
     def __init__(self, inverse: WavenumberInverse, right: MatrixOperator):
@@ -202,27 +208,35 @@ class _WavenumberStep:
             y += self.h @ self.cut.forward(f[:, None])
         return y
 
-    def state(self, y):
-        return self.cut.inverse(y)[:, 0]
+    def states(self, block):
+        return self.cut.inverse(np.concatenate(block, axis=2)).T
 
 
 def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Trajectory:
     """Step from the initial state with the stepper, sampling F once per step.
 
-    Raises StepFailureError, naming the first step, when a state or its
-    energy is not finite; such a run is never returned.
+    A block of steps (about _BLOCK_BYTES of coordinates) goes to physical
+    states in one call, and their energies are taken while those rows are
+    in cache.  Raises StepFailureError, naming the first step, when a
+    state or its energy is not finite; such a run is never returned.
     """
     nsteps = config.steps
     times = np.arange(nsteps + 1) * config.tau
     offset = config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2
+    block = min(max(_BLOCK_BYTES // (16 * problem.space.dim), 1), nsteps)
     states = np.empty((nsteps + 1, problem.space.dim))
     states[0] = problem.initial
+    energies = np.empty(nsteps + 1)
     y = stepper.start(problem.initial)
     with np.errstate(all="ignore"):  # overflow is reported below, by step
-        for k in range(nsteps):
-            y = stepper.step(y, problem.force_at(times[k] + offset))
-            states[k + 1] = stepper.state(y)
-        energies = energy_series_from_states(states, problem.law.m0)
+        for start in range(0, nsteps, block):
+            stop, ys = min(start + block, nsteps), []
+            for k in range(start, stop):
+                y = stepper.step(y, problem.force_at(times[k] + offset))
+                ys.append(y)
+            states[start + 1:stop + 1] = stepper.states(ys)
+            rows = slice(start and start + 1, stop + 1)  # row 0 goes with the first block
+            energies[rows] = energy_series_from_states(states[rows], problem.law.m0)
     finite = np.isfinite(states).all(axis=1) & np.isfinite(energies)
     if not finite.all():
         k = int(np.argmin(finite))

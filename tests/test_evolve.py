@@ -1,5 +1,7 @@
 """Tests for the time integrators and their diagnostics."""
 
+import math
+import re
 import time
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ from protofield import catalog, evolve
 from protofield.flatgrid import PERIODIC, Axis
 from protofield.linops import MatrixOperator, PreconditionError, SpaceTag
 from protofield.matlaw import MaterialLaw, MaterialLawError, StepFailureError
+from protofield.subspaces import ShiftCut
 from protofield.evolve import (
     CRANK_NICOLSON,
     IMPLICIT_EULER,
@@ -99,6 +102,16 @@ class TestSolve:
                                    initial=np.ones(3))
         with pytest.raises(StepFailureError, match="condition estimate"):
             runner(prob, SolverConfig(tau=1e-4, t_end=1e-3))
+
+    @pytest.mark.parametrize("grid", [(Axis.interval(8),), (Axis.torus(4),) * 2],
+                             ids=["lu", "wavenumber"])
+    @pytest.mark.parametrize("bad", [1.0, np.ones(1)], ids=["scalar", "one_entry"])
+    def test_forcing_of_the_wrong_shape_rejected(self, grid, bad):
+        entry = catalog.heat(grid)
+        problem = entry.problem(forcing=lambda t: bad)
+        shapes = re.escape(f"forcing has shape {np.shape(bad)}, expected ({entry.dim},)")
+        with pytest.raises(ValueError, match=shapes):
+            solve(problem, SolverConfig(tau=0.01, t_end=0.1))
 
 
 class TestEnergy:
@@ -445,6 +458,123 @@ class TestFiniteStates:
         prob = scalar_problem(m1=-99.0)
         with pytest.raises(StepFailureError, match=r"step 78 \(t = 0\.78\)"):
             solve(prob, SolverConfig(tau=0.01, t_end=1.0, scheme=IMPLICIT_EULER))
+
+
+BLOCK = 4  # the block size the tests below set
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Set the block budget so that _march moves BLOCK states at a time."""
+    def set_for(dim):
+        monkeypatch.setattr(evolve, "_BLOCK_BYTES", 16 * dim * BLOCK)
+    return set_for
+
+
+def marched_step_by_step(runner, problem, config):
+    """runner's states, and its stepper's type, moved back one state per step."""
+    out = {}
+
+    def march(problem, config, stepper):
+        times = np.arange(config.steps + 1) * config.tau
+        offset = config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2
+        states, y = [problem.initial], stepper.start(problem.initial)
+        for t in times[:-1]:
+            y = stepper.step(y, problem.force_at(t + offset))
+            states.append(stepper.states([y])[0])
+        out["states"], out["stepper"] = np.array(states), type(stepper)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolve, "_march", march)
+        runner(problem, config)
+    return out["states"], out["stepper"]
+
+
+def torus_maxwell():
+    return catalog.maxwell((Axis.torus(4),) * 3)
+
+
+def random_problem(entry, seed, gridless=False):
+    problem = entry.problem(initial=np.random.default_rng(seed).standard_normal(entry.dim))
+    return physical(problem) if gridless else problem
+
+
+class TestBlocks:
+    """_march moves states to physical space, and takes energies, BLOCK steps at a time."""
+
+    def check_against_step_by_step(self, runner, problem, config, stepper):
+        traj = runner(problem, config)
+        states, used = marched_step_by_step(runner, problem, config)
+        assert used is stepper
+        assert np.array_equal(traj.states, states)
+        energies = evolve.energy_series(traj, problem.law.m0)
+        assert np.abs(traj.energies - energies).max() <= 1e-14 * np.abs(energies).max()
+        return traj
+
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("build, gridless, runner, stepper", [
+        (torus_maxwell, False, solve, evolve._WavenumberStep),
+        (lambda: catalog.heat((Axis.torus(4), Axis.interval(5))), False, solve,
+         evolve._PhysicalStep),
+        (torus_maxwell, True, solve, evolve._PhysicalStep),
+        (lambda: catalog.acoustics((Axis.torus(8),)), False, solve_reduced,
+         evolve._WavenumberStep),
+    ], ids=["torus", "lu", "no_grid", "reduced"])
+    def test_states_match_the_step_by_step_march(self, build, gridless, runner, stepper, steps,
+                                                 small_blocks):
+        entry = build()
+        small_blocks(entry.dim)
+        traj = self.check_against_step_by_step(
+            runner, random_problem(entry, 13, gridless),
+            SolverConfig(tau=0.01, t_end=0.01 * steps), stepper)
+        assert len(traj) == steps + 1
+
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    def test_forcing_switching_on_mid_block(self, scheme, small_blocks):
+        # the pulse is first sampled by step 5, inside the second block (steps 4-7)
+        entry = torus_maxwell()
+        pulse = np.random.default_rng(14).standard_normal(entry.dim)
+        samples = []
+
+        def forcing(t):
+            samples.append(t)
+            return pulse if t >= 0.105 else np.zeros(entry.dim)
+
+        small_blocks(entry.dim)
+        cfg = SolverConfig(tau=0.02, t_end=0.02 * (2 * BLOCK + 1), scheme=scheme)
+        traj = self.check_against_step_by_step(solve, entry.problem(forcing=forcing), cfg,
+                                               evolve._WavenumberStep)
+        offset = cfg.tau if scheme == IMPLICIT_EULER else cfg.tau / 2
+        assert samples == 2 * list(traj.times[:-1] + offset)
+        assert np.abs(traj.states[:6]).max() == 0.0
+        assert np.abs(traj.states[6]).max() > 0.0
+
+    @pytest.mark.parametrize("gridless", [False, True], ids=["wavenumber", "lu"])
+    def test_non_finite_step_named_inside_a_block(self, gridless, small_blocks):
+        # step 5 (t = 0.1 to 0.12, CN samples F at 0.11) is the second of the
+        # second block and makes state 6 non-finite, and every later one
+        entry = torus_maxwell()
+        bad, zero = np.full(entry.dim, np.inf), np.zeros(entry.dim)
+        problem = random_problem(entry, 15, gridless)
+        problem = replace(problem, forcing=lambda t: bad if t > 0.105 else zero)
+        small_blocks(entry.dim)
+        with pytest.raises(StepFailureError, match=r"not finite at step 6 \(t = 0\.12\)$"):
+            solve(problem, SolverConfig(tau=0.02, t_end=0.02 * (3 * BLOCK + 1)))
+
+    def test_one_inverse_transform_per_block(self, monkeypatch):
+        entry = torus_maxwell()
+        calls = []
+        inverse = ShiftCut.inverse
+
+        def counting(cut, y):
+            calls.append(y.shape[2])
+            return inverse(cut, y)
+
+        monkeypatch.setattr(ShiftCut, "inverse", counting)
+        traj = solve(random_problem(entry, 16), SolverConfig(tau=0.01, t_end=1.0))
+        block = min(max(evolve._BLOCK_BYTES // (16 * entry.dim), 1), 100)
+        assert len(traj) == 101 and sum(calls) == 100
+        assert len(calls) <= math.ceil(100 / block)
 
 
 class TestSparseStorage:
