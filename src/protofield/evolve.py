@@ -12,7 +12,10 @@ Where every axis of the grid is periodic and the step matrices commute
 with the shifts (a constant law on a torus), both are cut into one small
 symbol per wavenumber and the step matrix is inverted symbol by symbol,
 once: a step is one batched product in wavenumber space, and a block of
-steps goes back to physical states by one inverse FFT.  Otherwise the
+steps goes back to physical states by one inverse FFT.  The step
+matrices and the states are real, so their symbols and coordinates at
+-xi are the conjugates of those at xi: only the wavenumbers up to n/2
+along the last periodic axis, about half, are stepped.  Otherwise the
 step matrix is factored once by the sparse LU.  solve_reduced takes the
 same wavenumber step, with the inverse formed through the Schur
 complement onto the range of A.  A run whose states or energies stop
@@ -50,7 +53,7 @@ IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
 
 SKEW_TOL = 1e-12
-_BLOCK_BYTES = 2**20  # of complex coordinates, moved to physical states at once
+_BLOCK_BYTES = 2**20  # at 16 bytes per state entry: steps moved to physical states at once
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,8 @@ class _PhysicalStep:
         return u0
 
     def step(self, u, f):
-        return self.lu_solve(self.right.apply(u) + f)
+        rhs = self.right.apply(u)
+        return self.lu_solve(rhs if f is None else rhs + f)
 
     def states(self, block):
         return np.stack(block)
@@ -191,8 +195,8 @@ class _WavenumberStep:
     """The step in the coordinates y = F S u of the inverse's ShiftCut.
 
     With H = L^-1 and G = H R per wavenumber, y <- G y + H F S f, the
-    forcing term only when f is nonzero; a block of states is S^-1 F^-1
-    applied to their coordinates as columns, in one inverse FFT.
+    forcing term only when f is given and nonzero; a block of states is
+    S^-1 F^-1 applied to their coordinates as columns, in one inverse FFT.
     """
 
     def __init__(self, inverse: WavenumberInverse, right: MatrixOperator):
@@ -204,7 +208,7 @@ class _WavenumberStep:
 
     def step(self, y, f):
         y = self.g @ y
-        if f.any():
+        if f is not None and f.any():
             y += self.h @ self.cut.forward(f[:, None])
         return y
 
@@ -215,10 +219,12 @@ class _WavenumberStep:
 def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Trajectory:
     """Step from the initial state with the stepper, sampling F once per step.
 
-    A block of steps (about _BLOCK_BYTES of coordinates) goes to physical
-    states in one call, and their energies are taken while those rows are
-    in cache.  Raises StepFailureError, naming the first step, when a
-    state or its energy is not finite; such a run is never returned.
+    A block of steps (_BLOCK_BYTES at 16 bytes per state entry) goes to
+    physical states in one call, and their energies are taken while those
+    rows are in cache.  A problem with no forcing passes None to the
+    stepper, which then adds no forcing term.  Raises StepFailureError,
+    naming the first step, when a state or its energy is not finite; such
+    a run is never returned.
     """
     nsteps = config.steps
     times = np.arange(nsteps + 1) * config.tau
@@ -232,7 +238,8 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Traje
         for start in range(0, nsteps, block):
             stop, ys = min(start + block, nsteps), []
             for k in range(start, stop):
-                y = stepper.step(y, problem.force_at(times[k] + offset))
+                f = None if problem.forcing is None else problem.force_at(times[k] + offset)
+                y = stepper.step(y, f)
                 ys.append(y)
             states[start + 1:stop + 1] = stepper.states(ys)
             rows = slice(start and start + 1, stop + 1)  # row 0 goes with the first block

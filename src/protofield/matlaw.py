@@ -179,8 +179,9 @@ class WavenumberInverse:
     """S^-1 in the coordinates y = F S x of a ShiftCut, one block per wavenumber.
 
     inverse[xi] (N, m, m) maps the coordinates of f at wavenumber xi to
-    those of S^-1 f; with no axis cut (N = 1) it is the one dense inverse
-    of the weighted S.
+    those of S^-1 f, for the N wavenumbers the cut keeps: S is real, so
+    the block at -xi is the conjugate of the one at xi and is not stored.
+    With no axis cut (N = 1) it is the one dense inverse of the weighted S.
     """
 
     cut: object

@@ -14,6 +14,11 @@ even_odd maps points.  The range/kernel split is kept in wavenumber
 space: ShiftCut block-diagonalizes the operators that commute with the
 shifts along the periodic axes by a DFT, and each WavenumberPair holds
 one small orthonormal basis per wavenumber, never a dim x dim map.
+Every operator and field is real, so its symbol at -xi is the conjugate
+of the one at xi (Hermitian symmetry): the DFT is real-to-complex and
+keeps only the wavenumbers up to n/2 along the last cut axis, about half
+of them, and a subspace counts each kept wavenumber whose conjugate
+partner is dropped twice in its real dimension.
 shift_cut is the one rule for where to cut, used by the split and by the
 time steps: along the periodic axes when every given operator commutes
 with the shifts there, along none otherwise.
@@ -286,31 +291,52 @@ def realify_complex(mat: np.ndarray, domain: SpaceTag, codomain: SpaceTag) -> Ma
 # range / kernel splitting
 
 
-def _along(transform, x, axes, norm=None):
-    """numpy.fft.fft or ifft along each of `axes` in turn.
+def _rdft(x, axes, norm=None):
+    """numpy.fft.rfft along the last of `axes`, then fft along the others.
 
     scipy.fft transforms these small grids about twice as fast, but loading
     it adds about 5 MB of resident memory and 0.1 s to the first solve.
     """
-    for axis in axes:
-        x = transform(x, axis=axis, norm=norm)
+    *others, last = axes
+    x = np.fft.rfft(x, axis=last, norm=norm)
+    for axis in others:
+        x = np.fft.fft(x, axis=axis, norm=norm)
     return x
 
 
+def _irdft(x, axes, n, norm=None):
+    """The inverse of _rdft: ifft along all but the last of `axes`, then
+    irfft to n points along the last, which keeps the real part."""
+    *others, last = axes
+    for axis in others:
+        x = np.fft.ifft(x, axis=axis, norm=norm)
+    return np.fft.irfft(x, n=n, axis=last, norm=norm)
+
+
 class ShiftCut:
-    """The unitary DFT F along the cut periodic axes, after the weight root S.
+    """The unitary DFT F along the cut periodic axes, after the weight root S,
+    kept on half the wavenumbers.
 
     Fields are k components over the axes `grid` (dim = k * npts, the point
     index innermost in C order).  Coordinates are reordered as (beta, p):
-    beta (m values) runs over the component and the axes not cut, p (N
-    values) over the cut axes.  forward(x) = F S x maps (dim, c) columns to
-    (N, m, c): wavenumber, beta, column; inverse undoes it and keeps the
-    real part.  An operator T commuting with the shifts along the cut axes
-    is cut into one m x m symbol of S T S^-1 per wavenumber; with no axis
-    cut, N = 1 and the one symbol is S T S^-1 itself (no FFT).
+    beta (m values) runs over the component and the axes not cut, p over
+    the cut axes, n_1 x ... x n_k points.  Every operator and field here is
+    real, so a symbol satisfies T(-xi) = conj T(xi) and the coordinates of
+    a field x(-xi) = conj x(xi): F keeps the wavenumbers whose index along
+    the last cut axis is at most n_k // 2 (numpy's rfft), N = n_1 ... n_{k-1}
+    (n_k // 2 + 1) of them, and the others are their conjugates.
+    multiplicity[xi] is 2 when the partner -xi is not kept (last index
+    strictly between 0 and n_k / 2) and 1 otherwise, so a real subspace
+    has dimension sum over xi of multiplicity[xi] times its columns there.
+    forward(x) = F S x maps real (dim, c) columns to (N, m, c): wavenumber,
+    beta, column; inverse undoes it, as a real field.  An operator T
+    commuting with the shifts along the cut axes is cut into one m x m
+    symbol of S T S^-1 per kept wavenumber; with no axis cut, N = 1 and the
+    one symbol is S T S^-1 itself (no FFT).
     """
 
-    __slots__ = ("shape", "axes", "order", "per", "sw", "N", "m", "_fft_axes", "_inv_order")
+    __slots__ = ("shape", "axes", "order", "per", "half", "multiplicity", "sw", "N", "m",
+                 "_fft_axes", "_inv_order")
 
     def __init__(self, space: SpaceTag, grid=(), axes=()):
         npts = point_count(grid)
@@ -320,10 +346,19 @@ class ShiftCut:
         axes = [1 + a for a in axes]
         order = [a for a in range(len(shape)) if a not in axes] + axes
         per = tuple(shape[a] for a in axes)
-        N = int(np.prod(per))
+        if per:
+            j = np.arange(per[-1] // 2 + 1)
+            half = (*per[:-1], len(j))
+            multiplicity = np.tile(np.where((j == 0) | (2 * j == per[-1]), 1, 2),
+                                   int(np.prod(per[:-1])))
+        else:
+            half, multiplicity = (), np.ones(1, dtype=int)
+        multiplicity.flags.writeable = False
         for name, value in (("shape", shape), ("axes", tuple(axes)), ("order", tuple(order)),
-                            ("per", per), ("sw", np.sqrt(space.weight)), ("N", N),
-                            ("m", space.dim // N), ("_fft_axes", tuple(range(1, 1 + len(per)))),
+                            ("per", per), ("half", half), ("multiplicity", multiplicity),
+                            ("sw", np.sqrt(space.weight)), ("N", len(multiplicity)),
+                            ("m", space.dim // int(np.prod(per))),
+                            ("_fft_axes", tuple(range(1, 1 + len(per)))),
                             ("_inv_order", (*np.argsort(order), len(shape)))):
             object.__setattr__(self, name, value)
 
@@ -331,20 +366,20 @@ class ShiftCut:
         raise AttributeError("ShiftCut is immutable")
 
     def forward(self, x):
-        """F S x for the columns of x (dim, c), as (N, m, c)."""
+        """F S x for the real columns of x (dim, c), as (N, m, c)."""
         c = x.shape[1]
         y = (self.sw[:, None] * x).reshape(*self.shape, c).transpose(*self.order, -1)
         y = y.reshape(self.m, *self.per, c)
         if self.per:
-            y = _along(np.fft.fft, y, self._fft_axes, "ortho")
+            y = _rdft(y, self._fft_axes, "ortho")
         return y.reshape(self.m, self.N, c).transpose(1, 0, 2)
 
     def inverse(self, y):
-        """S^-1 F^-1 y for y (N, m, c), real part, as (dim, c) columns."""
+        """S^-1 F^-1 y for y (N, m, c), the real field, as (dim, c) columns."""
         c = y.shape[2]
-        x = y.transpose(1, 0, 2).reshape(self.m, *self.per, c)
+        x = y.transpose(1, 0, 2).reshape(self.m, *self.half, c)
         if self.per:
-            x = _along(np.fft.ifft, x, self._fft_axes, "ortho").real
+            x = _irdft(x, self._fft_axes, self.per[-1], "ortho")
         x = x.reshape(*(self.shape[a] for a in self.order), c)
         x = x.transpose(self._inv_order).reshape(len(self.sw), c)
         return x / self.sw[:, None]
@@ -353,8 +388,8 @@ class ShiftCut:
         """b0[(beta, p), gamma] = the entry of S op S^-1 in column (gamma, p = 0).
 
         None when some entry differs from its image shifted back to p = 0, or
-        the entry count is not that of the columns at p = 0 times N: then op
-        does not commute with the shifts along the cut axes.
+        the entry count is not that of the columns at p = 0 times the number
+        of shifts: then op does not commute with the shifts along the cut axes.
         """
         e = op.entries.tocoo()
         data = e.data * self.sw[e.row] / self.sw[e.col]
@@ -370,7 +405,7 @@ class ShiftCut:
         col_beta = np.ravel_multi_index([c[a] for a in kept], [shape[a] for a in kept])
         b0 = np.zeros((len(self.sw), self.m))
         b0[row_bp[at0], col_beta[at0]] = data[at0]
-        if self.axes and (len(data) != self.N * np.count_nonzero(at0)
+        if self.axes and (len(data) != np.prod(self.per) * np.count_nonzero(at0)
                           or np.any(b0[row_bp, col_beta] != data)):
             return None
         return b0
@@ -385,17 +420,20 @@ class ShiftCut:
             raise ValueError("the operator does not commute with the shifts along the cut axes")
         if not self.axes:
             return b0[None]
-        symbols = _along(np.fft.fft, b0.reshape(self.m, *self.per, self.m), self._fft_axes)
+        symbols = _rdft(b0.reshape(self.m, *self.per, self.m), self._fft_axes)
         return symbols.reshape(self.m, self.N, self.m).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
 class WavenumberPair:
-    """A subspace given, wavenumber by wavenumber, by orthonormal columns.
+    """A real subspace given, wavenumber by wavenumber, by orthonormal columns.
 
-    pi = basis^H F S at each wavenumber (F, S from `cut`), with the weighted
-    adjoint S^-1 F^-1 basis as its embedding.  groups holds one (wavenumber
-    index, basis (n, m, c)) per group of wavenumbers with c columns each.
+    pi = basis^H F S at each kept wavenumber (F, S from `cut`), with the
+    weighted adjoint S^-1 F^-1 basis as its embedding; at the conjugate
+    wavenumbers the cut drops, the basis is the conjugate one.  groups holds
+    one (wavenumber index, basis (n, m, c)) per group of wavenumbers with c
+    columns each, and the codomain's dimension counts each wavenumber with
+    its cut.multiplicity.
     """
 
     cut: ShiftCut
@@ -411,7 +449,7 @@ def range_kernel_pairs(cut: ShiftCut, u, kernel_dims, domain: SpaceTag):
     groups = [(np.flatnonzero(kernel_dims == k), m - k) for k in np.unique(kernel_dims)]
 
     def pair(label, bases):
-        dim = sum(basis.shape[0] * basis.shape[2] for _, basis in bases)
+        dim = sum(int(cut.multiplicity[index].sum()) * basis.shape[2] for index, basis in bases)
         if dim == 0:
             return None  # 0-dimensional tags are not representable
         return WavenumberPair(cut, tuple(bases), domain,

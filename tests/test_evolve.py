@@ -203,6 +203,30 @@ class TestCausality:
             before = traj.times < 0.5
             assert np.abs(traj.states[before]).max() == 0.0
 
+    @pytest.mark.parametrize("gridless", [False, True], ids=["wavenumber", "lu"])
+    def test_no_forcing_passes_no_forcing_term(self, gridless, monkeypatch):
+        # a problem with no forcing hands None to the stepper at every step,
+        # and steps exactly as with an explicit zero forcing
+        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        problem = entry.problem(initial=np.random.default_rng(17).standard_normal(entry.dim))
+        problem = physical(problem) if gridless else problem
+        stepper = evolve._PhysicalStep if gridless else evolve._WavenumberStep
+        step, seen = stepper.step, []
+
+        def spying(self, y, f):
+            seen.append(f)
+            return step(self, y, f)
+
+        monkeypatch.setattr(stepper, "step", spying)
+        cfg = SolverConfig(tau=0.01, t_end=0.1)
+        traj = solve(problem, cfg)
+        assert seen == [None] * cfg.steps
+        zero = np.zeros(entry.dim)
+        assert np.array_equal(traj.states, solve(replace(problem, forcing=lambda t: zero),
+                                                 cfg).states)
+        at_rest = replace(problem, initial=np.zeros(entry.dim))
+        assert causality_check(at_rest, cfg, t0=0.05)
+
     def test_nonzero_initial_rejected(self):
         prob = scalar_problem(u0=1.0)
         with pytest.raises(PreconditionError):
@@ -315,7 +339,8 @@ class TestSolveReduced:
         from protofield import evolve
 
         split = evolve.range_kernel_split
-        for entry, n_wavenumbers in ((catalog.acoustics((Axis.torus(8),)), 8),
+        # 8 // 2 + 1 = 5 kept wavenumbers on the ring; one block when not cut
+        for entry, n_wavenumbers in ((catalog.acoustics((Axis.torus(8),)), 5),
                                      (catalog.acoustics((Axis.torus(8),),
                                                         rho=np.linspace(1.0, 2.0, 8)), 1)):
             left, _ = evolve._step_operators(entry.problem(), SolverConfig(tau=0.01, t_end=0.1))
@@ -394,6 +419,24 @@ class TestWavenumberStep:
         assert np.abs(traj.states[-1]).max() > 0.0
         assert relative_gap(traj, solve(physical(entry.problem(forcing=forcing)), cfg)) <= 1e-12
         assert causality_check(entry.problem(forcing=forcing), cfg, t0=0.26)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    @pytest.mark.parametrize("sizes", [(3, 4, 5), (3, 5, 4)], ids=["odd_last", "even_last"])
+    def test_odd_and_even_last_axes_match_the_physical_lu(self, sizes, scheme, forced,
+                                                           monkeypatch):
+        # the half spectrum keeps n // 2 + 1 wavenumbers of the last axis:
+        # both parities, with and without a forcing term, against the sparse LU
+        entry = catalog.maxwell(tuple(Axis.torus(n) for n in sizes))
+        rng = np.random.default_rng(18)
+        pulse = rng.standard_normal(entry.dim)
+        problem = entry.problem(initial=rng.standard_normal(entry.dim),
+                                forcing=(lambda t: np.cos(3.0 * t) * pulse) if forced else None)
+        cfg = SolverConfig(tau=0.01, t_end=0.3, scheme=scheme)
+        factored = lu_factorizations(monkeypatch)
+        traj = solve(problem, cfg)
+        assert factored == []
+        assert relative_gap(traj, solve(physical(problem), cfg)) <= 1e-12
 
     def test_a_perturbed_symbol_inverse_fails_the_comparison(self, monkeypatch):
         entry = catalog.maxwell((Axis.torus(4),) * 3)

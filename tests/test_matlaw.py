@@ -377,7 +377,7 @@ class TestSchur:
         entry = catalog.heat((Axis.torus(6),))
         S, _ = step_pair(entry.law, entry.a, 0.05)
         pr, pk = range_kernel_split(entry.a, S, grid=entry.grid)
-        assert pr.cut.N == 6
+        assert pr.cut.N == 4  # 6 // 2 + 1 kept wavenumbers
         for reduced in complements(schur_reduce(S, pr, pk), pr):
             sym = 0.5 * (reduced + reduced.conj().transpose(0, 2, 1))
             assert np.linalg.eigvalsh(sym).min(initial=np.inf) > 0

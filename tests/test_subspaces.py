@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from protofield import catalog, verify
+from protofield import catalog, evolve, verify
 from protofield.flatgrid import (PERIODIC, Axis, TensorFieldSpace, TensorStack, build_d1,
                                  build_stack_skew)
 from protofield.linops import MatrixOperator, identity, skew_defect
 from protofield.subspaces import (
     ProjectionPair,
+    ShiftCut,
     asym_projection,
     component_select,
     descend,
@@ -22,6 +23,7 @@ from protofield.subspaces import (
     rank_block,
     realify,
     realify_complex,
+    shift_cut,
     subspace_dim,
     sym_projection,
     torus_average,
@@ -350,7 +352,7 @@ class TestRangeKernel:
         entry = catalog.acoustics((Axis.torus(8),))
         t = entry.a.domain
         bump = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
-        assert range_kernel_split(entry.a, grid=entry.grid)[1].cut.N == 8
+        assert range_kernel_split(entry.a, grid=entry.grid)[1].cut.N == 5  # 8 // 2 + 1
         for pair, ref in zip(range_kernel_split(entry.a, bump, grid=entry.grid),
                              dense_split(entry.a)):
             assert pair.cut.N == 1 and np.array_equal(dense_pi(pair), ref)
@@ -368,6 +370,86 @@ class TestRangeKernel:
         A = MatrixOperator(np.zeros((3, 3)), t0, t1)
         with pytest.raises(ValueError):
             range_kernel_split(A)
+
+
+HALF_SPECTRUM_GRIDS = {
+    "2": (Axis.torus(2),),
+    "7": (Axis.torus(7),),
+    "8": (Axis.torus(8),),
+    "3x4": (Axis.torus(3), Axis.torus(4)),
+    "4x3": (Axis.torus(4), Axis.torus(3)),
+    "4xI3x5": (Axis.torus(4), Axis.interval(3), Axis.torus(5)),
+    "5xI3x4": (Axis.torus(5), Axis.interval(3), Axis.torus(4)),
+}
+
+
+def half_count(grid):
+    """Kept wavenumbers of the cut along the periodic axes: n // 2 + 1 on the last one."""
+    per = [axis.n for axis in grid if axis.bc == PERIODIC]
+    return int(np.prod(per[:-1])) * (per[-1] // 2 + 1)
+
+
+def step_matrices(entry, scheme):
+    config = evolve.SolverConfig(tau=0.01, t_end=0.1, scheme=scheme)
+    return evolve._step_operators(entry.problem(), config)
+
+
+class TestHalfSpectrum:
+    """ShiftCut keeps the wavenumbers up to n // 2 along the last cut axis."""
+
+    @pytest.mark.parametrize("name", ["heat", "acoustics"])
+    @pytest.mark.parametrize("grid", HALF_SPECTRUM_GRIDS.values(), ids=HALF_SPECTRUM_GRIDS)
+    def test_real_dimensions_add_up(self, grid, name):
+        # conjugate partners counted: range + kernel is the whole space, and
+        # the kernel is as large as the uncut one-block split's
+        entry = catalog.build_entry(name, grid)
+        p_range, p_kernel = range_kernel_split(entry.a, grid=grid)
+        cut = p_range.cut
+        assert cut.N == half_count(grid)
+        assert cut.multiplicity.sum() == np.prod(cut.per)
+        assert subspace_dim(p_range) + subspace_dim(p_kernel) == entry.dim
+        uncut = range_kernel_split(entry.a)
+        assert uncut[1].cut.N == 1
+        assert subspace_dim(p_kernel) == subspace_dim(uncut[1])
+        assert subspace_dim(p_range) == subspace_dim(uncut[0])
+
+    @pytest.mark.parametrize("scheme", [evolve.CRANK_NICOLSON, evolve.IMPLICIT_EULER])
+    @pytest.mark.parametrize("name, grid", [
+        *(("heat", grid) for grid in HALF_SPECTRUM_GRIDS.values()),
+        ("acoustics", (Axis.torus(3), Axis.torus(4))),
+        ("maxwell", (Axis.torus(3), Axis.torus(4), Axis.torus(5))),
+        ("maxwell", (Axis.torus(3), Axis.torus(5), Axis.torus(4))),
+    ], ids=[*HALF_SPECTRUM_GRIDS, "acoustics_3x4", "maxwell_3x4x5", "maxwell_3x5x4"])
+    def test_transforms_and_symbols_against_the_matrices(self, name, grid, scheme):
+        entry = catalog.build_entry(name, grid)
+        x = np.random.default_rng(19).standard_normal((entry.dim, 3))
+        for op in step_matrices(entry, scheme):
+            cut = shift_cut(entry.space, grid, op)
+            assert cut.axes and cut.N == half_count(grid)
+            assert np.abs(cut.inverse(cut.forward(x)) - x).max() <= 1e-14 * np.abs(x).max()
+            exact = op.entries @ x
+            cut_product = cut.inverse(cut.symbols(op) @ cut.forward(x))
+            assert np.abs(cut_product - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("grid", [(Axis.torus(7),), (Axis.torus(8),),
+                                      (Axis.torus(3), Axis.torus(4)),
+                                      (Axis.torus(3), Axis.torus(4), Axis.torus(5))],
+                             ids=["7", "8", "3x4", "3x4x5"])
+    def test_a_constant_law_is_cut(self, grid):
+        # a commute test that miscounts the entries would fall back to one
+        # dense block on every torus without failing any comparison
+        entry = catalog.build_entry("maxwell" if len(grid) == 3 else "acoustics", grid)
+        cut = shift_cut(entry.space, grid, *step_matrices(entry, evolve.CRANK_NICOLSON))
+        assert cut.axes == tuple(range(1, 1 + len(grid)))
+        assert cut.N == half_count(grid)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_a_law_varying_in_space_is_not_cut(self, n):
+        entry = catalog.acoustics((Axis.torus(n),), rho=np.linspace(1.0, 2.0, n))
+        left, right = step_matrices(entry, evolve.CRANK_NICOLSON)
+        assert not ShiftCut(entry.space, entry.grid, (0,)).commutes(left)
+        cut = shift_cut(entry.space, entry.grid, left, right)
+        assert cut.axes == () and cut.N == 1
 
 
 class TestDescend:
