@@ -17,6 +17,14 @@ Euler-Bernoulli beams.  The structural identities tying them together
 are checked in `verify`, which reads the shared pieces (the stencils, the
 curl block, the Dirac relabeling, the stack chain of extended Maxwell)
 from here.
+
+An entry's state layout is stated once, as its `blocks` tuple of
+(label, size) pairs (the `_*_blocks` functions below, built by `_layout`).
+Its material law (`_law`) and the block stencils are assembled by label
+over that tuple (`_assemble`), cross blocks included, and blocks are read
+back by label (`_block`, `CatalogEntry.block_slices`).  Every material
+coefficient is converted and checked positive (semi)definite in one place,
+`_coeff_spectrum`, so a bad value is a ValueError naming it at build.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .subspaces import (
     sym_projection,
     torus_average,
 )
-from .matlaw import MaterialLaw, couple
+from .matlaw import MaterialLaw
 from .evolve import EvolutionaryProblem
 
 SQRT2 = float(np.sqrt(2.0))
@@ -63,49 +71,102 @@ SQRT2 = float(np.sqrt(2.0))
 # small assembly helpers
 
 
-def _coeff(value, size):
-    """CSR coefficient block from a scalar, per-entry diagonal, or full matrix."""
+def _coeff_spectrum(name, value, size, strict=True):
+    """A material coefficient as a CSR block, with its space and spectral blocks.
+
+    value is a scalar, a per-entry diagonal or a full matrix (symmetrized).
+    Every coefficient of every entry passes here, and is checked symmetric
+    positive definite (semidefinite with strict=False): a ValueError names it.
+    """
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return float(arr) * sp.identity(size, format="csr")
-    if arr.ndim == 1:
+        mat = float(arr) * sp.identity(size, format="csr")
+    elif arr.ndim == 1:
         if arr.shape[0] != size:
-            raise ValueError(f"diagonal coefficient length {arr.shape[0]} != {size}")
-        return sp.diags(arr, format="csr")
-    if arr.shape != (size, size):
-        raise ValueError(f"coefficient shape {arr.shape} != ({size}, {size})")
-    return sp.csr_matrix(0.5 * (arr + arr.T))
-
-
-def _coeff_spectrum(name, mat, strict=True):
-    """Space and spectral blocks of a coefficient matrix, checked positive (semi)definite."""
-    tag = SpaceTag(name, mat.shape[0])
+            raise ValueError(f"{name}: diagonal coefficient length {arr.shape[0]} != {size}")
+        mat = sp.diags(arr, format="csr")
+    elif arr.shape != (size, size):
+        raise ValueError(f"{name}: coefficient shape {arr.shape} != ({size}, {size})")
+    else:
+        mat = sp.csr_matrix(0.5 * (arr + arr.T))
+    tag = SpaceTag(name, size)
     floor, groups = weighted_spectrum(MatrixOperator(mat, tag, tag), rank_tol=1e-12)
     low = min(float(g[1].min()) for g in groups)
     if low <= floor if strict else low < -floor:
         raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
-    return tag, groups
+    return mat, tag, groups
 
 
-def _check_coeff(name, mat, strict=True):
-    _coeff_spectrum(name, mat, strict)
-    return mat
+def _coeff(name, value, size, strict=True):
+    """The checked CSR block of a material coefficient (see _coeff_spectrum)."""
+    return _coeff_spectrum(name, value, size, strict)[0]
 
 
-def _inv_coeff(value, size, name="coefficient"):
-    tag, groups = _coeff_spectrum(name, _coeff(value, size))
+def _inv_coeff(name, value, size):
+    _, tag, groups = _coeff_spectrum(name, value, size)
     return spectral_function(groups, np.reciprocal, tag).entries
 
 
-def _block_matrix(sizes, entries, col_sizes=None):
-    """CSR block matrix from {(i, j): sparse block}; absent blocks are zero.
+# ---------------------------------------------------------------------------
+# block layouts: ((label, size), ...), the one statement of an entry's blocks
 
-    col_sizes defaults to sizes (square).
-    """
-    col_sizes = sizes if col_sizes is None else col_sizes
-    return sp.bmat([[entries.get((i, j), sp.csr_matrix((r, c)))
-                     for j, c in enumerate(col_sizes)]
-                    for i, r in enumerate(sizes)], format="csr")
+
+def _layout(axes, *components):
+    """The layout of (label, components per point) pairs over the points of axes."""
+    np_ = point_count(axes)
+    return tuple((label, k * np_) for label, k in components)
+
+
+def _acoustic_blocks(axes):
+    return _layout(axes, ("p", 1), ("v", len(axes)))
+
+
+def _elastic_blocks(axes):
+    n = len(axes)
+    return _layout(axes, ("v", n), ("T", n * (n + 1) // 2))
+
+
+def _maxwell_blocks(axes):
+    return _layout(axes, ("E", 3), ("w", 3))
+
+
+def _plate_blocks(axes):
+    """Bending scalar and shear flux, then rotation velocity and moment stress."""
+    n = len(axes)
+    return _layout(axes, ("eta", 1), ("zeta", n), ("s", n), ("T", n * (n + 1) // 2))
+
+
+def _slices(blocks):
+    """{label: slice} of each block of a layout."""
+    out, pos = {}, 0
+    for label, size in blocks:
+        out[label] = slice(pos, pos + size)
+        pos += size
+    return out
+
+
+def _assemble(blocks, parts):
+    """CSR matrix over a layout from {label: diagonal block, (row label,
+    column label): block}; absent blocks are zero, unknown labels a KeyError."""
+    size = dict(blocks)
+    keys = {r if r == c else (r, c) for r in size for c in size}
+    if not keys.issuperset(parts):
+        raise KeyError(f"blocks {[k for k in parts if k not in keys]} are not in {tuple(size)}")
+    return sp.bmat([[parts.get(r if r == c else (r, c), sp.csr_matrix((size[r], size[c])))
+                     for c in size] for r in size], format="csr")
+
+
+def _block(mat, blocks, row, col):
+    """The (row, col) block of a matrix over a layout."""
+    sl = _slices(blocks)
+    return mat[sl[row], sl[col]]
+
+
+def _law(space, blocks, m0, m1=None) -> MaterialLaw:
+    """The material law on space whose M0 and M1 are assembled by label over blocks."""
+    def op(parts):
+        return MatrixOperator(_assemble(blocks, parts or {}), space, space)
+    return MaterialLaw(m0=op(m0), m1=op(m1))
 
 
 def _partials(axes):
@@ -149,11 +210,7 @@ class CatalogEntry:
         return self.space.dim
 
     def block_slices(self):
-        out, pos = {}, 0
-        for label, size in self.blocks:
-            out[label] = slice(pos, pos + size)
-            pos += size
-        return out
+        return _slices(self.blocks)
 
     def problem(self, initial=None, forcing=None) -> EvolutionaryProblem:
         if initial is None:
@@ -162,26 +219,20 @@ class CatalogEntry:
                                    forcing=forcing, grid=self.grid)
 
 
-def _acoustic_block(axes, negate=False):
-    """[[0, div], [grad0, 0]] on L2_0 (+) L2_1, optionally diag(1,-1)-negated."""
+def _acoustic_block(axes):
+    """[[0, div], [grad0, 0]] on L2_0 (+) L2_1."""
     stack = TensorStack(tuple(axes), 1)
-    A = build_stack_skew(stack)
-    pv = rank_block(stack, {0}, {1})
-    out = descend(A, pv)
-    return -out if negate else out
+    return descend(build_stack_skew(stack), rank_block(stack, {0}, {1}))
 
 
-def _elastic_block(axes, rank2, negate=False):
-    """[[0, Div], [Grad0, 0]] on L2_1 (+) sym[L2_2] (rank2=sym_projection),
-    optionally negated; with asym_projection, the Maxwell block."""
+def _elastic_block(axes, rank2):
+    """[[0, Div], [Grad0, 0]] on L2_1 (+) sym[L2_2] (rank2=sym_projection);
+    with asym_projection, the Maxwell block."""
     stack = TensorStack(tuple(axes), 2)
-    A = build_stack_skew(stack)
-    first = descend(A, rank_block(stack, {1}, {2}))
+    first = descend(build_stack_skew(stack), rank_block(stack, {1}, {2}))
     r1 = TensorFieldSpace(tuple(axes), 1)
     r2 = TensorFieldSpace(tuple(axes), 2)
-    pv = direct_sum_pairs([identity_pair(r1.tag), rank2(r2)])
-    out = descend(first, pv)
-    return -out if negate else out
+    return descend(first, direct_sum_pairs([identity_pair(r1.tag), rank2(r2)]))
 
 
 def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
@@ -192,25 +243,19 @@ def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
     flux law of heat conduction).
     """
     axes = tuple(axes)
-    np_ = point_count(axes)
-    nvec = np_ * len(axes)
+    blocks = _acoustic_blocks(axes)
+    size = dict(blocks)
     a = _acoustic_block(axes)
-    space = a.domain
-    m0 = _block_matrix([np_, nvec], {
-        (0, 0): _check_coeff("rho", _coeff(rho, np_)),
-        (1, 1): _check_coeff("kappa", _coeff(kappa, nvec), strict=False),
-    })
-    m1 = _block_matrix([np_, nvec], {
-        (1, 1): _check_coeff("sigma", _coeff(sigma, nvec), strict=False),
-    })
-    mlaw = MaterialLaw(m0=MatrixOperator(m0, space, space),
-                       m1=MatrixOperator(m1, space, space))
+    law = _law(a.domain, blocks,
+               m0={"p": _coeff("rho", rho, size["p"]),
+                   "v": _coeff("kappa", kappa, size["v"], strict=False)},
+               m1={"v": _coeff("sigma", sigma, size["v"], strict=False)})
     return CatalogEntry(
         name="acoustics",
         grid=axes,
-        law=mlaw,
+        law=law,
         a=a,
-        blocks=(("p", np_), ("v", nvec)),
+        blocks=blocks,
         provenance=("select the rank-0 and rank-1 blocks of the stack operator",),
         extras={"params": {"rho": rho, "kappa": kappa, "sigma": sigma}},
     )
@@ -236,20 +281,17 @@ def elasticity(axes, rho=1.0, compliance=1.0) -> CatalogEntry:
     axes = tuple(axes)
     if not 2 <= len(axes) <= 3:
         raise ValueError("elasticity needs a 2-d or 3-d grid")
+    blocks = _elastic_blocks(axes)
+    size = dict(blocks)
     a = _elastic_block(axes, sym_projection)
-    space = a.domain
-    np_ = point_count(axes)
-    nvec = np_ * len(axes)
-    nsym = np_ * (len(axes) * (len(axes) + 1) // 2)
-    m0 = _block_matrix([nvec, nsym],
-                       {(0, 0): _coeff(rho, nvec), (1, 1): _coeff(compliance, nsym)})
-    law = MaterialLaw(m0=MatrixOperator(m0, space, space), m1=zero(space, space))
+    law = _law(a.domain, blocks, m0={"v": _coeff("rho", rho, size["v"]),
+                                     "T": _coeff("compliance", compliance, size["T"])})
     return CatalogEntry(
         name="elasticity",
         grid=axes,
         law=law,
         a=a,
-        blocks=(("v", nvec), ("T", nsym)),
+        blocks=blocks,
         provenance=(
             "select the rank-1 and rank-2 blocks of the stack operator",
             "symmetrize the rank-2 block",
@@ -274,8 +316,7 @@ def _grad_sym_stencil(axes):
                 row[i] = inv_s2 * P[j]
             rows.append(row)
     grad_blk = sp.bmat(rows, format="csr")
-    nsym, nvec = grad_blk.shape
-    return _block_matrix([nvec, nsym], {(0, 1): -grad_blk.T, (1, 0): grad_blk})
+    return _assemble(_elastic_blocks(axes), {("v", "T"): -grad_blk.T, ("T", "v"): grad_blk})
 
 
 def _asym_perm():
@@ -296,21 +337,19 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> Catal
     axes = tuple(axes)
     if len(axes) != 3:
         raise ValueError("the Maxwell descendant needs a 3-d grid")
+    blocks = _maxwell_blocks(axes)
+    size = dict(blocks)
     a = _elastic_block(axes, asym_projection)
-    space = a.domain
-    np_ = point_count(axes)
-    m0 = _block_matrix([3 * np_, 3 * np_],
-                       {(0, 0): _coeff(permittivity, 3 * np_),
-                        (1, 1): _coeff(permeability, 3 * np_)})
-    m1 = _block_matrix([3 * np_, 3 * np_], {(0, 0): _coeff(conductivity, 3 * np_)})
-    law = MaterialLaw(m0=MatrixOperator(m0, space, space),
-                      m1=MatrixOperator(m1, space, space))
+    law = _law(a.domain, blocks,
+               m0={"E": _coeff("permittivity", permittivity, size["E"]),
+                   "w": _coeff("permeability", permeability, size["w"])},
+               m1={"E": _coeff("conductivity", conductivity, size["E"], strict=False)})
     return CatalogEntry(
         name="maxwell",
         grid=axes,
         law=law,
         a=a,
-        blocks=(("E", 3 * np_), ("w", 3 * np_)),
+        blocks=blocks,
         provenance=(
             "select the rank-1 and rank-2 blocks of the stack operator",
             "antisymmetrize the rank-2 block",
@@ -325,19 +364,18 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> Catal
 # extended Maxwell family
 
 
-EXT_LABELS = ("f3", "f1", "f0", "f2")  # scalar, vector, scalar, vector
+def _ext_blocks(axes):
+    """The 8-component layout: scalar f3, vector f1, scalar f0, vector f2."""
+    return _layout(axes, ("f3", 1), ("f1", 3), ("f0", 1), ("f2", 3))
 
 
-def _ext_space(axes, name="extfield"):
+def _ext_space(axes, blocks, name):
+    """One component label per scalar block, three (f10, f11, f12) per vector block."""
     labels = []
-    for lab, k in zip(EXT_LABELS, (1, 3, 1, 3)):
+    for lab, size in blocks:
+        k = size // point_count(axes)
         labels.extend([f"{lab}{i}" if k > 1 else lab for i in range(k)])
     return GridBlockSpace(tuple(axes), tuple(labels), name)
-
-
-def _ext_sizes(axes):
-    np_ = point_count(axes)
-    return [np_, 3 * np_, np_, 3 * np_]
 
 
 def _ext_parts_raw(axes, skew_stencils=False):
@@ -355,15 +393,15 @@ def _ext_parts_raw(axes, skew_stencils=False):
     grad0 = sp.vstack(P, format="csr")
     div0 = sp.hstack(P, format="csr")
     curl0 = _curl_block(P)
-    sizes = _ext_sizes(axes)
-    curl_part = _block_matrix(sizes, {(1, 3): -curl0.T, (3, 1): curl0})
-    graddiv_part = _block_matrix(sizes, {(0, 3): div0, (1, 2): grad0,
-                                         (2, 1): -grad0.T, (3, 0): -div0.T})
+    blocks = _ext_blocks(axes)
+    curl_part = _assemble(blocks, {("f1", "f2"): -curl0.T, ("f2", "f1"): curl0})
+    graddiv_part = _assemble(blocks, {("f3", "f2"): div0, ("f1", "f0"): grad0,
+                                      ("f0", "f1"): -grad0.T, ("f2", "f3"): -div0.T})
     return curl_part, graddiv_part
 
 
-def _sqrt_and_inv(mat):
-    tag, groups = _coeff_spectrum("material coefficient", mat)
+def _sqrt_and_inv(name, value, size):
+    _, tag, groups = _coeff_spectrum(name, value, size)
     return (spectral_function(groups, np.sqrt, tag).entries,
             spectral_function(groups, lambda v: 1.0 / np.sqrt(v), tag).entries)
 
@@ -378,24 +416,24 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
     reduction back to the plain Maxwell rows.
     """
     axes = tuple(axes)
-    space = _ext_space(axes)
+    blocks = _ext_blocks(axes)
+    space = _ext_space(axes, blocks, "extfield")
     curl_part, graddiv_part = _ext_parts_raw(axes, skew_stencils=skew_stencils)
     if m0 is None:
         curl_c, graddiv_c = curl_part, graddiv_part
     else:
-        s, si = _sqrt_and_inv(_coeff(m0, space.dim))
+        s, si = _sqrt_and_inv("m0", m0, space.dim)
         curl_c = si @ (curl_part @ si)
         graddiv_c = s @ (graddiv_part @ s)
     tag = space.tag
     a = MatrixOperator(curl_c + graddiv_c, tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
-    sizes = _ext_sizes(axes)
     return CatalogEntry(
         name="extended_maxwell",
         grid=axes,
         law=law,
         a=a,
-        blocks=tuple(zip(EXT_LABELS, sizes)),
+        blocks=blocks,
         provenance=(
             "pad the rank-{0,1} descendant into the scalar/vector stack",
             "pad the antisymmetrized rank-{1,2} descendant (component pairing, sqrt-2 rescale)",
@@ -433,30 +471,30 @@ def _ext_from_stack(axes):
     (div0/grad pair, placed with its two blocks swapped).
     """
     axes = tuple(axes)
-    np_ = point_count(axes)
     stack = TensorStack(axes, 3)
     A = build_stack_skew(stack)
     r = [TensorFieldSpace(axes, k) for k in range(4)]
 
-    # chain 1: ranks {0},{1} -> [[0, div],[grad0, 0]] on (f0, f1)
+    # chain 1: ranks {0},{1} -> [[0, div],[grad0, 0]] on (p, v) = (f0, f1)
     a01 = descend(A, rank_block(stack, {0}, {1})).entries
+    b01 = _acoustic_blocks(axes)
 
     # chain 2: ranks {1},{2}, antisymmetrize, pair components, rescale sqrt(2)
     a12 = descend(descend(A, rank_block(stack, {1}, {2})),
                   direct_sum_pairs([identity_pair(r[1].tag), asym_projection(r[2])])).entries
-    perm = sp.kron(_asym_perm(), sp.identity(np_), format="csr")
-    curl0 = SQRT2 * perm @ a12[3 * np_:, : 3 * np_]     # asym coords <- f1
+    perm = sp.kron(_asym_perm(), sp.identity(point_count(axes)), format="csr")
+    curl0 = SQRT2 * perm @ _block(a12, _maxwell_blocks(axes), "w", "E")  # asym coords <- f1
 
     # chain 3: ranks {2},{3}, alternating coordinates, rescale sqrt(3), swap
     a23 = descend(descend(A, rank_block(stack, {2}, {3})),
                   direct_sum_pairs([asym_projection(r[2]), _alt3_pair(r[3])])).entries
-    div0 = np.sqrt(3.0) * a23[3 * np_:, : 3 * np_] @ perm  # alt3 coord <- asym coords
+    b23 = _layout(axes, ("w", 3), ("alt", 1))
+    div0 = np.sqrt(3.0) * _block(a23, b23, "alt", "w") @ perm  # alt3 coord <- asym coords
 
-    # block order (f3, f1, f0, f2), as EXT_LABELS
-    return _block_matrix(_ext_sizes(axes), {
-        (2, 1): a01[:np_, np_:], (1, 2): a01[np_:, :np_],
-        (3, 1): curl0, (1, 3): -curl0.T,
-        (0, 3): div0, (3, 0): -div0.T,
+    return _assemble(_ext_blocks(axes), {
+        ("f0", "f1"): _block(a01, b01, "p", "v"), ("f1", "f0"): _block(a01, b01, "v", "p"),
+        ("f2", "f1"): curl0, ("f1", "f2"): -curl0.T,
+        ("f3", "f2"): div0, ("f2", "f3"): -div0.T,
     })
 
 
@@ -467,12 +505,10 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
     skew-selfadjointness survives and the curl rows are untouched.
     """
     parent = extended_maxwell(axes, m0=m0)
-    sizes = _ext_sizes(axes)
-    np_ = sizes[0]
-    keep = np.r_[0:np_ + 3 * np_, 2 * np_ + 3 * np_: parent.dim]
-    labels = tuple(lab for lab in _ext_space(axes).labels if lab != "f0")
-    space = GridBlockSpace(tuple(axes), labels, "extfield_reduced")
-    tag = space.tag
+    blocks = tuple((label, size) for label, size in parent.blocks if label != "f0")
+    sl = parent.block_slices()
+    keep = np.r_[tuple(sl[label] for label, _ in blocks)]
+    tag = _ext_space(axes, blocks, "extfield_reduced").tag
     a = MatrixOperator(parent.a.entries[keep][:, keep], tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     return CatalogEntry(
@@ -480,9 +516,9 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
         grid=tuple(axes),
         law=law,
         a=a,
-        blocks=(("f3", np_), ("f1", 3 * np_), ("f2", 3 * np_)),
+        blocks=blocks,
         provenance=parent.provenance + ("drop the second scalar block",),
-        extras={"parent": parent, "keep": keep},
+        extras={"parent": parent},
     )
 
 
@@ -545,20 +581,18 @@ def dirac(axes) -> CatalogEntry:
     if len(axes) != 3 or any(a.bc != PERIODIC for a in axes):
         raise ValueError("the Dirac system needs a fully periodic 3-d grid")
     W = _dirac_w(axes)
-    np_ = point_count(axes)
-    dim4 = 4 * np_
-    labels = [f"psi{i}" for i in range(8)]
-    space = GridBlockSpace(axes, tuple(labels), "dirac8")
-    tag = space.tag
-    a = MatrixOperator(_block_matrix([dim4, dim4], {(0, 1): -W.T, (1, 0): W}), tag, tag)
+    labels = ("psi_re1", "psi_im1", "psi_re2", "psi_im2", "phi_re1", "phi_im1", "phi_re2", "phi_im2")
+    tag = GridBlockSpace(axes, tuple(f"psi{i}" for i in range(8)), "dirac8").tag
+    # W maps the four psi components, as a whole, onto the four phi components
+    halves = _layout(axes, ("psi", 4), ("phi", 4))
+    a = MatrixOperator(_assemble(halves, {("psi", "phi"): -W.T, ("phi", "psi"): W}), tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     return CatalogEntry(
         name="dirac",
         grid=axes,
         law=law,
         a=a,
-        blocks=(("psi_re1", np_), ("psi_im1", np_), ("psi_re2", np_), ("psi_im2", np_),
-                ("phi_re1", np_), ("phi_im1", np_), ("phi_re2", np_), ("phi_im2", np_)),
+        blocks=_layout(axes, *((label, 1) for label in labels)),
         provenance=(
             "extended scalar/vector system in the skew-stencil (free-space) discretization",
             "add the chiral constant zero-order term",
@@ -594,14 +628,13 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
     G = build_nabla(TensorFieldSpace(axes, 0))
     U, absG = polar_decompose(G)
     A = make_block_skew(absG)
-    np_ = point_count(axes)
     law = MaterialLaw(m0=identity(A.domain), m1=zero(A.domain, A.domain))
     return CatalogEntry(
         name="relativistic_schrodinger",
         grid=axes,
         law=law,
         a=A,
-        blocks=(("u", np_), ("w", np_)),
+        blocks=_layout(axes, ("u", 1), ("w", 1)),
         provenance=(
             "select the rank-0 and rank-1 blocks of the stack operator",
             "compress onto the gradient range through the polar co-isometry",
@@ -634,10 +667,10 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
     np_ = axis.n
     space0 = TensorFieldSpace(axes, 0)
     space1 = TensorFieldSpace(axes, 1)
-    m00 = _coeff(m00, np_)
-    m11 = _coeff(m11, np_)
-    m1_00 = _coeff(m1_00, np_)
-    m1_11 = _coeff(m1_11, np_)
+    m00 = _coeff("m00", m00, np_)
+    m11 = _coeff("m11", m11, np_)
+    m1_00 = _coeff("m1_00", m1_00, np_, strict=False)
+    m1_11 = _coeff("m1_11", m1_11, np_, strict=False)
 
     pe0, po0 = even_odd(space0)
     pe1, po1 = even_odd(space1)
@@ -646,19 +679,14 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
     # 2x2 descendant on even (+) odd
     pv = direct_sum_pairs([pe0, po1])
     a_desc = descend(a_par, pv)
-    desc_space = a_desc.domain
-    half = np_ // 2
-    m0_desc = _block_matrix([half, half], {
-        (0, 0): (pe0.pi @ MatrixOperator(m00, space0.tag, space0.tag) @ pe0.embedding).entries,
-        (1, 1): (po1.pi @ MatrixOperator(m11, space1.tag, space1.tag) @ po1.embedding).entries,
-    })
-    m1_desc = _block_matrix([half, half], {
-        (0, 0): (pe0.pi @ MatrixOperator(m1_00, space0.tag, space0.tag) @ pe0.embedding).entries,
-        (1, 1): (po1.pi @ MatrixOperator(m1_11, space1.tag, space1.tag) @ po1.embedding).entries,
-    })
-    m0_desc = 0.5 * (m0_desc + m0_desc.T)
-    law_desc = MaterialLaw(m0=MatrixOperator(m0_desc, desc_space, desc_space),
-                           m1=MatrixOperator(m1_desc, desc_space, desc_space))
+
+    # the parent law, m00 on the pressure and m11 on the flux side, descended
+    law_par = _law(a_par.domain, _acoustic_blocks(axes),
+                   m0={"p": m00, "v": m11}, m1={"p": m1_00, "v": m1_11})
+    m0_desc = (pv.pi @ law_par.m0 @ pv.embedding).entries
+    desc = a_desc.domain
+    law_desc = MaterialLaw(m0=MatrixOperator(0.5 * (m0_desc + m0_desc.T), desc, desc),
+                           m1=pv.pi @ law_par.m1 @ pv.embedding)
 
     # combined single-row system on the line
     d = build_d1(axis).entries
@@ -708,6 +736,11 @@ def _trace_embedding(axes, gamma):
     return sp.kron(column, sp.identity(np_), format="csr")
 
 
+def _plate_block(axes):
+    """The sign-flipped pressure/flux and velocity/stress descendants, stacked."""
+    return -block_diag([_acoustic_block(axes), _elastic_block(axes, sym_projection)])
+
+
 def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
                       gamma=0.0) -> CatalogEntry:
     """Coupled heat/elasticity system (formally Biot's porous-media model).
@@ -720,33 +753,25 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     axes = tuple(axes)
     if len(axes) != 3:
         raise ValueError("thermo-elasticity uses a 3-d grid")
-    np_ = point_count(axes)
-    nvec = 3 * np_
-    nsym = 6 * np_
-    a_heat = _acoustic_block(axes, negate=True)
-    a_elast = _elastic_block(axes, sym_projection, negate=True)
-    a = block_diag([a_heat, a_elast])
-    cinv = _inv_coeff(cten, nsym, name="cten")
+    blocks = _plate_blocks(axes)
+    size = dict(blocks)
+    a = _plate_block(axes)
+    cinv = _inv_coeff("cten", cten, size["T"])
     gmat = _trace_embedding(axes, gamma)
     gcg = gmat.T @ cinv @ gmat
     gcg = 0.5 * (gcg + gcg.T)
-    m0_hz = _block_matrix([np_, nvec],
-                          {(0, 0): _check_coeff("nu1", _coeff(nu1, np_)) + gcg})
-    m1_hz = _block_matrix([np_, nvec], {(1, 1): _inv_coeff(kappa, nvec, name="kappa")})
-    law_hz = MaterialLaw(m0=MatrixOperator(m0_hz, a_heat.domain, a_heat.domain),
-                         m1=MatrixOperator(m1_hz, a_heat.domain, a_heat.domain))
-    m0_st = _block_matrix([nvec, nsym],
-                          {(0, 0): _check_coeff("nu2", _coeff(nu2, nvec)), (1, 1): cinv})
-    law_st = MaterialLaw(m0=MatrixOperator(m0_st, a_elast.domain, a_elast.domain),
-                         m1=zero(a_elast.domain, a_elast.domain))
-    cross = _block_matrix([np_, nvec], {(0, 1): gmat.T @ cinv}, [nvec, nsym])
-    mlaw = couple([law_hz, law_st], {(0, 1): (cross, None)})
+    cross = gmat.T @ cinv  # eta <- T, given with its transpose to keep M0 selfadjoint
+    law = _law(a.domain, blocks,
+               m0={"eta": _coeff("nu1", nu1, size["eta"]) + gcg,
+                   "s": _coeff("nu2", nu2, size["s"]), "T": cinv,
+                   ("eta", "T"): cross, ("T", "eta"): cross.T},
+               m1={"zeta": _inv_coeff("kappa", kappa, size["zeta"])})
     return CatalogEntry(
         name="thermo_elasticity",
         grid=axes,
-        law=mlaw,
+        law=law,
         a=a,
-        blocks=(("eta", np_), ("zeta", nvec), ("s", nvec), ("T", nsym)),
+        blocks=blocks,
         provenance=(
             "select the rank-0 and rank-1 blocks (sign-flipped flux block)",
             "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
@@ -762,35 +787,22 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     Timoshenko beam (1-d): bending/shear unknowns with the +-1 zero-order
     coupling between the shear flux and the rotation velocity."""
     axes = tuple(axes)
-    ndim = len(axes)
-    np_ = point_count(axes)
-    nvec = ndim * np_
-    nsym = (ndim * (ndim + 1) // 2) * np_
-    a_bend = _acoustic_block(axes, negate=True)
-    a_rot = _elastic_block(axes, sym_projection, negate=True)
-    a = block_diag([a_bend, a_rot])
-
-    kap = _check_coeff("kappa", _coeff(kappa, nvec))
-    cinv = _inv_coeff(cten, nsym, name="cten")
-    m0_hz = _block_matrix([np_, nvec], {
-        (0, 0): _check_coeff("nu1", _coeff(nu1, np_)), (1, 1): kap})
-    m1_hz = _block_matrix([np_, nvec],
-                          {(0, 0): _check_coeff("d", _coeff(d, np_), strict=False)})
-    law_hz = MaterialLaw(m0=MatrixOperator(m0_hz, a_bend.domain, a_bend.domain),
-                         m1=MatrixOperator(m1_hz, a_bend.domain, a_bend.domain))
-    m0_st = _block_matrix([nvec, nsym],
-                          {(0, 0): _check_coeff("nu2", _coeff(nu2, nvec)), (1, 1): cinv})
-    law_st = MaterialLaw(m0=MatrixOperator(m0_st, a_rot.domain, a_rot.domain),
-                         m1=zero(a_rot.domain, a_rot.domain))
-    m1_01 = _block_matrix([np_, nvec], {(1, 0): -sp.identity(nvec)}, [nvec, nsym])
-    m1_10 = _block_matrix([nvec, nsym], {(0, 1): sp.identity(nvec)}, [np_, nvec])
-    mlaw = couple([law_hz, law_st], {(0, 1): (None, m1_01), (1, 0): (None, m1_10)})
+    blocks = _plate_blocks(axes)
+    size = dict(blocks)
+    a = _plate_block(axes)
+    shear = sp.identity(size["s"], format="csr")
+    law = _law(a.domain, blocks,
+               m0={"eta": _coeff("nu1", nu1, size["eta"]),
+                   "zeta": _coeff("kappa", kappa, size["zeta"]),
+                   "s": _coeff("nu2", nu2, size["s"]), "T": _inv_coeff("cten", cten, size["T"])},
+               m1={"eta": _coeff("d", d, size["eta"], strict=False),
+                   ("zeta", "s"): -shear, ("s", "zeta"): shear})
     return CatalogEntry(
         name=name,
         grid=axes,
-        law=mlaw,
+        law=law,
         a=a,
-        blocks=(("eta", np_), ("zeta", nvec), ("s", nvec), ("T", nsym)),
+        blocks=blocks,
         provenance=(
             "select the rank-0 and rank-1 blocks (sign-flipped flux block)",
             "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
@@ -824,28 +836,23 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
     the parent plate is bypassed; the entry carries its own well-posed law.
     """
     axes = tuple(axes)
-    ndim = len(axes)
-    np_ = point_count(axes)
-    nsym = (ndim * (ndim + 1) // 2) * np_
+    n = len(axes)
+    blocks = _layout(axes, ("eta", 1), ("T", n * (n + 1) // 2))
+    size = dict(blocks)
     n0 = build_nabla(TensorFieldSpace(axes, 0))
     n1 = build_nabla(TensorFieldSpace(axes, 1))
     ps = sym_projection(TensorFieldSpace(axes, 2))
-    comp = ps.pi @ n1 @ n0
-    a = make_block_skew(comp)
-    space = a.domain
-    m0 = _block_matrix([np_, nsym], {
-        (0, 0): _check_coeff("nu1", _coeff(nu1, np_)),
-        (1, 1): _inv_coeff(cten, nsym, name="cten")})
-    m1 = _block_matrix([np_, nsym], {
-        (0, 0): _check_coeff("d", _coeff(d, np_), strict=False)})
-    mlaw = MaterialLaw(m0=MatrixOperator(m0, space, space),
-                       m1=MatrixOperator(m1, space, space))
+    a = make_block_skew(ps.pi @ n1 @ n0)
+    law = _law(a.domain, blocks,
+               m0={"eta": _coeff("nu1", nu1, size["eta"]),
+                   "T": _inv_coeff("cten", cten, size["T"])},
+               m1={"eta": _coeff("d", d, size["eta"], strict=False)})
     return CatalogEntry(
         name=name,
         grid=axes,
-        law=mlaw,
+        law=law,
         a=a,
-        blocks=(("eta", np_), ("T", nsym)),
+        blocks=blocks,
         provenance=(
             "compose the rank-0->1 and symmetrized rank-1->2 derivative blocks",
             "assemble the block-skew pair of the composite",
@@ -888,9 +895,8 @@ def beam_reduction_pair(plate: CatalogEntry, beam: CatalogEntry) -> ProjectionPa
     a0 = torus_average(TensorFieldSpace(axes2, 0), {1}).pi.entries
     a1 = torus_average(TensorFieldSpace(axes2, 1), {1}).pi.entries  # keeps component 0
     # moment block: symmetric comps (00, 01, 11) on the plate; keep (00)
-    t_block = sp.kron([[1.0, 0.0, 0.0]], a0, format="csr")
-    # both states are ordered (eta, zeta, s, T)
-    ent = sp.block_diag([a0, a1, a1, t_block], format="csr")
+    maps = {"eta": a0, "zeta": a1, "s": a1, "T": sp.kron([[1.0, 0.0, 0.0]], a0, format="csr")}
+    ent = sp.block_diag([maps[label] for label, _ in plate.blocks], format="csr")
     return ProjectionPair(MatrixOperator(ent, plate.space, beam.space))
 
 

@@ -199,9 +199,9 @@ class _WavenumberStep:
     S^-1 F^-1 applied to their coordinates as columns, in one inverse FFT.
     """
 
-    def __init__(self, inverse: WavenumberInverse, right: MatrixOperator):
+    def __init__(self, inverse: WavenumberInverse, right_symbols):
         self.cut, self.h = inverse.cut, inverse.inverse
-        self.g = self.h @ self.cut.symbols(right)
+        self.g = self.h @ right_symbols
 
     def start(self, u0):
         return self.cut.forward(u0[:, None])
@@ -264,9 +264,11 @@ def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     _require_wellposed(problem.law)
     left, right = _step_operators(problem, config)
     if all(axis.bc == PERIODIC for axis in problem.grid):
-        cut = shift_cut(problem.space, problem.grid, left, right)
-        if cut.axes:
-            return _march(problem, config, _WavenumberStep(invert_symbols(left, cut), right))
+        cut, symbols = shift_cut(problem.space, problem.grid, left, right)
+        if symbols:
+            l_symbols, r_symbols = symbols
+            return _march(problem, config,
+                          _WavenumberStep(invert_symbols(l_symbols, cut), r_symbols))
     return _march(problem, config, _PhysicalStep(left, right))
 
 
@@ -355,9 +357,18 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Traject
     """
     _require_wellposed(problem.law)
     left, right = _step_operators(problem, config)
-    p_range, p_kernel = range_kernel_split(problem.a, left, right, grid=problem.grid)
+    ops = (problem.a, left, right)
+    cut, symbols = shift_cut(problem.space, problem.grid, *ops)
+    # uncut symbols are dense dim x dim matrices: each is built when it is used
+    symbols = iter(symbols) if symbols else (cut.symbols(op) for op in ops)
+    p_range, p_kernel = range_kernel_split(cut, next(symbols), problem.space)
     if subspace_dim(p_kernel) == 0:
+        # A is invertible: solve's step, from the symbols at hand when every axis is cut
+        if cut.axes and len(cut.axes) == len(problem.grid):
+            return _march(problem, config,
+                          _WavenumberStep(invert_symbols(next(symbols), cut), next(symbols)))
         return solve(problem, config)
     if subspace_dim(p_range) == 0:
         raise MaterialLawError("A vanishes: nothing to reduce onto")
-    return _march(problem, config, _WavenumberStep(schur_reduce(left, p_range, p_kernel), right))
+    return _march(problem, config,
+                  _WavenumberStep(schur_reduce(next(symbols), p_range, p_kernel), next(symbols)))

@@ -10,7 +10,7 @@ conservative weight threshold from the standard 2x2 block positivity estimate.
 Also here: the inverse of a step matrix wavenumber by wavenumber
 (WavenumberInverse), either symbol by symbol or through the Schur
 complement onto the range of a skew operator with the reconstruction of
-the eliminated kernel component, and blockwise coupling of laws.
+the eliminated kernel component.
 """
 
 from __future__ import annotations
@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .linops import (
-    MatrixOperator,
-    TagMismatchError,
-    direct_sum_tags,
-    weighted_spectrum,
-)
+from .linops import MatrixOperator, TagMismatchError, weighted_spectrum
 
 
 class MaterialLawError(ValueError):
@@ -188,16 +182,17 @@ class WavenumberInverse:
     inverse: np.ndarray
 
 
-def invert_symbols(S: MatrixOperator, cut) -> WavenumberInverse:
-    """S^-1 from one LU per symbol of S, all pivots under one check_pivots."""
-    return WavenumberInverse(cut, guarded_inverses([cut.symbols(S)])[0])
+def invert_symbols(symbols, cut) -> WavenumberInverse:
+    """S^-1 from one LU per symbol of S on `cut`, all pivots under one check_pivots."""
+    return WavenumberInverse(cut, guarded_inverses([symbols])[0])
 
 
-def schur_reduce(S: MatrixOperator, p_range, p_kernel) -> WavenumberInverse:
+def schur_reduce(symbols, p_range, p_kernel) -> WavenumberInverse:
     """S^-1 through the Schur complement on the range, wavenumber by wavenumber.
 
     p_range and p_kernel are the WavenumberPairs of one range_kernel_split,
-    which S must commute with (pass S to the split).  At one wavenumber,
+    and symbols are S's on their cut (shift_cut cuts S with the split's
+    operator, so S commutes with the shifts there).  At one wavenumber,
     with range and kernel bases u_r, u_k, coordinates f_r, f_k on them and
     the blocks S_rr, S_rk, S_kr, S_kk of S's symbol (formed in one batched
     product per group of equal kernel count), the range part solves the
@@ -211,7 +206,6 @@ def schur_reduce(S: MatrixOperator, p_range, p_kernel) -> WavenumberInverse:
     StepFailureError when a Schur complement is.
     """
     cut = p_range.cut
-    symbols = cut.symbols(S)
     groups = []  # (index, u_r, u_k, pi_r, pi_k, s_rr, s_rk, s_kr, s_kk)
     for (index, u_r), (_, u_k) in zip(p_range.groups, p_kernel.groups):
         r, u = u_r.shape[2], np.concatenate([u_r, u_k], axis=2)
@@ -235,44 +229,3 @@ def schur_reduce(S: MatrixOperator, p_range, p_kernel) -> WavenumberInverse:
                           + u_k @ kk_inv @ pi_k)
     return WavenumberInverse(cut, inverse)
 
-
-def couple(laws, off_blocks=None) -> MaterialLaw:
-    """Assemble a block law on the direct sum of the given laws' spaces.
-
-    off_blocks maps (i, j) with i != j to a pair (m0_ij, m1_ij) of blocks,
-    dense or sparse (either may be None); block (i, j) maps space j into
-    space i.  M0 off-diagonal blocks are mirrored as their weighted adjoints
-    to keep the global M0 selfadjoint; providing both (i, j) and (j, i)
-    requires them to be exact adjoints of each other.
-    """
-    laws = list(laws)
-    tags = [l.space for l in laws]
-    m0 = [[None] * len(laws) for _ in laws]
-    m1 = [[None] * len(laws) for _ in laws]
-    for i, l in enumerate(laws):
-        m0[i][i] = l.m0.entries
-        m1[i][i] = l.m1.entries
-
-    off_blocks = dict(off_blocks or {})
-    for (i, j), (b0, b1) in off_blocks.items():
-        if i == j:
-            raise ValueError("off_blocks must be strictly off-diagonal")
-        if b1 is not None:
-            m1[i][j] = MatrixOperator(b1, tags[j], tags[i]).entries
-        if b0 is not None:
-            block = MatrixOperator(b0, tags[j], tags[i])
-            mirror = block.adjoint().entries
-            given = off_blocks.get((j, i), (None, None))[0]
-            if given is not None and not np.array_equal(
-                    MatrixOperator(given, tags[i], tags[j]).to_dense(), mirror.toarray()):
-                raise MaterialLawError(
-                    f"M0 off-blocks ({i},{j}) and ({j},{i}) are not adjoints; "
-                    "the coupled M0 would not be selfadjoint"
-                )
-            m0[i][j] = block.entries
-            if given is None:
-                m0[j][i] = mirror
-
-    space = direct_sum_tags(tags)
-    return MaterialLaw(m0=MatrixOperator(sp.bmat(m0, format="csr"), space, space),
-                       m1=MatrixOperator(sp.bmat(m1, format="csr"), space, space))

@@ -21,7 +21,8 @@ of them, and a subspace counts each kept wavenumber whose conjugate
 partner is dropped twice in its real dimension.
 shift_cut is the one rule for where to cut, used by the split and by the
 time steps: along the periodic axes when every given operator commutes
-with the shifts there, along none otherwise.
+with the shifts there, along none otherwise.  It hands back the symbols
+of the operators it tested, so each one's shift column is taken once.
 
 Component-basis normalizations (the 1/sqrt(2) factors of the symmetric and
 antisymmetric rank-2 bases, the reflection pairs of the even/odd split)
@@ -410,14 +411,14 @@ class ShiftCut:
             return None
         return b0
 
-    def commutes(self, op: MatrixOperator) -> bool:
-        return not self.axes or self._column(op) is not None
-
     def symbols(self, op: MatrixOperator):
         """symbols[xi] = sum_p b(p) exp(-i xi p), (N, m, m): F S op S^-1 F^-1 blockwise."""
         b0 = self._column(op)
         if b0 is None:
             raise ValueError("the operator does not commute with the shifts along the cut axes")
+        return self._column_symbols(b0)
+
+    def _column_symbols(self, b0):
         if not self.axes:
             return b0[None]
         symbols = _rdft(b0.reshape(self.m, *self.per, self.m), self._fft_axes)
@@ -459,20 +460,33 @@ def range_kernel_pairs(cut: ShiftCut, u, kernel_dims, domain: SpaceTag):
             pair("coker", [(index, u[index, :, r:]) for index, r in groups]))
 
 
-def shift_cut(space: SpaceTag, grid, *ops: MatrixOperator) -> ShiftCut:
-    """The cut of `space` along the periodic axes of `grid` when every one of
-    `ops` commutes with the shifts there, along no axis otherwise."""
+def shift_cut(space: SpaceTag, grid, *ops: MatrixOperator):
+    """(cut, symbols): the cut of `space` along the periodic axes of `grid`
+    and the symbols of `ops` there when every one of them commutes with the
+    shifts, else the cut along no axis and None.
+
+    The commute test extracts each operator's shift column, which its
+    symbols are then computed from.  Uncut symbols are dense matrices: a
+    caller that needs them takes cut.symbols(op).
+    """
+    if any(op.domain != space or op.codomain != space for op in ops):
+        raise ValueError(f"shift_cut needs operators on {space.name} to itself")
     cut = ShiftCut(space, grid, [a for a, axis in enumerate(grid) if axis.bc == PERIODIC])
-    return cut if all(cut.commutes(op) for op in ops) else ShiftCut(space, grid)
+    symbols = []
+    for op in ops:
+        b0 = cut._column(op) if cut.axes else None
+        if b0 is None:
+            return ShiftCut(space, grid), None
+        symbols.append(cut._column_symbols(b0))
+    return cut, symbols
 
 
-def range_kernel_split(A: MatrixOperator, *others: MatrixOperator, grid=(),
-                       rank_tol: float = 1e-10):
+def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag, rank_tol: float = 1e-10):
     """Split H into the range of A and its orthogonal complement, wavenumber by wavenumber.
 
-    A and `others` (the step matrices of a reduced solve) are cut together
-    by shift_cut along the periodic axes of `grid`.  One batched SVD of A's
-    symbols gives per wavenumber a unitary basis: singular values above
+    symbols are A's on `cut` (from shift_cut, which a reduced solve gives A
+    and the step matrices together).  One batched SVD of them gives per
+    wavenumber a unitary basis: singular values above
     rank_tol * max(singular value) span the range, the others the kernel.
 
     Returns (range_pair, kernel_pair), WavenumberPairs grouped by kernel
@@ -480,12 +494,9 @@ def range_kernel_split(A: MatrixOperator, *others: MatrixOperator, grid=(),
     reduce A: the projectors commute with it and the compression to the
     range is again skew-selfadjoint.
     """
-    if A.domain != A.codomain:
-        raise ValueError("range/kernel splitting needs a square operator")
-    cut = shift_cut(A.domain, grid, A, *others)
-    u, svals, _ = np.linalg.svd(cut.symbols(A))
+    u, svals = np.linalg.svd(symbols)[:2]  # the caller holds symbols: drop vh at once
     kernel_dims = np.count_nonzero(svals <= rank_tol * max(svals.max(), 1e-300), axis=1)
-    return range_kernel_pairs(cut, u, kernel_dims, A.domain)
+    return range_kernel_pairs(cut, u, kernel_dims, domain)
 
 
 def subspace_dim(pair) -> int:

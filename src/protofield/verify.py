@@ -121,8 +121,7 @@ def _stencil_curl(axes):
 def curl_residual(axes):
     """Max entry of the descended Maxwell block minus the stencil curl."""
     entry = catalog.maxwell(axes)
-    np_ = entry.blocks[0][1] // 3
-    lower = entry.a.entries[3 * np_:, : 3 * np_]
+    lower = catalog._block(entry.a.entries, entry.blocks, "w", "E")
     return float(abs(lower - _stencil_curl(axes)).max())
 
 
@@ -183,14 +182,13 @@ def second_order_residual(entry):
     """
     params = entry.extras["params"]
     sl = entry.block_slices()
-    np_ = sl["eta"].stop - sl["eta"].start
-    nvec = sl["zeta"].stop - sl["zeta"].start
-    nsym = sl["T"].stop - sl["T"].start
-    kap_inv = np.linalg.inv(catalog._coeff(params["kappa"], nvec).toarray())
-    cmat = catalog._coeff(params["cten"], nsym)
-    nu1 = catalog._coeff(params["nu1"], np_)
-    nu2 = catalog._coeff(params["nu2"], nvec)
-    dmat = catalog._coeff(params["d"], np_)
+    size = dict(entry.blocks)
+    np_, nvec = size["eta"], size["zeta"]
+    kap_inv = np.linalg.inv(catalog._coeff("kappa", params["kappa"], nvec).toarray())
+    cmat = catalog._coeff("cten", params["cten"], size["T"])
+    nu1 = catalog._coeff("nu1", params["nu1"], np_)
+    nu2 = catalog._coeff("nu2", params["nu2"], nvec)
+    dmat = catalog._coeff("d", params["d"], np_, strict=False)
     A = entry.a.to_dense()
     div_blk = -A[sl["eta"], sl["zeta"]]
     grad_blk = -A[sl["zeta"], sl["eta"]]
@@ -428,8 +426,8 @@ def _flux_stress_pair(axes):
 
 def _biharmonic_pair(axes):
     """The block-skew pair of (symmetrized gradient) @ (gradient), from the stencils."""
-    nvec = point_count(axes) * len(axes)
-    grad_sym = catalog._grad_sym_stencil(axes)[nvec:, :nvec]
+    grad_sym = catalog._block(catalog._grad_sym_stencil(axes), catalog._elastic_blocks(axes),
+                              "T", "v")
     return _skew_pair(grad_sym @ sp.vstack(catalog._partials(axes)))
 
 
@@ -448,6 +446,13 @@ def _recombined_transport(entry):
             + po.embedding.to_dense() @ m[half:, :half] @ pe.pi.to_dense())
 
 
+def _reduced_extended(axes):
+    """The stack-derived extended operator without the second scalar (f0) rows and columns."""
+    sl = catalog._slices(catalog._ext_blocks(axes))
+    keep = np.r_[sl["f3"], sl["f1"], sl["f2"]]
+    return catalog._ext_from_stack(axes)[keep][:, keep]
+
+
 def _relabeled_dirac(axes):
     """U* (extended Maxwell with skew stencils + chiral term) U."""
     U = catalog._dirac_relabeling(axes)
@@ -463,8 +468,7 @@ PROVENANCE_REFERENCES = {
     "elasticity": lambda e: catalog._grad_sym_stencil(e.grid),
     "maxwell": lambda e: _skew_pair(_stencil_curl(e.grid)),
     "extended_maxwell": lambda e: catalog._ext_from_stack(e.grid),
-    "reduced_extended_maxwell": lambda e: catalog._ext_from_stack(e.grid)[
-        e.extras["keep"]][:, e.extras["keep"]],
+    "reduced_extended_maxwell": lambda e: _reduced_extended(e.grid),
     "dirac": lambda e: _relabeled_dirac(e.grid),
     "relativistic_schrodinger": _square_root_pair,
     "transport": _recombined_transport,

@@ -86,6 +86,9 @@ class TestEveryEntry:
     def test_blocks_partition_dimension(self, entries):
         for e in entries:
             assert sum(size for _, size in e.blocks) == e.dim, e.name
+            # a repeated label would place a law's block at the wrong rows silently
+            labels = [label for label, _ in e.blocks]
+            assert len(set(labels)) == len(labels), e.name
 
     @pytest.mark.parametrize("name", ["dirac", "extended_maxwell"])
     def test_builds_sparse_on_a_12_cube(self, name):
@@ -288,25 +291,40 @@ class TestReducedExtendedMaxwell:
     def test_block_pattern(self):
         entry = catalog.reduced_extended_maxwell(AX3)
         m = entry.a.to_dense()
-        np_ = 64
         sl = entry.block_slices()
         # curl rows survive between f1 and f2
         parent = catalog.extended_maxwell(AX3)
         pm = parent.a.to_dense()
-        sizes = [np_, 3 * np_, np_, 3 * np_]
-        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        assert np.array_equal(m[sl["f1"], sl["f2"]], pm[offs[1]:offs[2], offs[3]:offs[4]])
+        psl = parent.block_slices()
+        assert np.array_equal(m[sl["f1"], sl["f2"]], pm[psl["f1"], psl["f2"]])
         # the f3 row keeps its divergence coupling to f2
-        assert np.array_equal(m[sl["f3"], sl["f2"]], pm[offs[0]:offs[1], offs[3]:offs[4]])
+        assert np.array_equal(m[sl["f3"], sl["f2"]], pm[psl["f3"], psl["f2"]])
         # and no coupling between f3 and f1 (that went through the dropped f0)
         assert np.abs(m[sl["f3"], sl["f1"]]).max() == 0.0
 
     def test_is_projection_of_parent(self):
         entry = catalog.reduced_extended_maxwell(AX3)
         parent = entry.extras["parent"]
-        keep = entry.extras["keep"]
+        sl = parent.block_slices()
+        keep = np.r_[sl["f3"], sl["f1"], sl["f2"]]
+        assert entry.blocks == tuple(b for b in parent.blocks if b[0] != "f0")
         assert np.array_equal(entry.a.to_dense(),
                               parent.a.to_dense()[np.ix_(keep, keep)])
+
+    @pytest.mark.parametrize("axes", [AX3, MIXED_GRIDS["reduced_extended_maxwell"]],
+                             ids=["torus", "mixed"])
+    def test_wrong_drop_fails_provenance(self, axes):
+        # an entry that drops f3 instead of f0 (same size, so the shapes
+        # agree) must not match the reference, which picks its own rows
+        # rather than the ones an entry records in extras["keep"]
+        entry = catalog.reduced_extended_maxwell(axes)
+        parent = entry.extras["parent"]
+        sl = parent.block_slices()
+        keep = np.r_[sl["f1"], sl["f0"], sl["f2"]]
+        a = MatrixOperator(parent.a.entries[keep][:, keep], entry.a.domain, entry.a.codomain)
+        wrong = replace(entry, a=a, extras={**entry.extras, "keep": keep})
+        assert verify.provenance_residual(entry) <= 1e-12
+        assert verify.provenance_residual(wrong) > 1e-12
 
     def test_skew(self):
         entry = catalog.reduced_extended_maxwell(AX3)
@@ -461,9 +479,17 @@ class TestThermoElasticity:
         sub_traj = solve(sub_prob, cfg)
         assert np.abs(traj.states[:, :heat_dim] - sub_traj.states).max() <= 1e-11
 
-    def test_m0_selfadjoint_with_coupling(self):
-        entry = catalog.thermo_elasticity(AX3, gamma=0.7)
+    @pytest.mark.parametrize("axes, gamma", [
+        (AX3, 0.7),
+        # a point weight of 1/30, not a power of two
+        ((Axis.torus(3), Axis.interval(4), Axis.torus(2)), 0.3),
+    ], ids=["torus", "non_dyadic"])
+    def test_m0_selfadjoint_with_coupling(self, axes, gamma):
+        # the cross block is given with its transpose: M0 is symmetric bitwise
+        entry = catalog.thermo_elasticity(axes, gamma=gamma)
         m0 = entry.law.m0.to_dense()
+        sl = entry.block_slices()
+        assert np.abs(m0[sl["eta"], sl["T"]]).max() > 0.0
         assert np.array_equal(m0, m0.T)
         assert check_wellposed(entry.law).passed
 
@@ -511,13 +537,26 @@ class TestReissnerMindlin:
         assert np.allclose(m1[sl["eta"], sl["eta"]], 0.25 * np.eye(64), atol=1e-15)
         assert np.abs(m1[sl["T"], :]).max() == 0.0
 
-    def test_indefinite_inputs_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            catalog.reissner_mindlin(AX2, kappa=-1.0)
-        with pytest.raises(ValueError, match="positive"):
-            catalog.acoustics(AX1, rho=-2.0)
-        with pytest.raises(ValueError, match="positive"):
-            catalog.thermo_elasticity(AX3, cten=-1.0)
+    @pytest.mark.parametrize("name, params", [
+        ("reissner_mindlin", {"kappa": -1.0}),
+        ("acoustics", {"rho": -2.0}),
+        ("thermo_elasticity", {"cten": -1.0}),
+        # every coefficient is checked where it is converted, at build
+        ("elasticity", {"rho": -1.0}),
+        ("elasticity", {"compliance": -1.0}),
+        ("maxwell", {"permittivity": -1.0}),
+        ("maxwell", {"permeability": 0.0}),
+        ("transport", {"m00": -1.0}),
+        ("transport", {"m11": 0.0}),
+        # semidefinite ones: zero is allowed, negative is not
+        ("maxwell", {"conductivity": -1.0}),
+        ("transport", {"m1_00": -1.0}),
+        ("transport", {"m1_11": -1.0}),
+    ], ids=lambda v: v if isinstance(v, str) else "".join(v))
+    def test_indefinite_inputs_rejected(self, name, params):
+        (param,) = params
+        with pytest.raises(ValueError, match=rf"^{param} must be symmetric positive"):
+            catalog.build_entry(name, params=params)
 
 
 class TestKirchhoffLove:

@@ -143,6 +143,15 @@ class TestSolveCommand:
         p = write_scenario(tmp_path, cfg)
         assert cli.main(["solve", str(p)]) == cli.EXIT_WELLPOSEDNESS
 
+    def test_negative_conductivity_exit_2(self, tmp_path, capsys):
+        # an anti-damping law is refused as a bad value before anything is solved
+        cfg = json.loads((SCENARIO_DIR / "maxwell_cavity.json").read_text())
+        cfg["params"]["conductivity"] = -1.0
+        p = write_scenario(tmp_path, cfg)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_PARSE_ERROR
+        assert "conductivity must be symmetric positive semidefinite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("reduced", [[], ["--reduced"]], ids=["full", "reduced"])
     def test_overflowing_state_exit_5(self, tmp_path, capsys, reduced):
         cfg = json.loads((SCENARIO_DIR / "heat_rod.json").read_text())

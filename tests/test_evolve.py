@@ -289,8 +289,8 @@ class TestSolveReduced:
 
         split = evolve.range_kernel_split
 
-        def dropping(A, *others, grid=()):
-            p_range, p_kernel = split(A, *others, grid=grid)
+        def dropping(*args):
+            p_range, p_kernel = split(*args)
             groups = tuple((index, basis[:, :, 1:]) for index, basis in p_kernel.groups)
             dim = sum(basis.shape[0] * basis.shape[2] for _, basis in groups)
             return p_range, replace(p_kernel, groups=groups,
@@ -344,7 +344,9 @@ class TestSolveReduced:
                                      (catalog.acoustics((Axis.torus(8),),
                                                         rho=np.linspace(1.0, 2.0, 8)), 1)):
             left, _ = evolve._step_operators(entry.problem(), SolverConfig(tau=0.01, t_end=0.1))
-            p_range, p_kernel = split(entry.a, left, grid=entry.grid)
+            cut, symbols = evolve.shift_cut(entry.space, entry.grid, entry.a, left)
+            a_symbols = symbols[0] if symbols else cut.symbols(entry.a)
+            p_range, p_kernel = split(cut, a_symbols, entry.space)
             assert p_range.cut.N == p_kernel.cut.N == n_wavenumbers
             assert p_kernel.codomain.dim == 2
 
@@ -399,6 +401,25 @@ class TestWavenumberStep:
         traj = solve(problem, cfg)
         assert factored == ([] if cut else [entry.dim])
         assert relative_gap(traj, solve(physical(problem), cfg)) <= 1e-12
+
+    @pytest.mark.parametrize("runner, calls", [(solve, 2), (solve_reduced, 3)],
+                             ids=["solve", "reduced"])
+    @pytest.mark.parametrize("name", ["dirac", "maxwell", "extended_maxwell"])
+    def test_each_shift_column_taken_once(self, name, runner, calls, monkeypatch):
+        # the commute test hands its columns on to the symbols: one extraction
+        # per step matrix, and one for A in the reduced solve (Dirac's A is
+        # invertible, and its reduced solve steps with the same symbols)
+        column, seen = ShiftCut._column, []
+
+        def counting(cut, op):
+            seen.append(op)
+            return column(cut, op)
+
+        monkeypatch.setattr(ShiftCut, "_column", counting)
+        entry = catalog.build_entry(name, (Axis.torus(4),) * 3)
+        problem = entry.problem(initial=np.random.default_rng(12).standard_normal(entry.dim))
+        runner(problem, SolverConfig(tau=0.01, t_end=0.02))
+        assert len(seen) == len({id(op) for op in seen}) == calls
 
     @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
     def test_pulse_switching_on_mid_run(self, scheme):

@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from protofield.evolve import (
     CRANK_NICOLSON,
@@ -19,12 +18,11 @@ from protofield.matlaw import (
     MaterialLaw,
     MaterialLawError,
     check_wellposed,
-    couple,
     schur_reduce,
     symmetrize,
 )
 from protofield import catalog
-from protofield.subspaces import ShiftCut, range_kernel_pairs, range_kernel_split
+from protofield.subspaces import ShiftCut, range_kernel_pairs, range_kernel_split, shift_cut
 
 
 def law_on(tagname, m0, m1=None):
@@ -241,7 +239,7 @@ class TestBlockwiseFunctions:
             x = rng.standard_normal((hi - lo, hi - lo))
             mat[np.ix_(perm[lo:hi], perm[lo:hi])] = x @ x.T + 0.5 * np.eye(hi - lo)
         vals, q = np.linalg.eigh(mat)
-        s, si = catalog._sqrt_and_inv(sp.csr_matrix(mat))
+        s, si = catalog._sqrt_and_inv("m0", mat, n)
         s_ref = (q * np.sqrt(vals)) @ q.T
         si_ref = (q / np.sqrt(vals)) @ q.T
         assert np.abs(s.toarray() - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
@@ -329,7 +327,7 @@ class TestSchur:
     def test_hand_2x2(self):
         t, pr, pk = self.split_pairs(2, 1)
         S = MatrixOperator(np.array([[2.0, 1.0], [1.0, 2.0]]), t, t)
-        solver = schur_reduce(S, pr, pk)
+        solver = schur_reduce(pr.cut.symbols(S), pr, pk)
         assert complements(solver, pr)[0][0, 0, 0] == pytest.approx(1.5)
         # reconstruction: x_k = (f_k - x_r) / 2
         x = solve_with(solver, np.array([0.0, 3.0]))
@@ -341,7 +339,7 @@ class TestSchur:
         m[:2, :2] = [[2.0, 0.3], [0.3, 2.0]]
         m[2:, 2:] = [[4.0, 0.0], [0.0, 5.0]]
         S = MatrixOperator(m, t, t)
-        solver = schur_reduce(S, pr, pk)
+        solver = schur_reduce(pr.cut.symbols(S), pr, pk)
         assert np.allclose(complements(solver, pr)[0][0], m[:2, :2], atol=1e-15)
         x = solve_with(solver, np.array([0.0, 0.0, 4.0, 10.0]))
         assert np.allclose(x, [0.0, 0.0, 1.0, 2.0])
@@ -357,7 +355,7 @@ class TestSchur:
             skew = rng.standard_normal((n, n))
             S_ent = S_ent + (skew - skew.T)
             S = MatrixOperator(S_ent, t, t)
-            solver = schur_reduce(S, pr, pk)
+            solver = schur_reduce(pr.cut.symbols(S), pr, pk)
             rhs = rng.standard_normal(n)
             x_full = np.linalg.solve(S_ent, rhs)
             x_rec = solve_with(solver, rhs)
@@ -368,7 +366,8 @@ class TestSchur:
         m = np.zeros((4, 4))
         m[:2, :2] = 3.0 * np.eye(2)
         m[2:, 2:] = 2.0 * np.eye(2)
-        reduced = complements(schur_reduce(MatrixOperator(m, t, t), pr, pk), pr)[0][0]
+        S = MatrixOperator(m, t, t)
+        reduced = complements(schur_reduce(pr.cut.symbols(S), pr, pk), pr)[0][0]
         assert np.linalg.eigvalsh(reduced).min() >= 3.0 - 1e-12
 
     def test_positivity_with_coupling_on_catalog_step(self):
@@ -376,9 +375,10 @@ class TestSchur:
 
         entry = catalog.heat((Axis.torus(6),))
         S, _ = step_pair(entry.law, entry.a, 0.05)
-        pr, pk = range_kernel_split(entry.a, S, grid=entry.grid)
+        cut, (a_symbols, s_symbols) = shift_cut(entry.space, entry.grid, entry.a, S)
+        pr, pk = range_kernel_split(cut, a_symbols, entry.space)
         assert pr.cut.N == 4  # 6 // 2 + 1 kept wavenumbers
-        for reduced in complements(schur_reduce(S, pr, pk), pr):
+        for reduced in complements(schur_reduce(s_symbols, pr, pk), pr):
             sym = 0.5 * (reduced + reduced.conj().transpose(0, 2, 1))
             assert np.linalg.eigvalsh(sym).min(initial=np.inf) > 0
 
@@ -386,82 +386,16 @@ class TestSchur:
         t, pr, pk = self.split_pairs(2, 1)
         S = MatrixOperator(np.array([[2.0, 1.0], [1.0, 0.0]]), t, t)
         with pytest.raises(MaterialLawError, match="positive"):
-            schur_reduce(S, pr, pk)
+            schur_reduce(pr.cut.symbols(S), pr, pk)
 
     def test_step_matrix_must_commute_with_the_cut(self):
         from protofield import catalog
 
         entry = catalog.heat((Axis.torus(6),))
-        pr, pk = range_kernel_split(entry.a, grid=entry.grid)
         t = entry.a.domain
         S = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
+        cut, (a_symbols,) = shift_cut(entry.space, entry.grid, entry.a)
+        pr, pk = range_kernel_split(cut, a_symbols, entry.space)
         with pytest.raises(ValueError, match="commute"):
-            schur_reduce(S, pr, pk)
+            schur_reduce(pr.cut.symbols(S), pr, pk)
 
-
-class TestCouple:
-    def test_block_diagonal_without_off_blocks(self):
-        a = law_on("a", np.diag([1.0, 2.0]))
-        b = law_on("b", np.diag([3.0]))
-        c = couple([a, b])
-        assert np.array_equal(c.m0.to_dense(), np.diag([1.0, 2.0, 3.0]))
-
-    def test_coupling_m1_plus_minus_one(self):
-        # the plate coupling: -1 above, +1 below between two scalar laws
-        a = law_on("a", np.eye(1))
-        b = law_on("b", np.eye(1))
-        c = couple([a, b], {(0, 1): (None, np.array([[-1.0]])),
-                            (1, 0): (None, np.array([[1.0]]))})
-        assert np.array_equal(c.m1.to_dense(), [[0.0, -1.0], [1.0, 0.0]])
-
-    def test_m0_mirror_keeps_selfadjoint(self):
-        rng = np.random.default_rng(5)
-        a = law_on("a", np.eye(3))
-        b = law_on("b", np.eye(2))
-        blk = rng.standard_normal((3, 2))
-        c = couple([a, b], {(0, 1): (blk, None)})
-        m0 = c.m0.to_dense()
-        assert np.array_equal(m0[:3, 3:], blk)
-        assert np.array_equal(m0[3:, :3], blk.T)
-        # constructor already verified exact selfadjointness
-
-    def test_m0_mirror_nonuniform_weights(self):
-        # the mirror is the weighted adjoint of the block, coordinate by
-        # coordinate, not a transpose scaled by one weight ratio per block
-        ta = SpaceTag("a", 2, [1.0, 2.0])
-        tb = SpaceTag("b", 2, [0.5, 3.0])
-        a = MaterialLaw(m0=MatrixOperator(np.eye(2), ta, ta),
-                        m1=MatrixOperator(np.zeros((2, 2)), ta, ta))
-        b = MaterialLaw(m0=MatrixOperator(np.eye(2), tb, tb),
-                        m1=MatrixOperator(np.zeros((2, 2)), tb, tb))
-        blk = np.array([[1.0, 2.0], [3.0, 4.0]])
-        m0 = couple([a, b], {(0, 1): (blk, None)}).m0.to_dense()
-        assert np.array_equal(m0[:2, 2:], blk)
-        # <B u, v>_a = <u, B* v>_b: B*[q, p] = B[p, q] w_a[p] / w_b[q]
-        expected = blk.T * np.array([1.0, 2.0])[None, :] / np.array([0.5, 3.0])[:, None]
-        assert np.allclose(m0[2:, :2], expected, rtol=1e-15, atol=0)
-
-    def test_inconsistent_mirror_rejected(self):
-        a = law_on("a", np.eye(1))
-        b = law_on("b", np.eye(1))
-        with pytest.raises(MaterialLawError):
-            couple([a, b], {(0, 1): (np.array([[1.0]]), None),
-                            (1, 0): (np.array([[2.0]]), None)})
-
-    def test_order_independent_up_to_permutation(self):
-        a = law_on("a", np.diag([1.0, 2.0]))
-        b = law_on("b", np.diag([3.0]))
-        ab = couple([a, b]).m0.to_dense()
-        ba = couple([b, a]).m0.to_dense()
-        perm = np.zeros((3, 3))
-        perm[0, 2] = perm[1, 0] = perm[2, 1] = 1.0
-        assert np.array_equal(perm @ ab @ perm.T, ba)
-
-    def test_associative_with_zero_off_blocks(self):
-        a = law_on("a", np.diag([1.0, 2.0]))
-        b = law_on("b", np.diag([3.0]))
-        c = law_on("c", np.diag([4.0, 5.0]), np.diag([0.5, 0.0]))
-        left = couple([couple([a, b]), c])
-        right = couple([a, couple([b, c])])
-        assert np.array_equal(left.m0.to_dense(), right.m0.to_dense())
-        assert np.array_equal(left.m1.to_dense(), right.m1.to_dense())

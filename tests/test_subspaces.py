@@ -32,6 +32,12 @@ from protofield.subspaces import (
 PAIR_TOL = 1e-13
 
 
+def split(A, *others, grid=()):
+    """The range/kernel split of A on the cut it shares with `others`, as solve_reduced takes it."""
+    cut, symbols = shift_cut(A.domain, grid, A, *others)
+    return range_kernel_split(cut, symbols[0] if symbols else cut.symbols(A), A.domain)
+
+
 def dense_split(A, rank_tol=1e-10):
     """Range and kernel pi from one dense SVD of the whole weighted matrix (the reference)."""
     sw = np.sqrt(A.domain.weight)
@@ -253,20 +259,20 @@ class TestRangeKernel:
     def test_invertible_has_empty_kernel(self):
         t = TensorFieldSpace((Axis.torus(3),), 0).tag
         A = MatrixOperator(np.diag([1.0, 2.0, 3.0]), t, t)
-        pr, pk = range_kernel_split(A)
+        pr, pk = split(A)
         assert subspace_dim(pr) == 3
         assert subspace_dim(pk) == 0
 
     def test_zero_has_empty_range(self):
         t = TensorFieldSpace((Axis.torus(3),), 0).tag
         A = MatrixOperator(np.zeros((3, 3)), t, t)
-        pr, pk = range_kernel_split(A)
+        pr, pk = split(A)
         assert subspace_dim(pr) == 0
         assert subspace_dim(pk) == 3
 
     def test_periodic_acoustic_kernel_is_two_constants(self):
         entry = catalog.acoustics((Axis.torus(4),))
-        pr, pk = range_kernel_split(entry.a, grid=entry.grid)
+        pr, pk = split(entry.a, grid=entry.grid)
         assert subspace_dim(pk) == 2
         # the kernel projector's columns are constants in each block
         for col in dense_projector(pk).T:
@@ -277,7 +283,7 @@ class TestRangeKernel:
     def test_commutation_and_skewness_on_range(self):
         entry = catalog.heat((Axis.torus(6),))
         A = entry.a
-        pr, pk = range_kernel_split(A, grid=entry.grid)
+        pr, pk = split(A, grid=entry.grid)
         P = dense_projector(pr)
         Ad = A.to_dense()
         norm_a = np.abs(Ad).max()
@@ -306,7 +312,7 @@ class TestRangeKernel:
     def test_projectors_match_the_dense_svd(self, name, axes):
         entry = catalog.build_entry(name, axes)
         w = entry.a.domain.weight
-        pairs = range_kernel_split(entry.a, grid=entry.grid)
+        pairs = split(entry.a, grid=entry.grid)
         for pair, ref in zip(pairs, dense_split(entry.a)):
             assert subspace_dim(pair) == ref.shape[0]
             if pair is not None:
@@ -327,7 +333,7 @@ class TestRangeKernel:
     def test_unshifted_operator_gives_the_dense_svd_bitwise(self, build):
         # no periodic axis, or an A the shifts do not commute with: one block, B itself
         entry = build()
-        for pair, ref in zip(range_kernel_split(entry.a, grid=entry.grid), dense_split(entry.a)):
+        for pair, ref in zip(split(entry.a, grid=entry.grid), dense_split(entry.a)):
             assert subspace_dim(pair) == ref.shape[0]
             assert pair is None or (pair.cut.N == 1 and np.array_equal(dense_pi(pair), ref))
 
@@ -343,7 +349,7 @@ class TestRangeKernel:
             ent[9, 2] = 0.0
         A = MatrixOperator(ent.tocsr(), entry.a.domain, entry.a.codomain)
         assert A.entries.nnz == entry.a.entries.nnz - (how == "drop")
-        for pair, ref in zip(range_kernel_split(A, grid=entry.grid), dense_split(A)):
+        for pair, ref in zip(split(A, grid=entry.grid), dense_split(A)):
             assert np.array_equal(dense_pi(pair), ref)
 
     def test_operator_passed_alongside_decides_the_cut(self):
@@ -352,24 +358,24 @@ class TestRangeKernel:
         entry = catalog.acoustics((Axis.torus(8),))
         t = entry.a.domain
         bump = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
-        assert range_kernel_split(entry.a, grid=entry.grid)[1].cut.N == 5  # 8 // 2 + 1
-        for pair, ref in zip(range_kernel_split(entry.a, bump, grid=entry.grid),
+        assert split(entry.a, grid=entry.grid)[1].cut.N == 5  # 8 // 2 + 1
+        for pair, ref in zip(split(entry.a, bump, grid=entry.grid),
                              dense_split(entry.a)):
             assert pair.cut.N == 1 and np.array_equal(dense_pi(pair), ref)
         with pytest.raises(ValueError, match="commute"):
-            range_kernel_split(entry.a, grid=entry.grid)[1].cut.symbols(bump)
+            split(entry.a, grid=entry.grid)[1].cut.symbols(bump)
 
     def test_grid_must_fit_the_dimension(self):
         entry = catalog.heat((Axis.torus(4),))
         with pytest.raises(ValueError, match="points"):
-            range_kernel_split(entry.a, grid=(Axis.torus(5),))
+            split(entry.a, grid=(Axis.torus(5),))
 
     def test_non_square_rejected(self):
         t0 = TensorFieldSpace((Axis.torus(3),), 0).tag
         t1 = TensorFieldSpace((Axis.torus(3),), 1).tag
         A = MatrixOperator(np.zeros((3, 3)), t0, t1)
         with pytest.raises(ValueError):
-            range_kernel_split(A)
+            split(A)
 
 
 HALF_SPECTRUM_GRIDS = {
@@ -403,12 +409,12 @@ class TestHalfSpectrum:
         # conjugate partners counted: range + kernel is the whole space, and
         # the kernel is as large as the uncut one-block split's
         entry = catalog.build_entry(name, grid)
-        p_range, p_kernel = range_kernel_split(entry.a, grid=grid)
+        p_range, p_kernel = split(entry.a, grid=grid)
         cut = p_range.cut
         assert cut.N == half_count(grid)
         assert cut.multiplicity.sum() == np.prod(cut.per)
         assert subspace_dim(p_range) + subspace_dim(p_kernel) == entry.dim
-        uncut = range_kernel_split(entry.a)
+        uncut = split(entry.a)
         assert uncut[1].cut.N == 1
         assert subspace_dim(p_kernel) == subspace_dim(uncut[1])
         assert subspace_dim(p_range) == subspace_dim(uncut[0])
@@ -424,11 +430,12 @@ class TestHalfSpectrum:
         entry = catalog.build_entry(name, grid)
         x = np.random.default_rng(19).standard_normal((entry.dim, 3))
         for op in step_matrices(entry, scheme):
-            cut = shift_cut(entry.space, grid, op)
+            cut, (symbols,) = shift_cut(entry.space, grid, op)
             assert cut.axes and cut.N == half_count(grid)
             assert np.abs(cut.inverse(cut.forward(x)) - x).max() <= 1e-14 * np.abs(x).max()
             exact = op.entries @ x
-            cut_product = cut.inverse(cut.symbols(op) @ cut.forward(x))
+            assert np.array_equal(symbols, cut.symbols(op))
+            cut_product = cut.inverse(symbols @ cut.forward(x))
             assert np.abs(cut_product - exact).max() <= 1e-13 * np.abs(exact).max()
 
     @pytest.mark.parametrize("grid", [(Axis.torus(7),), (Axis.torus(8),),
@@ -439,17 +446,17 @@ class TestHalfSpectrum:
         # a commute test that miscounts the entries would fall back to one
         # dense block on every torus without failing any comparison
         entry = catalog.build_entry("maxwell" if len(grid) == 3 else "acoustics", grid)
-        cut = shift_cut(entry.space, grid, *step_matrices(entry, evolve.CRANK_NICOLSON))
-        assert cut.axes == tuple(range(1, 1 + len(grid)))
+        cut, symbols = shift_cut(entry.space, grid, *step_matrices(entry, evolve.CRANK_NICOLSON))
+        assert cut.axes == tuple(range(1, 1 + len(grid))) and len(symbols) == 2
         assert cut.N == half_count(grid)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_a_law_varying_in_space_is_not_cut(self, n):
         entry = catalog.acoustics((Axis.torus(n),), rho=np.linspace(1.0, 2.0, n))
         left, right = step_matrices(entry, evolve.CRANK_NICOLSON)
-        assert not ShiftCut(entry.space, entry.grid, (0,)).commutes(left)
-        cut = shift_cut(entry.space, entry.grid, left, right)
-        assert cut.axes == () and cut.N == 1
+        assert ShiftCut(entry.space, entry.grid, (0,))._column(left) is None
+        cut, symbols = shift_cut(entry.space, entry.grid, left, right)
+        assert cut.axes == () and cut.N == 1 and symbols is None
 
 
 class TestDescend:
