@@ -276,11 +276,10 @@ def _write_snapshot_csv(cfg, entry, traj, outdir):
         writer = csv.writer(fh)
         writer.writerow(["t", "block", "index", "value"])
         for t in times:
-            state = traj.state_at(float(t))
-            t_actual = traj.times[int(np.argmin(np.abs(traj.times - float(t))))]
+            k = int(np.argmin(np.abs(traj.times - float(t))))  # the nearest step
             for label, sl in slices.items():
-                for i, val in enumerate(state[sl]):
-                    writer.writerow([FLOAT_FMT % t_actual, label, i, FLOAT_FMT % val])
+                for i, val in enumerate(traj.states[k][sl]):
+                    writer.writerow([FLOAT_FMT % traj.times[k], label, i, FLOAT_FMT % val])
     return path
 
 
@@ -355,7 +354,9 @@ def main(argv=None):
     p_solve = sub.add_parser("solve", help="run a scenario file")
     p_solve.add_argument("file", help="path to a JSON scenario")
     p_solve.add_argument("--reduced", action="store_true",
-                         help="step on the range of A, reconstructing the kernel part")
+                         help="on a periodic grid with a law constant in space, step on "
+                              "the range of A, reconstructing the kernel part; elsewhere "
+                              "step as without it")
     p_solve.add_argument("--outdir", default=".", help="directory for CSV output")
     p_solve.set_defaults(func=cmd_solve)
 

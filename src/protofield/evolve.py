@@ -16,10 +16,11 @@ steps goes back to physical states by one inverse FFT.  The step
 matrices and the states are real, so their symbols and coordinates at
 -xi are the conjugates of those at xi: only the wavenumbers up to n/2
 along the last periodic axis, about half, are stepped.  Otherwise the
-step matrix is factored once by the sparse LU.  solve_reduced takes the
-same wavenumber step, with the inverse formed through the Schur
-complement onto the range of A.  A run whose states or energies stop
-being finite raises StepFailureError.
+step matrix is factored once by the sparse LU.  On the same cut
+solve_reduced takes the same wavenumber step, with the inverse formed
+through the Schur complement onto the range of A; off it, it steps by
+the sparse LU as solve does.  A run whose states or energies stop being
+finite raises StepFailureError.
 Crank-Nicolson preserves the quadratic form <M0 u, u> exactly (up to the
 linear solve) when M1 is skew or zero, and for zero forcing satisfies the
 discrete dissipation identity
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .flatgrid import PERIODIC
 from .linops import MatrixOperator, PreconditionError, skew_defect
 from .matlaw import (
     MaterialLaw,
@@ -61,8 +61,8 @@ class EvolutionaryProblem:
     """Material law + skew spatial operator + forcing + initial state.
 
     grid is the tuple of axes the fields live on (empty when unknown); the
-    solves cut along the shifts of its periodic axes, and with no grid
-    solve steps in physical space by the sparse LU.
+    solves cut along the shifts of a grid whose every axis is periodic,
+    and otherwise step in physical space by the sparse LU.
     """
 
     law: MaterialLaw
@@ -137,10 +137,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def state_at(self, t):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return self.states[idx]
-
 
 def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
     m0, m1, a = problem.law.m0, problem.law.m1, problem.a
@@ -157,12 +153,11 @@ def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
 
 def _require_wellposed(law: MaterialLaw):
     report = check_wellposed(law)
-    if not report.passed:
-        raise MaterialLawError(
-            "material law fails the well-posedness conditions: "
-            f"m0_nonneg={report.m0_nonneg}, "
-            f"kernel_block_positive={report.kernel_block_positive}"
-        )
+    failed = [flag for flag in ("m0_nonneg", "kernel_block_positive")
+              if not getattr(report, flag)]
+    if failed:
+        raise MaterialLawError("material law fails the well-posedness conditions: "
+                               + ", ".join(f"{flag}=False" for flag in failed))
 
 
 class _PhysicalStep:
@@ -255,21 +250,17 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Traje
 def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     """March the problem to t_end with the configured one-step scheme.
 
-    Where every axis of problem.grid is periodic and both step matrices
-    commute with the shifts along them, the step is taken wavenumber by
-    wavenumber; otherwise by the sparse LU in physical space.  A partial
-    cut is not tried: its symbols span the points of the uncut axes, and
-    inverting them densely costs far more than the sparse LU.
+    Where shift_cut cuts problem.grid for both step matrices, the step is
+    taken wavenumber by wavenumber; otherwise by the sparse LU in
+    physical space.
     """
     _require_wellposed(problem.law)
     left, right = _step_operators(problem, config)
-    if all(axis.bc == PERIODIC for axis in problem.grid):
-        cut, symbols = shift_cut(problem.space, problem.grid, left, right)
-        if symbols:
-            l_symbols, r_symbols = symbols
-            return _march(problem, config,
-                          _WavenumberStep(invert_symbols(l_symbols, cut), r_symbols))
-    return _march(problem, config, _PhysicalStep(left, right))
+    cut, symbols = shift_cut(problem.space, problem.grid, left, right)
+    if cut is None:
+        return _march(problem, config, _PhysicalStep(left, right))
+    l_symbols, r_symbols = symbols
+    return _march(problem, config, _WavenumberStep(invert_symbols(l_symbols, cut), r_symbols))
 
 
 def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
@@ -347,28 +338,23 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
 def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     """Step the system on the range of A, reconstructing the kernel part.
 
-    A and both step matrices are split together into range and kernel,
-    wavenumber by wavenumber along the periodic axes of problem.grid when
-    all of them commute with the shifts there (in one dense block
-    otherwise), and the step matrix is Schur-reduced onto the range once.
-    Each step is then the wavenumber step of solve, with the inverse taken
-    through the Schur complement.  With an invertible A this degenerates
-    to the plain solve.
+    Where shift_cut cuts problem.grid for A and both step matrices, A is
+    split into range and kernel wavenumber by wavenumber and the step
+    matrix is Schur-reduced onto the range once (inverted symbol by symbol
+    when A is invertible); each step is then the wavenumber step of solve.
+    Off such a cut the step is solve's: the sparse LU in physical space.
     """
     _require_wellposed(problem.law)
     left, right = _step_operators(problem, config)
-    ops = (problem.a, left, right)
-    cut, symbols = shift_cut(problem.space, problem.grid, *ops)
-    # uncut symbols are dense dim x dim matrices: each is built when it is used
-    symbols = iter(symbols) if symbols else (cut.symbols(op) for op in ops)
-    p_range, p_kernel = range_kernel_split(cut, next(symbols), problem.space)
+    cut, symbols = shift_cut(problem.space, problem.grid, problem.a, left, right)
+    if cut is None:
+        return _march(problem, config, _PhysicalStep(left, right))
+    a_symbols, l_symbols, r_symbols = symbols
+    p_range, p_kernel = range_kernel_split(cut, a_symbols, problem.space)
     if subspace_dim(p_kernel) == 0:
-        # A is invertible: solve's step, from the symbols at hand when every axis is cut
-        if cut.axes and len(cut.axes) == len(problem.grid):
-            return _march(problem, config,
-                          _WavenumberStep(invert_symbols(next(symbols), cut), next(symbols)))
-        return solve(problem, config)
-    if subspace_dim(p_range) == 0:
+        inverse = invert_symbols(l_symbols, cut)
+    elif subspace_dim(p_range) == 0:
         raise MaterialLawError("A vanishes: nothing to reduce onto")
-    return _march(problem, config,
-                  _WavenumberStep(schur_reduce(next(symbols), p_range, p_kernel), next(symbols)))
+    else:
+        inverse = schur_reduce(l_symbols, p_range, p_kernel)
+    return _march(problem, config, _WavenumberStep(inverse, r_symbols))

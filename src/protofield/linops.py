@@ -16,9 +16,8 @@ by nature densify explicitly with `to_dense()`: the weighted singular
 values here.  Functions of selfadjoint operators (the well-posedness gate,
 polar factors, coefficient inverses and roots) densify only the coupling
 blocks, through `weighted_spectrum`; the range/kernel split (subspaces)
-and the Schur reduction (matlaw) densify one symbol per wavenumber of the
-periodic axes the operators commute with (the whole operator when there
-is none).
+and the Schur reduction (matlaw) densify one symbol per wavenumber of a
+periodic grid whose shifts the operators commute with, and nothing else.
 
 All values are immutable after construction and safe to share across
 threads; the functions here are pure.

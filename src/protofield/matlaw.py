@@ -107,7 +107,6 @@ class MaterialLaw:
 
 @dataclass(frozen=True)
 class WellposednessReport:
-    m0_selfadjoint: bool
     m0_nonneg: bool
     kernel_block_positive: bool
     c0_estimate: float
@@ -115,25 +114,21 @@ class WellposednessReport:
 
     @property
     def passed(self) -> bool:
-        return self.m0_selfadjoint and self.m0_nonneg and self.kernel_block_positive
+        return self.m0_nonneg and self.kernel_block_positive
 
 
 def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
                     rank_tol: float = 1e-10) -> WellposednessReport:
     """Verify the structural sufficient conditions for a solvable law.
 
-    M0 must be selfadjoint and nonnegative with a strictly positive range
-    block; on the kernel of M0 the symmetric part of M1 must be strictly
-    positive definite.  c0_estimate is the smaller of the two block
-    constants; nu_threshold is a (conservative, non-sharp) weight beyond
-    which nu*M0 + sym(M1) stays positive definite despite the off-diagonal
-    coupling of sym(M1) between the two blocks.
+    M0 (selfadjoint, as MaterialLaw checks) must be nonnegative with a
+    strictly positive range block; on the kernel of M0 the symmetric part
+    of M1 must be strictly positive definite.  c0_estimate is the smaller
+    of the two block constants; nu_threshold is a (conservative,
+    non-sharp) weight beyond which nu*M0 + sym(M1) stays positive definite
+    despite the off-diagonal coupling of sym(M1) between the two blocks.
     """
-    m0, m1 = mlaw.m0, mlaw.m1
-    sym_defect = (m0 - m0.adjoint()).max_abs()
-    m0_selfadjoint = sym_defect <= tol
-
-    cutoff, groups = weighted_spectrum(m0, symmetrize(m1), rank_tol=rank_tol)
+    cutoff, groups = weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1), rank_tol=rank_tol)
     vals = np.concatenate([g[1].ravel() for g in groups])
     m0_nonneg = bool(vals.min() >= -max(tol, cutoff))
     c_r = float(vals[vals > cutoff].min(initial=np.inf))
@@ -160,7 +155,6 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
         nu_threshold = (coupling ** 2 / (c_r_eff * c_k_eff) + 1.0) * max(1.0, 1.0 / c_r_eff)
 
     return WellposednessReport(
-        m0_selfadjoint=m0_selfadjoint,
         m0_nonneg=m0_nonneg,
         kernel_block_positive=kernel_block_positive,
         c0_estimate=c0,
@@ -175,7 +169,6 @@ class WavenumberInverse:
     inverse[xi] (N, m, m) maps the coordinates of f at wavenumber xi to
     those of S^-1 f, for the N wavenumbers the cut keeps: S is real, so
     the block at -xi is the conjugate of the one at xi and is not stored.
-    With no axis cut (N = 1) it is the one dense inverse of the weighted S.
     """
 
     cut: object

@@ -12,17 +12,18 @@ components: it is sp.kron(component map, point map) in flatgrid's
 component-major layout.  rank_block takes rows of the identity, and
 even_odd maps points.  The range/kernel split is kept in wavenumber
 space: ShiftCut block-diagonalizes the operators that commute with the
-shifts along the periodic axes by a DFT, and each WavenumberPair holds
-one small orthonormal basis per wavenumber, never a dim x dim map.
+shifts of a periodic grid by a DFT, and each WavenumberPair holds one
+small orthonormal basis per wavenumber, never a dim x dim map.
 Every operator and field is real, so its symbol at -xi is the conjugate
 of the one at xi (Hermitian symmetry): the DFT is real-to-complex and
-keeps only the wavenumbers up to n/2 along the last cut axis, about half
+keeps only the wavenumbers up to n/2 along the last axis, about half
 of them, and a subspace counts each kept wavenumber whose conjugate
 partner is dropped twice in its real dimension.
 shift_cut is the one rule for where to cut, used by the split and by the
-time steps: along the periodic axes when every given operator commutes
-with the shifts there, along none otherwise.  It hands back the symbols
-of the operators it tested, so each one's shift column is taken once.
+time steps: along every axis when every axis is periodic and every given
+operator commutes with the shifts there, not at all otherwise.  It hands
+back the symbols of the operators it tested, so each one's shift column
+is taken once.
 
 Component-basis normalizations (the 1/sqrt(2) factors of the symmetric and
 antisymmetric rank-2 bases, the reflection pairs of the even/odd split)
@@ -315,52 +316,39 @@ def _irdft(x, axes, n, norm=None):
 
 
 class ShiftCut:
-    """The unitary DFT F along the cut periodic axes, after the weight root S,
-    kept on half the wavenumbers.
+    """The unitary DFT F along every axis of a periodic grid, after the weight
+    root S, kept on half the wavenumbers.
 
-    Fields are k components over the axes `grid` (dim = k * npts, the point
-    index innermost in C order).  Coordinates are reordered as (beta, p):
-    beta (m values) runs over the component and the axes not cut, p over
-    the cut axes, n_1 x ... x n_k points.  Every operator and field here is
-    real, so a symbol satisfies T(-xi) = conj T(xi) and the coordinates of
-    a field x(-xi) = conj x(xi): F keeps the wavenumbers whose index along
-    the last cut axis is at most n_k // 2 (numpy's rfft), N = n_1 ... n_{k-1}
+    Fields are m components over the axes `grid` (dim = m * npts, the point
+    index innermost in C order).  Every operator and field here is real,
+    so a symbol satisfies T(-xi) = conj T(xi) and the coordinates of a
+    field x(-xi) = conj x(xi): F keeps the wavenumbers whose index along
+    the last axis is at most n_k // 2 (numpy's rfft), N = n_1 ... n_{k-1}
     (n_k // 2 + 1) of them, and the others are their conjugates.
     multiplicity[xi] is 2 when the partner -xi is not kept (last index
     strictly between 0 and n_k / 2) and 1 otherwise, so a real subspace
     has dimension sum over xi of multiplicity[xi] times its columns there.
     forward(x) = F S x maps real (dim, c) columns to (N, m, c): wavenumber,
-    beta, column; inverse undoes it, as a real field.  An operator T
-    commuting with the shifts along the cut axes is cut into one m x m
-    symbol of S T S^-1 per kept wavenumber; with no axis cut, N = 1 and the
-    one symbol is S T S^-1 itself (no FFT).
+    component, column; inverse undoes it, as a real field.  An operator T
+    commuting with the shifts is cut into one m x m symbol of S T S^-1 per
+    kept wavenumber.  shift_cut decides whether a grid is cut at all.
     """
 
-    __slots__ = ("shape", "axes", "order", "per", "half", "multiplicity", "sw", "N", "m",
-                 "_fft_axes", "_inv_order")
+    __slots__ = ("per", "half", "multiplicity", "sw", "N", "m", "_fft_axes")
 
-    def __init__(self, space: SpaceTag, grid=(), axes=()):
+    def __init__(self, space: SpaceTag, grid):
         npts = point_count(grid)
         if space.dim % npts:
             raise ValueError(f"dimension {space.dim} is not a number of fields over {npts} points")
-        shape = (space.dim // npts, *(axis.n for axis in grid))
-        axes = [1 + a for a in axes]
-        order = [a for a in range(len(shape)) if a not in axes] + axes
-        per = tuple(shape[a] for a in axes)
-        if per:
-            j = np.arange(per[-1] // 2 + 1)
-            half = (*per[:-1], len(j))
-            multiplicity = np.tile(np.where((j == 0) | (2 * j == per[-1]), 1, 2),
-                                   int(np.prod(per[:-1])))
-        else:
-            half, multiplicity = (), np.ones(1, dtype=int)
+        per = tuple(axis.n for axis in grid)
+        j = np.arange(per[-1] // 2 + 1)
+        multiplicity = np.tile(np.where((j == 0) | (2 * j == per[-1]), 1, 2),
+                               int(np.prod(per[:-1])))
         multiplicity.flags.writeable = False
-        for name, value in (("shape", shape), ("axes", tuple(axes)), ("order", tuple(order)),
-                            ("per", per), ("half", half), ("multiplicity", multiplicity),
-                            ("sw", np.sqrt(space.weight)), ("N", len(multiplicity)),
-                            ("m", space.dim // int(np.prod(per))),
-                            ("_fft_axes", tuple(range(1, 1 + len(per)))),
-                            ("_inv_order", (*np.argsort(order), len(shape)))):
+        for name, value in (("per", per), ("half", (*per[:-1], len(j))),
+                            ("multiplicity", multiplicity), ("sw", np.sqrt(space.weight)),
+                            ("N", len(multiplicity)), ("m", space.dim // npts),
+                            ("_fft_axes", tuple(range(1, 1 + len(per))))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -369,59 +357,42 @@ class ShiftCut:
     def forward(self, x):
         """F S x for the real columns of x (dim, c), as (N, m, c)."""
         c = x.shape[1]
-        y = (self.sw[:, None] * x).reshape(*self.shape, c).transpose(*self.order, -1)
-        y = y.reshape(self.m, *self.per, c)
-        if self.per:
-            y = _rdft(y, self._fft_axes, "ortho")
+        y = _rdft((self.sw[:, None] * x).reshape(self.m, *self.per, c), self._fft_axes, "ortho")
         return y.reshape(self.m, self.N, c).transpose(1, 0, 2)
 
     def inverse(self, y):
         """S^-1 F^-1 y for y (N, m, c), the real field, as (dim, c) columns."""
         c = y.shape[2]
         x = y.transpose(1, 0, 2).reshape(self.m, *self.half, c)
-        if self.per:
-            x = _irdft(x, self._fft_axes, self.per[-1], "ortho")
-        x = x.reshape(*(self.shape[a] for a in self.order), c)
-        x = x.transpose(self._inv_order).reshape(len(self.sw), c)
-        return x / self.sw[:, None]
+        x = _irdft(x, self._fft_axes, self.per[-1], "ortho")
+        return x.reshape(len(self.sw), c) / self.sw[:, None]
 
-    def _column(self, op: MatrixOperator):
-        """b0[(beta, p), gamma] = the entry of S op S^-1 in column (gamma, p = 0).
+    def symbols(self, op: MatrixOperator):
+        """symbols[xi] = sum_p b(p) exp(-i xi p), (N, m, m): F S op S^-1 F^-1 blockwise.
 
-        None when some entry differs from its image shifted back to p = 0, or
-        the entry count is not that of the columns at p = 0 times the number
-        of shifts: then op does not commute with the shifts along the cut axes.
+        b0[(beta, p), gamma] = b(p)[beta, gamma], for components beta and
+        gamma, is the entry of S op S^-1 in column (gamma, p = 0).  None when some entry differs from its
+        image shifted back to p = 0, or the entry count is not that of the
+        columns at p = 0 times the number of shifts: then op does not
+        commute with the shifts.
         """
         e = op.entries.tocoo()
         data = e.data * self.sw[e.row] / self.sw[e.col]
         nz = data != 0
         rows, cols, data = e.row[nz], e.col[nz], data[nz]
-        shape, kept = self.shape, self.order[:len(self.order) - len(self.axes)]
+        shape = (self.m, *self.per)
         r, c = list(np.unravel_index(rows, shape)), np.unravel_index(cols, shape)
         at0 = np.ones(len(data), dtype=bool)
-        for a in self.axes:
+        for a in self._fft_axes:
             r[a] = (r[a] - c[a]) % shape[a]
             at0 &= c[a] == 0
-        row_bp = np.ravel_multi_index([r[a] for a in self.order], [shape[a] for a in self.order])
-        col_beta = np.ravel_multi_index([c[a] for a in kept], [shape[a] for a in kept])
+        row_bp = np.ravel_multi_index(r, shape)
         b0 = np.zeros((len(self.sw), self.m))
-        b0[row_bp[at0], col_beta[at0]] = data[at0]
-        if self.axes and (len(data) != np.prod(self.per) * np.count_nonzero(at0)
-                          or np.any(b0[row_bp, col_beta] != data)):
+        b0[row_bp[at0], c[0][at0]] = data[at0]
+        if (len(data) != np.prod(self.per) * np.count_nonzero(at0)
+                or np.any(b0[row_bp, c[0]] != data)):
             return None
-        return b0
-
-    def symbols(self, op: MatrixOperator):
-        """symbols[xi] = sum_p b(p) exp(-i xi p), (N, m, m): F S op S^-1 F^-1 blockwise."""
-        b0 = self._column(op)
-        if b0 is None:
-            raise ValueError("the operator does not commute with the shifts along the cut axes")
-        return self._column_symbols(b0)
-
-    def _column_symbols(self, b0):
-        if not self.axes:
-            return b0[None]
-        symbols = _rdft(b0.reshape(self.m, *self.per, self.m), self._fft_axes)
+        symbols = _rdft(b0.reshape(*shape, self.m), self._fft_axes)
         return symbols.reshape(self.m, self.N, self.m).transpose(1, 0, 2)
 
 
@@ -461,23 +432,25 @@ def range_kernel_pairs(cut: ShiftCut, u, kernel_dims, domain: SpaceTag):
 
 
 def shift_cut(space: SpaceTag, grid, *ops: MatrixOperator):
-    """(cut, symbols): the cut of `space` along the periodic axes of `grid`
-    and the symbols of `ops` there when every one of them commutes with the
-    shifts, else the cut along no axis and None.
+    """(cut, symbols): the cut of `space` along every axis of `grid` and the
+    symbols of `ops` there, or (None, None) when there is no cut.
 
-    The commute test extracts each operator's shift column, which its
-    symbols are then computed from.  Uncut symbols are dense matrices: a
-    caller that needs them takes cut.symbols(op).
+    The one rule for where to cut: only a grid whose every axis is periodic,
+    and only when every one of ops commutes with the shifts along them.
+    A grid with no axis, or with one that is not periodic, is not cut: a
+    symbol spanning the points of an uncut axis is a dense block that costs
+    far more than the sparse LU.  The commute test computes each operator's
+    symbols, so each one's shift column is taken once.
     """
     if any(op.domain != space or op.codomain != space for op in ops):
         raise ValueError(f"shift_cut needs operators on {space.name} to itself")
-    cut = ShiftCut(space, grid, [a for a, axis in enumerate(grid) if axis.bc == PERIODIC])
-    symbols = []
+    if not grid or any(axis.bc != PERIODIC for axis in grid):
+        return None, None
+    cut, symbols = ShiftCut(space, grid), []
     for op in ops:
-        b0 = cut._column(op) if cut.axes else None
-        if b0 is None:
-            return ShiftCut(space, grid), None
-        symbols.append(cut._column_symbols(b0))
+        symbols.append(cut.symbols(op))
+        if symbols[-1] is None:
+            return None, None
     return cut, symbols
 
 

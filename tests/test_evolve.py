@@ -78,8 +78,15 @@ class TestSolve:
         prob = EvolutionaryProblem(law=law,
                                    a=MatrixOperator(np.zeros((2, 2)), t, t),
                                    initial=np.zeros(2))
-        with pytest.raises(MaterialLawError):
+        with pytest.raises(MaterialLawError, match=r"conditions: kernel_block_positive=False$"):
             solve(prob, SolverConfig(tau=0.1, t_end=1.0))
+
+    def test_an_exactly_diagonal_law_passes_the_gate(self):
+        # W M0 is symmetric bitwise, but M0 - M0* rounds through t * w / w to
+        # 1.8e-12 here: no second, absolute selfadjointness test may reject it
+        entry = catalog.acoustics((Axis.torus(6),), rho=13687.617154257521)
+        traj = solve(entry.problem(initial=np.ones(entry.dim)), SolverConfig(tau=0.01, t_end=0.1))
+        assert len(traj) == 11 and np.isfinite(traj.states).all()
 
     def test_non_skew_a_rejected(self):
         t = SpaceTag("h", 2)
@@ -314,40 +321,45 @@ class TestSolveReduced:
             assert np.abs(full.states - red.states).max() / scale <= 1e-10, entry.name
 
     @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
-    @pytest.mark.parametrize("build", [
-        lambda: catalog.extended_maxwell((Axis.torus(4),) * 3),
-        lambda: catalog.heat((Axis.torus(4), Axis.interval(5))),
-        lambda: catalog.reissner_mindlin((Axis.interval(5), Axis.torus(4))),
-        # A commutes with the shifts, the step matrix does not: one block
-        lambda: catalog.acoustics((Axis.torus(8),), rho=np.linspace(1.0, 2.0, 8)),
-        # A itself does not commute with the shifts: one block
-        lambda: catalog.extended_maxwell((Axis.torus(4),) * 3, m0=np.linspace(1.0, 2.0, 512)),
+    @pytest.mark.parametrize("build, cut", [
+        (lambda: catalog.extended_maxwell((Axis.torus(4),) * 3), True),
+        # an axis that is not periodic: not cut, the sparse LU
+        (lambda: catalog.heat((Axis.torus(4), Axis.interval(5))), False),
+        (lambda: catalog.reissner_mindlin((Axis.interval(5), Axis.torus(4))), False),
+        # A commutes with the shifts, the step matrix does not: the sparse LU
+        (lambda: catalog.acoustics((Axis.torus(8),), rho=np.linspace(1.0, 2.0, 8)), False),
+        # A itself does not commute with the shifts: the sparse LU
+        (lambda: catalog.extended_maxwell((Axis.torus(4),) * 3, m0=np.linspace(1.0, 2.0, 512)),
+         False),
     ], ids=["extended_maxwell_4cube", "heat_torus_x_interval", "reissner_mindlin_interval_x_torus",
             "acoustics_vector_rho", "extended_maxwell_vector_m0"])
-    def test_wavenumber_step_matches_the_full_solve(self, build, scheme):
+    def test_wavenumber_step_matches_the_full_solve(self, build, cut, scheme, monkeypatch):
         entry = build()
         u0 = np.random.default_rng(6).standard_normal(entry.dim)
         cfg = SolverConfig(tau=0.01, t_end=0.5, scheme=scheme)
         full = solve(entry.problem(initial=u0), cfg)
+        factored = lu_factorizations(monkeypatch)
         red = solve_reduced(entry.problem(initial=u0), cfg)
+        assert factored == ([] if cut else [entry.dim])
         assert np.abs(full.states - red.states).max() <= 1e-12 * np.abs(full.states).max()
         lu = solve(physical(entry.problem(initial=u0)), cfg)
         assert relative_gap(full, lu) <= 1e-12
         assert relative_gap(red, lu) <= 1e-12
 
     def test_cut_follows_the_step_matrix(self):
-        from protofield import evolve
-
-        split = evolve.range_kernel_split
-        # 8 // 2 + 1 = 5 kept wavenumbers on the ring; one block when not cut
-        for entry, n_wavenumbers in ((catalog.acoustics((Axis.torus(8),)), 5),
-                                     (catalog.acoustics((Axis.torus(8),),
-                                                        rho=np.linspace(1.0, 2.0, 8)), 1)):
+        # A is cut on the ring in both; with the step matrix of a rho that
+        # varies along it, nothing is
+        uniform = catalog.acoustics((Axis.torus(8),))
+        varying = catalog.acoustics((Axis.torus(8),), rho=np.linspace(1.0, 2.0, 8))
+        for entry in (uniform, varying):
+            assert evolve.shift_cut(entry.space, entry.grid, entry.a)[1] is not None
             left, _ = evolve._step_operators(entry.problem(), SolverConfig(tau=0.01, t_end=0.1))
             cut, symbols = evolve.shift_cut(entry.space, entry.grid, entry.a, left)
-            a_symbols = symbols[0] if symbols else cut.symbols(entry.a)
-            p_range, p_kernel = split(cut, a_symbols, entry.space)
-            assert p_range.cut.N == p_kernel.cut.N == n_wavenumbers
+            if entry is varying:
+                assert (cut, symbols) == (None, None)
+                continue
+            p_range, p_kernel = evolve.range_kernel_split(cut, symbols[0], entry.space)
+            assert p_range.cut.N == p_kernel.cut.N == 5  # 8 // 2 + 1 kept wavenumbers
             assert p_kernel.codomain.dim == 2
 
     def test_memory_budget_on_an_8_cube(self):
@@ -365,6 +377,27 @@ class TestSolveReduced:
             tracemalloc.stop()
         assert len(traj) == 11
         assert peak < 100 * 2**20
+
+    @pytest.mark.parametrize("grid, budget", [
+        ((Axis.torus(8), Axis.interval(250)), 20 * 2**20),
+        ((Axis.interval(1000),), 5 * 2**20),
+    ], ids=["torus_x_interval", "interval"])
+    def test_memory_budget_off_the_cut(self, grid, budget, monkeypatch):
+        # off a fully periodic grid the reduced solve factors the step matrix
+        # once by the sparse LU, as solve does: no dense block over the points
+        import tracemalloc
+
+        entry = catalog.heat(grid)
+        problem = entry.problem(initial=np.random.default_rng(8).standard_normal(entry.dim))
+        factored = lu_factorizations(monkeypatch)
+        tracemalloc.start()
+        try:
+            traj = solve_reduced(problem, SolverConfig(tau=0.01, t_end=0.02))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factored == [entry.dim] and len(traj) == 3
+        assert peak < budget
 
 
 def lu_factorizations(monkeypatch):
@@ -388,7 +421,7 @@ class TestWavenumberStep:
     @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
     @pytest.mark.parametrize("build, cut", [
         *((lambda name=name: catalog.build_entry(name), True) for name in PERIODIC_ENTRIES),
-        # a partial cut would invert blocks spanning the interval: the sparse LU
+        # an axis that is not periodic: not cut, the sparse LU
         (lambda: catalog.heat((Axis.torus(4), Axis.interval(5))), False),
         # the step matrix does not commute with the shifts: the sparse LU
         (lambda: catalog.acoustics((Axis.torus(8),), rho=np.linspace(1.0, 2.0, 8)), False),
@@ -409,13 +442,13 @@ class TestWavenumberStep:
         # the commute test hands its columns on to the symbols: one extraction
         # per step matrix, and one for A in the reduced solve (Dirac's A is
         # invertible, and its reduced solve steps with the same symbols)
-        column, seen = ShiftCut._column, []
+        symbols, seen = ShiftCut.symbols, []
 
         def counting(cut, op):
             seen.append(op)
-            return column(cut, op)
+            return symbols(cut, op)
 
-        monkeypatch.setattr(ShiftCut, "_column", counting)
+        monkeypatch.setattr(ShiftCut, "symbols", counting)
         entry = catalog.build_entry(name, (Axis.torus(4),) * 3)
         problem = entry.problem(initial=np.random.default_rng(12).standard_normal(entry.dim))
         runner(problem, SolverConfig(tau=0.01, t_end=0.02))

@@ -22,7 +22,7 @@ from protofield.matlaw import (
     symmetrize,
 )
 from protofield import catalog
-from protofield.subspaces import ShiftCut, range_kernel_pairs, range_kernel_split, shift_cut
+from protofield.subspaces import range_kernel_pairs, range_kernel_split, shift_cut
 
 
 def law_on(tagname, m0, m1=None):
@@ -111,8 +111,7 @@ def dense_reference_gate(mlaw, tol=1e-12, rank_tol=1e-10):
         coupling = np.linalg.norm(s_rk, 2) if s_rk.size else 0.0
         c_k_eff = c_k if np.isfinite(c_k) and c_k > 0 else 1.0
         nu = (coupling ** 2 / (c_r * c_k_eff) + 1.0) * max(1.0, 1.0 / c_r)
-    return {"m0_selfadjoint": (m0 - m0.adjoint()).max_abs() <= tol,
-            "m0_nonneg": vals.min() >= -max(tol, cutoff),
+    return {"m0_nonneg": vals.min() >= -max(tol, cutoff),
             "kernel_block_positive": c_k > tol,
             "c0_estimate": min(finite) if finite else 0.0,
             "nu_threshold": nu}
@@ -162,7 +161,7 @@ class TestBlockwiseGate:
 
     def assert_same_report(self, mlaw):
         rep, ref = check_wellposed(mlaw), dense_reference_gate(mlaw)
-        for flag in ("m0_selfadjoint", "m0_nonneg", "kernel_block_positive"):
+        for flag in ("m0_nonneg", "kernel_block_positive"):
             assert getattr(rep, flag) == ref[flag], flag
         for value in ("c0_estimate", "nu_threshold"):
             assert abs(getattr(rep, value) - ref[value]) <= 1e-10 * max(abs(ref[value]), 1.0)
@@ -319,55 +318,54 @@ def solve_with(solver, rhs):
 
 
 class TestSchur:
-    def split_pairs(self, n, k):
-        """First n-k coordinates = 'range', last k = 'kernel'; one block, as a dense split."""
-        t = SpaceTag("h", n)
-        return (t, *range_kernel_pairs(ShiftCut(t), np.eye(n)[None], np.array([k]), t))
+    def reduce(self, m, k):
+        """schur_reduce of S = m at each point of a 2-point ring (m kron I_2), with
+        the first n-k components as the 'range' and the last k as the 'kernel'
+        at both wavenumbers; returns the solver, the range pair and S."""
+        n = len(m)
+        t = SpaceTag("h", 2 * n)
+        S = MatrixOperator(np.kron(m, np.eye(2)), t, t)
+        cut, (symbols,) = shift_cut(t, (Axis.torus(2),), S)
+        pr, pk = range_kernel_pairs(cut, np.array([np.eye(n)] * 2), np.array([k, k]), t)
+        return schur_reduce(symbols, pr, pk), pr, S
 
     def test_hand_2x2(self):
-        t, pr, pk = self.split_pairs(2, 1)
-        S = MatrixOperator(np.array([[2.0, 1.0], [1.0, 2.0]]), t, t)
-        solver = schur_reduce(pr.cut.symbols(S), pr, pk)
-        assert complements(solver, pr)[0][0, 0, 0] == pytest.approx(1.5)
-        # reconstruction: x_k = (f_k - x_r) / 2
-        x = solve_with(solver, np.array([0.0, 3.0]))
-        assert x[1] == pytest.approx((3.0 - x[0]) / 2.0)
+        solver, pr, _ = self.reduce(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
+        assert complements(solver, pr)[0][:, 0, 0] == pytest.approx([1.5, 1.5])
+        # reconstruction at each point: x_k = (f_k - x_r) / 2
+        f = np.array([0.0, 0.0, 3.0, 1.0])
+        x = solve_with(solver, f)
+        assert x[2:] == pytest.approx((f[2:] - x[:2]) / 2.0)
 
     def test_block_diagonal(self):
-        t, pr, pk = self.split_pairs(4, 2)
         m = np.zeros((4, 4))
         m[:2, :2] = [[2.0, 0.3], [0.3, 2.0]]
         m[2:, 2:] = [[4.0, 0.0], [0.0, 5.0]]
-        S = MatrixOperator(m, t, t)
-        solver = schur_reduce(pr.cut.symbols(S), pr, pk)
-        assert np.allclose(complements(solver, pr)[0][0], m[:2, :2], atol=1e-15)
-        x = solve_with(solver, np.array([0.0, 0.0, 4.0, 10.0]))
-        assert np.allclose(x, [0.0, 0.0, 1.0, 2.0])
+        solver, pr, _ = self.reduce(m, 2)
+        assert np.allclose(complements(solver, pr)[0], m[:2, :2], atol=1e-15)
+        x = solve_with(solver, np.repeat([0.0, 0.0, 4.0, 10.0], 2))
+        assert np.allclose(x, np.repeat([0.0, 0.0, 1.0, 2.0], 2))
 
     def test_full_solve_equals_reduce_reconstruct(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(3, 9))
             k = int(rng.integers(1, n))
-            t, pr, pk = self.split_pairs(n, k)
             m = rng.standard_normal((n, n))
             S_ent = m @ m.T + 0.5 * np.eye(n)       # symmetric positive definite
             skew = rng.standard_normal((n, n))
-            S_ent = S_ent + (skew - skew.T)
-            S = MatrixOperator(S_ent, t, t)
-            solver = schur_reduce(pr.cut.symbols(S), pr, pk)
-            rhs = rng.standard_normal(n)
-            x_full = np.linalg.solve(S_ent, rhs)
+            solver, _, S = self.reduce(S_ent + (skew - skew.T), k)
+            rhs = rng.standard_normal(2 * n)
+            x_full = np.linalg.solve(S.to_dense(), rhs)
             x_rec = solve_with(solver, rhs)
             assert np.abs(x_full - x_rec).max() <= 1e-12 * max(np.abs(x_full).max(), 1.0)
 
     def test_positivity_persists_without_coupling(self):
-        t, pr, pk = self.split_pairs(4, 2)
         m = np.zeros((4, 4))
         m[:2, :2] = 3.0 * np.eye(2)
         m[2:, 2:] = 2.0 * np.eye(2)
-        S = MatrixOperator(m, t, t)
-        reduced = complements(schur_reduce(pr.cut.symbols(S), pr, pk), pr)[0][0]
+        solver, pr, _ = self.reduce(m, 2)
+        reduced = complements(solver, pr)[0]
         assert np.linalg.eigvalsh(reduced).min() >= 3.0 - 1e-12
 
     def test_positivity_with_coupling_on_catalog_step(self):
@@ -383,19 +381,17 @@ class TestSchur:
             assert np.linalg.eigvalsh(sym).min(initial=np.inf) > 0
 
     def test_singular_kernel_block_rejected(self):
-        t, pr, pk = self.split_pairs(2, 1)
-        S = MatrixOperator(np.array([[2.0, 1.0], [1.0, 0.0]]), t, t)
         with pytest.raises(MaterialLawError, match="positive"):
-            schur_reduce(pr.cut.symbols(S), pr, pk)
+            self.reduce(np.array([[2.0, 1.0], [1.0, 0.0]]), 1)
 
     def test_step_matrix_must_commute_with_the_cut(self):
+        # a step matrix varying along the ring has no symbols to reduce: A
+        # alone is cut, A with it is not
         from protofield import catalog
 
         entry = catalog.heat((Axis.torus(6),))
         t = entry.a.domain
         S = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
-        cut, (a_symbols,) = shift_cut(entry.space, entry.grid, entry.a)
-        pr, pk = range_kernel_split(cut, a_symbols, entry.space)
-        with pytest.raises(ValueError, match="commute"):
-            schur_reduce(pr.cut.symbols(S), pr, pk)
+        assert shift_cut(entry.space, entry.grid, entry.a)[1] is not None
+        assert shift_cut(entry.space, entry.grid, entry.a, S) == (None, None)
 

@@ -35,7 +35,7 @@ PAIR_TOL = 1e-13
 def split(A, *others, grid=()):
     """The range/kernel split of A on the cut it shares with `others`, as solve_reduced takes it."""
     cut, symbols = shift_cut(A.domain, grid, A, *others)
-    return range_kernel_split(cut, symbols[0] if symbols else cut.symbols(A), A.domain)
+    return range_kernel_split(cut, symbols[0], A.domain)
 
 
 def dense_split(A, rank_tol=1e-10):
@@ -257,16 +257,19 @@ class TestRealify:
 
 class TestRangeKernel:
     def test_invertible_has_empty_kernel(self):
-        t = TensorFieldSpace((Axis.torus(3),), 0).tag
-        A = MatrixOperator(np.diag([1.0, 2.0, 3.0]), t, t)
-        pr, pk = split(A)
+        # I + shift on a 3-point ring: symbols 1 + exp(-i xi), none zero
+        grid = (Axis.torus(3),)
+        t = TensorFieldSpace(grid, 0).tag
+        A = MatrixOperator(np.eye(3) + np.roll(np.eye(3), 1, axis=0), t, t)
+        pr, pk = split(A, grid=grid)
         assert subspace_dim(pr) == 3
         assert subspace_dim(pk) == 0
 
     def test_zero_has_empty_range(self):
-        t = TensorFieldSpace((Axis.torus(3),), 0).tag
+        grid = (Axis.torus(3),)
+        t = TensorFieldSpace(grid, 0).tag
         A = MatrixOperator(np.zeros((3, 3)), t, t)
-        pr, pk = split(A)
+        pr, pk = split(A, grid=grid)
         assert subspace_dim(pr) == 0
         assert subspace_dim(pk) == 3
 
@@ -303,9 +306,6 @@ class TestRangeKernel:
         ("timoshenko", (Axis.torus(6),)),
         ("acoustics", (Axis.torus(4),) * 2),
         ("heat", (Axis.torus(3), Axis.torus(4))),
-        ("heat", (Axis.torus(4), Axis.interval(5))),
-        ("acoustics", (Axis.interval(5), Axis.torus(4))),
-        ("reissner_mindlin", (Axis.interval(5), Axis.torus(4))),
         ("extended_maxwell", (Axis.torus(3), Axis.torus(4), Axis.torus(5))),
         ("dirac", (Axis.torus(2), Axis.torus(5), Axis.torus(3))),
     ], ids=lambda v: v if isinstance(v, str) else "x".join(f"{a.n}{a.bc[0]}" for a in v))
@@ -329,19 +329,22 @@ class TestRangeKernel:
         lambda: catalog.extended_maxwell((Axis.torus(4),) * 3, m0=np.linspace(1.0, 2.0, 512)),
         lambda: catalog.heat((Axis.interval(9),)),
         lambda: catalog.reissner_mindlin((Axis.interval(4),) * 2),
-    ], ids=["extended_maxwell_vector_m0", "heat_interval", "reissner_mindlin_interval"])
-    def test_unshifted_operator_gives_the_dense_svd_bitwise(self, build):
-        # no periodic axis, or an A the shifts do not commute with: one block, B itself
+        lambda: catalog.heat((Axis.torus(4), Axis.interval(5))),
+        lambda: catalog.acoustics((Axis.interval(5), Axis.torus(4))),
+    ], ids=["extended_maxwell_vector_m0", "heat_interval", "reissner_mindlin_interval",
+            "heat_torus_x_interval", "acoustics_interval_x_torus"])
+    def test_unshifted_operator_is_not_cut(self, build):
+        # an A the shifts do not commute with, or a grid with an axis that is
+        # not periodic: no cut, and solve_reduced steps by the sparse LU
         entry = build()
-        for pair, ref in zip(split(entry.a, grid=entry.grid), dense_split(entry.a)):
-            assert subspace_dim(pair) == ref.shape[0]
-            assert pair is None or (pair.cut.N == 1 and np.array_equal(dense_pi(pair), ref))
+        assert shift_cut(entry.space, entry.grid, entry.a) == (None, None)
 
     @pytest.mark.parametrize("how", ["perturb", "drop"])
     def test_one_broken_shift_is_not_cut(self, how):
         # one entry off its shifted copies (the value check) or one entry
-        # missing (the count check): the split is the dense SVD's
+        # missing (the count check): no symbols
         entry = catalog.acoustics((Axis.torus(8),))
+        assert shift_cut(entry.space, entry.grid, entry.a)[1] is not None
         ent = entry.a.entries.tolil()
         if how == "perturb":
             ent[9, 2] *= 1.0 + 1e-9
@@ -349,21 +352,18 @@ class TestRangeKernel:
             ent[9, 2] = 0.0
         A = MatrixOperator(ent.tocsr(), entry.a.domain, entry.a.codomain)
         assert A.entries.nnz == entry.a.entries.nnz - (how == "drop")
-        for pair, ref in zip(split(A, grid=entry.grid), dense_split(A)):
-            assert np.array_equal(dense_pi(pair), ref)
+        assert shift_cut(entry.space, entry.grid, A) == (None, None)
 
     def test_operator_passed_alongside_decides_the_cut(self):
         # A commutes with the shifts; a diagonal that varies along the ring
-        # does not, so the pair is cut along no axis, as the dense SVD
+        # does not, so the pair is not cut
         entry = catalog.acoustics((Axis.torus(8),))
         t = entry.a.domain
         bump = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
-        assert split(entry.a, grid=entry.grid)[1].cut.N == 5  # 8 // 2 + 1
-        for pair, ref in zip(split(entry.a, bump, grid=entry.grid),
-                             dense_split(entry.a)):
-            assert pair.cut.N == 1 and np.array_equal(dense_pi(pair), ref)
-        with pytest.raises(ValueError, match="commute"):
-            split(entry.a, grid=entry.grid)[1].cut.symbols(bump)
+        p_kernel = split(entry.a, grid=entry.grid)[1]
+        assert p_kernel.cut.N == 5  # 8 // 2 + 1
+        assert shift_cut(t, entry.grid, entry.a, bump) == (None, None)
+        assert p_kernel.cut.symbols(bump) is None
 
     def test_grid_must_fit_the_dimension(self):
         entry = catalog.heat((Axis.torus(4),))
@@ -384,14 +384,12 @@ HALF_SPECTRUM_GRIDS = {
     "8": (Axis.torus(8),),
     "3x4": (Axis.torus(3), Axis.torus(4)),
     "4x3": (Axis.torus(4), Axis.torus(3)),
-    "4xI3x5": (Axis.torus(4), Axis.interval(3), Axis.torus(5)),
-    "5xI3x4": (Axis.torus(5), Axis.interval(3), Axis.torus(4)),
 }
 
 
 def half_count(grid):
-    """Kept wavenumbers of the cut along the periodic axes: n // 2 + 1 on the last one."""
-    per = [axis.n for axis in grid if axis.bc == PERIODIC]
+    """Kept wavenumbers of the cut: n // 2 + 1 on the last axis."""
+    per = [axis.n for axis in grid]
     return int(np.prod(per[:-1])) * (per[-1] // 2 + 1)
 
 
@@ -407,17 +405,16 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("grid", HALF_SPECTRUM_GRIDS.values(), ids=HALF_SPECTRUM_GRIDS)
     def test_real_dimensions_add_up(self, grid, name):
         # conjugate partners counted: range + kernel is the whole space, and
-        # the kernel is as large as the uncut one-block split's
+        # each is as large as the dense SVD's
         entry = catalog.build_entry(name, grid)
         p_range, p_kernel = split(entry.a, grid=grid)
         cut = p_range.cut
         assert cut.N == half_count(grid)
         assert cut.multiplicity.sum() == np.prod(cut.per)
         assert subspace_dim(p_range) + subspace_dim(p_kernel) == entry.dim
-        uncut = split(entry.a)
-        assert uncut[1].cut.N == 1
-        assert subspace_dim(p_kernel) == subspace_dim(uncut[1])
-        assert subspace_dim(p_range) == subspace_dim(uncut[0])
+        ref_range, ref_kernel = dense_split(entry.a)
+        assert subspace_dim(p_range) == ref_range.shape[0]
+        assert subspace_dim(p_kernel) == ref_kernel.shape[0]
 
     @pytest.mark.parametrize("scheme", [evolve.CRANK_NICOLSON, evolve.IMPLICIT_EULER])
     @pytest.mark.parametrize("name, grid", [
@@ -431,7 +428,7 @@ class TestHalfSpectrum:
         x = np.random.default_rng(19).standard_normal((entry.dim, 3))
         for op in step_matrices(entry, scheme):
             cut, (symbols,) = shift_cut(entry.space, grid, op)
-            assert cut.axes and cut.N == half_count(grid)
+            assert cut.N == half_count(grid)
             assert np.abs(cut.inverse(cut.forward(x)) - x).max() <= 1e-14 * np.abs(x).max()
             exact = op.entries @ x
             assert np.array_equal(symbols, cut.symbols(op))
@@ -443,20 +440,19 @@ class TestHalfSpectrum:
                                       (Axis.torus(3), Axis.torus(4), Axis.torus(5))],
                              ids=["7", "8", "3x4", "3x4x5"])
     def test_a_constant_law_is_cut(self, grid):
-        # a commute test that miscounts the entries would fall back to one
-        # dense block on every torus without failing any comparison
+        # a commute test that miscounts the entries would fall back to the
+        # sparse LU on every torus without failing any comparison
         entry = catalog.build_entry("maxwell" if len(grid) == 3 else "acoustics", grid)
         cut, symbols = shift_cut(entry.space, grid, *step_matrices(entry, evolve.CRANK_NICOLSON))
-        assert cut.axes == tuple(range(1, 1 + len(grid))) and len(symbols) == 2
+        assert cut.per == tuple(axis.n for axis in grid) and len(symbols) == 2
         assert cut.N == half_count(grid)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_a_law_varying_in_space_is_not_cut(self, n):
         entry = catalog.acoustics((Axis.torus(n),), rho=np.linspace(1.0, 2.0, n))
         left, right = step_matrices(entry, evolve.CRANK_NICOLSON)
-        assert ShiftCut(entry.space, entry.grid, (0,))._column(left) is None
-        cut, symbols = shift_cut(entry.space, entry.grid, left, right)
-        assert cut.axes == () and cut.N == 1 and symbols is None
+        assert ShiftCut(entry.space, entry.grid).symbols(left) is None
+        assert shift_cut(entry.space, entry.grid, left, right) == (None, None)
 
 
 class TestDescend:
