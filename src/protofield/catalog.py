@@ -4,9 +4,14 @@ Every entry couples a skew-selfadjoint spatial operator with a material
 law.  The spatial operator is never invented per system: each one is
 reproduced from the single rank-stack operator [[0, -nabla*], [nabla, 0]]
 by a chain of projections and unitary/scale relabelings, recorded in words
-as the entry's `provenance`.  `verify.provenance_residual` compares each
-entry's operator with an independent reference assembled from pieces its
-builder does not call.
+as the entry's `provenance`.  The rank-pair blocks are built at their own
+rank, from the rank-k gradient: the acoustic block is its block-skew pair,
+and the elastic and Maxwell blocks are the sym or asym descent of the
+rank-1 pair, formed block by block.  They are bitwise the stack
+operator's descended blocks, without building the whole stack.
+`verify.provenance_residual` compares each entry's operator with an
+independent reference assembled from pieces its builder does not call
+(for the acoustic block, the stack operator descended).
 
 Systems provided: acoustics, heat conduction, linear elasticity, Maxwell,
 the extended scalar/vector Maxwell system and its reduced variant, the
@@ -35,8 +40,8 @@ from itertools import combinations, permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (MatrixOperator, SpaceTag, block_diag, identity, make_block_skew,
-                     spectral_function, weighted_spectrum, zero)
+from .linops import (MatrixOperator, SpaceTag, block_diag, direct_sum_tags, identity,
+                     make_block_skew, spectral_function, weighted_spectrum, zero)
 from .flatgrid import (
     Axis,
     DIRICHLET,
@@ -220,19 +225,24 @@ class CatalogEntry:
 
 
 def _acoustic_block(axes):
-    """[[0, div], [grad0, 0]] on L2_0 (+) L2_1."""
-    stack = TensorStack(tuple(axes), 1)
-    return descend(build_stack_skew(stack), rank_block(stack, {0}, {1}))
+    """[[0, div], [grad0, 0]] on L2_0 (+) L2_1: the stack operator's rank-{0, 1}
+    block, built at its own rank."""
+    return make_block_skew(build_nabla(TensorFieldSpace(tuple(axes), 0)))
 
 
 def _elastic_block(axes, rank2):
     """[[0, Div], [Grad0, 0]] on L2_1 (+) sym[L2_2] (rank2=sym_projection);
-    with asym_projection, the Maxwell block."""
-    stack = TensorStack(tuple(axes), 2)
-    first = descend(build_stack_skew(stack), rank_block(stack, {1}, {2}))
+    with asym_projection, the Maxwell block.
+
+    The descent of the stack operator's rank-{1, 2} block by I (+) rank2,
+    [[0, -nabla* pi*], [pi nabla, 0]], formed from the rank-1 gradient
+    block by block, each product term for term as the descent forms it.
+    """
     r1 = TensorFieldSpace(tuple(axes), 1)
-    r2 = TensorFieldSpace(tuple(axes), 2)
-    return descend(first, direct_sum_pairs([identity_pair(r1.tag), rank2(r2)]))
+    nabla, pv = build_nabla(r1), rank2(r1.with_rank(2))
+    space = direct_sum_tags([r1.tag, pv.codomain])
+    return MatrixOperator(sp.bmat([[None, -(nabla.adjoint() @ pv.embedding).entries],
+                                   [(pv.pi @ nabla).entries, None]], format="csr"), space, space)
 
 
 def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:

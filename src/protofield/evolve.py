@@ -340,8 +340,10 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Traject
 
     Where shift_cut cuts problem.grid for A and both step matrices, A is
     split into range and kernel wavenumber by wavenumber and the step
-    matrix is Schur-reduced onto the range once (inverted symbol by symbol
-    when A is invertible); each step is then the wavenumber step of solve.
+    matrix is Schur-reduced onto the range once; when A is invertible, or
+    vanishes, there is nothing to eliminate and the step matrix is inverted
+    symbol by symbol, as solve does.  Each step is then the wavenumber step
+    of solve.
     Off such a cut the step is solve's: the sparse LU in physical space.
     """
     _require_wellposed(problem.law)
@@ -351,10 +353,8 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Traject
         return _march(problem, config, _PhysicalStep(left, right))
     a_symbols, l_symbols, r_symbols = symbols
     p_range, p_kernel = range_kernel_split(cut, a_symbols, problem.space)
-    if subspace_dim(p_kernel) == 0:
+    if subspace_dim(p_kernel) == 0 or subspace_dim(p_range) == 0:
         inverse = invert_symbols(l_symbols, cut)
-    elif subspace_dim(p_range) == 0:
-        raise MaterialLawError("A vanishes: nothing to reduce onto")
     else:
         inverse = schur_reduce(l_symbols, p_range, p_kernel)
     return _march(problem, config, _WavenumberStep(inverse, r_symbols))

@@ -15,9 +15,10 @@ of flatgrid and catalog are assembled sparse.  Algorithms that are dense
 by nature densify explicitly with `to_dense()`: the weighted singular
 values here.  Functions of selfadjoint operators (the well-posedness gate,
 polar factors, coefficient inverses and roots) densify only the coupling
-blocks, through `weighted_spectrum`; the range/kernel split (subspaces)
-and the Schur reduction (matlaw) densify one symbol per wavenumber of a
-periodic grid whose shifts the operators commute with, and nothing else.
+blocks, through `weighted_spectrum`, and a diagonal operator not at all;
+the range/kernel split (subspaces) and the Schur reduction (matlaw)
+densify one symbol per wavenumber of a periodic grid whose shifts the
+operators commute with, and nothing else.
 
 All values are immutable after construction and safe to share across
 threads; the functions here are pure.
@@ -257,6 +258,42 @@ def weighted_singular_values(op: MatrixOperator) -> np.ndarray:
     return np.linalg.svd(sw_cod[:, None] * m / sw_dom[None, :], compute_uv=False)
 
 
+def _diagonal(entries) -> bool:
+    """Whether a square CSR matrix stores entries on its diagonal only."""
+    counts = np.diff(entries.indptr)
+    return counts.max(initial=0) <= 1 and np.array_equal(entries.indices, np.flatnonzero(counts))
+
+
+def _coupling_blocks(ops, sw):
+    """(index (n, s), entries (len(ops), n, s, s)) per size s of the coupling blocks.
+
+    The blocks are the connected components of the operators' joint
+    sparsity pattern, in weighted-orthonormal coordinates.  When every
+    operator is diagonal they are the n 1x1 blocks of the diagonal, in
+    order, which is what the graph pass would find: it is skipped.
+    """
+    n = len(sw)
+    if all(_diagonal(o.entries) for o in ops):
+        diagonals = np.stack([o.entries.diagonal() for o in ops])
+        return [(np.arange(n)[:, None], diagonals[:, :, None, None])]
+    _, labels = connected_components(sum(abs(o.entries) for o in ops), directed=False)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    blk, pos = np.empty_like(labels), np.empty_like(labels)
+    blocks = []
+    for s in np.unique(sizes):
+        index = order[sizes[labels[order]] == s].reshape(-1, s)
+        blk[index], pos[index] = np.arange(len(index))[:, None], np.arange(s)
+        dense = np.zeros((len(ops), len(index), s, s))
+        for o, arr in zip(ops, dense):
+            e = o.entries.tocoo()
+            sel = sizes[labels[e.row]] == s
+            r, c = e.row[sel], e.col[sel]
+            arr[blk[r], pos[r], pos[c]] = e.data[sel] * (sw[r] / sw[c])
+        blocks.append((index, dense))
+    return blocks
+
+
 def weighted_spectrum(op: MatrixOperator, *others: MatrixOperator,
                       rank_tol: float = DEFAULT_RANK_TOL):
     """Eigendecomposition of a weighted-selfadjoint operator along its coupling blocks.
@@ -265,24 +302,18 @@ def weighted_spectrum(op: MatrixOperator, *others: MatrixOperator,
     blocks, diagonalized in weighted-orthonormal coordinates by one batched
     eigh per block size.  Returns rank_tol * max(|eigenvalue|, 1) and per size
     (index, ascending eigenvalues, eigenvectors Q, [Q^T sym(B) Q for B in others]).
+    Blocks of size 1 are their own spectrum (a 1x1 eigh returns its entry
+    with Q = 1), so diagonal operators (every scalar or per-entry
+    coefficient, and M0 and sym(M1) of most laws) need no graph pass and
+    no eigh.
     """
-    sw = np.sqrt(op.domain.weight)
-    _, labels = connected_components(sum(abs(o.entries) for o in (op, *others)), directed=False)
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    blk, pos = np.empty_like(labels), np.empty_like(labels)
     groups = []
-    for s in np.unique(sizes):
-        index = order[sizes[labels[order]] == s].reshape(-1, s)
-        blk[index], pos[index] = np.arange(len(index))[:, None], np.arange(s)
-        dense = np.zeros((1 + len(others), len(index), s, s))
-        for o, arr in zip((op, *others), dense):
-            e = o.entries.tocoo()
-            sel = sizes[labels[e.row]] == s
-            r, c = e.row[sel], e.col[sel]
-            arr[blk[r], pos[r], pos[c]] = e.data[sel] * (sw[r] / sw[c])
+    for index, dense in _coupling_blocks((op, *others), np.sqrt(op.domain.weight)):
         dense = 0.5 * (dense + dense.transpose(0, 1, 3, 2))
-        values, q = np.linalg.eigh(dense[0])
+        if dense.shape[2] == 1:
+            values, q = dense[0, :, 0], np.ones_like(dense[0])
+        else:
+            values, q = np.linalg.eigh(dense[0])
         groups.append((index, values, q, [q.transpose(0, 2, 1) @ r @ q for r in dense[1:]]))
     cutoff = rank_tol * max(max(float(np.abs(g[1]).max()) for g in groups), 1.0)
     return cutoff, groups

@@ -10,7 +10,10 @@ conservative weight threshold from the standard 2x2 block positivity estimate.
 Also here: the inverse of a step matrix wavenumber by wavenumber
 (WavenumberInverse), either symbol by symbol or through the Schur
 complement onto the range of a skew operator with the reconstruction of
-the eliminated kernel component.
+the eliminated kernel component.  Both invert a stack of symbols at once
+(guarded_inverses) under one condition guard, kappa_1 of all the blocks
+taken together; the sparse LU of a step matrix is guarded by its pivot
+ratio (check_pivots), against the same CONDITION_LIMIT.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linops import MatrixOperator, TagMismatchError, weighted_spectrum
 
@@ -31,45 +33,59 @@ class StepFailureError(RuntimeError):
     """A time-step matrix could not be factored."""
 
 
-# Largest pivot ratio of an LU factor still accepted as nonsingular.
-PIVOT_RATIO_LIMIT = 1e15
+# Largest condition estimate of a step matrix still accepted as nonsingular:
+# the pivot ratio of its sparse LU, or kappa_1 of its symbols.
+CONDITION_LIMIT = 1e15
 
 
 def check_pivots(pivots):
     """Reject an LU factor whose pivots are zero, non-finite or too spread.
 
     The ratio of the largest to the smallest pivot magnitude is a cheap
-    condition estimate; above PIVOT_RATIO_LIMIT the factor is treated as
+    condition estimate; above CONDITION_LIMIT the factor is treated as
     numerically singular.  Raises StepFailureError.
     """
     pivots = np.abs(pivots)
     if not np.all(np.isfinite(pivots)) or pivots.min() == 0.0:
         raise StepFailureError("singular step matrix (zero or non-finite pivot)")
-    ratio = pivots.max() / pivots.min()
-    if ratio > PIVOT_RATIO_LIMIT:
+    _check_condition(pivots.max() / pivots.min())
+
+
+def _check_condition(estimate):
+    if estimate > CONDITION_LIMIT:
         raise StepFailureError(
-            f"step matrix numerically singular, condition estimate {ratio:.3e}"
+            f"step matrix numerically singular, condition estimate {estimate:.3e}"
         )
 
 
-def guarded_inverses(stacks):
-    """Inverses of stacks of square blocks (n, k, k), from one LU factor per block.
+def _one_norm(stack):
+    """The largest 1-norm (column sum) of the blocks of a stack (n, k, k)."""
+    return float(np.abs(stack).sum(axis=1).max(initial=0.0))
 
-    LAPACK getrf factors each block and getri inverts it from its factors;
-    the pivots of all blocks are checked together by check_pivots, as those
-    of one block-diagonal matrix (StepFailureError).  Empty blocks pass.
+
+def guarded_inverses(stacks):
+    """Inverses of stacks of square blocks (n, k, k), by one np.linalg.inv per stack.
+
+    All blocks are guarded together, as one block-diagonal matrix S: by
+    kappa_1 = ||S||_1 ||S^-1||_1, the largest block 1-norm of the stacks
+    times that of their inverses, exact from the explicit inverses.
+    Non-finite entries, an exactly singular block, a non-finite inverse
+    or kappa_1 above CONDITION_LIMIT raise StepFailureError.  Empty
+    blocks pass.
     """
-    factored = []
+    inverses = []
     for m in stacks:
         if not np.isfinite(m).all():
             raise StepFailureError("step matrix cannot be factored: non-finite entries")
-        getrf, getri = sla.get_lapack_funcs(("getrf", "getri"), (m,))
-        factored.append((m, getri, [getrf(block)[:2] for block in m] if m.size else []))
-    pivots = [np.diagonal(lu) for *_, f in factored for lu, _ in f]
-    if pivots:
-        check_pivots(np.concatenate(pivots))
-    return [np.array([getri(lu, piv)[0] for lu, piv in f]) if f else m
-            for m, getri, f in factored]
+        try:
+            inverses.append(np.linalg.inv(m) if m.size else m)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailureError(f"singular step matrix: {exc}") from exc
+    if not all(np.isfinite(inv).all() for inv in inverses):
+        raise StepFailureError("singular step matrix (non-finite inverse)")
+    norm = max((_one_norm(m) for m in stacks), default=0.0)
+    _check_condition(norm * max((_one_norm(inv) for inv in inverses), default=0.0))
+    return inverses
 
 
 def symmetrize(op: MatrixOperator) -> MatrixOperator:
@@ -176,7 +192,7 @@ class WavenumberInverse:
 
 
 def invert_symbols(symbols, cut) -> WavenumberInverse:
-    """S^-1 from one LU per symbol of S on `cut`, all pivots under one check_pivots."""
+    """S^-1 from the symbols of S on `cut`, by guarded_inverses."""
     return WavenumberInverse(cut, guarded_inverses([symbols])[0])
 
 
@@ -193,7 +209,7 @@ def schur_reduce(symbols, p_range, p_kernel) -> WavenumberInverse:
         z_r = R^-1 (f_r - S_rk S_kk^-1 f_k),
     and the kernel part is reconstructed as z_k = S_kk^-1 (f_k - S_kr z_r);
     the inverse kept is the map f -> u_r z_r + u_k z_k.  S_kk and then the
-    Schur complements are factored once, each under one check_pivots.
+    Schur complements are inverted once, each under one guarded_inverses.
     Raises MaterialLawError when a kernel block is singular, i.e. when the
     strict positivity required of the reduced law fails, and
     StepFailureError when a Schur complement is.

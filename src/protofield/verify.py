@@ -31,7 +31,7 @@ from .flatgrid import (DIRICHLET, Axis, TensorFieldSpace, TensorStack, build_div
                        build_stack_skew, point_count)
 from .linops import MatrixOperator, SpaceTag, make_block_skew, make_relative, skew_defect
 from .matlaw import MaterialLaw, check_wellposed
-from .subspaces import realify, realify_complex
+from .subspaces import descend, rank_block, realify, realify_complex
 from .evolve import (
     CRANK_NICOLSON,
     IMPLICIT_EULER,
@@ -414,8 +414,10 @@ def _skew_pair(lower):
 
 
 def _gradient_pair(axes):
-    """[[0, div], [grad0, 0]] from the rank-0 gradient alone, not the stack."""
-    return make_block_skew(build_nabla(TensorFieldSpace(axes, 0))).entries
+    """[[0, div], [grad0, 0]] descended from the stack operator's rank-{0, 1}
+    block: the catalog builds it at its own rank, without the stack."""
+    stack = TensorStack(tuple(axes), 1)
+    return descend(build_stack_skew(stack), rank_block(stack, {0}, {1})).entries
 
 
 def _flux_stress_pair(axes):
@@ -481,8 +483,11 @@ PROVENANCE_REFERENCES = {
 
 
 def provenance_residual(entry):
-    """Max-entry mismatch of the entry's operator and its reference, over max(|a|max, 1)."""
+    """Max-entry mismatch of the entry's operator and its reference, over
+    max(|a|max, 1); inf when their shapes differ."""
     ref = sp.csr_matrix(PROVENANCE_REFERENCES[entry.name](entry))
+    if ref.shape != entry.a.shape:
+        return np.inf
     return float(abs(entry.a.entries - ref).max()) / max(entry.a.max_abs(), 1.0)
 
 

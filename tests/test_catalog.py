@@ -8,10 +8,13 @@ import pytest
 import scipy.sparse as sp
 
 from protofield import catalog, verify
-from protofield.flatgrid import Axis, TensorFieldSpace, build_d1, build_nabla
+from protofield.flatgrid import (Axis, TensorFieldSpace, TensorStack, build_d1, build_nabla,
+                                 build_stack_skew)
 from protofield.linops import MatrixOperator, SpaceTag, skew_defect
 from protofield.matlaw import check_wellposed
 from protofield.evolve import IMPLICIT_EULER, SolverConfig, solve
+from protofield.subspaces import (asym_projection, descend, direct_sum_pairs, identity_pair,
+                                  rank_block, sym_projection)
 
 AX1 = (Axis.interval(16),)
 AX1_SYM = (Axis.symmetric(16, 0.25),)
@@ -102,6 +105,57 @@ class TestEveryEntry:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20, peak
+
+    def test_maxwell_builds_at_its_own_rank_on_a_24_cube(self):
+        # the rank-{1, 2} block is built from the rank-1 gradient, not
+        # descended from a rank-0..2 parent: the memo is not called, and
+        # the peak stays near the size of the block (62-73 MB through the parent)
+        before = build_stack_skew.cache_info()
+        tracemalloc.start()
+        try:
+            catalog.build_entry("maxwell", (Axis.torus(24),) * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_stack_skew.cache_info() == before  # not called at all
+        assert peak < 50 * 2**20, peak
+
+    @pytest.mark.parametrize("axes", [(Axis.torus(5),) * 3,
+                                      (Axis.interval(4), Axis.torus(3), Axis.interval(5)),
+                                      (Axis.torus(6), Axis.interval(7))],
+                             ids=["torus5", "interval_torus_interval", "torus_interval"])
+    def test_blocks_equal_their_stack_descents(self, axes):
+        # built at their own rank, the acoustic, elastic and Maxwell blocks are
+        # bitwise the descents of the stack operator's rank pairs
+        stack = TensorStack(axes, 2)
+        parent = build_stack_skew(stack)
+        r1, r2 = TensorFieldSpace(axes, 1), TensorFieldSpace(axes, 2)
+        descents = {"acoustic": descend(parent, rank_block(stack, {0}, {1}))}
+        first = descend(parent, rank_block(stack, {1}, {2}))
+        built = {"acoustic": catalog._acoustic_block(axes)}
+        for name, rank2 in (("sym", sym_projection), ("asym", asym_projection)):
+            pair = direct_sum_pairs([identity_pair(r1.tag), rank2(r2)])
+            descents[name] = descend(first, pair)
+            built[name] = catalog._elastic_block(axes, rank2)
+        for name, block in built.items():
+            ref = descents[name]
+            assert block.domain == ref.domain, name
+            for arr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(block.entries, arr), getattr(ref.entries, arr)), name
+
+    @pytest.mark.parametrize("axes, ranks", [((Axis.interval(6),), ({0}, {2})),
+                                             ((Axis.torus(3), Axis.interval(4)), ({1}, {2}))],
+                             ids=["same_shape", "other_shape"])
+    def test_wrong_rank_pair_fails_provenance(self, axes, ranks):
+        # an acoustic block taken from the wrong rank pair of the stack: in
+        # 1-d ranks 0 and 2 have one component each, but the stack couples
+        # no rank 0 to rank 2 (a zero block); in 2-d the ranks 1 and 2 give
+        # another shape, which counts as a failure, not an error
+        entry = catalog.acoustics(axes)
+        assert verify.provenance_residual(entry) <= 1e-12
+        stack = TensorStack(axes, 2)
+        wrong = descend(build_stack_skew(stack), rank_block(stack, *ranks))
+        assert verify.provenance_residual(replace(entry, a=wrong)) > 1e-12
 
 
 class TestDefaultAxes:

@@ -184,7 +184,7 @@ class TestSolveCommand:
 
     def test_near_singular_periodic_step_exit_5(self, tmp_path, capsys):
         # the gate passes (sigma > 1e-12); the CN symbol at wavenumber 0,
-        # diag(1/tau, sigma/2), has pivot ratio 1.3e15
+        # diag(1/tau, sigma/2), has condition kappa_1 1.3e15
         cfg = copy.deepcopy(BASIC)
         cfg["grid"] = [{"n": 8, "bc": "periodic", "length": 1.0}]
         cfg["params"]["sigma"] = 1.5e-12

@@ -11,7 +11,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from protofield import catalog, evolve
 from protofield.flatgrid import PERIODIC, Axis
-from protofield.linops import MatrixOperator, PreconditionError, SpaceTag
+from protofield.linops import MatrixOperator, PreconditionError, SpaceTag, zero
 from protofield.matlaw import MaterialLaw, MaterialLawError, StepFailureError
 from protofield.subspaces import ShiftCut
 from protofield.evolve import (
@@ -346,6 +346,22 @@ class TestSolveReduced:
         assert relative_gap(full, lu) <= 1e-12
         assert relative_gap(red, lu) <= 1e-12
 
+    @pytest.mark.parametrize("grid, cut", [((Axis.torus(6),), True), ((Axis.interval(6),), False)],
+                             ids=["torus", "interval"])
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    def test_vanishing_a_steps_as_solve(self, grid, cut, scheme, monkeypatch):
+        # an empty range leaves nothing to eliminate: the step matrix is
+        # inverted symbol by symbol on the torus, factored by the LU off it
+        entry = catalog.heat(grid)
+        problem = replace(entry.problem(initial=np.random.default_rng(13).standard_normal(entry.dim)),
+                          a=zero(entry.space, entry.space))
+        cfg = SolverConfig(tau=0.01, t_end=0.2, scheme=scheme)
+        full = solve(problem, cfg)
+        factored = lu_factorizations(monkeypatch)
+        red = solve_reduced(problem, cfg)
+        assert factored == ([] if cut else [entry.dim])
+        assert np.array_equal(full.states, red.states)
+
     def test_cut_follows_the_step_matrix(self):
         # A is cut on the ring in both; with the step matrix of a rho that
         # varies along it, nothing is
@@ -444,9 +460,9 @@ class TestWavenumberStep:
         # invertible, and its reduced solve steps with the same symbols)
         symbols, seen = ShiftCut.symbols, []
 
-        def counting(cut, op):
-            seen.append(op)
-            return symbols(cut, op)
+        def counting(cut, *ops):
+            seen.extend(ops)
+            return symbols(cut, *ops)
 
         monkeypatch.setattr(ShiftCut, "symbols", counting)
         entry = catalog.build_entry(name, (Axis.torus(4),) * 3)
@@ -511,9 +527,11 @@ class TestWavenumberStep:
 
     def test_near_singular_symbol_rejected(self):
         # sigma = 1.5e-12 passes the gate (> 1e-12), but the CN symbol at
-        # wavenumber 0 is diag(1/tau, sigma/2): pivot ratio 1e3 / 7.5e-13
+        # wavenumber 0 is diag(1/tau, sigma/2): ||S^-1||_1 = 1 / 7.5e-13;
+        # ||S||_1 = 1/tau + 8 at the wavenumber pi / h, where the halved
+        # gradient symbol reaches 1 / h = 8, so kappa_1 = 1008 / 7.5e-13
         entry = catalog.heat((Axis.torus(8),), sigma=1.5e-12)
-        with pytest.raises(StepFailureError, match=r"condition estimate 1\.333e\+15"):
+        with pytest.raises(StepFailureError, match=r"condition estimate 1\.344e\+15"):
             solve(entry.problem(initial=np.ones(entry.dim)), SolverConfig(tau=1e-3, t_end=1e-2))
 
     def test_time_budget_on_a_16_cube(self):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from protofield import linops
 from protofield.linops import (
     MatrixOperator,
     PreconditionError,
@@ -13,6 +15,7 @@ from protofield.linops import (
     make_block_skew,
     make_relative,
     skew_defect,
+    weighted_spectrum,
 )
 
 
@@ -224,3 +227,54 @@ class TestTagDiscipline:
             T.entries[0, 0] = 5.0
         with pytest.raises(ValueError):  # a structural zero: no insertion either
             T.entries[0, 1] = 5.0
+
+
+def spectrum_bytes(spectrum):
+    """A weighted_spectrum result as bytes, for bitwise comparison."""
+    cutoff, groups = spectrum
+    return [np.float64(cutoff).tobytes()] + [
+        b"".join(np.ascontiguousarray(a).tobytes() + str(a.dtype).encode() + str(a.shape).encode()
+                 for a in (index, values, q, *others))
+        for index, values, q, others in groups]
+
+
+class TestWeightedSpectrum:
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "weighted"])
+    @pytest.mark.parametrize("n_others", [0, 2])
+    def test_diagonal_operators_are_their_own_spectrum(self, uniform, n_others, monkeypatch):
+        rng = np.random.default_rng(20)
+        n = 9
+        t = SpaceTag("h", n, None if uniform else rng.uniform(0.5, 2.0, n))
+        diagonals = [rng.standard_normal(n) for _ in range(1 + n_others)]
+        diagonals[0][[2, 5]] = 0.0
+        rows = np.delete(np.arange(n), 2)  # no entry at 2, a stored zero at 5
+        ops = [MatrixOperator(sp.csr_matrix((diagonals[0][rows], (rows, rows)), shape=(n, n)), t, t)]
+        ops += [MatrixOperator(sp.diags(d, format="csr"), t, t) for d in diagonals[1:]]
+        assert ops[0].entries.nnz == n - 1
+        spectrum = weighted_spectrum(*ops, rank_tol=1e-10)
+        hand = (1e-10 * max(np.abs(diagonals[0]).max(), 1.0),
+                [(np.arange(n)[:, None], diagonals[0][:, None], np.ones((n, 1, 1)),
+                  [d[:, None, None] for d in diagonals[1:]])])
+        assert spectrum_bytes(spectrum) == spectrum_bytes(hand)
+        # and bitwise what the graph pass and a 1x1 eigh give
+        monkeypatch.setattr(linops, "_diagonal", lambda entries: False)
+        assert spectrum_bytes(weighted_spectrum(*ops, rank_tol=1e-10)) == spectrum_bytes(hand)
+
+    def test_one_off_diagonal_coupling_takes_the_graph_pass(self, monkeypatch):
+        calls = []
+        components = linops.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(linops, "connected_components", counting)
+        t = SpaceTag("h", 5, np.linspace(0.5, 2.0, 5))
+        m0 = identity(t)
+        m1 = np.diag(np.linspace(1.0, 2.0, 5))
+        m1[1, 3] = m1[3, 1] = 0.25
+        _, groups = weighted_spectrum(m0, op(m1, t, t))
+        assert len(calls) == 1
+        assert sorted(index.shape[1] for index, *_ in groups) == [1, 2]
+        _, groups = weighted_spectrum(m0, op(np.diag(np.diag(m1)), t, t))
+        assert len(calls) == 1 and [index.shape for index, *_ in groups] == [(5, 1)]

@@ -15,9 +15,12 @@ from protofield.evolve import (
 from protofield.flatgrid import Axis, build_d1
 from protofield.linops import MatrixOperator, SpaceTag
 from protofield.matlaw import (
+    CONDITION_LIMIT,
     MaterialLaw,
     MaterialLawError,
+    StepFailureError,
     check_wellposed,
+    guarded_inverses,
     schur_reduce,
     symmetrize,
 )
@@ -188,6 +191,11 @@ class TestBlockwiseGate:
         for mlaw in laws:
             assert self.assert_same_report(mlaw).passed
 
+    @pytest.mark.parametrize("name", sorted(catalog.REGISTRY))
+    def test_every_default_law(self, name):
+        # most default laws are diagonal, and take no graph pass
+        assert self.assert_same_report(catalog.build_entry(name).law).passed
+
     def test_heat_2048_points_within_budget(self):
         # the densified gate took about 17 s here, nearly all in one eigh
         start = time.perf_counter()
@@ -243,6 +251,43 @@ class TestBlockwiseFunctions:
         si_ref = (q / np.sqrt(vals)) @ q.T
         assert np.abs(s.toarray() - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
         assert np.abs(si.toarray() - si_ref).max() <= 1e-12 * np.abs(si_ref).max()
+
+
+class TestConditionGuard:
+    """guarded_inverses: one batched inverse, guarded by kappa_1 of all blocks together."""
+
+    def test_inverses_and_an_empty_stack(self):
+        rng = np.random.default_rng(16)
+        stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        inv, empty = guarded_inverses([stack, np.zeros((4, 0, 0))])
+        assert np.abs(stack @ inv - np.eye(3)).max() <= 1e-12
+        assert empty.shape == (4, 0, 0)
+
+    def test_one_exactly_singular_block(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
+        with pytest.raises(StepFailureError, match="singular"):
+            guarded_inverses([stack])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_symbol(self, bad):
+        stack = np.array([np.eye(2)] * 3, dtype=complex)
+        stack[1, 0, 1] = bad
+        with pytest.raises(StepFailureError, match="non-finite"):
+            guarded_inverses([np.array([np.eye(2)]), stack])
+
+    def test_kappa_at_and_just_above_the_limit(self):
+        # diag(c, 1): ||S||_1 = c and ||S^-1||_1 = 1, so kappa_1 = c exactly
+        guarded_inverses([np.array([np.diag([CONDITION_LIMIT, 1.0])])])
+        above = np.nextafter(CONDITION_LIMIT, np.inf)
+        with pytest.raises(StepFailureError, match="condition estimate 1.000e\\+15"):
+            guarded_inverses([np.array([np.diag([above, 1.0])])])
+
+    def test_blocks_are_guarded_together(self):
+        # each block is perfectly conditioned, but as one block-diagonal
+        # matrix, across both stacks, kappa_1 = 1e8 / 1e-8
+        with pytest.raises(StepFailureError, match="condition estimate 1.000e\\+16"):
+            guarded_inverses([np.array([1e8 * np.eye(2)]), np.array([1e-8 * np.eye(3)])])
+        guarded_inverses([np.array([1e7 * np.eye(2)]), np.array([1e-7 * np.eye(3)])])
 
 
 def step_pair(mlaw, A, tau, scheme=IMPLICIT_EULER):

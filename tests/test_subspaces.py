@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from protofield import catalog, evolve, verify
@@ -292,7 +293,7 @@ class TestRangeKernel:
         norm_a = np.abs(Ad).max()
         assert np.abs(P @ Ad - Ad @ P).max() <= 1e-12 * norm_a
         # the compression to the range, wavenumber by wavenumber, is skew-Hermitian
-        symbols = pr.cut.symbols(A)
+        (symbols,) = pr.cut.symbols(A)
         for index, basis in pr.groups:
             restricted = basis.conj().transpose(0, 2, 1) @ symbols[index] @ basis
             skew_part = restricted + restricted.conj().transpose(0, 2, 1)
@@ -365,6 +366,21 @@ class TestRangeKernel:
         assert shift_cut(t, entry.grid, entry.a, bump) == (None, None)
         assert p_kernel.cut.symbols(bump) is None
 
+    @pytest.mark.parametrize("at", [0, 7], ids=["at_p0", "off_p0"])
+    def test_an_entry_missing_from_one_operator_is_caught(self, at):
+        # the union of the two patterns is A's, which commutes with the
+        # shifts; the copy that lacks one entry of A does not
+        entry = catalog.heat((Axis.torus(6),))
+        ent = entry.a.entries.tocoo()
+        keep = np.ones(ent.nnz, dtype=bool)
+        keep[np.flatnonzero(ent.col == at)[0]] = False
+        t = entry.a.domain
+        holed = MatrixOperator(sp.csr_matrix((ent.data[keep], (ent.row[keep], ent.col[keep])),
+                                             shape=ent.shape), t, t)
+        assert shift_cut(t, entry.grid, entry.a, holed) == (None, None)
+        assert shift_cut(t, entry.grid, holed, entry.a) == (None, None)
+        assert ShiftCut(t, entry.grid).symbols(entry.a) is not None
+
     def test_grid_must_fit_the_dimension(self):
         entry = catalog.heat((Axis.torus(4),))
         with pytest.raises(ValueError, match="points"):
@@ -426,12 +442,14 @@ class TestHalfSpectrum:
     def test_transforms_and_symbols_against_the_matrices(self, name, grid, scheme):
         entry = catalog.build_entry(name, grid)
         x = np.random.default_rng(19).standard_normal((entry.dim, 3))
-        for op in step_matrices(entry, scheme):
+        ops = step_matrices(entry, scheme)
+        for op, joint in zip(ops, shift_cut(entry.space, grid, entry.a, *ops)[1][1:]):
             cut, (symbols,) = shift_cut(entry.space, grid, op)
             assert cut.N == half_count(grid)
             assert np.abs(cut.inverse(cut.forward(x)) - x).max() <= 1e-14 * np.abs(x).max()
             exact = op.entries @ x
-            assert np.array_equal(symbols, cut.symbols(op))
+            # one pass over the union of patterns gives each op its own symbols
+            assert symbols.tobytes() == joint.tobytes()
             cut_product = cut.inverse(symbols @ cut.forward(x))
             assert np.abs(cut_product - exact).max() <= 1e-13 * np.abs(exact).max()
 
