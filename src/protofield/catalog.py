@@ -27,9 +27,13 @@ An entry's state layout is stated once, as its `blocks` tuple of
 (label, size) pairs (the `_*_blocks` functions below, built by `_layout`).
 Its material law (`_law`) and the block stencils are assembled by label
 over that tuple (`_assemble`), cross blocks included, and blocks are read
-back by label (`_block`, `CatalogEntry.block_slices`).  Every material
-coefficient is converted and checked positive (semi)definite in one place,
-`_coeff_spectrum`, so a bad value is a ValueError naming it at build.
+back by label (`_block`, `CatalogEntry.block_slices`).  `_assemble`, the
+curl, the Dirac block and the gradients write their CSR arrays through
+one assembler, `linops.block_csr`; only the helpers that verify alone
+calls stay on `scipy.sparse.bmat`, so provenance still compares the
+assembler with scipy's.  Every material coefficient is converted and
+checked positive (semi)definite in one place, `_coeff_spectrum`, so a bad
+value is a ValueError naming it at build.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from itertools import combinations, permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (MatrixOperator, SpaceTag, block_diag, direct_sum_tags, identity,
-                     make_block_skew, spectral_function, weighted_spectrum, zero)
+from .linops import (MatrixOperator, SpaceTag, block_csr, block_diag, direct_sum_tags,
+                     identity, make_block_skew, spectral_function, weighted_spectrum, zero)
 from .flatgrid import (
     Axis,
     DIRICHLET,
@@ -84,8 +88,9 @@ def _coeff_spectrum(name, value, size, strict=True):
     positive definite (semidefinite with strict=False): a ValueError names it.
     """
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        mat = float(arr) * sp.identity(size, format="csr")
+    if arr.ndim == 0:  # float(arr) * sp.identity(size), explicit zeros and all
+        mat = sp.csr_matrix((np.full(size, float(arr)), np.arange(size), np.arange(size + 1)),
+                            shape=(size, size))
     elif arr.ndim == 1:
         if arr.shape[0] != size:
             raise ValueError(f"{name}: diagonal coefficient length {arr.shape[0]} != {size}")
@@ -95,7 +100,7 @@ def _coeff_spectrum(name, value, size, strict=True):
     else:
         mat = sp.csr_matrix(0.5 * (arr + arr.T))
     tag = SpaceTag(name, size)
-    floor, groups = weighted_spectrum(MatrixOperator(mat, tag, tag), rank_tol=1e-12)
+    floor, groups = weighted_spectrum(MatrixOperator._owning(mat, tag, tag), rank_tol=1e-12)
     low = min(float(g[1].min()) for g in groups)
     if low <= floor if strict else low < -floor:
         raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
@@ -152,13 +157,14 @@ def _slices(blocks):
 
 def _assemble(blocks, parts):
     """CSR matrix over a layout from {label: diagonal block, (row label,
-    column label): block}; absent blocks are zero, unknown labels a KeyError."""
+    column label): block}, by linops.block_csr; an absent block is zero and
+    is not stored or built, an unknown label is a KeyError."""
     size = dict(blocks)
     keys = {r if r == c else (r, c) for r in size for c in size}
     if not keys.issuperset(parts):
         raise KeyError(f"blocks {[k for k in parts if k not in keys]} are not in {tuple(size)}")
-    return sp.bmat([[parts.get(r if r == c else (r, c), sp.csr_matrix((size[r], size[c])))
-                     for c in size] for r in size], format="csr")
+    return block_csr([[parts.get(r if r == c else (r, c)) for c in size] for r in size],
+                     sizes=(size.values(), size.values()))
 
 
 def _block(mat, blocks, row, col):
@@ -170,7 +176,7 @@ def _block(mat, blocks, row, col):
 def _law(space, blocks, m0, m1=None) -> MaterialLaw:
     """The material law on space whose M0 and M1 are assembled by label over blocks."""
     def op(parts):
-        return MatrixOperator(_assemble(blocks, parts or {}), space, space)
+        return MatrixOperator._owning(_assemble(blocks, parts or {}), space, space)
     return MaterialLaw(m0=op(m0), m1=op(m1))
 
 
@@ -186,8 +192,7 @@ def _skew_partials(axes):
 
 def _curl_block(P):
     """The curl [[0, -P3, P2], [P3, 0, -P1], [-P2, P1, 0]] from three partials."""
-    return sp.bmat([[None, -P[2], P[1]], [P[2], None, -P[0]], [-P[1], P[0], None]],
-                   format="csr")
+    return block_csr([[None, -P[2], P[1]], [P[2], None, -P[0]], [-P[1], P[0], None]])
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +246,8 @@ def _elastic_block(axes, rank2):
     r1 = TensorFieldSpace(tuple(axes), 1)
     nabla, pv = build_nabla(r1), rank2(r1.with_rank(2))
     space = direct_sum_tags([r1.tag, pv.codomain])
-    return MatrixOperator(sp.bmat([[None, -(nabla.adjoint() @ pv.embedding).entries],
-                                   [(pv.pi @ nabla).entries, None]], format="csr"), space, space)
+    return MatrixOperator._owning(block_csr([[None, -(nabla.adjoint() @ pv.embedding).entries],
+                                             [(pv.pi @ nabla).entries, None]]), space, space)
 
 
 def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
@@ -400,8 +405,8 @@ def _ext_parts_raw(axes, skew_stencils=False):
     if len(axes) != 3:
         raise ValueError("the extended system needs a 3-d grid")
     P = _skew_partials(axes) if skew_stencils else _partials(axes)
-    grad0 = sp.vstack(P, format="csr")
-    div0 = sp.hstack(P, format="csr")
+    grad0 = block_csr([[p] for p in P])
+    div0 = block_csr([P])
     curl0 = _curl_block(P)
     blocks = _ext_blocks(axes)
     curl_part = _assemble(blocks, {("f1", "f2"): -curl0.T, ("f2", "f1"): curl0})
@@ -436,7 +441,7 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
         curl_c = si @ (curl_part @ si)
         graddiv_c = s @ (graddiv_part @ s)
     tag = space.tag
-    a = MatrixOperator(curl_c + graddiv_c, tag, tag)
+    a = MatrixOperator._owning(curl_c + graddiv_c, tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     return CatalogEntry(
         name="extended_maxwell",
@@ -451,8 +456,8 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
             "sum the curl and grad/div parts",
         ),
         extras={
-            "curl_part": MatrixOperator(curl_c, tag, tag),
-            "graddiv_part": MatrixOperator(graddiv_c, tag, tag),
+            "curl_part": MatrixOperator._owning(curl_c, tag, tag),
+            "graddiv_part": MatrixOperator._owning(graddiv_c, tag, tag),
         },
     )
 
@@ -544,12 +549,12 @@ def _dirac_w(axes):
     """
     P1, P2, P3 = _skew_partials(axes)
     Id = sp.identity(point_count(axes), format="csr")
-    return sp.bmat([
+    return block_csr([
         [None, -Id - P3, P2, -P1],
         [Id + P3, None, P1, P2],
         [-P2, -P1, None, -Id + P3],
         [P1, -P2, Id - P3, None],
-    ], format="csr")
+    ])
 
 
 def _dirac_permutations():
@@ -595,7 +600,8 @@ def dirac(axes) -> CatalogEntry:
     tag = GridBlockSpace(axes, tuple(f"psi{i}" for i in range(8)), "dirac8").tag
     # W maps the four psi components, as a whole, onto the four phi components
     halves = _layout(axes, ("psi", 4), ("phi", 4))
-    a = MatrixOperator(_assemble(halves, {("psi", "phi"): -W.T, ("phi", "psi"): W}), tag, tag)
+    a = MatrixOperator._owning(_assemble(halves, {("psi", "phi"): -W.T, ("phi", "psi"): W}),
+                               tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     return CatalogEntry(
         name="dirac",

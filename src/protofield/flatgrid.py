@@ -25,7 +25,7 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (MatrixOperator, SpaceTag, _frozen_csr, direct_sum_tags,
+from .linops import (MatrixOperator, SpaceTag, _frozen_csr, block_csr, direct_sum_tags,
                      make_block_skew)
 
 DIRICHLET = "dirichlet"
@@ -228,13 +228,15 @@ def build_nabla(space: TensorFieldSpace) -> MatrixOperator:
     """Covariant derivative on a flat grid: (nabla T)_{i,alpha} = D_i T_alpha.
 
     The derivative direction is prepended as the outermost component slot.
-    Dirichlet axes use the compactly-supported (zero ghost) stencil.
+    Dirichlet axes use the compactly-supported (zero ghost) stencil.  Row
+    block (d, c) holds partial d acting on component c, all written in one
+    block_csr pass.
     """
-    partials = [point_derivative(space.axes, d) for d in range(space.ndim)]
-    blocks = [sp.kron(sp.identity(space.ncomp), P, format="csr") for P in partials]
-    ent = sp.vstack(blocks, format="csr")
-    target = space.with_rank(space.rank + 1)
-    return MatrixOperator(ent, space.tag, target.tag)
+    ncomp = space.ncomp
+    ent = block_csr([[P if col == c else None for col in range(ncomp)]
+                     for P in (point_derivative(space.axes, d) for d in range(space.ndim))
+                     for c in range(ncomp)])
+    return MatrixOperator._owning(ent, space.tag, space.with_rank(space.rank + 1).tag)
 
 
 def build_div(space_kplus1: TensorFieldSpace) -> MatrixOperator:

@@ -9,12 +9,17 @@ for projection/restriction maps, and the relative construction
 [[0, -B0 C* B1*], [B1 C B0*, 0]] used everywhere else to project systems
 onto subspaces.
 
-Every operator stores its entries in one format: a read-only scipy CSR
-matrix.  Dense input is converted once, in the constructor; the stencils
-of flatgrid and catalog are assembled sparse.  Algorithms that are dense
-by nature densify explicitly with `to_dense()`: the weighted singular
-values here.  Functions of selfadjoint operators (the well-posedness gate,
-polar factors, coefficient inverses and roots) densify only the coupling
+Every operator stores its entries in one format: a read-only, canonical
+scipy CSR matrix.  A matrix passed to the constructor is copied (dense
+input converted once); a result the package makes for an operator (a
+product, sum, difference, negation, scalar multiple or adjoint, and the
+block constructions here) is frozen in place, not copied again.  Block
+matrices are written by one assembler, block_csr, straight from their
+blocks' CSR arrays; the stencils and laws of flatgrid and catalog are
+assembled with it.  Algorithms that are dense by nature densify
+explicitly with `to_dense()`: the weighted singular values here.
+Functions of selfadjoint operators (the well-posedness gate, polar
+factors, coefficient inverses and roots) densify only the coupling
 blocks, through `weighted_spectrum`, and a diagonal operator not at all;
 the range/kernel split (subspaces) and the Schur reduction (matlaw)
 densify one symbol per wavenumber of a periodic grid whose shifts the
@@ -98,24 +103,98 @@ def direct_sum_tags(tags, name=None):
     return SpaceTag(name, len(w), w)
 
 
+def _freeze(out):
+    """Make a CSR matrix canonical and read-only in place, and return it.
+
+    An array scipy left as a view of a larger buffer (the slack of an
+    arithmetic result whose nnz it over-allocated) is compacted first.
+    """
+    out.sum_duplicates()
+    for name in ("data", "indices", "indptr"):
+        arr = getattr(out, name)
+        if arr.base is not None and arr.base.nbytes > arr.nbytes:
+            arr = arr.copy()
+            setattr(out, name, arr)
+        arr.setflags(write=False)
+    return out
+
+
 def _frozen_csr(entries):
     """A private, read-only, canonical CSR copy of dense or sparse entries."""
     if sp.issparse(entries):
-        out = entries.tocsr(copy=True).astype(float, copy=False)
-    else:
-        dense = np.asarray(entries, dtype=float)
-        if dense.ndim != 2:
-            raise ValueError(f"operator entries must be 2-d, got shape {dense.shape}")
-        # direct assembly by one boolean mask (row-major, so the column
-        # indices come out sorted): sp.csr_matrix(dense) detours through COO,
-        # which triples the constructor overhead that dominates on small operators
-        nonzero = dense != 0
-        indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
-        cols = np.broadcast_to(np.arange(dense.shape[1], dtype=np.int32), dense.shape)
-        out = sp.csr_matrix((dense[nonzero], cols[nonzero], indptr), shape=dense.shape)
+        return _freeze(entries.tocsr(copy=True).astype(float, copy=False))
+    dense = np.asarray(entries, dtype=float)
+    if dense.ndim != 2:
+        raise ValueError(f"operator entries must be 2-d, got shape {dense.shape}")
+    # direct assembly by one boolean mask (row-major, so the column
+    # indices come out sorted): sp.csr_matrix(dense) detours through COO,
+    # which triples the constructor overhead that dominates on small operators
+    nonzero = dense != 0
+    indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    cols = np.broadcast_to(np.arange(dense.shape[1], dtype=np.int32), dense.shape)
+    return _freeze(sp.csr_matrix((dense[nonzero], cols[nonzero], indptr), shape=dense.shape))
+
+
+def block_csr(blocks, sizes=None):
+    """The CSR matrix of a grid of blocks (rows of sparse blocks or None).
+
+    Written directly from the blocks' CSR arrays: one indptr from the
+    blocks' row counts, then each block's data and shifted column indices
+    placed at their rows' offsets (one slice for a block alone in its block
+    row), so no COO copy, sort or zero block is made.  The result is
+    byte-equal to sp.bmat(blocks, format="csr") with its duplicates summed:
+    the same entries in the same order, index dtype included, and for
+    canonical blocks bmat's result itself.  sizes = (row sizes, column
+    sizes) fixes the block sizes, so a block row or column of None keeps
+    its size; without it such a row or column is empty, as in bmat.
+    Blocks of mismatched shapes raise ValueError.
+    """
+    grid = [[None if b is None else b.tocsr() for b in row] for row in blocks]
+    if sizes is None:
+        sizes = [None] * len(grid), [None] * max(map(len, grid), default=0)
+    heights, widths = (list(s) for s in sizes)
+    if len(heights) != len(grid) or any(len(row) != len(widths) for row in grid):
+        raise ValueError("blocks must be a rectangular grid, of the given sizes if any")
+    for i, row in enumerate(grid):
+        for j, b in enumerate(row):
+            if b is None:
+                continue
+            for dims, k, n, axis in ((heights, i, b.shape[0], "rows"),
+                                     (widths, j, b.shape[1], "columns")):
+                if dims[k] is None:
+                    dims[k] = n
+                elif dims[k] != n:
+                    raise ValueError(f"block ({i}, {j}) has {n} {axis}, expected {dims[k]}")
+    row_off = np.cumsum([0] + [h or 0 for h in heights])
+    col_off = np.cumsum([0] + [w or 0 for w in widths])
+    shape = (int(row_off[-1]), int(col_off[-1]))
+    present = [b for row in grid for b in row if b is not None]
+    nnz = sum(int(b.indptr[-1]) for b in present)
+    idx = np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+    counts = np.zeros(shape[0], dtype=idx)
+    for i, row in enumerate(grid):
+        for b in row:
+            if b is not None:
+                counts[row_off[i]:row_off[i + 1]] += np.diff(b.indptr)
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.empty(nnz, dtype=np.result_type(*(b.dtype for b in present)) if present else float)
+    indices = np.empty(nnz, dtype=idx)
+    for i, row in enumerate(grid):
+        filled = [(j, b) for j, b in enumerate(row) if b is not None and b.indptr[-1]]
+        free = indptr[row_off[i]:row_off[i + 1]].copy()  # each row's next free place
+        for j, b in filled:
+            nz = b.indptr[-1]
+            if len(filled) == 1:  # the block row's entries are this block's, in order
+                places = slice(free[0], free[0] + nz)
+            else:
+                row_nnz = np.diff(b.indptr)
+                places = np.repeat(free - b.indptr[:-1], row_nnz) + np.arange(nz, dtype=idx)
+                free += row_nnz
+            data[places] = b.data[:nz]
+            indices[places] = np.add(b.indices[:nz], col_off[j], dtype=idx)
+    out = sp.csr_matrix((data, indices, indptr), shape=shape)
     out.sum_duplicates()
-    for arr in (out.data, out.indices, out.indptr):
-        arr.setflags(write=False)
     return out
 
 
@@ -130,7 +209,16 @@ class MatrixOperator:
     __slots__ = ("entries", "domain", "codomain", "_adj")
 
     def __init__(self, entries, domain, codomain):
-        entries = _frozen_csr(entries)
+        self._hold(_frozen_csr(entries), domain, codomain)
+
+    @classmethod
+    def _owning(cls, entries, domain, codomain):
+        """The operator over a CSR matrix made for it, frozen in place, not copied."""
+        op = object.__new__(cls)
+        op._hold(_freeze(entries), domain, codomain)
+        return op
+
+    def _hold(self, entries, domain, codomain):
         if entries.shape != (codomain.dim, domain.dim):
             raise TagMismatchError(
                 f"entries shape {entries.shape} does not match tags "
@@ -167,7 +255,8 @@ class MatrixOperator:
                 raise TagMismatchError(
                     f"cannot compose: {self.domain.name} != {other.codomain.name}"
                 )
-            return MatrixOperator(self.entries @ other.entries, other.domain, self.codomain)
+            return MatrixOperator._owning(self.entries @ other.entries, other.domain,
+                                          self.codomain)
         return self.apply(other)
 
     def _require_same_tags(self, other):
@@ -176,17 +265,17 @@ class MatrixOperator:
 
     def __add__(self, other):
         self._require_same_tags(other)
-        return MatrixOperator(self.entries + other.entries, self.domain, self.codomain)
+        return MatrixOperator._owning(self.entries + other.entries, self.domain, self.codomain)
 
     def __sub__(self, other):
         self._require_same_tags(other)
-        return MatrixOperator(self.entries - other.entries, self.domain, self.codomain)
+        return MatrixOperator._owning(self.entries - other.entries, self.domain, self.codomain)
 
     def __neg__(self):
-        return MatrixOperator(-self.entries, self.domain, self.codomain)
+        return MatrixOperator._owning(-self.entries, self.domain, self.codomain)
 
     def __mul__(self, scalar):
-        return MatrixOperator(self.entries * float(scalar), self.domain, self.codomain)
+        return MatrixOperator._owning(self.entries * float(scalar), self.domain, self.codomain)
 
     __rmul__ = __mul__
 
@@ -196,21 +285,26 @@ class MatrixOperator:
             # t[i, j] * w_cod[i] / w_dom[j], in that order (under uniform weights
             # not always bitwise t[i, j], so MaterialLaw checks W M0 instead)
             csc = self.entries.tocsc()
-            rows = np.repeat(np.arange(self.domain.dim), np.diff(csc.indptr))
-            data = csc.data * self.codomain.weight[csc.indices] / self.domain.weight[rows]
+            w_cod, w_dom = self.codomain.weight, self.domain.weight
+            # a uniform weight scales by its scalar: the same products, no gathers
+            w_cod = w_cod[0] if np.all(w_cod == w_cod[0]) else w_cod[csc.indices]
+            w_dom = w_dom[0] if np.all(w_dom == w_dom[0]) else np.repeat(w_dom,
+                                                                          np.diff(csc.indptr))
+            data = csc.data * w_cod
+            data /= w_dom
             adj_entries = sp.csr_matrix((data, csc.indices, csc.indptr),
                                         shape=(self.domain.dim, self.codomain.dim))
-            adj = MatrixOperator(adj_entries, self.codomain, self.domain)
-            object.__setattr__(adj, "_adj", self)
-            object.__setattr__(self, "_adj", adj)
+            self._pair(MatrixOperator._owning(adj_entries, self.codomain, self.domain))
         return self._adj
 
     def with_adjoint(self, adj_entries):
         """Attach a precomputed adjoint (used where it is exact by construction)."""
-        adj = MatrixOperator(adj_entries, self.codomain, self.domain)
+        self._pair(MatrixOperator(adj_entries, self.codomain, self.domain))
+        return self
+
+    def _pair(self, adj):
         object.__setattr__(adj, "_adj", self)
         object.__setattr__(self, "_adj", adj)
-        return self
 
     def __repr__(self):
         return (
@@ -220,11 +314,11 @@ class MatrixOperator:
 
 
 def identity(tag: SpaceTag) -> MatrixOperator:
-    return MatrixOperator(sp.identity(tag.dim, format="csr"), tag, tag)
+    return MatrixOperator._owning(sp.identity(tag.dim, format="csr"), tag, tag)
 
 
 def zero(domain: SpaceTag, codomain: SpaceTag) -> MatrixOperator:
-    return MatrixOperator(sp.csr_matrix((codomain.dim, domain.dim)), domain, codomain)
+    return MatrixOperator._owning(sp.csr_matrix((codomain.dim, domain.dim)), domain, codomain)
 
 
 def block_diag(ops, name=None) -> MatrixOperator:
@@ -232,22 +326,9 @@ def block_diag(ops, name=None) -> MatrixOperator:
     ops = list(ops)
     dom = direct_sum_tags([o.domain for o in ops], name=name)
     cod = direct_sum_tags([o.codomain for o in ops], name=name)
-    return MatrixOperator(sp.block_diag([o.entries for o in ops], format="csr"), dom, cod)
-
-
-def _off_diagonal(upper, lower):
-    """The square block matrix [[0, upper], [lower, 0]] from two CSR blocks.
-
-    Assembled from the blocks' arrays: sp.bmat's per-call overhead would
-    dominate on the small operators of the verify suite.
-    """
-    n0, n1 = upper.shape
-    return sp.csr_matrix(
-        (np.concatenate([upper.data, lower.data]),
-         np.concatenate([upper.indices + n0, lower.indices]),
-         np.concatenate([upper.indptr, lower.indptr[1:] + upper.nnz])),
-        shape=(n0 + n1, n0 + n1),
-    )
+    ent = block_csr([[o.entries if j == i else None for j in range(len(ops))]
+                     for i, o in enumerate(ops)])
+    return MatrixOperator._owning(ent, dom, cod)
 
 
 def weighted_singular_values(op: MatrixOperator) -> np.ndarray:
@@ -325,13 +406,18 @@ def spectral_function(groups, f, space: SpaceTag) -> MatrixOperator:
     Each block is symmetrized, then scaled by sw_j / sw_i (exactly 1 under uniform weights).
     """
     sw = np.sqrt(space.weight)
-    out = sp.csr_matrix((space.dim, space.dim))
+    parts = []
     for index, values, q, _ in groups:
         block = (q * f(values)[:, None, :]) @ q.transpose(0, 2, 1)
         rows, cols = np.broadcast_arrays(index[:, :, None], index[:, None, :])
         data = 0.5 * (block + block.transpose(0, 2, 1)) * (sw[cols] / sw[rows])
-        out = out + sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=out.shape)
-    return MatrixOperator(out, space, space)
+        parts.append((data.ravel(), rows.ravel(), cols.ravel()))
+    # the blocks are disjoint: one COO of their entries, exact zeros not stored
+    data, rows, cols = (np.concatenate(a) for a in zip(*parts))
+    nonzero = data != 0
+    out = sp.csr_matrix((data[nonzero], (rows[nonzero], cols[nonzero])),
+                        shape=(space.dim, space.dim))
+    return MatrixOperator._owning(out, space, space)
 
 
 def make_block_skew(C: MatrixOperator) -> MatrixOperator:
@@ -342,15 +428,26 @@ def make_block_skew(C: MatrixOperator) -> MatrixOperator:
     with no floating-point arithmetic involved.
     """
     space = direct_sum_tags([C.domain, C.codomain])
-    ent = _off_diagonal(-C.adjoint().entries, C.entries)
-    A = MatrixOperator(ent, space, space)
-    return A.with_adjoint(-A.entries)
+    A = MatrixOperator._owning(block_csr([[None, -C.adjoint().entries], [C.entries, None]]),
+                               space, space)
+    ent = A.entries  # the adjoint shares A's read-only pattern
+    A._pair(MatrixOperator._owning(sp.csr_matrix((-ent.data, ent.indices, ent.indptr),
+                                                 shape=ent.shape), space, space))
+    return A
 
 
 def skew_defect(A: MatrixOperator) -> float:
-    """Max-entry norm of A + A*."""
+    """Max-entry norm of A + A*.
+
+    When A and its (memoized) adjoint store the same pattern, both
+    canonical, the sum is taken entry by entry from their data arrays,
+    with no sum matrix formed; otherwise by the operator sum.
+    """
     if A.domain != A.codomain:
         raise TagMismatchError("skew defect needs domain == codomain")
+    a, adj = A.entries, A.adjoint().entries
+    if np.array_equal(a.indptr, adj.indptr) and np.array_equal(a.indices, adj.indices):
+        return float(np.abs(a.data + adj.data).max(initial=0.0))
     return (A + A.adjoint()).max_abs()
 
 
@@ -406,4 +503,5 @@ def make_relative(C: MatrixOperator, B0: MatrixOperator,
     lower = B1 @ C @ B0.adjoint()
     upper = B0 @ C.adjoint() @ B1.adjoint()
     space = direct_sum_tags([B0.codomain, B1.codomain])
-    return MatrixOperator(_off_diagonal(-upper.entries, lower.entries), space, space)
+    return MatrixOperator._owning(block_csr([[None, -upper.entries], [lower.entries, None]]),
+                                  space, space)

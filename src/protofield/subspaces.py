@@ -43,6 +43,7 @@ from .linops import (
     MatrixOperator,
     SpaceTag,
     TagMismatchError,
+    block_csr,
     block_diag,
     direct_sum_tags,
     identity,
@@ -67,12 +68,7 @@ class ProjectionPair:
 
     def __init__(self, pi: MatrixOperator, space=None, validate=True):
         if validate:
-            gram = pi @ pi.adjoint()
-            defect = (gram - identity(pi.codomain)).max_abs()
-            if defect > PAIR_VALIDATION_TOL:
-                raise ValueError(
-                    f"pi is not a surjective partial isometry: |pi pi* - I| = {defect:.3e}"
-                )
+            _check_isometry((pi @ pi.adjoint() - identity(pi.codomain)).max_abs())
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "space", space)
 
@@ -97,6 +93,12 @@ class ProjectionPair:
 
     def __repr__(self):
         return f"ProjectionPair({self.domain.name} -> {self.codomain.name})"
+
+
+def _check_isometry(defect):
+    """Raise unless a defect |pi pi* - I| is within PAIR_VALIDATION_TOL."""
+    if defect > PAIR_VALIDATION_TOL:
+        raise ValueError(f"pi is not a surjective partial isometry: |pi pi* - I| = {defect:.3e}")
 
 
 def identity_pair(tag: SpaceTag) -> ProjectionPair:
@@ -172,7 +174,12 @@ def _pair_basis_projection(space2: TensorFieldSpace, sign: float, name: str):
             comp[row, space2.component_index(alpha)] = val
     red = GridBlockSpace(space2.axes, tuple(f"{name}{i}{j}" for i, j in pairs), name)
     ent = sp.kron(comp, sp.identity(space2.npoints), format="csr")
-    return ProjectionPair(MatrixOperator(ent, space2.tag, red.tag), space=red)
+    # pi = kron(comp, I) between tags of one point weight, so pi pi* is
+    # kron(comp comp^T, I): the isometry check runs on comp, not on the grid
+    assert red.volume_weight == space2.volume_weight
+    _check_isometry(np.abs(comp @ comp.T - np.eye(len(pairs))).max())
+    return ProjectionPair(MatrixOperator._owning(ent, space2.tag, red.tag), space=red,
+                          validate=False)
 
 
 def sym_projection(space2: TensorFieldSpace) -> ProjectionPair:
@@ -278,8 +285,7 @@ def realify(re_op: MatrixOperator, im_op: MatrixOperator) -> MatrixOperator:
     dom = direct_sum_tags([re_op.domain, re_op.domain])
     cod = direct_sum_tags([re_op.codomain, re_op.codomain])
     r, i = re_op.entries, im_op.entries
-    ent = sp.bmat([[r, -i], [i, r]], format="csr")
-    return MatrixOperator(ent, dom, cod)
+    return MatrixOperator._owning(block_csr([[r, -i], [i, r]]), dom, cod)
 
 
 def realify_complex(mat: np.ndarray, domain: SpaceTag, codomain: SpaceTag) -> MatrixOperator:
@@ -404,36 +410,48 @@ class ShiftCut:
         b0 (n, m), flattened, and at0 whether its column point is 0.
         """
         n, npts = len(self.sw), len(self.sw) // self.m
-        # bit i of a union entry marks an entry of ops[i]: both are sorted
-        # row by row, so ops[i]'s entries fill its marked places in order
-        union = sum(sp.csr_matrix((np.full(op.entries.nnz, 2.0 ** i), op.entries.indices,
-                                   op.entries.indptr), shape=(n, n)) for i, op in enumerate(ops))
-        rows = np.repeat(np.arange(n, dtype=union.indices.dtype), np.diff(union.indptr))
-        cols = union.indices
-        values = np.zeros((len(ops), len(cols)))
-        for i, (v, op) in enumerate(zip(values, ops)):
-            if op.entries.nnz == len(cols):  # ops[i] has every entry of the union
-                v[:] = op.entries.data
-            else:
-                v[union.data.astype(np.int64) >> i & 1 == 1] = op.entries.data
-        values *= self.sw[rows]
+        first = ops[0].entries
+        if all(np.array_equal(op.entries.indptr, first.indptr)
+               and np.array_equal(op.entries.indices, first.indices) for op in ops[1:]):
+            # one pattern (as the step matrices share): it is the union
+            indptr, cols = first.indptr, first.indices
+            values = np.stack([op.entries.data for op in ops])
+        else:
+            # bit i of a union entry marks an entry of ops[i]: both are sorted
+            # row by row, so ops[i]'s entries fill its marked places in order
+            union = sum(sp.csr_matrix((np.full(op.entries.nnz, 2.0 ** i), op.entries.indices,
+                                       op.entries.indptr), shape=(n, n))
+                        for i, op in enumerate(ops))
+            indptr, cols = union.indptr, union.indices
+            values = np.zeros((len(ops), len(cols)))
+            for i, (v, op) in enumerate(zip(values, ops)):
+                if op.entries.nnz == len(cols):  # ops[i] has every entry of the union
+                    v[:] = op.entries.data
+                else:
+                    v[union.data.astype(np.int64) >> i & 1 == 1] = op.entries.data
+        counts = np.diff(indptr)
+        rows = np.repeat(np.arange(n, dtype=cols.dtype), counts)
+        values *= np.repeat(self.sw, counts)
         values /= self.sw[cols]
         kept = values.any(axis=0)
         if not kept.all():
             rows, cols, values = rows[kept], cols[kept], values[:, kept]
-        comp_r, point_r = np.divmod(rows, npts)
+        # a point's digits as a spot in a grid of 2 n_a per axis a: the row
+        # point's offset from the column point, each digit modulo n_a, is
+        # then one lookup of the difference of their spots (shifted by n_a)
+        per = self.per
+        wide = np.cumprod((1, *(2 * n_a for n_a in per[:0:-1])))[::-1]
+        stride = np.cumprod((1, *per[:0:-1]))[::-1]
+        spot = reduce(np.add.outer, [np.arange(n_a) * w for n_a, w in zip(per, wide)]).ravel()
+        offset = reduce(np.add.outer, [(np.arange(2 * n_a) - n_a) % n_a * s
+                                       for n_a, s in zip(per, stride)]).ravel()
         comp_c, point_c = np.divmod(cols, npts)
-        place = comp_r.astype(np.int64) * npts
-        digits = np.indices(self.per, dtype=point_r.dtype).reshape(len(self.per), -1)
-        for digit, period, stride in zip(digits, self.per,
-                                         np.cumprod((1, *self.per[:0:-1]))[::-1]):
-            d = digit[point_r]
-            d -= digit[point_c]
-            d[d < 0] += period
-            place += d * stride
+        spot_c = spot[point_c]
+        place = offset[np.tile(spot + wide @ per, self.m)[rows] - spot_c]
+        place += rows // npts * npts
         place *= self.m
         place += comp_c
-        return place, point_c == 0, values
+        return place, spot_c == 0, values
 
 
 @dataclass(frozen=True)

@@ -184,16 +184,14 @@ def second_order_residual(entry):
     sl = entry.block_slices()
     size = dict(entry.blocks)
     np_, nvec = size["eta"], size["zeta"]
-    kap_inv = np.linalg.inv(catalog._coeff("kappa", params["kappa"], nvec).toarray())
+    kap_inv = catalog._inv_coeff("kappa", params["kappa"], nvec)
     cmat = catalog._coeff("cten", params["cten"], size["T"])
     nu1 = catalog._coeff("nu1", params["nu1"], np_)
     nu2 = catalog._coeff("nu2", params["nu2"], nvec)
     dmat = catalog._coeff("d", params["d"], np_, strict=False)
-    A = entry.a.to_dense()
-    div_blk = -A[sl["eta"], sl["zeta"]]
-    grad_blk = -A[sl["zeta"], sl["eta"]]
-    Div_blk = -A[sl["s"], sl["T"]]
-    Grad_blk = -A[sl["T"], sl["s"]]
+    div_blk, grad_blk, Div_blk, Grad_blk = (-catalog._block(entry.a.entries, entry.blocks, r, c)
+                                            for r, c in (("eta", "zeta"), ("zeta", "eta"),
+                                                         ("s", "T"), ("T", "s")))
 
     steps, tau = 40, 0.02
     rng = np.random.default_rng(3)

@@ -12,7 +12,7 @@ from protofield.flatgrid import (Axis, TensorFieldSpace, TensorStack, build_d1, 
                                  build_stack_skew)
 from protofield.linops import MatrixOperator, SpaceTag, skew_defect
 from protofield.matlaw import check_wellposed
-from protofield.evolve import IMPLICIT_EULER, SolverConfig, solve
+from protofield.evolve import IMPLICIT_EULER, SolverConfig, solve, solve_reduced
 from protofield.subspaces import (asym_projection, descend, direct_sum_pairs, identity_pair,
                                   rank_block, sym_projection)
 
@@ -156,6 +156,37 @@ class TestEveryEntry:
         stack = TensorStack(axes, 2)
         wrong = descend(build_stack_skew(stack), rank_block(stack, *ranks))
         assert verify.provenance_residual(replace(entry, a=wrong)) > 1e-12
+
+
+class TestOneAssemblyPath:
+    """Builders and solve set-up assemble block matrices through linops.block_csr
+    alone; scipy's stacking stays where verify builds its references."""
+
+    @pytest.fixture
+    def no_scipy_stacking(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy block assembly called")
+
+        for name in ("bmat", "vstack", "hstack", "block_diag"):
+            monkeypatch.setattr(sp, name, refuse)
+
+    def test_the_guard_sees_scipy_assembly(self, no_scipy_stacking):
+        with pytest.raises(AssertionError, match="scipy block assembly"):
+            catalog._grad_sym_stencil(AX2)
+
+    @pytest.mark.parametrize("name", sorted(catalog.REGISTRY))
+    def test_every_entry_builds(self, name, no_scipy_stacking):
+        catalog.build_entry(name)
+
+    @pytest.mark.parametrize("name, axes", [("maxwell", (Axis.torus(3),) * 3),
+                                            ("heat", (Axis.interval(8),))],
+                             ids=["torus", "interval"])
+    @pytest.mark.parametrize("runner", [solve, solve_reduced], ids=["solve", "solve_reduced"])
+    def test_solve_sets_up(self, name, axes, runner, no_scipy_stacking):
+        entry = catalog.build_entry(name, axes)
+        u0 = np.random.default_rng(8).standard_normal(entry.dim)
+        traj = runner(entry.problem(initial=u0), SolverConfig(tau=0.01, t_end=0.02))
+        assert np.isfinite(traj.states).all()
 
 
 class TestDefaultAxes:

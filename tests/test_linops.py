@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from protofield import linops
 from protofield.linops import (
@@ -10,6 +11,7 @@ from protofield.linops import (
     PreconditionError,
     SpaceTag,
     TagMismatchError,
+    block_csr,
     check_compatibility,
     identity,
     make_block_skew,
@@ -70,6 +72,13 @@ class TestAdjoint:
             assert T.adjoint().adjoint() is T
             assert np.array_equal(T.adjoint().to_dense(), adjoint_oracle(T))
 
+    def test_uniform_weights_scale_as_the_oracle(self):
+        # a uniform weight scales by its scalar, bitwise the per-entry formula
+        rng = np.random.default_rng(3)
+        dom, cod = tag("d", 6, np.full(6, 1 / 3)), tag("c", 5, np.full(5, 0.7))
+        T = op(rng.standard_normal((5, 6)), dom, cod)
+        assert np.array_equal(T.adjoint().to_dense(), adjoint_oracle(T))
+
     def test_defining_identity_random(self):
         rng = np.random.default_rng(1)
         dom = tag("d", 5, rng.uniform(0.3, 3.0, 5))
@@ -116,6 +125,31 @@ class TestIsSkew:
     def test_tag_mismatch(self):
         with pytest.raises(TagMismatchError):
             skew_defect(op(np.zeros((2, 3)), tag("a", 3), tag("b", 2)))
+
+    def test_shared_pattern_reads_the_data_as_the_sum_does(self):
+        rng = np.random.default_rng(30)
+        t = tag("h", 6, rng.uniform(0.5, 2.0, 6))
+        for _ in range(20):
+            m = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5)
+            A = op(m + m.T * (rng.random() < 0.5), t, t)  # a symmetric pattern or not
+            assert skew_defect(A) == (A + A.adjoint()).max_abs()
+
+    @pytest.mark.parametrize("fault", ["value", "pattern"])
+    def test_an_attached_adjoint_wrong_in_one_entry_fails(self, fault):
+        rng = np.random.default_rng(31)
+        t0, t1 = tag("h0", 3), tag("h1", 4)
+        good = make_block_skew(op(rng.standard_normal((4, 3)), t0, t1))
+        assert skew_defect(good) == 0.0
+        adj = -good.to_dense()
+        row, col = np.argwhere(adj)[3]
+        if fault == "value":  # the same pattern: the data path must see it
+            adj[row, col] += 1e-9
+        else:  # one entry dropped: the sum path must see it
+            adj[row, col] = 0.0
+        A = MatrixOperator(good.entries, good.domain, good.codomain).with_adjoint(adj)
+        same = np.array_equal(A.entries.indices, A.adjoint().entries.indices)
+        assert same == (fault == "value")
+        assert skew_defect(A) > 0.0
 
 
 class TestCompatibility:
@@ -278,3 +312,110 @@ class TestWeightedSpectrum:
         assert sorted(index.shape[1] for index, *_ in groups) == [1, 2]
         _, groups = weighted_spectrum(m0, op(np.diag(np.diag(m1)), t, t))
         assert len(calls) == 1 and [index.shape for index, *_ in groups] == [(5, 1)]
+
+
+def csr_bytes(m):
+    """The CSR arrays of m as (dtype, bytes) pairs, and its shape."""
+    return m.shape, [(a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
+
+
+@st.composite
+def csr_blocks(draw, rows, cols):
+    """A CSR block, possibly empty, with explicit zeros, unsorted or duplicate columns."""
+    nnz = draw(st.integers(0, 2 * rows * cols))
+    r = np.sort(draw(st.lists(st.integers(0, rows - 1), min_size=nnz, max_size=nnz)))
+    c = draw(st.lists(st.integers(0, cols - 1), min_size=nnz, max_size=nnz))
+    data = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 3e300]), min_size=nnz,
+                         max_size=nnz))
+    indptr = np.searchsorted(r, np.arange(rows + 1)).astype(draw(st.sampled_from([np.int32,
+                                                                                   np.int64])))
+    block = sp.csr_matrix((np.array(data, float), np.array(c, indptr.dtype), indptr),
+                          shape=(rows, cols))
+    if draw(st.booleans()):
+        block.sum_duplicates()  # canonical
+    return block
+
+
+@st.composite
+def block_grids(draw):
+    heights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return [[draw(st.none() | csr_blocks(h, w)) for w in widths] for h in heights]
+
+
+class TestBlockCsr:
+    @settings(max_examples=120)
+    @given(grid=block_grids())
+    def test_equals_bmat_with_duplicates_summed(self, grid):
+        ref = sp.bmat(grid, format="csr")
+        ref.sum_duplicates()
+        assert csr_bytes(block_csr(grid)) == csr_bytes(ref)
+
+    @settings(max_examples=40)
+    @given(grid=block_grids())
+    def test_canonical_blocks_give_bmat_itself(self, grid):
+        for row in grid:
+            for block in row:
+                if block is not None:
+                    block.sum_duplicates()
+        assert csr_bytes(block_csr(grid)) == csr_bytes(sp.bmat(grid, format="csr"))
+
+    def test_sizes_keep_a_block_row_of_none(self):
+        eye = sp.identity(2, format="csr")
+        out = block_csr([[eye, None], [None, None]], sizes=([2, 3], [2, 3]))
+        assert out.shape == (5, 5) and np.array_equal(out.toarray()[:2, :2], np.eye(2))
+        assert out.nnz == 2 and np.array_equal(out.indptr, [0, 1, 2, 2, 2, 2])
+        assert block_csr([[eye, None], [None, None]]).shape == (2, 2)  # as bmat sizes it
+
+    @pytest.mark.parametrize("grid, sizes", [
+        ([[sp.identity(2, format="csr"), sp.identity(3, format="csr")]], None),
+        ([[sp.identity(2, format="csr")], [sp.identity(3, format="csr")]], None),
+        ([[sp.identity(2, format="csr"), None], [None, sp.identity(2, format="csr")]],
+         ([2, 2], [2, 3])),
+        ([[sp.identity(2, format="csr"), None], [None]], None),
+    ], ids=["row", "column", "sizes", "ragged"])
+    def test_mismatched_blocks_raise(self, grid, sizes):
+        with pytest.raises(ValueError):
+            block_csr(grid, sizes)
+
+
+ARITHMETIC = {
+    "matmul": lambda a, b: a @ b,
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "mul": lambda a, b: a * 0.5,
+    "rmul": lambda a, b: 3.0 * a,
+    "adjoint": lambda a, b: a.adjoint(),
+}
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("name", ARITHMETIC)
+    def test_results_are_read_only_compact_and_their_own(self, name):
+        rng = np.random.default_rng(40)
+        t = tag("h", 7, rng.uniform(0.5, 2.0, 7))
+        a = op(rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.4), t, t)
+        b = op(-a.to_dense() + np.diag(rng.standard_normal(7)), t, t)  # a + b cancels
+        out = ARITHMETIC[name](a, b).entries
+        arrays = (out.data, out.indices, out.indptr)
+        assert not any(x.flags.writeable for x in arrays)
+        assert len(out.data) == len(out.indices) == out.nnz and out.has_canonical_format
+        for x in arrays:  # no slack: a view covers its whole buffer
+            assert x.base is None or x.base.nbytes == x.nbytes
+            for operand in (a.entries, b.entries):
+                for y in (operand.data, operand.indices, operand.indptr):
+                    assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_a_matrix_passed_in_is_copied(self, sparse):
+        m = np.arange(1.0, 10.0).reshape(3, 3)
+        given_entries = sp.csr_matrix(m) if sparse else m.copy()
+        t = tag("h", 3)
+        T = MatrixOperator(given_entries, t, t)
+        if sparse:
+            given_entries.data[:] = -1.0
+            given_entries.indices[:] = 0
+        else:
+            given_entries[:] = -1.0
+        assert np.array_equal(T.to_dense(), m)

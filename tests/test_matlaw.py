@@ -72,6 +72,16 @@ class TestWellposed:
         with pytest.raises(MaterialLawError):
             law_on("h", [[1.0, 0.5], [0.0, 1.0]])
 
+    def test_diagonal_m0_is_selfadjoint_under_any_weights(self):
+        # a diagonal M0 is not transpose-tested; one off-diagonal entry is
+        rng = np.random.default_rng(9)
+        t = SpaceTag("h", 6, rng.uniform(0.3, 3.0, 6))
+        diag = np.diag(np.r_[rng.uniform(0.5, 2.0, 4), 0.0, 1.0])
+        MaterialLaw(m0=MatrixOperator(diag, t, t), m1=MatrixOperator(np.zeros((6, 6)), t, t))
+        diag[0, 5] = 1e-3
+        with pytest.raises(MaterialLawError):
+            MaterialLaw(m0=MatrixOperator(diag, t, t), m1=MatrixOperator(np.zeros((6, 6)), t, t))
+
     def test_negative_m0_fails(self):
         rep = check_wellposed(law_on("h", np.diag([1.0, -0.5])))
         assert not rep.m0_nonneg and not rep.passed

@@ -12,6 +12,7 @@ from protofield.flatgrid import (PERIODIC, Axis, TensorFieldSpace, TensorStack, 
                                  build_stack_skew)
 from protofield.linops import MatrixOperator, identity, skew_defect
 from protofield.subspaces import (
+    PAIR_VALIDATION_TOL,
     ProjectionPair,
     ShiftCut,
     asym_projection,
@@ -134,6 +135,15 @@ class TestSymAsym:
         space = TensorFieldSpace((Axis.torus(3),) * 2, 2)
         assert_pair_invariants(sym_projection(space))
         assert_pair_invariants(asym_projection(space))
+
+    @pytest.mark.parametrize("projection", [sym_projection, asym_projection])
+    def test_component_check_stands_for_the_grid_check(self, projection):
+        # the pair is checked on its component matrix; the grid-size
+        # pi pi* = I it stands for holds on a non-dyadic point weight
+        space = TensorFieldSpace((Axis.torus(3), Axis.interval(4), Axis.torus(5)), 2)
+        pi = projection(space).pi
+        assert (pi @ pi.adjoint() - identity(pi.codomain)).max_abs() <= PAIR_VALIDATION_TOL
+        ProjectionPair(pi)  # and the full check accepts it
 
 
 class TestEvenOdd:
