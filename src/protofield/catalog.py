@@ -9,9 +9,11 @@ rank, from the rank-k gradient: the acoustic block is its block-skew pair,
 and the elastic and Maxwell blocks are the sym or asym descent of the
 rank-1 pair, formed block by block.  They are bitwise the stack
 operator's descended blocks, without building the whole stack.
-`verify.provenance_residual` compares each entry's operator with an
-independent reference assembled from pieces its builder does not call
-(for the acoustic block, the stack operator descended).
+
+This module holds the builders and nothing else.  Every provenance
+reference lives in `verify`, built from pieces no builder calls and
+stacked with scipy's own `bmat`, `block_diag` and `kron`, so a fault in a
+builder's assembly cannot cancel in its own provenance.
 
 Systems provided: acoustics, heat conduction, linear elasticity, Maxwell,
 the extended scalar/vector Maxwell system and its reduced variant, the
@@ -19,27 +21,24 @@ Dirac system (free space), the square-root wave system, transport on a
 symmetric line, thermo-elasticity (formally Biot's porous-media model),
 Reissner-Mindlin plates, Kirchhoff-Love plates, Timoshenko and
 Euler-Bernoulli beams.  The structural identities tying them together
-are checked in `verify`, which reads the shared pieces (the stencils, the
-curl block, the Dirac relabeling, the stack chain of extended Maxwell)
-from here.
+are checked in `verify`.
 
-An entry's state layout is stated once, as its `blocks` tuple of
-(label, size) pairs (the `_*_blocks` functions below, built by `_layout`).
-Its material law (`_law`) and the block stencils are assembled by label
-over that tuple (`_assemble`), cross blocks included, and blocks are read
-back by label (`_block`, `CatalogEntry.block_slices`).  `_assemble`, the
-curl, the Dirac block and the gradients write their CSR arrays through
-one assembler, `linops.block_csr`; only the helpers that verify alone
-calls stay on `scipy.sparse.bmat`, so provenance still compares the
-assembler with scipy's.  Every material coefficient is converted and
-checked positive (semi)definite in one place, `_coeff_spectrum`, so a bad
-value is a ValueError naming it at build.
+An entry holds what a solve and the CLI read: name, grid, law, operator,
+blocks and provenance.  Its state layout is stated once, as its `blocks`
+tuple of (label, size) pairs (the `_*_blocks` functions below, built by
+`_layout`).  Its material law (`_law`) and the block stencils are
+assembled by label over that tuple (`_assemble`), cross blocks included,
+and blocks are read back by label (`CatalogEntry.block_slices`).
+`_assemble`, the curl, the Dirac block and the gradients write their CSR
+arrays through one assembler, `linops.block_csr`.  Every material
+coefficient is converted and checked positive (semi)definite in one
+place, `_coeff_spectrum`, so a bad value is a ValueError naming it at
+build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import combinations, permutations
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,28 +51,14 @@ from .flatgrid import (
     PERIODIC,
     GridBlockSpace,
     TensorFieldSpace,
-    TensorStack,
     build_d1,
     build_nabla,
-    build_stack_skew,
     point_count,
     point_derivative,
 )
-from .subspaces import (
-    ProjectionPair,
-    asym_projection,
-    descend,
-    direct_sum_pairs,
-    even_odd,
-    identity_pair,
-    rank_block,
-    sym_projection,
-    torus_average,
-)
+from .subspaces import asym_projection, even_odd, sym_projection
 from .matlaw import MaterialLaw
 from .evolve import EvolutionaryProblem
-
-SQRT2 = float(np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +152,6 @@ def _assemble(blocks, parts):
                      sizes=(size.values(), size.values()))
 
 
-def _block(mat, blocks, row, col):
-    """The (row, col) block of a matrix over a layout."""
-    sl = _slices(blocks)
-    return mat[sl[row], sl[col]]
-
-
 def _law(space, blocks, m0, m1=None) -> MaterialLaw:
     """The material law on space whose M0 and M1 are assembled by label over blocks."""
     def op(parts):
@@ -209,7 +188,6 @@ class CatalogEntry:
     a: MatrixOperator
     blocks: tuple
     provenance: tuple
-    extras: dict = field(default_factory=dict)
 
     @property
     def space(self):
@@ -272,7 +250,6 @@ def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
         a=a,
         blocks=blocks,
         provenance=("select the rank-0 and rank-1 blocks of the stack operator",),
-        extras={"params": {"rho": rho, "kappa": kappa, "sigma": sigma}},
     )
 
 
@@ -282,8 +259,7 @@ def heat(axes, rho=1.0, sigma=1.0) -> CatalogEntry:
     M0 = diag(rho, 0) is singular; well-posedness is carried by the strict
     positivity of sigma on the kernel block (the flux law).
     """
-    entry = acoustics(axes, rho=rho, kappa=0.0, sigma=sigma)
-    return replace(entry, name="heat", extras={"params": {"rho": rho, "sigma": sigma}})
+    return replace(acoustics(axes, rho=rho, kappa=0.0, sigma=sigma), name="heat")
 
 
 def elasticity(axes, rho=1.0, compliance=1.0) -> CatalogEntry:
@@ -311,35 +287,7 @@ def elasticity(axes, rho=1.0, compliance=1.0) -> CatalogEntry:
             "select the rank-1 and rank-2 blocks of the stack operator",
             "symmetrize the rank-2 block",
         ),
-        extras={"params": {"rho": rho, "compliance": compliance}},
     )
-
-
-def _grad_sym_stencil(axes):
-    """Hand-assembled [[0, Div], [Grad, 0]] in the symmetric coordinates."""
-    n = len(axes)
-    P = _partials(axes)
-    inv_s2 = 1.0 / SQRT2
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [None] * n
-            if i == j:
-                row[i] = P[i]
-            else:
-                row[j] = inv_s2 * P[i]
-                row[i] = inv_s2 * P[j]
-            rows.append(row)
-    grad_blk = sp.bmat(rows, format="csr")
-    return _assemble(_elastic_blocks(axes), {("v", "T"): -grad_blk.T, ("T", "v"): grad_blk})
-
-
-def _asym_perm():
-    """Hodge pairing between the antisymmetric coordinates and vector proxies.
-
-    (c01, c02, c12) <-> (w2, -w1, w0): an orthogonal involution.
-    """
-    return np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> CatalogEntry:
@@ -369,9 +317,6 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> Catal
             "select the rank-1 and rank-2 blocks of the stack operator",
             "antisymmetrize the rank-2 block",
         ),
-        extras={"params": {"permittivity": permittivity,
-                           "permeability": permeability,
-                           "conductivity": conductivity}},
     )
 
 
@@ -393,18 +338,17 @@ def _ext_space(axes, blocks, name):
     return GridBlockSpace(tuple(axes), tuple(labels), name)
 
 
-def _ext_parts_raw(axes, skew_stencils=False):
-    """The two spatial parts of the extended system (scalar/vector proxies).
+def _ext_parts_raw(axes, P):
+    """The two spatial parts of the extended system (scalar/vector proxies)
+    from the three partials P: the forward stencils (`_partials`) for the
+    entry, the centered ones (`_skew_partials`) for the free-space
+    discretization of the Dirac equivalence.
 
     Curl part: rows f1 <- -curl f2, f2 <- curl0 f1.  Grad/div part: rows
-    f3 <- div0 f2, f1 <- grad0 f0, f0 <- div f1, f2 <- grad f3.  With
-    skew_stencils=True the forward/adjoint pairs are averaged into centered
-    (skew) partials, the free-space discretization used by the Dirac
-    equivalence.
+    f3 <- div0 f2, f1 <- grad0 f0, f0 <- div f1, f2 <- grad f3.
     """
     if len(axes) != 3:
         raise ValueError("the extended system needs a 3-d grid")
-    P = _skew_partials(axes) if skew_stencils else _partials(axes)
     grad0 = block_csr([[p] for p in P])
     div0 = block_csr([P])
     curl0 = _curl_block(P)
@@ -421,7 +365,7 @@ def _sqrt_and_inv(name, value, size):
             spectral_function(groups, lambda v: 1.0 / np.sqrt(v), tag).entries)
 
 
-def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
+def extended_maxwell(axes, m0=None) -> CatalogEntry:
     """Scalar/vector extension of Maxwell on the 8-component stack per point.
 
     The spatial operator is the sum of a curl part (conjugated by the
@@ -433,7 +377,7 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
     axes = tuple(axes)
     blocks = _ext_blocks(axes)
     space = _ext_space(axes, blocks, "extfield")
-    curl_part, graddiv_part = _ext_parts_raw(axes, skew_stencils=skew_stencils)
+    curl_part, graddiv_part = _ext_parts_raw(axes, _partials(axes))
     if m0 is None:
         curl_c, graddiv_c = curl_part, graddiv_part
     else:
@@ -455,62 +399,7 @@ def extended_maxwell(axes, m0=None, skew_stencils=False) -> CatalogEntry:
             "pad the alternating rank-{2,3} descendant (component pairing, sqrt-3 rescale, block swap)",
             "sum the curl and grad/div parts",
         ),
-        extras={
-            "curl_part": MatrixOperator._owning(curl_c, tag, tag),
-            "graddiv_part": MatrixOperator._owning(graddiv_c, tag, tag),
-        },
     )
-
-
-def _alt3_pair(space3: TensorFieldSpace) -> ProjectionPair:
-    """Orthonormal coordinate of the alternating rank-3 subspace in 3-d."""
-    if space3.rank != 3 or space3.ndim != 3:
-        raise ValueError("alternating rank-3 coordinates need rank 3 in 3-d")
-    red = GridBlockSpace(space3.axes, ("alt012",), "alt3")
-    inv_s6 = 1.0 / np.sqrt(6.0)
-    row = np.zeros((1, space3.ncomp))
-    for perm in permutations((0, 1, 2)):
-        inversions = sum(perm[x] > perm[y] for x, y in combinations(range(3), 2))
-        row[0, space3.component_index(perm)] = (-1.0) ** inversions * inv_s6
-    ent = sp.kron(row, sp.identity(space3.npoints), format="csr")
-    return ProjectionPair(MatrixOperator(ent, space3.tag, red.tag), space=red)
-
-
-def _ext_from_stack(axes):
-    """The extended-Maxwell operator (M0 = I) derived from the rank-3 stack.
-
-    Three descendant chains feed the 8-component layout: the rank-{0,1}
-    block (grad0/div pair), the antisymmetrized rank-{1,2} block rescaled
-    by sqrt(2) onto vector proxies (curl pair), and the alternating
-    rank-{2,3} block rescaled by sqrt(3) onto scalar/vector proxies
-    (div0/grad pair, placed with its two blocks swapped).
-    """
-    axes = tuple(axes)
-    stack = TensorStack(axes, 3)
-    A = build_stack_skew(stack)
-    r = [TensorFieldSpace(axes, k) for k in range(4)]
-
-    # chain 1: ranks {0},{1} -> [[0, div],[grad0, 0]] on (p, v) = (f0, f1)
-    a01 = descend(A, rank_block(stack, {0}, {1})).entries
-    b01 = _acoustic_blocks(axes)
-
-    # chain 2: ranks {1},{2}, antisymmetrize, pair components, rescale sqrt(2)
-    a12 = descend(descend(A, rank_block(stack, {1}, {2})),
-                  direct_sum_pairs([identity_pair(r[1].tag), asym_projection(r[2])])).entries
-    perm = sp.kron(_asym_perm(), sp.identity(point_count(axes)), format="csr")
-    curl0 = SQRT2 * perm @ _block(a12, _maxwell_blocks(axes), "w", "E")  # asym coords <- f1
-
-    # chain 3: ranks {2},{3}, alternating coordinates, rescale sqrt(3), swap
-    a23 = descend(descend(A, rank_block(stack, {2}, {3})),
-                  direct_sum_pairs([asym_projection(r[2]), _alt3_pair(r[3])])).entries
-    b23 = _layout(axes, ("w", 3), ("alt", 1))
-    div0 = np.sqrt(3.0) * _block(a23, b23, "alt", "w") @ perm  # alt3 coord <- asym coords
-
-    return _assemble(_ext_blocks(axes), {
-        ("f0", "f1"): _block(a01, b01, "p", "v"), ("f1", "f0"): _block(a01, b01, "v", "p"),
-        ("f2", "f1"): curl0, ("f1", "f2"): -curl0.T,
-        ("f3", "f2"): div0, ("f2", "f3"): -div0.T,
-    })
 
 
 def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
@@ -533,7 +422,6 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
         a=a,
         blocks=blocks,
         provenance=parent.provenance + ("drop the second scalar block",),
-        extras={"parent": parent},
     )
 
 
@@ -555,34 +443,6 @@ def _dirac_w(axes):
         [-P2, -P1, None, -Id + P3],
         [P1, -P2, Id - P3, None],
     ])
-
-
-def _dirac_permutations():
-    """The two 4x4 signed permutations of the 8x8 unitary relabeling."""
-    u1 = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], float)
-    u2 = np.array([[0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0]], float)
-    return u1, u2
-
-
-def _dirac_relabeling(axes):
-    """The 8x8-per-point signed permutation U with U D U* = extended Maxwell + chiral."""
-    u1, u2 = _dirac_permutations()
-    eye = sp.identity(point_count(axes), format="csr")
-    return sp.block_diag([sp.kron(u1, eye), sp.kron(u2, eye)], format="csr")
-
-
-def _chiral_m1(axes):
-    """The skew constant zero-order term appearing in the Dirac relabeling.
-
-    Off-diagonal 4x4 blocks of (scalar, vector) shape: [[0, (0,0,s)],
-    [(0,0,s)^T, [[0,1,0],[-1,0,0],[0,0,0]]]] with s = -1 above and +1 below
-    the diagonal; skew-selfadjoint as a whole (a "chiral" zero-order law).
-    """
-    def kblock(s):
-        return np.array([[0, 0, 0, s], [0, 0, 1, 0], [0, -1, 0, 0], [s, 0, 0, 0]], float)
-
-    per_point = sp.bmat([[None, kblock(-1.0)], [kblock(1.0), None]])
-    return sp.kron(per_point, sp.identity(point_count(axes)), format="csr")
 
 
 def dirac(axes) -> CatalogEntry:
@@ -614,7 +474,6 @@ def dirac(axes) -> CatalogEntry:
             "add the chiral constant zero-order term",
             "relabel by the 8x8 signed permutation",
         ),
-        extras={"W": W},
     )
 
 
@@ -642,7 +501,7 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
     if any(a.bc != DIRICHLET for a in axes):
         raise ValueError("the square-root system needs an all-Dirichlet grid")
     G = build_nabla(TensorFieldSpace(axes, 0))
-    U, absG = polar_decompose(G)
+    absG = polar_decompose(G)[1]
     A = make_block_skew(absG)
     law = MaterialLaw(m0=identity(A.domain), m1=zero(A.domain, A.domain))
     return CatalogEntry(
@@ -655,7 +514,6 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
             "select the rank-0 and rank-1 blocks of the stack operator",
             "compress onto the gradient range through the polar co-isometry",
         ),
-        extras={"U": U},
     )
 
 
@@ -672,7 +530,8 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
     whose spatial part is the centered difference.  The recombination
     needs a block-diagonal parent law (blocks m00 on the pressure side,
     m11 on the flux side); the combined law is
-    P_even m00 P_even + P_odd m11 P_odd.
+    P_even m00 P_even + P_odd m11 P_odd.  The split descendant itself is
+    built only by verify, as this entry's reference.
     """
     axes = tuple(axes)
     if len(axes) != 1:
@@ -682,31 +541,15 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
         raise ValueError("transport needs a symmetric Dirichlet axis (even point count)")
     np_ = axis.n
     space0 = TensorFieldSpace(axes, 0)
-    space1 = TensorFieldSpace(axes, 1)
     m00 = _coeff("m00", m00, np_)
     m11 = _coeff("m11", m11, np_)
     m1_00 = _coeff("m1_00", m1_00, np_, strict=False)
     m1_11 = _coeff("m1_11", m1_11, np_, strict=False)
 
-    pe0, po0 = even_odd(space0)
-    pe1, po1 = even_odd(space1)
-    a_par = _acoustic_block(axes)
-
-    # 2x2 descendant on even (+) odd
-    pv = direct_sum_pairs([pe0, po1])
-    a_desc = descend(a_par, pv)
-
-    # the parent law, m00 on the pressure and m11 on the flux side, descended
-    law_par = _law(a_par.domain, _acoustic_blocks(axes),
-                   m0={"p": m00, "v": m11}, m1={"p": m1_00, "v": m1_11})
-    m0_desc = (pv.pi @ law_par.m0 @ pv.embedding).entries
-    desc = a_desc.domain
-    law_desc = MaterialLaw(m0=MatrixOperator(0.5 * (m0_desc + m0_desc.T), desc, desc),
-                           m1=pv.pi @ law_par.m1 @ pv.embedding)
-
     # combined single-row system on the line
     d = build_d1(axis).entries
     a_comb = MatrixOperator(0.5 * (d - d.T), space0.tag, space0.tag)
+    pe0, po0 = even_odd(space0)
     pe_proj = pe0.orthogonal_projector().entries
     po_proj = po0.orthogonal_projector().entries
     m0_comb = pe_proj @ m00 @ pe_proj + po_proj @ m11 @ po_proj
@@ -725,12 +568,6 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
             "split into even and odd parts across the reflection",
             "recombine the two rows on the full line",
         ),
-        extras={
-            "descendant_law": law_desc,
-            "descendant_a": a_desc,
-            "even_pair": pe0,
-            "odd_pair": po0,
-        },
     )
 
 
@@ -793,8 +630,6 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
             "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
             "stack the two descendants; all coupling enters the material law",
         ),
-        extras={"params": {"nu1": nu1, "nu2": nu2, "kappa": kappa,
-                           "cten": cten, "gamma": gamma}},
     )
 
 
@@ -824,7 +659,6 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
             "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
             "stack the two descendants; the +-1 coupling enters the material law",
         ),
-        extras={"params": {"nu1": nu1, "nu2": nu2, "kappa": kappa, "cten": cten, "d": d}},
     )
 
 
@@ -873,7 +707,6 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
             "compose the rank-0->1 and symmetrized rank-1->2 derivative blocks",
             "assemble the block-skew pair of the composite",
         ),
-        extras={"params": {"nu1": nu1, "cten": cten, "d": d}},
     )
 
 
@@ -890,30 +723,6 @@ def euler_bernoulli(axes, nu1=1.0, cten=1.0, d=0.0) -> CatalogEntry:
     if len(tuple(axes)) != 1:
         raise ValueError("the Euler-Bernoulli beam uses a 1-d grid")
     return _biharmonic("euler_bernoulli", axes, nu1, cten, d)
-
-
-# ---------------------------------------------------------------------------
-# dimension reduction: plate over a torus fiber -> beam
-
-
-def beam_reduction_pair(plate: CatalogEntry, beam: CatalogEntry) -> ProjectionPair:
-    """Blockwise torus averaging from a plate state to a beam state.
-
-    The plate grid must be (line axis, torus axis); the beam grid the line
-    axis alone.  Vector blocks keep the line component, the moment block
-    keeps the axial symmetric component; everything is averaged over the
-    torus fiber.  The adjoint embeds constantly with zero padding and is an
-    isometry (torus measure one).
-    """
-    axes2 = plate.grid
-    if len(axes2) != 2 or axes2[1].bc != PERIODIC:
-        raise ValueError("plate grid must be (line, torus)")
-    a0 = torus_average(TensorFieldSpace(axes2, 0), {1}).pi.entries
-    a1 = torus_average(TensorFieldSpace(axes2, 1), {1}).pi.entries  # keeps component 0
-    # moment block: symmetric comps (00, 01, 11) on the plate; keep (00)
-    maps = {"eta": a0, "zeta": a1, "s": a1, "T": sp.kron([[1.0, 0.0, 0.0]], a0, format="csr")}
-    ent = sp.block_diag([maps[label] for label, _ in plate.blocks], format="csr")
-    return ProjectionPair(MatrixOperator(ent, plate.space, beam.space))
 
 
 # ---------------------------------------------------------------------------

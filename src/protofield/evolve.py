@@ -132,7 +132,7 @@ class Trajectory:
     energies: np.ndarray
     scheme: str
     tau: float
-    space: object = None  # SpaceTag of the states, for weighted diagnostics
+    space: object  # SpaceTag of the states, for weighted diagnostics
 
     def __len__(self):
         return len(self.times)
@@ -328,7 +328,7 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     u = traj.states  # (n, dim)
-    w = traj.space.weight if traj.space is not None else 1.0
+    w = traj.space.weight
     # nu * t first: -2 nu overflows for a huge nu, and -inf * 0 is nan at t = 0
     vals = np.einsum("ij,ij->i", u, u * w) * np.exp(-2.0 * (nu * traj.times))
     steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])

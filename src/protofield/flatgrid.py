@@ -80,11 +80,6 @@ class Axis:
             raise ValueError("symmetric axis needs an even point count")
         return Axis(n=n, h=h, bc=DIRICHLET)
 
-    def points(self):
-        if self.bc == PERIODIC:
-            return (np.arange(self.n) - self.n // 2) * self.h
-        return (np.arange(self.n) - (self.n - 1) / 2.0) * self.h
-
     def interval_points(self):
         """Interior points of (0, (n + 1) h); matches Axis.interval spacing."""
         return (np.arange(self.n) + 1.0) * self.h

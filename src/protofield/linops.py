@@ -281,26 +281,24 @@ class MatrixOperator:
 
     def adjoint(self):
         if self._adj is None:
-            # the CSC arrays of T are the CSR arrays of T^T; entry (j, i) is
-            # t[i, j] * w_cod[i] / w_dom[j], in that order (under uniform weights
-            # not always bitwise t[i, j], so MaterialLaw checks W M0 instead)
-            csc = self.entries.tocsc()
-            w_cod, w_dom = self.codomain.weight, self.domain.weight
-            # a uniform weight scales by its scalar: the same products, no gathers
-            w_cod = w_cod[0] if np.all(w_cod == w_cod[0]) else w_cod[csc.indices]
-            w_dom = w_dom[0] if np.all(w_dom == w_dom[0]) else np.repeat(w_dom,
-                                                                          np.diff(csc.indptr))
-            data = csc.data * w_cod
-            data /= w_dom
-            adj_entries = sp.csr_matrix((data, csc.indices, csc.indptr),
-                                        shape=(self.domain.dim, self.codomain.dim))
-            self._pair(MatrixOperator._owning(adj_entries, self.codomain, self.domain))
+            self._pair(MatrixOperator._owning(self._weighted_transpose(), self.codomain,
+                                              self.domain))
         return self._adj
 
-    def with_adjoint(self, adj_entries):
-        """Attach a precomputed adjoint (used where it is exact by construction)."""
-        self._pair(MatrixOperator(adj_entries, self.codomain, self.domain))
-        return self
+    def _weighted_transpose(self):
+        """The CSR entries of the adjoint, W_dom^-1 T^T W_cod, computed afresh."""
+        # the CSC arrays of T are the CSR arrays of T^T; entry (j, i) is
+        # t[i, j] * w_cod[i] / w_dom[j], in that order (under uniform weights
+        # not always bitwise t[i, j], so MaterialLaw checks W M0 instead)
+        csc = self.entries.tocsc()
+        w_cod, w_dom = self.codomain.weight, self.domain.weight
+        # a uniform weight scales by its scalar: the same products, no gathers
+        w_cod = w_cod[0] if np.all(w_cod == w_cod[0]) else w_cod[csc.indices]
+        w_dom = w_dom[0] if np.all(w_dom == w_dom[0]) else np.repeat(w_dom, np.diff(csc.indptr))
+        data = csc.data * w_cod
+        data /= w_dom
+        return sp.csr_matrix((data, csc.indices, csc.indptr),
+                             shape=(self.domain.dim, self.codomain.dim))
 
     def _pair(self, adj):
         object.__setattr__(adj, "_adj", self)
@@ -439,16 +437,19 @@ def make_block_skew(C: MatrixOperator) -> MatrixOperator:
 def skew_defect(A: MatrixOperator) -> float:
     """Max-entry norm of A + A*.
 
-    When A and its (memoized) adjoint store the same pattern, both
-    canonical, the sum is taken entry by entry from their data arrays,
-    with no sum matrix formed; otherwise by the operator sum.
+    A* is the adjoint attached to A when it has one (every make_block_skew
+    result); otherwise the weighted transpose, taken for this check and not
+    attached, so A does not keep it alive.  When A and A* store the same
+    pattern, both canonical, the sum is taken entry by entry from their
+    data arrays, with no sum matrix formed; otherwise by the matrix sum.
     """
     if A.domain != A.codomain:
         raise TagMismatchError("skew defect needs domain == codomain")
-    a, adj = A.entries, A.adjoint().entries
+    a = A.entries
+    adj = A._weighted_transpose() if A._adj is None else A._adj.entries
     if np.array_equal(a.indptr, adj.indptr) and np.array_equal(a.indices, adj.indices):
         return float(np.abs(a.data + adj.data).max(initial=0.0))
-    return (A + A.adjoint()).max_abs()
+    return float(np.abs((a + adj).data).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -64,13 +64,12 @@ PAIR_VALIDATION_TOL = 1e-12
 class ProjectionPair:
     """pi : H -> V with pi pi* = identity on V; embedding = pi*."""
 
-    __slots__ = ("pi", "space")
+    __slots__ = ("pi",)
 
-    def __init__(self, pi: MatrixOperator, space=None, validate=True):
+    def __init__(self, pi: MatrixOperator, validate=True):
         if validate:
             _check_isometry((pi @ pi.adjoint() - identity(pi.codomain)).max_abs())
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "space", space)
 
     def __setattr__(self, *_):
         raise AttributeError("ProjectionPair is immutable")
@@ -105,9 +104,9 @@ def identity_pair(tag: SpaceTag) -> ProjectionPair:
     return ProjectionPair(identity(tag), validate=False)
 
 
-def direct_sum_pairs(pairs, space=None) -> ProjectionPair:
+def direct_sum_pairs(pairs) -> ProjectionPair:
     """Blockwise pi acting on the direct sum of the domains."""
-    return ProjectionPair(block_diag([p.pi for p in pairs]), space=space, validate=False)
+    return ProjectionPair(block_diag([p.pi for p in pairs]), validate=False)
 
 
 def descend(A: MatrixOperator, pv: ProjectionPair) -> MatrixOperator:
@@ -154,7 +153,7 @@ def component_select(space, comps, name, labels=None) -> ProjectionPair:
         labels = tuple(f"c{c}" for c in comps)
     red = GridBlockSpace(space.axes, labels, name)
     ent = sp.kron(np.eye(space.ncomp)[comps], sp.identity(space.npoints), format="csr")
-    return ProjectionPair(MatrixOperator(ent, space.tag, red.tag), space=red, validate=False)
+    return ProjectionPair(MatrixOperator(ent, space.tag, red.tag), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,7 @@ def _pair_basis_projection(space2: TensorFieldSpace, sign: float, name: str):
     # kron(comp comp^T, I): the isometry check runs on comp, not on the grid
     assert red.volume_weight == space2.volume_weight
     _check_isometry(np.abs(comp @ comp.T - np.eye(len(pairs))).max())
-    return ProjectionPair(MatrixOperator._owning(ent, space2.tag, red.tag), space=red,
-                          validate=False)
+    return ProjectionPair(MatrixOperator._owning(ent, space2.tag, red.tag), validate=False)
 
 
 def sym_projection(space2: TensorFieldSpace) -> ProjectionPair:
@@ -267,7 +265,7 @@ def torus_average(space: TensorFieldSpace, torus_axes) -> ProjectionPair:
                      for a, axis in enumerate(space.axes)])
     n_torus = point_count(space.axes[a] for a in torus_axes)
     ent = sp.kron(comp, points, format="csr") * (1.0 / n_torus)
-    return ProjectionPair(MatrixOperator(ent, space.tag, red_space.tag), space=red_space)
+    return ProjectionPair(MatrixOperator(ent, space.tag, red_space.tag))
 
 
 # ---------------------------------------------------------------------------

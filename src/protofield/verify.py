@@ -1,17 +1,24 @@
 """Structural-identity verification suite: the one home of every identity check.
 
 Each identity is computed here and nowhere else; the catalog supplies the
-systems and the pieces the identities are stated in (the stencils, the curl
-block, the Dirac relabeling), and the tests call these functions.  A
-`check_<name>` builds what it audits from scratch, measures a residual and
-compares it with the identity's tolerance; a test that wants the identity
-on another grid calls the residual function its check calls.  The CLI
+systems, and the tests call these functions.  A `check_<name>` builds what
+it audits from scratch, measures a residual and compares it with the
+identity's tolerance; a test that wants the identity on another grid
+calls the residual function its check calls.  The CLI
 `verify` command runs `CHECKS` (optionally filtered by substring) and
 prints one PASS/FAIL line per check.
 
 `provenance_residual` checks that every catalog operator descends from the
-stack operator against a reference built from pieces the entry's builder
-does not call, so a fault in a builder's chain cannot cancel out.
+stack operator against a reference built here, from pieces the entry's
+builder does not call: the hand stencils, the Hodge pairing, the
+alternating rank-3 coordinate, the Dirac relabeling and chiral term, the
+even/odd split and the beam reduction.  References take the 1-d stencils
+and the stack operator as given and stack their blocks with scipy's own
+`bmat`, `block_diag` and `kron`, never with the catalog's assembler, so a
+fault in a builder's assembly cannot cancel in its own provenance.  The
+one exception is the Dirac target, which relabels the extended system's
+own parts (`catalog._ext_parts_raw` in the centered stencils): that
+relabeling is the identity being checked.
 
 Grid sizes can be capped for constrained environments through the
 PROTOFIELD_MAX_GRID environment variable (maximum points per axis, an
@@ -22,16 +29,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from itertools import combinations, permutations
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import catalog
-from .flatgrid import (DIRICHLET, Axis, TensorFieldSpace, TensorStack, build_div, build_nabla,
-                       build_stack_skew, point_count)
-from .linops import MatrixOperator, SpaceTag, make_block_skew, make_relative, skew_defect
+from .flatgrid import (DIRICHLET, PERIODIC, Axis, GridBlockSpace, TensorFieldSpace, TensorStack,
+                       build_div, build_nabla, build_stack_skew, point_count)
+from .linops import (MatrixOperator, SpaceTag, make_block_skew, make_relative, skew_defect,
+                     spectral_function, weighted_spectrum)
 from .matlaw import MaterialLaw, check_wellposed
-from .subspaces import descend, rank_block, realify, realify_complex
+from .subspaces import (ProjectionPair, asym_projection, descend, direct_sum_pairs, even_odd,
+                        identity_pair, rank_block, realify, realify_complex, shift_cut,
+                        torus_average)
 from .evolve import (
     CRANK_NICOLSON,
     IMPLICIT_EULER,
@@ -42,6 +53,8 @@ from .evolve import (
     solve,
     solve_reduced,
 )
+
+SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -107,6 +120,14 @@ def adjointness_residual(grids, rng, pairs=12):
     return worst, count
 
 
+def _asym_perm():
+    """Hodge pairing between the antisymmetric coordinates and vector proxies.
+
+    (c01, c02, c12) <-> (w2, -w1, w0): an orthogonal involution.
+    """
+    return np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
 def _stencil_curl(axes):
     """The curl from the 1-d stencils, in the Maxwell entry's magnetic coordinates.
 
@@ -114,37 +135,100 @@ def _stencil_curl(axes):
     -curl_y, curl_x over sqrt 2.
     """
     np_ = point_count(axes)
-    curl = catalog._curl_block(catalog._partials(axes))
-    return (1.0 / catalog.SQRT2) * sp.kron(catalog._asym_perm(), sp.identity(np_)) @ curl
+    P = catalog._partials(axes)
+    curl = sp.bmat([[None, -P[2], P[1]], [P[2], None, -P[0]], [-P[1], P[0], None]], format="csr")
+    return (1.0 / SQRT2) * sp.kron(_asym_perm(), sp.identity(np_)) @ curl
 
 
 def curl_residual(axes):
     """Max entry of the descended Maxwell block minus the stencil curl."""
     entry = catalog.maxwell(axes)
-    lower = catalog._block(entry.a.entries, entry.blocks, "w", "E")
+    sl = entry.block_slices()
+    lower = entry.a.entries[sl["w"], sl["E"]]
     return float(abs(lower - _stencil_curl(axes)).max())
 
 
 def annihilation_residual(axes):
-    """Max entry of the two extended-Maxwell parts multiplied, both orders."""
-    entry = catalog.extended_maxwell(axes)
-    c = entry.extras["curl_part"].entries
-    g = entry.extras["graddiv_part"].entries
+    """Max entry of the two extended-Maxwell parts (M0 = I) multiplied, both orders."""
+    c, g = catalog._ext_parts_raw(axes, catalog._partials(axes))
     return float(max(abs(c @ g).max(), abs(g @ c).max()))
 
 
+def _dirac_permutations():
+    """The two 4x4 signed permutations of the 8x8 unitary relabeling."""
+    u1 = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], float)
+    u2 = np.array([[0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0]], float)
+    return u1, u2
+
+
+def _dirac_relabeling(axes):
+    """The 8x8-per-point signed permutation U with U D U* = extended Maxwell + chiral."""
+    u1, u2 = _dirac_permutations()
+    eye = sp.identity(point_count(axes), format="csr")
+    return sp.block_diag([sp.kron(u1, eye), sp.kron(u2, eye)], format="csr")
+
+
+def _chiral_m1(axes):
+    """The skew constant zero-order term appearing in the Dirac relabeling.
+
+    Off-diagonal 4x4 blocks of (scalar, vector) shape: [[0, (0,0,s)],
+    [(0,0,s)^T, [[0,1,0],[-1,0,0],[0,0,0]]]] with s = -1 above and +1 below
+    the diagonal; skew-selfadjoint as a whole (a "chiral" zero-order law).
+    """
+    def kblock(s):
+        return np.array([[0, 0, 0, s], [0, 0, 1, 0], [0, -1, 0, 0], [s, 0, 0, 0]], float)
+
+    per_point = sp.bmat([[None, kblock(-1.0)], [kblock(1.0), None]])
+    return sp.kron(per_point, sp.identity(point_count(axes)), format="csr")
+
+
 def _dirac_target(axes):
-    """Extended Maxwell (skew stencils) plus the chiral term: U D U* for the Dirac D."""
-    return (catalog.extended_maxwell(axes, skew_stencils=True).a.entries
-            + catalog._chiral_m1(axes))
+    """Extended Maxwell in the centered (free-space) stencils plus the chiral
+    term: U D U* for the Dirac D."""
+    curl, graddiv = catalog._ext_parts_raw(axes, catalog._skew_partials(axes))
+    return curl + graddiv + _chiral_m1(axes)
 
 
 def dirac_spectra_residual(axes):
-    """Largest gap between the sorted spectra of the two relabeled systems."""
-    dirac, target = catalog.dirac(axes).a.to_dense(), _dirac_target(axes).toarray()
-    ev1 = np.sort_complex(np.linalg.eigvals(dirac))
-    ev2 = np.sort_complex(np.linalg.eigvals(target))
-    return float(np.abs(ev1 - ev2).max())
+    """Largest gap between the spectra of the Dirac operator and its target,
+    symbol by symbol; inf when shift_cut does not cut the grid for both.
+
+    Both commute with the shifts of a periodic grid, so each is one 8x8
+    symbol per wavenumber.  The symbols of these skew operators have
+    imaginary spectra: the sorted imaginary parts are compared wavenumber
+    by wavenumber, and the real parts, rounding when the identity holds,
+    count as gap too.
+    """
+    D = catalog.dirac(axes).a
+    target = MatrixOperator(_dirac_target(axes), D.domain, D.codomain)
+    cut, symbols = shift_cut(D.domain, tuple(axes), D, target)
+    if cut is None:
+        return np.inf
+    ev1, ev2 = (np.linalg.eigvals(s) for s in symbols)
+    gap = np.abs(np.sort(ev1.imag, axis=1) - np.sort(ev2.imag, axis=1)).max()
+    return float(max(gap, np.abs(ev1.real).max(), np.abs(ev2.real).max()))
+
+
+def _even_odd_split(entry):
+    """The transport entry's even/odd descendant: (even pair, odd pair,
+    operator, law) on even pressures (+) odd fluxes.
+
+    The stack operator's rank-{0, 1} block descends by even (+) odd; the
+    entry's law is compressed the same way, as the law on each row (its
+    even part on the first, its odd part on the second).
+    """
+    axes = entry.grid
+    pe, po = even_odd(TensorFieldSpace(axes, 0))
+    a = descend(_gradient_pair(axes),
+                direct_sum_pairs([pe, even_odd(TensorFieldSpace(axes, 1))[1]]))
+
+    def rows(m):
+        return sp.block_diag([(p.pi @ m @ p.embedding).entries for p in (pe, po)], format="csr")
+
+    m0, space = rows(entry.law.m0), a.domain
+    law = MaterialLaw(m0=MatrixOperator(0.5 * (m0 + m0.T), space, space),
+                      m1=MatrixOperator(rows(entry.law.m1), space, space))
+    return pe, po, a, law
 
 
 def transport_residual(entry, steps=8):
@@ -159,9 +243,8 @@ def transport_residual(entry, steps=8):
     cfg = SolverConfig(tau=h, t_end=steps * h, scheme=CRANK_NICOLSON)
     traj = solve(entry.problem(initial=u0), cfg)
 
-    pe, po = entry.extras["even_pair"], entry.extras["odd_pair"]
-    split = EvolutionaryProblem(law=entry.extras["descendant_law"],
-                                a=entry.extras["descendant_a"],
+    pe, po, a, law = _even_odd_split(entry)
+    split = EvolutionaryProblem(law=law, a=a,
                                 initial=np.concatenate([pe.pi.apply(u0), po.pi.apply(u0)]))
     states = solve(split, cfg).states
     half = np_ // 2
@@ -177,19 +260,27 @@ def second_order_residual(entry):
     Runs 40 implicit-Euler steps of 0.02 from data compatible with zero time
     integrals, accumulates the discrete antiderivatives of the bending and
     rotation velocities, and evaluates the two second-order rows obtained
-    by eliminating the shear flux and moment stress.  Returns the largest
-    relative residual (solver roundoff when the identity holds).
+    by eliminating the shear flux and moment stress.  The coefficients nu1,
+    nu2, d, kappa and C^-1 are the blocks of the entry's own law; kappa and
+    C^-1 are inverted through their spectra.  Returns the largest relative
+    residual (solver roundoff when the identity holds).
     """
-    params = entry.extras["params"]
     sl = entry.block_slices()
     size = dict(entry.blocks)
     np_, nvec = size["eta"], size["zeta"]
-    kap_inv = catalog._inv_coeff("kappa", params["kappa"], nvec)
-    cmat = catalog._coeff("cten", params["cten"], size["T"])
-    nu1 = catalog._coeff("nu1", params["nu1"], np_)
-    nu2 = catalog._coeff("nu2", params["nu2"], nvec)
-    dmat = catalog._coeff("d", params["d"], np_, strict=False)
-    div_blk, grad_blk, Div_blk, Grad_blk = (-catalog._block(entry.a.entries, entry.blocks, r, c)
+
+    def law_block(m, label):
+        return m.entries[sl[label], sl[label]]
+
+    def inverse(block):
+        tag = SpaceTag("block", block.shape[0])
+        groups = weighted_spectrum(MatrixOperator(block, tag, tag))[1]
+        return spectral_function(groups, np.reciprocal, tag).entries
+
+    m0, m1 = entry.law.m0, entry.law.m1
+    nu1, nu2, dmat = law_block(m0, "eta"), law_block(m0, "s"), law_block(m1, "eta")
+    kap_inv, cmat = inverse(law_block(m0, "zeta")), inverse(law_block(m0, "T"))
+    div_blk, grad_blk, Div_blk, Grad_blk = (-entry.a.entries[sl[r], sl[c]]
                                             for r, c in (("eta", "zeta"), ("zeta", "eta"),
                                                          ("s", "T"), ("T", "s")))
 
@@ -233,6 +324,26 @@ def second_order_residual(entry):
     return worst
 
 
+def beam_reduction_pair(plate, beam) -> ProjectionPair:
+    """Blockwise torus averaging from a plate state to a beam state.
+
+    The plate grid must be (line axis, torus axis); the beam grid the line
+    axis alone.  Vector blocks keep the line component, the moment block
+    keeps the axial symmetric component; everything is averaged over the
+    torus fiber.  The adjoint embeds constantly with zero padding and is an
+    isometry (torus measure one).
+    """
+    axes2 = plate.grid
+    if len(axes2) != 2 or axes2[1].bc != PERIODIC:
+        raise ValueError("plate grid must be (line, torus)")
+    a0 = torus_average(TensorFieldSpace(axes2, 0), {1}).pi.entries
+    a1 = torus_average(TensorFieldSpace(axes2, 1), {1}).pi.entries  # keeps component 0
+    # moment block: symmetric comps (00, 01, 11) on the plate; keep (00)
+    maps = {"eta": a0, "zeta": a1, "s": a1, "T": sp.kron([[1.0, 0.0, 0.0]], a0, format="csr")}
+    ent = sp.block_diag([maps[label] for label, _ in plate.blocks], format="csr")
+    return ProjectionPair(MatrixOperator(ent, plate.space, beam.space))
+
+
 def dimension_reduction_residuals(n_line, n_torus):
     """Plate on (line x torus) with fiber-constant data vs the beam model.
 
@@ -244,7 +355,7 @@ def dimension_reduction_residuals(n_line, n_torus):
     line = Axis.interval(n_line)
     plate = catalog.reissner_mindlin((line, Axis.torus(n_torus)))
     beam = catalog.timoshenko((line,))
-    pair = catalog.beam_reduction_pair(plate, beam)
+    pair = beam_reduction_pair(plate, beam)
 
     rng = np.random.default_rng(11)
     v = rng.standard_normal(beam.dim)
@@ -415,47 +526,114 @@ def _gradient_pair(axes):
     """[[0, div], [grad0, 0]] descended from the stack operator's rank-{0, 1}
     block: the catalog builds it at its own rank, without the stack."""
     stack = TensorStack(tuple(axes), 1)
-    return descend(build_stack_skew(stack), rank_block(stack, {0}, {1})).entries
+    return descend(build_stack_skew(stack), rank_block(stack, {0}, {1}))
+
+
+def _grad_sym(axes):
+    """The hand stencil Grad v = (D_i v_j + D_j v_i) / 2 from the vectors into the
+    orthonormal symmetric coordinates (off-diagonal pairs carry 1/sqrt 2)."""
+    n = len(axes)
+    P = catalog._partials(axes)
+    inv_s2 = 1.0 / SQRT2
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            row = [None] * n
+            if i == j:
+                row[i] = P[i]
+            else:
+                row[j] = inv_s2 * P[i]
+                row[i] = inv_s2 * P[j]
+            rows.append(row)
+    return sp.bmat(rows, format="csr")
 
 
 def _flux_stress_pair(axes):
     """The gradient and hand-stencil Grad pairs, each conjugated by diag(1, -1)
     (which negates a block-skew pair), stacked."""
-    return -sp.block_diag([_gradient_pair(axes), catalog._grad_sym_stencil(axes)], format="csr")
+    return -sp.block_diag([_gradient_pair(axes).entries, _skew_pair(_grad_sym(axes))],
+                          format="csr")
 
 
 def _biharmonic_pair(axes):
     """The block-skew pair of (symmetrized gradient) @ (gradient), from the stencils."""
-    grad_sym = catalog._block(catalog._grad_sym_stencil(axes), catalog._elastic_blocks(axes),
-                              "T", "v")
-    return _skew_pair(grad_sym @ sp.vstack(catalog._partials(axes)))
+    return _skew_pair(_grad_sym(axes) @ sp.vstack(catalog._partials(axes)))
 
 
 def _square_root_pair(entry):
     """The gradient pair compressed by the polar co-isometry: [[0, -G* U], [U* G, 0]]."""
     G = build_nabla(TensorFieldSpace(entry.grid, 0))
-    return _skew_pair((entry.extras["U"].adjoint() @ G).entries)
+    return _skew_pair((catalog.polar_decompose(G)[0].adjoint() @ G).entries)
 
 
 def _recombined_transport(entry):
     """The two rows of the even/odd descendant recombined on the full line."""
-    pe, po = entry.extras["even_pair"], entry.extras["odd_pair"]
-    m = entry.extras["descendant_a"].to_dense()
+    pe, po, a, _ = _even_odd_split(entry)
+    m = a.to_dense()
     half = entry.dim // 2
     return (pe.embedding.to_dense() @ m[:half, half:] @ po.pi.to_dense()
             + po.embedding.to_dense() @ m[half:, :half] @ pe.pi.to_dense())
 
 
+def _alt3_pair(space3: TensorFieldSpace) -> ProjectionPair:
+    """Orthonormal coordinate of the alternating rank-3 subspace in 3-d."""
+    if space3.rank != 3 or space3.ndim != 3:
+        raise ValueError("alternating rank-3 coordinates need rank 3 in 3-d")
+    red = GridBlockSpace(space3.axes, ("alt012",), "alt3")
+    inv_s6 = 1.0 / np.sqrt(6.0)
+    row = np.zeros((1, space3.ncomp))
+    for perm in permutations((0, 1, 2)):
+        inversions = sum(perm[x] > perm[y] for x, y in combinations(range(3), 2))
+        row[0, space3.component_index(perm)] = (-1.0) ** inversions * inv_s6
+    ent = sp.kron(row, sp.identity(space3.npoints), format="csr")
+    return ProjectionPair(MatrixOperator(ent, space3.tag, red.tag))
+
+
+def _ext_from_stack(axes):
+    """The extended-Maxwell operator (M0 = I) derived from the rank-3 stack.
+
+    Three descendant chains feed the 8-component layout f3, f1, f0, f2:
+    the rank-{0,1} block (grad0/div pair), the antisymmetrized rank-{1,2}
+    block rescaled by sqrt(2) onto vector proxies (curl pair), and the
+    alternating rank-{2,3} block rescaled by sqrt(3) onto scalar/vector
+    proxies (div0/grad pair, placed with its two blocks swapped).
+    """
+    axes = tuple(axes)
+    np_ = point_count(axes)
+    stack = TensorStack(axes, 3)
+    A = build_stack_skew(stack)
+    r = [TensorFieldSpace(axes, k) for k in range(4)]
+
+    # chain 1: ranks {0},{1} -> [[0, div],[grad0, 0]] on (f0, f1)
+    a01 = descend(A, rank_block(stack, {0}, {1})).entries
+
+    # chain 2: ranks {1},{2}, antisymmetrize, pair components, rescale sqrt(2)
+    a12 = descend(descend(A, rank_block(stack, {1}, {2})),
+                  direct_sum_pairs([identity_pair(r[1].tag), asym_projection(r[2])])).entries
+    perm = sp.kron(_asym_perm(), sp.identity(np_), format="csr")
+    curl0 = SQRT2 * perm @ a12[3 * np_:, :3 * np_]  # asym coords <- f1
+
+    # chain 3: ranks {2},{3}, alternating coordinates, rescale sqrt(3), swap
+    a23 = descend(descend(A, rank_block(stack, {2}, {3})),
+                  direct_sum_pairs([asym_projection(r[2]), _alt3_pair(r[3])])).entries
+    div0 = np.sqrt(3.0) * a23[3 * np_:, :3 * np_] @ perm  # alt3 coord <- asym coords
+
+    return sp.bmat([[None, None, None, div0],
+                    [None, None, a01[np_:, :np_], -curl0.T],
+                    [None, a01[:np_, np_:], None, None],
+                    [-div0.T, curl0, None, None]], format="csr")
+
+
 def _reduced_extended(axes):
     """The stack-derived extended operator without the second scalar (f0) rows and columns."""
-    sl = catalog._slices(catalog._ext_blocks(axes))
-    keep = np.r_[sl["f3"], sl["f1"], sl["f2"]]
-    return catalog._ext_from_stack(axes)[keep][:, keep]
+    np_ = point_count(axes)
+    keep = np.r_[0:4 * np_, 5 * np_:8 * np_]  # f3 and f1, then f2
+    return _ext_from_stack(axes)[keep][:, keep]
 
 
 def _relabeled_dirac(axes):
     """U* (extended Maxwell with skew stencils + chiral term) U."""
-    U = catalog._dirac_relabeling(axes)
+    U = _dirac_relabeling(axes)
     return U.T @ _dirac_target(axes) @ U
 
 
@@ -463,11 +641,11 @@ def _relabeled_dirac(axes):
 # operator-shaping defaults (extended Maxwell: M0 = I, forward stencils);
 # the law's parameters do not enter any operator
 PROVENANCE_REFERENCES = {
-    "acoustics": lambda e: _gradient_pair(e.grid),
-    "heat": lambda e: _gradient_pair(e.grid),
-    "elasticity": lambda e: catalog._grad_sym_stencil(e.grid),
+    "acoustics": lambda e: _gradient_pair(e.grid).entries,
+    "heat": lambda e: _gradient_pair(e.grid).entries,
+    "elasticity": lambda e: _skew_pair(_grad_sym(e.grid)),
     "maxwell": lambda e: _skew_pair(_stencil_curl(e.grid)),
-    "extended_maxwell": lambda e: catalog._ext_from_stack(e.grid),
+    "extended_maxwell": lambda e: _ext_from_stack(e.grid),
     "reduced_extended_maxwell": lambda e: _reduced_extended(e.grid),
     "dirac": lambda e: _relabeled_dirac(e.grid),
     "relativistic_schrodinger": _square_root_pair,
@@ -595,8 +773,8 @@ def check_annihilation():
 def check_dirac_equivalence():
     # the Dirac operator against its relabeled extended-Maxwell reference
     res = provenance_residual(catalog.dirac((Axis.torus(_cap(4)),) * 3))
-    # spectra agree on the small grid (conjugation preserves eigenvalues)
-    spec_res = dirac_spectra_residual((Axis.torus(2),) * 3)
+    # the spectra agree symbol by symbol (conjugation preserves eigenvalues)
+    spec_res = dirac_spectra_residual((Axis.torus(_cap(4)),) * 3)
     return _result("dirac_equivalence", res, 1e-12,
                    f"conjugation {res:.2e}, spectra {spec_res:.2e} (tol 1e-8)",
                    side_ok=spec_res <= 1e-8)

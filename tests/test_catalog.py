@@ -16,6 +16,11 @@ from protofield.evolve import IMPLICIT_EULER, SolverConfig, solve, solve_reduced
 from protofield.subspaces import (asym_projection, descend, direct_sum_pairs, identity_pair,
                                   rank_block, sym_projection)
 
+
+def centered_points(axis):
+    """Coordinates of a symmetric line's points, centered on the origin."""
+    return (np.arange(axis.n) - (axis.n - 1) / 2.0) * axis.h
+
 AX1 = (Axis.interval(16),)
 AX1_SYM = (Axis.symmetric(16, 0.25),)
 AX2 = (Axis.interval(8), Axis.interval(8))
@@ -172,7 +177,7 @@ class TestOneAssemblyPath:
 
     def test_the_guard_sees_scipy_assembly(self, no_scipy_stacking):
         with pytest.raises(AssertionError, match="scipy block assembly"):
-            catalog._grad_sym_stencil(AX2)
+            verify._grad_sym(AX2)
 
     @pytest.mark.parametrize("name", sorted(catalog.REGISTRY))
     def test_every_entry_builds(self, name, no_scipy_stacking):
@@ -187,6 +192,33 @@ class TestOneAssemblyPath:
         u0 = np.random.default_rng(8).standard_normal(entry.dim)
         traj = runner(entry.problem(initial=u0), SolverConfig(tau=0.01, t_end=0.02))
         assert np.isfinite(traj.states).all()
+
+
+class TestIndependentReferences:
+    """A provenance reference shares no assembly with the builder it checks."""
+
+    @pytest.mark.parametrize("name", ["extended_maxwell", "reduced_extended_maxwell"])
+    def test_a_dropped_div0_pair_fails_provenance(self, name, monkeypatch):
+        # an assembler that loses the div0/grad pair builds a wrong operator; a
+        # reference placed by that same assembler would lose it too and read 0
+        good = catalog._assemble
+        div0 = {("f3", "f2"), ("f2", "f3")}
+
+        def drop_div0(blocks, parts):
+            return good(blocks, {k: v for k, v in parts.items() if k not in div0})
+
+        monkeypatch.setattr(catalog, "_assemble", drop_div0)
+        assert verify.provenance_residual(catalog.build_entry(name)) > 1e-12
+
+    def test_references_call_no_builder_assembly(self, entries, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reference called the builders' assembly")
+
+        for name in ("_assemble", "_curl_block", "_law"):
+            monkeypatch.setattr(catalog, name, refuse)
+        for e in entries:
+            if e.name != "dirac":  # its target relabels the extended system's own parts
+                assert verify.provenance_residual(e) <= 1e-12, e.name
 
 
 class TestDefaultAxes:
@@ -259,7 +291,8 @@ class TestHeat:
 class TestElasticity:
     def test_grad_matches_hand_stencil(self):
         entry = catalog.elasticity(AX3)
-        assert np.abs(entry.a.to_dense() - catalog._grad_sym_stencil(AX3).toarray()).max() == 0.0
+        hand = verify._skew_pair(verify._grad_sym(AX3)).toarray()
+        assert np.abs(entry.a.to_dense() - hand).max() == 0.0
 
     def test_constant_field_killed_on_torus(self):
         entry = catalog.elasticity(AX3)
@@ -338,23 +371,21 @@ class TestExtendedMaxwell:
         assert verify.annihilation_residual(axes) <= 1e-12
 
     def test_parts_each_skew(self):
-        entry = catalog.extended_maxwell(AX3)
-        for key in ("curl_part", "graddiv_part"):
-            part = entry.extras[key]
-            assert skew_defect(part) == 0.0
+        tag = catalog.extended_maxwell(AX3).space
+        for part in catalog._ext_parts_raw(AX3, catalog._partials(AX3)):
+            assert skew_defect(MatrixOperator(part, tag, tag)) == 0.0
 
     def test_restriction_reproduces_maxwell_blocks(self):
         # rows/cols (f1, f2) of the curl part carry the plain curl; the
         # Maxwell entry stores the same operator in normalized antisymmetric
         # coordinates: conjugate by the pairing and the sqrt-2 rescale
-        entry = catalog.extended_maxwell(AX3)
         mx = catalog.maxwell(AX3)
         np_ = 64
         sizes = [np_, 3 * np_, np_, 3 * np_]
         offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        cp = entry.extras["curl_part"].to_dense()
+        cp = catalog._ext_parts_raw(AX3, catalog._partials(AX3))[0].toarray()
         curl0 = cp[offs[3]:offs[4], offs[1]:offs[2]]
-        perm = np.kron(catalog._asym_perm(), np.eye(np_))
+        perm = np.kron(verify._asym_perm(), np.eye(np_))
         lower_norm = mx.a.to_dense()[3 * np_:, :3 * np_]
         assert np.abs(curl0 - np.sqrt(2.0) * perm @ lower_norm).max() <= 1e-13
 
@@ -389,7 +420,7 @@ class TestReducedExtendedMaxwell:
 
     def test_is_projection_of_parent(self):
         entry = catalog.reduced_extended_maxwell(AX3)
-        parent = entry.extras["parent"]
+        parent = catalog.extended_maxwell(AX3)
         sl = parent.block_slices()
         keep = np.r_[sl["f3"], sl["f1"], sl["f2"]]
         assert entry.blocks == tuple(b for b in parent.blocks if b[0] != "f0")
@@ -401,13 +432,12 @@ class TestReducedExtendedMaxwell:
     def test_wrong_drop_fails_provenance(self, axes):
         # an entry that drops f3 instead of f0 (same size, so the shapes
         # agree) must not match the reference, which picks its own rows
-        # rather than the ones an entry records in extras["keep"]
         entry = catalog.reduced_extended_maxwell(axes)
-        parent = entry.extras["parent"]
+        parent = catalog.extended_maxwell(axes)
         sl = parent.block_slices()
         keep = np.r_[sl["f1"], sl["f0"], sl["f2"]]
         a = MatrixOperator(parent.a.entries[keep][:, keep], entry.a.domain, entry.a.codomain)
-        wrong = replace(entry, a=a, extras={**entry.extras, "keep": keep})
+        wrong = replace(entry, a=a)
         assert verify.provenance_residual(entry) <= 1e-12
         assert verify.provenance_residual(wrong) > 1e-12
 
@@ -439,9 +469,8 @@ class TestDirac:
     def test_w_block_pattern(self):
         # the realified first-order block: +-1 mass entries on the two
         # antidiagonal 2x2 rotations, partials arranged per the spin algebra
-        entry = catalog.dirac(AX3)
-        W = entry.extras["W"]
         np_ = 64
+        W = catalog.dirac(AX3).a.to_dense()[4 * np_:, :4 * np_]  # phi <- psi
         from protofield.catalog import _skew_partials
 
         P1, P2, P3 = (P.toarray() for P in _skew_partials(AX3))
@@ -453,7 +482,24 @@ class TestDirac:
             [-P2, -P1, Z, -Id + P3],
             [P1, -P2, Id - P3, Z],
         ])
-        assert np.array_equal(W.toarray(), expected)
+        assert np.array_equal(W, expected)
+
+    def test_spectra_agree_symbol_by_symbol(self):
+        # unequal sizes, where the symbols' real parts are rounding, not zero
+        axes = (Axis.torus(3), Axis.torus(4), Axis.torus(5))
+        assert verify.dirac_spectra_residual(axes) <= 1e-12
+
+    def test_spectra_without_the_chiral_term_fail(self, monkeypatch):
+        monkeypatch.setattr(verify, "_chiral_m1", lambda axes: sp.csr_matrix((8 * 64, 8 * 64)))
+        assert verify.dirac_spectra_residual(AX3) > 1e-8
+
+    def test_spectra_off_the_cut_read_inf(self, monkeypatch):
+        # a target that does not commute with the shifts has no symbols
+        good = verify._chiral_m1
+        monkeypatch.setattr(verify, "_chiral_m1",
+                            lambda axes: good(axes) + sp.csr_matrix(([1.0], ([0], [0])),
+                                                                    shape=(8 * 64, 8 * 64)))
+        assert verify.dirac_spectra_residual(AX3) == np.inf
 
     def test_equivalence_with_extended_maxwell(self):
         # the check runs on the 4^3 torus; here unequal sizes
@@ -517,7 +563,7 @@ class TestTransport:
         for n in (32, 64, 128):
             h = 4.0 / n
             entry = catalog.transport((Axis.symmetric(n, h),))
-            x = entry.grid[0].points()
+            x = centered_points(entry.grid[0])
             u0 = np.exp(-((x + 0.7) ** 2) / (2 * 0.25 ** 2))
             steps = max(1, int(round(0.4 / h)))
             traj = solve(entry.problem(initial=u0),
@@ -529,9 +575,8 @@ class TestTransport:
 
     def test_even_data_bookkeeping(self):
         entry = catalog.transport(AX1_SYM)
-        pe = entry.extras["even_pair"]
-        po = entry.extras["odd_pair"]
-        x = entry.grid[0].points()
+        pe, po = verify._even_odd_split(entry)[:2]
+        x = centered_points(entry.grid[0])
         even = np.cos(x)
         assert np.abs(po.pi.apply(even)).max() <= 1e-14
         recon = pe.embedding.apply(pe.pi.apply(even))
@@ -577,6 +622,18 @@ class TestThermoElasticity:
         assert np.abs(m0[sl["eta"], sl["T"]]).max() > 0.0
         assert np.array_equal(m0, m0.T)
         assert check_wellposed(entry.law).passed
+
+    def test_full_coupling_block_matches_scalar(self):
+        # gamma given as the full coupling block builds the entry of its scalar
+        axes = (Axis.torus(3),) * 3
+        full = catalog._trace_embedding(axes, 0.3).toarray()
+        scalar, block = (catalog.thermo_elasticity(axes, gamma=g) for g in (0.3, full))
+        for x, y in ((scalar.a, block.a), (scalar.law.m0, block.law.m0),
+                     (scalar.law.m1, block.law.m1)):
+            for arr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(x.entries, arr), getattr(y.entries, arr)), arr
+        with pytest.raises(ValueError, match="coupling block must have shape"):
+            catalog.thermo_elasticity(axes, gamma=full[:-1])
 
     def test_energy_identity_with_coupling(self):
         from protofield.evolve import dissipation_check

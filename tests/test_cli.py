@@ -85,6 +85,16 @@ class TestSolveCommand:
             snaps = list(csv.DictReader(fh))
         assert {r["block"] for r in snaps} == {"p", "v"}
 
+    def test_constant_profile_fills_its_block(self, tmp_path):
+        cfg = copy.deepcopy(BASIC)
+        cfg["initial"] = [{"block": "p", "profile": "constant", "amplitude": 0.7}]
+        p = write_scenario(tmp_path, cfg)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_OK
+        rows = read_energy(tmp_path / "toy_heat_snapshots.csv")
+        first = {block: [float(r["value"]) for r in rows if r["t"] == "0" and r["block"] == block]
+                 for block in ("p", "v")}
+        assert first == {"p": [0.7] * 12, "v": [0.0] * 12}
+
     def test_acoustics_energy_constant(self, tmp_path):
         p = SCENARIO_DIR / "acoustics_standing_wave.json"
         code = cli.main(["solve", str(p), "--outdir", str(tmp_path)])
@@ -367,20 +377,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "curl_identification" in out and "PASS" in out
 
-    @pytest.mark.parametrize("check, helper, flip", [
-        ("curl", "_asym_perm", flip_curl_pairing),
-        ("dirac", "_dirac_permutations", flip_dirac_relabeling),
-        ("skewness", "_elastic_block", scale_operator),
+    @pytest.mark.parametrize("check, home, helper, flip", [
+        ("curl", "verify", "_asym_perm", flip_curl_pairing),
+        ("dirac", "verify", "_dirac_permutations", flip_dirac_relabeling),
+        ("skewness", "catalog", "_elastic_block", scale_operator),
     ], ids=["curl", "dirac", "provenance"])
-    def test_injected_sign_error_fails(self, capsys, monkeypatch, check, helper, flip):
-        # mutation test: corrupt the catalog helper the identity is stated
+    def test_injected_sign_error_fails(self, capsys, monkeypatch, check, home, helper, flip):
+        # mutation test: corrupt the verify helper the identity is stated
         # in, or a builder's chain, and the verify command must report failure
-        import protofield.catalog as cat
+        import protofield
 
-        good = getattr(cat, helper)
-        monkeypatch.setattr(cat, helper, lambda *args, **kwargs: flip(good(*args, **kwargs)))
+        module = getattr(protofield, home)
+        good = getattr(module, helper)
+        monkeypatch.setattr(module, helper, lambda *args, **kwargs: flip(good(*args, **kwargs)))
         code = cli.main(["verify", "--filter", check])
-        monkeypatch.setattr(cat, helper, good)
+        monkeypatch.setattr(module, helper, good)
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
 

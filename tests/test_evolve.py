@@ -53,6 +53,17 @@ def rotation_problem(u0=None):
 
 
 class TestSolve:
+    def test_skew_check_attaches_no_adjoint(self):
+        # the problem's skew check takes A's weighted transpose without
+        # keeping it on A; a block-skew A keeps the adjoint it was built with
+        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        entry.problem()
+        assert entry.a._adj is None
+        acoustic = catalog.acoustics((Axis.interval(6),))
+        paired = acoustic.a.adjoint()
+        acoustic.problem()
+        assert acoustic.a.adjoint() is paired
+
     def test_constant_trajectory(self):
         traj = solve(scalar_problem(), SolverConfig(tau=0.1, t_end=1.0,
                                                     scheme=IMPLICIT_EULER))

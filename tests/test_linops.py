@@ -146,7 +146,8 @@ class TestIsSkew:
             adj[row, col] += 1e-9
         else:  # one entry dropped: the sum path must see it
             adj[row, col] = 0.0
-        A = MatrixOperator(good.entries, good.domain, good.codomain).with_adjoint(adj)
+        A = MatrixOperator(good.entries, good.domain, good.codomain)
+        A._pair(MatrixOperator(adj, good.codomain, good.domain))
         same = np.array_equal(A.entries.indices, A.adjoint().entries.indices)
         assert same == (fault == "value")
         assert skew_defect(A) > 0.0
