@@ -220,12 +220,14 @@ def run_scenario(cfg, reduced=False, outdir="."):
             scheme=solver_cfg.get("scheme", "crank_nicolson"),
             nu=float(solver_cfg.get("nu", 0.0)),
         )
-        # the trajectory keeps every state: refuse a run that cannot fit in memory
-        need = (config.steps + 1) * entry.dim * 8
+        # the run keeps every state, its energy and its partial norm: refuse
+        # a run that cannot fit in memory
+        need = (config.steps + 1) * (entry.dim + 2) * 8
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
-            raise ValueError(f"{config.steps} steps of {entry.dim} values need {need:.3g} bytes, "
-                             f"more than the machine's {have:.3g}")
+            raise ValueError(f"{config.steps} steps of {entry.dim} values, with their energies "
+                             f"and partial norms, need {need:.3g} bytes, more than the "
+                             f"machine's {have:.3g}")
     with _reading("initial"):
         initial = _block_vector(entry, cfg.get("initial", []), axes)
     forcing = None

@@ -20,7 +20,12 @@ step matrix is factored once by the sparse LU.  On the same cut
 solve_reduced takes the same wavenumber step, with the inverse formed
 through the Schur complement onto the range of A; off it, it steps by
 the sparse LU as solve does.  A run whose states or energies stop being
-finite raises StepFailureError.
+finite raises StepFailureError, at the end of the block of steps where
+they first do.
+Every pass over a trajectory's states (the march itself, the energies,
+the dissipation and causality checks and the partial norms) walks one
+block of rows at a time, so none allocates a temporary the size of the
+trajectory.
 Crank-Nicolson preserves the quadratic form <M0 u, u> exactly (up to the
 linear solve) when M1 is skew or zero, and for zero forcing satisfies the
 discrete dissipation identity
@@ -53,7 +58,7 @@ IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
 
 SKEW_TOL = 1e-12
-_BLOCK_BYTES = 2**20  # at 16 bytes per state entry: steps moved to physical states at once
+_BLOCK_BYTES = 2**20  # at 16 bytes per state entry: the steps of one row block (_row_blocks)
 
 
 @dataclass(frozen=True)
@@ -211,38 +216,49 @@ class _WavenumberStep:
         return self.cut.inverse(np.concatenate(block, axis=2)).T
 
 
+def _row_blocks(rows: int, dim: int):
+    """The row slices of a run of `rows` states of size dim, one block at a time.
+
+    A block holds the states of _BLOCK_BYTES // (16 dim) steps, at least
+    one; row 0, the initial state, goes with the first block.  _march
+    writes its states in these blocks, and every later pass over them
+    walks the same ones.
+    """
+    block = max(_BLOCK_BYTES // (16 * dim), 1)
+    for start in range(0, max(rows - 1, 1), block):
+        yield slice(start and start + 1, min(start + block + 1, rows))
+
+
 def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Trajectory:
     """Step from the initial state with the stepper, sampling F once per step.
 
-    A block of steps (_BLOCK_BYTES at 16 bytes per state entry) goes to
-    physical states in one call, and their energies are taken while those
-    rows are in cache.  A problem with no forcing passes None to the
-    stepper, which then adds no forcing term.  Raises StepFailureError,
-    naming the first step, when a state or its energy is not finite; such
-    a run is never returned.
+    A block of steps (_row_blocks) goes to physical states in one call,
+    and their energies are taken while those rows are in cache.  A problem
+    with no forcing passes None to the stepper, which then adds no forcing
+    term.  Raises StepFailureError, naming the first step, when a state or
+    its energy is not finite; the march stops at the end of that block, and
+    such a run is never returned.
     """
     nsteps = config.steps
     times = np.arange(nsteps + 1) * config.tau
     offset = config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2
-    block = min(max(_BLOCK_BYTES // (16 * problem.space.dim), 1), nsteps)
     states = np.empty((nsteps + 1, problem.space.dim))
     states[0] = problem.initial
     energies = np.empty(nsteps + 1)
     y = stepper.start(problem.initial)
     with np.errstate(all="ignore"):  # overflow is reported below, by step
-        for start in range(0, nsteps, block):
-            stop, ys = min(start + block, nsteps), []
-            for k in range(start, stop):
+        for rows in _row_blocks(nsteps + 1, problem.space.dim):
+            first, ys = max(rows.start, 1), []
+            for k in range(first - 1, rows.stop - 1):
                 f = None if problem.forcing is None else problem.force_at(times[k] + offset)
                 y = stepper.step(y, f)
                 ys.append(y)
-            states[start + 1:stop + 1] = stepper.states(ys)
-            rows = slice(start and start + 1, stop + 1)  # row 0 goes with the first block
+            states[first:rows.stop] = stepper.states(ys)
             energies[rows] = energy_series_from_states(states[rows], problem.law.m0)
-    finite = np.isfinite(states).all(axis=1) & np.isfinite(energies)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise StepFailureError(f"state or energy not finite at step {k} (t = {times[k]:.6g})")
+            finite = np.isfinite(states[rows]).all(axis=1) & np.isfinite(energies[rows])
+            if not finite.all():
+                k = rows.start + int(np.argmin(finite))
+                raise StepFailureError(f"state or energy not finite at step {k} (t = {times[k]:.6g})")
     return Trajectory(times=times, states=states, energies=energies,
                       scheme=config.scheme, tau=config.tau, space=problem.space)
 
@@ -270,8 +286,14 @@ def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
 
 
 def energy_series(traj: Trajectory, m0: MatrixOperator) -> np.ndarray:
-    """E_n = <M0 u_n, u_n> / 2 along the trajectory."""
-    return energy_series_from_states(traj.states, m0)
+    """E_n = <M0 u_n, u_n> / 2 along the trajectory, a block of rows at a time.
+
+    The blocks are the march's, so the series is bitwise traj.energies.
+    """
+    energies = np.empty(len(traj))
+    for rows in _row_blocks(len(traj), traj.space.dim):
+        energies[rows] = energy_series_from_states(traj.states[rows], m0)
+    return energies
 
 
 @dataclass(frozen=True)
@@ -283,14 +305,23 @@ class DissipationReport:
 
 
 def dissipation_check(traj: Trajectory, mlaw: MaterialLaw, tol: float = 1e-9) -> DissipationReport:
-    """Check E_{n+1} - E_n = -tau <sym(M1) u_mid, u_mid> for a force-free CN run."""
-    w = mlaw.space.weight
+    """Check E_{n+1} - E_n = -tau <sym(M1) u_mid, u_mid> for a force-free CN run.
+
+    The midpoints of a block are taken with the last state of the block
+    before it, so each step's drop is computed once.
+    """
+    w, sym_m1 = mlaw.space.weight, symmetrize(mlaw.m1).entries
     energies = energy_series(traj, mlaw.m0)
     scale = max(energies.max(), 1.0)
-    mids = 0.5 * (traj.states[:-1] + traj.states[1:])
-    drops = np.einsum("ij,ij->i", (symmetrize(mlaw.m1).entries @ mids.T).T, mids * w)
-    max_res = float(np.abs(np.diff(energies) + traj.tau * drops).max(initial=0.0))
-    monotone = bool(np.all(np.diff(energies) <= tol * scale))
+    drops = np.empty(len(traj) - 1)
+    for rows in _row_blocks(len(traj), traj.space.dim):
+        lo = max(rows.start - 1, 0)
+        mids = traj.states[lo:rows.stop - 1] + traj.states[lo + 1:rows.stop]
+        mids *= 0.5
+        drops[lo:rows.stop - 1] = np.einsum("ij,ij->i", (sym_m1 @ mids.T).T, mids * w)
+    gains = np.diff(energies)
+    max_res = float(np.abs(gains + traj.tau * drops).max(initial=0.0))
+    monotone = bool(np.all(gains <= tol * scale))
     return DissipationReport(
         max_residual=max_res / scale,
         tol=tol,
@@ -312,10 +343,11 @@ def causality_check(problem: EvolutionaryProblem, config: SolverConfig, t0: floa
         (float(np.abs(problem.force_at(t)).max()) for t in traj.times),
         default=0.0,
     )
-    before = traj.times < t0
-    if not before.any():
+    before = int(np.count_nonzero(traj.times < t0))  # the times increase: the first rows
+    if before == 0:
         return True
-    state_max = float(np.abs(traj.states[before]).max())
+    state_max = max(float(np.abs(traj.states[rows]).max())
+                    for rows in _row_blocks(before, problem.space.dim))
     return state_max <= 1e-13 * max(fmax, 1.0)
 
 
@@ -327,10 +359,13 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    u = traj.states  # (n, dim)
     w = traj.space.weight
+    squares = np.empty(len(traj))
+    for rows in _row_blocks(len(traj), traj.space.dim):
+        u = traj.states[rows]
+        squares[rows] = np.einsum("ij,ij->i", u, u * w)
     # nu * t first: -2 nu overflows for a huge nu, and -inf * 0 is nan at t = 0
-    vals = np.einsum("ij,ij->i", u, u * w) * np.exp(-2.0 * (nu * traj.times))
+    vals = squares * np.exp(-2.0 * (nu * traj.times))
     steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])
     return np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
 

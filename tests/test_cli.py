@@ -223,6 +223,17 @@ class TestSolveCommand:
         assert "'solver'" in err and "bytes" in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("memory, code", [(31 * 26 * 8 - 1, cli.EXIT_PARSE_ERROR),
+                                              (31 * 26 * 8, cli.EXIT_OK)])
+    def test_refusal_counts_energies_and_partial_norms(self, tmp_path, monkeypatch, memory, code):
+        # BASIC keeps 31 states of 24 values (5952 bytes), and 31 energies
+        # and 31 partial norms besides: 6448 bytes in all
+        sysconf = os.sysconf
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+        p = write_scenario(tmp_path, BASIC)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == code
+
     def test_huge_nu_gives_finite_partial_norms(self, tmp_path):
         cfg = copy.deepcopy(BASIC)
         cfg["solver"]["nu"] = 1e308

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -701,6 +702,78 @@ class TestBlocks:
         block = min(max(evolve._BLOCK_BYTES // (16 * entry.dim), 1), 100)
         assert len(traj) == 101 and sum(calls) == 100
         assert len(calls) <= math.ceil(100 / block)
+
+    @pytest.mark.parametrize("gridless", [False, True], ids=["wavenumber", "lu"])
+    def test_march_stops_at_the_first_bad_block(self, gridless):
+        # F turns NaN at step 3 (CN samples it at t = 0.035) of 100 000
+        entry = torus_maxwell()
+        bad, zero, samples = np.full(entry.dim, np.nan), np.zeros(entry.dim), []
+
+        def forcing(t):
+            samples.append(t)
+            return bad if t > 0.03 else zero
+
+        problem = replace(random_problem(entry, 18, gridless), forcing=forcing)
+        with pytest.raises(StepFailureError, match=r"^state or energy not finite at step 4 "
+                                                   r"\(t = 0\.04\)$"):
+            solve(problem, SolverConfig(tau=0.01, t_end=1000.0))
+        block = evolve._BLOCK_BYTES // (16 * entry.dim)
+        assert len(samples) <= 3 + block + 1
+
+    def test_passes_agree_across_block_seams(self, monkeypatch):
+        # each pass over a trajectory, in one block and in blocks of BLOCK rows
+        entry = catalog.acoustics((Axis.interval(10),), sigma=0.4)
+        cfg = SolverConfig(tau=0.02, t_end=0.02 * (3 * BLOCK + 2))
+        traj = solve(random_problem(entry, 20), cfg)
+        pulse = np.random.default_rng(21).standard_normal(entry.dim)
+        switched = entry.problem(forcing=lambda t: pulse if t >= 0.15 else 0.0 * pulse)
+
+        def passes():
+            return (dissipation_check(traj, entry.law), evolve.energy_series(traj, entry.law.m0),
+                    weighted_partial_norms(traj, 0.5), causality_check(switched, cfg, t0=0.15),
+                    causality_check(switched, cfg, t0=0.19))
+
+        whole = passes()
+        monkeypatch.setattr(evolve, "_BLOCK_BYTES", 16 * entry.dim * BLOCK)
+        blocks = passes()
+        assert whole[0].holds and whole[3] and not whole[4]
+        assert blocks[0] == whole[0] and blocks[3:] == whole[3:]
+        assert np.array_equal(blocks[1], whole[1]) and np.array_equal(blocks[2], whole[2])
+
+    @pytest.mark.parametrize("build, gridless", [
+        (lambda: catalog.maxwell((Axis.torus(16),) * 3), False),
+        (lambda: catalog.maxwell((Axis.interval(6),) * 3), True),
+    ], ids=["torus_16", "lu"])
+    def test_energy_series_is_the_march_energies(self, build, gridless):
+        # the march's blocks: a series taken over all rows at once differs
+        # from them in the last bits at 16^3
+        entry = build()
+        traj = solve(random_problem(entry, 1, gridless), SolverConfig(tau=0.01, t_end=0.05))
+        assert np.array_equal(evolve.energy_series(traj, entry.law.m0), traj.energies)
+
+    def test_passes_over_a_trajectory_allocate_a_few_blocks(self, monkeypatch):
+        entry = torus_maxwell()
+        block = evolve._BLOCK_BYTES // (16 * entry.dim)
+        cfg = SolverConfig(tau=0.01, t_end=0.01 * 16 * block)
+        traj = solve(random_problem(entry, 19), cfg)
+        assert traj.states.nbytes > 2 * 3 * evolve._BLOCK_BYTES  # one copy would not fit
+        # the causality check passes over the trajectory handed to it
+        monkeypatch.setattr(evolve, "solve", lambda problem, config: traj)
+        at_rest = entry.problem(initial=np.zeros(entry.dim))
+        passes = {
+            "dissipation_check": lambda: dissipation_check(traj, entry.law),
+            "energy_series": lambda: evolve.energy_series(traj, entry.law.m0),
+            "weighted_partial_norms": lambda: weighted_partial_norms(traj, 0.5),
+            "causality_check": lambda: causality_check(at_rest, cfg, t0=cfg.t_end + 1.0),
+        }
+        for name, run in passes.items():
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * evolve._BLOCK_BYTES, name
 
 
 class TestSparseStorage:
