@@ -10,7 +10,8 @@ message names the key) or, for verify, a PROTOFIELD_MAX_GRID that is not
 an integer >= 2, 3 unknown catalog name, 4 well-posedness failure, 5 step
 failure (a singular step matrix, or a state or energy that is not finite;
 no CSV is written).  A run whose states would not fit in the machine's
-physical memory is a scenario error naming "solver".
+physical memory is a scenario error naming "solver", and an entry too
+large to build one naming "grid/params".
 
 Scenario files are JSON objects:
 
@@ -28,8 +29,9 @@ Scenario files are JSON objects:
 The name is the stem of both output files and must be a plain file stem
 (letters, digits, '_', '-', '.'; starting with a letter or digit).  The
 keys above, and "center" and "width" of a gauss profile, are the only ones
-allowed.  The run takes round(t_end / tau) >= 1 steps; snapshots must lie
-in [0, last step time].
+allowed; "params" must be an object, and no key takes true or false.
+The run takes round(t_end / tau) >= 1 steps; snapshots must lie in
+[0, last step time].
 
 Grid axes: {"n": int, "bc": "dirichlet"|"periodic", "length": float} --
 dirichlet axes place n interior points on (0, length); periodic axes
@@ -53,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .flatgrid import DIRICHLET, PERIODIC, Axis
+from .flatgrid import DIRICHLET, PERIODIC, Axis, point_count
 from .evolve import SolverConfig, solve, solve_reduced, weighted_partial_norms
 from .matlaw import MaterialLawError, StepFailureError
 from .verify import max_grid, run_checks
@@ -93,7 +95,7 @@ def _reading(key):
         raise
     except KeyError as exc:
         raise ScenarioError(f"scenario key {key!r} is missing the key {exc}") from exc
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError, MemoryError) as exc:
         raise ScenarioError(f"scenario key {key!r}: {exc}") from exc
 
 
@@ -105,6 +107,26 @@ def _check_keys(obj, path, allowed):
     if unknown:
         key = f"{path}.{unknown[0]}" if path else unknown[0]
         raise ScenarioError(f"unknown scenario key {key!r}")
+
+
+def _reject_booleans(value, path):
+    """No scenario key takes true or false: a ScenarioError names one that does."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"scenario key {path!r} must not be {json.dumps(value)}")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _reject_booleans(item, f"{path}[{key}]" if isinstance(value, list) else f"{path}.{key}")
+
+
+def _refuse_unstorable(config, values):
+    """A run keeps every state of `values` numbers, its energy and its partial
+    norm: a ValueError refuses one that cannot fit in memory."""
+    need = (config.steps + 1) * (values + 2) * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{config.steps} steps of {values} values, with their energies "
+                         f"and partial norms, need {need:.3g} bytes, more than the "
+                         f"machine's {have:.3g}")
 
 
 def _axes_from_config(grid_cfg):
@@ -200,6 +222,10 @@ def load_scenario(path):
     for key in ("solver", "forcing", "output"):
         if key in cfg:
             _check_keys(cfg[key], key, SCENARIO_KEYS[key])
+    if not isinstance(cfg.get("params", {}), dict):
+        raise ScenarioError("scenario key 'params' must be an object")
+    for key in ("grid", "params", "solver", "initial", "forcing", "output"):
+        _reject_booleans(cfg.get(key), key)
     return cfg
 
 
@@ -210,8 +236,6 @@ def run_scenario(cfg, reduced=False, outdir="."):
         raise KeyError(cfg["catalog"])
     with _reading("grid"):
         axes = _axes_from_config(cfg["grid"])
-    with _reading("grid/params"):
-        entry = catalog.build_entry(cfg["catalog"], axes, cfg.get("params"))
     with _reading("solver"):
         solver_cfg = cfg["solver"]
         config = SolverConfig(
@@ -220,14 +244,11 @@ def run_scenario(cfg, reduced=False, outdir="."):
             scheme=solver_cfg.get("scheme", "crank_nicolson"),
             nu=float(solver_cfg.get("nu", 0.0)),
         )
-        # the run keeps every state, its energy and its partial norm: refuse
-        # a run that cannot fit in memory
-        need = (config.steps + 1) * (entry.dim + 2) * 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(f"{config.steps} steps of {entry.dim} values, with their energies "
-                             f"and partial norms, need {need:.3g} bytes, more than the "
-                             f"machine's {have:.3g}")
+        _refuse_unstorable(config, point_count(axes))  # every entry has a value per point
+    with _reading("grid/params"):
+        entry = catalog.build_entry(cfg["catalog"], axes, cfg.get("params"))
+    with _reading("solver"):
+        _refuse_unstorable(config, entry.dim)
     with _reading("initial"):
         initial = _block_vector(entry, cfg.get("initial", []), axes)
     forcing = None

@@ -16,12 +16,13 @@ steps goes back to physical states by one inverse FFT.  The step
 matrices and the states are real, so their symbols and coordinates at
 -xi are the conjugates of those at xi: only the wavenumbers up to n/2
 along the last periodic axis, about half, are stepped.  Otherwise the
-step matrix is factored once by the sparse LU.  On the same cut
-solve_reduced takes the same wavenumber step, with the inverse formed
-through the Schur complement onto the range of A; off it, it steps by
-the sparse LU as solve does.  A run whose states or energies stop being
-finite raises StepFailureError, at the end of the block of steps where
-they first do.
+step matrix is factored once by the sparse LU.  solve_reduced is the
+same evolution stepped on the range of A: both run one set-up (the
+gate, the step matrices, the cut), and where A has both a range and a
+kernel on the cut solve_reduced inverts the step matrix through the
+Schur complement onto the range instead.  A run whose states or
+energies stop being finite raises StepFailureError, at the end of the
+block of steps where they first do.
 Every pass over a trajectory's states (the march itself, the energies,
 the dissipation and causality checks and the partial norms) walks one
 block of rows at a time, so none allocates a temporary the size of the
@@ -45,14 +46,13 @@ from .matlaw import (
     MaterialLaw,
     MaterialLawError,
     StepFailureError,
-    WavenumberInverse,
     check_pivots,
     check_wellposed,
-    invert_symbols,
+    guarded_inverses,
     schur_reduce,
     symmetrize,
 )
-from .subspaces import range_kernel_split, shift_cut, subspace_dim
+from .subspaces import range_kernel_split, shift_cut
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
@@ -135,7 +135,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dim)
     energies: np.ndarray
-    scheme: str
     tau: float
     space: object  # SpaceTag of the states, for weighted diagnostics
 
@@ -154,15 +153,6 @@ def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
         left = inv_tau * m0 + half
         right = inv_tau * m0 - half
     return left, right
-
-
-def _require_wellposed(law: MaterialLaw):
-    report = check_wellposed(law)
-    failed = [flag for flag in ("m0_nonneg", "kernel_block_positive")
-              if not getattr(report, flag)]
-    if failed:
-        raise MaterialLawError("material law fails the well-posedness conditions: "
-                               + ", ".join(f"{flag}=False" for flag in failed))
 
 
 class _PhysicalStep:
@@ -192,16 +182,16 @@ class _PhysicalStep:
 
 
 class _WavenumberStep:
-    """The step in the coordinates y = F S u of the inverse's ShiftCut.
+    """The step in the coordinates y = F S u of the cut.
 
-    With H = L^-1 and G = H R per wavenumber, y <- G y + H F S f, the
-    forcing term only when f is given and nonzero; a block of states is
+    With H = L^-1 (inverse) and G = H R per wavenumber, y <- G y + H F S f,
+    the forcing term only when f is given and nonzero; a block of states is
     S^-1 F^-1 applied to their coordinates as columns, in one inverse FFT.
     """
 
-    def __init__(self, inverse: WavenumberInverse, right_symbols):
-        self.cut, self.h = inverse.cut, inverse.inverse
-        self.g = self.h @ right_symbols
+    def __init__(self, cut, inverse, right_symbols):
+        self.cut, self.h = cut, inverse
+        self.g = inverse @ right_symbols
 
     def start(self, u0):
         return self.cut.forward(u0[:, None])
@@ -260,7 +250,32 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Traje
                 k = rows.start + int(np.argmin(finite))
                 raise StepFailureError(f"state or energy not finite at step {k} (t = {times[k]:.6g})")
     return Trajectory(times=times, states=states, energies=energies,
-                      scheme=config.scheme, tau=config.tau, space=problem.space)
+                      tau=config.tau, space=problem.space)
+
+
+def _stepper(problem: EvolutionaryProblem, config: SolverConfig, reduced: bool):
+    """The stepper of solve, or of solve_reduced when reduced, after the gate.
+
+    The two differ only in how they invert the cut step matrix.
+    """
+    report = check_wellposed(problem.law)
+    failed = [flag for flag in ("m0_nonneg", "kernel_block_positive")
+              if not getattr(report, flag)]
+    if failed:
+        raise MaterialLawError("material law fails the well-posedness conditions: "
+                               + ", ".join(f"{flag}=False" for flag in failed))
+    left, right = _step_operators(problem, config)
+    ops = (problem.a, left, right) if reduced else (left, right)
+    cut, symbols = shift_cut(problem.space, problem.grid, *ops)
+    if cut is None:
+        return _PhysicalStep(left, right)
+    l_symbols, r_symbols = symbols[-2:]
+    split = range_kernel_split(cut, symbols[0], problem.space) if reduced else (None,)
+    if None in split:  # nothing to eliminate: invert symbol by symbol
+        inverse = guarded_inverses([l_symbols])[0]
+    else:
+        inverse = schur_reduce(l_symbols, *split)
+    return _WavenumberStep(cut, inverse, r_symbols)
 
 
 def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
@@ -270,13 +285,7 @@ def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     taken wavenumber by wavenumber; otherwise by the sparse LU in
     physical space.
     """
-    _require_wellposed(problem.law)
-    left, right = _step_operators(problem, config)
-    cut, symbols = shift_cut(problem.space, problem.grid, left, right)
-    if cut is None:
-        return _march(problem, config, _PhysicalStep(left, right))
-    l_symbols, r_symbols = symbols
-    return _march(problem, config, _WavenumberStep(invert_symbols(l_symbols, cut), r_symbols))
+    return _march(problem, config, _stepper(problem, config, reduced=False))
 
 
 def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
@@ -381,15 +390,4 @@ def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Traject
     of solve.
     Off such a cut the step is solve's: the sparse LU in physical space.
     """
-    _require_wellposed(problem.law)
-    left, right = _step_operators(problem, config)
-    cut, symbols = shift_cut(problem.space, problem.grid, problem.a, left, right)
-    if cut is None:
-        return _march(problem, config, _PhysicalStep(left, right))
-    a_symbols, l_symbols, r_symbols = symbols
-    p_range, p_kernel = range_kernel_split(cut, a_symbols, problem.space)
-    if subspace_dim(p_kernel) == 0 or subspace_dim(p_range) == 0:
-        inverse = invert_symbols(l_symbols, cut)
-    else:
-        inverse = schur_reduce(l_symbols, p_range, p_kernel)
-    return _march(problem, config, _WavenumberStep(inverse, r_symbols))
+    return _march(problem, config, _stepper(problem, config, reduced=True))

@@ -61,10 +61,6 @@ class Axis:
             )
 
     @staticmethod
-    def dirichlet(n, h):
-        return Axis(n=n, h=h, bc=DIRICHLET)
-
-    @staticmethod
     def torus(n):
         return Axis(n=n, h=1.0 / n, bc=PERIODIC)
 
@@ -317,13 +313,11 @@ def build_stack_derivative(stack: TensorStack) -> MatrixOperator:
     return MatrixOperator(ent, stack.half_tag, stack.half_tag)
 
 
-@lru_cache(maxsize=32)
 def build_stack_skew(stack: TensorStack) -> MatrixOperator:
     """The parent operator [[0, -C*], [C, 0]] on the full tensor stack.
 
     Every catalog system in this package is obtained from this single
     operator by projections (plus unitary relabelings); it is
-    skew-selfadjoint identically, for every grid and max rank.  It is
-    built once per stack and shared (a MatrixOperator is immutable).
+    skew-selfadjoint identically, for every grid and max rank.
     """
     return make_block_skew(build_stack_derivative(stack))

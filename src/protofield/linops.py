@@ -37,7 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-# Relative singular-value cutoff declaring a map "boundedly left-invertible".
+# Relative cutoff below which a singular value or eigenvalue counts as zero:
+# the rank decisions of check_compatibility, weighted_spectrum and range_kernel_split.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -319,11 +320,11 @@ def zero(domain: SpaceTag, codomain: SpaceTag) -> MatrixOperator:
     return MatrixOperator._owning(sp.csr_matrix((codomain.dim, domain.dim)), domain, codomain)
 
 
-def block_diag(ops, name=None) -> MatrixOperator:
+def block_diag(ops) -> MatrixOperator:
     """Direct sum of operators, acting blockwise."""
     ops = list(ops)
-    dom = direct_sum_tags([o.domain for o in ops], name=name)
-    cod = direct_sum_tags([o.codomain for o in ops], name=name)
+    dom = direct_sum_tags([o.domain for o in ops])
+    cod = direct_sum_tags([o.codomain for o in ops])
     ent = block_csr([[o.entries if j == i else None for j in range(len(ops))]
                      for i, o in enumerate(ops)])
     return MatrixOperator._owning(ent, dom, cod)
@@ -459,16 +460,14 @@ class CompatibilityReport:
     In finite dimensions C B* is always everywhere defined, so the dense-
     definedness clause is vacuous; what survives as a usable hypothesis is
     that B* has a bounded left-inverse, i.e. full column rank with a
-    smallest weighted singular value above the cutoff.
+    smallest weighted singular value above DEFAULT_RANK_TOL times the largest.
     """
 
     left_invertible: bool
     smallest_singular_value: float
-    rank_tol: float
 
 
-def check_compatibility(C: MatrixOperator, B: MatrixOperator,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> CompatibilityReport:
+def check_compatibility(C: MatrixOperator, B: MatrixOperator) -> CompatibilityReport:
     """Report whether B (H0 -> X) is compatible with C (H0 -> H1)."""
     if C.domain != B.domain:
         raise TagMismatchError(
@@ -478,12 +477,8 @@ def check_compatibility(C: MatrixOperator, B: MatrixOperator,
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     # B*: X -> H0 must be injective, i.e. no weighted singular value collapses.
-    full_rank = B.codomain.dim <= B.domain.dim and smin > rank_tol * max(smax, 1e-300)
-    return CompatibilityReport(
-        left_invertible=full_rank,
-        smallest_singular_value=smin,
-        rank_tol=rank_tol,
-    )
+    full_rank = B.codomain.dim <= B.domain.dim and smin > DEFAULT_RANK_TOL * max(smax, 1e-300)
+    return CompatibilityReport(left_invertible=full_rank, smallest_singular_value=smin)
 
 
 def make_relative(C: MatrixOperator, B0: MatrixOperator,

@@ -7,13 +7,14 @@ range, and strict positivity of the symmetric part of M1 compressed to the
 kernel of M0; check_wellposed quantifies these blockwise and produces a
 conservative weight threshold from the standard 2x2 block positivity estimate.
 
-Also here: the inverse of a step matrix wavenumber by wavenumber
-(WavenumberInverse), either symbol by symbol or through the Schur
-complement onto the range of a skew operator with the reconstruction of
-the eliminated kernel component.  Both invert a stack of symbols at once
-(guarded_inverses) under one condition guard, kappa_1 of all the blocks
-taken together; the sparse LU of a step matrix is guarded by its pivot
-ratio (check_pivots), against the same CONDITION_LIMIT.
+Also here: the inverses of the symbols of a step matrix, one (m, m)
+block per wavenumber of its cut, either symbol by symbol
+(guarded_inverses) or through the Schur complement onto the range of a
+skew operator with the reconstruction of the eliminated kernel component
+(schur_reduce).  Both invert a stack of symbols at once under one
+condition guard, kappa_1 of all the blocks taken together; the sparse LU
+of a step matrix is guarded by its pivot ratio (check_pivots), against
+the same CONDITION_LIMIT.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class StepFailureError(RuntimeError):
 # Largest condition estimate of a step matrix still accepted as nonsingular:
 # the pivot ratio of its sparse LU, or kappa_1 of its symbols.
 CONDITION_LIMIT = 1e15
+# check_wellposed: a block constant must exceed it, an eigenvalue of M0 not fall below -it.
+POSITIVITY_TOL = 1e-12
 
 
 def check_pivots(pivots):
@@ -136,8 +139,7 @@ class WellposednessReport:
         return self.m0_nonneg and self.kernel_block_positive
 
 
-def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
-                    rank_tol: float = 1e-10) -> WellposednessReport:
+def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
     """Verify the structural sufficient conditions for a solvable law.
 
     M0 (selfadjoint, as MaterialLaw checks) must be nonnegative with a
@@ -147,9 +149,9 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
     non-sharp) weight beyond which nu*M0 + sym(M1) stays positive definite
     despite the off-diagonal coupling of sym(M1) between the two blocks.
     """
-    cutoff, groups = weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1), rank_tol=rank_tol)
+    cutoff, groups = weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1))
     vals = np.concatenate([g[1].ravel() for g in groups])
-    m0_nonneg = bool(vals.min() >= -max(tol, cutoff))
+    m0_nonneg = bool(vals.min() >= -max(POSITIVITY_TOL, cutoff))
     c_r = float(vals[vals > cutoff].min(initial=np.inf))
 
     # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first
@@ -161,7 +163,7 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
             c_k = min(c_k, float(np.linalg.eigvalsh(s_k[:, :k, :k]).min()))
             if k < s.shape[1]:
                 coupling = max(coupling, np.linalg.norm(s_k[:, k:, :k], 2, axis=(1, 2)).max())
-    kernel_block_positive = c_k > tol
+    kernel_block_positive = c_k > POSITIVITY_TOL
 
     parts = [c for c in (c_r, c_k) if np.isfinite(c)]
     c0 = float(min(parts)) if parts else 0.0
@@ -181,25 +183,7 @@ def check_wellposed(mlaw: MaterialLaw, tol: float = 1e-12,
     )
 
 
-@dataclass(frozen=True)
-class WavenumberInverse:
-    """S^-1 in the coordinates y = F S x of a ShiftCut, one block per wavenumber.
-
-    inverse[xi] (N, m, m) maps the coordinates of f at wavenumber xi to
-    those of S^-1 f, for the N wavenumbers the cut keeps: S is real, so
-    the block at -xi is the conjugate of the one at xi and is not stored.
-    """
-
-    cut: object
-    inverse: np.ndarray
-
-
-def invert_symbols(symbols, cut) -> WavenumberInverse:
-    """S^-1 from the symbols of S on `cut`, by guarded_inverses."""
-    return WavenumberInverse(cut, guarded_inverses([symbols])[0])
-
-
-def schur_reduce(symbols, p_range, p_kernel) -> WavenumberInverse:
+def schur_reduce(symbols, p_range, p_kernel) -> np.ndarray:
     """S^-1 through the Schur complement on the range, wavenumber by wavenumber.
 
     p_range and p_kernel are the WavenumberPairs of one range_kernel_split,
@@ -211,13 +195,13 @@ def schur_reduce(symbols, p_range, p_kernel) -> WavenumberInverse:
     Schur complement R = S_rr - S_rk S_kk^-1 S_kr,
         z_r = R^-1 (f_r - S_rk S_kk^-1 f_k),
     and the kernel part is reconstructed as z_k = S_kk^-1 (f_k - S_kr z_r);
-    the inverse kept is the map f -> u_r z_r + u_k z_k.  S_kk and then the
+    the inverse returned, (N, m, m) like symbols, is the map
+    f -> u_r z_r + u_k z_k at each wavenumber.  S_kk and then the
     Schur complements are inverted once, each under one guarded_inverses.
     Raises MaterialLawError when a kernel block is singular, i.e. when the
     strict positivity required of the reduced law fails, and
     StepFailureError when a Schur complement is.
     """
-    cut = p_range.cut
     groups = []  # (index, u_r, u_k, pi_r, pi_k, s_rr, s_rk, s_kr, s_kk)
     for (index, u_r), (_, u_k) in zip(p_range.groups, p_kernel.groups):
         r, u = u_r.shape[2], np.concatenate([u_r, u_k], axis=2)
@@ -239,5 +223,5 @@ def schur_reduce(symbols, p_range, p_kernel) -> WavenumberInverse:
             groups, kk_invs, schur_invs):
         inverse[index] = ((u_r - u_k @ kk_inv @ s_kr) @ schur_inv @ (pi_r - s_rk @ kk_inv @ pi_k)
                           + u_k @ kk_inv @ pi_k)
-    return WavenumberInverse(cut, inverse)
+    return inverse
 

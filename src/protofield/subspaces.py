@@ -40,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linops import (
+    DEFAULT_RANK_TOL,
     MatrixOperator,
     SpaceTag,
     TagMismatchError,
@@ -507,13 +508,13 @@ def shift_cut(space: SpaceTag, grid, *ops: MatrixOperator):
     return (None, None) if symbols is None else (cut, symbols)
 
 
-def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag, rank_tol: float = 1e-10):
+def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag):
     """Split H into the range of A and its orthogonal complement, wavenumber by wavenumber.
 
     symbols are A's on `cut` (from shift_cut, which a reduced solve gives A
     and the step matrices together).  One batched SVD of them gives per
     wavenumber a unitary basis: singular values above
-    rank_tol * max(singular value) span the range, the others the kernel.
+    DEFAULT_RANK_TOL * max(singular value) span the range, the others the kernel.
 
     Returns (range_pair, kernel_pair), WavenumberPairs grouped by kernel
     count, or None for an empty subspace.  For skew A the two subspaces
@@ -521,10 +522,6 @@ def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag, rank_tol: float
     range is again skew-selfadjoint.
     """
     u, svals = np.linalg.svd(symbols)[:2]  # the caller holds symbols: drop vh at once
-    kernel_dims = np.count_nonzero(svals <= rank_tol * max(svals.max(), 1e-300), axis=1)
+    kernel_dims = np.count_nonzero(svals <= DEFAULT_RANK_TOL * max(svals.max(), 1e-300), axis=1)
     return range_kernel_pairs(cut, u, kernel_dims, domain)
 
-
-def subspace_dim(pair) -> int:
-    """Dimension of the subspace a pair projects onto (0 for the empty marker)."""
-    return 0 if pair is None else pair.codomain.dim

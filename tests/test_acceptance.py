@@ -102,7 +102,7 @@ class TestCriterion10Convergence:
         errs = []
         for n in (15, 31, 63):
             h = 1.0 / (2 * n + 1)
-            entry = catalog.acoustics((Axis.dirichlet(n, h),))
+            entry = catalog.acoustics((Axis(n, h),))
             y = (n - np.arange(n)) * h
             u0 = np.concatenate([np.sin(np.pi * y), np.zeros(n)])
             steps = int(round(1.3 / h))

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -70,6 +71,16 @@ BAD_INPUTS = {
     "unknown_nested_key": (lambda c: c["solver"].update(sheme="x"), "solver.sheme"),
     "snapshot_after_the_run": (lambda c: c["output"].update(snapshots=[7.0]), "snapshots"),
     "snapshot_before_the_run": (lambda c: c["output"].update(snapshots=[-0.1]), "snapshots"),
+    "params_null": (lambda c: c.update(params=None), "params"),
+    "params_a_list": (lambda c: c.update(params=[]), "params"),
+    "params_zero": (lambda c: c.update(params=0), "params"),
+    "tau_true": (lambda c: c["solver"].update(tau=True), "solver.tau"),
+    "length_true": (lambda c: c["grid"][0].update(length=True), "grid[0].length"),
+    "mode_true": (lambda c: c["initial"][0].update(mode=True), "initial[0].mode"),
+    "amplitude_true": (lambda c: c["initial"][0].update(amplitude=True),
+                       "initial[0].amplitude"),
+    "param_true": (lambda c: c["params"].update(rho=True), "params.rho"),
+    "snapshot_false": (lambda c: c["output"].update(snapshots=[False]), "output.snapshots[0]"),
 }
 
 
@@ -221,6 +232,39 @@ class TestSolveCommand:
         assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_PARSE_ERROR
         err = capsys.readouterr().err
         assert "'solver'" in err and "bytes" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_grid_too_large_to_build_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 1e11 points, each with at least one value, refused before the entry
+        # is built: building it would allocate 745 GiB
+        def unreachable(*args):
+            raise AssertionError("the entry was built before the run was refused")
+
+        monkeypatch.setattr(cli.catalog, "build_entry", unreachable)
+        cfg = copy.deepcopy(BASIC)
+        cfg["grid"][0]["n"] = 100_000_000_000
+        p = write_scenario(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = cli.main(["solve", str(p), "--outdir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert "'solver'" in err and "bytes" in err and "Traceback" not in err
+        assert peak < 2**20, peak
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_memory_error_while_building_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli.catalog, "build_entry", exhausted)
+        p = write_scenario(tmp_path, BASIC)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert "'grid/params'" in err and "745" in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("memory, code", [(31 * 26 * 8 - 1, cli.EXIT_PARSE_ERROR),

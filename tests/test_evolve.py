@@ -279,6 +279,24 @@ class TestSolveReduced:
         red = solve_reduced(prob, cfg)
         assert np.abs(full.states - red.states).max() <= 1e-13
 
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    def test_a_invertible_at_every_wavenumber_steps_bitwise_as_solve(self, scheme,
+                                                                      monkeypatch):
+        # Dirac's A has no kernel on a 4^3 torus: there is nothing to
+        # eliminate, and the reduced run inverts the symbols solve inverts
+        def unreachable(*args):
+            raise AssertionError("schur_reduce called for an A with no kernel")
+
+        monkeypatch.setattr(evolve, "schur_reduce", unreachable)
+        entry = catalog.dirac((Axis.torus(4),) * 3)
+        pulse = np.random.default_rng(22).standard_normal(entry.dim)
+        problem = entry.problem(initial=np.random.default_rng(21).standard_normal(entry.dim),
+                                forcing=lambda t: np.sin(5.0 * t) * pulse)
+        cfg = SolverConfig(tau=0.01, t_end=0.2, scheme=scheme)
+        full, red = solve(problem, cfg), solve_reduced(problem, cfg)
+        assert np.array_equal(full.states, red.states)
+        assert np.array_equal(full.energies, red.energies)
+
     def test_heat_with_kernel(self):
         entry = catalog.heat((Axis.torus(8),))
         rng = np.random.default_rng(4)
@@ -526,15 +544,14 @@ class TestWavenumberStep:
         cfg = SolverConfig(tau=0.01, t_end=0.2)
         reference = solve(physical(problem), cfg)
         assert relative_gap(solve(problem, cfg), reference) <= 1e-12
-        invert = evolve.invert_symbols
+        guarded = evolve.guarded_inverses
 
-        def perturbed(S, cut):
-            exact = invert(S, cut)
-            inverse = exact.inverse.copy()
-            inverse[1] *= 1.0 + 1e-8
-            return replace(exact, inverse=inverse)
+        def perturbed(stacks):
+            inverses = guarded(stacks)
+            inverses[0][1] *= 1.0 + 1e-8
+            return inverses
 
-        monkeypatch.setattr(evolve, "invert_symbols", perturbed)
+        monkeypatch.setattr(evolve, "guarded_inverses", perturbed)
         assert relative_gap(solve(problem, cfg), reference) > 1e-12
 
     def test_near_singular_symbol_rejected(self):

@@ -319,7 +319,7 @@ class TestStepMatrix:
         # 3-point rod, unit spacing: implicit Euler S = [[rho/tau, div], [grad0, sigma]]
         # against M0/tau; Crank-Nicolson M0/tau +- (M1 + A)/2
         n, tau = 3, 0.1
-        d = build_d1(Axis.dirichlet(3, 1.0)).to_dense()
+        d = build_d1(Axis(3, 1.0)).to_dense()
         t = SpaceTag("h", 2 * n)
         a = np.zeros((2 * n, 2 * n))
         a[:n, n:] = -d.T
@@ -359,24 +359,23 @@ class TestStepMatrix:
             SolverConfig(tau=0.0, t_end=1.0)
 
 
-def complements(solver, p_range):
+def complements(inverse, p_range):
     """The Schur complements per group, read back from the inverse: in the
     unitary basis the range block of S^-1 is the inverse of the complement."""
-    return [np.linalg.inv(basis.conj().transpose(0, 2, 1) @ solver.inverse[index] @ basis)
+    return [np.linalg.inv(basis.conj().transpose(0, 2, 1) @ inverse[index] @ basis)
             for index, basis in p_range.groups]
 
 
-def solve_with(solver, rhs):
-    """x = S^-1 rhs through the solver's inverse, one block per wavenumber."""
-    cut = solver.cut
-    return cut.inverse(solver.inverse @ cut.forward(np.asarray(rhs, dtype=float)[:, None]))[:, 0]
+def solve_with(inverse, cut, rhs):
+    """x = S^-1 rhs through the inverse on the cut, one block per wavenumber."""
+    return cut.inverse(inverse @ cut.forward(np.asarray(rhs, dtype=float)[:, None]))[:, 0]
 
 
 class TestSchur:
     def reduce(self, m, k):
         """schur_reduce of S = m at each point of a 2-point ring (m kron I_2), with
         the first n-k components as the 'range' and the last k as the 'kernel'
-        at both wavenumbers; returns the solver, the range pair and S."""
+        at both wavenumbers; returns the inverse, the range pair and S."""
         n = len(m)
         t = SpaceTag("h", 2 * n)
         S = MatrixOperator(np.kron(m, np.eye(2)), t, t)
@@ -385,20 +384,20 @@ class TestSchur:
         return schur_reduce(symbols, pr, pk), pr, S
 
     def test_hand_2x2(self):
-        solver, pr, _ = self.reduce(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
-        assert complements(solver, pr)[0][:, 0, 0] == pytest.approx([1.5, 1.5])
+        inverse, pr, _ = self.reduce(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
+        assert complements(inverse, pr)[0][:, 0, 0] == pytest.approx([1.5, 1.5])
         # reconstruction at each point: x_k = (f_k - x_r) / 2
         f = np.array([0.0, 0.0, 3.0, 1.0])
-        x = solve_with(solver, f)
+        x = solve_with(inverse, pr.cut, f)
         assert x[2:] == pytest.approx((f[2:] - x[:2]) / 2.0)
 
     def test_block_diagonal(self):
         m = np.zeros((4, 4))
         m[:2, :2] = [[2.0, 0.3], [0.3, 2.0]]
         m[2:, 2:] = [[4.0, 0.0], [0.0, 5.0]]
-        solver, pr, _ = self.reduce(m, 2)
-        assert np.allclose(complements(solver, pr)[0], m[:2, :2], atol=1e-15)
-        x = solve_with(solver, np.repeat([0.0, 0.0, 4.0, 10.0], 2))
+        inverse, pr, _ = self.reduce(m, 2)
+        assert np.allclose(complements(inverse, pr)[0], m[:2, :2], atol=1e-15)
+        x = solve_with(inverse, pr.cut, np.repeat([0.0, 0.0, 4.0, 10.0], 2))
         assert np.allclose(x, np.repeat([0.0, 0.0, 1.0, 2.0], 2))
 
     def test_full_solve_equals_reduce_reconstruct(self):
@@ -409,18 +408,18 @@ class TestSchur:
             m = rng.standard_normal((n, n))
             S_ent = m @ m.T + 0.5 * np.eye(n)       # symmetric positive definite
             skew = rng.standard_normal((n, n))
-            solver, _, S = self.reduce(S_ent + (skew - skew.T), k)
+            inverse, pr, S = self.reduce(S_ent + (skew - skew.T), k)
             rhs = rng.standard_normal(2 * n)
             x_full = np.linalg.solve(S.to_dense(), rhs)
-            x_rec = solve_with(solver, rhs)
+            x_rec = solve_with(inverse, pr.cut, rhs)
             assert np.abs(x_full - x_rec).max() <= 1e-12 * max(np.abs(x_full).max(), 1.0)
 
     def test_positivity_persists_without_coupling(self):
         m = np.zeros((4, 4))
         m[:2, :2] = 3.0 * np.eye(2)
         m[2:, 2:] = 2.0 * np.eye(2)
-        solver, pr, _ = self.reduce(m, 2)
-        reduced = complements(solver, pr)[0]
+        inverse, pr, _ = self.reduce(m, 2)
+        reduced = complements(inverse, pr)[0]
         assert np.linalg.eigvalsh(reduced).min() >= 3.0 - 1e-12
 
     def test_positivity_with_coupling_on_catalog_step(self):
