@@ -29,7 +29,8 @@ Scenario files are JSON objects:
 The name is the stem of both output files and must be a plain file stem
 (letters, digits, '_', '-', '.'; starting with a letter or digit).  The
 keys above, and "center" and "width" of a gauss profile, are the only ones
-allowed; "params" must be an object, and no key takes true or false.
+allowed; "params" must be an object, no key takes true or false, and a key
+read as a number (every params value too) takes no string or null.
 The run takes round(t_end / tau) >= 1 steps; snapshots must lie in
 [0, last step time].
 
@@ -80,6 +81,7 @@ SCENARIO_KEYS = {  # per object; "" is the top level, grid and initial are lists
     "forcing": PROFILE_KEYS | {"onset"},
     "output": {"snapshots"},
 }
+NUMBER_KEYS = {"length", "tau", "t_end", "nu", "amplitude", "width", "center", "onset", "snapshots"}
 
 
 class ScenarioError(ValueError):
@@ -109,13 +111,15 @@ def _check_keys(obj, path, allowed):
         raise ScenarioError(f"unknown scenario key {key!r}")
 
 
-def _reject_booleans(value, path):
-    """No scenario key takes true or false: a ScenarioError names one that does."""
-    if isinstance(value, bool):
+def _check_values(value, path, number=False):
+    """No scenario key takes true or false, and a key read as a number (NUMBER_KEYS, every
+    params value) only numbers or lists of them: a ScenarioError names one that does not."""
+    if isinstance(value, bool) or number and not isinstance(value, (int, float, list)):
         raise ScenarioError(f"scenario key {path!r} must not be {json.dumps(value)}")
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _reject_booleans(item, f"{path}[{key}]" if isinstance(value, list) else f"{path}.{key}")
+            _check_values(item, f"{path}[{key}]" if isinstance(value, list) else f"{path}.{key}",
+                          number or key in NUMBER_KEYS or path == "params")
 
 
 def _refuse_unstorable(config, values):
@@ -225,7 +229,7 @@ def load_scenario(path):
     if not isinstance(cfg.get("params", {}), dict):
         raise ScenarioError("scenario key 'params' must be an object")
     for key in ("grid", "params", "solver", "initial", "forcing", "output"):
-        _reject_booleans(cfg.get(key), key)
+        _check_values(cfg.get(key), key)
     return cfg
 
 

@@ -16,7 +16,9 @@ steps goes back to physical states by one inverse FFT.  The step
 matrices and the states are real, so their symbols and coordinates at
 -xi are the conjugates of those at xi: only the wavenumbers up to n/2
 along the last periodic axis, about half, are stepped.  Otherwise the
-step matrix is factored once by the sparse LU.  solve_reduced is the
+step matrix is factored once by the sparse LU.  Either way a step matrix
+whose condition kappa_1 (exact on the symbols, estimated on the LU;
+see matlaw) exceeds 1e15 raises StepFailureError.  solve_reduced is the
 same evolution stepped on the range of A: both run one set-up (the
 gate, the step matrices, the cut), and where A has both a range and a
 kernel on the cut solve_reduced inverts the step matrix through the
@@ -39,16 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .linops import MatrixOperator, PreconditionError, skew_defect
 from .matlaw import (
     MaterialLaw,
     MaterialLawError,
     StepFailureError,
-    check_pivots,
     check_wellposed,
     guarded_inverses,
+    guarded_lu,
     schur_reduce,
     symmetrize,
 )
@@ -156,19 +157,10 @@ def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
 
 
 class _PhysicalStep:
-    """u <- L^-1 (R u + f) by the sparse LU of L, factored once.
-
-    Rejects a singular or numerically singular L (check_pivots on the
-    diagonal of U) with StepFailureError.
-    """
+    """u <- L^-1 (R u + f) by the sparse LU of L, factored once by guarded_lu."""
 
     def __init__(self, left: MatrixOperator, right: MatrixOperator):
-        try:
-            lu = spla.splu(left.entries.tocsc())
-        except RuntimeError as exc:
-            raise StepFailureError(f"singular step matrix: {exc}") from exc
-        check_pivots(lu.U.diagonal())
-        self.lu_solve, self.right = lu.solve, right
+        self.lu_solve, self.right = guarded_lu(left.entries).solve, right
 
     def start(self, u0):
         return u0

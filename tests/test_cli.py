@@ -81,6 +81,16 @@ BAD_INPUTS = {
                        "initial[0].amplitude"),
     "param_true": (lambda c: c["params"].update(rho=True), "params.rho"),
     "snapshot_false": (lambda c: c["output"].update(snapshots=[False]), "output.snapshots[0]"),
+    # a number key takes no string, not even one that float() reads, and no null
+    "length_string": (lambda c: c["grid"][0].update(length="1.0"), "grid[0].length"),
+    "rho_string": (lambda c: c["params"].update(rho="1.0"), "params.rho"),
+    "tau_string": (lambda c: c["solver"].update(tau="0.01"), "solver.tau"),
+    "amplitude_string": (lambda c: c["initial"][0].update(amplitude="1.0"),
+                         "initial[0].amplitude"),
+    "snapshot_string": (lambda c: c["output"].update(snapshots=["0.3"]), "output.snapshots[0]"),
+    "nu_null": (lambda c: c["solver"].update(nu=None), "solver.nu"),
+    "width_null": (lambda c: c["initial"][0].update(profile="gauss", width=None),
+                   "initial[0].width"),
 }
 
 

@@ -111,7 +111,7 @@ class TestSolve:
     @pytest.mark.parametrize("runner", [solve, solve_reduced])
     def test_near_singular_step_matrix_rejected(self, runner):
         # the law passes the gate (sym M1 = 1e-11 > 1e-12 on ker M0), but the
-        # step matrix diag(1/tau, 5e-12, 1/tau) has pivot ratio 2e15; the
+        # step matrix diag(1/tau, 5e-12, 1/tau) has kappa_1 2e15; the
         # tiny rotation gives A a one-dimensional kernel to reduce over
         t = SpaceTag("h", 3)
         rot = 1e-20 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -558,10 +558,16 @@ class TestWavenumberStep:
         # sigma = 1.5e-12 passes the gate (> 1e-12), but the CN symbol at
         # wavenumber 0 is diag(1/tau, sigma/2): ||S^-1||_1 = 1 / 7.5e-13;
         # ||S||_1 = 1/tau + 8 at the wavenumber pi / h, where the halved
-        # gradient symbol reaches 1 / h = 8, so kappa_1 = 1008 / 7.5e-13
+        # gradient symbol reaches 1 / h = 8, so kappa_1 = 1008 / 7.5e-13.
+        # The sparse LU of the same step matrix, with no grid to cut, gets
+        # the same verdict and estimate.  solve_reduced on the torus guards
+        # the kernel block and the Schur complement instead
         entry = catalog.heat((Axis.torus(8),), sigma=1.5e-12)
-        with pytest.raises(StepFailureError, match=r"condition estimate 1\.344e\+15"):
-            solve(entry.problem(initial=np.ones(entry.dim)), SolverConfig(tau=1e-3, t_end=1e-2))
+        problem = entry.problem(initial=np.ones(entry.dim))
+        for runner, p in ((solve, problem), (solve, physical(problem)),
+                          (solve_reduced, physical(problem))):
+            with pytest.raises(StepFailureError, match=r"condition estimate 1\.344e\+15"):
+                runner(p, SolverConfig(tau=1e-3, t_end=1e-2))
 
     def test_time_budget_on_a_16_cube(self):
         # the sparse LU of this step matrix alone takes 8-10 s

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from protofield.evolve import (
     CRANK_NICOLSON,
@@ -21,10 +22,11 @@ from protofield.matlaw import (
     StepFailureError,
     check_wellposed,
     guarded_inverses,
+    guarded_lu,
     schur_reduce,
     symmetrize,
 )
-from protofield import catalog
+from protofield import catalog, matlaw
 from protofield.subspaces import range_kernel_pairs, range_kernel_split, shift_cut
 
 
@@ -263,8 +265,41 @@ class TestBlockwiseFunctions:
         assert np.abs(si.toarray() - si_ref).max() <= 1e-12 * np.abs(si_ref).max()
 
 
+@pytest.fixture
+def lu_guard(monkeypatch):
+    """guarded_lu as a function of a matrix returning the kappa_1 it checks
+    and the number of solves it takes, through a wrapped factor."""
+    seen = {}
+    splu, check = matlaw.spla.splu, matlaw._check_condition
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu, seen["solves"] = lu, 0
+
+        def solve(self, b, trans="N"):
+            seen["solves"] += 1
+            return self.lu.solve(b, trans)
+
+    monkeypatch.setattr(matlaw.spla, "splu", lambda matrix: Counted(splu(matrix)))
+    monkeypatch.setattr(matlaw, "_check_condition",
+                        lambda estimate: (seen.update(kappa=estimate), check(estimate)))
+
+    def run(matrix):
+        seen.clear()
+        guarded_lu(sp.csr_matrix(matrix))
+        return seen["kappa"], seen["solves"]
+
+    return run
+
+
+def exact_kappa(matrix):
+    dense = matrix.toarray()
+    return np.abs(dense).sum(axis=0).max() * np.abs(np.linalg.inv(dense)).sum(axis=0).max()
+
+
 class TestConditionGuard:
-    """guarded_inverses: one batched inverse, guarded by kappa_1 of all blocks together."""
+    """guarded_inverses: one batched inverse, guarded by kappa_1 of all blocks together;
+    guarded_lu: the sparse LU, guarded by kappa_1 with Hager's estimate of ||S^-1||_1."""
 
     def test_inverses_and_an_empty_stack(self):
         rng = np.random.default_rng(16)
@@ -298,6 +333,39 @@ class TestConditionGuard:
         with pytest.raises(StepFailureError, match="condition estimate 1.000e\\+16"):
             guarded_inverses([np.array([1e8 * np.eye(2)]), np.array([1e-8 * np.eye(3)])])
         guarded_inverses([np.array([1e7 * np.eye(2)]), np.array([1e-7 * np.eye(3)])])
+
+    @pytest.mark.parametrize("name", sorted(catalog.REGISTRY))
+    def test_lu_estimate_on_every_desk_step_matrix(self, name, lu_guard):
+        # within [1/2, 1] of the exact kappa_1, from at most three iterations
+        entry = catalog.build_entry(name)
+        for scheme in (CRANK_NICOLSON, IMPLICIT_EULER):
+            for tau in (1e-2, 1e-4):
+                left, _ = step_pair(entry.law, entry.a, tau, scheme)
+                kappa, solves = lu_guard(left.entries)
+                exact = exact_kappa(left.entries)
+                assert 0.5 * exact <= kappa <= (1 + 1e-10) * exact, (scheme, tau)
+                assert solves <= 6
+
+    def test_lu_kappa_at_and_just_above_the_limit(self, lu_guard):
+        # as for the symbols: diag(c, 1) has kappa_1 = c, and the estimate is exact
+        assert lu_guard(np.diag([CONDITION_LIMIT, 1.0])) == (CONDITION_LIMIT, 4)
+        above = np.nextafter(CONDITION_LIMIT, np.inf)
+        with pytest.raises(StepFailureError, match="condition estimate 1.000e\\+15"):
+            guarded_lu(sp.csr_matrix(np.diag([above, 1.0])))
+
+    @pytest.mark.parametrize("matrix", [np.diag([1.0, 0.0, 1.0]), [[1.0, 2.0], [2.0, 4.0]]],
+                             ids=["zero_pivot", "dependent_rows"])
+    def test_lu_of_an_exactly_singular_matrix(self, matrix):
+        with pytest.raises(StepFailureError, match="singular"):
+            guarded_lu(sp.csr_matrix(matrix))
+
+    @pytest.mark.parametrize("at", [(1, 1), (1, 2)], ids=["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lu_of_a_non_finite_matrix(self, bad, at):
+        matrix = np.eye(4)
+        matrix[at] = bad
+        with pytest.raises(StepFailureError, match="singular"):
+            guarded_lu(sp.csr_matrix(matrix))
 
 
 def step_pair(mlaw, A, tau, scheme=IMPLICIT_EULER):
