@@ -49,10 +49,11 @@ from .flatgrid import (
     Axis,
     DIRICHLET,
     PERIODIC,
-    GridBlockSpace,
     TensorFieldSpace,
+    _axes_name,
     build_d1,
     build_nabla,
+    fields_tag,
     point_count,
     point_derivative,
 )
@@ -329,13 +330,10 @@ def _ext_blocks(axes):
     return _layout(axes, ("f3", 1), ("f1", 3), ("f0", 1), ("f2", 3))
 
 
-def _ext_space(axes, blocks, name):
-    """One component label per scalar block, three (f10, f11, f12) per vector block."""
-    labels = []
-    for lab, size in blocks:
-        k = size // point_count(axes)
-        labels.extend([f"{lab}{i}" if k > 1 else lab for i in range(k)])
-    return GridBlockSpace(tuple(axes), tuple(labels), name)
+def _blocks_tag(axes, blocks, name):
+    """The tag of a layout's fields over axes: as many per point as its blocks hold."""
+    return fields_tag(axes, sum(size for _, size in blocks) // point_count(axes),
+                      f"{name}[{_axes_name(axes)}]")
 
 
 def _ext_parts_raw(axes, P):
@@ -376,15 +374,14 @@ def extended_maxwell(axes, m0=None) -> CatalogEntry:
     """
     axes = tuple(axes)
     blocks = _ext_blocks(axes)
-    space = _ext_space(axes, blocks, "extfield")
+    tag = _blocks_tag(axes, blocks, "extfield")
     curl_part, graddiv_part = _ext_parts_raw(axes, _partials(axes))
     if m0 is None:
         curl_c, graddiv_c = curl_part, graddiv_part
     else:
-        s, si = _sqrt_and_inv("m0", m0, space.dim)
+        s, si = _sqrt_and_inv("m0", m0, tag.dim)
         curl_c = si @ (curl_part @ si)
         graddiv_c = s @ (graddiv_part @ s)
-    tag = space.tag
     a = MatrixOperator._owning(curl_c + graddiv_c, tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     return CatalogEntry(
@@ -412,7 +409,7 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
     blocks = tuple((label, size) for label, size in parent.blocks if label != "f0")
     sl = parent.block_slices()
     keep = np.r_[tuple(sl[label] for label, _ in blocks)]
-    tag = _ext_space(axes, blocks, "extfield_reduced").tag
+    tag = _blocks_tag(axes, blocks, "extfield_reduced")
     a = MatrixOperator(parent.a.entries[keep][:, keep], tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     return CatalogEntry(
@@ -457,7 +454,8 @@ def dirac(axes) -> CatalogEntry:
         raise ValueError("the Dirac system needs a fully periodic 3-d grid")
     W = _dirac_w(axes)
     labels = ("psi_re1", "psi_im1", "psi_re2", "psi_im2", "phi_re1", "phi_im1", "phi_re2", "phi_im2")
-    tag = GridBlockSpace(axes, tuple(f"psi{i}" for i in range(8)), "dirac8").tag
+    blocks = _layout(axes, *((label, 1) for label in labels))
+    tag = _blocks_tag(axes, blocks, "dirac8")
     # W maps the four psi components, as a whole, onto the four phi components
     halves = _layout(axes, ("psi", 4), ("phi", 4))
     a = MatrixOperator._owning(_assemble(halves, {("psi", "phi"): -W.T, ("phi", "psi"): W}),
@@ -468,7 +466,7 @@ def dirac(axes) -> CatalogEntry:
         grid=axes,
         law=law,
         a=a,
-        blocks=_layout(axes, *((label, 1) for label in labels)),
+        blocks=blocks,
         provenance=(
             "extended scalar/vector system in the skew-stencil (free-space) discretization",
             "add the chiral constant zero-order term",

@@ -7,7 +7,9 @@ ordered lexicographically by multi-index and points in C order over the
 axes.  The derivative prepends its direction as the outermost component
 slot, so nabla maps rank k to rank k+1.  In this layout every pointwise map
 (the derivative's component blocks, subspace coordinates, torus averages)
-is sp.kron(component map, point map).
+is sp.kron(component map, point map).  The tag of any set of fields over a
+grid, tensor or not, has one home, fields_tag: every point is weighted by
+the cell volume.
 
 Forward differences with a zero ghost value (or periodic wraparound)
 realize the compactly-supported derivative; the divergence is defined as
@@ -90,24 +92,16 @@ def _axes_name(axes):
     return "x".join(f"{a.n}{'p' if a.bc == PERIODIC else 'd'}(h={a.h:.6g})" for a in axes)
 
 
-class _GridFields:
-    """ncomp component fields over the points of axes, stored component-major."""
-
-    @property
-    def npoints(self):
-        return point_count(self.axes)
-
-    @property
-    def dim(self):
-        return self.npoints * self.ncomp
-
-    @property
-    def volume_weight(self):
-        return float(reduce(lambda acc, a: acc * a.h, self.axes, 1.0))
+def fields_tag(axes, ncomp, name):
+    """The tag of ncomp fields over the points of axes, each point weighted
+    by the cell volume (the product of the spacings): the one home of the
+    weight rule of grid fields."""
+    dim = ncomp * point_count(axes)
+    return SpaceTag(name, dim, np.full(dim, float(reduce(lambda acc, a: acc * a.h, axes, 1.0))))
 
 
 @dataclass(frozen=True)
-class TensorFieldSpace(_GridFields):
+class TensorFieldSpace:
     """Discretized rank-k covariant tensor fields over a flat grid."""
 
     axes: tuple
@@ -129,9 +123,21 @@ class TensorFieldSpace(_GridFields):
         return self.ndim ** self.rank
 
     @property
+    def npoints(self):
+        return point_count(self.axes)
+
+    @property
+    def dim(self):
+        return self.npoints * self.ncomp
+
+    @property
+    def volume_weight(self):
+        """The weight fields_tag gives every point: the cell volume."""
+        return float(self.tag.weight[0])
+
+    @property
     def tag(self):
-        name = f"grid[{_axes_name(self.axes)}]rank{self.rank}"
-        return SpaceTag(name, self.dim, np.full(self.dim, self.volume_weight))
+        return fields_tag(self.axes, self.ncomp, f"grid[{_axes_name(self.axes)}]rank{self.rank}")
 
     def component_index(self, alpha):
         """Flat component index of a multi-index (outermost slot first)."""
@@ -158,35 +164,6 @@ class TensorFieldSpace(_GridFields):
         return TensorFieldSpace(self.axes, rank)
 
 
-@dataclass(frozen=True)
-class GridBlockSpace(_GridFields):
-    """A labeled stack of same-grid component fields (non-tensorial layouts).
-
-    Used for reduced component sets such as the (anti)symmetric rank-2
-    coordinates or the scalar/vector stacks of the extended field systems.
-    """
-
-    axes: tuple
-    labels: tuple
-    name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def ncomp(self):
-        return len(self.labels)
-
-    @property
-    def tag(self):
-        return SpaceTag(
-            f"{self.name}[{_axes_name(self.axes)}]",
-            self.dim,
-            np.full(self.dim, self.volume_weight),
-        )
-
-
 def build_d1(axis: Axis) -> MatrixOperator:
     """1-d forward difference (u_{i+1} - u_i)/h with ghost u_n = 0 or wraparound."""
     n, h = axis.n, axis.h
@@ -199,7 +176,7 @@ def build_d1(axis: Axis) -> MatrixOperator:
          (np.concatenate([rows, fwd]), np.concatenate([rows, (fwd + 1) % n]))),
         shape=(n, n),
     )
-    tag = SpaceTag(f"axis[{axis.n}{axis.bc[0]}(h={axis.h:.6g})]", n, np.full(n, h))
+    tag = fields_tag((axis,), 1, f"axis[{axis.n}{axis.bc[0]}(h={axis.h:.6g})]")
     return MatrixOperator(D, tag, tag)
 
 
@@ -280,22 +257,15 @@ class TensorStack:
     def tag(self):
         return direct_sum_tags([self.half_tag, self.half_tag])
 
-    def rank_offsets(self):
-        offs, pos = [], 0
-        for s in self.spaces:
-            offs.append(pos)
-            pos += s.dim
-        return offs
-
     def block_slice(self, copy, rank):
         """Flat slice of one (copy, rank) block; copy is 0 or 1."""
         if copy not in (0, 1):
             raise ValueError("copy must be 0 or 1")
         if not 0 <= rank <= self.max_rank:
             raise ValueError(f"rank {rank} outside 0..{self.max_rank}")
-        offs = self.rank_offsets()
-        start = copy * self.half_dim + offs[rank]
-        return slice(start, start + self.spaces[rank].dim)
+        spaces = self.spaces
+        start = copy * self.half_dim + sum(s.dim for s in spaces[:rank])
+        return slice(start, start + spaces[rank].dim)
 
 
 def build_stack_derivative(stack: TensorStack) -> MatrixOperator:

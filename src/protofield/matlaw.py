@@ -210,10 +210,9 @@ def schur_reduce(symbols, p_range, p_kernel) -> np.ndarray:
     and the kernel part is reconstructed as z_k = S_kk^-1 (f_k - S_kr z_r);
     the inverse returned, (N, m, m) like symbols, is the map
     f -> u_r z_r + u_k z_k at each wavenumber.  S_kk and then the
-    Schur complements are inverted once, each under one guarded_inverses.
-    Raises MaterialLawError when a kernel block is singular, i.e. when the
-    strict positivity required of the reduced law fails, and
-    StepFailureError when a Schur complement is.
+    Schur complements are inverted once, each under one guarded_inverses,
+    so a singular or badly conditioned kernel block or Schur complement
+    raises StepFailureError, as the step of `solve` does.
     """
     groups = []  # (index, u_r, u_k, pi_r, pi_k, s_rr, s_rk, s_kr, s_kk)
     for (index, u_r), (_, u_k) in zip(p_range.groups, p_kernel.groups):
@@ -222,13 +221,7 @@ def schur_reduce(symbols, p_range, p_kernel) -> np.ndarray:
         s = pi @ symbols[index] @ u
         groups.append((index, u_r, u_k, pi[:, :r], pi[:, r:],
                        s[:, :r, :r], s[:, :r, r:], s[:, r:, :r], s[:, r:, r:]))
-    try:
-        kk_invs = guarded_inverses([s_kk for *_, s_kk in groups])
-    except StepFailureError as exc:
-        raise MaterialLawError(
-            "kernel block of the step matrix is singular: the strict positive "
-            "definiteness required of the reduced material law fails"
-        ) from exc
+    kk_invs = guarded_inverses([s_kk for *_, s_kk in groups])
     schur_invs = guarded_inverses([s_rr - s_rk @ kk_inv @ s_kr for (*_, s_rr, s_rk, s_kr, _), kk_inv
                                    in zip(groups, kk_invs)])
     inverse = np.empty_like(symbols)

@@ -7,10 +7,12 @@ catalog.  Also here: the even/odd splitting of a symmetric line, averaging
 over torus directions (dimension reduction), realification of complex
 operators, and the range/kernel splitting used to remove null spaces.
 A pi that acts point by point (component selections, the (anti)symmetric
-coordinates, torus averages) states only its small matrix on the
-components: it is sp.kron(component map, point map) in flatgrid's
-component-major layout.  rank_block takes rows of the identity, and
-even_odd maps points.  The range/kernel split is kept in wavenumber
+coordinates) states only its small matrix on the components, and
+pointwise_pair, the one home of such a pair, builds it as
+sp.kron(component map, I_points) in flatgrid's component-major layout and
+checks its isometry on the small matrix.  torus_average is
+sp.kron(component map, point map), rank_block takes rows of the identity,
+and even_odd maps points.  The range/kernel split is kept in wavenumber
 space: ShiftCut block-diagonalizes the operators that commute with the
 shifts of a periodic grid by a DFT, and each WavenumberPair holds one
 small orthonormal basis per wavenumber, never a dim x dim map.
@@ -52,10 +54,10 @@ from .linops import (
 from .flatgrid import (
     DIRICHLET,
     PERIODIC,
-    GridBlockSpace,
     TensorFieldSpace,
     TensorStack,
     _axes_name,
+    fields_tag,
     point_count,
 )
 
@@ -147,14 +149,23 @@ def rank_block(stack: TensorStack, ranks0, ranks1) -> ProjectionPair:
     return ProjectionPair(MatrixOperator(ent, stack.tag, cod), validate=False)
 
 
-def component_select(space, comps, name, labels=None) -> ProjectionPair:
+def pointwise_pair(space: TensorFieldSpace, comp, name) -> ProjectionPair:
+    """pi = sp.kron(comp, I_points) from the fields of a grid space onto
+    len(comp) fields `name`: the one builder of a pointwise pi.
+
+    Both tags weight every point alike, so pi pi* = kron(comp comp^T, I)
+    and comp comp^T = I, checked on the small matrix, is the isometry.
+    """
+    comp = np.asarray(comp, dtype=float)
+    _check_isometry(np.abs(comp @ comp.T - np.eye(len(comp))).max())
+    ent = sp.kron(comp, sp.identity(space.npoints), format="csr")
+    tag = fields_tag(space.axes, len(comp), f"{name}[{_axes_name(space.axes)}]")
+    return ProjectionPair(MatrixOperator._owning(ent, space.tag, tag), validate=False)
+
+
+def component_select(space: TensorFieldSpace, comps, name) -> ProjectionPair:
     """Keep whole component fields (by flat component index) of a grid space."""
-    comps = list(comps)
-    if labels is None:
-        labels = tuple(f"c{c}" for c in comps)
-    red = GridBlockSpace(space.axes, labels, name)
-    ent = sp.kron(np.eye(space.ncomp)[comps], sp.identity(space.npoints), format="csr")
-    return ProjectionPair(MatrixOperator(ent, space.tag, red.tag), validate=False)
+    return pointwise_pair(space, np.eye(space.ncomp)[list(comps)], name)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +183,7 @@ def _pair_basis_projection(space2: TensorFieldSpace, sign: float, name: str):
         slots = [((i, i), 1.0)] if i == j else [((i, j), inv_sqrt2), ((j, i), sign * inv_sqrt2)]
         for alpha, val in slots:
             comp[row, space2.component_index(alpha)] = val
-    red = GridBlockSpace(space2.axes, tuple(f"{name}{i}{j}" for i, j in pairs), name)
-    ent = sp.kron(comp, sp.identity(space2.npoints), format="csr")
-    # pi = kron(comp, I) between tags of one point weight, so pi pi* is
-    # kron(comp comp^T, I): the isometry check runs on comp, not on the grid
-    assert red.volume_weight == space2.volume_weight
-    _check_isometry(np.abs(comp @ comp.T - np.eye(len(pairs))).max())
-    return ProjectionPair(MatrixOperator._owning(ent, space2.tag, red.tag), validate=False)
+    return pointwise_pair(space2, comp, name)
 
 
 def sym_projection(space2: TensorFieldSpace) -> ProjectionPair:
@@ -285,13 +290,6 @@ def realify(re_op: MatrixOperator, im_op: MatrixOperator) -> MatrixOperator:
     cod = direct_sum_tags([re_op.codomain, re_op.codomain])
     r, i = re_op.entries, im_op.entries
     return MatrixOperator._owning(block_csr([[r, -i], [i, r]]), dom, cod)
-
-
-def realify_complex(mat: np.ndarray, domain: SpaceTag, codomain: SpaceTag) -> MatrixOperator:
-    """Realify a complex numpy matrix with the given (un-doubled) tags."""
-    re = MatrixOperator(np.real(mat), domain, codomain)
-    im = MatrixOperator(np.imag(mat), domain, codomain)
-    return realify(re, im)
 
 
 # ---------------------------------------------------------------------------

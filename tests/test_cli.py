@@ -215,17 +215,20 @@ class TestSolveCommand:
 
     def test_near_singular_periodic_step_exit_5(self, tmp_path, capsys):
         # the gate passes (sigma > 1e-12); the CN symbol at wavenumber 0,
-        # diag(1/tau, sigma/2), has condition kappa_1 1.3e15
+        # diag(1/tau, sigma/2), has condition kappa_1 1.3e15.  The reduced
+        # solve meets it as its kernel block there, and refuses it alike
         cfg = copy.deepcopy(BASIC)
         cfg["grid"] = [{"n": 8, "bc": "periodic", "length": 1.0}]
         cfg["params"]["sigma"] = 1.5e-12
         cfg["solver"] = {"tau": 1e-3, "t_end": 1e-2, "scheme": "crank_nicolson"}
         cfg["output"]["snapshots"] = [0.0, 0.01]
         p = write_scenario(tmp_path, cfg)
-        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_STEP_FAILURE
-        err = capsys.readouterr().err
-        assert "condition estimate" in err and "Traceback" not in err
-        assert not list(tmp_path.glob("*.csv"))
+        for flags in ([], ["--reduced"]):
+            code = cli.main(["solve", str(p), "--outdir", str(tmp_path), *flags])
+            assert code == cli.EXIT_STEP_FAILURE, flags
+            err = capsys.readouterr().err
+            assert "condition estimate" in err and "Traceback" not in err
+            assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("tau", [1e-9, 1e-12])
     def test_run_too_long_to_store_exit_2(self, tmp_path, capsys, monkeypatch, tau):

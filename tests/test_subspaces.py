@@ -21,10 +21,10 @@ from protofield.subspaces import (
     direct_sum_pairs,
     even_odd,
     identity_pair,
+    pointwise_pair,
     range_kernel_split,
     rank_block,
     realify,
-    realify_complex,
     shift_cut,
     sym_projection,
     torus_average,
@@ -145,6 +145,30 @@ class TestSymAsym:
         ProjectionPair(pi)  # and the full check accepts it
 
 
+class TestPointwisePair:
+    def test_repeated_component_rejected(self):
+        # picking one field twice gives |pi pi* - I| = 1: not a pair
+        space = TensorFieldSpace((Axis.torus(3),) * 2, 1)
+        with pytest.raises(ValueError, match="partial isometry"):
+            component_select(space, [0, 0], "twice")
+
+    def test_non_orthonormal_rows_rejected(self):
+        space = TensorFieldSpace((Axis.interval(4),), 0)
+        with pytest.raises(ValueError, match="partial isometry"):
+            pointwise_pair(space, [[2.0]], "doubled")
+
+    def test_tag_and_grid_isometry(self):
+        # the codomain weights each point as the domain does, so the small
+        # check comp comp^T = I is the full pi pi* = I
+        space = TensorFieldSpace((Axis.torus(3), Axis.interval(4)), 1)
+        s = 1.0 / np.sqrt(2.0)
+        pair = pointwise_pair(space, [[s, s]], "mean")
+        assert pair.codomain.name == "mean[3p(h=0.333333)x4d(h=0.2)]"
+        assert pair.codomain.dim == space.npoints
+        assert np.array_equal(pair.codomain.weight, space.tag.weight[:space.npoints])
+        assert (pair.pi @ pair.embedding - identity(pair.codomain)).max_abs() <= 1e-15
+
+
 class TestEvenOdd:
     def test_even_function_has_no_odd_part(self):
         space = TensorFieldSpace((Axis.symmetric(8, 0.25),), 0)
@@ -227,6 +251,11 @@ class TestTorusAverage:
             torus_average(TensorFieldSpace((Axis(4, 0.1), Axis.torus(4)), 0), {0})
 
 
+def realify_complex(mat, tag):
+    """realify of a complex matrix's real and imaginary parts on one tag."""
+    return realify(MatrixOperator(np.real(mat), tag, tag), MatrixOperator(np.imag(mat), tag, tag))
+
+
 class TestRealify:
     def test_real_operator_duplicates(self):
         t = TensorFieldSpace((Axis.torus(3),), 0).tag
@@ -240,7 +269,7 @@ class TestRealify:
         from protofield.linops import SpaceTag
 
         t = SpaceTag("c", 1)
-        r = realify_complex(np.array([[1j]]), t, t).to_dense()
+        r = realify_complex(np.array([[1j]]), t).to_dense()
         assert np.array_equal(r, [[0, -1], [1, 0]])
         assert np.array_equal(r @ r, -np.eye(2))
 
@@ -251,9 +280,9 @@ class TestRealify:
         t = SpaceTag("c", 4)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ra = realify_complex(a, t, t).to_dense()
-        rb = realify_complex(b, t, t).to_dense()
-        rab = realify_complex(a @ b, t, t).to_dense()
+        ra = realify_complex(a, t).to_dense()
+        rb = realify_complex(b, t).to_dense()
+        rab = realify_complex(a @ b, t).to_dense()
         assert np.allclose(ra @ rb, rab, atol=1e-13)
 
     def test_shape_mismatch(self):
