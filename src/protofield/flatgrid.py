@@ -131,11 +131,6 @@ class TensorFieldSpace:
         return self.npoints * self.ncomp
 
     @property
-    def volume_weight(self):
-        """The weight fields_tag gives every point: the cell volume."""
-        return float(self.tag.weight[0])
-
-    @property
     def tag(self):
         return fields_tag(self.axes, self.ncomp, f"grid[{_axes_name(self.axes)}]rank{self.rank}")
 

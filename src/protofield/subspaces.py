@@ -4,8 +4,8 @@ A ProjectionPair is a surjective partial isometry pi : H -> V together with
 its adjoint embedding V -> H.  Applying pi . A . pi* projects an operator
 onto the subspace; chains of such steps produce every named system in the
 catalog.  Also here: the even/odd splitting of a symmetric line, averaging
-over torus directions (dimension reduction), realification of complex
-operators, and the range/kernel splitting used to remove null spaces.
+over torus directions (dimension reduction), and the range/kernel
+splitting used to remove null spaces.
 A pi that acts point by point (component selections, the (anti)symmetric
 coordinates) states only its small matrix on the components, and
 pointwise_pair, the one home of such a pair, builds it as
@@ -46,7 +46,6 @@ from .linops import (
     MatrixOperator,
     SpaceTag,
     TagMismatchError,
-    block_csr,
     block_diag,
     direct_sum_tags,
     identity,
@@ -272,24 +271,6 @@ def torus_average(space: TensorFieldSpace, torus_axes) -> ProjectionPair:
     n_torus = point_count(space.axes[a] for a in torus_axes)
     ent = sp.kron(comp, points, format="csr") * (1.0 / n_torus)
     return ProjectionPair(MatrixOperator(ent, space.tag, red_space.tag))
-
-
-# ---------------------------------------------------------------------------
-# realification
-
-
-def realify(re_op: MatrixOperator, im_op: MatrixOperator) -> MatrixOperator:
-    """Represent Re T + i Im T as the real block matrix [[Re, -Im], [Im, Re]].
-
-    The map is an algebra homomorphism, so realify(i * identity) squares to
-    minus the identity and products/adjoints carry over.
-    """
-    if re_op.domain != im_op.domain or re_op.codomain != im_op.codomain:
-        raise TagMismatchError("real and imaginary parts must share their tags")
-    dom = direct_sum_tags([re_op.domain, re_op.domain])
-    cod = direct_sum_tags([re_op.codomain, re_op.codomain])
-    r, i = re_op.entries, im_op.entries
-    return MatrixOperator._owning(block_csr([[r, -i], [i, r]]), dom, cod)
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,25 @@ class TestCriterion16Causality:
 def test_every_check_is_a_criterion():
     # a check added to verify.CHECKS needs a criterion above
     assert set(CRITERIA) == {fn.__name__.removeprefix("check_") for fn in verify.CHECKS}
+
+
+DECOMPOSITIONS = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+                  "pinv", "qr", "slogdet", "solve", "svd")
+
+
+def test_verify_decomposes_no_dense_matrix_above_the_desk_grids(monkeypatch):
+    # the largest desk grids (8^2 and 4^3) have 64 points; a dense O(n^3)
+    # decomposition of a bigger matrix is a cost the suite need not pay
+    too_big = []
+
+    def watched(name, decompose):
+        def call(a, *args, **kwargs):
+            if np.ndim(a) >= 2 and np.shape(a)[-2] > 64:
+                too_big.append((name, np.shape(a)))
+            return decompose(a, *args, **kwargs)
+        return call
+
+    for name in DECOMPOSITIONS:
+        monkeypatch.setattr(np.linalg, name, watched(name, getattr(np.linalg, name)))
+    assert all(result.passed for result in verify.run_checks())
+    assert too_big == []

@@ -161,7 +161,9 @@ class TestEnergy:
         traj = solve(entry.problem(initial=rng.standard_normal(entry.dim)),
                      SolverConfig(tau=0.02, t_end=1.0))
         rep = dissipation_check(traj, entry.law)
-        assert rep.holds and rep.monotone and rep.max_residual <= 1e-10
+        assert rep.holds and rep.max_residual <= 1e-10
+        scale = max(traj.energies.max(), 1.0)
+        assert np.all(np.diff(traj.energies) <= evolve.DISSIPATION_TOL * scale)
 
     def test_dissipation_residual_matches_the_step_by_step_sum(self):
         # the vectorized residual against the per-step loop it replaces

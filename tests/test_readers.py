@@ -1,10 +1,14 @@
-"""Every top-level function, class and constant of the package has a reader
-outside the tests: a name that only tests read is code kept for them alone.
+"""Every top-level function, class and constant of the package, and every
+method, property and field of its classes, has a reader outside the tests:
+a name that only tests read is code kept for them alone.
 
-A reader is a loaded name, an attribute access or a string constant equal to
-the name (the benchmark's tracer names the functions it wraps by string)
-anywhere in src/ or perfbench/, outside the name's own definition, or the
-command-line entry point of pyproject.toml.
+A reader of a top-level name is a loaded name, an attribute access or a
+string constant equal to the name (the benchmark's tracer names the
+functions it wraps by string) anywhere in src/ or perfbench/, outside the
+name's own definition, or the command-line entry point of pyproject.toml.
+A reader of a class member is an attribute access or a string constant
+equal to its name, outside the member's own definition; passing a field
+by keyword to the constructor does not read it.  Dunder names are exempt.
 """
 
 import ast
@@ -28,11 +32,21 @@ def definitions(tree):
                         yield leaf.id, node
 
 
-def reads(node):
-    """How often each name is read under node."""
+def members(cls):
+    """(name, defining statement) of each method, property and annotated field of a class."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def reads(node, names=True):
+    """How often each word is read under node as an attribute or a string
+    constant and, when names is true, as a loaded name."""
     words = Counter()
     for leaf in ast.walk(node):
-        if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
+        if names and isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
             words[leaf.id] += 1
         elif isinstance(leaf, ast.Attribute):
             words[leaf.attr] += 1
@@ -42,25 +56,41 @@ def reads(node):
     return words
 
 
-def unread_names():
-    total, defined = Counter(), []
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unread():
+    """(unread top-level names, unread class members), each as dotted paths."""
+    names, attrs = Counter(), Counter()
+    defined, owned = [], []
     for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
         tree = ast.parse(path.read_text(), filename=str(path))
-        total.update(reads(tree))
-        if path.parent == PACKAGE:
-            for name, node in definitions(tree):
-                # a definition's reads of its own name (recursion, a class's
-                # own methods) are not readers of it
-                total.subtract({name: reads(node)[name]})
-                defined.append((path.stem, name))
+        names.update(reads(tree))
+        attrs.update(reads(tree, names=False))
+        if path.parent != PACKAGE:
+            continue
+        for name, node in definitions(tree):
+            # a definition's reads of its own name (recursion, a class's
+            # own methods) are not readers of it
+            names.subtract({name: reads(node)[name]})
+            defined.append((f"{path.stem}.{name}", name))
+            if isinstance(node, ast.ClassDef):
+                for member, member_node in members(node):
+                    attrs.subtract({member: reads(member_node, names=False)[member]})
+                    owned.append((f"{path.stem}.{name}.{member}", member))
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    total.update(target.split(":")[1] for target in scripts.values())
-    return [f"{module}.{name}" for module, name in defined
-            if total[name] <= 0 and not (name.startswith("__") and name.endswith("__"))]
+    names.update(target.split(":")[1] for target in scripts.values())
+    return ([dotted for dotted, name in defined if names[name] <= 0 and not is_dunder(name)],
+            [dotted for dotted, name in owned if attrs[name] <= 0 and not is_dunder(name)])
 
 
 def test_every_top_level_name_has_a_reader_outside_tests():
-    assert unread_names() == []
+    assert unread()[0] == []
+
+
+def test_every_class_member_has_a_reader_outside_tests():
+    assert unread()[1] == []
 
 
 def test_a_name_read_only_in_its_own_definition_is_unread():
@@ -69,3 +99,22 @@ def test_a_name_read_only_in_its_own_definition_is_unread():
     assert set(names) == {"f", "LIMIT"}
     assert reads(names["f"])["f"] == reads(tree)["f"] == 1
     assert reads(tree)["LIMIT"] == 0
+
+
+def test_a_member_is_read_only_as_an_attribute():
+    tree = ast.parse("class C:\n"
+                     "    size: int\n"
+                     "    def grow(self, n):\n"
+                     "        return self.grow(n - 1)\n"
+                     "    @property\n"
+                     "    def half(self):\n"
+                     "        return self.size / 2\n\n"
+                     "c = C(size=3)\n"
+                     "half = 1\n")
+    cls = dict(definitions(tree))["C"]
+    fields = dict(members(cls))
+    assert set(fields) == {"size", "grow", "half"}
+    words = reads(tree, names=False)
+    # the keyword size=3 and the module-level name half are not attribute reads
+    assert words["size"] == 1 and words["half"] == 0
+    assert reads(fields["grow"], names=False)["grow"] == words["grow"] == 1

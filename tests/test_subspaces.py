@@ -24,7 +24,6 @@ from protofield.subspaces import (
     pointwise_pair,
     range_kernel_split,
     rank_block,
-    realify,
     shift_cut,
     sym_projection,
     torus_average,
@@ -249,50 +248,6 @@ class TestTorusAverage:
     def test_dirichlet_axis_rejected(self):
         with pytest.raises(ValueError):
             torus_average(TensorFieldSpace((Axis(4, 0.1), Axis.torus(4)), 0), {0})
-
-
-def realify_complex(mat, tag):
-    """realify of a complex matrix's real and imaginary parts on one tag."""
-    return realify(MatrixOperator(np.real(mat), tag, tag), MatrixOperator(np.imag(mat), tag, tag))
-
-
-class TestRealify:
-    def test_real_operator_duplicates(self):
-        t = TensorFieldSpace((Axis.torus(3),), 0).tag
-        T = MatrixOperator(np.diag([1.0, 2.0, 3.0]), t, t)
-        zero = MatrixOperator(np.zeros((3, 3)), t, t)
-        r = realify(T, zero).to_dense()
-        assert np.array_equal(r[:3, :3], r[3:, 3:])
-        assert np.abs(r[:3, 3:]).max() == 0.0
-
-    def test_imaginary_unit(self):
-        from protofield.linops import SpaceTag
-
-        t = SpaceTag("c", 1)
-        r = realify_complex(np.array([[1j]]), t).to_dense()
-        assert np.array_equal(r, [[0, -1], [1, 0]])
-        assert np.array_equal(r @ r, -np.eye(2))
-
-    def test_algebra_homomorphism(self):
-        from protofield.linops import SpaceTag
-
-        rng = np.random.default_rng(3)
-        t = SpaceTag("c", 4)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ra = realify_complex(a, t).to_dense()
-        rb = realify_complex(b, t).to_dense()
-        rab = realify_complex(a @ b, t).to_dense()
-        assert np.allclose(ra @ rb, rab, atol=1e-13)
-
-    def test_shape_mismatch(self):
-        from protofield.linops import SpaceTag, TagMismatchError
-
-        t2, t3 = SpaceTag("a", 2), SpaceTag("b", 3)
-        re = MatrixOperator(np.zeros((2, 2)), t2, t2)
-        im = MatrixOperator(np.zeros((3, 3)), t3, t3)
-        with pytest.raises(TagMismatchError):
-            realify(re, im)
 
 
 class TestRangeKernel:
@@ -568,7 +523,7 @@ class TestOrderDependence:
             from protofield.linops import SpaceTag
 
             v1 = SpaceTag("w1", r1.dim + npts, np.concatenate(
-                [r1.tag.weight, np.full(npts, r2.volume_weight)]))
+                [r1.tag.weight, r2.tag.weight[:npts]]))
             q1 = ProjectionPair(MatrixOperator(sel_rows, step1.domain, v1))
             chain1 = descend(step1, q1)
             big1 = (q1.pi @ sym.pi)
