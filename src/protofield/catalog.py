@@ -31,8 +31,8 @@ assembled by label over that tuple (`_assemble`), cross blocks included,
 and blocks are read back by label (`CatalogEntry.block_slices`).
 `_assemble`, the curl, the Dirac block and the gradients write their CSR
 arrays through one assembler, `linops.block_csr`.  Every material
-coefficient is converted and checked positive (semi)definite in one
-place, `_coeff_spectrum`, so a bad value is a ValueError naming it at
+coefficient is converted and checked finite and positive (semi)definite
+in one place, `_coeff_spectrum`, so a bad value is a ValueError naming it at
 build.
 """
 
@@ -51,7 +51,6 @@ from .flatgrid import (
     PERIODIC,
     TensorFieldSpace,
     _axes_name,
-    build_d1,
     build_nabla,
     fields_tag,
     point_count,
@@ -70,8 +69,8 @@ def _coeff_spectrum(name, value, size, strict=True):
     """A material coefficient as a CSR block, with its space and spectral blocks.
 
     value is a scalar, a per-entry diagonal or a full matrix (symmetrized).
-    Every coefficient of every entry passes here, and is checked symmetric
-    positive definite (semidefinite with strict=False): a ValueError names it.
+    Every coefficient of every entry passes here and is checked finite and
+    symmetric positive definite (semidefinite with strict=False): a ValueError names it.
     """
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:  # float(arr) * sp.identity(size), explicit zeros and all
@@ -85,10 +84,12 @@ def _coeff_spectrum(name, value, size, strict=True):
         raise ValueError(f"{name}: coefficient shape {arr.shape} != ({size}, {size})")
     else:
         mat = sp.csr_matrix(0.5 * (arr + arr.T))
+    if not np.isfinite(mat.data).all():
+        raise ValueError(f"{name} must be finite")
     tag = SpaceTag(name, size)
     floor, groups = weighted_spectrum(MatrixOperator._owning(mat, tag, tag), rank_tol=1e-12)
     low = min(float(g[1].min()) for g in groups)
-    if low <= floor if strict else low < -floor:
+    if not (low > floor if strict else low >= -floor):  # a NaN fails too
         raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
     return mat, tag, groups
 
@@ -545,8 +546,7 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
     m1_11 = _coeff("m1_11", m1_11, np_, strict=False)
 
     # combined single-row system on the line
-    d = build_d1(axis).entries
-    a_comb = MatrixOperator(0.5 * (d - d.T), space0.tag, space0.tag)
+    a_comb = MatrixOperator(_skew_partials(axes)[0], space0.tag, space0.tag)
     pe0, po0 = even_odd(space0)
     pe_proj = pe0.orthogonal_projector().entries
     po_proj = po0.orthogonal_projector().entries

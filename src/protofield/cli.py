@@ -29,16 +29,16 @@ Scenario files are JSON objects:
 The name is the stem of both output files and must be a plain file stem
 (letters, digits, '_', '-', '.'; starting with a letter or digit).  The
 keys above, and "center" and "width" of a gauss profile, are the only ones
-allowed; "params" must be an object, no key takes true or false, and a key
-read as a number (every params value too) takes no string or null.
+allowed; "params" must be an object; no key takes true, false, NaN or
++-Infinity, nor a key read as a number (every params value) a string or null.
 The run takes round(t_end / tau) >= 1 steps; snapshots must lie in
 [0, last step time].
 
 Grid axes: {"n": int, "bc": "dirichlet"|"periodic", "length": float} --
 dirichlet axes place n interior points on (0, length); periodic axes
-always have total measure 1 (h = 1/n).  Initial profiles are evaluated on
-the grid points of the block's leading scalar factor and replicated over
-components.
+always have total measure 1 (h = 1/n), so a length, if given, is 1.
+Initial profiles are evaluated on the grid points of the block's leading
+scalar factor and replicated over components.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import operator
 import os
 import re
@@ -112,9 +113,11 @@ def _check_keys(obj, path, allowed):
 
 
 def _check_values(value, path, number=False):
-    """No scenario key takes true or false, and a key read as a number (NUMBER_KEYS, every
-    params value) only numbers or lists of them: a ScenarioError names one that does not."""
-    if isinstance(value, bool) or number and not isinstance(value, (int, float, list)):
+    """No scenario key takes true, false or a non-finite number, and a key read as a number
+    (NUMBER_KEYS, every params value) only numbers or lists of them: a ScenarioError names
+    one that does not."""
+    if (isinstance(value, bool) or number and not isinstance(value, (int, float, list))
+            or isinstance(value, float) and not math.isfinite(value)):
         raise ScenarioError(f"scenario key {path!r} must not be {json.dumps(value)}")
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
@@ -135,13 +138,16 @@ def _refuse_unstorable(config, values):
 
 def _axes_from_config(grid_cfg):
     axes = []
-    for item in grid_cfg:
+    for i, item in enumerate(grid_cfg):
         n = operator.index(item["n"])
         bc = item.get("bc", DIRICHLET)
+        length = float(item.get("length", 1.0))
         if bc == PERIODIC:
+            if length != 1.0:
+                raise ValueError(f"grid[{i}].length must be 1 on a periodic axis, got {length}")
             axes.append(Axis.torus(n))
         elif bc == DIRICHLET:
-            axes.append(Axis.interval(n, float(item.get("length", 1.0))))
+            axes.append(Axis.interval(n, length))
         else:
             raise ValueError(f"unknown boundary condition {bc!r}")
     return tuple(axes)

@@ -281,10 +281,14 @@ def solve(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:
     return _march(problem, config, _stepper(problem, config, reduced=False))
 
 
+def _weighted_form(b, states, w) -> np.ndarray:
+    """<B u, u>_w for each row u of states: B a CSR matrix, or the identity for None."""
+    bu = states if b is None else (b @ states.T).T
+    return np.einsum("ij,ij->i", bu, states * w)
+
+
 def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
-    w = m0.domain.weight
-    mu = (m0.entries @ states.T).T
-    return 0.5 * np.einsum("ij,ij->i", mu, states * w[None, :])
+    return 0.5 * _weighted_form(m0.entries, states, m0.domain.weight)
 
 
 def energy_series(traj: Trajectory, m0: MatrixOperator) -> np.ndarray:
@@ -319,7 +323,7 @@ def dissipation_check(traj: Trajectory, mlaw: MaterialLaw) -> DissipationReport:
         lo = max(rows.start - 1, 0)
         mids = traj.states[lo:rows.stop - 1] + traj.states[lo + 1:rows.stop]
         mids *= 0.5
-        drops[lo:rows.stop - 1] = np.einsum("ij,ij->i", (sym_m1 @ mids.T).T, mids * w)
+        drops[lo:rows.stop - 1] = _weighted_form(sym_m1, mids, w)
     max_res = float(np.abs(np.diff(energies) + traj.tau * drops).max(initial=0.0))
     return DissipationReport(max_residual=max_res / scale, holds=max_res <= DISSIPATION_TOL * scale)
 
@@ -353,11 +357,9 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    w = traj.space.weight
     squares = np.empty(len(traj))
     for rows in _row_blocks(len(traj), traj.space.dim):
-        u = traj.states[rows]
-        squares[rows] = np.einsum("ij,ij->i", u, u * w)
+        squares[rows] = _weighted_form(None, traj.states[rows], traj.space.weight)
     # nu * t first: -2 nu overflows for a huge nu, and -inf * 0 is nan at t = 0
     vals = squares * np.exp(-2.0 * (nu * traj.times))
     steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])

@@ -171,7 +171,7 @@ def build_d1(axis: Axis) -> MatrixOperator:
          (np.concatenate([rows, fwd]), np.concatenate([rows, (fwd + 1) % n]))),
         shape=(n, n),
     )
-    tag = fields_tag((axis,), 1, f"axis[{axis.n}{axis.bc[0]}(h={axis.h:.6g})]")
+    tag = fields_tag((axis,), 1, f"axis[{_axes_name((axis,))}]")
     return MatrixOperator(D, tag, tag)
 
 

@@ -4,10 +4,10 @@ Every operator in this package is a real matrix together with two space
 tags.  A tag carries the per-coordinate quadrature weights of the discrete
 inner product, so adjoints are weighted transposes and "skew-selfadjoint"
 always means skew with respect to those weights.  The module provides the
-block construction [[0, -C*], [C, 0]], a quantitative compatibility check
-for projection/restriction maps, and the relative construction
+block construction [[0, -C*], [C, 0]] and the relative construction
 [[0, -B0 C* B1*], [B1 C B0*, 0]] used everywhere else to project systems
-onto subspaces.
+onto subspaces, which checks its own hypothesis on the weighted singular
+values of B0*.
 
 Every operator stores its entries in one format: a read-only, canonical
 scipy CSR matrix.  A matrix passed to the constructor is copied (dense
@@ -17,7 +17,8 @@ block constructions here) is frozen in place, not copied again.  Block
 matrices are written by one assembler, block_csr, straight from their
 blocks' CSR arrays; the stencils and laws of flatgrid and catalog are
 assembled with it.  Algorithms that are dense by nature densify
-explicitly with `to_dense()`: the weighted singular values here.
+explicitly with `to_dense()`: the weighted singular values of B0* in
+make_relative.
 Functions of selfadjoint operators (the well-posedness gate, polar
 factors, coefficient inverses and roots) densify only the coupling
 blocks, through `weighted_spectrum`, and a diagonal operator not at all;
@@ -31,14 +32,12 @@ threads; the functions here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 # Relative cutoff below which a singular value or eigenvalue counts as zero:
-# the rank decisions of check_compatibility, weighted_spectrum and range_kernel_split.
+# the rank decisions of make_relative, weighted_spectrum and range_kernel_split.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -87,9 +86,6 @@ class SpaceTag:
             and self.dim == other.dim
             and np.array_equal(self.weight, other.weight)
         )
-
-    def __hash__(self):
-        return hash((self.name, self.dim))
 
     def __repr__(self):
         return f"SpaceTag({self.name!r}, dim={self.dim})"
@@ -251,14 +247,9 @@ class MatrixOperator:
         return self.entries @ np.asarray(vec, dtype=float)
 
     def __matmul__(self, other):
-        if isinstance(other, MatrixOperator):
-            if self.domain != other.codomain:
-                raise TagMismatchError(
-                    f"cannot compose: {self.domain.name} != {other.codomain.name}"
-                )
-            return MatrixOperator._owning(self.entries @ other.entries, other.domain,
-                                          self.codomain)
-        return self.apply(other)
+        if self.domain != other.codomain:
+            raise TagMismatchError(f"cannot compose: {self.domain.name} != {other.codomain.name}")
+        return MatrixOperator._owning(self.entries @ other.entries, other.domain, self.codomain)
 
     def _require_same_tags(self, other):
         if self.domain != other.domain or self.codomain != other.codomain:
@@ -328,14 +319,6 @@ def block_diag(ops) -> MatrixOperator:
     ent = block_csr([[o.entries if j == i else None for j in range(len(ops))]
                      for i, o in enumerate(ops)])
     return MatrixOperator._owning(ent, dom, cod)
-
-
-def weighted_singular_values(op: MatrixOperator) -> np.ndarray:
-    """Singular values of T with respect to the weighted norms on both sides."""
-    m = op.to_dense()
-    sw_cod = np.sqrt(op.codomain.weight)
-    sw_dom = np.sqrt(op.domain.weight)
-    return np.linalg.svd(sw_cod[:, None] * m / sw_dom[None, :], compute_uv=False)
 
 
 def _diagonal(entries) -> bool:
@@ -453,48 +436,30 @@ def skew_defect(A: MatrixOperator) -> float:
     return float(np.abs((a + adj).data).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Quantitative stand-in for compatibility of a bounded map B with C.
-
-    In finite dimensions C B* is always everywhere defined, so the dense-
-    definedness clause is vacuous; what survives as a usable hypothesis is
-    that B* has a bounded left-inverse, i.e. full column rank with a
-    smallest weighted singular value above DEFAULT_RANK_TOL times the largest.
-    """
-
-    left_invertible: bool
-    smallest_singular_value: float
-
-
-def check_compatibility(C: MatrixOperator, B: MatrixOperator) -> CompatibilityReport:
-    """Report whether B (H0 -> X) is compatible with C (H0 -> H1)."""
-    if C.domain != B.domain:
-        raise TagMismatchError(
-            f"B and C must share their domain: {B.domain.name} != {C.domain.name}"
-        )
-    svals = weighted_singular_values(B.adjoint())
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    # B*: X -> H0 must be injective, i.e. no weighted singular value collapses.
-    full_rank = B.codomain.dim <= B.domain.dim and smin > DEFAULT_RANK_TOL * max(smax, 1e-300)
-    return CompatibilityReport(left_invertible=full_rank, smallest_singular_value=smin)
-
-
 def make_relative(C: MatrixOperator, B0: MatrixOperator,
                   B1: MatrixOperator) -> MatrixOperator:
     """The (B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]] of [[0, -C*], [C, 0]].
 
-    B0 maps H0 to X, B1 maps H1 to Y.  B0* must have a bounded left-inverse;
-    when one of B0, B1 is not a bijection the result is a proper descendant,
-    when both are unitary it is the conjugate (B0 (+) B1) A (B0 (+) B1)*.
+    B0 maps H0 to X, B1 maps H1 to Y.  When one of B0, B1 is not a bijection
+    the result is a proper descendant, when both are unitary it is the
+    conjugate (B0 (+) B1) A (B0 (+) B1)*.  The hypothesis is that B0* has a
+    bounded left-inverse (C B0* is everywhere defined in finite dimensions,
+    so that is all compatibility with C asks): its smallest weighted singular
+    value must exceed DEFAULT_RANK_TOL times the largest, or PreconditionError.
     """
-    rep0 = check_compatibility(C, B0)
-    if not rep0.left_invertible:
+    if C.domain != B0.domain:
+        raise TagMismatchError(
+            f"B and C must share their domain: {B0.domain.name} != {C.domain.name}"
+        )
+    # the singular values of B0* in the weighted norms of X and H0, largest first
+    sw_h0, sw_x = np.sqrt(B0.domain.weight), np.sqrt(B0.codomain.weight)
+    svals = np.linalg.svd(sw_h0[:, None] * B0.adjoint().to_dense() / sw_x[None, :],
+                          compute_uv=False)
+    smax, smin = float(svals[0]), float(svals[-1])
+    if not (B0.codomain.dim <= B0.domain.dim and smin > DEFAULT_RANK_TOL * max(smax, 1e-300)):
         raise PreconditionError(
             "B0* has no bounded left-inverse (smallest weighted singular value "
-            f"{rep0.smallest_singular_value:.3e} below cutoff); the relative "
-            "construction hypothesis fails"
+            f"{smin:.3e} below cutoff); the relative construction hypothesis fails"
         )
     lower = B1 @ C @ B0.adjoint()
     upper = B0 @ C.adjoint() @ B1.adjoint()

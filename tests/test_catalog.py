@@ -714,6 +714,15 @@ class TestReissnerMindlin:
         with pytest.raises(ValueError, match=rf"^{param} must be symmetric positive"):
             catalog.build_entry(name, params=params)
 
+    @pytest.mark.parametrize("name, params", [
+        ("acoustics", {"rho": float("nan")}),
+        ("maxwell", {"conductivity": float("inf")}),
+    ], ids=["rho_nan", "conductivity_inf"])
+    def test_non_finite_inputs_rejected(self, name, params):
+        (param,) = params
+        with pytest.raises(ValueError, match=rf"^{param} must be finite"):
+            catalog.build_entry(name, params=params)
+
 
 class TestKirchhoffLove:
     def test_skew_exact(self):

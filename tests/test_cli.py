@@ -53,7 +53,9 @@ BAD_INPUTS = {
     "n_negative": (lambda c: c["grid"][0].update(n=-1), "grid"),
     "periodic_n_0": (lambda c: c["grid"][0].update(n=0, bc="periodic"), "grid"),
     "unknown_bc": (lambda c: c["grid"][0].update(bc="periodc"), "periodc"),
-    "infinite_length": (lambda c: c["grid"][0].update(length=float("inf")), "spacing"),
+    "infinite_length": (lambda c: c["grid"][0].update(length=float("inf")), "grid[0].length"),
+    "periodic_length_2": (lambda c: c["grid"][0].update(bc="periodic", length=2.0),
+                          "grid[0].length"),
     "negative_tau": (lambda c: c["solver"].update(tau=-0.1), "tau"),
     "t_end_nan": (lambda c: c["solver"].update(t_end="nan"), "t_end"),
     "zero_steps": (lambda c: c["solver"].update(tau=5), "tau"),
@@ -91,6 +93,16 @@ BAD_INPUTS = {
     "nu_null": (lambda c: c["solver"].update(nu=None), "solver.nu"),
     "width_null": (lambda c: c["initial"][0].update(profile="gauss", width=None),
                    "initial[0].width"),
+    # json reads NaN and +-Infinity; no key takes them
+    "amplitude_nan": (lambda c: c["initial"][0].update(amplitude=float("nan")),
+                      "initial[0].amplitude"),
+    "amplitude_infinite": (lambda c: c["initial"][0].update(amplitude=float("inf")),
+                           "initial[0].amplitude"),
+    "center_nan": (lambda c: c["initial"][0].update(profile="gauss", center=[float("nan")]),
+                   "initial[0].center[0]"),
+    "rho_nan": (lambda c: c["params"].update(rho=float("nan")), "params.rho"),
+    "onset_nan": (lambda c: c.update(forcing={"onset": float("nan"), "block": "p"}),
+                  "forcing.onset"),
 }
 
 
@@ -354,7 +366,8 @@ def key_paths(value, path=()):
 
 
 # no large finite number: a value that makes a long run is not junk
-JUNK = [None, True, -1, 0, 0.5, 3, 1e308, "", "x", "nan", [], [1], {}, {"a": 1}]
+JUNK = [None, True, -1, 0, 0.5, 3, 1e308, float("nan"), float("inf"), "", "x", "nan", [], [1],
+        {}, {"a": 1}]
 FUZZ_CASES = [(f, path) for f in sorted(SCENARIO_DIR.glob("*.json"))
               for path in key_paths(json.loads(f.read_text()))]
 

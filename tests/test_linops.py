@@ -12,7 +12,6 @@ from protofield.linops import (
     SpaceTag,
     TagMismatchError,
     block_csr,
-    check_compatibility,
     identity,
     make_block_skew,
     make_relative,
@@ -154,25 +153,27 @@ class TestIsSkew:
 
 
 class TestCompatibility:
+    # make_relative's hypothesis: B0* has a bounded left-inverse
     def test_identity_left_invertible(self):
         t = tag("h", 3)
-        rep = check_compatibility(op(np.eye(3), t, t), identity(t))
-        assert rep.left_invertible
-        assert rep.smallest_singular_value == pytest.approx(1.0)
+        C = op(np.eye(3), t, t)
+        rel = make_relative(C, identity(t), identity(t))
+        assert np.array_equal(rel.to_dense(), make_block_skew(C).to_dense())
 
     def test_zero_not_left_invertible(self):
         t = tag("h", 3)
         x = tag("x", 2)
-        rep = check_compatibility(op(np.eye(3), t, t), op(np.zeros((2, 3)), t, x))
-        assert not rep.left_invertible
+        with pytest.raises(PreconditionError, match="left-inverse"):
+            make_relative(op(np.eye(3), t, t), op(np.zeros((2, 3)), t, x), identity(t))
 
     def test_partial_isometry_unit_singular_value(self):
+        # a row selection: every weighted singular value of B0* is 1
         t = tag("h", 4)
         x = tag("x", 2)
         B = op(np.array([[1, 0, 0, 0], [0, 0, 1, 0]], float), t, x)
-        rep = check_compatibility(op(np.eye(4), t, t), B)
-        assert rep.left_invertible
-        assert rep.smallest_singular_value == pytest.approx(1.0, abs=1e-14)
+        rel = make_relative(op(np.eye(4), t, t), B, identity(t)).to_dense()
+        assert np.array_equal(rel[2:, :2], B.to_dense().T)
+        assert np.array_equal(rel[:2, 2:], -B.to_dense())
 
 
 class TestAdjointTheorem:
