@@ -153,21 +153,9 @@ def _axes_from_config(grid_cfg):
     return tuple(axes)
 
 
-def _grid_points(axes):
-    """Interior/periodic point coordinates per axis, normalized to (0, 1)-ish."""
-    coords = []
-    for a in axes:
-        if a.bc == PERIODIC:
-            coords.append(np.arange(a.n) * a.h)
-        else:
-            coords.append(a.interval_points())
-    return coords
-
-
 def _profile_values(axes, spec):
     """Scalar profile sampled on the grid points (C order)."""
-    coords = _grid_points(axes)
-    mesh = np.meshgrid(*coords, indexing="ij")
+    mesh = np.meshgrid(*(a.points() for a in axes), indexing="ij")
     kind = spec.get("profile", "sine")
     amp = float(spec.get("amplitude", 1.0))
     if kind == "sine":
@@ -178,8 +166,9 @@ def _profile_values(axes, spec):
             out = out * np.sin(mode * np.pi * m / span)
     elif kind == "gauss":
         width = float(spec.get("width", 0.15))
-        if not 0 < width < np.inf:
-            raise ValueError(f"gauss width must be positive and finite, got {width}")
+        if not 0 < width < np.inf or 2 * width ** 2 == 0:
+            raise ValueError(f"gauss width must be positive, finite and its square "
+                             f"nonzero, got {width}")
         out = np.ones_like(mesh[0])
         centers = spec.get("center", [0.5] * len(axes))
         if len(centers) != len(axes):

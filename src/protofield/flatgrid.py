@@ -78,9 +78,10 @@ class Axis:
             raise ValueError("symmetric axis needs an even point count")
         return Axis(n=n, h=h, bc=DIRICHLET)
 
-    def interval_points(self):
-        """Interior points of (0, (n + 1) h); matches Axis.interval spacing."""
-        return (np.arange(self.n) + 1.0) * self.h
+    def points(self):
+        """The point coordinates: j h on a torus, the interior points
+        (j + 1) h of (0, (n + 1) h) on a Dirichlet axis."""
+        return (np.arange(self.n) + (self.bc == DIRICHLET)) * self.h
 
 
 def point_count(axes):

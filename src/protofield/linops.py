@@ -4,10 +4,9 @@ Every operator in this package is a real matrix together with two space
 tags.  A tag carries the per-coordinate quadrature weights of the discrete
 inner product, so adjoints are weighted transposes and "skew-selfadjoint"
 always means skew with respect to those weights.  The module provides the
-block construction [[0, -C*], [C, 0]] and the relative construction
-[[0, -B0 C* B1*], [B1 C B0*, 0]] used everywhere else to project systems
-onto subspaces, which checks its own hypothesis on the weighted singular
-values of B0*.
+block construction [[0, -C*], [C, 0]] of the mother operator; its
+(B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]] is the descent by the
+partial isometry B0 (+) B1 (subspaces.descend).
 
 Every operator stores its entries in one format: a read-only, canonical
 scipy CSR matrix.  A matrix passed to the constructor is copied (dense
@@ -16,9 +15,7 @@ product, sum, difference, negation, scalar multiple or adjoint, and the
 block constructions here) is frozen in place, not copied again.  Block
 matrices are written by one assembler, block_csr, straight from their
 blocks' CSR arrays; the stencils and laws of flatgrid and catalog are
-assembled with it.  Algorithms that are dense by nature densify
-explicitly with `to_dense()`: the weighted singular values of B0* in
-make_relative.
+assembled with it.
 Functions of selfadjoint operators (the well-posedness gate, polar
 factors, coefficient inverses and roots) densify only the coupling
 blocks, through `weighted_spectrum`, and a diagonal operator not at all;
@@ -37,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 # Relative cutoff below which a singular value or eigenvalue counts as zero:
-# the rank decisions of make_relative, weighted_spectrum and range_kernel_split.
+# the rank decisions of weighted_spectrum and range_kernel_split.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -64,8 +61,6 @@ class SpaceTag:
         if weight is None:
             weight = np.ones(dim)
         weight = np.asarray(weight, dtype=float)
-        if weight.ndim == 0:
-            weight = np.full(dim, float(weight))
         if weight.shape != (dim,):
             raise ValueError(f"weight shape {weight.shape} does not match dim {dim}")
         if not np.all(weight > 0):
@@ -435,34 +430,3 @@ def skew_defect(A: MatrixOperator) -> float:
         return float(np.abs(a.data + adj.data).max(initial=0.0))
     return float(np.abs((a + adj).data).max(initial=0.0))
 
-
-def make_relative(C: MatrixOperator, B0: MatrixOperator,
-                  B1: MatrixOperator) -> MatrixOperator:
-    """The (B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]] of [[0, -C*], [C, 0]].
-
-    B0 maps H0 to X, B1 maps H1 to Y.  When one of B0, B1 is not a bijection
-    the result is a proper descendant, when both are unitary it is the
-    conjugate (B0 (+) B1) A (B0 (+) B1)*.  The hypothesis is that B0* has a
-    bounded left-inverse (C B0* is everywhere defined in finite dimensions,
-    so that is all compatibility with C asks): its smallest weighted singular
-    value must exceed DEFAULT_RANK_TOL times the largest, or PreconditionError.
-    """
-    if C.domain != B0.domain:
-        raise TagMismatchError(
-            f"B and C must share their domain: {B0.domain.name} != {C.domain.name}"
-        )
-    # the singular values of B0* in the weighted norms of X and H0, largest first
-    sw_h0, sw_x = np.sqrt(B0.domain.weight), np.sqrt(B0.codomain.weight)
-    svals = np.linalg.svd(sw_h0[:, None] * B0.adjoint().to_dense() / sw_x[None, :],
-                          compute_uv=False)
-    smax, smin = float(svals[0]), float(svals[-1])
-    if not (B0.codomain.dim <= B0.domain.dim and smin > DEFAULT_RANK_TOL * max(smax, 1e-300)):
-        raise PreconditionError(
-            "B0* has no bounded left-inverse (smallest weighted singular value "
-            f"{smin:.3e} below cutoff); the relative construction hypothesis fails"
-        )
-    lower = B1 @ C @ B0.adjoint()
-    upper = B0 @ C.adjoint() @ B1.adjoint()
-    space = direct_sum_tags([B0.codomain, B1.codomain])
-    return MatrixOperator._owning(block_csr([[None, -upper.entries], [lower.entries, None]]),
-                                  space, space)

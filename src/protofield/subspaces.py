@@ -3,9 +3,12 @@
 A ProjectionPair is a surjective partial isometry pi : H -> V together with
 its adjoint embedding V -> H.  Applying pi . A . pi* projects an operator
 onto the subspace; chains of such steps produce every named system in the
-catalog.  Also here: the even/odd splitting of a symmetric line, averaging
-over torus directions (dimension reduction), and the range/kernel
-splitting used to remove null spaces.
+catalog.  By pi = B0 (+) B1 (direct_sum_pairs) over the two blocks of
+A = [[0, -C*], [C, 0]], the descent is the (B0, B1)-relative
+[[0, -B0 C* B1*], [B1 C B0*, 0]] of A, and pi pi* = I, the type of a
+ProjectionPair, is its hypothesis.  Also here: the even/odd splitting of
+a symmetric line, averaging over torus directions (dimension reduction),
+and the range/kernel splitting used to remove null spaces.
 A pi that acts point by point (component selections, the (anti)symmetric
 coordinates) states only its small matrix on the components, and
 pointwise_pair, the one home of such a pair, builds it as
@@ -15,7 +18,8 @@ sp.kron(component map, point map), rank_block takes rows of the identity,
 and even_odd maps points.  The range/kernel split is kept in wavenumber
 space: ShiftCut block-diagonalizes the operators that commute with the
 shifts of a periodic grid by a DFT, and each WavenumberPair holds one
-small orthonormal basis per wavenumber, never a dim x dim map.
+small orthonormal basis per wavenumber, never a dim x dim map; the cut
+it was split on stays with the caller.
 Every operator and field is real, so its symbol at -xi is the conjugate
 of the one at xi (Hermitian symmetry): the DFT is real-to-complex and
 keeps only the wavenumbers up to n/2 along the last axis, about half
@@ -114,9 +118,10 @@ def direct_sum_pairs(pairs) -> ProjectionPair:
 def descend(A: MatrixOperator, pv: ProjectionPair) -> MatrixOperator:
     """Project an operator onto a subspace: pi . A . embedding.
 
-    Skew-selfadjointness of the result is guaranteed (and asserted by the
-    callers) when the pair splits as V0 (+) H1 or H0 (+) V1 over the block
-    structure of A; for other pairs the result is a plain compression.
+    (pi A pi*)* = pi A* pi*, so a skew A descends to a skew operator (the
+    callers assert it).  A pair B0 (+) B1 over the two blocks of
+    A = [[0, -C*], [C, 0]] keeps the block form: the result is the
+    (B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]].
     """
     if A.domain != pv.domain:
         raise TagMismatchError(
@@ -436,35 +441,16 @@ class ShiftCut:
 class WavenumberPair:
     """A real subspace given, wavenumber by wavenumber, by orthonormal columns.
 
-    pi = basis^H F S at each kept wavenumber (F, S from `cut`), with the
-    weighted adjoint S^-1 F^-1 basis as its embedding; at the conjugate
-    wavenumbers the cut drops, the basis is the conjugate one.  groups holds
-    one (wavenumber index, basis (n, m, c)) per group of wavenumbers with c
-    columns each, and the codomain's dimension counts each wavenumber with
-    its cut.multiplicity.
+    pi = basis^H F S at each kept wavenumber (F, S of the ShiftCut the pair
+    was split on), with the weighted adjoint S^-1 F^-1 basis as its
+    embedding; at the conjugate wavenumbers the cut drops, the basis is the
+    conjugate one.  groups holds one (wavenumber index, basis (n, m, c))
+    per group of wavenumbers with c columns each, and the codomain's
+    dimension counts each wavenumber with the cut's multiplicity.
     """
 
-    cut: ShiftCut
     groups: tuple
-    domain: SpaceTag
     codomain: SpaceTag
-
-
-def range_kernel_pairs(cut: ShiftCut, u, kernel_dims, domain: SpaceTag):
-    """Range and kernel pairs from unitary u[xi] (N, m, m) whose last kernel_dims[xi]
-    columns span the kernel; both are grouped by kernel count, group for group."""
-    m = u.shape[1]
-    groups = [(np.flatnonzero(kernel_dims == k), m - k) for k in np.unique(kernel_dims)]
-
-    def pair(label, bases):
-        dim = sum(int(cut.multiplicity[index].sum()) * basis.shape[2] for index, basis in bases)
-        if dim == 0:
-            return None  # 0-dimensional tags are not representable
-        return WavenumberPair(cut, tuple(bases), domain,
-                              SpaceTag(f"{label}({dim})of[{domain.name}]", dim))
-
-    return (pair("range", [(index, u[index, :, :r]) for index, r in groups]),
-            pair("coker", [(index, u[index, :, r:]) for index, r in groups]))
 
 
 def shift_cut(space: SpaceTag, grid, *ops: MatrixOperator):
@@ -496,11 +482,21 @@ def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag):
     DEFAULT_RANK_TOL * max(singular value) span the range, the others the kernel.
 
     Returns (range_pair, kernel_pair), WavenumberPairs grouped by kernel
-    count, or None for an empty subspace.  For skew A the two subspaces
-    reduce A: the projectors commute with it and the compression to the
-    range is again skew-selfadjoint.
+    count, group for group, or None for an empty subspace.  For skew A the
+    two subspaces reduce A: the projectors commute with it and the
+    compression to the range is again skew-selfadjoint.
     """
     u, svals = np.linalg.svd(symbols)[:2]  # the caller holds symbols: drop vh at once
     kernel_dims = np.count_nonzero(svals <= DEFAULT_RANK_TOL * max(svals.max(), 1e-300), axis=1)
-    return range_kernel_pairs(cut, u, kernel_dims, domain)
+    m = u.shape[1]
+    groups = [(np.flatnonzero(kernel_dims == k), m - k) for k in np.unique(kernel_dims)]
+
+    def pair(label, bases):
+        dim = sum(int(cut.multiplicity[index].sum()) * basis.shape[2] for index, basis in bases)
+        if dim == 0:
+            return None  # 0-dimensional tags are not representable
+        return WavenumberPair(tuple(bases), SpaceTag(f"{label}({dim})of[{domain.name}]", dim))
+
+    return (pair("range", [(index, u[index, :, :r]) for index, r in groups]),
+            pair("coker", [(index, u[index, :, r:]) for index, r in groups]))
 

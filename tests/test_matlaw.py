@@ -27,7 +27,7 @@ from protofield.matlaw import (
     symmetrize,
 )
 from protofield import catalog, matlaw
-from protofield.subspaces import range_kernel_pairs, range_kernel_split, shift_cut
+from protofield.subspaces import range_kernel_split, shift_cut
 
 
 def law_on(tagname, m0, m1=None):
@@ -443,29 +443,34 @@ class TestSchur:
     def reduce(self, m, k):
         """schur_reduce of S = m at each point of a 2-point ring (m kron I_2), with
         the first n-k components as the 'range' and the last k as the 'kernel'
-        at both wavenumbers; returns the inverse, the range pair and S."""
+        at both wavenumbers (the split of A = diag(1, .., 1, 0, .., 0) kron I_2);
+        returns the inverse, the cut, the range pair and S."""
         n = len(m)
         t = SpaceTag("h", 2 * n)
+        A = MatrixOperator(np.kron(np.diag(np.arange(n) < n - k), np.eye(2)), t, t)
         S = MatrixOperator(np.kron(m, np.eye(2)), t, t)
-        cut, (symbols,) = shift_cut(t, (Axis.torus(2),), S)
-        pr, pk = range_kernel_pairs(cut, np.array([np.eye(n)] * 2), np.array([k, k]), t)
-        return schur_reduce(symbols, pr, pk), pr, S
+        cut, (a_symbols, symbols) = shift_cut(t, (Axis.torus(2),), A, S)
+        pr, pk = range_kernel_split(cut, a_symbols, t)
+        return schur_reduce(symbols, pr, pk), cut, pr, S
 
     def test_hand_2x2(self):
-        inverse, pr, _ = self.reduce(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
+        inverse, cut, pr, _ = self.reduce(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)
         assert complements(inverse, pr)[0][:, 0, 0] == pytest.approx([1.5, 1.5])
         # reconstruction at each point: x_k = (f_k - x_r) / 2
         f = np.array([0.0, 0.0, 3.0, 1.0])
-        x = solve_with(inverse, pr.cut, f)
+        x = solve_with(inverse, cut, f)
         assert x[2:] == pytest.approx((f[2:] - x[:2]) / 2.0)
 
     def test_block_diagonal(self):
         m = np.zeros((4, 4))
         m[:2, :2] = [[2.0, 0.3], [0.3, 2.0]]
         m[2:, 2:] = [[4.0, 0.0], [0.0, 5.0]]
-        inverse, pr, _ = self.reduce(m, 2)
-        assert np.allclose(complements(inverse, pr)[0], m[:2, :2], atol=1e-15)
-        x = solve_with(inverse, pr.cut, np.repeat([0.0, 0.0, 4.0, 10.0], 2))
+        inverse, cut, pr, _ = self.reduce(m, 2)
+        # the complement in the split's range basis u_r, whose rows past 2 vanish
+        u_r = pr.groups[0][1][:, :2]
+        assert np.allclose(u_r @ complements(inverse, pr)[0] @ u_r.conj().transpose(0, 2, 1),
+                           m[:2, :2], atol=1e-15)
+        x = solve_with(inverse, cut, np.repeat([0.0, 0.0, 4.0, 10.0], 2))
         assert np.allclose(x, np.repeat([0.0, 0.0, 1.0, 2.0], 2))
 
     def test_full_solve_equals_reduce_reconstruct(self):
@@ -476,17 +481,17 @@ class TestSchur:
             m = rng.standard_normal((n, n))
             S_ent = m @ m.T + 0.5 * np.eye(n)       # symmetric positive definite
             skew = rng.standard_normal((n, n))
-            inverse, pr, S = self.reduce(S_ent + (skew - skew.T), k)
+            inverse, cut, _, S = self.reduce(S_ent + (skew - skew.T), k)
             rhs = rng.standard_normal(2 * n)
             x_full = np.linalg.solve(S.to_dense(), rhs)
-            x_rec = solve_with(inverse, pr.cut, rhs)
+            x_rec = solve_with(inverse, cut, rhs)
             assert np.abs(x_full - x_rec).max() <= 1e-12 * max(np.abs(x_full).max(), 1.0)
 
     def test_positivity_persists_without_coupling(self):
         m = np.zeros((4, 4))
         m[:2, :2] = 3.0 * np.eye(2)
         m[2:, 2:] = 2.0 * np.eye(2)
-        inverse, pr, _ = self.reduce(m, 2)
+        inverse, _, pr, _ = self.reduce(m, 2)
         reduced = complements(inverse, pr)[0]
         assert np.linalg.eigvalsh(reduced).min() >= 3.0 - 1e-12
 
@@ -497,7 +502,7 @@ class TestSchur:
         S, _ = step_pair(entry.law, entry.a, 0.05)
         cut, (a_symbols, s_symbols) = shift_cut(entry.space, entry.grid, entry.a, S)
         pr, pk = range_kernel_split(cut, a_symbols, entry.space)
-        assert pr.cut.N == 4  # 6 // 2 + 1 kept wavenumbers
+        assert cut.N == 4  # 6 // 2 + 1 kept wavenumbers
         for reduced in complements(schur_reduce(s_symbols, pr, pk), pr):
             sym = 0.5 * (reduced + reduced.conj().transpose(0, 2, 1))
             assert np.linalg.eigvalsh(sym).min(initial=np.inf) > 0

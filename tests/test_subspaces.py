@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from protofield import catalog, evolve, verify
 from protofield.flatgrid import (PERIODIC, Axis, TensorFieldSpace, TensorStack, build_d1,
                                  build_stack_skew)
-from protofield.linops import MatrixOperator, identity, skew_defect
+from protofield.linops import MatrixOperator, SpaceTag, identity, make_block_skew, skew_defect
 from protofield.subspaces import (
     PAIR_VALIDATION_TOL,
     ProjectionPair,
@@ -33,9 +33,10 @@ PAIR_TOL = 1e-13
 
 
 def split(A, *others, grid=()):
-    """The range/kernel split of A on the cut it shares with `others`, as solve_reduced takes it."""
+    """(cut, range pair, kernel pair): the range/kernel split of A on the cut it
+    shares with `others`, as solve_reduced takes it."""
     cut, symbols = shift_cut(A.domain, grid, A, *others)
-    return range_kernel_split(cut, symbols[0], A.domain)
+    return (cut, *range_kernel_split(cut, symbols[0], A.domain))
 
 
 def dense_split(A, rank_tol=1e-10):
@@ -46,21 +47,14 @@ def dense_split(A, rank_tol=1e-10):
     return U[:, :nrank].T * sw[None, :], U[:, nrank:].T * sw[None, :]
 
 
-def dense_projector(pair):
-    """pi* pi as a dense matrix: the split's own transform applied to identity columns."""
-    cut = pair.cut
-    coords = cut.forward(np.eye(pair.domain.dim))
+def dense_projector(cut, pair):
+    """pi* pi as a dense matrix: the transform of the cut the pair was split
+    on, applied to identity columns."""
+    coords = cut.forward(np.eye(len(cut.sw)))
     out = np.zeros_like(coords)
     for index, basis in pair.groups:
         out[index] = basis @ (basis.conj().transpose(0, 2, 1) @ coords[index])
     return cut.inverse(out)
-
-
-def dense_pi(pair):
-    """The rows of pi (one per wavenumber and column), from the transform of identity columns."""
-    coords = pair.cut.forward(np.eye(pair.domain.dim))
-    return np.concatenate([(basis.conj().transpose(0, 2, 1) @ coords[index]).reshape(
-        -1, pair.domain.dim) for index, basis in pair.groups])
 
 
 def assert_pair_invariants(pair):
@@ -256,7 +250,7 @@ class TestRangeKernel:
         grid = (Axis.torus(3),)
         t = TensorFieldSpace(grid, 0).tag
         A = MatrixOperator(np.eye(3) + np.roll(np.eye(3), 1, axis=0), t, t)
-        pr, pk = split(A, grid=grid)
+        _, pr, pk = split(A, grid=grid)
         assert pr.codomain.dim == 3
         assert pk is None
 
@@ -264,16 +258,16 @@ class TestRangeKernel:
         grid = (Axis.torus(3),)
         t = TensorFieldSpace(grid, 0).tag
         A = MatrixOperator(np.zeros((3, 3)), t, t)
-        pr, pk = split(A, grid=grid)
+        _, pr, pk = split(A, grid=grid)
         assert pr is None
         assert pk.codomain.dim == 3
 
     def test_periodic_acoustic_kernel_is_two_constants(self):
         entry = catalog.acoustics((Axis.torus(4),))
-        pr, pk = split(entry.a, grid=entry.grid)
+        cut, _, pk = split(entry.a, grid=entry.grid)
         assert pk.codomain.dim == 2
         # the kernel projector's columns are constants in each block
-        for col in dense_projector(pk).T:
+        for col in dense_projector(cut, pk).T:
             p, v = col[:4], col[4:]
             assert np.abs(p - p.mean()).max() <= 1e-12
             assert np.abs(v - v.mean()).max() <= 1e-12
@@ -281,13 +275,13 @@ class TestRangeKernel:
     def test_commutation_and_skewness_on_range(self):
         entry = catalog.heat((Axis.torus(6),))
         A = entry.a
-        pr, pk = split(A, grid=entry.grid)
-        P = dense_projector(pr)
+        cut, pr, _ = split(A, grid=entry.grid)
+        P = dense_projector(cut, pr)
         Ad = A.to_dense()
         norm_a = np.abs(Ad).max()
         assert np.abs(P @ Ad - Ad @ P).max() <= 1e-12 * norm_a
         # the compression to the range, wavenumber by wavenumber, is skew-Hermitian
-        (symbols,) = pr.cut.symbols(A)
+        (symbols,) = cut.symbols(A)
         for index, basis in pr.groups:
             restricted = basis.conj().transpose(0, 2, 1) @ symbols[index] @ basis
             skew_part = restricted + restricted.conj().transpose(0, 2, 1)
@@ -307,18 +301,18 @@ class TestRangeKernel:
     def test_projectors_match_the_dense_svd(self, name, axes):
         entry = catalog.build_entry(name, axes)
         w = entry.a.domain.weight
-        pairs = split(entry.a, grid=entry.grid)
+        cut, *pairs = split(entry.a, grid=entry.grid)
         for pair, ref in zip(pairs, dense_split(entry.a)):
             assert (0 if pair is None else pair.codomain.dim) == ref.shape[0]
             if pair is not None:
                 for _, basis in pair.groups:
                     gram = basis.conj().transpose(0, 2, 1) @ basis
                     assert np.abs(gram - np.eye(basis.shape[2])).max(initial=0.0) <= 1e-12
-                assert np.abs(dense_projector(pair) - (ref.T / w[:, None]) @ ref).max() <= 1e-12
+                assert np.abs(dense_projector(cut, pair) - (ref.T / w[:, None]) @ ref).max() <= 1e-12
         # one unitary basis per wavenumber: range and kernel groups line up
         if None not in pairs:
             for (i_r, b_r), (i_k, b_k) in zip(pairs[0].groups, pairs[1].groups):
-                assert np.array_equal(i_r, i_k) and b_r.shape[2] + b_k.shape[2] == pairs[0].cut.m
+                assert np.array_equal(i_r, i_k) and b_r.shape[2] + b_k.shape[2] == cut.m
 
     @pytest.mark.parametrize("build", [
         lambda: catalog.extended_maxwell((Axis.torus(4),) * 3, m0=np.linspace(1.0, 2.0, 512)),
@@ -355,10 +349,10 @@ class TestRangeKernel:
         entry = catalog.acoustics((Axis.torus(8),))
         t = entry.a.domain
         bump = MatrixOperator(np.diag(np.linspace(1.0, 2.0, t.dim)), t, t)
-        p_kernel = split(entry.a, grid=entry.grid)[1]
-        assert p_kernel.cut.N == 5  # 8 // 2 + 1
+        cut = split(entry.a, grid=entry.grid)[0]
+        assert cut.N == 5  # 8 // 2 + 1
         assert shift_cut(t, entry.grid, entry.a, bump) == (None, None)
-        assert p_kernel.cut.symbols(bump) is None
+        assert cut.symbols(bump) is None
 
     @pytest.mark.parametrize("at", [0, 7], ids=["at_p0", "off_p0"])
     def test_an_entry_missing_from_one_operator_is_caught(self, at):
@@ -417,8 +411,7 @@ class TestHalfSpectrum:
         # conjugate partners counted: range + kernel is the whole space, and
         # each is as large as the dense SVD's
         entry = catalog.build_entry(name, grid)
-        p_range, p_kernel = split(entry.a, grid=grid)
-        cut = p_range.cut
+        cut, p_range, p_kernel = split(entry.a, grid=grid)
         assert cut.N == half_count(grid)
         assert cut.multiplicity.sum() == np.prod(cut.per)
         assert p_range.codomain.dim + p_kernel.codomain.dim == entry.dim
@@ -474,8 +467,6 @@ class TestDescend:
         assert np.array_equal(descend(entry.a, pv).to_dense(), entry.a.to_dense())
 
     def test_coordinate_selection_of_rotation(self):
-        from protofield.linops import SpaceTag
-
         t = SpaceTag("h", 2)
         A = MatrixOperator(np.array([[0.0, -1.0], [1.0, 0.0]]), t, t)
         pi = MatrixOperator(np.array([[1.0, 0.0]]), t, SpaceTag("v", 1))
@@ -483,7 +474,7 @@ class TestDescend:
         assert out.to_dense()[0, 0] == 0.0
 
     def test_tag_mismatch(self):
-        from protofield.linops import SpaceTag, TagMismatchError
+        from protofield.linops import TagMismatchError
 
         t = SpaceTag("h", 2)
         other = SpaceTag("g", 3)
@@ -491,6 +482,55 @@ class TestDescend:
         pi = MatrixOperator(np.eye(2), t, t)
         with pytest.raises(TagMismatchError):
             descend(A, ProjectionPair(pi))
+
+
+class TestRelativeDescent:
+    """descend by B0 (+) B1 on [[0, -C*], [C, 0]] is the (B0, B1)-relative
+    [[0, -B0 C* B1*], [B1 C B0*, 0]]: verify.check_relative_construction."""
+
+    @staticmethod
+    def relative(C, pi0, pi1):
+        pairs = [ProjectionPair(pi, validate=False) for pi in (pi0, pi1)]
+        return descend(make_block_skew(C), direct_sum_pairs(pairs)).to_dense()
+
+    def test_weighted_identity_pairs_return_a(self):
+        # the unit-weight case is test_linops.TestRelative
+        rng = np.random.default_rng(4)
+        t0 = SpaceTag("h0", 3, rng.uniform(0.5, 2.0, 3))
+        t1 = SpaceTag("h1", 2, rng.uniform(0.5, 2.0, 2))
+        C = MatrixOperator(rng.standard_normal((2, 3)), t0, t1)
+        assert np.array_equal(self.relative(C, identity(t0), identity(t1)),
+                              make_block_skew(C).to_dense())
+
+    def test_row_selection_gives_the_b0_blocks(self):
+        # C = I: the lower block B1 C B0* is B0^T, the upper -B0 C* B1* is -B0
+        t, x = SpaceTag("h", 4), SpaceTag("x", 2)
+        B0 = MatrixOperator(np.array([[1, 0, 0, 0], [0, 0, 1, 0]], float), t, x)
+        rel = self.relative(MatrixOperator(np.eye(4), t, t), B0, identity(t))
+        assert np.array_equal(rel[2:, :2], B0.to_dense().T)
+        assert np.array_equal(rel[:2, 2:], -B0.to_dense())
+
+    def test_sign_flip_pair(self):
+        # B0 = 1, B1 = -1 on scalars flips the rotation: the diag(1, -1)
+        # conjugate of [[0, -1], [1, 0]] is [[0, 1], [-1, 0]]
+        t = SpaceTag("h", 1)
+        rel = self.relative(MatrixOperator([[1.0]], t, t), MatrixOperator([[1.0]], t, t),
+                            MatrixOperator([[-1.0]], t, t))
+        assert np.array_equal(rel, [[0, 1], [-1, 0]])
+
+    def test_unitary_pair_is_conjugation(self):
+        rng = np.random.default_rng(6)
+        d0, d1 = 4, 3
+        t0, t1 = SpaceTag("h0", d0), SpaceTag("h1", d1)
+        C = MatrixOperator(rng.standard_normal((d1, d0)), t0, t1)
+        q0, _ = np.linalg.qr(rng.standard_normal((d0, d0)))
+        q1, _ = np.linalg.qr(rng.standard_normal((d1, d1)))
+        rel = self.relative(C, MatrixOperator(q0.T, t0, SpaceTag("x", d0)),
+                            MatrixOperator(q1.T, t1, SpaceTag("y", d1)))
+        u = np.zeros((7, 7))
+        u[:4, :4] = q0.T
+        u[4:, 4:] = q1.T
+        assert np.allclose(rel, u @ make_block_skew(C).to_dense() @ u.T, atol=1e-13)
 
 
 class TestOrderDependence:
