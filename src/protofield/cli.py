@@ -8,8 +8,10 @@ Commands:
 Exit codes: 0 success, 1 verification failure, 2 scenario error (the
 message names the key) or, for verify, a PROTOFIELD_MAX_GRID that is not
 an integer >= 2, 3 unknown catalog name, 4 well-posedness failure, 5 step
-failure (a singular step matrix, or a state or energy that is not finite;
-no CSV is written).  A run whose states would not fit in the machine's
+failure (a singular step matrix, or a state, energy or partial norm that
+is not finite; no CSV is written).  Scenario arithmetic that overflows,
+divides by zero or is invalid is a scenario error naming the key;
+underflow is allowed.  A run whose states would not fit in the machine's
 physical memory is a scenario error naming "solver", and an entry too
 large to build one naming "grid/params".
 
@@ -91,9 +93,11 @@ class ScenarioError(ValueError):
 
 @contextlib.contextmanager
 def _reading(key):
-    """Report a missing or malformed value as a ScenarioError naming its key."""
+    """Report a missing or malformed value, or numpy arithmetic on it that overflows,
+    divides by zero or is invalid (underflow is allowed), as a ScenarioError naming its key."""
     try:
-        yield
+        with np.errstate(all="raise", under="ignore"):
+            yield
     except MaterialLawError:
         raise
     except KeyError as exc:
@@ -158,26 +162,22 @@ def _profile_values(axes, spec):
     mesh = np.meshgrid(*(a.points() for a in axes), indexing="ij")
     kind = spec.get("profile", "sine")
     amp = float(spec.get("amplitude", 1.0))
+    out = np.ones_like(mesh[0])
     if kind == "sine":
         mode = operator.index(spec.get("mode", 1))
-        out = np.ones_like(mesh[0])
         for m, a in zip(mesh, axes):
             span = (a.n + 1) * a.h if a.bc == DIRICHLET else 1.0
             out = out * np.sin(mode * np.pi * m / span)
     elif kind == "gauss":
         width = float(spec.get("width", 0.15))
-        if not 0 < width < np.inf or 2 * width ** 2 == 0:
-            raise ValueError(f"gauss width must be positive, finite and its square "
-                             f"nonzero, got {width}")
-        out = np.ones_like(mesh[0])
+        if not width > 0:
+            raise ValueError(f"gauss width must be positive, got {width}")
         centers = spec.get("center", [0.5] * len(axes))
         if len(centers) != len(axes):
             raise ValueError(f"center needs {len(axes)} coordinates, got {centers!r}")
         for m, c in zip(mesh, centers):
             out = out * np.exp(-((m - c) ** 2) / (2 * width ** 2))
-    elif kind == "constant":
-        out = np.ones_like(mesh[0])
-    else:
+    elif kind != "constant":
         raise ValueError(f"unknown profile {kind!r}")
     return amp * out.reshape(-1)
 
@@ -270,31 +270,27 @@ def run_scenario(cfg, reduced=False, outdir="."):
     problem = entry.problem(initial=initial, forcing=forcing)
     runner = solve_reduced if reduced else solve
     traj = runner(problem, config)
-    _write_energy_csv(cfg, traj, config, outdir)
+    with np.errstate(all="ignore"):  # a norm that overflows is refused below
+        partial = weighted_partial_norms(traj, config.nu)
+    if not np.isfinite(partial).all():
+        raise StepFailureError(f"weighted partial norm not finite (nu = {config.nu:g})")
+    _write_energy_csv(cfg, traj, partial, outdir)
     _write_snapshot_csv(cfg, entry, traj, outdir)
     return traj
 
 
-def _write_energy_csv(cfg, traj, config, outdir):
-    path = Path(outdir) / f"{cfg['name']}_energy.csv"
-    partial = weighted_partial_norms(traj, config.nu)
-    with open(path, "w", newline="") as fh:
+def _write_energy_csv(cfg, traj, partial, outdir):
+    with open(Path(outdir) / f"{cfg['name']}_energy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "energy", "weighted_partial_norm"])
-        for k, t in enumerate(traj.times):
-            writer.writerow([
-                FLOAT_FMT % t,
-                FLOAT_FMT % traj.energies[k],
-                FLOAT_FMT % partial[k],
-            ])
-    return path
+        for row in zip(traj.times, traj.energies, partial):
+            writer.writerow([FLOAT_FMT % x for x in row])
 
 
 def _write_snapshot_csv(cfg, entry, traj, outdir):
-    path = Path(outdir) / f"{cfg['name']}_snapshots.csv"
     times = cfg.get("output", {}).get("snapshots", [])
     slices = entry.block_slices()
-    with open(path, "w", newline="") as fh:
+    with open(Path(outdir) / f"{cfg['name']}_snapshots.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "block", "index", "value"])
         for t in times:
@@ -302,7 +298,6 @@ def _write_snapshot_csv(cfg, entry, traj, outdir):
             for label, sl in slices.items():
                 for i, val in enumerate(traj.states[k][sl]):
                     writer.writerow([FLOAT_FMT % traj.times[k], label, i, FLOAT_FMT % val])
-    return path
 
 
 def cmd_verify(args):

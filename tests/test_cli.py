@@ -69,6 +69,13 @@ BAD_INPUTS = {
                        "initial"),
     "underflowing_width": (lambda c: c["initial"][0].update(profile="gauss", width=1e-200),
                            "initial"),
+    # scenario arithmetic that overflows is refused (1e-160 squared is subnormal, not 0)
+    "subnormal_square_width": (lambda c: c["initial"][0].update(profile="gauss", width=1e-160),
+                               "initial"),
+    "overflowing_center": (lambda c: c["initial"][0].update(profile="gauss", center=[1e154]),
+                           "initial"),
+    "overflowing_sine_length": (lambda c: c["grid"][0].update(length=1e308), "initial"),
+    "overflowing_sigma": (lambda c: c["params"].update(sigma=1e308), "grid/params"),
     "center_of_wrong_length": (lambda c: c["initial"][0].update(profile="gauss",
                                                                 center=[0.5, 0.5]), "center"),
     "unknown_key": (lambda c: c.update(intial=c.pop("initial")), "intial"),
@@ -227,6 +234,21 @@ class TestSolveCommand:
         assert "not finite at step" in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("reduced", [[], ["--reduced"]], ids=["full", "reduced"])
+    @pytest.mark.parametrize("solver", [{}, {"nu": 1e308, "t_end": 1.5}], ids=["nu_0", "huge_nu"])
+    def test_overflowing_partial_norm_exit_5(self, tmp_path, capsys, reduced, solver):
+        # states and energies stay finite; the partial norm's trapezoid sum
+        # overflows, and past t = 1 a huge nu weights it by exp(-inf) = 0
+        cfg = json.loads((SCENARIO_DIR / "heat_rod.json").read_text())
+        cfg["initial"][0]["amplitude"] = 1e154
+        cfg["solver"].update(solver)
+        p = write_scenario(tmp_path, cfg)
+        code = cli.main(["solve", str(p), "--outdir", str(tmp_path), *reduced])
+        assert code == cli.EXIT_STEP_FAILURE
+        err = capsys.readouterr().err
+        assert "weighted partial norm not finite" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_near_singular_periodic_step_exit_5(self, tmp_path, capsys):
         # the gate passes (sigma > 1e-12); the CN symbol at wavenumber 0,
         # diag(1/tau, sigma/2), has condition kappa_1 1.3e15.  The reduced
@@ -305,9 +327,11 @@ class TestSolveCommand:
         p = write_scenario(tmp_path, BASIC)
         assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == code
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_nu_gives_finite_partial_norms(self, tmp_path):
+        # past t = 1, nu * t overflows to inf: exp(-inf) is 0, with no warning
         cfg = copy.deepcopy(BASIC)
-        cfg["solver"]["nu"] = 1e308
+        cfg["solver"].update(nu=1e308, t_end=1.5)
         p = write_scenario(tmp_path, cfg)
         assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_OK
         rows = read_energy(tmp_path / "toy_heat_energy.csv")
@@ -367,9 +391,10 @@ def key_paths(value, path=()):
         yield from key_paths(item, path + (key,))
 
 
-# no large finite number: a value that makes a long run is not junk
+# the huge and tiny numbers make scenario arithmetic overflow; a run they make
+# too long to store is refused before it starts
 JUNK = [None, True, -1, 0, 0.5, 3, 1e308, float("nan"), float("inf"), "", "x", "nan", [], [1],
-        {}, {"a": 1}]
+        {}, {"a": 1}, 1e-160, 1e-200, 5e-324, 1e154, 1e200, -1e-300, 1e-15]
 FUZZ_CASES = [(f, path) for f in sorted(SCENARIO_DIR.glob("*.json"))
               for path in key_paths(json.loads(f.read_text()))]
 
@@ -377,7 +402,8 @@ FUZZ_CASES = [(f, path) for f in sorted(SCENARIO_DIR.glob("*.json"))
 @settings(max_examples=150)
 @given(case=st.sampled_from(FUZZ_CASES), junk=st.sampled_from(JUNK))
 def test_fuzzed_scenario_never_gives_a_traceback(case, junk):
-    """A shipped scenario with one value replaced by junk ends with a known exit code."""
+    """A shipped scenario with one value replaced by junk ends with a known exit code,
+    warns of nothing, and writes only finite CSVs."""
     scenario, path = case
     cfg = json.loads(scenario.read_text())
     parent = cfg
@@ -386,16 +412,20 @@ def test_fuzzed_scenario_never_gives_a_traceback(case, junk):
     parent[path[-1]] = copy.deepcopy(junk)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as outdir, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings(record=True):
-        # as on the command line, numpy's overflow warnings on junk such as
-        # 1e308 are reported, not raised (here: recorded, not printed)
-        warnings.simplefilter("default")
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings(record=True) as rec:
+        # recorded, not raised: a warning must fail the test, not end the run
+        warnings.simplefilter("always")
         p = Path(outdir) / "scenario.json"
         p.write_text(json.dumps(cfg))
         code = cli.main(["solve", str(p), "--outdir", outdir])
+        rows = [row for csv_path in Path(outdir).glob("*.csv") for row in read_energy(csv_path)]
     assert code in (cli.EXIT_OK, cli.EXIT_PARSE_ERROR, cli.EXIT_UNKNOWN_CATALOG,
                     cli.EXIT_WELLPOSEDNESS, cli.EXIT_STEP_FAILURE)
     assert "Traceback" not in err.getvalue()
+    runtime = [str(w.message) for w in rec if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, runtime
+    assert all(math.isfinite(float(value)) for row in rows
+               for key, value in row.items() if key != "block")
 
 
 class TestScenarioCorpus:
@@ -405,6 +435,7 @@ class TestScenarioCorpus:
         for f in files:
             assert cli.load_scenario(f) == json.loads(f.read_text())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_corpus_runs(self, tmp_path):
         for f in sorted(SCENARIO_DIR.glob("*.json")):
             assert cli.main(["solve", str(f), "--outdir", str(tmp_path)]) == cli.EXIT_OK
