@@ -87,7 +87,10 @@ def _coeff_spectrum(name, value, size, strict=True):
     if not np.isfinite(mat.data).all():
         raise ValueError(f"{name} must be finite")
     tag = SpaceTag(name, size)
-    floor, groups = weighted_spectrum(MatrixOperator._owning(mat, tag, tag), rank_tol=1e-12)
+    try:
+        floor, groups = weighted_spectrum(MatrixOperator._owning(mat, tag, tag), rank_tol=1e-12)
+    except ArithmeticError as exc:  # raised under the scenario's errstate: name the coefficient
+        raise ValueError(f"{name}: {exc}") from exc
     low = min(float(g[1].min()) for g in groups)
     if not (low > floor if strict else low >= -floor):  # a NaN fails too
         raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")

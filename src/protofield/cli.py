@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 verification failure, 2 scenario error (the
 message names the key) or, for verify, a PROTOFIELD_MAX_GRID that is not
 an integer >= 2, 3 unknown catalog name, 4 well-posedness failure, 5 step
 failure (a singular step matrix, or a state, energy or partial norm that
-is not finite; no CSV is written).  Scenario arithmetic that overflows,
-divides by zero or is invalid is a scenario error naming the key;
-underflow is allowed.  A run whose states would not fit in the machine's
-physical memory is a scenario error naming "solver", and an entry too
-large to build one naming "grid/params".
+is not finite, refused in evolve; no CSV is written).  Scenario arithmetic
+that overflows, divides by zero or is invalid is a scenario error naming
+the key; underflow is allowed.  A run whose states would not fit in the
+machine's physical memory is a scenario error naming "solver", and an
+entry too large to build one naming "grid/params".
 
 Scenario files are JSON objects:
 
@@ -270,10 +270,7 @@ def run_scenario(cfg, reduced=False, outdir="."):
     problem = entry.problem(initial=initial, forcing=forcing)
     runner = solve_reduced if reduced else solve
     traj = runner(problem, config)
-    with np.errstate(all="ignore"):  # a norm that overflows is refused below
-        partial = weighted_partial_norms(traj, config.nu)
-    if not np.isfinite(partial).all():
-        raise StepFailureError(f"weighted partial norm not finite (nu = {config.nu:g})")
+    partial = weighted_partial_norms(traj, config.nu)  # before any file is opened
     _write_energy_csv(cfg, traj, partial, outdir)
     _write_snapshot_csv(cfg, entry, traj, outdir)
     return traj

@@ -22,13 +22,14 @@ see matlaw) exceeds 1e15 raises StepFailureError.  solve_reduced is the
 same evolution stepped on the range of A: both run one set-up (the
 gate, the step matrices, the cut), and where A has both a range and a
 kernel on the cut solve_reduced inverts the step matrix through the
-Schur complement onto the range instead.  A run whose states or
-energies stop being finite raises StepFailureError, at the end of the
-block of steps where they first do.
-Every pass over a trajectory's states (the march itself, the energies,
-the dissipation and causality checks and the partial norms) walks one
-block of rows at a time, so none allocates a temporary the size of the
-trajectory.
+Schur complement onto the range instead.  Every series a run writes is
+finite or refused by StepFailureError: the march stops at the end of the
+block of steps where a state or energy first is not, and
+weighted_partial_norms refuses a partial norm that is not finite.
+Every pass over a trajectory's states (the march itself with its
+energies, the dissipation and causality checks and the partial norms)
+walks one block of rows at a time, so none allocates a temporary the size
+of the trajectory.
 Crank-Nicolson preserves the quadratic form <M0 u, u> exactly (up to the
 linear solve) when M1 is skew or zero, and for zero forcing satisfies the
 discrete dissipation identity
@@ -137,7 +138,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dim)
     energies: np.ndarray
-    tau: float
     space: object  # SpaceTag of the states, for weighted diagnostics
 
     def __len__(self):
@@ -242,8 +242,7 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Traje
             if not finite.all():
                 k = rows.start + int(np.argmin(finite))
                 raise StepFailureError(f"state or energy not finite at step {k} (t = {times[k]:.6g})")
-    return Trajectory(times=times, states=states, energies=energies,
-                      tau=config.tau, space=problem.space)
+    return Trajectory(times=times, states=states, energies=energies, space=problem.space)
 
 
 def _stepper(problem: EvolutionaryProblem, config: SolverConfig, reduced: bool):
@@ -291,17 +290,6 @@ def energy_series_from_states(states, m0: MatrixOperator) -> np.ndarray:
     return 0.5 * _weighted_form(m0.entries, states, m0.domain.weight)
 
 
-def energy_series(traj: Trajectory, m0: MatrixOperator) -> np.ndarray:
-    """E_n = <M0 u_n, u_n> / 2 along the trajectory, a block of rows at a time.
-
-    The blocks are the march's, so the series is bitwise traj.energies.
-    """
-    energies = np.empty(len(traj))
-    for rows in _row_blocks(len(traj), traj.space.dim):
-        energies[rows] = energy_series_from_states(traj.states[rows], m0)
-    return energies
-
-
 @dataclass(frozen=True)
 class DissipationReport:
     max_residual: float
@@ -312,19 +300,20 @@ def dissipation_check(traj: Trajectory, mlaw: MaterialLaw) -> DissipationReport:
     """Check E_{n+1} - E_n = -tau <sym(M1) u_mid, u_mid> for a force-free CN run,
     to DISSIPATION_TOL of the largest energy.
 
-    The midpoints of a block are taken with the last state of the block
-    before it, so each step's drop is computed once.
+    One pass over the march's row blocks takes each block's energies
+    (bitwise traj.energies) and its steps' drops, the midpoints taken with
+    the last state of the block before, so each drop is computed once.
     """
     w, sym_m1 = mlaw.space.weight, symmetrize(mlaw.m1).entries
-    energies = energy_series(traj, mlaw.m0)
-    scale = max(energies.max(), 1.0)
-    drops = np.empty(len(traj) - 1)
+    energies, drops = np.empty(len(traj)), np.empty(len(traj) - 1)
     for rows in _row_blocks(len(traj), traj.space.dim):
+        energies[rows] = energy_series_from_states(traj.states[rows], mlaw.m0)
         lo = max(rows.start - 1, 0)
         mids = traj.states[lo:rows.stop - 1] + traj.states[lo + 1:rows.stop]
         mids *= 0.5
         drops[lo:rows.stop - 1] = _weighted_form(sym_m1, mids, w)
-    max_res = float(np.abs(np.diff(energies) + traj.tau * drops).max(initial=0.0))
+    scale = max(energies.max(), 1.0)
+    max_res = float(np.abs(np.diff(energies) + traj.times[1] * drops).max(initial=0.0))
     return DissipationReport(max_residual=max_res / scale, holds=max_res <= DISSIPATION_TOL * scale)
 
 
@@ -353,17 +342,21 @@ def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:
     """Running trapezoidal norms of the exponentially weighted trajectory.
 
     Entry n approximates sqrt(int_0^{t_n} |u(t)|^2 exp(-2 nu t) dt); the
-    first entry is 0.  Diagnostic only (the solvers never use it).
+    first entry is 0.  A series that is not finite raises StepFailureError.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     squares = np.empty(len(traj))
-    for rows in _row_blocks(len(traj), traj.space.dim):
-        squares[rows] = _weighted_form(None, traj.states[rows], traj.space.weight)
-    # nu * t first: -2 nu overflows for a huge nu, and -inf * 0 is nan at t = 0
-    vals = squares * np.exp(-2.0 * (nu * traj.times))
-    steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])
-    return np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
+    with np.errstate(all="ignore"):  # a norm that overflows is refused below
+        for rows in _row_blocks(len(traj), traj.space.dim):
+            squares[rows] = _weighted_form(None, traj.states[rows], traj.space.weight)
+        # nu * t first: -2 nu overflows for a huge nu, and -inf * 0 is nan at t = 0
+        vals = squares * np.exp(-2.0 * (nu * traj.times))
+        steps = np.diff(traj.times) * 0.5 * (vals[1:] + vals[:-1])
+        partial = np.sqrt(np.concatenate([[0.0], np.cumsum(steps)]))
+    if not np.isfinite(partial).all():
+        raise StepFailureError(f"weighted partial norm not finite (nu = {nu:g})")
+    return partial
 
 
 def solve_reduced(problem: EvolutionaryProblem, config: SolverConfig) -> Trajectory:

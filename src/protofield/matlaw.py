@@ -120,6 +120,9 @@ class MaterialLaw:
             raise MaterialLawError("M0 must be square on one space")
         if self.m1.domain != self.m0.domain or self.m1.codomain != self.m0.codomain:
             raise TagMismatchError("M1 must live on the same space as M0")
+        # a plain ValueError: non-finite entries are bad input, not a law that fails
+        if not (np.isfinite(self.m0.entries.data).all() and np.isfinite(self.m1.entries.data).all()):
+            raise ValueError("M0 and M1 must have finite entries")
         # W M0 must be symmetric: bitwise under uniform weights, where the
         # adjoint's t * w / w would not always round back to t.  A diagonal
         # M0 is selfadjoint under any weights, and is not tested.
@@ -130,7 +133,7 @@ class MaterialLaw:
         defect = float(abs((wm0 - wm0.T).multiply(1.0 / w[:, None])).max())
         uniform = bool(np.all(w == w[0]))
         allowed = 0.0 if uniform else 1e-14 * max(self.m0.max_abs(), 1.0)
-        if defect > allowed:
+        if not defect <= allowed:
             raise MaterialLawError(
                 f"M0 must be selfadjoint as stored; defect {defect:.3e}"
             )

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import inspect
 import io
 import json
 import math
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from protofield import cli
+from protofield import catalog, cli
+from protofield.flatgrid import PERIODIC
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -237,8 +239,10 @@ class TestSolveCommand:
     @pytest.mark.parametrize("reduced", [[], ["--reduced"]], ids=["full", "reduced"])
     @pytest.mark.parametrize("solver", [{}, {"nu": 1e308, "t_end": 1.5}], ids=["nu_0", "huge_nu"])
     def test_overflowing_partial_norm_exit_5(self, tmp_path, capsys, reduced, solver):
-        # states and energies stay finite; the partial norm's trapezoid sum
-        # overflows, and past t = 1 a huge nu weights it by exp(-inf) = 0
+        # states and energies stay finite, but the flux block's weighted
+        # square is itself inf at steps 1-4 (|v| up to 4.96e154), before any
+        # sum: the true norm overflows.  A huge nu weights those steps by
+        # exp(-2 nu t) = 0, and inf * 0 is nan
         cfg = json.loads((SCENARIO_DIR / "heat_rod.json").read_text())
         cfg["initial"][0]["amplitude"] = 1e154
         cfg["solver"].update(solver)
@@ -426,6 +430,81 @@ def test_fuzzed_scenario_never_gives_a_traceback(case, junk):
     assert not runtime, runtime
     assert all(math.isfinite(float(value)) for row in rows
                for key, value in row.items() if key != "block")
+
+
+def catalog_scenario(name, params):
+    """A 3-step scenario of catalog entry `name` with `params`, on default_axes(name, 3)
+    and with its first block constant."""
+    axes = catalog.default_axes(name, 3)
+    first = catalog.build_entry(name, axes).blocks[0][0]
+    return {
+        "name": "fuzz",
+        "catalog": name,
+        "grid": [{"n": a.n, "bc": a.bc, "length": 1.0 if a.bc == PERIODIC else a.h * (a.n + 1)}
+                 for a in axes],
+        "params": params,
+        "solver": {"tau": 0.01, "t_end": 0.03},
+        "initial": [{"block": first, "profile": "constant"}],
+    }
+
+
+def solve_quietly(cfg, outdir):
+    """The exit code and stderr of `protofield solve` on cfg, written to outdir."""
+    p = write_scenario(outdir, cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["solve", str(p), "--outdir", str(outdir)])
+    return code, err.getvalue()
+
+
+COEFFICIENT_ENTRIES = {  # every material coefficient name, with an entry that takes it
+    "rho": "acoustics", "kappa": "acoustics", "sigma": "acoustics", "compliance": "elasticity",
+    "permittivity": "maxwell", "permeability": "maxwell", "conductivity": "maxwell",
+    "m0": "extended_maxwell", "m00": "transport", "m11": "transport", "m1_00": "transport",
+    "m1_11": "transport", "nu1": "timoshenko", "nu2": "timoshenko", "cten": "timoshenko",
+    "d": "timoshenko",
+}
+
+
+@pytest.mark.parametrize("key", COEFFICIENT_ENTRIES)
+def test_overflowing_coefficient_is_named(key, tmp_path):
+    # 1e308 overflows in the symmetrization of the coefficient's spectral blocks
+    code, err = solve_quietly(catalog_scenario(COEFFICIENT_ENTRIES[key], {key: 1e308}), tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert f"scenario key 'grid/params': {key}: overflow" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("gamma", [1e155, 1e200, 1e308])
+def test_law_with_non_finite_entries_is_a_scenario_error(gamma, tmp_path):
+    # gamma C^-1 gamma overflows inside scipy's sparse product, where numpy's
+    # errstate does not reach: the law refuses its non-finite M0
+    code, err = solve_quietly(catalog_scenario("thermo_elasticity", {"gamma": gamma}), tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert "must have finite entries" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_every_catalog_parameter_fuzzed_gives_a_known_exit(tmp_path):
+    """Each keyword parameter of each catalog entry, set to a huge, tiny, negative or zero
+    number, ends a 3-step solve with exit 0, 2, 4 or 5, no traceback and no warning."""
+    failures = []
+    for name, build in catalog.REGISTRY.items():
+        for key, param in inspect.signature(build).parameters.items():
+            if param.default is inspect.Parameter.empty:  # the axes
+                continue
+            for value in (1e308, 1e155, 1e-320, -1, 0, 1e-300, 1e-15):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        code, err = solve_quietly(catalog_scenario(name, {key: value}), tmp_path)
+                except Exception as exc:  # a traceback from the front door
+                    failures.append((name, key, value, repr(exc)))
+                    continue
+                if code not in (cli.EXIT_OK, cli.EXIT_PARSE_ERROR, cli.EXIT_WELLPOSEDNESS,
+                                cli.EXIT_STEP_FAILURE) or "Traceback" in err:
+                    failures.append((name, key, value, code))
+    assert not failures, failures
 
 
 class TestScenarioCorpus:

@@ -167,39 +167,34 @@ class TestEnergy:
 
     def test_dissipation_residual_matches_the_step_by_step_sum(self):
         # the vectorized residual against the per-step loop it replaces
-        from protofield.evolve import energy_series
         from protofield.matlaw import symmetrize
 
         entry = catalog.reissner_mindlin((Axis.interval(6), Axis.interval(6)), d=0.5)
         rng = np.random.default_rng(8)
         traj = solve(entry.problem(initial=rng.standard_normal(entry.dim)),
                      SolverConfig(tau=0.02, t_end=1.0))
-        sym_m1, w = symmetrize(entry.law.m1), entry.space.weight
-        energies = energy_series(traj, entry.law.m0)
+        sym_m1, w, tau = symmetrize(entry.law.m1), entry.space.weight, traj.times[1]
+        energies = traj.energies
         loop = 0.0
         for k in range(len(traj) - 1):
             mid = 0.5 * (traj.states[k] + traj.states[k + 1])
             drop = float(np.sum(w * sym_m1.apply(mid) * mid))
-            loop = max(loop, abs(energies[k + 1] - energies[k] + traj.tau * drop))
+            loop = max(loop, abs(energies[k + 1] - energies[k] + tau * drop))
         rep = dissipation_check(traj, entry.law)
         scale = max(energies.max(), 1.0)
         assert rep.holds
         assert abs(rep.max_residual - loop / scale) <= 1e-14
 
     def test_energy_series_matches_definition(self):
-        from protofield.evolve import energy_series
-
         entry = catalog.acoustics((Axis.interval(6),))
         rng = np.random.default_rng(3)
         traj = solve(entry.problem(initial=rng.standard_normal(entry.dim)),
                      SolverConfig(tau=0.1, t_end=0.5))
         w = entry.space.weight
         m0 = entry.law.m0.to_dense()
-        series = energy_series(traj, entry.law.m0)
         for k in range(len(traj)):
             e = 0.5 * np.sum(w * (m0 @ traj.states[k]) * traj.states[k])
             assert traj.energies[k] == pytest.approx(e, rel=1e-13)
-            assert series[k] == traj.energies[k]
 
 
 class TestCausality:
@@ -271,6 +266,25 @@ class TestWeightedNorm:
     def test_monotone_in_nu(self):
         traj = solve(rotation_problem(), SolverConfig(tau=0.05, t_end=2.0))
         assert weighted_norm(traj, 2.0) < weighted_norm(traj, 1.0)
+
+    def test_a_norm_that_is_not_finite_is_refused(self):
+        # a standing wave of amplitude 1.4e154: states and energies (up to
+        # 4.9e307) stay finite, but the squared norm integrated to t = 10 does not
+        axis = Axis.interval(31)
+        entry = catalog.acoustics((axis,))
+        u0 = np.zeros(entry.dim)
+        u0[entry.block_slices()["p"]] = 1.4e154 * np.sin(np.pi * axis.points())
+        traj = solve(entry.problem(initial=u0), SolverConfig(tau=0.005, t_end=10.0))
+        assert np.isfinite(traj.states).all() and np.isfinite(traj.energies).all()
+        with pytest.raises(StepFailureError, match=r"^weighted partial norm not finite \(nu = 0\)$"):
+            weighted_partial_norms(traj, 0.0)
+
+    def test_a_nan_state_is_refused(self):
+        traj = solve(rotation_problem(), SolverConfig(tau=0.05, t_end=1.0))
+        states = traj.states.copy()
+        states[7, 1] = np.nan
+        with pytest.raises(StepFailureError, match=r"not finite \(nu = 0\.5\)$"):
+            weighted_partial_norms(replace(traj, states=states), 0.5)
 
 
 class TestSolveReduced:
@@ -663,7 +677,7 @@ class TestBlocks:
         states, used = marched_step_by_step(runner, problem, config)
         assert used is stepper
         assert np.array_equal(traj.states, states)
-        energies = evolve.energy_series(traj, problem.law.m0)
+        energies = evolve.energy_series_from_states(states, problem.law.m0)
         assert np.abs(traj.energies - energies).max() <= 1e-14 * np.abs(energies).max()
         return traj
 
@@ -758,27 +772,15 @@ class TestBlocks:
         switched = entry.problem(forcing=lambda t: pulse if t >= 0.15 else 0.0 * pulse)
 
         def passes():
-            return (dissipation_check(traj, entry.law), evolve.energy_series(traj, entry.law.m0),
-                    weighted_partial_norms(traj, 0.5), causality_check(switched, cfg, t0=0.15),
-                    causality_check(switched, cfg, t0=0.19))
+            return (dissipation_check(traj, entry.law), weighted_partial_norms(traj, 0.5),
+                    causality_check(switched, cfg, t0=0.15), causality_check(switched, cfg, t0=0.19))
 
         whole = passes()
         monkeypatch.setattr(evolve, "_BLOCK_BYTES", 16 * entry.dim * BLOCK)
         blocks = passes()
-        assert whole[0].holds and whole[3] and not whole[4]
-        assert blocks[0] == whole[0] and blocks[3:] == whole[3:]
-        assert np.array_equal(blocks[1], whole[1]) and np.array_equal(blocks[2], whole[2])
-
-    @pytest.mark.parametrize("build, gridless", [
-        (lambda: catalog.maxwell((Axis.torus(16),) * 3), False),
-        (lambda: catalog.maxwell((Axis.interval(6),) * 3), True),
-    ], ids=["torus_16", "lu"])
-    def test_energy_series_is_the_march_energies(self, build, gridless):
-        # the march's blocks: a series taken over all rows at once differs
-        # from them in the last bits at 16^3
-        entry = build()
-        traj = solve(random_problem(entry, 1, gridless), SolverConfig(tau=0.01, t_end=0.05))
-        assert np.array_equal(evolve.energy_series(traj, entry.law.m0), traj.energies)
+        assert whole[0].holds and whole[2] and not whole[3]
+        assert blocks[0] == whole[0] and blocks[2:] == whole[2:]
+        assert np.array_equal(blocks[1], whole[1])
 
     def test_passes_over_a_trajectory_allocate_a_few_blocks(self, monkeypatch):
         entry = torus_maxwell()
@@ -791,7 +793,6 @@ class TestBlocks:
         at_rest = entry.problem(initial=np.zeros(entry.dim))
         passes = {
             "dissipation_check": lambda: dissipation_check(traj, entry.law),
-            "energy_series": lambda: evolve.energy_series(traj, entry.law.m0),
             "weighted_partial_norms": lambda: weighted_partial_norms(traj, 0.5),
             "causality_check": lambda: causality_check(at_rest, cfg, t0=cfg.t_end + 1.0),
         }

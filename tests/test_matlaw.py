@@ -74,6 +74,17 @@ class TestWellposed:
         with pytest.raises(MaterialLawError):
             law_on("h", [[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("m0, m1", [
+        ([[1.0, np.inf], [np.inf, 1.0]], None),  # its defect inf - inf is nan
+        ([[np.inf, 0.0], [0.0, 1.0]], None),  # a diagonal M0, not transpose-tested
+        (np.eye(2), [[0.0, np.nan], [0.0, 0.0]]),
+    ], ids=["m0_coupled", "m0_diagonal", "m1"])
+    def test_non_finite_entries_rejected_as_bad_input(self, m0, m1):
+        # a plain ValueError, not a law that fails: the front door reads it as a scenario error
+        with pytest.raises(ValueError, match="must have finite entries") as info:
+            law_on("h", m0, m1)
+        assert not isinstance(info.value, MaterialLawError)
+
     def test_diagonal_m0_is_selfadjoint_under_any_weights(self):
         # a diagonal M0 is not transpose-tested; one off-diagonal entry is
         rng = np.random.default_rng(9)
