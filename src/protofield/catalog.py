@@ -5,10 +5,12 @@ law.  The spatial operator is never invented per system: each one is
 reproduced from the single rank-stack operator [[0, -nabla*], [nabla, 0]]
 by a chain of projections and unitary/scale relabelings, recorded in words
 as the entry's `provenance`.  The rank-pair blocks are built at their own
-rank, from the rank-k gradient: the acoustic block is its block-skew pair,
-and the elastic and Maxwell blocks are the sym or asym descent of the
-rank-1 pair, formed block by block.  They are bitwise the stack
-operator's descended blocks, without building the whole stack.
+rank, from the rank-k gradient: the acoustic block is the block-skew pair
+(`make_block_skew`) of the gradient, and the elastic and Maxwell blocks
+that of its sym or asym projection pi nabla.  They are bitwise the stack
+operator's descended blocks, without building the whole stack.  Every
+entry that is one block-skew pair (the Dirac, square-root and biharmonic
+entries too) comes from `make_block_skew` and carries its exact adjoint.
 
 This module holds the builders and nothing else.  Every provenance
 reference lives in `verify`, built from pieces no builder calls and
@@ -43,8 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (MatrixOperator, SpaceTag, block_csr, block_diag, direct_sum_tags,
-                     identity, make_block_skew, spectral_function, weighted_spectrum, zero)
+from .linops import (MatrixOperator, SpaceTag, block_csr, block_diag, identity,
+                     make_block_skew, spectral_function, weighted_spectrum, zero)
 from .flatgrid import (
     Axis,
     DIRICHLET,
@@ -222,15 +224,11 @@ def _elastic_block(axes, rank2):
     """[[0, Div], [Grad0, 0]] on L2_1 (+) sym[L2_2] (rank2=sym_projection);
     with asym_projection, the Maxwell block.
 
-    The descent of the stack operator's rank-{1, 2} block by I (+) rank2,
-    [[0, -nabla* pi*], [pi nabla, 0]], formed from the rank-1 gradient
-    block by block, each product term for term as the descent forms it.
+    The descent of the stack operator's rank-{1, 2} block by I (+) rank2 is
+    the block-skew pair of pi nabla, built from the rank-1 gradient.
     """
     r1 = TensorFieldSpace(tuple(axes), 1)
-    nabla, pv = build_nabla(r1), rank2(r1.with_rank(2))
-    space = direct_sum_tags([r1.tag, pv.codomain])
-    return MatrixOperator._owning(block_csr([[None, -(nabla.adjoint() @ pv.embedding).entries],
-                                             [(pv.pi @ nabla).entries, None]]), space, space)
+    return make_block_skew(rank2(r1.with_rank(2)).pi @ build_nabla(r1))
 
 
 def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
@@ -456,15 +454,12 @@ def dirac(axes) -> CatalogEntry:
     axes = tuple(axes)
     if len(axes) != 3 or any(a.bc != PERIODIC for a in axes):
         raise ValueError("the Dirac system needs a fully periodic 3-d grid")
-    W = _dirac_w(axes)
     labels = ("psi_re1", "psi_im1", "psi_re2", "psi_im2", "phi_re1", "phi_im1", "phi_re2", "phi_im2")
     blocks = _layout(axes, *((label, 1) for label in labels))
-    tag = _blocks_tag(axes, blocks, "dirac8")
     # W maps the four psi components, as a whole, onto the four phi components
-    halves = _layout(axes, ("psi", 4), ("phi", 4))
-    a = MatrixOperator._owning(_assemble(halves, {("psi", "phi"): -W.T, ("phi", "psi"): W}),
-                               tag, tag)
-    law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
+    psi, phi = (fields_tag(axes, 4, f"{half}[{_axes_name(axes)}]") for half in ("psi", "phi"))
+    a = make_block_skew(MatrixOperator._owning(_dirac_w(axes), psi, phi))
+    law = MaterialLaw(m0=identity(a.domain), m1=zero(a.domain, a.domain))
     return CatalogEntry(
         name="dirac",
         grid=axes,
@@ -615,6 +610,8 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     gcg = gmat.T @ cinv @ gmat
     gcg = 0.5 * (gcg + gcg.T)
     cross = gmat.T @ cinv  # eta <- T, given with its transpose to keep M0 selfadjoint
+    if not (np.isfinite(gcg.data).all() and np.isfinite(cross.data).all()):
+        raise ValueError("gamma: overflow in gamma C^-1 gamma")  # in scipy, past numpy's errstate
     law = _law(a.domain, blocks,
                m0={"eta": _coeff("nu1", nu1, size["eta"]) + gcg,
                    "s": _coeff("nu2", nu2, size["s"]), "T": cinv,

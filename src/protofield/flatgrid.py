@@ -267,16 +267,12 @@ class TensorStack:
 def build_stack_derivative(stack: TensorStack) -> MatrixOperator:
     """The graded derivative C on one copy: rank k feeds rank k+1, top rank feeds 0."""
     spaces = stack.spaces
-    n = len(spaces)
-    blocks = [
-        [sp.csr_matrix((spaces[r].dim, spaces[c].dim)) for c in range(n)]
-        for r in range(n)
-    ]
+    blocks = [[None] * len(spaces) for _ in spaces]
     for k in range(stack.max_rank):
-        nab = build_nabla(spaces[k])
-        blocks[k + 1][k] = nab.entries
-    ent = sp.bmat(blocks, format="csr")
-    return MatrixOperator(ent, stack.half_tag, stack.half_tag)
+        blocks[k + 1][k] = build_nabla(spaces[k]).entries
+    dims = [s.dim for s in spaces]
+    return MatrixOperator._owning(block_csr(blocks, sizes=(dims, dims)),
+                                  stack.half_tag, stack.half_tag)
 
 
 def build_stack_skew(stack: TensorStack) -> MatrixOperator:

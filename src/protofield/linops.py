@@ -2,11 +2,13 @@
 
 Every operator in this package is a real matrix together with two space
 tags.  A tag carries the per-coordinate quadrature weights of the discrete
-inner product, so adjoints are weighted transposes and "skew-selfadjoint"
-always means skew with respect to those weights.  The module provides the
-block construction [[0, -C*], [C, 0]] of the mother operator; its
-(B0, B1)-relative [[0, -B0 C* B1*], [B1 C B0*, 0]] is the descent by the
-partial isometry B0 (+) B1 (subspaces.descend).
+inner product, so adjoints are weighted transposes (between spaces of one
+and the same uniform weight, such as grid spaces, exactly the plain
+transpose) and "skew-selfadjoint" always means skew with respect to those
+weights.  The module provides the block construction [[0, -C*], [C, 0]]
+of the mother operator; its (B0, B1)-relative
+[[0, -B0 C* B1*], [B1 C B0*, 0]] is the descent by the partial isometry
+B0 (+) B1 (subspaces.descend).
 
 Every operator stores its entries in one format: a read-only, canonical
 scipy CSR matrix.  A matrix passed to the constructor is copied (dense
@@ -193,7 +195,8 @@ def block_csr(blocks, sizes=None):
 class MatrixOperator:
     """Real matrix with tagged domain and codomain, stored as read-only CSR.
 
-    The adjoint is the weighted transpose W_dom^-1 T^T W_cod.  Adjoint
+    The adjoint is the weighted transpose W_dom^-1 T^T W_cod, T^T itself
+    when both tags carry one and the same uniform weight.  Adjoint
     pairs are memoized so that ``adjoint(adjoint(T)) is T`` holds exactly,
     with no repeated floating-point work.
     """
@@ -273,17 +276,21 @@ class MatrixOperator:
         return self._adj
 
     def _weighted_transpose(self):
-        """The CSR entries of the adjoint, W_dom^-1 T^T W_cod, computed afresh."""
+        """The CSR entries of the adjoint, W_dom^-1 T^T W_cod, computed afresh.
+
+        Between spaces of one and the same uniform weight (every grid space)
+        that is the plain transpose T^T, exactly: no entry is scaled.
+        """
         # the CSC arrays of T are the CSR arrays of T^T; entry (j, i) is
-        # t[i, j] * w_cod[i] / w_dom[j], in that order (under uniform weights
-        # not always bitwise t[i, j], so MaterialLaw checks W M0 instead)
+        # t[i, j] * w_cod[i] / w_dom[j], in that order
         csc = self.entries.tocsc()
         w_cod, w_dom = self.codomain.weight, self.domain.weight
-        # a uniform weight scales by its scalar: the same products, no gathers
-        w_cod = w_cod[0] if np.all(w_cod == w_cod[0]) else w_cod[csc.indices]
-        w_dom = w_dom[0] if np.all(w_dom == w_dom[0]) else np.repeat(w_dom, np.diff(csc.indptr))
-        data = csc.data * w_cod
-        data /= w_dom
+        cod_uniform, dom_uniform = np.all(w_cod == w_cod[0]), np.all(w_dom == w_dom[0])
+        data = csc.data
+        if not (cod_uniform and dom_uniform and w_cod[0] == w_dom[0]):
+            # a uniform weight scales by its scalar: the same products, no gathers
+            data = data * (w_cod[0] if cod_uniform else w_cod[csc.indices])
+            data /= w_dom[0] if dom_uniform else np.repeat(w_dom, np.diff(csc.indptr))
         return sp.csr_matrix((data, csc.indices, csc.indptr),
                              shape=(self.domain.dim, self.codomain.dim))
 

@@ -95,10 +95,10 @@ def _result(name, residual, tol, detail="", side_ok=True):
 # residual functions shared by the checks and the tests
 
 
-def adjointness_residual(grids, rng, pairs=12):
+def adjointness_residual(grids, rng):
     """Worst normalized <nabla u, v> + <u, div v> over random fields.
 
-    Draws `pairs` field pairs for each grid and each rank 0..2; returns
+    Draws 12 field pairs for each grid and each rank 0..2; returns
     (worst residual, number of pairs).
     """
     worst = 0.0
@@ -110,7 +110,7 @@ def adjointness_residual(grids, rng, pairs=12):
             div = build_div(TensorFieldSpace(axes, rank + 1))
             w0 = space.tag.weight
             w1 = nab.codomain.weight
-            for _ in range(pairs):
+            for _ in range(12):
                 u = rng.standard_normal(space.dim)
                 v = rng.standard_normal(nab.codomain.dim)
                 num = abs(np.sum(w1 * nab.apply(u) * v) + np.sum(w0 * u * div.apply(v)))
@@ -231,16 +231,16 @@ def _even_odd_split(entry):
     return pe, po, a, law
 
 
-def transport_residual(entry, steps=8):
+def transport_residual(entry):
     """Combined one-row solve vs the even/odd 2x2 descendant solve mapped back.
 
-    Both march `steps` Crank-Nicolson steps of size h from the same random
-    data; returns the relative max-entry mismatch of the trajectories.
+    Both march 8 Crank-Nicolson steps of size h from the same random data;
+    returns the relative max-entry mismatch of the trajectories.
     """
     np_ = entry.dim
     u0 = np.random.default_rng(7).standard_normal(np_)
     h = entry.grid[0].h
-    cfg = SolverConfig(tau=h, t_end=steps * h, scheme=CRANK_NICOLSON)
+    cfg = SolverConfig(tau=h, t_end=8 * h, scheme=CRANK_NICOLSON)
     traj = solve(entry.problem(initial=u0), cfg)
 
     pe, po, a, law = _even_odd_split(entry)

@@ -462,7 +462,7 @@ COEFFICIENT_ENTRIES = {  # every material coefficient name, with an entry that t
     "permittivity": "maxwell", "permeability": "maxwell", "conductivity": "maxwell",
     "m0": "extended_maxwell", "m00": "transport", "m11": "transport", "m1_00": "transport",
     "m1_11": "transport", "nu1": "timoshenko", "nu2": "timoshenko", "cten": "timoshenko",
-    "d": "timoshenko",
+    "d": "timoshenko", "gamma": "thermo_elasticity",
 }
 
 
@@ -478,10 +478,10 @@ def test_overflowing_coefficient_is_named(key, tmp_path):
 @pytest.mark.parametrize("gamma", [1e155, 1e200, 1e308])
 def test_law_with_non_finite_entries_is_a_scenario_error(gamma, tmp_path):
     # gamma C^-1 gamma overflows inside scipy's sparse product, where numpy's
-    # errstate does not reach: the law refuses its non-finite M0
+    # errstate does not reach: the builder refuses the non-finite coupling by name
     code, err = solve_quietly(catalog_scenario("thermo_elasticity", {"gamma": gamma}), tmp_path)
     assert code == cli.EXIT_PARSE_ERROR
-    assert "must have finite entries" in err and "Traceback" not in err
+    assert "scenario key 'grid/params': gamma: overflow" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -57,7 +57,7 @@ class TestSolve:
     def test_skew_check_attaches_no_adjoint(self):
         # the problem's skew check takes A's weighted transpose without
         # keeping it on A; a block-skew A keeps the adjoint it was built with
-        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        entry = catalog.thermo_elasticity((Axis.torus(4),) * 3)
         entry.problem()
         assert entry.a._adj is None
         acoustic = catalog.acoustics((Axis.interval(6),))
@@ -94,8 +94,8 @@ class TestSolve:
             solve(prob, SolverConfig(tau=0.1, t_end=1.0))
 
     def test_an_exactly_diagonal_law_passes_the_gate(self):
-        # W M0 is symmetric bitwise, but M0 - M0* rounds through t * w / w to
-        # 1.8e-12 here: no second, absolute selfadjointness test may reject it
+        # a diagonal M0 is selfadjoint under any weights: no absolute
+        # selfadjointness test scaled by its entries (1.4e4 here) may reject it
         entry = catalog.acoustics((Axis.torus(6),), rho=13687.617154257521)
         traj = solve(entry.problem(initial=np.ones(entry.dim)), SolverConfig(tau=0.01, t_end=0.1))
         assert len(traj) == 11 and np.isfinite(traj.states).all()
@@ -223,7 +223,7 @@ class TestCausality:
     def test_no_forcing_passes_no_forcing_term(self, gridless, monkeypatch):
         # a problem with no forcing hands None to the stepper at every step,
         # and steps exactly as with an explicit zero forcing
-        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        entry = catalog.thermo_elasticity((Axis.torus(4),) * 3)
         problem = entry.problem(initial=np.random.default_rng(17).standard_normal(entry.dim))
         problem = physical(problem) if gridless else problem
         stepper = evolve._PhysicalStep if gridless else evolve._WavenumberStep
@@ -242,6 +242,14 @@ class TestCausality:
                                                  cfg).states)
         at_rest = replace(problem, initial=np.zeros(entry.dim))
         assert causality_check(at_rest, cfg, t0=0.05)
+
+    def test_a_leak_before_onset_fails(self):
+        # states before onset must vanish identically: a forcing that leaks
+        # 1e-20 of its pulse before switching on is seen
+        entry = catalog.acoustics((Axis.interval(8),))
+        pulse = np.ones(entry.dim)
+        leaky = entry.problem(forcing=lambda t: pulse if t >= 0.5 else 1e-20 * pulse)
+        assert not causality_check(leaky, SolverConfig(tau=0.05, t_end=1.0), t0=0.5)
 
     def test_nonzero_initial_rejected(self):
         prob = scalar_problem(u0=1.0)
@@ -520,7 +528,7 @@ class TestWavenumberStep:
     def test_pulse_switching_on_mid_run(self, scheme):
         # zero forcing skips the forcing term, the pulse takes it; states
         # before the onset stay exactly zero
-        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        entry = catalog.thermo_elasticity((Axis.torus(4),) * 3)
         pulse = np.random.default_rng(10).standard_normal(entry.dim)
         samples = []
 
@@ -555,7 +563,7 @@ class TestWavenumberStep:
         assert relative_gap(traj, solve(physical(problem), cfg)) <= 1e-12
 
     def test_a_perturbed_symbol_inverse_fails_the_comparison(self, monkeypatch):
-        entry = catalog.maxwell((Axis.torus(4),) * 3)
+        entry = catalog.thermo_elasticity((Axis.torus(4),) * 3)
         problem = entry.problem(initial=np.random.default_rng(11).standard_normal(entry.dim))
         cfg = SolverConfig(tau=0.01, t_end=0.2)
         reference = solve(physical(problem), cfg)

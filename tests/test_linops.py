@@ -77,6 +77,15 @@ class TestAdjoint:
         T = op(rng.standard_normal((5, 6)), dom, cod)
         assert np.array_equal(T.adjoint().to_dense(), adjoint_oracle(T))
 
+    def test_one_uniform_weight_gives_the_plain_transpose(self):
+        # between tags of one and the same weight 0.1 the adjoint is T^T
+        # bitwise, where t * 0.1 / 0.1 would miss t by a rounding
+        rng = np.random.default_rng(5)
+        dom, cod = tag("d", 30, np.full(30, 0.1)), tag("c", 20, np.full(20, 0.1))
+        T = op(rng.standard_normal((20, 30)), dom, cod)
+        assert not np.array_equal(adjoint_oracle(T), T.to_dense().T)
+        assert np.array_equal(T.adjoint().to_dense(), T.to_dense().T)
+
     def test_defining_identity_random(self):
         rng = np.random.default_rng(1)
         dom = tag("d", 5, rng.uniform(0.3, 3.0, 5))

@@ -232,8 +232,8 @@ class TestBlockwiseGate:
         lambda: catalog.transport((Axis.symmetric(10, 0.3),)),
     ], ids=["heat", "reissner_mindlin", "transport"])
     def test_symmetric_m0_accepted_under_uniform_weights(self, build):
-        # uniform weights such as 1/17 or 0.3: W M0 is symmetric, while the
-        # adjoint's t * w / w can miss t by a rounding
+        # uniform weights such as 1/17 or 0.3: the adjoint is the plain
+        # transpose, so a symmetric M0 is selfadjoint bitwise
         assert check_wellposed(build().law).passed
 
 

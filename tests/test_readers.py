@@ -1,6 +1,9 @@
 """Every top-level function, class and constant of the package, and every
 method, property and field of its classes, has a reader outside the tests:
-a name that only tests read is code kept for them alone.
+a name that only tests read is code kept for them alone.  Likewise every
+parameter with a default of a module-level function or method is passed by
+some call outside the tests: a parameter that only tests set is an option
+kept for them alone.
 
 A reader of a top-level name is a loaded name, an attribute access or a
 string constant equal to the name (the benchmark's tracer names the
@@ -9,6 +12,12 @@ name's own definition, or the command-line entry point of pyproject.toml.
 A reader of a class member is an attribute access or a string constant
 equal to its name, outside the member's own definition; passing a field
 by keyword to the constructor does not read it.  Dunder names are exempt.
+
+A call passes a parameter by keyword, by position (after self or cls for a
+method, a class's own call reaching __init__) or through a * or ** argument,
+which passes every parameter; a recursive call counts, as it is no test's.
+A function that is also used as a value (a registry's builder, a
+check in a list) may be called by any caller, and is exempt, as are closures.
 """
 
 import ast
@@ -83,6 +92,97 @@ def unread():
     names.update(target.split(":")[1] for target in scripts.values())
     return ([dotted for dotted, name in defined if names[name] <= 0 and not is_dunder(name)],
             [dotted for dotted, name in owned if attrs[name] <= 0 and not is_dunder(name)])
+
+
+def functions(tree):
+    """(name called, defining statement, whether it is a method) of each
+    module-level function and method of a module-level class; __init__ is
+    called by its class's name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield (node.name if member.name == "__init__" else member.name), member, True
+
+
+def defaulted(fn, method):
+    """(name, position) of each parameter of fn with a default: position is
+    its index among a call's positional arguments, None for keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first - skip):
+        yield arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def calls_and_values(tree):
+    """The calls under tree as (name called, positional count, keywords,
+    passes everything), and the names used there other than as a callee."""
+    calls, callees = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callees.add(id(node.func))
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            star = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            calls.append((name, len(node.args), {k.arg for k in node.keywords}, star))
+    values = {leaf.id if isinstance(leaf, ast.Name) else leaf.attr
+              for leaf in ast.walk(tree)
+              if id(leaf) not in callees and (isinstance(leaf, ast.Attribute) or (
+                  isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)))}
+    return calls, values
+
+
+def unpassed(trees):
+    """name(parameter) of each defaulted parameter of the package's functions
+    (trees: {path: module}) that no call passes."""
+    calls, values, defined = [], set(), []
+    for path, tree in trees.items():
+        found, used = calls_and_values(tree)
+        calls += found
+        values |= used
+        if path.parent == PACKAGE:
+            defined += [(f"{path.stem}.{fn.name}", name, fn, method)
+                        for name, fn, method in functions(tree)]
+    out = []
+    for dotted, name, fn, method in defined:
+        if name in values:
+            continue
+        mine = [c for c in calls if c[0] == name]
+        out += [f"{dotted}({param})" for param, pos in defaulted(fn, method)
+                if not any(star or param in keywords or (pos is not None and pos < count)
+                           for _, count, keywords, star in mine)]
+    return out
+
+
+def package_trees():
+    paths = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")])
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    assert unpassed(package_trees()) == []
+
+
+def test_a_parameter_is_passed_by_keyword_position_or_star():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    return f(a, c=b)\n\n"
+              "class K:\n    def __init__(self, n=0):\n        self.n = n\n"
+              "    def m(self, x=1, y=2):\n        return x + y\n\n"
+              "f(0, 5)\nK().m(1)\n")
+    trees = {PACKAGE / "toy.py": ast.parse(source)}
+    # the recursive call passes c, f(0, 5) passes b by position
+    assert unpassed(trees) == ["toy.f(d)", "toy.__init__(n)", "toy.m(y)"]
+    trees[ROOT / "perfbench" / "use.py"] = ast.parse("K(n=2).m(*args)\nf(**opts)\n")
+    assert unpassed(trees) == []
+    trees[ROOT / "perfbench" / "use.py"] = ast.parse("run(f)\n")  # f used as a value
+    assert unpassed(trees) == ["toy.__init__(n)", "toy.m(y)"]
 
 
 def test_every_top_level_name_has_a_reader_outside_tests():

@@ -611,8 +611,6 @@ def test_projections_are_partial_isometries(axes, rank, ranks0, ranks1, data):
               for subset in combinations(tori, size) if size < len(grid)]
     for pair in pairs:
         assert (pair.pi @ pair.embedding - identity(pair.codomain)).max_abs() <= 1e-14, pair
-    # the recomputed adjoint t * w / w of the compression may round each entry once
-    A = build_stack_skew(stack)
-    assert skew_defect(descend(A, block)) <= 4 * np.finfo(float).eps * A.max_abs()
-    worst, _ = verify.adjointness_residual([grid], np.random.default_rng(rank), pairs=2)
+    assert skew_defect(descend(build_stack_skew(stack), block)) == 0.0
+    worst, _ = verify.adjointness_residual([grid], np.random.default_rng(rank))
     assert worst <= 1e-12
