@@ -175,11 +175,11 @@ class _PhysicalStep:
 
 
 class _WavenumberStep:
-    """The step in the coordinates y = F S u of the cut.
+    """The step in the coordinates y = F u of the cut.
 
-    With H = L^-1 (inverse) and G = H R per wavenumber, y <- G y + H F S f,
+    With H = L^-1 (inverse) and G = H R per wavenumber, y <- G y + H F f,
     the forcing term only when f is given and nonzero; a block of states is
-    S^-1 F^-1 applied to their coordinates as columns, in one inverse FFT.
+    F^-1 applied to their coordinates as columns, in one inverse FFT.
     """
 
     def __init__(self, cut, inverse, right_symbols):

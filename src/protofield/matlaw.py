@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .linops import MatrixOperator, TagMismatchError, _diagonal, weighted_spectrum
+from .linops import DEFAULT_RANK_TOL, MatrixOperator, TagMismatchError, _diagonal, weighted_spectrum
 
 
 class MaterialLawError(ValueError):
@@ -37,7 +37,7 @@ class StepFailureError(RuntimeError):
 
 # Largest condition estimate kappa_1 of a step matrix still accepted as nonsingular.
 CONDITION_LIMIT = 1e15
-# check_wellposed: a block constant must exceed it, an eigenvalue of M0 not fall below -it.
+# check_wellposed: the kernel block constant of sym(M1) must exceed it.
 POSITIVITY_TOL = 1e-12
 
 
@@ -163,15 +163,15 @@ def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
     non-sharp) weight beyond which nu*M0 + sym(M1) stays positive definite
     despite the off-diagonal coupling of sym(M1) between the two blocks.
     """
-    cutoff, groups = weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1))
-    vals = np.concatenate([g[1].ravel() for g in groups])
-    m0_nonneg = bool(vals.min() >= -max(POSITIVITY_TOL, cutoff))
-    c_r = float(vals[vals > cutoff].min(initial=np.inf))
-
-    # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first
-    c_k, coupling = np.inf, 0.0
-    for _, values, _, (s,) in groups:
-        kernel_dims = np.count_nonzero(values <= cutoff, axis=1)
+    # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first.
+    # Each coupling block ranks its eigenvalues against its own largest |eigenvalue|,
+    # so the units of a law do not decide its kernel.
+    m0_nonneg, c_r, c_k, coupling = True, np.inf, np.inf, 0.0
+    for _, values, _, (s,) in weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1))[1]:
+        cut = DEFAULT_RANK_TOL * np.abs(values).max(axis=1, keepdims=True)
+        m0_nonneg &= bool((values >= -cut).all())
+        c_r = min(c_r, float(values[values > cut].min(initial=np.inf)))
+        kernel_dims = np.count_nonzero(values <= cut, axis=1)
         for k in np.unique(kernel_dims[kernel_dims > 0]):
             s_k = s[kernel_dims == k]
             c_k = min(c_k, float(np.linalg.eigvalsh(s_k[:, :k, :k]).min()))

@@ -17,9 +17,9 @@ checks its isometry on the small matrix.  torus_average is
 sp.kron(component map, point map), rank_block takes rows of the identity,
 and even_odd maps points.  The range/kernel split is kept in wavenumber
 space: ShiftCut block-diagonalizes the operators that commute with the
-shifts of a periodic grid by a DFT, and each WavenumberPair holds one
-small orthonormal basis per wavenumber, never a dim x dim map; the cut
-it was split on stays with the caller.
+shifts of a periodic grid by the DFT alone, and each WavenumberPair holds
+one small orthonormal basis per wavenumber, never a dim x dim map; the
+cut it was split on stays with the caller.
 Every operator and field is real, so its symbol at -xi is the conjugate
 of the one at xi (Hermitian symmetry): the DFT is real-to-complex and
 keeps only the wavenumbers up to n/2 along the last axis, about half
@@ -305,8 +305,7 @@ def _irdft(x, axes, n, norm=None):
 
 
 class ShiftCut:
-    """The unitary DFT F along every axis of a periodic grid, after the weight
-    root S, kept on half the wavenumbers.
+    """The unitary DFT F along every axis of a periodic grid, on half the wavenumbers.
 
     Fields are m components over the axes `grid` (dim = m * npts, the point
     index innermost in C order).  Every operator and field here is real,
@@ -317,13 +316,14 @@ class ShiftCut:
     multiplicity[xi] is 2 when the partner -xi is not kept (last index
     strictly between 0 and n_k / 2) and 1 otherwise, so a real subspace
     has dimension sum over xi of multiplicity[xi] times its columns there.
-    forward(x) = F S x maps real (dim, c) columns to (N, m, c): wavenumber,
+    forward(x) = F x maps real (dim, c) columns to (N, m, c): wavenumber,
     component, column; inverse undoes it, as a real field.  An operator T
-    commuting with the shifts is cut into one m x m symbol of S T S^-1 per
-    kept wavenumber.  shift_cut decides whether a grid is cut at all.
+    commuting with the shifts is cut into one m x m symbol of T per kept
+    wavenumber.  No weight enters: a grid space weights every coordinate
+    alike.  shift_cut decides whether a grid is cut at all.
     """
 
-    __slots__ = ("per", "half", "multiplicity", "sw", "N", "m", "_fft_axes")
+    __slots__ = ("per", "half", "multiplicity", "dim", "N", "m", "_fft_axes")
 
     def __init__(self, space: SpaceTag, grid):
         npts = point_count(grid)
@@ -335,7 +335,7 @@ class ShiftCut:
                                int(np.prod(per[:-1])))
         multiplicity.flags.writeable = False
         for name, value in (("per", per), ("half", (*per[:-1], len(j))),
-                            ("multiplicity", multiplicity), ("sw", np.sqrt(space.weight)),
+                            ("multiplicity", multiplicity), ("dim", space.dim),
                             ("N", len(multiplicity)), ("m", space.dim // npts),
                             ("_fft_axes", tuple(range(1, 1 + len(per))))):
             object.__setattr__(self, name, value)
@@ -344,26 +344,26 @@ class ShiftCut:
         raise AttributeError("ShiftCut is immutable")
 
     def forward(self, x):
-        """F S x for the real columns of x (dim, c), as (N, m, c)."""
+        """F x for the real columns of x (dim, c), as (N, m, c)."""
         c = x.shape[1]
-        y = _rdft((self.sw[:, None] * x).reshape(self.m, *self.per, c), self._fft_axes, "ortho")
+        y = _rdft(x.reshape(self.m, *self.per, c), self._fft_axes, "ortho")
         return y.reshape(self.m, self.N, c).transpose(1, 0, 2)
 
     def inverse(self, y):
-        """S^-1 F^-1 y for y (N, m, c), the real field, as (dim, c) columns."""
+        """F^-1 y for y (N, m, c), the real field, as (dim, c) columns."""
         c = y.shape[2]
         x = y.transpose(1, 0, 2).reshape(self.m, *self.half, c)
         x = _irdft(x, self._fft_axes, self.per[-1], "ortho")
-        return x.reshape(len(self.sw), c) / self.sw[:, None]
+        return x.reshape(self.dim, c)
 
     def symbols(self, *ops: MatrixOperator):
         """[symbols of op for op in ops], or None when one of them does not
         commute with the shifts.
 
-        symbols[xi] = sum_p b(p) exp(-i xi p), (N, m, m): F S op S^-1 F^-1
+        symbols[xi] = sum_p b(p) exp(-i xi p), (N, m, m): F op F^-1
         blockwise, where b0[(beta, d), gamma] = b(d)[beta, gamma], for
-        components beta, gamma and point offset d, is the entry of
-        S op S^-1 in row (beta, d) of column (gamma, p = 0).  One pass over
+        components beta, gamma and point offset d, is the entry of op in
+        row (beta, d) of column (gamma, p = 0).  One pass over
         the union of the operators' patterns (entries zero in every one
         dropped) finds each entry's components and its row point's offset
         from its column point, modulo each axis; each op's value test and
@@ -374,9 +374,9 @@ class ShiftCut:
         if not ops:
             return []
         place, at0, values = self._b0_entries(ops)
-        if len(place) != (len(self.sw) // self.m) * np.count_nonzero(at0):
+        if len(place) != (self.dim // self.m) * np.count_nonzero(at0):
             return None
-        b0 = np.zeros((len(ops), len(self.sw) * self.m))
+        b0 = np.zeros((len(ops), self.dim * self.m))
         for b, v in zip(b0, values):
             b[place[at0]] = v[at0]
             if np.any(b[place] != v):
@@ -388,11 +388,11 @@ class ShiftCut:
     def _b0_entries(self, ops):
         """(place, at0, values) over the union of the operators' patterns.
 
-        values (len(ops), nnz) are the entries of S op S^-1 on the union,
+        values (len(ops), nnz) are the entries of each op on the union,
         places zero in every op dropped; place is each entry's index in
         b0 (n, m), flattened, and at0 whether its column point is 0.
         """
-        n, npts = len(self.sw), len(self.sw) // self.m
+        n, npts = self.dim, self.dim // self.m
         first = ops[0].entries
         if all(np.array_equal(op.entries.indptr, first.indptr)
                and np.array_equal(op.entries.indices, first.indices) for op in ops[1:]):
@@ -412,10 +412,7 @@ class ShiftCut:
                     v[:] = op.entries.data
                 else:
                     v[union.data.astype(np.int64) >> i & 1 == 1] = op.entries.data
-        counts = np.diff(indptr)
-        rows = np.repeat(np.arange(n, dtype=cols.dtype), counts)
-        values *= np.repeat(self.sw, counts)
-        values /= self.sw[cols]
+        rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
         kept = values.any(axis=0)
         if not kept.all():
             rows, cols, values = rows[kept], cols[kept], values[:, kept]
@@ -441,10 +438,10 @@ class ShiftCut:
 class WavenumberPair:
     """A real subspace given, wavenumber by wavenumber, by orthonormal columns.
 
-    pi = basis^H F S at each kept wavenumber (F, S of the ShiftCut the pair
-    was split on), with the weighted adjoint S^-1 F^-1 basis as its
-    embedding; at the conjugate wavenumbers the cut drops, the basis is the
-    conjugate one.  groups holds one (wavenumber index, basis (n, m, c))
+    pi = basis^H F at each kept wavenumber (F the DFT of the ShiftCut the
+    pair was split on), with the adjoint F^-1 basis as its embedding; at
+    the conjugate wavenumbers the cut drops, the basis is the conjugate
+    one.  groups holds one (wavenumber index, basis (n, m, c))
     per group of wavenumbers with c columns each, and the codomain's
     dimension counts each wavenumber with the cut's multiplicity.
     """

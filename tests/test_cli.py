@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import importlib.util
 import inspect
 import io
 import json
@@ -23,6 +24,15 @@ from protofield import catalog, cli
 from protofield.flatgrid import PERIODIC
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def benchmark_gate():
+    """perfbench/gate.py, loaded by path: the rule its desk pass holds the CSVs to."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_gate", SCENARIO_DIR.parent / "perfbench" / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
 
 
 def read_energy(path):
@@ -179,6 +189,32 @@ class TestSolveCommand:
                     continue
                 x, y = np.array(x, dtype=float), np.array(y, dtype=float)
                 assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), key
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_DIR.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_reduced_csvs_match_the_benchmark_references(self, tmp_path, scenario):
+        # the desk benchmark holds the plain CSVs to these references; the
+        # reduced solve is held to them by the same rule, 1e-12 of each
+        # column's largest value
+        gate = benchmark_gate()
+        code = cli.main(["solve", str(scenario), "--outdir", str(tmp_path), "--reduced"])
+        assert code == cli.EXIT_OK
+        for kind in ("energy", "snapshots"):
+            name = f"{scenario.stem}_{kind}.csv"
+            assert gate.csv_mismatch(tmp_path / name, gate.REFERENCE_DIR / f"{name}.ref") is None
+
+    def test_maxwell_in_si_units_exit_0(self, tmp_path):
+        # eps0 and mu0: M0 is definite, but every eigenvalue is below 1e-5;
+        # the gate ranks them against their own scale, not against 1
+        cfg = json.loads((SCENARIO_DIR / "maxwell_cavity.json").read_text())
+        cfg.update(name="maxwell_si", params={"permittivity": 8.854e-12,
+                                              "permeability": 1.2566e-6, "conductivity": 0.0})
+        cfg["solver"].update(tau=1e-10, t_end=1e-8)
+        cfg["output"]["snapshots"] = [0.0, 1e-8]
+        p = write_scenario(tmp_path, cfg)
+        assert cli.main(["solve", str(p), "--outdir", str(tmp_path)]) == cli.EXIT_OK
+        energies = [float(r["energy"]) for r in read_energy(tmp_path / "maxwell_si_energy.csv")]
+        assert max(abs(e - energies[0]) for e in energies) <= 1e-12 * energies[0]
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -505,6 +505,41 @@ class TestWavenumberStep:
         assert factored == ([] if cut else [entry.dim])
         assert relative_gap(traj, solve(physical(problem), cfg)) <= 1e-12
 
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    @pytest.mark.parametrize("name", PERIODIC_ENTRIES)
+    def test_reduced_matches_the_physical_lu(self, name, scheme, monkeypatch):
+        entry = catalog.build_entry(name)
+        problem = entry.problem(initial=np.random.default_rng(9).standard_normal(entry.dim))
+        cfg = SolverConfig(tau=0.01, t_end=0.3, scheme=scheme)
+        factored = lu_factorizations(monkeypatch)
+        traj = solve_reduced(problem, cfg)
+        assert factored == []
+        assert relative_gap(traj, solve(physical(problem), cfg)) <= 1e-12
+
+    @pytest.mark.parametrize("runner", [solve, solve_reduced], ids=["solve", "reduced"])
+    @pytest.mark.parametrize("name", ["maxwell", "extended_maxwell", "thermo_elasticity"])
+    def test_another_uniform_weight_cuts_and_steps_bitwise_alike(self, name, runner):
+        # the cut reads no weight: the same entries on a tag that weights
+        # every point by 0.37 x the cell volume have bitwise the same symbols
+        # and step to bitwise the same states
+        entry = catalog.build_entry(name)
+        grid, law = entry.grid, entry.law
+        scaled = SpaceTag(f"{entry.space.name}'", entry.dim, 0.37 * entry.space.weight)
+
+        def on_scaled(op):
+            return MatrixOperator(op.entries, scaled, scaled)
+
+        u0 = np.random.default_rng(20).standard_normal(entry.dim)
+        problem = entry.problem(initial=u0)
+        other = EvolutionaryProblem(law=MaterialLaw(m0=on_scaled(law.m0), m1=on_scaled(law.m1)),
+                                    a=on_scaled(entry.a), initial=u0, grid=grid)
+        cfg = SolverConfig(tau=0.01, t_end=0.2)
+        symbols = ShiftCut(entry.space, grid).symbols(
+            problem.a, *evolve._step_operators(problem, cfg))
+        others = ShiftCut(scaled, grid).symbols(other.a, *evolve._step_operators(other, cfg))
+        assert [s.tobytes() for s in symbols] == [s.tobytes() for s in others]
+        assert np.array_equal(runner(problem, cfg).states, runner(other, cfg).states)
+
     @pytest.mark.parametrize("runner, calls", [(solve, 2), (solve_reduced, 3)],
                              ids=["solve", "reduced"])
     @pytest.mark.parametrize("name", ["dirac", "maxwell", "extended_maxwell"])

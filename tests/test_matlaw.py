@@ -12,6 +12,7 @@ from protofield.evolve import (
     EvolutionaryProblem,
     SolverConfig,
     _step_operators,
+    solve,
 )
 from protofield.flatgrid import Axis, build_d1
 from protofield.linops import MatrixOperator, SpaceTag
@@ -235,6 +236,53 @@ class TestBlockwiseGate:
         # uniform weights such as 1/17 or 0.3: the adjoint is the plain
         # transpose, so a symmetric M0 is selfadjoint bitwise
         assert check_wellposed(build().law).passed
+
+
+# laws in SI units: each M0 is definite, but its eigenvalues sit far from 1 or
+# spread over more than 1e10, and none of them may be read as a kernel.  Each
+# with a step tau on the scale of its fastest wave.
+SI_LAWS = {
+    "acoustics_rho_2e10": (lambda: catalog.acoustics((Axis.interval(16),), rho=2e10), 1e-3),
+    "acoustics_rho_1e-11": (lambda: catalog.acoustics((Axis.interval(16),), rho=1e-11), 1e-3),
+    "maxwell_eps0_mu0": (lambda: catalog.maxwell((Axis.torus(3),) * 3, permittivity=8.854e-12,
+                                                 permeability=1.2566e-6), 1e-10),
+    # steel, 0.1 m square section: rho A, rho I, 1 / (k G A), E I
+    "timoshenko_steel": (lambda: catalog.timoshenko((Axis.interval(32),), nu1=78.5,
+                                                    nu2=0.0654, kappa=1.5e-9, cten=1.67e6), 1e-3),
+}
+
+
+class TestGateScale:
+    """The gate ranks each coupling block against its own largest |eigenvalue|."""
+
+    @pytest.mark.parametrize("build, tau", SI_LAWS.values(), ids=SI_LAWS)
+    def test_a_definite_law_in_si_units_passes_and_conserves(self, build, tau):
+        entry = build()
+        assert check_wellposed(entry.law).passed
+        u0 = np.random.default_rng(22).standard_normal(entry.dim)
+        energies = solve(entry.problem(initial=u0), SolverConfig(tau=tau, t_end=40 * tau)).energies
+        assert np.abs(energies - energies[0]).max() <= 1e-13 * energies[0]
+
+    def test_the_verdicts_do_not_depend_on_the_scale_of_m0(self):
+        # the kernel of c M0 is the kernel of M0, for any c > 0
+        rng = np.random.default_rng(23)
+        verdicts = set()
+        for _ in range(20):
+            sizes = list(rng.integers(1, 6, size=int(rng.integers(1, 8))))
+            law = random_block_law(rng, sizes)
+            rep = check_wellposed(law)
+            verdicts.add((rep.m0_nonneg, rep.kernel_block_positive))
+            for c in (1e-15, 1e-11, 1e-5, 1e5, 1e11, 1e15):
+                scaled = check_wellposed(MaterialLaw(m0=c * law.m0, m1=law.m1))
+                assert (scaled.m0_nonneg, scaled.kernel_block_positive) == (
+                    rep.m0_nonneg, rep.kernel_block_positive), c
+        assert len(verdicts) > 1
+
+    def test_a_small_negative_eigenvalue_fails(self):
+        # -1e-13 on its own coupling block is negative at that block's scale,
+        # not a kernel vector
+        rep = check_wellposed(law_on("h", np.diag([1.0, -1e-13]), np.eye(2)))
+        assert not rep.m0_nonneg and not rep.passed
 
 
 class TestBlockwiseFunctions:

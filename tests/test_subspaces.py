@@ -50,7 +50,7 @@ def dense_split(A, rank_tol=1e-10):
 def dense_projector(cut, pair):
     """pi* pi as a dense matrix: the transform of the cut the pair was split
     on, applied to identity columns."""
-    coords = cut.forward(np.eye(len(cut.sw)))
+    coords = cut.forward(np.eye(cut.dim))
     out = np.zeros_like(coords)
     for index, basis in pair.groups:
         out[index] = basis @ (basis.conj().transpose(0, 2, 1) @ coords[index])
