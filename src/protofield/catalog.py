@@ -34,8 +34,8 @@ and blocks are read back by label (`CatalogEntry.block_slices`).
 `_assemble`, the curl, the Dirac block and the gradients write their CSR
 arrays through one assembler, `linops.block_csr`.  Every material
 coefficient is converted and checked finite and positive (semi)definite
-in one place, `_coeff_spectrum`, so a bad value is a ValueError naming it at
-build.
+in one place, `_coeff_spectrum` (by `linops.rank_cut` per coupling
+block), so a bad value is a ValueError naming it at build.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linops import (MatrixOperator, SpaceTag, block_csr, block_diag, identity,
-                     make_block_skew, spectral_function, weighted_spectrum, zero)
+                     make_block_skew, rank_cut, skew_by_construction, spectral_function,
+                     weighted_spectrum, zero)
 from .flatgrid import (
     Axis,
     DIRICHLET,
@@ -71,8 +72,8 @@ def _coeff_spectrum(name, value, size, strict=True):
     """A material coefficient as a CSR block, with its space and spectral blocks.
 
     value is a scalar, a per-entry diagonal or a full matrix (symmetrized).
-    Every coefficient of every entry passes here and is checked finite and
-    symmetric positive definite (semidefinite with strict=False): a ValueError names it.
+    Every coefficient of every entry passes here and is checked finite and symmetric
+    positive definite (semidefinite with strict=False) by rank_cut: a ValueError names it.
     """
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:  # float(arr) * sp.identity(size), explicit zeros and all
@@ -90,12 +91,13 @@ def _coeff_spectrum(name, value, size, strict=True):
         raise ValueError(f"{name} must be finite")
     tag = SpaceTag(name, size)
     try:
-        floor, groups = weighted_spectrum(MatrixOperator._owning(mat, tag, tag), rank_tol=1e-12)
+        groups = weighted_spectrum(MatrixOperator._owning(mat, tag, tag))
     except ArithmeticError as exc:  # raised under the scenario's errstate: name the coefficient
         raise ValueError(f"{name}: {exc}") from exc
-    low = min(float(g[1].min()) for g in groups)
-    if not (low > floor if strict else low >= -floor):  # a NaN fails too
-        raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
+    for _, values, _, _ in groups:
+        cut = rank_cut(values, axis=1)
+        if not (values > cut if strict else values >= -cut).all():  # a NaN fails too
+            raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
     return mat, tag, groups
 
 
@@ -106,7 +108,11 @@ def _coeff(name, value, size, strict=True):
 
 def _inv_coeff(name, value, size):
     _, tag, groups = _coeff_spectrum(name, value, size)
-    return spectral_function(groups, np.reciprocal, tag).entries
+    try:  # the inverse of a definite coefficient in tiny units overflows: name it
+        with np.errstate(over="raise"):
+            return spectral_function(groups, np.reciprocal, tag).entries
+    except ArithmeticError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +390,8 @@ def extended_maxwell(axes, m0=None) -> CatalogEntry:
         s, si = _sqrt_and_inv("m0", m0, tag.dim)
         curl_c = si @ (curl_part @ si)
         graddiv_c = s @ (graddiv_part @ s)
+        if not (np.isfinite(curl_c.data).all() and np.isfinite(graddiv_c.data).all()):
+            raise ValueError("m0: overflow in the conjugated operator")  # past numpy's errstate
     a = MatrixOperator._owning(curl_c + graddiv_c, tag, tag)
     law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
     return CatalogEntry(
@@ -479,12 +487,11 @@ def dirac(axes) -> CatalogEntry:
 
 
 def polar_decompose(G: MatrixOperator):
-    """Polar factors G = U |G| with |G| = (G*G)^(1/2) and U zero on ker |G|."""
-    cutoff, groups = weighted_spectrum(G.adjoint() @ G, rank_tol=1e-12)
+    """Polar factors G = U |G| with |G| = (G*G)^(1/2) and U zero on ker |G| (by rank_cut)."""
+    groups = weighted_spectrum(G.adjoint() @ G)
     abs_g = spectral_function(groups, lambda v: np.sqrt(np.clip(v, 0.0, None)), G.domain)
-    pinv = spectral_function(
-        groups, lambda v: np.where(v > cutoff, 1.0 / np.sqrt(np.clip(v, cutoff, None)), 0.0),
-        G.domain)
+    pinv = spectral_function(groups, lambda v: np.divide(1.0, np.sqrt(np.clip(v, 0.0, None)),
+        out=np.zeros_like(v), where=v > rank_cut(v, axis=1)), G.domain)
     return G @ pinv, abs_g
 
 
@@ -586,8 +593,9 @@ def _trace_embedding(axes, gamma):
 
 
 def _plate_block(axes):
-    """The sign-flipped pressure/flux and velocity/stress descendants, stacked."""
-    return -block_diag([_acoustic_block(axes), _elastic_block(axes, sym_projection)])
+    """The sign-flipped pressure/flux and velocity/stress descendants, stacked (exactly skew)."""
+    return skew_by_construction(
+        -block_diag([_acoustic_block(axes), _elastic_block(axes, sym_projection)]))
 
 
 def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,

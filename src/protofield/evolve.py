@@ -59,7 +59,7 @@ from .subspaces import range_kernel_split, shift_cut
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
 
-SKEW_TOL = 1e-12
+SKEW_TOL = 1e-12  # EvolutionaryProblem: |A + A*| relative to A's largest entry
 DISSIPATION_TOL = 1e-9  # dissipation_check, relative to the largest energy
 _BLOCK_BYTES = 2**20  # at 16 bytes per state entry: the steps of one row block (_row_blocks)
 
@@ -83,11 +83,9 @@ class EvolutionaryProblem:
         if self.a.domain != self.law.space or self.a.codomain != self.law.space:
             raise ValueError("A must live on the law's space")
         defect = skew_defect(self.a)
-        scale = max(self.a.max_abs(), 1.0)
+        scale = self.a.max_abs()
         if defect > SKEW_TOL * scale:
-            raise ValueError(
-                f"A is not skew-selfadjoint: |A + A*| = {defect:.3e} (scale {scale:.3e})"
-            )
+            raise ValueError(f"A is not skew-selfadjoint: |A + A*| = {defect:.3e} (scale {scale:.3e})")
         init = np.asarray(self.initial, dtype=float)
         if init.shape != (self.law.space.dim,):
             raise ValueError(

@@ -23,7 +23,8 @@ factors, coefficient inverses and roots) densify only the coupling
 blocks, through `weighted_spectrum`, and a diagonal operator not at all;
 the range/kernel split (subspaces) and the Schur reduction (matlaw)
 densify one symbol per wavenumber of a periodic grid whose shifts the
-operators commute with, and nothing else.
+operators commute with, and nothing else.  Whether a value counts as
+zero is decided by rank_cut alone.
 
 All values are immutable after construction and safe to share across
 threads; the functions here are pure.
@@ -35,9 +36,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-# Relative cutoff below which a singular value or eigenvalue counts as zero:
-# the rank decisions of weighted_spectrum and range_kernel_split.
+# Relative cutoff of rank_cut, the one rule of every rank and definiteness
+# decision in the package, so the units of a law or an operator decide none.
 DEFAULT_RANK_TOL = 1e-10
+
+
+def rank_cut(values, axis=None):
+    """DEFAULT_RANK_TOL * the largest |value| along axis (kept, to broadcast), or of all:
+    a singular value or eigenvalue at or below the cut of its block counts as zero."""
+    return DEFAULT_RANK_TOL * np.abs(values).max(axis=axis, keepdims=axis is not None)
 
 
 class TagMismatchError(ValueError):
@@ -329,6 +336,11 @@ def _diagonal(entries) -> bool:
     return counts.max(initial=0) <= 1 and np.array_equal(entries.indices, np.flatnonzero(counts))
 
 
+def _same_pattern(a, b) -> bool:
+    """Whether two CSR matrices store the same pattern (both canonical)."""
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
 def _coupling_blocks(ops, sw):
     """(index (n, s), entries (len(ops), n, s, s)) per size s of the coupling blocks.
 
@@ -359,14 +371,14 @@ def _coupling_blocks(ops, sw):
     return blocks
 
 
-def weighted_spectrum(op: MatrixOperator, *others: MatrixOperator,
-                      rank_tol: float = DEFAULT_RANK_TOL):
+def weighted_spectrum(op: MatrixOperator, *others: MatrixOperator):
     """Eigendecomposition of a weighted-selfadjoint operator along its coupling blocks.
 
     The joint sparsity pattern of op and `others` cuts them into diagonal
     blocks, diagonalized in weighted-orthonormal coordinates by one batched
-    eigh per block size.  Returns rank_tol * max(|eigenvalue|, 1) and per size
-    (index, ascending eigenvalues, eigenvectors Q, [Q^T sym(B) Q for B in others]).
+    eigh per block size.  Returns per size (index (n, s), ascending
+    eigenvalues (n, s), eigenvectors Q, [Q^T sym(B) Q for B in others]);
+    a caller ranks each block by rank_cut(eigenvalues, axis=1).
     Blocks of size 1 are their own spectrum (a 1x1 eigh returns its entry
     with Q = 1), so diagonal operators (every scalar or per-entry
     coefficient, and M0 and sym(M1) of most laws) need no graph pass and
@@ -380,8 +392,7 @@ def weighted_spectrum(op: MatrixOperator, *others: MatrixOperator,
         else:
             values, q = np.linalg.eigh(dense[0])
         groups.append((index, values, q, [q.transpose(0, 2, 1) @ r @ q for r in dense[1:]]))
-    cutoff = rank_tol * max(max(float(np.abs(g[1]).max()) for g in groups), 1.0)
-    return cutoff, groups
+    return groups
 
 
 def spectral_function(groups, f, space: SpaceTag) -> MatrixOperator:
@@ -412,11 +423,16 @@ def make_block_skew(C: MatrixOperator) -> MatrixOperator:
     with no floating-point arithmetic involved.
     """
     space = direct_sum_tags([C.domain, C.codomain])
-    A = MatrixOperator._owning(block_csr([[None, -C.adjoint().entries], [C.entries, None]]),
-                               space, space)
-    ent = A.entries  # the adjoint shares A's read-only pattern
+    return skew_by_construction(MatrixOperator._owning(
+        block_csr([[None, -C.adjoint().entries], [C.entries, None]]), space, space))
+
+
+def skew_by_construction(A: MatrixOperator) -> MatrixOperator:
+    """A, with its entrywise negation (sharing A's pattern) attached as its adjoint: only
+    for an A exactly skew as built (make_block_skew results, their direct sums, negations)."""
+    ent = A.entries
     A._pair(MatrixOperator._owning(sp.csr_matrix((-ent.data, ent.indices, ent.indptr),
-                                                 shape=ent.shape), space, space))
+                                                 shape=ent.shape), A.domain, A.codomain))
     return A
 
 
@@ -433,7 +449,7 @@ def skew_defect(A: MatrixOperator) -> float:
         raise TagMismatchError("skew defect needs domain == codomain")
     a = A.entries
     adj = A._weighted_transpose() if A._adj is None else A._adj.entries
-    if np.array_equal(a.indptr, adj.indptr) and np.array_equal(a.indices, adj.indices):
+    if _same_pattern(a, adj):
         return float(np.abs(a.data + adj.data).max(initial=0.0))
     return float(np.abs((a + adj).data).max(initial=0.0))
 

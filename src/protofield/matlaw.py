@@ -4,8 +4,8 @@ A law pairs a selfadjoint M0 (the instantaneous part, allowed to be
 singular) with an arbitrary M1 (the zero-order part).  Well-posedness of
 the associated evolution needs M0 >= 0, strict positivity of M0 on its
 range, and strict positivity of the symmetric part of M1 compressed to the
-kernel of M0; check_wellposed quantifies these blockwise and produces a
-conservative weight threshold from the standard 2x2 block positivity estimate.
+kernel of M0; check_wellposed decides these per block by linops.rank_cut and
+produces a conservative weight threshold from the standard 2x2 block positivity estimate.
 
 Also here: the inverses of the symbols of a step matrix, one (m, m)
 block per wavenumber of its cut, either symbol by symbol
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .linops import DEFAULT_RANK_TOL, MatrixOperator, TagMismatchError, _diagonal, weighted_spectrum
+from .linops import MatrixOperator, TagMismatchError, _diagonal, rank_cut, weighted_spectrum
 
 
 class MaterialLawError(ValueError):
@@ -37,8 +37,6 @@ class StepFailureError(RuntimeError):
 
 # Largest condition estimate kappa_1 of a step matrix still accepted as nonsingular.
 CONDITION_LIMIT = 1e15
-# check_wellposed: the kernel block constant of sym(M1) must exceed it.
-POSITIVITY_TOL = 1e-12
 
 
 def _check_condition(estimate):
@@ -158,26 +156,26 @@ def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
 
     M0 (selfadjoint, as MaterialLaw checks) must be nonnegative with a
     strictly positive range block; on the kernel of M0 the symmetric part
-    of M1 must be strictly positive definite.  c0_estimate is the smaller
-    of the two block constants; nu_threshold is a (conservative,
-    non-sharp) weight beyond which nu*M0 + sym(M1) stays positive definite
-    despite the off-diagonal coupling of sym(M1) between the two blocks.
+    of M1 must be strictly positive definite.  Both ranks are by rank_cut: M0's
+    per coupling block, sym(M1)'s per compressed kernel block, so no verdict
+    depends on units.  c0_estimate is the smaller of the two block constants;
+    nu_threshold is a (conservative, non-sharp) weight beyond which nu*M0 +
+    sym(M1) stays positive definite despite sym(M1) coupling the two blocks.
     """
-    # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first.
-    # Each coupling block ranks its eigenvalues against its own largest |eigenvalue|,
-    # so the units of a law do not decide its kernel.
-    m0_nonneg, c_r, c_k, coupling = True, np.inf, np.inf, 0.0
-    for _, values, _, (s,) in weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1))[1]:
-        cut = DEFAULT_RANK_TOL * np.abs(values).max(axis=1, keepdims=True)
+    # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first
+    m0_nonneg, kernel_block_positive, c_r, c_k, coupling = True, True, np.inf, np.inf, 0.0
+    for _, values, _, (s,) in weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1)):
+        cut = rank_cut(values, axis=1)
         m0_nonneg &= bool((values >= -cut).all())
         c_r = min(c_r, float(values[values > cut].min(initial=np.inf)))
         kernel_dims = np.count_nonzero(values <= cut, axis=1)
         for k in np.unique(kernel_dims[kernel_dims > 0]):
             s_k = s[kernel_dims == k]
-            c_k = min(c_k, float(np.linalg.eigvalsh(s_k[:, :k, :k]).min()))
+            kernel_values = np.linalg.eigvalsh(s_k[:, :k, :k])
+            kernel_block_positive &= bool((kernel_values > rank_cut(kernel_values, axis=1)).all())
+            c_k = min(c_k, float(kernel_values.min()))
             if k < s.shape[1]:
                 coupling = max(coupling, np.linalg.norm(s_k[:, k:, :k], 2, axis=(1, 2)).max())
-    kernel_block_positive = c_k > POSITIVITY_TOL
 
     parts = [c for c in (c_r, c_k) if np.isfinite(c)]
     c0 = float(min(parts)) if parts else 0.0

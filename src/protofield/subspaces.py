@@ -28,8 +28,8 @@ partner is dropped twice in its real dimension.
 shift_cut is the one rule for where to cut, used by the split and by the
 time steps: along every axis when every axis is periodic and every given
 operator commutes with the shifts there, not at all otherwise.  It hands
-back the symbols of the operators it tested, all from one pass over the
-union of their patterns.
+back the symbols of the operators it tested, from one pass over each
+stored pattern among them.
 
 Component-basis normalizations (the 1/sqrt(2) factors of the symmetric and
 antisymmetric rank-2 bases, the reflection pairs of the even/odd split)
@@ -45,15 +45,8 @@ from functools import partial, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (
-    DEFAULT_RANK_TOL,
-    MatrixOperator,
-    SpaceTag,
-    TagMismatchError,
-    block_diag,
-    direct_sum_tags,
-    identity,
-)
+from .linops import (MatrixOperator, SpaceTag, TagMismatchError, _same_pattern, block_diag,
+                     direct_sum_tags, identity, rank_cut)
 from .flatgrid import (
     DIRICHLET,
     PERIODIC,
@@ -363,55 +356,41 @@ class ShiftCut:
         symbols[xi] = sum_p b(p) exp(-i xi p), (N, m, m): F op F^-1
         blockwise, where b0[(beta, d), gamma] = b(d)[beta, gamma], for
         components beta, gamma and point offset d, is the entry of op in
-        row (beta, d) of column (gamma, p = 0).  One pass over
-        the union of the operators' patterns (entries zero in every one
+        row (beta, d) of column (gamma, p = 0).  One pass per stored pattern
+        (the step matrices share one; entries zero in every op storing it
         dropped) finds each entry's components and its row point's offset
         from its column point, modulo each axis; each op's value test and
-        FFT then run on it.  An op commutes with the shifts when each of
-        its entries on the union equals b0 at that entry's offset, and the
-        union holds one entry per point for each entry at p = 0.
+        FFT then run on it.  An op commutes with the shifts when each of its
+        entries equals b0 at that entry's offset, and its pattern holds one
+        entry per point for each entry at p = 0.
         """
-        if not ops:
-            return []
-        place, at0, values = self._b0_entries(ops)
-        if len(place) != (self.dim // self.m) * np.count_nonzero(at0):
-            return None
+        groups = {}  # first op of each stored pattern -> the ops storing it
+        for i, op in enumerate(ops):
+            first = next((j for j in groups if _same_pattern(ops[j].entries, op.entries)), i)
+            groups.setdefault(first, []).append(i)
         b0 = np.zeros((len(ops), self.dim * self.m))
-        for b, v in zip(b0, values):
-            b[place[at0]] = v[at0]
-            if np.any(b[place] != v):
+        for members in groups.values():
+            place, at0, values = self._b0_entries([ops[i] for i in members])
+            if len(place) != (self.dim // self.m) * np.count_nonzero(at0):
                 return None
-        del place, at0, values  # the index arrays go before the FFTs: 0.3 GB at 64^3
+            for i, v in zip(members, values):
+                b0[i, place[at0]] = v[at0]
+                if np.any(b0[i, place] != v):
+                    return None
+            del place, at0, values  # the index arrays go before the FFTs: 0.3 GB at 64^3
         return [_rdft(b.reshape(self.m, *self.per, self.m), self._fft_axes)
                 .reshape(self.m, self.N, self.m).transpose(1, 0, 2) for b in b0]
 
     def _b0_entries(self, ops):
-        """(place, at0, values) over the union of the operators' patterns.
+        """(place, at0, values) over the stored pattern the operators share.
 
-        values (len(ops), nnz) are the entries of each op on the union,
-        places zero in every op dropped; place is each entry's index in
-        b0 (n, m), flattened, and at0 whether its column point is 0.
+        values (len(ops), nnz) are the entries of each op, places zero in
+        every op dropped; place is each entry's index in b0 (n, m),
+        flattened, and at0 whether its column point is 0.
         """
         n, npts = self.dim, self.dim // self.m
-        first = ops[0].entries
-        if all(np.array_equal(op.entries.indptr, first.indptr)
-               and np.array_equal(op.entries.indices, first.indices) for op in ops[1:]):
-            # one pattern (as the step matrices share): it is the union
-            indptr, cols = first.indptr, first.indices
-            values = np.stack([op.entries.data for op in ops])
-        else:
-            # bit i of a union entry marks an entry of ops[i]: both are sorted
-            # row by row, so ops[i]'s entries fill its marked places in order
-            union = sum(sp.csr_matrix((np.full(op.entries.nnz, 2.0 ** i), op.entries.indices,
-                                       op.entries.indptr), shape=(n, n))
-                        for i, op in enumerate(ops))
-            indptr, cols = union.indptr, union.indices
-            values = np.zeros((len(ops), len(cols)))
-            for i, (v, op) in enumerate(zip(values, ops)):
-                if op.entries.nnz == len(cols):  # ops[i] has every entry of the union
-                    v[:] = op.entries.data
-                else:
-                    v[union.data.astype(np.int64) >> i & 1 == 1] = op.entries.data
+        indptr, cols = ops[0].entries.indptr, ops[0].entries.indices
+        values = np.stack([op.entries.data for op in ops])
         rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
         kept = values.any(axis=0)
         if not kept.all():
@@ -475,8 +454,8 @@ def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag):
 
     symbols are A's on `cut` (from shift_cut, which a reduced solve gives A
     and the step matrices together).  One batched SVD of them gives per
-    wavenumber a unitary basis: singular values above
-    DEFAULT_RANK_TOL * max(singular value) span the range, the others the kernel.
+    wavenumber a unitary basis: singular values above the rank_cut of all of
+    them at once span the range, the others the kernel.
 
     Returns (range_pair, kernel_pair), WavenumberPairs grouped by kernel
     count, group for group, or None for an empty subspace.  For skew A the
@@ -484,7 +463,7 @@ def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag):
     compression to the range is again skew-selfadjoint.
     """
     u, svals = np.linalg.svd(symbols)[:2]  # the caller holds symbols: drop vh at once
-    kernel_dims = np.count_nonzero(svals <= DEFAULT_RANK_TOL * max(svals.max(), 1e-300), axis=1)
+    kernel_dims = np.count_nonzero(svals <= rank_cut(svals), axis=1)
     m = u.shape[1]
     groups = [(np.flatnonzero(kernel_dims == k), m - k) for k in np.unique(kernel_dims)]
 

@@ -537,6 +537,17 @@ class TestRelativisticSchrodinger:
         assert np.allclose(U.to_dense(), np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(absG.to_dense(), np.diag([2.0, 0.0]), atol=1e-12)
 
+    def test_rank_deficient_input(self):
+        # G*G of this rank-2 G has a kernel eigenvalue that rounds below zero:
+        # it is cut, with no warning, and U is a partial isometry of rank 2
+        t = SpaceTag("h", 6)
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 6))
+        U, absG = catalog.polar_decompose(MatrixOperator(g, t, t))
+        assert np.abs((U @ absG).to_dense() - g).max() <= 1e-12 * np.abs(g).max()
+        assert np.allclose(np.linalg.svd(U.to_dense(), compute_uv=False), [1, 1, 0, 0, 0, 0],
+                           atol=1e-8)
+
     def test_gradient_polar_identity(self):
         # the check decomposes 1-d gradients; here 2-d ones
         for axes in ((Axis.interval(4), Axis.interval(5)), (Axis.interval(6),) * 2):
@@ -717,6 +728,8 @@ class TestReissnerMindlin:
         ("transport", {"m11": 0.0}),
         # semidefinite ones: zero is allowed, negative is not
         ("maxwell", {"conductivity": -1.0}),
+        # a negative value in small units is negative, not a zero
+        pytest.param("maxwell", {"conductivity": -1e-13}, id="maxwell-conductivity_small"),
         ("transport", {"m1_00": -1.0}),
         ("transport", {"m1_11": -1.0}),
     ], ids=lambda v: v if isinstance(v, str) else "".join(v))

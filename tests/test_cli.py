@@ -290,7 +290,7 @@ class TestSolveCommand:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_near_singular_periodic_step_exit_5(self, tmp_path, capsys):
-        # the gate passes (sigma > 1e-12); the CN symbol at wavenumber 0,
+        # the gate passes (sigma > 0 on ker M0); the CN symbol at wavenumber 0,
         # diag(1/tau, sigma/2), has condition kappa_1 1.3e15.  The reduced
         # solve meets it as its kernel block there, and refuses it alike
         cfg = copy.deepcopy(BASIC)
@@ -518,6 +518,18 @@ def test_law_with_non_finite_entries_is_a_scenario_error(gamma, tmp_path):
     code, err = solve_quietly(catalog_scenario("thermo_elasticity", {"gamma": gamma}), tmp_path)
     assert code == cli.EXIT_PARSE_ERROR
     assert "scenario key 'grid/params': gamma: overflow" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("name, key", [
+    ("extended_maxwell", "m0"), ("reduced_extended_maxwell", "m0"),
+    ("timoshenko", "cten"), ("thermo_elasticity", "kappa")])
+def test_a_tiny_coefficient_whose_inverse_overflows_is_named(name, key, tmp_path):
+    # 1e-320 is positive definite, but its inverse overflows (for m0, the
+    # product m0^-1/2 curl m0^-1/2 inside scipy): the builder refuses it by name
+    code, err = solve_quietly(catalog_scenario(name, {key: 1e-320}), tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert f"scenario key 'grid/params': {key}: overflow" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

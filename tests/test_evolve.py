@@ -56,14 +56,17 @@ def rotation_problem(u0=None):
 class TestSolve:
     def test_skew_check_attaches_no_adjoint(self):
         # the problem's skew check takes A's weighted transpose without
-        # keeping it on A; a block-skew A keeps the adjoint it was built with
-        entry = catalog.thermo_elasticity((Axis.torus(4),) * 3)
+        # keeping it on A; a block-skew A, or a sign-flipped stack of them,
+        # keeps the adjoint it was built with
+        entry = catalog.extended_maxwell((Axis.torus(4),) * 3)
         entry.problem()
         assert entry.a._adj is None
-        acoustic = catalog.acoustics((Axis.interval(6),))
-        paired = acoustic.a.adjoint()
-        acoustic.problem()
-        assert acoustic.a.adjoint() is paired
+        for paired in (catalog.acoustics((Axis.interval(6),)),
+                       catalog.thermo_elasticity((Axis.torus(4),) * 3)):
+            adjoint = paired.a._adj
+            assert adjoint is not None
+            paired.problem()
+            assert paired.a.adjoint() is adjoint
 
     def test_constant_trajectory(self):
         traj = solve(scalar_problem(), SolverConfig(tau=0.1, t_end=1.0,
@@ -104,13 +107,15 @@ class TestSolve:
         t = SpaceTag("h", 2)
         law = MaterialLaw(m0=MatrixOperator(np.eye(2), t, t),
                           m1=MatrixOperator(np.zeros((2, 2)), t, t))
-        with pytest.raises(ValueError, match="skew"):
-            EvolutionaryProblem(law=law, a=MatrixOperator(np.eye(2), t, t),
-                                initial=np.zeros(2))
+        # the defect is judged against A's own largest entry, in any units
+        for scale in (1.0, 1e-20):
+            with pytest.raises(ValueError, match="skew"):
+                EvolutionaryProblem(law=law, a=MatrixOperator(scale * np.eye(2), t, t),
+                                    initial=np.zeros(2))
 
     @pytest.mark.parametrize("runner", [solve, solve_reduced])
     def test_near_singular_step_matrix_rejected(self, runner):
-        # the law passes the gate (sym M1 = 1e-11 > 1e-12 on ker M0), but the
+        # the law passes the gate (sym M1 = 1e-11 is definite on ker M0), but the
         # step matrix diag(1/tau, 5e-12, 1/tau) has kappa_1 2e15; the
         # tiny rotation gives A a one-dimensional kernel to reduce over
         t = SpaceTag("h", 3)
@@ -614,8 +619,8 @@ class TestWavenumberStep:
         assert relative_gap(solve(problem, cfg), reference) > 1e-12
 
     def test_near_singular_symbol_rejected(self):
-        # sigma = 1.5e-12 passes the gate (> 1e-12), but the CN symbol at
-        # wavenumber 0 is diag(1/tau, sigma/2): ||S^-1||_1 = 1 / 7.5e-13;
+        # sigma = 1.5e-12 passes the gate (a definite kernel block), but the CN
+        # symbol at wavenumber 0 is diag(1/tau, sigma/2): ||S^-1||_1 = 1 / 7.5e-13;
         # ||S||_1 = 1/tau + 8 at the wavenumber pi / h, where the halved
         # gradient symbol reaches 1 / h = 8, so kappa_1 = 1008 / 7.5e-13.
         # The sparse LU of the same step matrix, with no grid to cut, gets

@@ -244,6 +244,7 @@ class TestBlockwiseGate:
 SI_LAWS = {
     "acoustics_rho_2e10": (lambda: catalog.acoustics((Axis.interval(16),), rho=2e10), 1e-3),
     "acoustics_rho_1e-11": (lambda: catalog.acoustics((Axis.interval(16),), rho=1e-11), 1e-3),
+    "acoustics_rho_1e-13": (lambda: catalog.acoustics((Axis.interval(16),), rho=1e-13), 1e-3),
     "maxwell_eps0_mu0": (lambda: catalog.maxwell((Axis.torus(3),) * 3, permittivity=8.854e-12,
                                                  permeability=1.2566e-6), 1e-10),
     # steel, 0.1 m square section: rho A, rho I, 1 / (k G A), E I
@@ -277,6 +278,23 @@ class TestGateScale:
                 assert (scaled.m0_nonneg, scaled.kernel_block_positive) == (
                     rep.m0_nonneg, rep.kernel_block_positive), c
         assert len(verdicts) > 1
+
+    def test_the_verdicts_do_not_depend_on_the_scale_of_sym_m1(self):
+        # positivity on ker M0 is judged against each kernel block's own largest
+        # eigenvalue, so c sym(M1) is positive there exactly when sym(M1) is
+        assert check_wellposed(catalog.heat((Axis.interval(16),), sigma=1e-13).law).passed
+        rng = np.random.default_rng(24)
+        verdicts = set()
+        for _ in range(20):
+            sizes = list(rng.integers(1, 6, size=int(rng.integers(1, 8))))
+            law = random_block_law(rng, sizes)
+            rep = check_wellposed(law)
+            verdicts.add(rep.kernel_block_positive)
+            for c in (1e-15, 1e-11, 1e-5, 1e5, 1e11, 1e15):
+                scaled = check_wellposed(MaterialLaw(m0=law.m0, m1=c * law.m1))
+                assert (scaled.m0_nonneg, scaled.kernel_block_positive) == (
+                    rep.m0_nonneg, rep.kernel_block_positive), c
+        assert verdicts == {True, False}
 
     def test_a_small_negative_eigenvalue_fails(self):
         # -1e-13 on its own coupling block is negative at that block's scale,

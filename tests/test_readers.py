@@ -18,6 +18,10 @@ method, a class's own call reaching __init__) or through a * or ** argument,
 which passes every parameter; a recursive call counts, as it is no test's.
 A function that is also used as a value (a registry's builder, a
 check in a list) may be called by any caller, and is exempt, as are closures.
+
+One name has a single reader by design: the rank tolerance DEFAULT_RANK_TOL
+is read by linops alone, whose rank_cut makes every rank and definiteness
+decision of the package.
 """
 
 import ast
@@ -218,3 +222,26 @@ def test_a_member_is_read_only_as_an_attribute():
     # the keyword size=3 and the module-level name half are not attribute reads
     assert words["size"] == 1 and words["half"] == 0
     assert reads(fields["grow"], names=False)["grow"] == words["grow"] == 1
+
+
+def rank_tolerance_readers(trees):
+    """The modules of the package (trees: {path: module}) other than linops
+    that import or read DEFAULT_RANK_TOL."""
+    name = "DEFAULT_RANK_TOL"
+    return [path.stem for path, tree in trees.items()
+            if path.parent == PACKAGE and path.stem != "linops"
+            and (reads(tree)[name] or any(alias.name == name for node in ast.walk(tree)
+                                          if isinstance(node, ast.ImportFrom)
+                                          for alias in node.names))]
+
+
+def test_the_rank_tolerance_is_read_in_linops_alone():
+    assert rank_tolerance_readers(package_trees()) == []
+
+
+def test_a_rank_tolerance_import_or_read_is_found():
+    trees = {PACKAGE / "linops.py": ast.parse("DEFAULT_RANK_TOL = 1e-10\ncut = DEFAULT_RANK_TOL\n"),
+             PACKAGE / "gate.py": ast.parse("from .linops import DEFAULT_RANK_TOL\n"),
+             PACKAGE / "split.py": ast.parse("from . import linops\ncut = linops.DEFAULT_RANK_TOL\n"),
+             ROOT / "perfbench" / "use.py": ast.parse("from protofield.linops import DEFAULT_RANK_TOL\n")}
+    assert rank_tolerance_readers(trees) == ["gate", "split"]
