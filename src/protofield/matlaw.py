@@ -4,8 +4,9 @@ A law pairs a selfadjoint M0 (the instantaneous part, allowed to be
 singular) with an arbitrary M1 (the zero-order part).  Well-posedness of
 the associated evolution needs M0 >= 0, strict positivity of M0 on its
 range, and strict positivity of the symmetric part of M1 compressed to the
-kernel of M0; check_wellposed decides these per block by linops.rank_cut and
-produces a conservative weight threshold from the standard 2x2 block positivity estimate.
+kernel of M0; check_wellposed decides these per block by linops.rank_cut on
+the equilibrated law, whose every coordinate has unit scale, and gives the
+exact weight nu* beyond which nu M0 + sym(M1) is positive definite.
 
 Also here: the inverses of the symbols of a step matrix, one (m, m)
 block per wavenumber of its cut, either symbol by symbol
@@ -128,7 +129,7 @@ class MaterialLaw:
             return
         defect = float(abs(self.m0.entries - self.m0._weighted_transpose()).max())
         w = self.m0.domain.weight
-        allowed = 0.0 if np.all(w == w[0]) else 1e-14 * max(self.m0.max_abs(), 1.0)
+        allowed = 0.0 if np.all(w == w[0]) else 1e-14 * self.m0.max_abs()
         if not defect <= allowed:
             raise MaterialLawError(
                 f"M0 must be selfadjoint as stored; defect {defect:.3e}"
@@ -143,7 +144,6 @@ class MaterialLaw:
 class WellposednessReport:
     m0_nonneg: bool
     kernel_block_positive: bool
-    c0_estimate: float
     nu_threshold: float
 
     @property
@@ -151,48 +151,58 @@ class WellposednessReport:
         return self.m0_nonneg and self.kernel_block_positive
 
 
+def _equilibrated(mlaw: MaterialLaw):
+    """M0 and sym(M1), congruent by D^-1/2 (check_wellposed), by scaling their CSR data."""
+    d0, d1 = mlaw.m0.entries.diagonal(), mlaw.m1.entries.diagonal()
+    scale = 1.0 / np.sqrt(np.abs(np.where(d0 != 0, d0, np.where(d1 != 0, d1, 1.0))))
+    for ent, factor in ((mlaw.m0.entries, 1.0), (mlaw.m1.entries + mlaw.m1.adjoint().entries, 0.5)):
+        data = factor * ent.data * np.repeat(scale, np.diff(ent.indptr)) * scale[ent.indices]
+        yield MatrixOperator._owning(type(ent)((data, ent.indices, ent.indptr), shape=ent.shape),
+                                     mlaw.space, mlaw.space)
+
+
+def _eigvalsh(stack):
+    """Ascending eigenvalues of a stack of symmetric blocks (n, s, s); a 1x1 block is its own."""
+    return stack[:, :, 0] if stack.shape[1] == 1 else np.linalg.eigvalsh(stack)
+
+
 def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
     """Verify the structural sufficient conditions for a solvable law.
 
     M0 (selfadjoint, as MaterialLaw checks) must be nonnegative with a
     strictly positive range block; on the kernel of M0 the symmetric part
-    of M1 must be strictly positive definite.  Both ranks are by rank_cut: M0's
-    per coupling block, sym(M1)'s per compressed kernel block, so no verdict
-    depends on units.  c0_estimate is the smaller of the two block constants;
-    nu_threshold is a (conservative, non-sharp) weight beyond which nu*M0 +
-    sym(M1) stays positive definite despite sym(M1) coupling the two blocks.
+    of M1 must be strictly positive definite.  Both are judged on the law
+    equilibrated by the congruence D^-1/2 . D^-1/2 of M0 and sym(M1), D =
+    |diag M0|, |diag sym(M1)| where that is 0 and 1 where both are: it keeps
+    every sign and kernel (Sylvester) and gives each coordinate unit scale,
+    so no change of units changes a verdict.  Ranks are by rank_cut, M0's
+    per coupling block and sym(M1)'s per compressed kernel block.
+    nu_threshold is the exact nu* past which nu M0 + sym(M1) is positive
+    definite (it is singular at nu*): per block the top eigenvalue of the
+    pencil (-Sigma, M0's range block), Sigma the Schur complement of sym(M1)
+    onto M0's range; -inf when M0 has no range, inf when the law fails.
     """
+    m0_nonneg, kernel_block_positive, nu = True, True, -np.inf
     # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first
-    m0_nonneg, kernel_block_positive, c_r, c_k, coupling = True, True, np.inf, np.inf, 0.0
-    for _, values, _, (s,) in weighted_spectrum(mlaw.m0, symmetrize(mlaw.m1)):
+    for _, values, _, (s,) in weighted_spectrum(*_equilibrated(mlaw)):
         cut = rank_cut(values, axis=1)
         m0_nonneg &= bool((values >= -cut).all())
-        c_r = min(c_r, float(values[values > cut].min(initial=np.inf)))
         kernel_dims = np.count_nonzero(values <= cut, axis=1)
-        for k in np.unique(kernel_dims[kernel_dims > 0]):
-            s_k = s[kernel_dims == k]
-            kernel_values = np.linalg.eigvalsh(s_k[:, :k, :k])
-            kernel_block_positive &= bool((kernel_values > rank_cut(kernel_values, axis=1)).all())
-            c_k = min(c_k, float(kernel_values.min()))
-            if k < s.shape[1]:
-                coupling = max(coupling, np.linalg.norm(s_k[:, k:, :k], 2, axis=(1, 2)).max())
-
-    parts = [c for c in (c_r, c_k) if np.isfinite(c)]
-    c0 = float(min(parts)) if parts else 0.0
-
-    if not np.isfinite(c_r):
-        nu_threshold = 0.0
-    else:
-        c_k_eff = c_k if np.isfinite(c_k) and c_k > 0 else 1.0
-        c_r_eff = max(c_r, 1e-300)
-        nu_threshold = (coupling ** 2 / (c_r_eff * c_k_eff) + 1.0) * max(1.0, 1.0 / c_r_eff)
-
-    return WellposednessReport(
-        m0_nonneg=m0_nonneg,
-        kernel_block_positive=kernel_block_positive,
-        c0_estimate=c0,
-        nu_threshold=float(nu_threshold),
-    )
+        for k in np.unique(kernel_dims):
+            blocks = kernel_dims == k
+            s_k, root = s[blocks], 1.0 / np.sqrt(values[blocks, k:])
+            schur = s_k[:, k:, k:]
+            if k:
+                kernel_values = _eigvalsh(s_k[:, :k, :k])
+                positive = bool((kernel_values > rank_cut(kernel_values, axis=1)).all())
+                kernel_block_positive &= positive
+                if not positive or k == s.shape[1]:
+                    continue
+                schur = schur - s_k[:, k:, :k] @ np.linalg.solve(s_k[:, :k, :k], s_k[:, :k, k:])
+            pencil = -schur * root[:, :, None] * root[:, None, :]
+            nu = max(nu, float(_eigvalsh(pencil)[:, -1].max()))
+    passed = m0_nonneg and kernel_block_positive
+    return WellposednessReport(m0_nonneg, kernel_block_positive, nu + 0.0 if passed else np.inf)
 
 
 def schur_reduce(symbols, p_range, p_kernel) -> np.ndarray:

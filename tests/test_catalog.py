@@ -92,6 +92,14 @@ class TestEveryEntry:
             bad = replace(e, a=MatrixOperator(a, e.a.domain, e.a.codomain))
             assert verify.provenance_residual(bad) > 1e-12, e.name
 
+    def test_provenance_fails_in_large_units(self):
+        # an interval of length 1e13 puts every entry of A near 1e-12: a 0.1 %
+        # fault reads 1e-3 against A's own largest entry
+        entry = catalog.acoustics((Axis.interval(16, length=1e13),))
+        assert verify.provenance_residual(entry) <= 1e-12
+        assert verify.provenance_residual(replace(entry, a=1.001 * entry.a)) == pytest.approx(
+            1e-3 / 1.001, rel=1e-9)
+
     def test_blocks_partition_dimension(self, entries):
         for e in entries:
             assert sum(size for _, size in e.blocks) == e.dim, e.name

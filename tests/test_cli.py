@@ -612,6 +612,18 @@ class TestVerifyCommand:
         assert done.returncode == cli.EXIT_OK, done.stderr
         assert "Warning" not in done.stderr
 
+    def test_causality_counts_and_names_the_entries_that_fail(self, capsys, monkeypatch):
+        from protofield import verify
+
+        monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
+        monkeypatch.setattr(verify, "causality_check",
+                            lambda problem, config, t0: problem.space.dim != 4)
+        assert cli.main(["verify", "--filter", "causality"]) == cli.EXIT_VERIFY_FAILED
+        # the four entries of two components per point on two points
+        assert ("FAIL  causality  residual 4.000e+00  tol 1.0e-13  4 entries not causal: "
+                "acoustics, heat, relativistic_schrodinger, euler_bernoulli"
+                ) in capsys.readouterr().out
+
     def test_filter_runs_subset(self, capsys, monkeypatch):
         monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
         assert cli.main(["verify", "--filter", "curl"]) == cli.EXIT_OK
@@ -656,11 +668,17 @@ class TestGridCap:
     @pytest.mark.parametrize("cap", range(2, 9))
     def test_every_cap_runs(self, capsys, monkeypatch, cap):
         # every cap builds valid grids: the symmetric transport line needs an even
-        # count, and weights such as 1/5 must pass the M0 symmetry check
+        # count, and weights such as 1/5 must pass the M0 symmetry check; and
+        # every axis the suite builds honours the cap
+        from protofield.flatgrid import Axis
+
+        counts, check_axis = [], Axis.__post_init__
+        monkeypatch.setattr(Axis, "__post_init__",
+                            lambda axis: (counts.append(axis.n), check_axis(axis)))
         monkeypatch.setenv("PROTOFIELD_MAX_GRID", str(cap))
-        for check in ("skewness", "even_odd"):
-            assert cli.main(["verify", "--filter", check]) == cli.EXIT_OK, check
+        assert cli.main(["verify"]) == cli.EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
+        assert counts and max(counts) <= cap
 
     def test_env_var_caps_grids(self, monkeypatch):
         from protofield.verify import _cap

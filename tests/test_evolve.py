@@ -160,15 +160,25 @@ class TestEnergy:
                      SolverConfig(tau=0.01, t_end=0.5, scheme=IMPLICIT_EULER))
         assert np.all(np.diff(traj.energies) < 0)
 
-    def test_cn_dissipation_identity(self):
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-6])
+    def test_cn_dissipation_identity(self, amplitude):
+        # energies of 1e-12 are judged against themselves, not against 1: the
+        # identity holds against the run's own law and fails against a law
+        # with sym(M1) doubled
         entry = catalog.acoustics((Axis.interval(10),), sigma=0.4)
         rng = np.random.default_rng(2)
-        traj = solve(entry.problem(initial=rng.standard_normal(entry.dim)),
+        traj = solve(entry.problem(initial=amplitude * rng.standard_normal(entry.dim)),
                      SolverConfig(tau=0.02, t_end=1.0))
         rep = dissipation_check(traj, entry.law)
         assert rep.holds and rep.max_residual <= 1e-10
-        scale = max(traj.energies.max(), 1.0)
-        assert np.all(np.diff(traj.energies) <= evolve.DISSIPATION_TOL * scale)
+        assert np.all(np.diff(traj.energies) <= evolve.DISSIPATION_TOL * traj.energies.max())
+        doubled = dissipation_check(traj, MaterialLaw(m0=entry.law.m0, m1=2.0 * entry.law.m1))
+        assert not doubled.holds and doubled.max_residual > 1e-3
+
+    def test_a_run_with_no_terms_balances_exactly(self):
+        entry = catalog.acoustics((Axis.interval(6),), sigma=0.4)
+        traj = solve(entry.problem(initial=np.zeros(entry.dim)), SolverConfig(tau=0.1, t_end=0.5))
+        assert dissipation_check(traj, entry.law) == evolve.DissipationReport(0.0, True)
 
     def test_dissipation_residual_matches_the_step_by_step_sum(self):
         # the vectorized residual against the per-step loop it replaces
@@ -180,13 +190,13 @@ class TestEnergy:
                      SolverConfig(tau=0.02, t_end=1.0))
         sym_m1, w, tau = symmetrize(entry.law.m1), entry.space.weight, traj.times[1]
         energies = traj.energies
-        loop = 0.0
+        loop, scale = 0.0, np.abs(energies).max()
         for k in range(len(traj) - 1):
             mid = 0.5 * (traj.states[k] + traj.states[k + 1])
             drop = float(np.sum(w * sym_m1.apply(mid) * mid))
             loop = max(loop, abs(energies[k + 1] - energies[k] + tau * drop))
+            scale = max(scale, tau * abs(drop))
         rep = dissipation_check(traj, entry.law)
-        scale = max(energies.max(), 1.0)
         assert rep.holds
         assert abs(rep.max_residual - loop / scale) <= 1e-14
 

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from protofield.evolve import (
@@ -12,6 +13,7 @@ from protofield.evolve import (
     EvolutionaryProblem,
     SolverConfig,
     _step_operators,
+    dissipation_check,
     solve,
 )
 from protofield.flatgrid import Axis, build_d1
@@ -43,37 +45,35 @@ class TestWellposed:
     def test_identity_law(self):
         rep = check_wellposed(law_on("h", np.eye(3)))
         assert rep.passed
-        assert rep.c0_estimate == pytest.approx(1.0)
-        assert rep.nu_threshold == pytest.approx(1.0)
+        # sym(M1) = 0 leaves nu* at 0, as +0.0: never printed as -0.000
+        assert rep.nu_threshold == 0.0 and np.copysign(1.0, rep.nu_threshold) == 1.0
 
     def test_heat_pattern_passes(self):
         rep = check_wellposed(law_on("h", np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         assert rep.passed and rep.kernel_block_positive
-        assert rep.c0_estimate == pytest.approx(1.0)
+        assert rep.nu_threshold == 0.0
 
     def test_degenerate_fails_through_kernel(self):
         rep = check_wellposed(law_on("h", np.diag([1.0, 0.0])))
         assert not rep.passed
         assert not rep.kernel_block_positive
-        assert rep.c0_estimate <= 0.0
+        assert rep.nu_threshold == np.inf  # no nu makes nu M0 + sym(M1) definite
 
-    def test_c0_positive_iff_passed(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            vals = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.2, 2.0, n))
-            m0 = q @ np.diag(vals) @ q.T
-            m0 = 0.5 * (m0 + m0.T)
-            m1 = rng.standard_normal((n, n))
-            if rng.random() < 0.5:
-                m1 = m1 @ m1.T + 0.1 * np.eye(n)  # make sym positive
-            rep = check_wellposed(law_on("h", m0, m1))
-            assert (rep.c0_estimate > 0) == rep.passed
+    def test_no_range_leaves_nu_free(self):
+        # M0 = 0: nu M0 + sym(M1) = sym(M1) is definite for every nu
+        rep = check_wellposed(law_on("h", np.zeros((2, 2)), np.diag([1.0, 3.0])))
+        assert rep.passed and rep.nu_threshold == -np.inf
 
-    def test_non_selfadjoint_rejected_at_construction(self):
+    @pytest.mark.parametrize("m0, weight", [
+        ([[1.0, 0.5], [0.0, 1.0]], (1.0, 1.0)),
+        # in small units on a non-uniform weight: the defect is judged against
+        # M0's own largest entry, with no floor of 1
+        (1e-20 * np.array([[1.0, 0.5], [0.1, 1.0]]), (1.0, 2.0)),
+    ], ids=["unit", "small_units_weighted"])
+    def test_non_selfadjoint_rejected_at_construction(self, m0, weight):
+        t = SpaceTag("h", 2, weight)
         with pytest.raises(MaterialLawError):
-            law_on("h", [[1.0, 0.5], [0.0, 1.0]])
+            MaterialLaw(m0=MatrixOperator(m0, t, t), m1=MatrixOperator(np.zeros((2, 2)), t, t))
 
     @pytest.mark.parametrize("m0, m1", [
         ([[1.0, np.inf], [np.inf, 1.0]], None),  # its defect inf - inf is nan
@@ -101,47 +101,70 @@ class TestWellposed:
         assert not rep.m0_nonneg and not rep.passed
 
     def test_nu_threshold_renders_positive(self):
-        # coupled sym(M1) between range and kernel of M0: at nu_threshold the
-        # combination nu*M0 + sym(M1) must be positive definite
+        # coupled sym(M1) between range and kernel of M0: nu* = 3, where
+        # nu*M0 + sym(M1) = [[6, 3], [3, 1.5]] is singular; just above it the
+        # combination is positive definite
         m0 = np.diag([2.0, 0.0])
         m1 = np.array([[0.0, 3.0], [3.0, 1.5]])
         mlaw = law_on("h", m0, m1)
         rep = check_wellposed(mlaw)
         assert rep.passed
         nu = rep.nu_threshold
-        comb = nu * m0 + symmetrize(mlaw.m1).to_dense()
+        assert nu == pytest.approx(3.0, rel=1e-14)
+        comb = (nu + 1e-9) * m0 + symmetrize(mlaw.m1).to_dense()
         assert np.linalg.eigvalsh(comb).min() > 0
 
 
-def dense_reference_gate(mlaw, tol=1e-12, rank_tol=1e-10):
-    """The well-posedness gate on the whole law, densified.
+def dense_weighted(op):
+    """Sw T Sw^-1 of an operator T, symmetrized: its matrix in weighted-orthonormal coordinates."""
+    sw = np.sqrt(op.domain.weight)
+    b = sw[:, None] * op.to_dense() / sw[None, :]
+    return 0.5 * (b + b.T)
 
-    One eigendecomposition of M0 in weighted-orthonormal coordinates, then
-    the dense compressions V^T W sym(M1) V onto its kernel and range.
+
+def dense_reference_gate(mlaw, rank_tol=1e-10):
+    """The well-posedness gate on the whole law, densified and equilibrated.
+
+    M0 and sym(M1) in weighted-orthonormal coordinates, both congruent by
+    D^-1/2 with D = |diag M0|, |diag sym(M1)| where that is 0, and 1 where
+    both are; one eigendecomposition of M0, ranked against its largest
+    |eigenvalue|, the compressions of sym(M1) onto its kernel and range,
+    and nu* as the top eigenvalue of one dense pencil (-Sigma, M0 on its
+    range), Sigma the Schur complement of sym(M1) onto the range, solved by
+    scipy's generalized eigh.  Returns the flags, nu* and the scale of its
+    rounding: the largest |eigenvalue| of the pencil or |sym(M1)|max over the
+    smallest range eigenvalue, the larger (0 when the pencil is empty or the
+    law fails).
     """
-    m0 = mlaw.m0
-    w = m0.domain.weight
-    sw = np.sqrt(w)
-    b = sw[:, None] * m0.to_dense() / sw[None, :]
-    vals, q = np.linalg.eigh(0.5 * (b + b.T))
-    cutoff = rank_tol * max(np.abs(vals).max(), 1.0)
+    b0, b1 = dense_weighted(mlaw.m0), dense_weighted(symmetrize(mlaw.m1))
+    d0, d1 = np.diag(b0), np.diag(b1)
+    e = 1.0 / np.sqrt(np.abs(np.where(d0 != 0, d0, np.where(d1 != 0, d1, 1.0))))
+    b0, b1 = (e[:, None] * b * e[None, :] for b in (b0, b1))
+    vals, q = np.linalg.eigh(b0)
+    cutoff = rank_tol * np.abs(vals).max()
     rng_mask = vals > cutoff
-    v_r, v_k = (q / sw[:, None])[:, rng_mask], (q / sw[:, None])[:, ~rng_mask]
-    w_sym_m1 = w[:, None] * symmetrize(mlaw.m1).to_dense()
-    s_kk = v_k.T @ w_sym_m1 @ v_k
-    s_rk = v_r.T @ w_sym_m1 @ v_k
-    c_r = vals[rng_mask].min() if rng_mask.any() else np.inf
-    c_k = np.linalg.eigvalsh(0.5 * (s_kk + s_kk.T)).min() if v_k.size else np.inf
-    finite = [c for c in (c_r, c_k) if np.isfinite(c)]
-    nu = 0.0
-    if rng_mask.any():
-        coupling = np.linalg.norm(s_rk, 2) if s_rk.size else 0.0
-        c_k_eff = c_k if np.isfinite(c_k) and c_k > 0 else 1.0
-        nu = (coupling ** 2 / (c_r * c_k_eff) + 1.0) * max(1.0, 1.0 / c_r)
-    return {"m0_nonneg": vals.min() >= -max(tol, cutoff),
-            "kernel_block_positive": c_k > tol,
-            "c0_estimate": min(finite) if finite else 0.0,
-            "nu_threshold": nu}
+    s = q.T @ b1 @ q
+    s_kk, s_rk = s[~rng_mask][:, ~rng_mask], s[rng_mask][:, ~rng_mask]
+    s_rr = s[rng_mask][:, rng_mask]
+    kernel_values = np.linalg.eigvalsh(s_kk)
+    flags = {"m0_nonneg": vals.min() >= -cutoff,
+             "kernel_block_positive": bool(
+                 (kernel_values > rank_tol * np.abs(kernel_values).max(initial=0.0)).all())}
+    if not all(flags.values()):
+        return flags, np.inf, 0.0
+    if not rng_mask.any():
+        return flags, -np.inf, 0.0
+    sigma = s_rr - s_rk @ np.linalg.solve(s_kk, s_rk.T) if s_kk.size else s_rr
+    pencil = scipy.linalg.eigh(-sigma, np.diag(vals[rng_mask]), eigvals_only=True)
+    return flags, pencil[-1], max(np.abs(pencil).max(), np.abs(b1).max() / vals[rng_mask].min())
+
+
+def assert_same_nu(nu, ref, spread, rtol=1e-10):
+    """nu* equal to ref: exactly when either is infinite, else within rtol of spread."""
+    if np.isfinite(ref) and np.isfinite(nu):
+        assert abs(nu - ref) <= rtol * spread, (nu, ref)
+    else:
+        assert nu == ref
 
 
 def random_block_law(rng, sizes):
@@ -187,17 +210,16 @@ class TestBlockwiseGate:
     """The blockwise gate against the densified one."""
 
     def assert_same_report(self, mlaw):
-        rep, ref = check_wellposed(mlaw), dense_reference_gate(mlaw)
-        for flag in ("m0_nonneg", "kernel_block_positive"):
-            assert getattr(rep, flag) == ref[flag], flag
-        for value in ("c0_estimate", "nu_threshold"):
-            assert abs(getattr(rep, value) - ref[value]) <= 1e-10 * max(abs(ref[value]), 1.0)
+        rep, (flags, nu, spread) = check_wellposed(mlaw), dense_reference_gate(mlaw)
+        for flag, value in flags.items():
+            assert getattr(rep, flag) == value, flag
+        assert_same_nu(rep.nu_threshold, nu, spread)
         return rep
 
     def test_random_block_laws(self):
         rng = np.random.default_rng(11)
         verdicts = set()
-        for _ in range(40):
+        for _ in range(60):
             sizes = list(rng.integers(1, 6, size=int(rng.integers(1, 12))))
             verdicts.add(self.assert_same_report(random_block_law(rng, sizes)).passed)
         assert verdicts == {True, False}
@@ -217,8 +239,9 @@ class TestBlockwiseGate:
 
     @pytest.mark.parametrize("name", sorted(catalog.REGISTRY))
     def test_every_default_law(self, name):
-        # most default laws are diagonal, and take no graph pass
-        assert self.assert_same_report(catalog.build_entry(name).law).passed
+        # most default laws are diagonal, and take no graph pass; none needs a weight nu
+        rep = self.assert_same_report(catalog.build_entry(name).law)
+        assert rep.passed and rep.nu_threshold == 0.0
 
     def test_heat_2048_points_within_budget(self):
         # the densified gate took about 17 s here, nearly all in one eigh
@@ -295,6 +318,55 @@ class TestGateScale:
                 assert (scaled.m0_nonneg, scaled.kernel_block_positive) == (
                     rep.m0_nonneg, rep.kernel_block_positive), c
         assert verdicts == {True, False}
+
+    def test_a_law_mixing_scales_by_1e16_passes_and_dissipates(self):
+        # gamma^2 / cten against nu1 and cten^-1 in one coupling block of M0:
+        # the equilibration gives each coordinate unit scale before the rank cut
+        entry = catalog.thermo_elasticity((Axis.torus(3),) * 3, gamma=1e5, nu1=1e3, cten=1e11)
+        assert check_wellposed(entry.law).passed
+        u0 = np.random.default_rng(25).standard_normal(entry.dim)
+        traj = solve(entry.problem(initial=u0), SolverConfig(tau=1e-3, t_end=50e-3))
+        rep = dissipation_check(traj, entry.law)
+        assert rep.holds and rep.max_residual <= 1e-12
+
+    def test_no_diagonal_change_of_units_flips_a_verdict_or_moves_nu(self):
+        # C M0 C, C M1 C for C = diag(c on random rows, 1 elsewhere) is the same
+        # law in other units: the same flags, and the same nu* (a congruence
+        # keeps nu M0 + sym(M1) definite exactly where it was)
+        rng = np.random.default_rng(26)
+        verdicts, finite = set(), 0
+        for _ in range(30):
+            law = random_block_law(rng, list(rng.integers(1, 6, size=int(rng.integers(1, 8)))))
+            rep = check_wellposed(law)
+            verdicts.add(rep.passed)
+            finite += bool(np.isfinite(rep.nu_threshold))
+            t, m0, m1 = law.space, law.m0.to_dense(), law.m1.to_dense()
+            for c in (1e-15, 1e-11, 1e-5, 1e5, 1e11, 1e15):
+                units = np.where(rng.random(t.dim) < 0.5, c, 1.0)
+                scaled = check_wellposed(MaterialLaw(
+                    m0=MatrixOperator(units[:, None] * m0 * units[None, :], t, t),
+                    m1=MatrixOperator(units[:, None] * m1 * units[None, :], t, t)))
+                assert (scaled.m0_nonneg, scaled.kernel_block_positive) == (
+                    rep.m0_nonneg, rep.kernel_block_positive), c
+                assert_same_nu(scaled.nu_threshold, rep.nu_threshold,
+                               abs(rep.nu_threshold), rtol=1e-12)
+        assert verdicts == {True, False} and finite >= 5
+
+    def test_nu_star_is_sharp(self):
+        # nu M0 + sym(M1) is positive definite just above nu* and not just below it
+        rng = np.random.default_rng(27)
+        checked = 0
+        for _ in range(30):
+            law = random_block_law(rng, list(rng.integers(1, 6, size=int(rng.integers(1, 8)))))
+            nu = check_wellposed(law).nu_threshold
+            if not np.isfinite(nu):
+                continue
+            b0, b1 = dense_weighted(law.m0), dense_weighted(symmetrize(law.m1))
+            for side in (1.0, -1.0):
+                comb = (nu + side * 1e-6 * abs(nu)) * b0 + b1
+                assert (np.linalg.eigvalsh(comb).min() > 0) == (side > 0), (nu, side)
+            checked += 1
+        assert checked > 10
 
     def test_a_small_negative_eigenvalue_fails(self):
         # -1e-13 on its own coupling block is negative at that block's scale,
