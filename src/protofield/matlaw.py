@@ -152,13 +152,20 @@ class WellposednessReport:
 
 
 def _equilibrated(mlaw: MaterialLaw):
-    """M0 and sym(M1), congruent by D^-1/2 (check_wellposed), by scaling their CSR data."""
+    """M0 and sym(M1), congruent by D^-1/2 (check_wellposed), by scaling their CSR data,
+    each as (operator, k) times an exact 2^-k: formed from the np.frexp mantissas and
+    exponents of the factors, rounded as their plain product, with k = 0 unless an
+    entry would reach 2^512, so that no entry, sum or product of two overflows."""
     d0, d1 = mlaw.m0.entries.diagonal(), mlaw.m1.entries.diagonal()
-    scale = 1.0 / np.sqrt(np.abs(np.where(d0 != 0, d0, np.where(d1 != 0, d1, 1.0))))
+    mant, exp = np.frexp(1.0 / np.sqrt(np.abs(np.where(d0 != 0, d0, np.where(d1 != 0, d1, 1.0)))))
     for ent, factor in ((mlaw.m0.entries, 1.0), (mlaw.m1.entries + mlaw.m1.adjoint().entries, 0.5)):
-        data = factor * ent.data * np.repeat(scale, np.diff(ent.indptr)) * scale[ent.indices]
+        rows, cols = np.repeat(np.arange(ent.shape[0]), np.diff(ent.indptr)), ent.indices
+        m, e = np.frexp(ent.data)
+        e += exp[rows] + exp[cols]
+        k = max(int(e.max(initial=0, where=m != 0)) - 512, 0)
+        data = np.ldexp(factor * m * mant[rows] * mant[cols], e - k)
         yield MatrixOperator._owning(type(ent)((data, ent.indices, ent.indptr), shape=ent.shape),
-                                     mlaw.space, mlaw.space)
+                                     mlaw.space, mlaw.space), k
 
 
 def _eigvalsh(stack):
@@ -183,8 +190,9 @@ def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
     onto M0's range; -inf when M0 has no range, inf when the law fails.
     """
     m0_nonneg, kernel_block_positive, nu = True, True, -np.inf
+    (m0, k0), (sym_m1, k1) = _equilibrated(mlaw)
     # blockwise is exact (both are block diagonal); eigh sorts ascending: kernel first
-    for _, values, _, (s,) in weighted_spectrum(*_equilibrated(mlaw)):
+    for _, values, _, (s,) in weighted_spectrum(m0, sym_m1):
         cut = rank_cut(values, axis=1)
         m0_nonneg &= bool((values >= -cut).all())
         kernel_dims = np.count_nonzero(values <= cut, axis=1)
@@ -202,6 +210,8 @@ def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
             pencil = -schur * root[:, :, None] * root[:, None, :]
             nu = max(nu, float(_eigvalsh(pencil)[:, -1].max()))
     passed = m0_nonneg and kernel_block_positive
+    with np.errstate(over="ignore"):  # the law's nu*, 2^(k1 - k0) times the pencil's, or +-inf
+        nu = float(np.ldexp(nu, k1 - k0))
     return WellposednessReport(m0_nonneg, kernel_block_positive, nu + 0.0 if passed else np.inf)
 
 

@@ -567,6 +567,28 @@ class TestScenarioCorpus:
         for f in sorted(SCENARIO_DIR.glob("*.json")):
             assert cli.main(["solve", str(f), "--outdir", str(tmp_path)]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("reduced", [False, True], ids=["solve", "solve_reduced"])
+    @pytest.mark.parametrize("scheme", ["crank_nicolson", "implicit_euler"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_DIR.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_every_scenario_keeps_its_energy_balance(self, tmp_path, monkeypatch, scenario,
+                                                     scheme, reduced):
+        from protofield.evolve import dissipation_check
+
+        cfg = cli.load_scenario(scenario)
+        cfg["solver"]["scheme"] = scheme
+        name, problems = ("solve_reduced" if reduced else "solve"), []
+        runner = getattr(cli, name)
+
+        def recording(problem, config):
+            problems.append(problem)
+            return runner(problem, config)
+
+        monkeypatch.setattr(cli, name, recording)
+        traj = cli.run_scenario(cfg, reduced=reduced, outdir=str(tmp_path))
+        rep = dissipation_check(traj, problems[0].law, problems[0].forcing, scheme)
+        assert rep.holds and rep.max_residual <= 1e-12
+
 
 class TestCatalogCommand:
     def test_lists_required_entries(self, capsys):
@@ -648,6 +670,36 @@ class TestVerifyCommand:
         monkeypatch.setattr(module, helper, good)
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["cn_samples_at_t_next", "ie_samples_a_step_late",
+                                       "torus_step_drops_forcing"])
+    def test_injected_forcing_fault_fails(self, capsys, monkeypatch, fault):
+        # mutation test: a march that samples F off its scheme's time, or a
+        # torus step without its forcing term, breaks the forced energy balance
+        from dataclasses import replace
+
+        from protofield import evolve
+
+        if fault == "torus_step_drops_forcing":
+            step = evolve._WavenumberStep.step
+            monkeypatch.setattr(evolve._WavenumberStep, "step",
+                                lambda self, y, f: step(self, y, None))
+        else:
+            scheme, shift = {"cn_samples_at_t_next": ("crank_nicolson", 0.5),
+                             "ie_samples_a_step_late": ("implicit_euler", 1.0)}[fault]
+            march = evolve._march
+
+            def shifted(problem, config, stepper):
+                if config.scheme == scheme and problem.forcing is not None:
+                    forcing, dt = problem.forcing, shift * config.tau
+                    problem = replace(problem, forcing=lambda t: forcing(t + dt))
+                return march(problem, config, stepper)
+
+            monkeypatch.setattr(evolve, "_march", shifted)
+        code = cli.main(["verify", "--filter", "energy"])
+        monkeypatch.undo()
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert "FAIL  energy_conservation" in capsys.readouterr().out
 
     def test_no_matching_filter(self, capsys):
         assert cli.main(["verify", "--filter", "zzz"]) == cli.EXIT_VERIFY_FAILED

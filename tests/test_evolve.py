@@ -180,23 +180,33 @@ class TestEnergy:
         traj = solve(entry.problem(initial=np.zeros(entry.dim)), SolverConfig(tau=0.1, t_end=0.5))
         assert dissipation_check(traj, entry.law) == evolve.DissipationReport(0.0, True)
 
-    def test_dissipation_residual_matches_the_step_by_step_sum(self):
-        # the vectorized residual against the per-step loop it replaces
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, IMPLICIT_EULER])
+    def test_dissipation_residual_matches_the_step_by_step_sum(self, scheme, forced):
+        # the vectorized residual against a per-step loop of the balance
+        # E_{n+1} - E_n = tau <f, u_th> - tau <sym(M1) u_th, u_th> - (th - 1/2) <M0 d, d>,
+        # d = u_{n+1} - u_n, u_th = u_n + th d, f = F(t_n + th tau), summed from the start
         from protofield.matlaw import symmetrize
 
         entry = catalog.reissner_mindlin((Axis.interval(6), Axis.interval(6)), d=0.5)
         rng = np.random.default_rng(8)
-        traj = solve(entry.problem(initial=rng.standard_normal(entry.dim)),
-                     SolverConfig(tau=0.02, t_end=1.0))
-        sym_m1, w, tau = symmetrize(entry.law.m1), entry.space.weight, traj.times[1]
-        energies = traj.energies
-        loop, scale = 0.0, np.abs(energies).max()
+        u0, v = rng.standard_normal((2, entry.dim))
+        forcing = (lambda t: np.cos(2.0 * t) * v) if forced else None
+        traj = solve(entry.problem(initial=u0, forcing=forcing),
+                     SolverConfig(tau=0.02, t_end=1.0, scheme=scheme))
+        theta = 0.5 if scheme == CRANK_NICOLSON else 1.0
+        sym_m1, m0, w = symmetrize(entry.law.m1), entry.law.m0, entry.space.weight
+        tau, energies = traj.times[1], traj.energies
+        total, loop, scale = 0.0, 0.0, np.abs(energies).max()
         for k in range(len(traj) - 1):
-            mid = 0.5 * (traj.states[k] + traj.states[k + 1])
-            drop = float(np.sum(w * sym_m1.apply(mid) * mid))
-            loop = max(loop, abs(energies[k + 1] - energies[k] + tau * drop))
-            scale = max(scale, tau * abs(drop))
-        rep = dissipation_check(traj, entry.law)
+            d = traj.states[k + 1] - traj.states[k]
+            u = traj.states[k] + theta * d
+            work = float(np.sum(w * forcing(traj.times[k] + theta * tau) * u)) if forced else 0.0
+            total += (tau * work - tau * float(np.sum(w * sym_m1.apply(u) * u))
+                      - (theta - 0.5) * float(np.sum(w * m0.apply(d) * d)))
+            loop = max(loop, abs(energies[k + 1] - energies[0] - total))
+            scale = max(scale, abs(total))
+        rep = dissipation_check(traj, entry.law, forcing, scheme)
         assert rep.holds
         assert abs(rep.max_residual - loop / scale) <= 1e-14
 
