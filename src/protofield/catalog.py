@@ -27,10 +27,12 @@ are checked in `verify`.
 
 An entry holds what a solve and the CLI read: name, grid, law, operator,
 blocks and provenance.  Its state layout is stated once, as its `blocks`
-tuple of (label, size) pairs (the `_*_blocks` functions below, built by
-`_layout`).  Its material law (`_law`) and the block stencils are
-assembled by label over that tuple (`_assemble`), cross blocks included,
-and blocks are read back by label (`CatalogEntry.block_slices`).
+tuple of (label, size) pairs (built by `_layout`).  Every builder returns
+`_entry`, which assembles the material law's M0 and M1 by label over that
+tuple on the operator's space (`_assemble`), cross blocks included, with
+the unit law (M0 = I, M1 = 0) as the default; the block stencils are
+assembled the same way, and blocks are read back by label
+(`CatalogEntry.block_slices`).
 `_assemble`, the curl, the Dirac block and the gradients write their CSR
 arrays through one assembler, `linops.block_csr`.  Every material
 coefficient is converted and checked finite and positive (semi)definite
@@ -47,7 +49,7 @@ import scipy.sparse as sp
 
 from .linops import (MatrixOperator, SpaceTag, block_csr, block_diag, identity,
                      make_block_skew, rank_cut, skew_by_construction, spectral_function,
-                     weighted_spectrum, zero)
+                     weighted_spectrum)
 from .flatgrid import (
     Axis,
     DIRICHLET,
@@ -125,19 +127,6 @@ def _layout(axes, *components):
     return tuple((label, k * np_) for label, k in components)
 
 
-def _acoustic_blocks(axes):
-    return _layout(axes, ("p", 1), ("v", len(axes)))
-
-
-def _elastic_blocks(axes):
-    n = len(axes)
-    return _layout(axes, ("v", n), ("T", n * (n + 1) // 2))
-
-
-def _maxwell_blocks(axes):
-    return _layout(axes, ("E", 3), ("w", 3))
-
-
 def _plate_blocks(axes):
     """Bending scalar and shear flux, then rotation velocity and moment stress."""
     n = len(axes)
@@ -163,13 +152,6 @@ def _assemble(blocks, parts):
         raise KeyError(f"blocks {[k for k in parts if k not in keys]} are not in {tuple(size)}")
     return block_csr([[parts.get(r if r == c else (r, c)) for c in size] for r in size],
                      sizes=(size.values(), size.values()))
-
-
-def _law(space, blocks, m0, m1=None) -> MaterialLaw:
-    """The material law on space whose M0 and M1 are assembled by label over blocks."""
-    def op(parts):
-        return MatrixOperator._owning(_assemble(blocks, parts or {}), space, space)
-    return MaterialLaw(m0=op(m0), m1=op(m1))
 
 
 def _partials(axes):
@@ -220,6 +202,17 @@ class CatalogEntry:
                                    forcing=forcing, grid=self.grid)
 
 
+def _entry(name, axes, blocks, a, provenance, m0=None, m1=None) -> CatalogEntry:
+    """The entry of operator a whose law's M0 and M1 are assembled by label over
+    blocks on a's space, M0 = I when m0 is None and M1 = 0 when m1 is None; M1 is
+    always assembled, so a layout that does not tile a's space is a TagMismatchError."""
+    def op(parts):
+        return MatrixOperator._owning(_assemble(blocks, parts), a.domain, a.domain)
+    law = MaterialLaw(m0=identity(a.domain) if m0 is None else op(m0), m1=op(m1 or {}))
+    return CatalogEntry(name=name, grid=tuple(axes), law=law, a=a, blocks=blocks,
+                        provenance=provenance)
+
+
 def _acoustic_block(axes):
     """[[0, div], [grad0, 0]] on L2_0 (+) L2_1: the stack operator's rank-{0, 1}
     block, built at its own rank."""
@@ -245,21 +238,13 @@ def acoustics(axes, rho=1.0, kappa=1.0, sigma=0.0) -> CatalogEntry:
     flux law of heat conduction).
     """
     axes = tuple(axes)
-    blocks = _acoustic_blocks(axes)
+    blocks = _layout(axes, ("p", 1), ("v", len(axes)))
     size = dict(blocks)
-    a = _acoustic_block(axes)
-    law = _law(a.domain, blocks,
-               m0={"p": _coeff("rho", rho, size["p"]),
-                   "v": _coeff("kappa", kappa, size["v"], strict=False)},
-               m1={"v": _coeff("sigma", sigma, size["v"], strict=False)})
-    return CatalogEntry(
-        name="acoustics",
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=("select the rank-0 and rank-1 blocks of the stack operator",),
-    )
+    return _entry("acoustics", axes, blocks, _acoustic_block(axes),
+                  ("select the rank-0 and rank-1 blocks of the stack operator",),
+                  m0={"p": _coeff("rho", rho, size["p"]),
+                      "v": _coeff("kappa", kappa, size["v"], strict=False)},
+                  m1={"v": _coeff("sigma", sigma, size["v"], strict=False)})
 
 
 def heat(axes, rho=1.0, sigma=1.0) -> CatalogEntry:
@@ -281,22 +266,14 @@ def elasticity(axes, rho=1.0, compliance=1.0) -> CatalogEntry:
     axes = tuple(axes)
     if not 2 <= len(axes) <= 3:
         raise ValueError("elasticity needs a 2-d or 3-d grid")
-    blocks = _elastic_blocks(axes)
+    n = len(axes)
+    blocks = _layout(axes, ("v", n), ("T", n * (n + 1) // 2))
     size = dict(blocks)
-    a = _elastic_block(axes, sym_projection)
-    law = _law(a.domain, blocks, m0={"v": _coeff("rho", rho, size["v"]),
-                                     "T": _coeff("compliance", compliance, size["T"])})
-    return CatalogEntry(
-        name="elasticity",
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=(
-            "select the rank-1 and rank-2 blocks of the stack operator",
-            "symmetrize the rank-2 block",
-        ),
-    )
+    return _entry("elasticity", axes, blocks, _elastic_block(axes, sym_projection),
+                  ("select the rank-1 and rank-2 blocks of the stack operator",
+                   "symmetrize the rank-2 block"),
+                  m0={"v": _coeff("rho", rho, size["v"]),
+                      "T": _coeff("compliance", compliance, size["T"])})
 
 
 def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> CatalogEntry:
@@ -309,24 +286,14 @@ def maxwell(axes, permittivity=1.0, permeability=1.0, conductivity=0.0) -> Catal
     axes = tuple(axes)
     if len(axes) != 3:
         raise ValueError("the Maxwell descendant needs a 3-d grid")
-    blocks = _maxwell_blocks(axes)
+    blocks = _layout(axes, ("E", 3), ("w", 3))
     size = dict(blocks)
-    a = _elastic_block(axes, asym_projection)
-    law = _law(a.domain, blocks,
-               m0={"E": _coeff("permittivity", permittivity, size["E"]),
-                   "w": _coeff("permeability", permeability, size["w"])},
-               m1={"E": _coeff("conductivity", conductivity, size["E"], strict=False)})
-    return CatalogEntry(
-        name="maxwell",
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=(
-            "select the rank-1 and rank-2 blocks of the stack operator",
-            "antisymmetrize the rank-2 block",
-        ),
-    )
+    return _entry("maxwell", axes, blocks, _elastic_block(axes, asym_projection),
+                  ("select the rank-1 and rank-2 blocks of the stack operator",
+                   "antisymmetrize the rank-2 block"),
+                  m0={"E": _coeff("permittivity", permittivity, size["E"]),
+                      "w": _coeff("permeability", permeability, size["w"])},
+                  m1={"E": _coeff("conductivity", conductivity, size["E"], strict=False)})
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +360,11 @@ def extended_maxwell(axes, m0=None) -> CatalogEntry:
         if not (np.isfinite(curl_c.data).all() and np.isfinite(graddiv_c.data).all()):
             raise ValueError("m0: overflow in the conjugated operator")  # past numpy's errstate
     a = MatrixOperator._owning(curl_c + graddiv_c, tag, tag)
-    law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
-    return CatalogEntry(
-        name="extended_maxwell",
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=(
-            "pad the rank-{0,1} descendant into the scalar/vector stack",
-            "pad the antisymmetrized rank-{1,2} descendant (component pairing, sqrt-2 rescale)",
-            "pad the alternating rank-{2,3} descendant (component pairing, sqrt-3 rescale, block swap)",
-            "sum the curl and grad/div parts",
-        ),
-    )
+    return _entry("extended_maxwell", axes, blocks, a, (
+        "pad the rank-{0,1} descendant into the scalar/vector stack",
+        "pad the antisymmetrized rank-{1,2} descendant (component pairing, sqrt-2 rescale)",
+        "pad the alternating rank-{2,3} descendant (component pairing, sqrt-3 rescale, block swap)",
+        "sum the curl and grad/div parts"))
 
 
 def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
@@ -420,16 +378,9 @@ def reduced_extended_maxwell(axes, m0=None) -> CatalogEntry:
     sl = parent.block_slices()
     keep = np.r_[tuple(sl[label] for label, _ in blocks)]
     tag = _blocks_tag(axes, blocks, "extfield_reduced")
-    a = MatrixOperator(parent.a.entries[keep][:, keep], tag, tag)
-    law = MaterialLaw(m0=identity(tag), m1=zero(tag, tag))
-    return CatalogEntry(
-        name="reduced_extended_maxwell",
-        grid=tuple(axes),
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=parent.provenance + ("drop the second scalar block",),
-    )
+    return _entry("reduced_extended_maxwell", axes, blocks,
+                  MatrixOperator(parent.a.entries[keep][:, keep], tag, tag),
+                  parent.provenance + ("drop the second scalar block",))
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +418,10 @@ def dirac(axes) -> CatalogEntry:
     # W maps the four psi components, as a whole, onto the four phi components
     psi, phi = (fields_tag(axes, 4, f"{half}[{_axes_name(axes)}]") for half in ("psi", "phi"))
     a = make_block_skew(MatrixOperator._owning(_dirac_w(axes), psi, phi))
-    law = MaterialLaw(m0=identity(a.domain), m1=zero(a.domain, a.domain))
-    return CatalogEntry(
-        name="dirac",
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=(
-            "extended scalar/vector system in the skew-stencil (free-space) discretization",
-            "add the chiral constant zero-order term",
-            "relabel by the 8x8 signed permutation",
-        ),
-    )
+    return _entry("dirac", axes, blocks, a,
+                  ("extended scalar/vector system in the skew-stencil (free-space) discretization",
+                   "add the chiral constant zero-order term",
+                   "relabel by the 8x8 signed permutation"))
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +448,10 @@ def relativistic_schrodinger(axes) -> CatalogEntry:
         raise ValueError("the square-root system needs an all-Dirichlet grid")
     G = build_nabla(TensorFieldSpace(axes, 0))
     absG = polar_decompose(G)[1]
-    A = make_block_skew(absG)
-    law = MaterialLaw(m0=identity(A.domain), m1=zero(A.domain, A.domain))
-    return CatalogEntry(
-        name="relativistic_schrodinger",
-        grid=axes,
-        law=law,
-        a=A,
-        blocks=_layout(axes, ("u", 1), ("w", 1)),
-        provenance=(
-            "select the rank-0 and rank-1 blocks of the stack operator",
-            "compress onto the gradient range through the polar co-isometry",
-        ),
-    )
+    return _entry("relativistic_schrodinger", axes, _layout(axes, ("u", 1), ("w", 1)),
+                  make_block_skew(absG),
+                  ("select the rank-0 and rank-1 blocks of the stack operator",
+                   "compress onto the gradient range through the polar co-isometry"))
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +491,11 @@ def transport(axes, m00=1.0, m11=1.0, m1_00=0.0, m1_11=0.0) -> CatalogEntry:
     m0_comb = pe_proj @ m00 @ pe_proj + po_proj @ m11 @ po_proj
     m0_comb = 0.5 * (m0_comb + m0_comb.T)
     m1_comb = pe_proj @ m1_00 @ pe_proj + po_proj @ m1_11 @ po_proj
-    law_comb = MaterialLaw(m0=MatrixOperator(m0_comb, space0.tag, space0.tag),
-                           m1=MatrixOperator(m1_comb, space0.tag, space0.tag))
-    return CatalogEntry(
-        name="transport",
-        grid=axes,
-        law=law_comb,
-        a=a_comb,
-        blocks=(("u", np_),),
-        provenance=(
-            "select the rank-0 and rank-1 blocks of the stack operator",
-            "split into even and odd parts across the reflection",
-            "recombine the two rows on the full line",
-        ),
-    )
+    return _entry("transport", axes, (("u", np_),), a_comb,
+                  ("select the rank-0 and rank-1 blocks of the stack operator",
+                   "split into even and odd parts across the reflection",
+                   "recombine the two rows on the full line"),
+                  m0={"u": m0_comb}, m1={"u": m1_comb})
 
 
 # ---------------------------------------------------------------------------
@@ -620,23 +544,14 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     cross = gmat.T @ cinv  # eta <- T, given with its transpose to keep M0 selfadjoint
     if not (np.isfinite(gcg.data).all() and np.isfinite(cross.data).all()):
         raise ValueError("gamma: overflow in gamma C^-1 gamma")  # in scipy, past numpy's errstate
-    law = _law(a.domain, blocks,
-               m0={"eta": _coeff("nu1", nu1, size["eta"]) + gcg,
-                   "s": _coeff("nu2", nu2, size["s"]), "T": cinv,
-                   ("eta", "T"): cross, ("T", "eta"): cross.T},
-               m1={"zeta": _inv_coeff("kappa", kappa, size["zeta"])})
-    return CatalogEntry(
-        name="thermo_elasticity",
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=(
-            "select the rank-0 and rank-1 blocks (sign-flipped flux block)",
-            "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
-            "stack the two descendants; all coupling enters the material law",
-        ),
-    )
+    return _entry("thermo_elasticity", axes, blocks, a,
+                  ("select the rank-0 and rank-1 blocks (sign-flipped flux block)",
+                   "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
+                   "stack the two descendants; all coupling enters the material law"),
+                  m0={"eta": _coeff("nu1", nu1, size["eta"]) + gcg,
+                      "s": _coeff("nu2", nu2, size["s"]), "T": cinv,
+                      ("eta", "T"): cross, ("T", "eta"): cross.T},
+                  m1={"zeta": _inv_coeff("kappa", kappa, size["zeta"])})
 
 
 def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
@@ -646,26 +561,16 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
     axes = tuple(axes)
     blocks = _plate_blocks(axes)
     size = dict(blocks)
-    a = _plate_block(axes)
     shear = sp.identity(size["s"], format="csr")
-    law = _law(a.domain, blocks,
-               m0={"eta": _coeff("nu1", nu1, size["eta"]),
-                   "zeta": _coeff("kappa", kappa, size["zeta"]),
-                   "s": _coeff("nu2", nu2, size["s"]), "T": _inv_coeff("cten", cten, size["T"])},
-               m1={"eta": _coeff("d", d, size["eta"], strict=False),
-                   ("zeta", "s"): -shear, ("s", "zeta"): shear})
-    return CatalogEntry(
-        name=name,
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=(
-            "select the rank-0 and rank-1 blocks (sign-flipped flux block)",
-            "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
-            "stack the two descendants; the +-1 coupling enters the material law",
-        ),
-    )
+    return _entry(name, axes, blocks, _plate_block(axes),
+                  ("select the rank-0 and rank-1 blocks (sign-flipped flux block)",
+                   "select the rank-1 and symmetrized rank-2 blocks (sign-flipped stress block)",
+                   "stack the two descendants; the +-1 coupling enters the material law"),
+                  m0={"eta": _coeff("nu1", nu1, size["eta"]),
+                      "zeta": _coeff("kappa", kappa, size["zeta"]),
+                      "s": _coeff("nu2", nu2, size["s"]), "T": _inv_coeff("cten", cten, size["T"])},
+                  m1={"eta": _coeff("d", d, size["eta"], strict=False),
+                      ("zeta", "s"): -shear, ("s", "zeta"): shear})
 
 
 def reissner_mindlin(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0, d=0.0) -> CatalogEntry:
@@ -698,22 +603,12 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
     n0 = build_nabla(TensorFieldSpace(axes, 0))
     n1 = build_nabla(TensorFieldSpace(axes, 1))
     ps = sym_projection(TensorFieldSpace(axes, 2))
-    a = make_block_skew(ps.pi @ n1 @ n0)
-    law = _law(a.domain, blocks,
-               m0={"eta": _coeff("nu1", nu1, size["eta"]),
-                   "T": _inv_coeff("cten", cten, size["T"])},
-               m1={"eta": _coeff("d", d, size["eta"], strict=False)})
-    return CatalogEntry(
-        name=name,
-        grid=axes,
-        law=law,
-        a=a,
-        blocks=blocks,
-        provenance=(
-            "compose the rank-0->1 and symmetrized rank-1->2 derivative blocks",
-            "assemble the block-skew pair of the composite",
-        ),
-    )
+    return _entry(name, axes, blocks, make_block_skew(ps.pi @ n1 @ n0),
+                  ("compose the rank-0->1 and symmetrized rank-1->2 derivative blocks",
+                   "assemble the block-skew pair of the composite"),
+                  m0={"eta": _coeff("nu1", nu1, size["eta"]),
+                      "T": _inv_coeff("cten", cten, size["T"])},
+                  m1={"eta": _coeff("d", d, size["eta"], strict=False)})
 
 
 def kirchhoff_love(axes, nu1=1.0, cten=1.0, d=0.0) -> CatalogEntry:

@@ -1,4 +1,4 @@
-"""Time integration of evolutionary problems with energy and causality checks.
+"""Time integration of evolutionary problems with an energy check.
 
 A problem couples a material law (M0, M1) with a skew-selfadjoint spatial
 operator A, a forcing t -> vector, and an initial state.  Two one-step
@@ -27,7 +27,7 @@ finite or refused by StepFailureError: the march stops at the end of the
 block of steps where a state or energy first is not, and
 weighted_partial_norms refuses a partial norm that is not finite.
 Every pass over a trajectory's states (the march itself with its
-energies, the dissipation and causality checks and the partial norms)
+energies, the dissipation check and the partial norms)
 walks one block of rows at a time, so none allocates a temporary the size
 of the trajectory.
 Each step keeps an exact discrete energy balance, A dropping out as skew:
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import MatrixOperator, PreconditionError, skew_defect
+from .linops import MatrixOperator, skew_defect
 from .matlaw import (
     MaterialLaw,
     MaterialLawError,
@@ -322,19 +322,6 @@ def dissipation_check(traj: Trajectory, mlaw: MaterialLaw, forcing=None,
     scale = max(float(np.abs(energies).max()), float(np.abs(sums).max(initial=0.0)))
     res = float(np.abs(energies[1:] - energies[0] - sums).max(initial=0.0))
     return DissipationReport(res / scale if res else 0.0, res <= DISSIPATION_TOL * scale)
-
-
-def causality_check(problem: EvolutionaryProblem, config: SolverConfig, t0: float) -> bool:
-    """States must vanish identically strictly before t0.
-
-    Requires zero initial data and a forcing that vanishes for t < t0;
-    one-step implicit schemes then produce exact zeros before onset.
-    """
-    if np.any(problem.initial != 0.0):
-        raise PreconditionError("causality check requires zero initial data")
-    traj = solve(problem, config)
-    before = int(np.count_nonzero(traj.times < t0))  # the times increase: the first rows
-    return not any(np.any(traj.states[rows]) for rows in _row_blocks(before, problem.space.dim))
 
 
 def weighted_partial_norms(traj: Trajectory, nu: float) -> np.ndarray:

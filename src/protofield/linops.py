@@ -51,10 +51,6 @@ class TagMismatchError(ValueError):
     """Domain/codomain tags do not line up for the attempted operation."""
 
 
-class PreconditionError(ValueError):
-    """A stated hypothesis of a construction is violated."""
-
-
 class SpaceTag:
     """Label, dimension and inner-product weights of a coordinate space.
 
@@ -314,10 +310,6 @@ class MatrixOperator:
 
 def identity(tag: SpaceTag) -> MatrixOperator:
     return MatrixOperator._owning(sp.identity(tag.dim, format="csr"), tag, tag)
-
-
-def zero(domain: SpaceTag, codomain: SpaceTag) -> MatrixOperator:
-    return MatrixOperator._owning(sp.csr_matrix((codomain.dim, domain.dim)), domain, codomain)
 
 
 def block_diag(ops) -> MatrixOperator:

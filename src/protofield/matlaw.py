@@ -188,6 +188,9 @@ def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
     definite (it is singular at nu*): per block the top eigenvalue of the
     pencil (-Sigma, M0's range block), Sigma the Schur complement of sym(M1)
     onto M0's range; -inf when M0 has no range, inf when the law fails.
+    A block of sym(M1) whose largest |entry| is 2^e with |e| > 512 (a
+    subnormal one after the equilibration, where D came from M0) is judged
+    at unit scale, times the exact 2^-e, and its nu* is put back by 2^e.
     """
     m0_nonneg, kernel_block_positive, nu = True, True, -np.inf
     (m0, k0), (sym_m1, k1) = _equilibrated(mlaw)
@@ -196,6 +199,9 @@ def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
         cut = rank_cut(values, axis=1)
         m0_nonneg &= bool((values >= -cut).all())
         kernel_dims = np.count_nonzero(values <= cut, axis=1)
+        e = np.frexp(np.abs(s).max(axis=(1, 2)))[1]
+        e = np.where(np.abs(e) > 512, e, 0)
+        s = np.ldexp(s, -e[:, None, None])
         for k in np.unique(kernel_dims):
             blocks = kernel_dims == k
             s_k, root = s[blocks], 1.0 / np.sqrt(values[blocks, k:])
@@ -208,10 +214,9 @@ def check_wellposed(mlaw: MaterialLaw) -> WellposednessReport:
                     continue
                 schur = schur - s_k[:, k:, :k] @ np.linalg.solve(s_k[:, :k, :k], s_k[:, :k, k:])
             pencil = -schur * root[:, :, None] * root[:, None, :]
-            nu = max(nu, float(_eigvalsh(pencil)[:, -1].max()))
+            with np.errstate(over="ignore"):  # the law's nu*, 2^(e + k1 - k0) times the pencil's
+                nu = max(nu, float(np.ldexp(_eigvalsh(pencil)[:, -1], e[blocks] + k1 - k0).max()))
     passed = m0_nonneg and kernel_block_positive
-    with np.errstate(over="ignore"):  # the law's nu*, 2^(k1 - k0) times the pencil's, or +-inf
-        nu = float(np.ldexp(nu, k1 - k0))
     return WellposednessReport(m0_nonneg, kernel_block_positive, nu + 0.0 if passed else np.inf)
 
 

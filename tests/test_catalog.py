@@ -1,7 +1,9 @@
 """Tests for the catalog of named systems and their structural identities."""
 
+import ast
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import protofield
 from protofield import catalog, verify
 from protofield.flatgrid import (Axis, TensorFieldSpace, TensorStack, build_d1, build_nabla,
                                  build_stack_skew)
-from protofield.linops import MatrixOperator, SpaceTag, skew_defect
+from protofield.linops import MatrixOperator, SpaceTag, TagMismatchError, skew_defect
 from protofield.matlaw import MaterialLaw, check_wellposed
 from protofield.evolve import IMPLICIT_EULER, SolverConfig, solve, solve_reduced
 from protofield.subspaces import (asym_projection, descend, direct_sum_pairs, identity_pair,
@@ -222,6 +224,27 @@ class TestOneAssemblyPath:
         assert np.isfinite(traj.states).all()
 
 
+class TestOneConstructor:
+    """Every entry is made by catalog._entry, its law assembled by label over its layout."""
+
+    def test_entries_and_laws_are_constructed_in_entry_alone(self):
+        tree = ast.parse(Path(catalog.__file__).read_text())
+        entry = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_entry")
+        inside = {id(node) for node in ast.walk(entry)}
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) in ("CatalogEntry", "MaterialLaw")]
+        assert {node.func.id for node in calls if id(node) in inside} == {"CatalogEntry",
+                                                                          "MaterialLaw"}
+        assert [f"{node.func.id} at line {node.lineno}" for node in calls
+                if id(node) not in inside] == []
+
+    def test_a_layout_that_does_not_tile_the_space_is_refused(self):
+        a = catalog._acoustic_block(AX1)
+        with pytest.raises(TagMismatchError):
+            catalog._entry("short", AX1, (("p", 16), ("v", 15)), a, ())
+
+
 class TestIndependentReferences:
     """A provenance reference shares no assembly with the builder it checks."""
 
@@ -242,7 +265,7 @@ class TestIndependentReferences:
         def refuse(*args, **kwargs):
             raise AssertionError("a reference called the builders' assembly")
 
-        for name in ("_assemble", "_curl_block", "_law"):
+        for name in ("_assemble", "_curl_block", "_entry"):
             monkeypatch.setattr(catalog, name, refuse)
         for e in entries:
             if e.name != "dirac":  # its target relabels the extended system's own parts

@@ -8,11 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
 
-from protofield import catalog, evolve
+from protofield import catalog, evolve, verify
 from protofield.flatgrid import PERIODIC, Axis
-from protofield.linops import MatrixOperator, PreconditionError, SpaceTag, zero
+from protofield.linops import MatrixOperator, SpaceTag
 from protofield.matlaw import MaterialLaw, MaterialLawError, StepFailureError
 from protofield.subspaces import ShiftCut
 from protofield.evolve import (
@@ -20,12 +21,12 @@ from protofield.evolve import (
     IMPLICIT_EULER,
     EvolutionaryProblem,
     SolverConfig,
-    causality_check,
     dissipation_check,
     solve,
     solve_reduced,
     weighted_partial_norms,
 )
+from protofield.verify import causality_check
 
 
 def scalar_problem(m0=1.0, m1=0.0, a=0.0, u0=1.0):
@@ -278,7 +279,7 @@ class TestCausality:
 
     def test_nonzero_initial_rejected(self):
         prob = scalar_problem(u0=1.0)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="zero initial data"):
             causality_check(prob, SolverConfig(tau=0.1, t_end=1.0), t0=0.5)
 
 
@@ -433,7 +434,8 @@ class TestSolveReduced:
         # inverted symbol by symbol on the torus, factored by the LU off it
         entry = catalog.heat(grid)
         problem = replace(entry.problem(initial=np.random.default_rng(13).standard_normal(entry.dim)),
-                          a=zero(entry.space, entry.space))
+                          a=MatrixOperator(sp.csr_matrix((entry.dim, entry.dim)),
+                                           entry.space, entry.space))
         cfg = SolverConfig(tau=0.01, t_end=0.2, scheme=scheme)
         full = solve(problem, cfg)
         factored = lu_factorizations(monkeypatch)
@@ -857,7 +859,7 @@ class TestBlocks:
         traj = solve(random_problem(entry, 19), cfg)
         assert traj.states.nbytes > 2 * 3 * evolve._BLOCK_BYTES  # one copy would not fit
         # the causality check passes over the trajectory handed to it
-        monkeypatch.setattr(evolve, "solve", lambda problem, config: traj)
+        monkeypatch.setattr(verify, "solve", lambda problem, config: traj)
         at_rest = entry.problem(initial=np.zeros(entry.dim))
         passes = {
             "dissipation_check": lambda: dissipation_check(traj, entry.law),
@@ -878,15 +880,15 @@ class TestSparseStorage:
     def test_large_diagonal_system_uses_sparse_path(self):
         # every operator is stored as CSR and every step matrix is factored
         # by the sparse LU; a large identity law must stay sparse end to end
-        from protofield.linops import identity, zero
+        from protofield.linops import identity
 
         n = 4200
         t = SpaceTag("big", n)
-        law = MaterialLaw(m0=identity(t), m1=zero(t, t))
-        import scipy.sparse as sp
+        zero = MatrixOperator(sp.csr_matrix((n, n)), t, t)
+        law = MaterialLaw(m0=identity(t), m1=zero)
 
         assert sp.issparse(law.m0.entries) and law.m0.entries.format == "csr"
-        prob = EvolutionaryProblem(law=law, a=zero(t, t),
+        prob = EvolutionaryProblem(law=law, a=zero,
                                    initial=np.ones(n))
         traj = solve(prob, SolverConfig(tau=0.1, t_end=0.3))
         assert np.abs(traj.states - 1.0).max() <= 1e-13

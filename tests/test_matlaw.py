@@ -385,6 +385,19 @@ class TestGateScale:
         rep = check_wellposed(build())
         assert (rep.m0_nonneg, rep.kernel_block_positive, rep.nu_threshold) == verdicts
 
+    def test_a_subnormal_sym_m1_block_keeps_its_verdict(self):
+        # where a block of M0 is singular but its diagonal is not zero, D comes from
+        # M0 and that block of sym(M1) stays subnormal after the equilibration: it is
+        # judged at unit scale, so no eigensolver fails and nothing overflows (any
+        # warning is an error), and every verdict is that of the unscaled law
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            law = random_block_law(rng, list(rng.integers(1, 5, size=int(rng.integers(1, 5)))))
+            rep = check_wellposed(law)
+            tiny = check_wellposed(MaterialLaw(m0=law.m0, m1=1e-320 * law.m1))
+            assert (tiny.m0_nonneg, tiny.kernel_block_positive) == (
+                rep.m0_nonneg, rep.kernel_block_positive)
+
     def test_a_small_negative_eigenvalue_fails(self):
         # -1e-13 on its own coupling block is negative at that block's scale,
         # not a kernel vector
