@@ -6,14 +6,13 @@ Commands:
     protofield catalog                   list systems with their derivation chains
 
 Exit codes: 0 success, 1 verification failure, 2 scenario error (the
-message names the key) or, for verify, a PROTOFIELD_MAX_GRID that is not
-an integer >= 2, 3 unknown catalog name, 4 well-posedness failure, 5 step
-failure (a singular step matrix, or a state, energy or partial norm that
-is not finite, refused in evolve; no CSV is written).  Scenario arithmetic
-that overflows, divides by zero or is invalid is a scenario error naming
-the key; underflow is allowed.  A run whose states would not fit in the
-machine's physical memory is a scenario error naming "solver", and an
-entry too large to build one naming "grid/params".
+message names the key), 3 unknown catalog name, 4 well-posedness
+failure, 5 step failure (a singular step matrix, or a state, energy or
+partial norm that is not finite, refused in evolve; no CSV is written).
+Scenario arithmetic that overflows, divides by zero or is invalid is a
+scenario error naming the key; underflow is allowed.  A run whose states
+would not fit in the machine's physical memory is a scenario error
+naming "solver", and an entry too large to build one naming "grid/params".
 
 Scenario files are JSON objects:
 
@@ -62,7 +61,7 @@ from . import catalog
 from .flatgrid import DIRICHLET, PERIODIC, Axis, point_count
 from .evolve import SolverConfig, solve, solve_reduced, weighted_partial_norms
 from .matlaw import MaterialLawError, StepFailureError
-from .verify import max_grid, run_checks
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -298,11 +297,6 @@ def _write_snapshot_csv(cfg, entry, traj, outdir):
 
 
 def cmd_verify(args):
-    try:
-        max_grid()
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     results = run_checks(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}")

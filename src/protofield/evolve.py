@@ -32,10 +32,10 @@ walks one block of rows at a time, so none allocates a temporary the size
 of the trajectory.
 Each step keeps an exact discrete energy balance, A dropping out as skew:
     E_{n+1} - E_n = tau <f, u_th> - tau <sym(M1) u_th, u_th> - (th - 1/2) <M0 d, d>
-with th = 1/2 (Crank-Nicolson, the implicit midpoint rule) or 1 (implicit
-Euler), d = u_{n+1} - u_n, u_th = u_n + th d and f = F(t_n + th tau).  Both
-schemes are exactly causal: states vanish identically before the forcing
-switches on.
+with th = THETA[scheme], 1/2 (Crank-Nicolson, the implicit midpoint rule) or 1
+(implicit Euler), d = u_{n+1} - u_n, u_th = u_n + th d and f = F(t_n + th
+tau).  Both schemes are exactly causal: states vanish identically before
+the forcing switches on.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .subspaces import range_kernel_split, shift_cut
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
+THETA = {IMPLICIT_EULER: 1.0, CRANK_NICOLSON: 0.5}  # the one home of each scheme: its th
 
 SKEW_TOL = 1e-12  # EvolutionaryProblem: |A + A*| relative to A's largest entry
 DISSIPATION_TOL = 1e-10  # dissipation_check, relative to the balance's largest term
@@ -122,7 +123,7 @@ class SolverConfig:
         ratio = self.t_end / self.tau
         if not (np.isfinite(ratio) and round(ratio) >= 1):
             raise ValueError(f"t_end / tau = {ratio:.6g} must be finite and round to a step")
-        if self.scheme not in (IMPLICIT_EULER, CRANK_NICOLSON):
+        if not (isinstance(self.scheme, str) and self.scheme in THETA):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 <= self.nu < np.inf:
             raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
@@ -144,16 +145,10 @@ class Trajectory:
 
 
 def _step_operators(problem: EvolutionaryProblem, config: SolverConfig):
-    m0, m1, a = problem.law.m0, problem.law.m1, problem.a
-    inv_tau = 1.0 / config.tau
-    if config.scheme == IMPLICIT_EULER:
-        left = inv_tau * m0 + m1 + a
-        right = inv_tau * m0
-    else:
-        half = 0.5 * (m1 + a)
-        left = inv_tau * m0 + half
-        right = inv_tau * m0 - half
-    return left, right
+    """L = M0/tau + th (M1 + A) and R = M0/tau - (1 - th)(M1 + A): L u_{n+1} = R u_n + f."""
+    theta, m1_a = THETA[config.scheme], problem.law.m1 + problem.a
+    m0 = (1.0 / config.tau) * problem.law.m0
+    return m0 + theta * m1_a, m0 - (1.0 - theta) * m1_a
 
 
 class _PhysicalStep:
@@ -223,7 +218,7 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Traje
     """
     nsteps = config.steps
     times = np.arange(nsteps + 1) * config.tau
-    offset = config.tau if config.scheme == IMPLICIT_EULER else config.tau / 2
+    offset = THETA[config.scheme] * config.tau
     states = np.empty((nsteps + 1, problem.space.dim))
     states[0] = problem.initial
     energies = np.empty(nsteps + 1)
@@ -261,7 +256,7 @@ def _stepper(problem: EvolutionaryProblem, config: SolverConfig, reduced: bool):
     if cut is None:
         return _PhysicalStep(left, right)
     l_symbols, r_symbols = symbols[-2:]
-    split = range_kernel_split(cut, symbols[0], problem.space) if reduced else (None,)
+    split = range_kernel_split(cut, symbols[0]) if reduced else (None,)
     if None in split:  # nothing to eliminate: invert symbol by symbol
         inverse = guarded_inverses([l_symbols])[0]
     else:
@@ -306,7 +301,7 @@ def dissipation_check(traj: Trajectory, mlaw: MaterialLaw, forcing=None,
     (bitwise traj.energies) and its steps' terms, the differences taken with
     the last state of the block before, so each term is computed once.
     """
-    theta, tau = (0.5 if scheme == CRANK_NICOLSON else 1.0), traj.times[1]
+    theta, tau = THETA[scheme], traj.times[1]
     w, sym_m1 = mlaw.space.weight, symmetrize(mlaw.m1).entries
     energies, terms = np.empty(len(traj)), np.empty(len(traj) - 1)
     for rows in _row_blocks(len(traj), traj.space.dim):

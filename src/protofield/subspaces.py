@@ -449,7 +449,7 @@ def shift_cut(space: SpaceTag, grid, *ops: MatrixOperator):
     return (None, None) if symbols is None else (cut, symbols)
 
 
-def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag):
+def range_kernel_split(cut: ShiftCut, symbols):
     """Split H into the range of A and its orthogonal complement, wavenumber by wavenumber.
 
     symbols are A's on `cut` (from shift_cut, which a reduced solve gives A
@@ -471,7 +471,7 @@ def range_kernel_split(cut: ShiftCut, symbols, domain: SpaceTag):
         dim = sum(int(cut.multiplicity[index].sum()) * basis.shape[2] for index, basis in bases)
         if dim == 0:
             return None  # 0-dimensional tags are not representable
-        return WavenumberPair(tuple(bases), SpaceTag(f"{label}({dim})of[{domain.name}]", dim))
+        return WavenumberPair(tuple(bases), SpaceTag(f"{label}({dim})", dim))
 
     return (pair("range", [(index, u[index, :, :r]) for index, r in groups]),
             pair("coker", [(index, u[index, :, r:]) for index, r in groups]))

@@ -19,15 +19,10 @@ fault in a builder's assembly cannot cancel in its own provenance.  The
 one exception is the Dirac target, which relabels the extended system's
 own parts (`catalog._ext_parts_raw` in the centered stencils): that
 relabeling is the identity being checked.
-
-Grid sizes can be capped for constrained environments through the
-PROTOFIELD_MAX_GRID environment variable (maximum points per axis, an
-integer >= 2).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
@@ -63,25 +58,6 @@ class CheckResult:
     tol: float
     passed: bool
     detail: str = ""
-
-
-def max_grid():
-    """The PROTOFIELD_MAX_GRID cap, None when unset; ValueError unless an integer >= 2."""
-    v = os.environ.get("PROTOFIELD_MAX_GRID")
-    if not v:
-        return None
-    try:
-        cap = int(v)
-    except ValueError:
-        cap = 0
-    if cap < 2:
-        raise ValueError(f"PROTOFIELD_MAX_GRID must be an integer >= 2, got {v!r}")
-    return cap
-
-
-def _cap(n):
-    cap = max_grid()
-    return n if cap is None else min(n, cap)
 
 
 def _relative(diff, ref):
@@ -620,9 +596,9 @@ def provenance_residual(entry):
 def check_adjointness():
     """<nabla u, v> + <u, div v> = 0 over random fields, grids and ranks."""
     grids = [
-        (Axis.interval(_cap(8)),),
-        (Axis.interval(_cap(5)), Axis.torus(_cap(4))),
-        (Axis.torus(_cap(4)), Axis.torus(_cap(4)), Axis.interval(_cap(4))),
+        (Axis.interval(8),),
+        (Axis.interval(5), Axis.torus(4)),
+        (Axis.torus(4), Axis.torus(4), Axis.interval(4)),
     ]
     worst, count = adjointness_residual(grids, np.random.default_rng(2024))
     return _result("adjointness", worst, 1e-12, f"{count} random field pairs")
@@ -631,11 +607,11 @@ def check_adjointness():
 def check_skewness():
     """The stack operator and every catalog entry are skew-selfadjoint, and
     every entry matches its independent reference (`provenance_residual`)."""
-    axes = (Axis.torus(_cap(4)), Axis.interval(_cap(4)), Axis.torus(_cap(4)))
+    axes = (Axis.torus(4), Axis.interval(4), Axis.torus(4))
     stack = TensorStack(axes, 3)
     worst = skew_defect(build_stack_skew(stack))
     provenance = 0.0
-    entries = catalog.all_entries(max_points=max_grid())
+    entries = catalog.all_entries()
     for entry in entries:
         worst = max(worst, _relative(skew_defect(entry.a), entry.a.entries))
         provenance = max(provenance, provenance_residual(entry))
@@ -708,20 +684,20 @@ def check_relative_construction():
 
 
 def check_curl_identification():
-    res = curl_residual((Axis.torus(_cap(4)),) * 3)
+    res = curl_residual((Axis.torus(4),) * 3)
     return _result("curl_identification", res, 1e-14, "descended vs stencil curl")
 
 
 def check_annihilation():
-    res = annihilation_residual((Axis.torus(_cap(4)),) * 3)
+    res = annihilation_residual((Axis.torus(4),) * 3)
     return _result("annihilation", res, 1e-12, "two spatial parts, periodic, M0 = I")
 
 
 def check_dirac_equivalence():
     # the Dirac operator against its relabeled extended-Maxwell reference
-    res = provenance_residual(catalog.dirac((Axis.torus(_cap(4)),) * 3))
+    res = provenance_residual(catalog.dirac((Axis.torus(4),) * 3))
     # the spectra agree symbol by symbol (conjugation preserves eigenvalues)
-    spec_res = dirac_spectra_residual((Axis.torus(_cap(4)),) * 3)
+    spec_res = dirac_spectra_residual((Axis.torus(4),) * 3)
     return _result("dirac_equivalence", res, 1e-12,
                    f"conjugation {res:.2e}, spectra {spec_res:.2e} (tol 1e-8)",
                    side_ok=spec_res <= 1e-8)
@@ -737,8 +713,7 @@ def check_schur_equivalence():
     worst = 0.0
     rng = np.random.default_rng(5)
     cfg = SolverConfig(tau=0.01, t_end=2.0, scheme=CRANK_NICOLSON)
-    for entry in (catalog.acoustics((Axis.torus(_cap(8)),)),
-                  catalog.heat((Axis.torus(_cap(8)),))):
+    for entry in (catalog.acoustics((Axis.torus(8),)), catalog.heat((Axis.torus(8),))):
         u0 = rng.standard_normal(entry.dim)
         problem = entry.problem(initial=u0)
         full = solve(replace(problem, grid=()), cfg)
@@ -748,33 +723,31 @@ def check_schur_equivalence():
 
 
 def check_dimension_reduction():
-    mismatch, iso, op_defect = dimension_reduction_residuals(n_line=_cap(8), n_torus=_cap(4))
+    mismatch, iso, op_defect = dimension_reduction_residuals(n_line=8, n_torus=4)
     detail = f"solve {mismatch:.2e}, isometry {iso:.2e} (tol 1e-13), operator {op_defect:.2e}"
     return _result("dimension_reduction", mismatch, 1e-10, detail,
                    side_ok=iso <= 1e-13 and op_defect <= 1e-12)
 
 
 def check_even_odd_transport():
-    n = _cap(16) // 2 * 2  # the symmetric line needs an even point count
-    entry = catalog.transport((Axis.symmetric(n, 4.0 / n),))
+    entry = catalog.transport((Axis.symmetric(16, 0.25),))
     return _result("even_odd_transport", transport_residual(entry), 1e-12,
                    "combined vs split solve")
 
 
 def check_second_order_forms():
-    rm = catalog.reissner_mindlin((Axis.interval(_cap(8)), Axis.interval(_cap(8))),
-                                  d=0.3)
+    rm = catalog.reissner_mindlin((Axis.interval(8), Axis.interval(8)), d=0.3)
     res_rm = second_order_residual(rm)
-    tb = catalog.timoshenko((Axis.interval(_cap(16)),), d=0.2)
+    tb = catalog.timoshenko((Axis.interval(16),), d=0.2)
     res_tb = second_order_residual(tb)
     return _result("second_order_forms", max(res_rm, res_tb), 1e-8,
                    f"plate {res_rm:.2e}, beam {res_tb:.2e}")
 
 
 def check_polar_decomposition():
-    worst = max(polar_residual(build_nabla(TensorFieldSpace((Axis.interval(_cap(n)),), 0)))
+    worst = max(polar_residual(build_nabla(TensorFieldSpace((Axis.interval(n),), 0)))
                 for n in (8, 16, 32))
-    wave_res = max(max(wave_relative_residuals((Axis.interval(_cap(12)),), eps).values())
+    wave_res = max(max(wave_relative_residuals((Axis.interval(12),), eps).values())
                    for eps in (0.25, 1.0))
     return _result("polar_decomposition", max(worst, wave_res), 1e-10,
                    f"polar {worst:.2e}, wave identities {wave_res:.2e}")
@@ -786,17 +759,17 @@ def check_energy_conservation():
     runs under implicit Euler and, on a torus by the reduced solve, under CN."""
     rng, worst, ok = np.random.default_rng(3), 0.0, True
     cn, short = SolverConfig(tau=0.01, t_end=10.0), SolverConfig(tau=0.01, t_end=1.0)
-    line, plate = (Axis.interval(_cap(16)),), (Axis.interval(_cap(6)), Axis.interval(_cap(6)))
+    line, plate = (Axis.interval(16),), (Axis.interval(6), Axis.interval(6))
     for entry, cfg, runner, kind in [
             (catalog.acoustics(line), cn, solve, "undamped"),
-            (catalog.maxwell((Axis.torus(_cap(3)),) * 3), cn, solve, "undamped"),
+            (catalog.maxwell((Axis.torus(3),) * 3), cn, solve, "undamped"),
             (catalog.reissner_mindlin(plate), cn, solve, "undamped"),
             (catalog.acoustics(line, sigma=0.5), cn, solve, "damped"),
             (catalog.reissner_mindlin(plate, d=0.5), SolverConfig(tau=0.02, t_end=2.0), solve,
              "damped"),
             (catalog.timoshenko(line, d=0.2), replace(short, scheme=IMPLICIT_EULER), solve,
              "forced"),
-            (catalog.acoustics((Axis.torus(_cap(8)),), sigma=0.5), short, solve_reduced, "forced")]:
+            (catalog.acoustics((Axis.torus(8),), sigma=0.5), short, solve_reduced, "forced")]:
         u0, *v = rng.standard_normal((2 if kind == "forced" else 1, entry.dim))  # v: F's profile
         problem = entry.problem(u0, (lambda t: np.sin(3.0 * t) * v[0]) if v else None)
         traj = runner(problem, cfg)
@@ -826,7 +799,7 @@ def check_causality():
     """Every entry stays exactly zero before a forcing switches on; the residual
     counts the entries that do not, and the detail names them."""
     late, cfg = [], SolverConfig(tau=0.05, t_end=1.0, scheme=CRANK_NICOLSON)
-    for entry in catalog.all_entries(max_points=_cap(3)):
+    for entry in catalog.all_entries(max_points=3):
         pulse = np.zeros(entry.dim)
         pulse[entry.block_slices()[entry.blocks[0][0]]] = 1.0
 
@@ -840,7 +813,7 @@ def check_causality():
 
 
 def check_wellposedness_gate():
-    rep = check_wellposed(catalog.heat((Axis.interval(_cap(8)),)).law)
+    rep = check_wellposed(catalog.heat((Axis.interval(8),)).law)
     # the degenerate pair must fail through the kernel block
     tag = SpaceTag("toy", 2)
     bad = check_wellposed(MaterialLaw(m0=MatrixOperator(np.diag([1.0, 0.0]), tag, tag),

@@ -3,26 +3,19 @@
 Each criterion runs the `protofield.verify` check that owns its identity
 and prints one PASS/FAIL line with the measured residual; the tests compute
 no residual of their own except the convergence order of criterion 10.
-Criteria with runtime budgets assert them.  PROTOFIELD_MAX_GRID is removed
-from the environment, so the criteria run uncapped.  Run with
+Criteria with runtime budgets assert them.  Run with
 `pytest tests/test_acceptance.py -v -s` or simply `pytest`.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from protofield import catalog, verify
 from protofield.flatgrid import Axis
 from protofield.evolve import SolverConfig, solve
 
 CRITERIA = {}  # check name -> criterion number, filled by `criterion`
-
-
-@pytest.fixture(autouse=True)
-def uncapped(monkeypatch):
-    monkeypatch.delenv("PROTOFIELD_MAX_GRID", raising=False)
 
 
 def report(criterion, residual, tol, ok):

@@ -71,6 +71,11 @@ BAD_INPUTS = {
     "negative_tau": (lambda c: c["solver"].update(tau=-0.1), "tau"),
     "t_end_nan": (lambda c: c["solver"].update(t_end="nan"), "t_end"),
     "zero_steps": (lambda c: c["solver"].update(tau=5), "tau"),
+    "misspelt_scheme": (lambda c: c["solver"].update(scheme="crank_nicholson"),
+                        "unknown scheme 'crank_nicholson'"),
+    "scheme_a_list": (lambda c: c["solver"].update(scheme=["implicit_euler"]),
+                      "unknown scheme"),
+    "negative_nu": (lambda c: c["solver"].update(nu=-1.0), "nu must be nonnegative"),
     "unknown_param": (lambda c: c["params"].update(rhoo=1.0), "rhoo"),
     "unknown_block": (lambda c: c["initial"][0].update(block="zz"), "zz"),
     "mode_not_an_integer": (lambda c: c["initial"][0].update(mode=1.5), "integer"),
@@ -637,7 +642,6 @@ class TestVerifyCommand:
     def test_causality_counts_and_names_the_entries_that_fail(self, capsys, monkeypatch):
         from protofield import verify
 
-        monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
         monkeypatch.setattr(verify, "causality_check",
                             lambda problem, config, t0: problem.space.dim != 4)
         assert cli.main(["verify", "--filter", "causality"]) == cli.EXIT_VERIFY_FAILED
@@ -646,8 +650,7 @@ class TestVerifyCommand:
                 "acoustics, heat, relativistic_schrodinger, euler_bernoulli"
                 ) in capsys.readouterr().out
 
-    def test_filter_runs_subset(self, capsys, monkeypatch):
-        monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
+    def test_filter_runs_subset(self, capsys):
         assert cli.main(["verify", "--filter", "curl"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "curl_identification" in out and "PASS" in out
@@ -704,38 +707,6 @@ class TestVerifyCommand:
     def test_no_matching_filter(self, capsys):
         assert cli.main(["verify", "--filter", "zzz"]) == cli.EXIT_VERIFY_FAILED
 
-
-class TestGridCap:
-    def test_full_suite_under_cap_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("PROTOFIELD_MAX_GRID", "3")
+    def test_full_suite_passes(self, capsys):
         assert cli.main(["verify"]) == cli.EXIT_OK
         assert capsys.readouterr().out.count("PASS") == 15
-
-    @pytest.mark.parametrize("value", ["abc", "0", "1", "-3", "2.5"])
-    def test_invalid_cap_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("PROTOFIELD_MAX_GRID", value)
-        assert cli.main(["verify", "--filter", "curl"]) == cli.EXIT_PARSE_ERROR
-        assert "PROTOFIELD_MAX_GRID" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("cap", range(2, 9))
-    def test_every_cap_runs(self, capsys, monkeypatch, cap):
-        # every cap builds valid grids: the symmetric transport line needs an even
-        # count, and weights such as 1/5 must pass the M0 symmetry check; and
-        # every axis the suite builds honours the cap
-        from protofield.flatgrid import Axis
-
-        counts, check_axis = [], Axis.__post_init__
-        monkeypatch.setattr(Axis, "__post_init__",
-                            lambda axis: (counts.append(axis.n), check_axis(axis)))
-        monkeypatch.setenv("PROTOFIELD_MAX_GRID", str(cap))
-        assert cli.main(["verify"]) == cli.EXIT_OK
-        assert "FAIL" not in capsys.readouterr().out
-        assert counts and max(counts) <= cap
-
-    def test_env_var_caps_grids(self, monkeypatch):
-        from protofield.verify import _cap
-
-        monkeypatch.setenv("PROTOFIELD_MAX_GRID", "4")
-        assert _cap(16) == 4
-        monkeypatch.delenv("PROTOFIELD_MAX_GRID")
-        assert _cap(16) == 16

@@ -629,7 +629,7 @@ class TestSchur:
         A = MatrixOperator(np.kron(np.diag(np.arange(n) < n - k), np.eye(2)), t, t)
         S = MatrixOperator(np.kron(m, np.eye(2)), t, t)
         cut, (a_symbols, symbols) = shift_cut(t, (Axis.torus(2),), A, S)
-        pr, pk = range_kernel_split(cut, a_symbols, t)
+        pr, pk = range_kernel_split(cut, a_symbols)
         return schur_reduce(symbols, pr, pk), cut, pr, S
 
     def test_hand_2x2(self):
@@ -680,7 +680,7 @@ class TestSchur:
         entry = catalog.heat((Axis.torus(6),))
         S, _ = step_pair(entry.law, entry.a, 0.05)
         cut, (a_symbols, s_symbols) = shift_cut(entry.space, entry.grid, entry.a, S)
-        pr, pk = range_kernel_split(cut, a_symbols, entry.space)
+        pr, pk = range_kernel_split(cut, a_symbols)
         assert cut.N == 4  # 6 // 2 + 1 kept wavenumbers
         for reduced in complements(schur_reduce(s_symbols, pr, pk), pr):
             sym = 0.5 * (reduced + reduced.conj().transpose(0, 2, 1))

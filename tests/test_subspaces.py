@@ -36,7 +36,7 @@ def split(A, *others, grid=()):
     """(cut, range pair, kernel pair): the range/kernel split of A on the cut it
     shares with `others`, as solve_reduced takes it."""
     cut, symbols = shift_cut(A.domain, grid, A, *others)
-    return (cut, *range_kernel_split(cut, symbols[0], A.domain))
+    return (cut, *range_kernel_split(cut, symbols[0]))
 
 
 def dense_split(A, rank_tol=1e-10):
@@ -271,6 +271,13 @@ class TestRangeKernel:
             p, v = col[:4], col[4:]
             assert np.abs(p - p.mean()).max() <= 1e-12
             assert np.abs(v - v.mean()).max() <= 1e-12
+
+    def test_the_split_tags_are_named_by_their_dimensions(self):
+        # the split takes no domain: each tag is its kind and its real dimension
+        entry = catalog.acoustics((Axis.torus(4),))
+        _, pr, pk = split(entry.a, grid=entry.grid)
+        assert (pr.codomain.name, pr.codomain.dim) == ("range(6)", 6)
+        assert (pk.codomain.name, pk.codomain.dim) == ("coker(2)", 2)
 
     def test_commutation_and_skewness_on_range(self):
         entry = catalog.heat((Axis.torus(6),))
