@@ -36,8 +36,9 @@ assembled the same way, and blocks are read back by label
 `_assemble`, the curl, the Dirac block and the gradients write their CSR
 arrays through one assembler, `linops.block_csr`.  Every material
 coefficient is converted and checked finite and positive (semi)definite
-in one place, `_coeff_spectrum` (by `linops.rank_cut` per coupling
-block), so a bad value is a ValueError naming it at build.
+in one place, `_coeff` (by `linops.rank_cut` per coupling block), so a bad
+value is a ValueError naming it at build; `_coeff` also takes every function
+of a coefficient (its inverse, root and inverse root), with one overflow rule.
 """
 
 from __future__ import annotations
@@ -70,12 +71,14 @@ from .evolve import EvolutionaryProblem
 # small assembly helpers
 
 
-def _coeff_spectrum(name, value, size, strict=True):
-    """A material coefficient as a CSR block, with its space and spectral blocks.
+def _coeff(name, value, size, strict=True, f=None):
+    """A material coefficient as a CSR block, or f of it (spectral_function) when f is given;
+    f a tuple of functions gives one block per function, all from one spectrum.
 
     value is a scalar, a per-entry diagonal or a full matrix (symmetrized).
     Every coefficient of every entry passes here and is checked finite and symmetric
-    positive definite (semidefinite with strict=False) by rank_cut: a ValueError names it.
+    positive definite (semidefinite with strict=False) by rank_cut: a ValueError names it,
+    as it names an f that overflows (the inverse of a coefficient in tiny units).
     """
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:  # float(arr) * sp.identity(size), explicit zeros and all
@@ -92,27 +95,19 @@ def _coeff_spectrum(name, value, size, strict=True):
     if not np.isfinite(mat.data).all():
         raise ValueError(f"{name} must be finite")
     tag = SpaceTag(name, size)
-    try:
+    try:  # raised under the scenario's errstate or by f: name the coefficient
         groups = weighted_spectrum(MatrixOperator._owning(mat, tag, tag))
-    except ArithmeticError as exc:  # raised under the scenario's errstate: name the coefficient
-        raise ValueError(f"{name}: {exc}") from exc
-    for _, values, _, _ in groups:
-        cut = rank_cut(values, axis=1)
-        if not (values > cut if strict else values >= -cut).all():  # a NaN fails too
-            raise ValueError(f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
-    return mat, tag, groups
-
-
-def _coeff(name, value, size, strict=True):
-    """The checked CSR block of a material coefficient (see _coeff_spectrum)."""
-    return _coeff_spectrum(name, value, size, strict)[0]
-
-
-def _inv_coeff(name, value, size):
-    _, tag, groups = _coeff_spectrum(name, value, size)
-    try:  # the inverse of a definite coefficient in tiny units overflows: name it
+        for _, values, _, _ in groups:
+            cut = rank_cut(values, axis=1)
+            if not (values > cut if strict else values >= -cut).all():  # a NaN fails too
+                raise ValueError(
+                    f"{name} must be symmetric positive {'' if strict else 'semi'}definite")
+        if f is None:
+            return mat
         with np.errstate(over="raise"):
-            return spectral_function(groups, np.reciprocal, tag).entries
+            out = tuple(spectral_function(groups, g, tag).entries
+                        for g in (f if isinstance(f, tuple) else (f,)))
+        return out if isinstance(f, tuple) else out[0]
     except ArithmeticError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -332,12 +327,6 @@ def _ext_parts_raw(axes, P):
     return curl_part, graddiv_part
 
 
-def _sqrt_and_inv(name, value, size):
-    _, tag, groups = _coeff_spectrum(name, value, size)
-    return (spectral_function(groups, np.sqrt, tag).entries,
-            spectral_function(groups, lambda v: 1.0 / np.sqrt(v), tag).entries)
-
-
 def extended_maxwell(axes, m0=None) -> CatalogEntry:
     """Scalar/vector extension of Maxwell on the 8-component stack per point.
 
@@ -354,7 +343,7 @@ def extended_maxwell(axes, m0=None) -> CatalogEntry:
     if m0 is None:
         curl_c, graddiv_c = curl_part, graddiv_part
     else:
-        s, si = _sqrt_and_inv("m0", m0, tag.dim)
+        s, si = _coeff("m0", m0, tag.dim, f=(np.sqrt, lambda v: 1.0 / np.sqrt(v)))
         curl_c = si @ (curl_part @ si)
         graddiv_c = s @ (graddiv_part @ s)
         if not (np.isfinite(curl_c.data).all() and np.isfinite(graddiv_c.data).all()):
@@ -537,7 +526,7 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
     blocks = _plate_blocks(axes)
     size = dict(blocks)
     a = _plate_block(axes)
-    cinv = _inv_coeff("cten", cten, size["T"])
+    cinv = _coeff("cten", cten, size["T"], f=np.reciprocal)
     gmat = _trace_embedding(axes, gamma)
     gcg = gmat.T @ cinv @ gmat
     gcg = 0.5 * (gcg + gcg.T)
@@ -551,7 +540,7 @@ def thermo_elasticity(axes, nu1=1.0, nu2=1.0, kappa=1.0, cten=1.0,
                   m0={"eta": _coeff("nu1", nu1, size["eta"]) + gcg,
                       "s": _coeff("nu2", nu2, size["s"]), "T": cinv,
                       ("eta", "T"): cross, ("T", "eta"): cross.T},
-                  m1={"zeta": _inv_coeff("kappa", kappa, size["zeta"])})
+                  m1={"zeta": _coeff("kappa", kappa, size["zeta"], f=np.reciprocal)})
 
 
 def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
@@ -568,7 +557,8 @@ def _plate_beam(name, axes, nu1, nu2, kappa, cten, d) -> CatalogEntry:
                    "stack the two descendants; the +-1 coupling enters the material law"),
                   m0={"eta": _coeff("nu1", nu1, size["eta"]),
                       "zeta": _coeff("kappa", kappa, size["zeta"]),
-                      "s": _coeff("nu2", nu2, size["s"]), "T": _inv_coeff("cten", cten, size["T"])},
+                      "s": _coeff("nu2", nu2, size["s"]),
+                      "T": _coeff("cten", cten, size["T"], f=np.reciprocal)},
                   m1={"eta": _coeff("d", d, size["eta"], strict=False),
                       ("zeta", "s"): -shear, ("s", "zeta"): shear})
 
@@ -607,7 +597,7 @@ def _biharmonic(name, axes, nu1, cten, d) -> CatalogEntry:
                   ("compose the rank-0->1 and symmetrized rank-1->2 derivative blocks",
                    "assemble the block-skew pair of the composite"),
                   m0={"eta": _coeff("nu1", nu1, size["eta"]),
-                      "T": _inv_coeff("cten", cten, size["T"])},
+                      "T": _coeff("cten", cten, size["T"], f=np.reciprocal)},
                   m1={"eta": _coeff("d", d, size["eta"], strict=False)})
 
 

@@ -100,8 +100,9 @@ class EvolutionaryProblem:
         return self.law.space
 
     def force_at(self, t):
+        """F(t) as a checked vector, or None for a problem with no forcing."""
         if self.forcing is None:
-            return np.zeros(self.space.dim)
+            return None
         f = np.asarray(self.forcing(t), dtype=float)
         if f.shape != (self.space.dim,):
             raise ValueError(f"forcing has shape {f.shape}, expected ({self.space.dim},)")
@@ -211,7 +212,7 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Traje
 
     A block of steps (_row_blocks) goes to physical states in one call,
     and their energies are taken while those rows are in cache.  A problem
-    with no forcing passes None to the stepper, which then adds no forcing
+    with no forcing has force_at None, and the stepper then adds no forcing
     term.  Raises StepFailureError, naming the first step, when a state or
     its energy is not finite; the march stops at the end of that block, and
     such a run is never returned.
@@ -227,8 +228,7 @@ def _march(problem: EvolutionaryProblem, config: SolverConfig, stepper) -> Traje
         for rows in _row_blocks(nsteps + 1, problem.space.dim):
             first, ys = max(rows.start, 1), []
             for k in range(first - 1, rows.stop - 1):
-                f = None if problem.forcing is None else problem.force_at(times[k] + offset)
-                y = stepper.step(y, f)
+                y = stepper.step(y, problem.force_at(times[k] + offset))
                 ys.append(y)
             states[first:rows.stop] = stepper.states(ys)
             energies[rows] = energy_series_from_states(states[rows], problem.law.m0)
@@ -297,9 +297,10 @@ def dissipation_check(traj: Trajectory, mlaw: MaterialLaw, forcing=None,
     of its largest term, the largest |E_n| or partial sum: a run whose every term is zero
     balances exactly.  F is sampled as the scheme defines, so a march off it fails.
 
-    One pass over the march's row blocks takes each block's energies
-    (bitwise traj.energies) and its steps' terms, the differences taken with
-    the last state of the block before, so each term is computed once.
+    Both columns are judged: the balance is taken on the energies of the states, and
+    traj.energies, the ones the run wrote, must match them (their largest difference
+    joins the residual).  One pass over the march's row blocks takes each block's
+    energies and terms, the differences taken with the last state of the block before.
     """
     theta, tau = THETA[scheme], traj.times[1]
     w, sym_m1 = mlaw.space.weight, symmetrize(mlaw.m1).entries
@@ -315,7 +316,8 @@ def dissipation_check(traj: Trajectory, mlaw: MaterialLaw, forcing=None,
             terms[steps] -= (theta - 0.5) * _weighted_form(mlaw.m0.entries, d, w)
     sums = np.cumsum(terms)
     scale = max(float(np.abs(energies).max()), float(np.abs(sums).max(initial=0.0)))
-    res = float(np.abs(energies[1:] - energies[0] - sums).max(initial=0.0))
+    res = float(np.maximum(np.abs(energies[1:] - energies[0] - sums).max(initial=0.0),
+                           np.abs(traj.energies - energies).max()))  # a NaN in either fails
     return DissipationReport(res / scale if res else 0.0, res <= DISSIPATION_TOL * scale)
 
 

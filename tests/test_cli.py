@@ -704,6 +704,72 @@ class TestVerifyCommand:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL  energy_conservation" in capsys.readouterr().out
 
+    def test_a_wrong_last_energy_fails(self, capsys, monkeypatch):
+        # mutation test: the balance judges the energies a run wrote, so a run
+        # whose last energy is off by 1e-8 relative fails it
+        from dataclasses import replace
+
+        from protofield import evolve, verify
+
+        march = evolve._march
+
+        def skewed(problem, config, stepper):
+            traj = march(problem, config, stepper)
+            energies = traj.energies.copy()
+            energies[-1] *= 1 + 1e-8
+            return replace(traj, energies=energies)
+
+        monkeypatch.setattr(evolve, "_march", skewed)
+        result = verify.check_energy_conservation()
+        assert not result.passed and result.residual == pytest.approx(1e-8, rel=1e-3)
+        assert cli.main(["verify", "--filter", "energy"]) == cli.EXIT_VERIFY_FAILED
+        assert "FAIL  energy_conservation" in capsys.readouterr().out
+
+    def test_a_wrong_last_state_fails(self, capsys, monkeypatch):
+        # mutation test: the balance is taken on the energies of the states, so a
+        # run whose last state is off by 1e-8 relative fails it, its energies
+        # left as written (an undamped, unforced run has every term zero)
+        from protofield import evolve, verify
+
+        march = evolve._march
+
+        def skewed(problem, config, stepper):
+            traj = march(problem, config, stepper)
+            traj.states[-1] *= 1 + 1e-8
+            return traj
+
+        monkeypatch.setattr(evolve, "_march", skewed)
+        result = verify.check_energy_conservation()
+        assert not result.passed and result.residual == pytest.approx(2e-8, rel=1e-3)
+        assert cli.main(["verify", "--filter", "energy"]) == cli.EXIT_VERIFY_FAILED
+        assert "FAIL  energy_conservation" in capsys.readouterr().out
+
+    def test_a_stack_operator_off_skew_fails(self, monkeypatch):
+        # mutation test: skewness is computed against each operator's transpose,
+        # so a stack entry off by 0.1 % fails even with its negation attached as
+        # its adjoint; the provenance references descend other stacks
+        from protofield import verify
+        from protofield.flatgrid import Axis
+        from protofield.linops import MatrixOperator, skew_by_construction
+
+        good = verify.build_stack_skew
+        clean = verify.check_skewness()
+        checked = (Axis.torus(4), Axis.interval(4), Axis.torus(4))
+
+        def corrupted(stack):
+            a = good(stack)
+            if stack.axes != checked:
+                return a
+            entries = a.entries.copy()
+            entries.data[0] *= 1.001
+            return skew_by_construction(MatrixOperator(entries, a.domain, a.codomain))
+
+        monkeypatch.setattr(verify, "build_stack_skew", corrupted)
+        result = verify.check_skewness()
+        assert clean.passed and clean.residual == 0.0
+        assert not result.passed and result.residual == pytest.approx(8e-4, rel=1e-3)
+        assert result.detail == clean.detail
+
     def test_no_matching_filter(self, capsys):
         assert cli.main(["verify", "--filter", "zzz"]) == cli.EXIT_VERIFY_FAILED
 

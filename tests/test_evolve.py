@@ -278,6 +278,10 @@ class TestCausality:
             before = traj.times < 0.5
             assert np.abs(traj.states[before]).max() == 0.0
 
+    def test_an_unforced_problem_has_no_force(self):
+        # "no forcing" is decided by force_at alone: None, not a vector of zeros
+        assert scalar_problem().force_at(0.5) is None
+
     @pytest.mark.parametrize("gridless", [False, True], ids=["wavenumber", "lu"])
     def test_no_forcing_passes_no_forcing_term(self, gridless, monkeypatch):
         # a problem with no forcing hands None to the stepper at every step,

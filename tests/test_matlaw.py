@@ -437,7 +437,7 @@ class TestBlockwiseFunctions:
             x = rng.standard_normal((hi - lo, hi - lo))
             mat[np.ix_(perm[lo:hi], perm[lo:hi])] = x @ x.T + 0.5 * np.eye(hi - lo)
         vals, q = np.linalg.eigh(mat)
-        s, si = catalog._sqrt_and_inv("m0", mat, n)
+        s, si = catalog._coeff("m0", mat, n, f=(np.sqrt, lambda v: 1.0 / np.sqrt(v)))
         s_ref = (q * np.sqrt(vals)) @ q.T
         si_ref = (q / np.sqrt(vals)) @ q.T
         assert np.abs(s.toarray() - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
