@@ -16,9 +16,10 @@ steps goes back to physical states by one inverse FFT.  The step
 matrices and the states are real, so their symbols and coordinates at
 -xi are the conjugates of those at xi: only the wavenumbers up to n/2
 along the last periodic axis, about half, are stepped.  Otherwise the
-step matrix is factored once by the sparse LU.  Either way a step matrix
-whose condition kappa_1 (exact on the symbols, estimated on the LU;
-see matlaw) exceeds 1e15 raises StepFailureError.  solve_reduced is the
+step matrix is factored once by the sparse LU with partial pivoting, in a
+symmetric ordering where it is column diagonally dominant (see matlaw).
+Either way a step matrix whose condition kappa_1 (exact on the symbols,
+estimated on the LU) exceeds 1e15 raises StepFailureError.  solve_reduced is the
 same evolution stepped on the range of A: both run one set-up (the
 gate, the step matrices, the cut), and where A has both a range and a
 kernel on the cut solve_reduced inverts the step matrix through the

@@ -12,7 +12,9 @@ Also here: the inverses of the symbols of a step matrix, one (m, m)
 block per wavenumber of its cut, either symbol by symbol
 (guarded_inverses) or through the Schur complement onto the range of a
 skew operator with the reconstruction of the eliminated kernel component
-(schur_reduce), and the sparse LU off a cut (guarded_lu).  All pass one
+(schur_reduce), and the sparse LU off a cut (guarded_lu: ordered as a
+symmetric matrix where S is column diagonally dominant, pivoting partially
+either way, so the ordering decides no verdict).  All pass one
 guard: kappa_1 = ||S||_1 ||S^-1||_1 of the step matrix S must not exceed
 CONDITION_LIMIT, with ||S||_1 exact and ||S^-1||_1 exact from the
 explicit inverses, or Hager's estimate from solves by the LU.
@@ -81,10 +83,17 @@ def guarded_lu(matrix):
     kappa_1 with ||S||_1 the largest column sum of the entries and ||S^-1||_1
     Hager's estimate (a lower bound, mostly exact) from at most three of his
     iterations, six solves by the factor.  StepFailureError as there, or on
-    a non-finite solve.
+    a non-finite solve.  A column diagonally dominant S (2 |s_jj| >= column
+    sum j, every j) swaps no row under any symmetric ordering, with growth at
+    most 2 (Wilkinson), so it is ordered by minimum degree on S^T + S in
+    SuperLU's symmetric mode, about half COLAMD's fill; any other S by COLAMD.
+    Both pivot partially, so the ordering moves rounding and no verdict.
     """
+    csc = matrix.tocsc()
+    column_sums = np.asarray(abs(csc).sum(axis=0)).ravel()
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = (spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+              if (2 * abs(csc.diagonal()) >= column_sums).all() else spla.splu(csc))
     except RuntimeError as exc:
         raise StepFailureError(f"singular step matrix: {exc}") from exc
     n = matrix.shape[0]
@@ -99,7 +108,7 @@ def guarded_lu(matrix):
         if abs(z[j]) <= z @ x:  # x is a local maximum of ||S^-1 x||_1
             break
         x = (np.arange(n) == j) * 1.0
-    _check_condition(float(abs(matrix).sum(axis=0).max()) * inverse_norm)
+    _check_condition(float(column_sums.max()) * inverse_norm)
     return lu
 
 

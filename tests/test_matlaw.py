@@ -1,11 +1,14 @@
 """Tests for material laws, well-posedness, blockwise functions and Schur reduction."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from protofield.evolve import (
     CRANK_NICOLSON,
@@ -29,7 +32,7 @@ from protofield.matlaw import (
     schur_reduce,
     symmetrize,
 )
-from protofield import catalog, matlaw
+from protofield import catalog, cli, matlaw
 from protofield.subspaces import range_kernel_split, shift_cut
 
 
@@ -459,7 +462,8 @@ def lu_guard(monkeypatch):
             seen["solves"] += 1
             return self.lu.solve(b, trans)
 
-    monkeypatch.setattr(matlaw.spla, "splu", lambda matrix: Counted(splu(matrix)))
+    monkeypatch.setattr(matlaw.spla, "splu",
+                        lambda matrix, **options: Counted(splu(matrix, **options)))
     monkeypatch.setattr(matlaw, "_check_condition",
                         lambda estimate: (seen.update(kappa=estimate), check(estimate)))
 
@@ -545,6 +549,152 @@ class TestConditionGuard:
         matrix[at] = bad
         with pytest.raises(StepFailureError, match="singular"):
             guarded_lu(sp.csr_matrix(matrix))
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+
+@pytest.fixture
+def lu_options(monkeypatch):
+    """guarded_lu as a function of a matrix returning the options it gave splu."""
+    seen, splu = {}, matlaw.spla.splu
+
+    def spy(matrix, **options):
+        seen["options"] = options
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(matlaw.spla, "splu", spy)
+
+    def run(matrix):
+        guarded_lu(sp.csr_matrix(matrix))
+        return seen["options"]
+
+    return run
+
+
+def plain_lu(matrix):
+    """The factor with scipy's defaults: COLAMD and partial pivoting."""
+    return scipy.sparse.linalg.splu(matrix.tocsc())
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def plain_march(left, right, u0, steps, source=None):
+    """u <- L^-1 (R u + source), `steps` times, by plain_lu of L: the states, initial first."""
+    solve_left, states = plain_lu(left.entries).solve, [u0]
+    for _ in range(steps):
+        rhs = right.apply(states[-1])
+        states.append(solve_left(rhs if source is None else rhs + source))
+    return np.array(states)
+
+
+def entry_step(name, axes, tau, scheme, params=None):
+    entry = catalog.build_entry(name, axes, params)
+    return entry, step_pair(entry.law, entry.a, tau, scheme)
+
+
+def scenario_step(name):
+    """The step matrix L a shipped scenario factors."""
+    cfg = cli.load_scenario(SCENARIO_DIR / f"{name}.json")
+    solver = cfg["solver"]
+    return entry_step(cfg["catalog"], cli._axes_from_config(cfg["grid"]), solver["tau"],
+                      solver["scheme"], cfg.get("params"))[1][0].entries
+
+
+def random_structurally_symmetric(seed, n, density, dominant):
+    """A random S with a symmetric pattern, a nonzero diagonal and an unsymmetric
+    value on each side.  Dominant: every |s_jj| exceeds the rest of its column by
+    1 % to 10x, and columns are scaled by 1e-6 to 1e6 (each keeps its dominance).
+    Otherwise one column's diagonal is 5-95 % of the rest of that column."""
+    rng = np.random.default_rng(seed)
+    mask = np.triu(rng.random((n, n)) < density, 1)
+    if not dominant:
+        mask[0, 1] = True  # a column with something off the diagonal
+    s = np.where(mask | mask.T, rng.standard_normal((n, n)), 0.0)
+    off = np.abs(s).sum(axis=0)
+    diagonal = (1 + rng.uniform(0.01, 10.0, n)) * off + (off == 0)
+    if not dominant:
+        j = rng.choice(np.flatnonzero(off))
+        diagonal[j] = rng.uniform(0.05, 0.95) * off[j]
+    s[np.diag_indices(n)] = rng.choice([-1.0, 1.0], n) * diagonal
+    return sp.csr_matrix(s * 10.0 ** rng.integers(-6, 7, n) if dominant else s)
+
+
+class TestLuOrdering:
+    """guarded_lu orders a column diagonally dominant S by minimum degree on S^T + S in
+    SuperLU's symmetric mode, which swaps no row, and any other S by COLAMD; both pivot."""
+
+    @pytest.mark.parametrize("name, axes, tau, scheme", [
+        ("reissner_mindlin", (Axis.interval(8),) * 2, 1e-2, CRANK_NICOLSON),
+        ("reissner_mindlin", (Axis.interval(8),) * 2, 1e-2, IMPLICIT_EULER),
+        ("acoustics", (Axis.interval(16),) * 2, 1e-3, CRANK_NICOLSON),
+        ("elasticity", (Axis.interval(4),) * 3, 1e-3, CRANK_NICOLSON),
+    ], ids=["plate_cn", "plate_ie", "acoustics", "elasticity"])
+    def test_dominant_step_matrix_swaps_no_row_and_fills_less(self, name, axes, tau, scheme):
+        entry, (left, right) = entry_step(name, axes, tau, scheme)
+        lu = guarded_lu(left.entries)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert fill(lu) < fill(plain_lu(left.entries))
+        u0 = np.random.default_rng(36).standard_normal(entry.dim)
+        traj = solve(entry.problem(initial=u0), SolverConfig(tau=tau, t_end=50 * tau, scheme=scheme))
+        reference = plain_march(left, right, u0, 50)
+        assert np.abs(traj.states - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("name, axes, tau, scheme", [
+        ("heat", (Axis.interval(16),), 2e-3, IMPLICIT_EULER),
+        ("heat", (Axis.interval(2048),), 2e-3, IMPLICIT_EULER),
+        ("timoshenko", (Axis.interval(500),), 1e-2, CRANK_NICOLSON),
+    ], ids=["heat", "heat_2048", "timoshenko_500"])
+    def test_other_step_matrix_keeps_the_plain_factor(self, name, axes, tau, scheme):
+        # the LU problems of the march and scale benchmarks among them, forced as there:
+        # bitwise as before
+        entry, (left, right) = entry_step(name, axes, tau, scheme)
+        lu, plain = guarded_lu(left.entries), plain_lu(left.entries)
+        assert np.array_equal(lu.perm_c, plain.perm_c) and np.array_equal(lu.perm_r, plain.perm_r)
+        assert fill(lu) == fill(plain)
+        u0, source = np.random.default_rng(36).standard_normal((2, entry.dim))
+        problem = entry.problem(initial=u0, forcing=lambda t: source)
+        traj = solve(problem, SolverConfig(tau=tau, t_end=20 * tau, scheme=scheme))
+        assert np.array_equal(traj.states, plain_march(left, right, u0, 20, source))
+
+    @pytest.mark.parametrize("name, dominant", [
+        ("plate_ringdown", True), ("acoustics_standing_wave", True), ("beam_forced", True),
+        ("transport_pulse", True), ("heat_rod", False)])
+    def test_scenario_step_matrices(self, name, dominant, lu_options):
+        assert lu_options(scenario_step(name)) == (SYMMETRIC if dominant else {})
+
+    @pytest.mark.parametrize("name, axes, tau, scheme, params, dominant", [
+        ("reissner_mindlin", (Axis.interval(6),) * 2, 1e-2, CRANK_NICOLSON, None, True),
+        ("reissner_mindlin", (Axis.interval(6),) * 2, 2e-2, CRANK_NICOLSON, {"d": 0.5}, True),
+        ("timoshenko", (Axis.interval(500),), 1e-2, CRANK_NICOLSON, None, False),
+        ("heat", (Axis.interval(2048),), 2e-3, IMPLICIT_EULER, None, False),
+    ], ids=["plate_6", "damped_plate_6", "timoshenko_500", "heat_2048"])
+    def test_benchmark_step_matrices(self, name, axes, tau, scheme, params, dominant, lu_options):
+        # verify's energy_conservation plates and the march and scale LU problems
+        left = entry_step(name, axes, tau, scheme, params)[1][0]
+        assert lu_options(left.entries) == (SYMMETRIC if dominant else {})
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), density=st.floats(0.02, 0.6))
+    def test_random_dominant_matrices(self, seed, n, density):
+        s = random_structurally_symmetric(seed, n, density, dominant=True)
+        lu = guarded_lu(s)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        b = np.random.default_rng(seed).standard_normal(n)
+        x = lu.solve(b)
+        norm = np.abs(s).sum(axis=1).max()
+        assert np.abs(s @ x - b).max() <= 1e-13 * (norm * np.abs(x).max() + np.abs(b).max())
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), density=st.floats(0.02, 0.6))
+    def test_random_other_matrices(self, seed, n, density):
+        s = random_structurally_symmetric(seed, n, density, dominant=False)
+        lu, plain = guarded_lu(s), plain_lu(s)
+        assert np.array_equal(lu.perm_c, plain.perm_c) and np.array_equal(lu.perm_r, plain.perm_r)
+        assert fill(lu) == fill(plain)
 
 
 def step_pair(mlaw, A, tau, scheme=IMPLICIT_EULER):
